@@ -328,80 +328,14 @@ let run_json () =
           per_d)
       timings
   in
-  (* Dataplane pass: boxed vs int planes head-to-head on the very same
-     prebuilt envs — Column.set_mode only changes which plane dispatch
-     consults, and the fixed seed makes the two sides draw identical
-     samples, so the delta is pure data-plane cost. d = 1 isolates the
-     inner loop from scheduler effects. *)
-  let module Column = Rsj_relation.Column in
-  let time_plane mode f =
-    let prev = Column.mode () in
-    Column.set_mode mode;
-    Fun.protect ~finally:(fun () -> Column.set_mode prev) f
-  in
-  let dataplane_rows =
-    List.concat_map
-      (fun strategy ->
-        let env, ztag = cell_of strategy in
-        let series semantics timer =
-          let boxed = time_plane Column.Boxed (fun () -> timer env strategy 1) in
-          let int_s = time_plane Column.Int_keys (fun () -> timer env strategy 1) in
-          Printf.sprintf
-            {|      {"strategy": %S, "skew": %S, "semantics": %S, "domains": 1, "boxed_median_s": %.6f, "int_median_s": %.6f, "speedup": %s}|}
-            (Strategy.name strategy) ztag semantics boxed int_s
-            (if int_s > 0. then Printf.sprintf "%.3f" (boxed /. int_s) else "null")
-        in
-        series "WR" time_wr
-        :: (match strategy with
-           | Strategy.Naive | Strategy.Stream -> [ series "WoR" time_wor ]
-           | _ -> []))
-      Strategy.all
-  in
-  (* Allocation economics of the S1 inner loop (the loop every scan
-     strategy shares): minor words per fed tuple, boxed reservoir vs
-     the Wr_int kernel over the flat key column. *)
-  let boxed_wpt, int_wpt =
-    let module Relation = Rsj_relation.Relation in
-    let module Tuple = Rsj_relation.Tuple in
-    let module Frequency = Rsj_stats.Frequency in
-    let module Counter = Rsj_index.Int_index.Counter in
-    let module Wr_int = Rsj_util.Wr_int in
-    let env = env_uniform in
-    let left = Strategy.env_left env in
-    let n = Relation.cardinality left in
-    let stats = Strategy.env_right_stats env in
-    let left_key = Strategy.env_left_key env in
-    let rng = Rsj_util.Prng.create ~seed:7 () in
-    let res = Rsj_core.Reservoir.Wr.create ~r in
-    let b0 = Gc.minor_words () in
-    for row = 0 to n - 1 do
-      let t = Relation.get left row in
-      Rsj_core.Reservoir.Wr.feed rng res
-        ~weight:(float_of_int (Frequency.frequency stats (Tuple.attr t left_key)))
-        t
-    done;
-    let boxed_words = Gc.minor_words () -. b0 in
-    match (Strategy.env_left_key_view env, Frequency.int_counter stats) with
-    | Some keys, Some cnt ->
-        let ker = Wr_int.create rng ~r in
-        let i0 = Gc.minor_words () in
-        for row = 0 to n - 1 do
-          Wr_int.feed ker ~weight:(Counter.get cnt (Array.unsafe_get keys row)) row
-        done;
-        let int_words = Gc.minor_words () -. i0 in
-        Wr_int.finish ker;
-        (boxed_words /. float_of_int n, int_words /. float_of_int n)
-    | _ -> (boxed_words /. float_of_int n, nan)
-  in
   (* Draw-plane pass: the chain walker's repeated weighted picks, CDF
      binary search vs Vose alias O(1), over the same 3-level chain
      (per-value buckets plus a |R1|-wide root table), rebuilt per
      plane since the tables are baked at prepare time. sample_rows
      isolates the draw kernel (row-id paths, no tuple
      materialization); sample is the end-to-end request. The
-     allocation gate mirrors the data-plane one: 10k draws through the
-     packed alias kernel must allocate nothing beyond its 40-byte PRNG
-     state. *)
+     allocation probe: 10k draws through the packed alias kernel must
+     allocate nothing beyond its 40-byte PRNG state. *)
   let module Chain_sample = Rsj_core.Chain_sample in
   let module Dist = Rsj_util.Dist in
   let chain_spec =
@@ -515,12 +449,6 @@ let run_json () =
   "results": [
 %s
   ],
-  "dataplane": {
-    "results": [
-%s
-    ],
-    "allocation": {"boxed_words_per_tuple": %.4f, "int_words_per_tuple": %.4f}
-  },
   "draw_plane": {
     "chain_k": 3,
     "r_draws": %d,
@@ -541,8 +469,6 @@ let run_json () =
 |}
     n1 n2 r reps
     (String.concat ",\n" rows)
-    (String.concat ",\n" dataplane_rows)
-    boxed_wpt int_wpt
     r_draws
     (num cdf_prep) (num alias_prep)
     (num cdf_kernel) (num alias_kernel)

@@ -1,18 +1,24 @@
 open Rsj_util
 
-let wr_to_wor rng ?(key = Hashtbl.hash) ~r sample =
+let wr_to_wor (type a) rng ?(equal = ( = )) ?(hash = Hashtbl.hash) ~r (sample : a array) =
+  let module Seen = Hashtbl.Make (struct
+    type t = a
+
+    let equal = equal
+    let hash = hash
+  end) in
   let order = Array.init (Array.length sample) Fun.id in
   Prng.shuffle_in_place rng order;
-  let seen = Hashtbl.create (2 * r) in
+  let seen = Seen.create (2 * r) in
   let out = ref [] in
   let count = ref 0 in
   Array.iter
     (fun idx ->
       if !count < r then begin
-        let k = key sample.(idx) in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.replace seen k ();
-          out := sample.(idx) :: !out;
+        let x = sample.(idx) in
+        if not (Seen.mem seen x) then begin
+          Seen.replace seen x ();
+          out := x :: !out;
           incr count
         end
       end)

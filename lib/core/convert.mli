@@ -6,12 +6,14 @@
 
 open Rsj_util
 
-val wr_to_wor : Prng.t -> ?key:('a -> int) -> r:int -> 'a array -> 'a array
+val wr_to_wor :
+  Prng.t -> ?equal:('a -> 'a -> bool) -> ?hash:('a -> int) -> r:int -> 'a array -> 'a array
 (** Observation 1: filter a WR sample down to distinct elements by
     rejecting repeats, keeping the first occurrence of each (scanning in
     random order so no position is favoured), then truncate to at most
-    [r]. Distinctness is by [key] (default structural hash via
-    [Hashtbl.hash]). The result may be shorter than [r] when the WR
+    [r]. Distinctness is by [equal] (default structural equality);
+    [hash] (default [Hashtbl.hash]) must agree with it. Elements whose
+    hashes collide stay distinct. The result may be shorter than [r] when the WR
     sample does not contain [r] distinct elements — callers top up by
     drawing more WR samples, as the paper's "minor loss in efficiency"
     remark implies. *)

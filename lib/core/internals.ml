@@ -41,11 +41,8 @@ let hash_matches tbl v : Tuple.t array =
    weighted S1 reservoir (high-frequency side, weight m2(v) from the
    end-biased histogram) while its value's Rhi1 frequency is tallied,
    or joins immediately and streams the pairs through the unweighted
-   Jlo reservoir (low-frequency side). The accumulator is mergeable —
-   both reservoirs merge and the tallies add — so the pass can run
-   per-chunk across domains and fold back in chunk order
-   (Rsj_parallel), with the exact same distribution as one sequential
-   pass. *)
+   Jlo reservoir (low-frequency side). The parallel runtime runs the
+   same pass per chunk over int keys (Internals_int.Partition). *)
 module Partition = struct
   type t = {
     s1_res : Tuple.t Reservoir.Wr.t;
@@ -65,9 +62,8 @@ module Partition = struct
   (* Route one R1 tuple. [frequency] is the histogram lookup (Some m2v
      for high-frequency values); [lo_matches] resolves a low value's R2
      matches (hash probe or index probe — the caller charges whichever
-     metric applies). Does NOT count tuples_scanned: sequential callers
-     get that from the dispatch stream wrapper, parallel callers count
-     per chunk. *)
+     metric applies). Does NOT count tuples_scanned: callers get that
+     from the dispatch stream wrapper. *)
   let route rng (metrics : Metrics.t) acc ~left_key ~frequency
       ~(lo_matches : Metrics.t -> Value.t -> Tuple.t array) t1 =
     let open Metrics in
@@ -90,26 +86,6 @@ module Partition = struct
               Reservoir.Wr.feed rng acc.jlo_res ~weight:1. (Tuple.join t1 t2))
             matches
     end
-
-  let merge rng a b =
-    let m1_hi = Vtbl.create (Vtbl.length a.m1_hi + Vtbl.length b.m1_hi) in
-    let add tbl =
-      Vtbl.iter
-        (fun v cell ->
-          match Vtbl.find_opt m1_hi v with
-          | Some c -> c := !c + !cell
-          | None -> Vtbl.replace m1_hi v (ref !cell))
-        tbl
-    in
-    add a.m1_hi;
-    add b.m1_hi;
-    (* Explicit lets pin the generator consumption order (s1 then jlo):
-       record-field evaluation order is unspecified, and the data-plane
-       twin (Internals_int) must merge in the same order to stay
-       bit-identical. *)
-    let s1_res = Reservoir.Wr.merge rng a.s1_res b.s1_res in
-    let jlo_res = Reservoir.Wr.merge rng a.jlo_res b.jlo_res in
-    { s1_res; m1_hi; jlo_res; n_lo = a.n_lo + b.n_lo }
 
   (* Exact |Jhi| from the collected Rhi1 tallies and the histogram. *)
   let n_hi acc ~frequency =

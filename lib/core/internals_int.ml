@@ -5,11 +5,11 @@
    pairs until the caller rehydrates the accepted winners through
    Relation.get.
 
-   Every function here is draw-for-draw identical to its boxed twin in
-   Internals from the same generator state — the RSJ_DATAPLANE toggle
-   and test/test_dataplane.ml pin that equivalence — so a fixed seed
-   produces bit-identical samples on either plane. The module is
-   Value-free by construction (enforced by the @box-hygiene alias). *)
+   Every function here consumes the generator draw-for-draw like its
+   boxed counterpart in Internals (test/test_dataplane.ml pins the
+   sequential twins built on them against the boxed kernels). The
+   parallel runtime runs only these. The module is Value-free by
+   construction (enforced by the @box-hygiene alias). *)
 
 open Rsj_exec
 module Prng = Rsj_util.Prng
@@ -124,7 +124,8 @@ module Partition = struct
     let m1_hi = Counter.create ~capacity:(Counter.cardinal a.m1_hi + Counter.cardinal b.m1_hi) () in
     Counter.iter (fun k v -> Counter.add m1_hi k v) a.m1_hi;
     Counter.iter (fun k v -> Counter.add m1_hi k v) b.m1_hi;
-    (* Same generator order as the boxed merge: s1 then jlo. *)
+    (* Explicit lets pin the generator consumption order (s1 then jlo):
+       record-field evaluation order is unspecified. *)
     let s1_res = Reservoir.Wr.merge rng a.s1_res b.s1_res in
     let jlo_res = Reservoir.Wr.merge rng a.jlo_res b.jlo_res in
     { s1_res; m1_hi; jlo_res; n_lo = a.n_lo + b.n_lo }

@@ -14,22 +14,6 @@ open Rsj_exec
 val default_max_iterations : int
 (** The default global iteration budget ([500_000_000]). *)
 
-val attempt :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  left:Relation.t ->
-  left_key:int ->
-  right_index:Rsj_index.Hash_index.t ->
-  m:int ->
-  Tuple.t option
-(** One accept/reject round: a uniform t1, a uniform matching t2, a
-    Bernoulli(m2(t1.A)/m) acceptance. [Some (t1 ⋈ t2)] on acceptance,
-    [None] on rejection or when t1 has no match. Each call is an iid
-    draw — conditional on acceptance the joined tuple is uniform on
-    R1 ⋈ R2 — which is what lets the parallel runtime run independent
-    rounds speculatively on every domain
-    ({!Rsj_parallel}). [m] must bound every m2(v). *)
-
 val attempt_int :
   Rsj_util.Prng.t ->
   metrics:Metrics.t ->
@@ -38,10 +22,15 @@ val attempt_int :
   right_index:Rsj_index.Hash_index.t ->
   m:int ->
   int
-(** Columnar twin of {!attempt} over the flat R1 key column: the packed
-    (left row, right row) pair ({!Internals_int.pack}) on acceptance,
-    [-1] on rejection — drawing from the generator exactly as
-    {!attempt} does. *)
+(** One accept/reject round over the flat R1 key column: a uniform R1
+    row, a uniform matching R2 row, a Bernoulli(m2(t1.A)/m) acceptance.
+    The packed (left row, right row) pair ({!Internals_int.pack}) on
+    acceptance, [-1] on rejection or when the row has no match. Each
+    call is an iid draw — conditional on acceptance the pair is uniform
+    on R1 ⋈ R2 — which is what lets the parallel runtime run
+    independent rounds speculatively on every domain ({!Rsj_parallel}).
+    Draws from the generator exactly as the boxed round of {!sample}
+    does. [m] must bound every m2(v). *)
 
 val sample_int :
   Rsj_util.Prng.t ->

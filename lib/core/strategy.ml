@@ -145,10 +145,7 @@ type env = {
   right_index : Hash_index.t Lazy.t;
   histogram : Histogram.End_biased.t Lazy.t;
   (* Columnar key views for the compact data plane: extracted once per
-     env, [None] when a column is not int-viewable. Mode-independent —
-     the Column.mode switch gates which plane the dispatch consults,
-     not whether the view exists (the bench toggles modes on one
-     prebuilt env). *)
+     env, [None] when a column is not int-viewable. *)
   left_key_view : int array option Lazy.t;
   right_key_view : int array option Lazy.t;
 }
@@ -228,13 +225,11 @@ type result = {
 
 let now () = Rsj_obs.Clock.now_s ()
 
-(* Whether dispatch should take the columnar fast path: the session
-   data-plane mode says int AND every plane the strategy needs exists
-   (int-viewable key columns, int-keyed statistics/index planes).
-   Anything missing escapes to the boxed twin — same distribution, and
-   for the twinned strategies the very same draws. *)
-let int_mode () = Column.mode () = Column.Int_keys
-
+(* Dispatch takes a strategy's columnar twin whenever every plane it
+   needs exists (int-viewable key columns, int-keyed statistics/index
+   planes); anything missing runs the boxed kernel — same
+   distribution, and for the twinned strategies the very same
+   draws. *)
 let dispatch env strategy rng metrics ~r =
   (* Strategies treat their R1 input as an opaque stream; the scan is
      counted here so pipelined inputs (whose own operators already
@@ -251,44 +246,36 @@ let dispatch env strategy rng metrics ~r =
         Naive_sample.sample rng ~metrics ~r ~left:(left ()) ~right:env.right
           ~left_key:env.left_key ~right_key:env.right_key
       in
-      if not (int_mode ()) then boxed ()
-      else
-        match (Lazy.force env.left_key_view, Lazy.force env.right_key_view) with
-        | Some keys1, Some keys2 ->
-            Naive_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1
-              ~keys2
-        | _ -> boxed ())
+      match (Lazy.force env.left_key_view, Lazy.force env.right_key_view) with
+      | Some keys1, Some keys2 ->
+          Naive_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1 ~keys2
+      | _ -> boxed ())
   | Olken -> (
       let boxed () =
         Olken_sample.sample rng ~metrics ~r ~left:env.left ~left_key:env.left_key
           ~right_index:(Lazy.force env.right_index) ()
       in
-      if not (int_mode ()) then boxed ()
-      else
-        let index = Lazy.force env.right_index in
-        match (Lazy.force env.left_key_view, Hash_index.int_plane index) with
-        | Some keys1, Some _ ->
-            Olken_sample.sample_int rng ~metrics ~r ~left:env.left ~keys1 ~right_index:index
-              ()
-        | _ -> boxed ())
+      let index = Lazy.force env.right_index in
+      match (Lazy.force env.left_key_view, Hash_index.int_plane index) with
+      | Some keys1, Some _ ->
+          Olken_sample.sample_int rng ~metrics ~r ~left:env.left ~keys1 ~right_index:index ()
+      | _ -> boxed ())
   | Stream -> (
       let boxed () =
         Stream_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
           ~right_index:(Lazy.force env.right_index)
           ~right_stats:(Lazy.force env.right_stats) ()
       in
-      if not (int_mode ()) then boxed ()
-      else
-        let index = Lazy.force env.right_index in
-        match
-          ( Lazy.force env.left_key_view,
-            Frequency.int_counter (Lazy.force env.right_stats),
-            Hash_index.int_plane index )
-        with
-        | Some keys, Some freq, Some _ ->
-            Stream_sample.sample_int rng ~metrics ~r ~left:env.left ~keys ~right_index:index
-              ~freq ()
-        | _ -> boxed ())
+      let index = Lazy.force env.right_index in
+      match
+        ( Lazy.force env.left_key_view,
+          Frequency.int_counter (Lazy.force env.right_stats),
+          Hash_index.int_plane index )
+      with
+      | Some keys, Some freq, Some _ ->
+          Stream_sample.sample_int rng ~metrics ~r ~left:env.left ~keys ~right_index:index ~freq
+            ()
+      | _ -> boxed ())
   | Group ->
       Group_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
         ~right:env.right ~right_key:env.right_key
@@ -307,17 +294,15 @@ let dispatch env strategy rng metrics ~r =
           ~right:env.right ~right_key:env.right_key
           ~right_stats:(Lazy.force env.right_stats)
       in
-      if not (int_mode ()) then boxed ()
-      else
-        match
-          ( Lazy.force env.left_key_view,
-            Lazy.force env.right_key_view,
-            Frequency.int_counter (Lazy.force env.right_stats) )
-        with
-        | Some keys1, Some keys2, Some freq ->
-            Count_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1
-              ~keys2 ~freq
-        | _ -> boxed ())
+      match
+        ( Lazy.force env.left_key_view,
+          Lazy.force env.right_key_view,
+          Frequency.int_counter (Lazy.force env.right_stats) )
+      with
+      | Some keys1, Some keys2, Some freq ->
+          Count_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1 ~keys2
+            ~freq
+      | _ -> boxed ())
   | Hybrid_count ->
       fst
         (Hybrid_count.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
@@ -341,16 +326,12 @@ let prepare env strategy =
      key-column extractions and the int twins of whatever statistics
      the strategy is entitled to are forced before the clock starts,
      like the indexes and statistics above. *)
-  if int_mode () then begin
-    ignore (Lazy.force env.left_key_view);
-    ignore (Lazy.force env.right_key_view);
-    (match r2_requirement strategy with
-    | Statistics | Index_or_stats ->
-        ignore (Frequency.int_counter (Lazy.force env.right_stats))
-    | Partial_statistics ->
-        ignore (Histogram.End_biased.int_tracked (Lazy.force env.histogram))
-    | Nothing | Index -> ())
-  end
+  ignore (Lazy.force env.left_key_view);
+  ignore (Lazy.force env.right_key_view);
+  match r2_requirement strategy with
+  | Statistics | Index_or_stats -> ignore (Frequency.int_counter (Lazy.force env.right_stats))
+  | Partial_statistics -> ignore (Histogram.End_biased.int_tracked (Lazy.force env.histogram))
+  | Nothing | Index -> ()
 
 let run env strategy ~r =
   prepare env strategy;
@@ -361,34 +342,54 @@ let run env strategy ~r =
   let elapsed_seconds = now () -. t0 in
   { strategy; sample; metrics; elapsed_seconds }
 
-let run_wor env strategy ~r =
-  let join_distinct = env_join_size env in
-  let target = min r join_distinct in
-  let rng = Rsj_util.Prng.split env.rng in
-  let metrics = Metrics.create () in
-  let t0 = now () in
-  let collected = Hashtbl.create (2 * r) in
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+(* The §3 WR-to-WoR driver (observation 1): pull WR batches from
+   [next] — each with the generator its dedupe pass shuffles with —
+   and keep the first occurrence of every distinct join tuple until
+   [target] have accumulated; returns them in acceptance order.
+   Distinct means tuple equality, not an equal hash, so colliding
+   tuples are never merged. *)
+let wor_batches ~caller ~target next =
+  let collected = Tuple_tbl.create (2 * max 1 target) in
   let out = ref [] in
   let count = ref 0 in
-  (* Draw WR batches and reject duplicates (§3 observation 1); batch
-     size r keeps the expected number of rounds small. *)
+  (* Batch size r keeps the expected number of rounds small. *)
   let rounds = ref 0 in
   while !count < target && !rounds < 64 do
     incr rounds;
-    let batch_rng = Rsj_util.Prng.split rng in
-    let batch = dispatch env strategy batch_rng metrics ~r in
-    let deduped = Convert.wr_to_wor batch_rng ~key:Tuple.hash ~r:(target - !count) batch in
+    let dedup_rng, batch = next () in
     Array.iter
       (fun t ->
-        let k = Tuple.hash t in
-        if not (Hashtbl.mem collected k) then begin
-          Hashtbl.replace collected k ();
+        if not (Tuple_tbl.mem collected t) then begin
+          Tuple_tbl.replace collected t ();
           out := t :: !out;
           incr count
         end)
-      deduped
+      (Convert.wr_to_wor dedup_rng ~equal:Tuple.equal ~hash:Tuple.hash ~r:(target - !count)
+         batch)
   done;
   if !count < target then
-    failwith "Strategy.run_wor: failed to accumulate distinct samples (very small join?)";
+    failwith (caller ^ ": failed to accumulate distinct samples (very small join?)");
+  List.rev !out
+
+let run_wor env strategy ~r =
+  let target = min r (env_join_size env) in
+  let rng = Rsj_util.Prng.split env.rng in
+  let metrics = Metrics.create () in
+  let t0 = now () in
+  let accepted =
+    wor_batches ~caller:"Strategy.run_wor" ~target (fun () ->
+        let batch_rng = Rsj_util.Prng.split rng in
+        let batch = dispatch env strategy batch_rng metrics ~r in
+        (batch_rng, batch))
+  in
+  (* Newest first: the order this entry point has always returned. *)
+  let sample = Array.of_list (List.rev accepted) in
   let elapsed_seconds = now () -. t0 in
-  { strategy; sample = Array.of_list !out; metrics; elapsed_seconds }
+  { strategy; sample; metrics; elapsed_seconds }

@@ -128,8 +128,9 @@ val env_left_key_view : env -> int array option
 val env_right_key_view : env -> int array option
 (** The join columns as flat {!Column.int_view} extractions ([None]
     when not int-viewable), cached per env. These are the compact data
-    plane's inputs; {!run} and the parallel runtime consult them when
-    {!Column.mode} is [Int_keys]. *)
+    plane's inputs: {!run} takes a strategy's columnar twin whenever
+    they exist, and the parallel runtime runs only on them (without
+    them it falls back to {!run} / {!run_wor}). *)
 
 type result = {
   strategy : t;
@@ -152,5 +153,17 @@ val run : env -> t -> r:int -> result
 
 val run_wor : env -> t -> r:int -> result
 (** WoR variant: runs the strategy with WR semantics and applies the
-    §3 conversion, topping up with further WR batches until [r]
-    distinct tuples are found (or the whole join is exhausted). *)
+    §3 conversion through {!wor_batches}, topping up with further WR
+    batches of size [r] until [min r |J|] distinct tuples are found.
+    Returns them newest first. *)
+
+val wor_batches :
+  caller:string -> target:int -> (unit -> Rsj_util.Prng.t * Tuple.t array) -> Tuple.t list
+(** The §3 WR-to-WoR driver shared by {!run_wor} and the parallel
+    runtime: each call of the closure yields one WR batch and the
+    generator {!Convert.wr_to_wor} shuffles it with; the first
+    occurrence of every distinct tuple is kept until [target] have
+    accumulated, and they come back in acceptance order. Distinct
+    means {!Rsj_relation.Tuple.equal}: tuples whose hashes collide are
+    never merged. Raises [Failure] (prefixed with [caller]) when 64
+    batches cannot reach the target. *)

@@ -23,9 +23,7 @@ type t = {
 }
 
 (* The int plane is built whenever the key column admits a flat int
-   view, independently of the Column.mode switch: the mode gates which
-   plane the strategies consult, and the bench toggles it on prebuilt
-   indexes. In-bucket row order matches the boxed buckets (storage
+   view. In-bucket row order matches the boxed buckets (storage
    order), so uniform in-bucket picks agree between planes. *)
 let build_int_plane relation ~key =
   match Column.int_view relation ~col:key with

@@ -1,20 +1,29 @@
 (* Parallel sampling runtime on OCaml 5 domains — full strategy
    coverage, WR and WoR, on the persistent worker pool.
 
+   The runtime has one data plane. Every runner below scans the join
+   columns as flat int arrays (Column.int_view), feeds allocation-free
+   Wr_int kernels (or plain reservoirs of row ids / packed row pairs)
+   and rehydrates only the accepted winners through Relation.get. A
+   join column without an int view (a string or float column, or
+   min_int as data) sends the call to the paper's sequential kernels
+   through Strategy.run / Strategy.run_wor instead: same law, and
+   bit-identical at every domain count. The fallback is counted
+   (rsj_int_plane_fallback_total) and tagged on the strategy span.
+
    Scans are distributed by the chunk-queue scheduler
    (Chunk_scheduler): the relation is cut into fixed-size chunks that
    sit behind one atomic cursor, and each domain claims the next chunk
    with a fetch-and-add, so skewed chunks cannot strand work on one
-   domain the way the old static `Relation.shards` split could. Each
-   chunk carries its own split generator, metrics and mergeable state
-   (Reservoir.Wr / Reservoir.Unit / Reservoir.Wor /
-   Internals.Partition); the results land in per-chunk slots and merge
-   on the calling domain in chunk order. Because chunk state depends
-   only on the chunk index — never on which domain ran it — and the
-   chunk cut never depends on the domain count, every chunked strategy
-   is bit-deterministic for a fixed seed at any domain count, and
-   distribution-identical to one sequential pass (the reservoir merges
-   preserve the slot laws).
+   domain the way a static split could. Each chunk carries its own
+   split generator, metrics and mergeable state (Reservoir.Wr /
+   Reservoir.Multi / Reservoir.Wor / Internals_int.Partition); the
+   results land in per-chunk slots and merge on the calling domain in
+   chunk order. Because chunk state depends only on the chunk index —
+   never on which domain ran it — and the chunk cut never depends on
+   the domain count, every chunked strategy is bit-deterministic for a
+   fixed seed at any domain count, and distribution-identical to one
+   sequential pass (the reservoir merges preserve the slot laws).
 
    Worker domains come from the persistent Domain_pool: spawned once,
    parked between calls, woken per scan — so a conformance sweep of
@@ -22,14 +31,14 @@
    thousands.
 
    Count-Sample and Hybrid-Count's R2 matching step runs through the
-   same machinery: one unit reservoir per sampled S1 entry per chunk,
-   merged element-wise with the U1 merge law. In the sequential engine
-   each S1 entry's pick is an independent uniform draw from its
+   same machinery: one Multi reservoir per sampled join value per
+   chunk, merged element-wise with the U1 merge law. In the sequential
+   kernel each S1 entry's pick is an independent uniform draw from its
    value's R2 tuples (the binomial assignment gives every outstanding
-   entry the current tuple with probability 1/(population - seen));
-   an entry's merged unit reservoir is exactly such a draw, so the
-   parallel scan keeps the law while auditing the reservoirs' fed
-   counts against the claimed populations for staleness.
+   entry the current tuple with probability 1/(population - seen)); an
+   entry's merged unit pick is exactly such a draw, so the parallel
+   scan keeps the law while auditing the reservoirs' fed counts
+   against the claimed populations for staleness.
 
    Olken-Sample is the one strategy that is not a scan: it is a
    sequence of iid accept/reject rounds. It parallelizes
@@ -53,11 +62,14 @@ open Rsj_exec
 module Strategy = Rsj_core.Strategy
 module Reservoir = Rsj_core.Reservoir
 module Internals = Rsj_core.Internals
-module Convert = Rsj_core.Convert
+module Internals_int = Rsj_core.Internals_int
 module Olken_sample = Rsj_core.Olken_sample
 module Frequency = Rsj_stats.Frequency
 module End_biased = Rsj_stats.Histogram.End_biased
 module Hash_index = Rsj_index.Hash_index
+module Int_index = Rsj_index.Int_index
+module Counter = Int_index.Counter
+module Wr_int = Rsj_util.Wr_int
 module Prng = Rsj_util.Prng
 module Chunk_scheduler = Chunk_scheduler
 module Obs = Rsj_obs
@@ -68,13 +80,16 @@ let default_domains () = Domain.recommended_domain_count ()
    (cat "strategy") encloses the scan/merge work — pool.run, pool.job
    and chunk spans nest temporally inside it — and, after the run, the
    work counters fold into the registry (the rsj_metrics_ family) and
-   the wall-time into a per-strategy histogram. One branch when off. *)
+   the wall-time into a per-strategy histogram. [plane] says which
+   implementation ran: "int" (the chunked runners below) or
+   "sequential" (the fallback to the paper's kernels). One branch when
+   off. *)
 let strategy_seconds strategy ~domains =
   Obs.Registry.histogram ~help:"Whole-strategy sampling run wall time, seconds"
     ~labels:[ ("strategy", Strategy.name strategy); ("domains", string_of_int domains) ]
     "rsj_strategy_run_seconds"
 
-let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
+let observed ?(absorb = true) ~plane ~semantics strategy ~r ~domains body =
   if not (Obs.enabled ()) then body ()
   else
     Obs.Trace.with_span ~cat:"strategy"
@@ -84,6 +99,7 @@ let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
           ("semantics", Obs.Json.Str semantics);
           ("r", Obs.Json.Int r);
           ("domains", Obs.Json.Int domains);
+          ("plane", Obs.Json.Str plane);
         ]
       ("strategy." ^ Strategy.name strategy)
       (fun () ->
@@ -97,32 +113,21 @@ let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
         Obs.Registry.observe (strategy_seconds strategy ~domains) result.Strategy.elapsed_seconds;
         result)
 
-let is_parallelizable = function
-  | Strategy.Naive | Strategy.Olken | Strategy.Stream | Strategy.Group
-  | Strategy.Frequency_partition | Strategy.Index_sample | Strategy.Count_sample
-  | Strategy.Hybrid_count ->
-      true
+(* A call whose join columns have no int view runs the sequential
+   kernels. It is counted whether or not telemetry is on, so the
+   fallback is never silent. *)
+let sequential ~semantics strategy ~r ~domains body =
+  Obs.Registry.incr
+    (Obs.Registry.counter
+       ~help:"Parallel-runtime calls that ran the sequential kernels (join column not int-viewable)"
+       ~labels:[ ("strategy", Strategy.name strategy) ]
+       "rsj_int_plane_fallback_total");
+  observed ~plane:"sequential" ~semantics strategy ~r ~domains body
 
-(* One chunk-scheduled pass over [relation]. [make ()] builds a chunk's
-   private accumulator, [feed metrics rng state t] consumes one tuple;
-   each chunk gets its own generator (split by chunk index, so the
-   result is independent of which domain claims it) and its own
-   metrics, with the scan itself counted here. Results come back in
-   chunk order. *)
-let chunked_pass ~domains ~chunk_size ~rng ~make ~feed relation =
-  let chunks = Relation.chunk_count relation ~chunk_size in
-  let rngs = Prng.split_n rng chunks in
-  let task i =
-    let metrics = Metrics.create () in
-    let state = make () in
-    Stream0.iter
-      (fun t ->
-        metrics.Metrics.tuples_scanned <- metrics.Metrics.tuples_scanned + 1;
-        feed metrics rngs.(i) state t)
-      (Relation.chunk relation ~chunk_size i);
-    (state, metrics)
-  in
-  Chunk_scheduler.run ~domains ~chunks ~task ()
+let timed strategy body =
+  let t0 = Obs.Clock.now_s () in
+  let sample, metrics = body () in
+  { Strategy.strategy; sample; metrics; elapsed_seconds = Obs.Clock.now_s () -. t0 }
 
 (* Fold (state, metrics) chunk results in chunk order. [merge_rng] is
    consumed sequentially on the calling domain, so the fold is as
@@ -154,412 +159,9 @@ let absorb_metrics (dst : Metrics.t) (src : Metrics.t) =
   dst.rejected_samples <- dst.rejected_samples + src.rejected_samples;
   dst.stats_lookups <- dst.stats_lookups + src.stats_lookups
 
-(* Weighted WR sample of R1 with weights m2(t.A) from the frequency
-   statistics — the shared first step of Stream-, Group- and
-   Count-Sample. Returns the merged sample and the summed scan
-   metrics. *)
-let parallel_s1 env ~r ~domains ~chunk_size rng =
-  let stats = Strategy.env_right_stats env in
-  let left_key = Strategy.env_left_key env in
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
-      ~make:(fun () -> Reservoir.Wr.create ~r)
-      ~feed:(fun metrics chunk_rng res t ->
-        metrics.Metrics.stats_lookups <- metrics.Metrics.stats_lookups + 1;
-        let w = float_of_int (Frequency.frequency stats (Tuple.attr t left_key)) in
-        Reservoir.Wr.feed chunk_rng res ~weight:w t)
-      (Strategy.env_left env)
-  in
-  let res, metrics =
-    fold_parts ~merge_rng ~merge:Reservoir.Wr.merge ~empty:(fun () -> Reservoir.Wr.create ~r)
-      parts
-  in
-  (Reservoir.Wr.contents res, metrics)
-
-let run_stream env ~r ~domains ~chunk_size rng =
-  let open Metrics in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size rng in
-  let index = Strategy.env_right_index env in
-  let out =
-    Array.map
-      (fun t1 ->
-        let v = Tuple.attr t1 (Strategy.env_left_key env) in
-        metrics.index_probes <- metrics.index_probes + 1;
-        match Hash_index.random_match index rng v with
-        | Some t2 ->
-            metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Tuple.join t1 t2
-        | None -> failwith "Rsj_parallel.run(Stream): sampled tuple has no match in R2")
-      s1
-  in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
-
-(* Chunk-scheduled R2 matching shared by Group-Sample's step 3 and the
-   Count-Sample scans. Each S1 entry needs an independent uniform pick
-   over its value's R2 tuples (the per-group U1 of the sequential
-   engines); feeding one unit reservoir per entry would cost the full
-   S1 ⋈ R2 output, so each join value instead owns one Multi
-   reservoir per chunk — k iid unit picks fed with a single binomial
-   draw per matching R2 tuple, the same thinning
-   Internals.count_sample_scan uses. Per-value reservoirs are merged
-   in chunk order with the slot-wise U1 coin law; values and group
-   members keep their S1 first-occurrence order, so the whole scan is
-   deterministic at any pool width. Returns, per group in that order,
-   (join value, member indices into s1, merged reservoir), plus the
-   scan metrics. *)
-let per_group_r2_scan env ~domains ~chunk_size rng ~(s1 : Tuple.t array) =
-  let left_key = Strategy.env_left_key env in
-  let right_key = Strategy.env_right_key env in
-  (* Group the S1 entries by join value; the table is read-only
-     during the R2 scan, so every domain may probe it. *)
-  let gids : (int * int list ref) Internals.Vtbl.t =
-    Internals.Vtbl.create (2 * max 1 (Array.length s1))
-  in
-  let next = ref 0 in
-  let order = ref [] in
-  Array.iteri
-    (fun i t1 ->
-      let v = Tuple.attr t1 left_key in
-      match Internals.Vtbl.find_opt gids v with
-      | Some (_, cell) -> cell := i :: !cell
-      | None ->
-          Internals.Vtbl.replace gids v (!next, ref [ i ]);
-          order := v :: !order;
-          incr next)
-    s1;
-  let values = Array.of_list (List.rev !order) in
-  let members =
-    Array.map
-      (fun v ->
-        let _, cell = Internals.Vtbl.find gids v in
-        Array.of_list (List.rev !cell))
-      values
-  in
-  let fresh_multis () =
-    Array.map (fun mem -> Reservoir.Multi.create ~k:(Array.length mem)) members
-  in
-  let right = Strategy.env_right env in
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng ~make:fresh_multis
-      ~feed:(fun _m chunk_rng multis t2 ->
-        let v = Tuple.attr t2 right_key in
-        if not (Value.is_null v) then
-          match Internals.Vtbl.find_opt gids v with
-          | None -> ()
-          | Some (g, _) -> Reservoir.Multi.feed chunk_rng multis.(g) t2)
-      right
-  in
-  let merge_multi_arrays mrng a b =
-    let n = Array.length a in
-    if n = 0 then [||]
-    else begin
-      let out = Array.make n a.(0) in
-      for g = 0 to n - 1 do
-        out.(g) <- Reservoir.Multi.merge mrng a.(g) b.(g)
-      done;
-      out
-    end
-  in
-  let merged, metrics = fold_parts ~merge_rng ~merge:merge_multi_arrays ~empty:fresh_multis parts in
-  ((values, members, merged), metrics)
-
-let run_group env ~r ~domains ~chunk_for rng =
-  let open Metrics in
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng in
-  if Array.length s1 = 0 then ([||], metrics)
-  else begin
-    let n2 = Relation.cardinality (Strategy.env_right env) in
-    let (_values, members, merged), scan_metrics =
-      per_group_r2_scan env ~domains ~chunk_size:(chunk_for n2) rng ~s1
-    in
-    let metrics = Metrics.add metrics scan_metrics in
-    let out = Array.make (Array.length s1) s1.(0) in
-    Array.iteri
-      (fun g mem ->
-        Array.iteri
-          (fun j i ->
-            match Reservoir.Multi.get merged.(g) j with
-            | Some t2 ->
-                metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-                out.(i) <- Tuple.join s1.(i) t2
-            | None -> failwith "Rsj_parallel.run(Group): sampled tuple has no match in R2")
-          mem)
-      members;
-    metrics.output_tuples <- metrics.output_tuples + Array.length out;
-    (out, metrics)
-  end
-
-(* Count-Sample's R2 matching, parallelized: the per-group Multi
-   reservoirs above replace the sequential per-group U1 scan, and the
-   fed counts are audited against the claimed populations afterwards
-   so stale statistics fail with the same diagnostics as the
-   sequential engine (Internals.count_sample_scan). *)
-let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : Tuple.t array)
-    ~population =
-  if Array.length s1 = 0 then ([||], Metrics.create ())
-  else begin
-    let open Metrics in
-    let left_key = Strategy.env_left_key env in
-    Array.iter
-      (fun t1 ->
-        if population (Tuple.attr t1 left_key) <= 0 then
-          failwith (strategy ^ ": sampled value has no frequency in the statistics"))
-      s1;
-    let (values, members, merged), metrics =
-      per_group_r2_scan env ~domains ~chunk_size rng ~s1
-    in
-    let out = Array.make (Array.length s1) s1.(0) in
-    Array.iteri
-      (fun g mem ->
-        let pop = population values.(g) in
-        let fed = Reservoir.Multi.fed_count merged.(g) in
-        if fed > pop then
-          failwith (strategy ^ ": R2 holds more tuples of a value than the statistics claim");
-        if fed < pop then
-          failwith (strategy ^ ": statistics overstate a value's frequency (stale statistics?)");
-        Array.iteri
-          (fun j i ->
-            match Reservoir.Multi.get merged.(g) j with
-            | Some t2 ->
-                metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-                out.(i) <- Tuple.join s1.(i) t2
-            | None ->
-                (* fed = pop > 0 guarantees every slot holds a pick. *)
-                assert false)
-          mem)
-      members;
-    (out, metrics)
-  end
-
-let run_count env ~r ~domains ~chunk_for rng =
-  let open Metrics in
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng in
-  let stats = Strategy.env_right_stats env in
-  let n2 = Relation.cardinality (Strategy.env_right env) in
-  let out, scan_metrics =
-    parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
-      ~strategy:"Rsj_parallel.run(Count)" ~s1
-      ~population:(fun v -> Frequency.frequency stats v)
-  in
-  let metrics = Metrics.add metrics scan_metrics in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
-
-let run_naive env ~r ~domains ~chunk_size rng =
-  let open Metrics in
-  let main_metrics = Metrics.create () in
-  let tbl =
-    Internals.build_join_hash main_metrics (Strategy.env_right env)
-      ~right_key:(Strategy.env_right_key env)
-  in
-  let left_key = Strategy.env_left_key env in
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
-      ~make:(fun () -> Reservoir.Wr.create ~r)
-      ~feed:(fun metrics chunk_rng res t1 ->
-        Array.iter
-          (fun t2 ->
-            metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Reservoir.Wr.feed chunk_rng res ~weight:1. (Tuple.join t1 t2))
-          (Internals.hash_matches tbl (Tuple.attr t1 left_key)))
-      (Strategy.env_left env)
-  in
-  let res, scan_metrics =
-    fold_parts ~merge_rng ~merge:Reservoir.Wr.merge ~empty:(fun () -> Reservoir.Wr.create ~r)
-      parts
-  in
-  let out = Reservoir.Wr.contents res in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
-
-(* Speculative Olken: every domain runs independent accept/reject
-   rounds (Olken_sample.attempt — iid, uniform on the join conditional
-   on acceptance) into a private buffer. A shared atomic counter hands
-   out acceptance tickets; a domain keeps a pair only for tickets
-   below r and stops once the tickets are gone, so exactly r pairs
-   survive in total. Ticketing, stopping and the domain-order
-   concatenation below depend only on counters and timing — never on
-   the sampled values — so the surviving pairs are r iid uniform draws
-   from the join, exactly the sequential Olken law. The global
-   iteration budget is divided evenly across domains. *)
-let run_olken env ~r ~domains rng =
-  let open Metrics in
-  if r = 0 then ([||], Metrics.create ())
-  else begin
-    let left = Strategy.env_left env in
-    if Relation.cardinality left = 0 then
-      invalid_arg "Rsj_parallel.run(Olken): empty R1 with r > 0";
-    let left_key = Strategy.env_left_key env in
-    let right_index = Strategy.env_right_index env in
-    let m = Hash_index.max_multiplicity right_index in
-    if m = 0 then failwith "Rsj_parallel.run(Olken): R2 has no joinable tuples";
-    let budget = max 1 (Olken_sample.default_max_iterations / domains) in
-    let rngs = Prng.split_n rng domains in
-    let tickets = Atomic.make 0 in
-    let parts =
-      Domain_pool.run (Domain_pool.global ()) ~domains (fun k ->
-          let metrics = Metrics.create () in
-          let buf = ref [] in
-          let iterations = ref 0 in
-          let exhausted = ref false in
-          let finished = ref false in
-          while (not !finished) && not !exhausted do
-            if Atomic.get tickets >= r then finished := true
-            else begin
-              incr iterations;
-              if !iterations > budget then exhausted := true
-              else
-                match
-                  Olken_sample.attempt rngs.(k) ~metrics ~left ~left_key ~right_index ~m
-                with
-                | Some t -> if Atomic.fetch_and_add tickets 1 < r then buf := t :: !buf
-                | None -> ()
-            end
-          done;
-          (Array.of_list (List.rev !buf), metrics))
-    in
-    let out = Array.concat (Array.to_list (Array.map fst parts)) in
-    let metrics =
-      Array.fold_left (fun acc (_, m) -> Metrics.add acc m) (Metrics.create ()) parts
-    in
-    if Array.length out < r then
-      failwith
-        "Rsj_parallel.run(Olken): iteration budget exhausted (join empty or near-empty?)";
-    metrics.output_tuples <- metrics.output_tuples + r;
-    (* Acceptance/rejection tallies as first-class registry counters, so
-       the rejection-rate churn Olken trades for its index probes is
-       readable off `rsj metrics` without diffing work records. *)
-    if Obs.enabled () then begin
-      Obs.Registry.add
-        (Obs.Registry.counter ~help:"Olken rounds rejected by the m2(v)/m ceiling coin"
-           "rsj_olken_rejections_total")
-        metrics.rejected_samples;
-      Obs.Registry.add
-        (Obs.Registry.counter ~help:"Olken rounds accepted" "rsj_olken_acceptances_total")
-        r
-    end;
-    (out, metrics)
-  end
-
-(* The shared hi/lo routing pass of the partition strategies
-   (Internals.Partition), chunk-scheduled over R1. [lo_matches]
-   resolves a low-frequency value's R2 matches against the shared
-   read-only structure (hash table or index). *)
-let partition_pass env ~r ~domains ~chunk_size rng ~lo_matches =
-  let left_key = Strategy.env_left_key env in
-  let frequency = End_biased.frequency (Strategy.env_histogram env) in
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
-      ~make:(fun () -> Internals.Partition.create ~r)
-      ~feed:(fun metrics chunk_rng acc t1 ->
-        Internals.Partition.route chunk_rng metrics acc ~left_key ~frequency ~lo_matches t1)
-      (Strategy.env_left env)
-  in
-  fold_parts ~merge_rng ~merge:Internals.Partition.merge
-    ~empty:(fun () -> Internals.Partition.create ~r)
-    parts
-
-(* Combine a merged partition accumulator into the final sample:
-   exact |Jhi| from the tallies, the strategy-specific hi pool, the
-   binomial hi/lo split. Runs on the calling domain — the pools have
-   size r. *)
-let partition_finish env ~r rng metrics acc ~hi_pool =
-  let open Metrics in
-  let frequency = End_biased.frequency (Strategy.env_histogram env) in
-  let n_hi = Internals.Partition.n_hi acc ~frequency in
-  let n_lo = Internals.Partition.n_lo acc in
-  let hi_pool = hi_pool metrics (Internals.Partition.s1 acc) in
-  let lo_pool = Internals.Partition.lo_pool acc in
-  let out, _r_hi, _r_lo = Internals.binomial_combine rng ~r ~n_hi ~n_lo ~hi_pool ~lo_pool in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
-
-let run_frequency_partition env ~r ~domains ~chunk_size rng =
-  let main_metrics = Metrics.create () in
-  let tbl =
-    Internals.build_join_hash main_metrics (Strategy.env_right env)
-      ~right_key:(Strategy.env_right_key env)
-  in
-  let lo_matches _metrics v = Internals.hash_matches tbl v in
-  let acc, scan_metrics = partition_pass env ~r ~domains ~chunk_size rng ~lo_matches in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish env ~r rng metrics acc ~hi_pool:(fun m s1 ->
-      Internals.fps_hi_pick rng m
-        ~matches:(Internals.hash_matches tbl)
-        ~left_key:(Strategy.env_left_key env) s1)
-
-let run_hybrid_count env ~r ~domains ~chunk_for rng =
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let n2 = Relation.cardinality (Strategy.env_right env) in
-  let main_metrics = Metrics.create () in
-  let frequency = End_biased.frequency (Strategy.env_histogram env) in
-  let is_low v = Option.is_none (frequency v) in
-  let tbl =
-    Internals.build_join_hash ~keep:is_low main_metrics (Strategy.env_right env)
-      ~right_key:(Strategy.env_right_key env)
-  in
-  let lo_matches _metrics v = Internals.hash_matches tbl v in
-  let acc, scan_metrics =
-    partition_pass env ~r ~domains ~chunk_size:(chunk_for n1) rng ~lo_matches
-  in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish env ~r rng metrics acc ~hi_pool:(fun m s1 ->
-      (* The hi pool is Count-Sample on the high-frequency values: the
-         chunk-scheduled per-entry R2 scan replaces the sequential U1
-         pass here too. *)
-      let out, hi_metrics =
-        parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
-          ~strategy:"Rsj_parallel.run(Hybrid)" ~s1
-          ~population:(fun v -> match frequency v with Some m2v -> m2v | None -> 0)
-      in
-      absorb_metrics m hi_metrics;
-      out)
-
-let run_index_sample env ~r ~domains ~chunk_size rng =
-  let right_index = Strategy.env_right_index env in
-  let lo_matches (m : Metrics.t) v =
-    m.Metrics.index_probes <- m.Metrics.index_probes + 1;
-    Hash_index.matching_tuples right_index v
-  in
-  let acc, metrics = partition_pass env ~r ~domains ~chunk_size rng ~lo_matches in
-  partition_finish env ~r rng metrics acc ~hi_pool:(fun m s1 ->
-      Internals.index_hi_pick rng m ~right_index ~left_key:(Strategy.env_left_key env) s1)
-
-(* ------------------------------------------------------------------ *)
-(* Compact data plane: columnar int twins of the chunked strategies.
-
-   When Column.mode is Int_keys and every structure a strategy needs
-   has an int plane (flat key views, int-keyed statistics/histogram
-   counters, the index's Int_index twin), the chunk workers below scan
-   flat [lo, hi) ranges of the shared key columns instead of pulling
-   Stream0 cursors over boxed tuples, feed allocation-free Wr_int
-   kernels (or plain reservoirs of row ids / packed row pairs), and
-   rehydrate only the accepted winners through Relation.get. Every
-   twin consumes the generator draw-for-draw like its boxed
-   counterpart — same chunk cut, same split order, same per-chunk and
-   merge draws — so a fixed seed yields bit-identical samples on
-   either plane (pinned by test/test_dataplane.ml). Anything without
-   an int plane falls back to the boxed path. *)
-
-module Internals_int = Rsj_core.Internals_int
-module Int_index = Rsj_index.Int_index
-module Counter = Int_index.Counter
-module Wr_int = Rsj_util.Wr_int
-
-let int_mode () = Column.mode () = Column.Int_keys
-
+(* Join outputs travel as packed (left row, right row) pairs
+   (Internals_int.pack); only the accepted winners are turned back into
+   tuples. *)
 let rehydrate env pairs =
   let left = Strategy.env_left env in
   let right = Strategy.env_right env in
@@ -570,13 +172,16 @@ let rehydrate env pairs =
         (Relation.get right (Internals_int.unpack_right p)))
     pairs
 
-(* Int twin of [chunked_pass]: the same chunk cut and per-chunk
-   generator split, but [feed] consumes a whole [lo, hi) row range in
-   one call so the call sites can write flat loops over the shared key
-   column. [make] receives the chunk's generator (the Wr_int kernels
-   capture its state); [seal] converts the chunk state for merging
-   (and releases any captured generator state). *)
-let chunked_pass_int ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
+(* One chunk-scheduled pass over [relation]'s rows. Each chunk gets
+   its own generator (split by chunk index, so the result is
+   independent of which domain claims it) and its own metrics, with the
+   scan itself counted here. [feed] consumes a whole [lo, hi) row range
+   in one call so the call sites can write flat loops over the shared
+   key column; [make] receives the chunk's generator (the Wr_int
+   kernels capture its state); [seal] converts the chunk state for
+   merging (and releases any captured generator state). Results come
+   back in chunk order. *)
+let chunked_pass ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
   let chunks = Relation.chunk_count relation ~chunk_size in
   let n = Relation.cardinality relation in
   let rngs = Prng.split_n rng chunks in
@@ -591,11 +196,15 @@ let chunked_pass_int ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
   in
   Chunk_scheduler.run ~domains ~chunks ~task ()
 
-let parallel_s1_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
+(* Weighted WR sample of R1 rows with weights m2(t.A) from the
+   frequency statistics — the shared first step of Stream-, Group- and
+   Count-Sample. Returns the merged row ids and the summed scan
+   metrics. *)
+let parallel_s1 env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass_int ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~chunk_size ~rng:scan_rng
       ~make:(fun crng -> Wr_int.create ~on_displace:Reservoir.note_displacements crng ~r)
       ~feed:(fun metrics _crng ker ~lo ~hi ->
         metrics.Metrics.stats_lookups <- metrics.Metrics.stats_lookups + (hi - lo);
@@ -614,9 +223,9 @@ let parallel_s1_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
   in
   (Reservoir.Wr.contents res, metrics)
 
-let run_stream_int env ~r ~domains ~chunk_size rng ~keys1 ~freq =
+let run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq =
   let open Metrics in
-  let s1, metrics = parallel_s1_int env ~r ~domains ~chunk_size rng ~keys1 ~freq in
+  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size rng ~keys1 ~freq in
   let index = Strategy.env_right_index env in
   let left = Strategy.env_left env in
   let right = Strategy.env_right env in
@@ -634,14 +243,14 @@ let run_stream_int env ~r ~domains ~chunk_size rng ~keys1 ~freq =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-let run_naive_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
+let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass_int ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~chunk_size ~rng:scan_rng
       ~make:(fun crng -> Wr_int.create ~on_displace:Reservoir.note_displacements crng ~r)
       ~feed:(fun metrics _crng ker ~lo ~hi ->
         let matched = ref 0 in
@@ -672,10 +281,20 @@ let run_naive_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-(* Int twin of [per_group_r2_scan]: groups keyed by raw int through a
-   Counter (gid+1, so 0 means absent), members as s1 indices in the
-   same first-occurrence order, Multi reservoirs over R2 row ids. *)
-let per_group_r2_scan_int env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1 : int array)
+(* Chunk-scheduled R2 matching shared by Group-Sample's step 3 and the
+   Count-Sample scans. Each S1 entry needs an independent uniform pick
+   over its value's R2 rows (the per-group U1 of the sequential
+   kernels); feeding one unit reservoir per entry would cost the full
+   S1 ⋈ R2 output, so each join value instead owns one Multi reservoir
+   per chunk — k iid unit picks fed with a single binomial draw per
+   matching R2 row, the same thinning Internals.count_sample_scan uses.
+   Groups are keyed by raw int through a Counter (gid+1, so 0 means
+   absent); per-value reservoirs merge in chunk order with the
+   slot-wise U1 coin law, and values and members (s1 indices) keep
+   their S1 first-occurrence order, so the scan is deterministic at any
+   pool width. Returns, per group in that order, (join key, member
+   indices, merged reservoir of R2 row ids), plus the scan metrics. *)
+let per_group_r2_scan env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1 : int array)
     ~(keys2 : int array) =
   let n1 = Array.length s1 in
   let gids = Counter.create ~capacity:(2 * max 1 n1) () in
@@ -701,7 +320,7 @@ let per_group_r2_scan_int env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass_int ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~chunk_size ~rng:scan_rng
       ~make:(fun _crng -> fresh_multis ())
       ~feed:(fun _m crng multis ~lo ~hi ->
         for row = lo to hi - 1 do
@@ -726,15 +345,15 @@ let per_group_r2_scan_int env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1
   let merged, metrics = fold_parts ~merge_rng ~merge:merge_multi_arrays ~empty:fresh_multis parts in
   ((group_keys, members, merged), metrics)
 
-let run_group_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
+let run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
   let open Metrics in
   let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1_int env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
+  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
   if Array.length s1 = 0 then ([||], metrics)
   else begin
     let n2 = Relation.cardinality (Strategy.env_right env) in
     let (_group_keys, members, merged), scan_metrics =
-      per_group_r2_scan_int env ~domains ~chunk_size:(chunk_for n2) rng ~s1 ~keys1 ~keys2
+      per_group_r2_scan env ~domains ~chunk_size:(chunk_for n2) rng ~s1 ~keys1 ~keys2
     in
     let metrics = Metrics.add metrics scan_metrics in
     let pairs = Array.make (Array.length s1) 0 in
@@ -754,7 +373,12 @@ let run_group_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
     (out, metrics)
   end
 
-let parallel_count_scan_int env ~domains ~chunk_size rng ~strategy ~(s1 : int array) ~keys1
+(* Count-Sample's R2 matching: the per-group Multi reservoirs above
+   replace the sequential per-group U1 scan, and the fed counts are
+   audited against the claimed populations afterwards so stale
+   statistics fail with the same diagnostics as the sequential kernel
+   (Internals.count_sample_scan). *)
+let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array) ~keys1
     ~keys2 ~(population : int -> int) =
   if Array.length s1 = 0 then ([||], Metrics.create ())
   else begin
@@ -765,7 +389,7 @@ let parallel_count_scan_int env ~domains ~chunk_size rng ~strategy ~(s1 : int ar
           failwith (strategy ^ ": sampled value has no frequency in the statistics"))
       s1;
     let (group_keys, members, merged), metrics =
-      per_group_r2_scan_int env ~domains ~chunk_size rng ~s1 ~keys1 ~keys2
+      per_group_r2_scan env ~domains ~chunk_size rng ~s1 ~keys1 ~keys2
     in
     let pairs = Array.make (Array.length s1) 0 in
     Array.iteri
@@ -790,13 +414,13 @@ let parallel_count_scan_int env ~domains ~chunk_size rng ~strategy ~(s1 : int ar
     (pairs, metrics)
   end
 
-let run_count_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
+let run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
   let open Metrics in
   let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1_int env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
+  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
   let n2 = Relation.cardinality (Strategy.env_right env) in
   let pairs, scan_metrics =
-    parallel_count_scan_int env ~domains ~chunk_size:(chunk_for n2) rng
+    parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
       ~strategy:"Rsj_parallel.run(Count)" ~s1 ~keys1 ~keys2
       ~population:(fun k -> Counter.get freq k)
   in
@@ -805,7 +429,17 @@ let run_count_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-let run_olken_int env ~r ~domains rng ~keys1 =
+(* Speculative Olken: every domain runs independent accept/reject
+   rounds (Olken_sample.attempt_int — iid, uniform on the join
+   conditional on acceptance) into a private buffer. A shared atomic
+   counter hands out acceptance tickets; a domain keeps a pair only for
+   tickets below r and stops once the tickets are gone, so exactly r
+   pairs survive in total. Ticketing, stopping and the domain-order
+   concatenation below depend only on counters and timing — never on
+   the sampled values — so the surviving pairs are r iid uniform draws
+   from the join, exactly the sequential Olken law. The global
+   iteration budget is divided evenly across domains. *)
+let run_olken env ~r ~domains rng ~keys1 =
   let open Metrics in
   if r = 0 then ([||], Metrics.create ())
   else begin
@@ -851,6 +485,9 @@ let run_olken_int env ~r ~domains rng ~keys1 =
         "Rsj_parallel.run(Olken): iteration budget exhausted (join empty or near-empty?)";
     let out = rehydrate env pairs in
     metrics.output_tuples <- metrics.output_tuples + r;
+    (* Acceptance/rejection tallies as first-class registry counters, so
+       the rejection-rate churn Olken trades for its index probes is
+       readable off `rsj metrics` without diffing work records. *)
     if Obs.enabled () then begin
       Obs.Registry.add
         (Obs.Registry.counter ~help:"Olken rounds rejected by the m2(v)/m ceiling coin"
@@ -863,12 +500,16 @@ let run_olken_int env ~r ~domains rng ~keys1 =
     (out, metrics)
   end
 
-let partition_pass_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~tracked ~lo_tbl
+(* The shared hi/lo routing pass of the partition strategies
+   (Internals_int.Partition), chunk-scheduled over R1. [lo_tbl]
+   resolves a low-frequency key's R2 bucket; [on_lo_probe] charges the
+   probe metric the strategy's cost model counts. *)
+let partition_pass env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~tracked ~lo_tbl
     ~on_lo_probe =
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass_int ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~chunk_size ~rng:scan_rng
       ~make:(fun crng -> Internals_int.Partition.create_kernels crng ~r)
       ~feed:(fun metrics _crng kers ~lo ~hi ->
         for row = lo to hi - 1 do
@@ -882,7 +523,10 @@ let partition_pass_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~tra
     ~empty:(fun () -> Internals_int.Partition.create ~r)
     parts
 
-let partition_finish_int env ~r rng metrics acc ~tracked ~hi_pool =
+(* Combine a merged partition accumulator into the final sample: exact
+   |Jhi| from the tallies, the strategy-specific hi pool, the binomial
+   hi/lo split. Runs on the calling domain — the pools have size r. *)
+let partition_finish env ~r rng metrics acc ~tracked ~hi_pool =
   let open Metrics in
   let n_hi = Internals_int.Partition.n_hi acc ~tracked in
   let n_lo = Internals_int.Partition.n_lo acc in
@@ -893,58 +537,67 @@ let partition_finish_int env ~r rng metrics acc ~tracked ~hi_pool =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-let run_frequency_partition_int env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked =
+let run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked =
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let acc, scan_metrics =
-    partition_pass_int env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl:tbl
+    partition_pass env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl:tbl
       ~on_lo_probe:(fun _ -> ())
   in
   let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish_int env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
       Internals_int.fps_hi_pick rng m ~tbl ~keys1 s1)
 
-let run_hybrid_count_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
+let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
   let n1 = Relation.cardinality (Strategy.env_left env) in
   let n2 = Relation.cardinality (Strategy.env_right env) in
   let main_metrics = Metrics.create () in
   let is_low k = Counter.get tracked k = 0 in
   let tbl = Internals_int.build_join_index ~keep:is_low main_metrics ~keys:keys2 in
   let acc, scan_metrics =
-    partition_pass_int env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~tracked
+    partition_pass env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~tracked
       ~lo_tbl:tbl
       ~on_lo_probe:(fun _ -> ())
   in
   let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish_int env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+      (* The hi pool is Count-Sample on the high-frequency values: the
+         chunk-scheduled per-entry R2 scan replaces the sequential U1
+         pass here too. *)
       let pairs, hi_metrics =
-        parallel_count_scan_int env ~domains ~chunk_size:(chunk_for n2) rng
+        parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
           ~strategy:"Rsj_parallel.run(Hybrid)" ~s1 ~keys1 ~keys2
           ~population:(fun k -> Counter.get tracked k)
       in
       absorb_metrics m hi_metrics;
       pairs)
 
-let run_index_sample_int env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
+let run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
   let right_index = Strategy.env_right_index env in
   let on_lo_probe (m : Metrics.t) =
     m.Metrics.index_probes <- m.Metrics.index_probes + 1;
     Hash_index.note_probe right_index
   in
   let acc, metrics =
-    partition_pass_int env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
+    partition_pass env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
   in
-  partition_finish_int env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
       Internals_int.index_hi_pick rng m ~right_index ~keys1 s1)
 
-let run_wor_naive_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
+(* Parallel WoR, Naive path: the join is enumerated by the chunked R1
+   scan and every join pair is fed into the chunk's Wor (Vitter
+   Algorithm R) reservoir; the chunk-order merge applies the Wor merge
+   law, so the merged reservoir holds a uniform without-replacement
+   sample of min (r, |J|) join positions — the same law as one
+   sequential Algorithm R pass over the join stream. *)
+let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass_int ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~chunk_size ~rng:scan_rng
       ~make:(fun _crng -> Reservoir.Wor.create ~r)
       ~feed:(fun metrics crng res ~lo ~hi ->
         let matched = ref 0 in
@@ -973,69 +626,51 @@ let run_wor_naive_int env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-(* Per-strategy data-plane gates: the int twin runs only when every
-   structure it consults has an int plane. The gates only force
-   structures the strategy is entitled to (prepare has already forced
-   them). *)
-let stream_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match
-      ( Strategy.env_left_key_view env,
-        Frequency.int_counter (Strategy.env_right_stats env),
-        Hash_index.int_plane (Strategy.env_right_index env) )
-    with
-    | Some keys1, Some freq, Some _ -> Some (keys1, freq)
-    | _ -> None
-
-let s1_scan_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match
-      ( Strategy.env_left_key_view env,
-        Strategy.env_right_key_view env,
-        Frequency.int_counter (Strategy.env_right_stats env) )
-    with
-    | Some keys1, Some keys2, Some freq -> Some (keys1, keys2, freq)
-    | _ -> None
-
-let naive_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match (Strategy.env_left_key_view env, Strategy.env_right_key_view env) with
-    | Some keys1, Some keys2 -> Some (keys1, keys2)
-    | _ -> None
-
-let olken_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match
-      (Strategy.env_left_key_view env, Hash_index.int_plane (Strategy.env_right_index env))
-    with
-    | Some keys1, Some _ -> Some keys1
-    | _ -> None
-
-let partition_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match
-      ( Strategy.env_left_key_view env,
-        Strategy.env_right_key_view env,
-        End_biased.int_tracked (Strategy.env_histogram env) )
-    with
-    | Some keys1, Some keys2, Some tracked -> Some (keys1, keys2, tracked)
-    | _ -> None
-
-let index_int_ctx env =
-  if not (int_mode ()) then None
-  else
-    match
-      ( Strategy.env_left_key_view env,
-        End_biased.int_tracked (Strategy.env_histogram env),
-        Hash_index.int_plane (Strategy.env_right_index env) )
-    with
-    | Some keys1, Some tracked, Some lo_tbl -> Some (keys1, tracked, lo_tbl)
-    | _ -> None
+(* The data-plane gate: [Some runner] when both join columns have int
+   views and the int planes of the structures the strategy reads exist
+   (they do whenever the columns are int-viewable; the gate checks
+   rather than assumes), [None] otherwise. [prepare] has already forced
+   every structure consulted here. With [~wor:true], Naive's runner is
+   the chunked Vitter pass; the other strategies' WoR re-enters [run]
+   per batch, so their WR runner only answers "is the int plane
+   there". *)
+let int_runner ?(wor = false) env strategy ~domains ~chunk_for =
+  let ( let* ) = Option.bind in
+  let* keys1 = Strategy.env_left_key_view env in
+  let* keys2 = Strategy.env_right_key_view env in
+  let chunk_size = chunk_for (Array.length keys1) in
+  let freq () = Frequency.int_counter (Strategy.env_right_stats env) in
+  let tracked () = End_biased.int_tracked (Strategy.env_histogram env) in
+  let index_plane () = Hash_index.int_plane (Strategy.env_right_index env) in
+  match strategy with
+  | Strategy.Naive when wor ->
+      Some (fun ~r rng -> run_wor_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2)
+  | Strategy.Naive -> Some (fun ~r rng -> run_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2)
+  | Strategy.Olken ->
+      let* _ = index_plane () in
+      Some (fun ~r rng -> run_olken env ~r ~domains rng ~keys1)
+  | Strategy.Stream ->
+      let* freq = freq () in
+      let* _ = index_plane () in
+      Some (fun ~r rng -> run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq)
+  | Strategy.Group ->
+      let* freq = freq () in
+      Some (fun ~r rng -> run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq)
+  | Strategy.Count_sample ->
+      let* freq = freq () in
+      Some (fun ~r rng -> run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq)
+  | Strategy.Frequency_partition ->
+      let* tracked = tracked () in
+      Some
+        (fun ~r rng ->
+          run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked)
+  | Strategy.Hybrid_count ->
+      let* tracked = tracked () in
+      Some (fun ~r rng -> run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked)
+  | Strategy.Index_sample ->
+      let* tracked = tracked () in
+      let* lo_tbl = index_plane () in
+      Some (fun ~r rng -> run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl)
 
 let validate ~caller ?chunk_size ~r ~domains () =
   if domains < 0 then invalid_arg (caller ^ ": domains < 0");
@@ -1044,169 +679,56 @@ let validate ~caller ?chunk_size ~r ~domains () =
   | Some c when c <= 0 -> invalid_arg (caller ^ ": chunk_size <= 0")
   | _ -> ()
 
+let chunk_for chunk_size n =
+  match chunk_size with Some c -> c | None -> Chunk_scheduler.default_chunk_size ~n
+
 let run ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run" ?chunk_size ~r ~domains ();
   if domains = 0 then Strategy.run env strategy ~r
   else begin
     Strategy.prepare env strategy;
-    observed ~semantics:"WR" strategy ~r ~domains (fun () ->
-        let chunk_for n =
-          match chunk_size with
-          | Some c -> c
-          | None -> Chunk_scheduler.default_chunk_size ~n
-        in
-        let c1 = chunk_for (Relation.cardinality (Strategy.env_left env)) in
-        let rng = Prng.split (Strategy.env_rng env) in
-        let t0 = Obs.Clock.now_s () in
-        let sample, metrics =
-          match strategy with
-          | Strategy.Stream -> (
-              match stream_int_ctx env with
-              | Some (keys1, freq) ->
-                  run_stream_int env ~r ~domains ~chunk_size:c1 rng ~keys1 ~freq
-              | None -> run_stream env ~r ~domains ~chunk_size:c1 rng)
-          | Strategy.Group -> (
-              match s1_scan_int_ctx env with
-              | Some (keys1, keys2, freq) ->
-                  run_group_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
-              | None -> run_group env ~r ~domains ~chunk_for rng)
-          | Strategy.Count_sample -> (
-              match s1_scan_int_ctx env with
-              | Some (keys1, keys2, freq) ->
-                  run_count_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
-              | None -> run_count env ~r ~domains ~chunk_for rng)
-          | Strategy.Naive -> (
-              match naive_int_ctx env with
-              | Some (keys1, keys2) ->
-                  run_naive_int env ~r ~domains ~chunk_size:c1 rng ~keys1 ~keys2
-              | None -> run_naive env ~r ~domains ~chunk_size:c1 rng)
-          | Strategy.Olken -> (
-              match olken_int_ctx env with
-              | Some keys1 -> run_olken_int env ~r ~domains rng ~keys1
-              | None -> run_olken env ~r ~domains rng)
-          | Strategy.Frequency_partition -> (
-              match partition_int_ctx env with
-              | Some (keys1, keys2, tracked) ->
-                  run_frequency_partition_int env ~r ~domains ~chunk_size:c1 rng ~keys1
-                    ~keys2 ~tracked
-              | None -> run_frequency_partition env ~r ~domains ~chunk_size:c1 rng)
-          | Strategy.Index_sample -> (
-              match index_int_ctx env with
-              | Some (keys1, tracked, lo_tbl) ->
-                  run_index_sample_int env ~r ~domains ~chunk_size:c1 rng ~keys1 ~tracked
-                    ~lo_tbl
-              | None -> run_index_sample env ~r ~domains ~chunk_size:c1 rng)
-          | Strategy.Hybrid_count -> (
-              match partition_int_ctx env with
-              | Some (keys1, keys2, tracked) ->
-                  run_hybrid_count_int env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked
-              | None -> run_hybrid_count env ~r ~domains ~chunk_for rng)
-        in
-        let elapsed_seconds = Obs.Clock.now_s () -. t0 in
-        { Strategy.strategy; sample; metrics; elapsed_seconds })
+    match int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
+    | None ->
+        sequential ~semantics:"WR" strategy ~r ~domains (fun () -> Strategy.run env strategy ~r)
+    | Some runner ->
+        observed ~plane:"int" ~semantics:"WR" strategy ~r ~domains (fun () ->
+            let rng = Prng.split (Strategy.env_rng env) in
+            timed strategy (fun () -> runner ~r rng))
   end
 
-(* Parallel WoR, Naive path: the join is enumerated by the chunked R1
-   scan and every join tuple is fed into the chunk's Wor (Vitter
-   Algorithm R) reservoir; the chunk-order merge applies the Wor merge
-   law, so the merged reservoir holds a uniform without-replacement
-   sample of min (r, |J|) join positions — the same law as one
-   sequential Algorithm R pass over the join stream. *)
-let run_wor_naive env ~r ~domains ~chunk_size rng =
-  let open Metrics in
-  let main_metrics = Metrics.create () in
-  let tbl =
-    Internals.build_join_hash main_metrics (Strategy.env_right env)
-      ~right_key:(Strategy.env_right_key env)
-  in
-  let left_key = Strategy.env_left_key env in
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
-      ~make:(fun () -> Reservoir.Wor.create ~r)
-      ~feed:(fun metrics chunk_rng res t1 ->
-        Array.iter
-          (fun t2 ->
-            metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Reservoir.Wor.feed chunk_rng res (Tuple.join t1 t2))
-          (Internals.hash_matches tbl (Tuple.attr t1 left_key)))
-      (Strategy.env_left env)
-  in
-  let res, scan_metrics =
-    fold_parts ~merge_rng ~merge:Reservoir.Wor.merge
-      ~empty:(fun () -> Reservoir.Wor.create ~r)
-      parts
-  in
-  let out = Reservoir.Wor.contents res in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
-
-(* Parallel WoR, every other strategy: the §3 conversion — draw WR
-   batches through the chunk-scheduled runtime and reject duplicates
-   (Convert.wr_to_wor) until [target] distinct join tuples have
-   accumulated. Identical to Strategy.run_wor except each batch is a
-   pooled parallel draw. *)
+(* Parallel WoR for every strategy but Naive: the §3 conversion of
+   Strategy.run_wor — WR batches deduplicated until [target] distinct
+   join tuples have accumulated — with each batch a pooled parallel
+   draw through [run]. *)
 let run_wor_batches ?chunk_size env strategy ~domains ~target =
   let dedup_rng = Prng.split (Strategy.env_rng env) in
   let metrics = ref (Metrics.create ()) in
-  let collected = Hashtbl.create (2 * max 1 target) in
-  let out = ref [] in
-  let count = ref 0 in
-  let rounds = ref 0 in
-  while !count < target && !rounds < 64 do
-    incr rounds;
-    let batch = run ?chunk_size env strategy ~r:target ~domains in
-    metrics := Metrics.add !metrics batch.Strategy.metrics;
-    let deduped =
-      Convert.wr_to_wor dedup_rng ~key:Tuple.hash ~r:(target - !count)
-        batch.Strategy.sample
-    in
-    Array.iter
-      (fun t ->
-        let k = Tuple.hash t in
-        if not (Hashtbl.mem collected k) then begin
-          Hashtbl.replace collected k ();
-          out := t :: !out;
-          incr count
-        end)
-      deduped
-  done;
-  if !count < target then
-    failwith "Rsj_parallel.run_wor: failed to accumulate distinct samples (very small join?)";
-  (Array.of_list (List.rev !out), !metrics)
+  let sample =
+    Strategy.wor_batches ~caller:"Rsj_parallel.run_wor" ~target (fun () ->
+        let batch = run ?chunk_size env strategy ~r:target ~domains in
+        metrics := Metrics.add !metrics batch.Strategy.metrics;
+        (dedup_rng, batch.Strategy.sample))
+  in
+  (Array.of_list sample, !metrics)
 
 let run_wor ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run_wor" ?chunk_size ~r ~domains ();
   if domains = 0 then Strategy.run_wor env strategy ~r
   else begin
     Strategy.prepare env strategy;
-    (* Only the direct chunked-Vitter path (Naive) absorbs its counters
-       here; the batch-conversion path re-enters [run], which absorbs
-       per batch. *)
-    let absorb = match strategy with Strategy.Naive -> true | _ -> false in
-    observed ~absorb ~semantics:"WoR" strategy ~r ~domains (fun () ->
-        let target = min r (Strategy.env_join_size env) in
-        let t0 = Obs.Clock.now_s () in
-        let sample, metrics =
-          if target = 0 then ([||], Metrics.create ())
-          else
-            match strategy with
-            | Strategy.Naive ->
-                let n1 = Relation.cardinality (Strategy.env_left env) in
-                let chunk_size =
-                  match chunk_size with
-                  | Some c -> c
-                  | None -> Chunk_scheduler.default_chunk_size ~n:n1
-                in
-                let rng = Prng.split (Strategy.env_rng env) in
-                (match naive_int_ctx env with
-                | Some (keys1, keys2) ->
-                    run_wor_naive_int env ~r:target ~domains ~chunk_size rng ~keys1 ~keys2
-                | None -> run_wor_naive env ~r:target ~domains ~chunk_size rng)
-            | _ -> run_wor_batches ?chunk_size env strategy ~domains ~target
-        in
-        let elapsed_seconds = Obs.Clock.now_s () -. t0 in
-        { Strategy.strategy; sample; metrics; elapsed_seconds })
+    match int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
+    | None ->
+        sequential ~semantics:"WoR" strategy ~r ~domains (fun () ->
+            Strategy.run_wor env strategy ~r)
+    | Some runner ->
+        (* Only the direct chunked-Vitter path (Naive) absorbs its
+           counters here; the batch-conversion path re-enters [run],
+           which absorbs per batch. *)
+        let naive = strategy = Strategy.Naive in
+        observed ~absorb:naive ~plane:"int" ~semantics:"WoR" strategy ~r ~domains (fun () ->
+            let target = min r (Strategy.env_join_size env) in
+            timed strategy (fun () ->
+                if target = 0 then ([||], Metrics.create ())
+                else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
+                else run_wor_batches ?chunk_size env strategy ~domains ~target))
   end

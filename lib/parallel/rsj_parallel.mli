@@ -1,6 +1,17 @@
 (** Parallel sampling runtime on OCaml 5 domains — all eight
     strategies, WR and WoR.
 
+    One implementation per strategy, on the compact data plane: the
+    runners scan the join columns as flat int arrays
+    ({!Rsj_relation.Column.int_view}) and rehydrate only the sampled
+    rows. When a join column has no int view (a string or float
+    column, or [min_int] as data), {!run} and {!run_wor} run the
+    paper's sequential kernels through {!Strategy.run} /
+    {!Strategy.run_wor} at every [domains >= 1] — the same law, and
+    bit-identical across domain counts, Olken included. Such a call
+    bumps [rsj_int_plane_fallback_total{strategy}] and its strategy
+    span carries [plane = "sequential"] ([plane = "int"] otherwise).
+
     Worker domains come from the persistent {!Domain_pool}: spawned
     once, parked on a condition variable between calls, reused by
     every parallel entry point in the tree, so a sweep of thousands of
@@ -9,8 +20,8 @@
 
     Scans (everything except Olken) are distributed by the chunk-queue
     scheduler {!Chunk_scheduler}: R1 — and R2, for the Group-Sample
-    and Count-Sample matching passes — is cut into fixed-size chunks
-    ({!Rsj_relation.Relation.chunk}) behind one atomic cursor, and
+    and Count-Sample matching passes — is cut into fixed-size row
+    ranges behind one atomic cursor, and
     domains claim chunks with a fetch-and-add, so a skew-heavy range
     cannot strand work on one domain the way a static contiguous split
     can. Every chunk carries its own split generator
@@ -24,7 +35,7 @@
     distribution-identical to a sequential pass.
 
     Olken-Sample parallelizes {e speculatively}: each domain runs
-    independent accept/reject rounds ({!Rsj_core.Olken_sample.attempt})
+    independent accept/reject rounds ({!Rsj_core.Olken_sample.attempt_int})
     into a private buffer, and a shared atomic counter hands out the r
     acceptance tickets — ticketing and stopping never look at the
     sampled values, so the surviving pairs keep Olken's law, but which
@@ -46,14 +57,6 @@ val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [~domains] for
     the current machine. *)
 
-val is_parallelizable : Strategy.t -> bool
-(** Whether {!run} has a parallel execution for the strategy. True for
-    all eight strategies: the single-pass scans are chunk-scheduled,
-    the partition strategies route hi/lo per chunk through mergeable
-    accumulators, Count-Sample/Hybrid-Count's R2 matching runs
-    per-entry unit reservoirs, and Olken runs speculative rejection
-    rounds on every domain. *)
-
 val run :
   ?chunk_size:int -> Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run env strategy ~r ~domains] draws a WR sample of size [r] like
@@ -64,8 +67,8 @@ val run :
     {!Strategy.run}, no chunking. The sample's distribution never
     depends on [domains] or [chunk_size]; for a fixed seed the drawn
     tuples are bit-identical across all [domains >= 1] for every
-    strategy except Olken at [domains > 1] (speculative ticketing —
-    see above). As in {!Strategy.run}, auxiliary structures are forced
+    strategy except Olken at [domains > 1] on int keys (speculative
+    ticketing — see above). As in {!Strategy.run}, auxiliary structures are forced
     before the clock starts and a fresh child generator is split off
     the env per run.
 
@@ -90,9 +93,9 @@ val run_wor :
     Wor merge law — the merged reservoir is distributed exactly as one
     sequential Algorithm R pass over the join stream. Every other
     strategy keeps the §3 conversion of {!Strategy.run_wor} — WR
-    batches deduplicated by {!Rsj_core.Convert.wr_to_wor} until the
-    target is reached — with each batch drawn through {!run}, so the
-    batches themselves are parallel.
+    batches deduplicated by the shared driver {!Strategy.wor_batches}
+    until the target is reached — with each batch drawn through
+    {!run}, so the batches themselves are parallel.
 
     Deterministic for a fixed seed across all [domains >= 1] (Olken
     excepted, as for {!run}). Raises [Failure] when 64 batch rounds

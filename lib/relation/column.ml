@@ -12,22 +12,10 @@
    treat as "matches nothing", which is exactly the boxed plane's join
    semantics for Null. A column containing a non-int value — or the
    sentinel itself as a genuine data value — cannot be represented, and
-   int_view escapes to None; every consumer falls back to the boxed
-   path in that case, so the fast path is a pure specialisation. *)
+   int_view escapes to None; the sequential strategies then run their
+   boxed kernels and the parallel runtime falls back to them, so the
+   fast path is a pure specialisation. *)
 
-type mode = Boxed | Int_keys
-
-let mode_of_env () =
-  match Sys.getenv_opt "RSJ_DATAPLANE" with
-  | Some "boxed" -> Boxed
-  | Some "int" | None -> Int_keys
-  | Some other ->
-      invalid_arg (Printf.sprintf "RSJ_DATAPLANE: expected \"boxed\" or \"int\", got %S" other)
-
-let current = ref (mode_of_env ())
-let mode () = !current
-let set_mode m = current := m
-let mode_name () = match !current with Boxed -> "boxed" | Int_keys -> "int"
 let null_key = min_int
 
 let int_view t ~col =
@@ -44,11 +32,3 @@ let int_view t ~col =
       | _ -> None
   in
   if n = 0 then Some keys else fill 0
-
-let key_of t ~col =
-  match int_view t ~col with
-  | Some keys -> keys
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Column.key_of: column %d of %s is not int-viewable" col
-           (Relation.name t))

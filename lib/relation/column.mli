@@ -7,23 +7,9 @@
     {!null_key}, a sentinel that the int-plane index and counters treat
     as matching nothing — the same join semantics the boxed plane gives
     [Null]. Columns that cannot be represented (a non-int cell, or the
-    sentinel itself as data) escape to the boxed path. *)
-
-type mode = Boxed | Int_keys
-
-val mode : unit -> mode
-(** The session-wide data-plane selector, initialised from the
-    [RSJ_DATAPLANE] environment variable ([boxed] or [int]; default
-    [int]). Strategies consult it when deciding whether to take the
-    columnar fast path; both planes draw identically from the
-    generator, so fixed-seed samples are bit-identical either way. *)
-
-val set_mode : mode -> unit
-(** Override the selector (used by the bench harness and the
-    boxed-vs-int conformance tests). *)
-
-val mode_name : unit -> string
-(** ["boxed"] or ["int"], for reports. *)
+    sentinel itself as data) have no view: the sequential strategies
+    then run their boxed kernels, and the parallel runtime falls back
+    to them. *)
 
 val null_key : int
 (** The [Null] sentinel ([min_int]). Never a valid data key: a column
@@ -34,6 +20,3 @@ val int_view : Relation.t -> col:int -> int array option
     or [None] when some cell is neither [Int] (≠ {!null_key}) nor
     [Null]. O(n); callers cache the result (strategy environments hold
     it lazily). *)
-
-val key_of : Relation.t -> col:int -> int array
-(** Like {!int_view} but raises [Invalid_argument] on escape. *)

@@ -117,12 +117,6 @@ let chunk_count t ~chunk_size =
     invalid_arg (Printf.sprintf "Relation.chunk_count(%s): chunk_size <= 0" t.name);
   (t.size + chunk_size - 1) / chunk_size
 
-let chunk t ~chunk_size i =
-  let n = chunk_count t ~chunk_size in
-  if i < 0 || i >= n then
-    invalid_arg (Printf.sprintf "Relation.chunk(%s): chunk %d outside [0,%d)" t.name i n);
-  stream_range t ~lo:(i * chunk_size) ~hi:(min ((i + 1) * chunk_size) t.size)
-
 let to_list t = List.init t.size (fun i -> t.rows.(i))
 let to_array t = Array.init t.size (fun i -> t.rows.(i))
 

@@ -71,15 +71,6 @@ val chunk_count : t -> chunk_size:int -> int
     scheduler ({!Rsj_parallel.Chunk_scheduler}). Raises
     [Invalid_argument] if [chunk_size <= 0]. *)
 
-val chunk : t -> chunk_size:int -> int -> Tuple.t Stream0.t
-(** [chunk t ~chunk_size i] is the [i]-th fixed-size range
-    [\[i·chunk_size, min ((i+1)·chunk_size) cardinality)] as a
-    single-pass cursor; the [chunk_count] chunks partition the rows
-    exactly. Like {!shards}, chunks read shared storage and may be
-    consumed from distinct domains while the relation is not mutated.
-    Raises [Invalid_argument] when [i] is outside
-    [\[0, chunk_count)]. *)
-
 val to_list : t -> Tuple.t list
 val to_array : t -> Tuple.t array
 (** Copies; mutating the result does not affect the relation. *)

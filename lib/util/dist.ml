@@ -188,9 +188,9 @@ module Alias_table = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* The draw plane: which table repeated-draw call sites build. Same
-   contract as Column's RSJ_DATAPLANE toggle — read once from the
-   environment, overridable in-process by tests and benches. The two
+(* The draw plane: which table repeated-draw call sites build. Read
+   once from the environment, overridable in-process by tests and
+   benches. The two
    planes are distribution-identical, not draw-for-draw identical (an
    alias draw consumes cell + threshold randomness, a CDF draw one
    deviate), so equivalence is gated statistically (@drawplane). *)

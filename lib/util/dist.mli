@@ -96,8 +96,8 @@ end
 (** {1 The draw plane}
 
     [RSJ_DRAW=cdf|alias] selects which table repeated-draw call sites
-    build (default [alias]). Mirrors [Column]'s [RSJ_DATAPLANE]
-    contract: read once at startup, overridable in-process. *)
+    build (default [alias]). Read once at startup, overridable
+    in-process. *)
 
 type draw_plane = Cdf | Alias
 

@@ -21,12 +21,12 @@
      whole chunks right after a reservoir restart (f ≈ r/fed).
 
    The draw sequence is bit-for-bit the one Reservoir.Wr.feed performs
-   (same generator steps, same branch structure), which the conformance
-   toggle RSJ_DATAPLANE and test/test_dataplane.ml's kernel-equivalence
-   check both pin. Rare regimes (p > 1/2, r·p above Dist's small-mean
-   threshold, pmf underflow) sync the packed state back into the Prng.t
-   and defer to Dist.binomial itself, so there is exactly one copy of
-   the non-trivial sampling math. *)
+   (same generator steps, same branch structure), which
+   test/test_dataplane.ml's kernel-equivalence check pins. Rare regimes
+   (p > 1/2, r·p above Dist's small-mean threshold, pmf underflow) sync
+   the packed state back into the Prng.t and defer to Dist.binomial
+   itself, so there is exactly one copy of the non-trivial sampling
+   math. *)
 
 type t = {
   rng : Prng.t;  (* owner; stale while the packed state is live *)

@@ -53,6 +53,7 @@ type cell = {
   semantics : Semantics.t;
   skew : skew;
   domains : int;
+  str_keys : bool;
 }
 
 type cell_result = {
@@ -65,17 +66,27 @@ type cell_result = {
 let default_domain_counts = [ 1; 2; 4 ]
 
 let matrix ?(strategies = Strategy.all) ?(semantics = Semantics.all) ?(skews = default_skews)
-    ?(domain_counts = default_domain_counts) () =
+    ?(domain_counts = default_domain_counts) ?(str_keys = false) () =
   List.concat_map
     (fun strategy ->
       List.concat_map
         (fun sem ->
           List.concat_map
             (fun skew ->
-              List.map (fun domains -> { strategy; semantics = sem; skew; domains }) domain_counts)
+              List.map
+                (fun domains -> { strategy; semantics = sem; skew; domains; str_keys })
+                domain_counts)
             skews)
         semantics)
     strategies
+
+(* The parallel runtime's fallback, covered by input: a string-keyed
+   copy of the uniform pair has no int key views, so every call runs
+   the sequential kernels. *)
+let default_cells () =
+  matrix ()
+  @ matrix ~semantics:[ Semantics.WR; Semantics.WoR ] ~skews:[ List.hd default_skews ]
+      ~domain_counts:[ 1; 2 ] ~str_keys:true ()
 
 (* Deterministic seed mixing: every attempt of every cell draws from its
    own reproducible stream, so retries are independent and reruns are
@@ -114,6 +125,7 @@ let run_cell kconfig config ~pair ~oracle ~cell_index cell =
         ("semantics", Obs.Json.Str (Semantics.to_string cell.semantics));
         ("skew", Obs.Json.Str cell.skew.label);
         ("domains", Obs.Json.Int cell.domains);
+        ("str_keys", Obs.Json.Bool cell.str_keys);
       ]
     "verify.cell"
   @@ fun () ->
@@ -432,7 +444,7 @@ let run ?config ?cells ?(with_aggregates = true) ?(with_chains = true) ?(with_co
   let config = match config with Some c -> c | None -> default_config () in
   if config.trials <= 0 then invalid_arg "Conformance.run: trials <= 0";
   if config.r <= 0 then invalid_arg "Conformance.run: r <= 0";
-  let cells = match cells with Some c -> c | None -> matrix () in
+  let cells = match cells with Some c -> c | None -> default_cells () in
   let skews =
     List.fold_left
       (fun acc cell -> if List.mem cell.skew acc then acc else cell.skew :: acc)
@@ -480,6 +492,11 @@ let run ?config ?cells ?(with_aggregates = true) ?(with_chains = true) ?(with_co
       min_expected = 5.;
     }
   in
+  let with_oracle pair =
+    ( pair,
+      Oracle.of_relations ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
+        ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 )
+  in
   let instances =
     List.mapi
       (fun i skew ->
@@ -488,18 +505,17 @@ let run ?config ?cells ?(with_aggregates = true) ?(with_chains = true) ?(with_co
             ~seed:(mix config.seed 0x7A1E i)
             ~n1:config.n1 ~n2:config.n2 ~z1:skew.z1 ~z2:skew.z2 ~domain:config.domain ()
         in
-        let oracle =
-          Oracle.of_relations ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
-            ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2
-        in
-        (skew.label, (pair, oracle)))
+        (skew.label, (with_oracle pair, lazy (with_oracle (Zipf_tables.string_keyed pair)))))
       skews
   in
-  let instance label = List.assoc label instances in
+  let instance label = fst (List.assoc label instances) in
   let results =
     List.mapi
       (fun i cell ->
-        let pair, oracle = instance cell.skew.label in
+        let pair, oracle =
+          if cell.str_keys then Lazy.force (snd (List.assoc cell.skew.label instances))
+          else instance cell.skew.label
+        in
         run_cell kconfig config ~pair ~oracle ~cell_index:i cell)
       cells
   in
@@ -547,7 +563,7 @@ let report summary =
         [
           Strategy.name cell.strategy;
           Semantics.to_string cell.semantics;
-          cell.skew.label;
+          (if cell.str_keys then cell.skew.label ^ "/str-keys" else cell.skew.label);
           string_of_int cell.domains;
           string_of_int join_size;
           string_of_int draws;

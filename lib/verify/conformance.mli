@@ -10,6 +10,8 @@
       pooled draws against uniform; WoR cells test the hypergeometric
       marginal inclusion counts; CF cells conjoin conditional
       uniformity with a z-test of the Binomial(|J|, f) total size.
+      String-keyed WR/WoR cells run the parallel runtime's fallback
+      to the sequential kernels.
     - {b Aggregates}: per strategy × estimator × domain count, a KS
       test of standardized estimates against the normal CDF — gating
       the paper's §1 use case (approximate aggregates over the
@@ -56,6 +58,10 @@ type cell = {
   semantics : Semantics.t;
   skew : skew;
   domains : int;
+  str_keys : bool;
+      (** Run on {!Rsj_workload.Zipf_tables.string_keyed} copies of the
+          skew's pair: the join columns have no int view, so the
+          parallel runtime falls back to the sequential kernels. *)
 }
 
 type cell_result = {
@@ -73,11 +79,18 @@ val matrix :
   ?semantics:Semantics.t list ->
   ?skews:skew list ->
   ?domain_counts:int list ->
+  ?str_keys:bool ->
   unit ->
   cell list
 (** The full cross product (default: every strategy × {WR, WoR, CF} ×
-    {!default_skews} × {!default_domain_counts} = 144 × |skews|
-    cells). *)
+    {!default_skews} × {!default_domain_counts} = 144 cells), on
+    int keys unless [str_keys]. *)
+
+val default_cells : unit -> cell list
+(** What {!run} sweeps when given no [cells]: {!matrix} plus 32
+    string-keyed cells — every strategy × {WR, WoR} on the uniform
+    skew at domains 1 and 2 — which cover the parallel runtime's
+    fallback to the sequential kernels. *)
 
 type estimator = Sum | Count | Avg
 (** Aggregate estimators KS-gated per strategy: Horvitz–Thompson SUM,
@@ -133,8 +146,9 @@ val run :
   ?picker_profiles:picker_profile list ->
   unit ->
   summary
-(** Execute the sweep. Workload pairs and oracles are built once per
-    skew; every cell attempt re-derives its own seed from
+(** Execute the sweep ([cells] defaults to {!default_cells}). Workload
+    pairs and oracles are built once per skew (and once more for its
+    string-keyed copy when a cell asks for it); every cell attempt re-derives its own seed from
     [config.seed], the cell index and the attempt number, so the whole
     run is reproducible and retries are independent. *)
 

@@ -50,6 +50,23 @@ let make_pair ?(seed = 0x5EED) ~n1 ~n2 ~z1 ~z2 ~domain () =
     domain;
   }
 
+let string_keyed pair =
+  let schema =
+    Schema.of_list [ ("rid", Value.T_int); ("col2", Value.T_str); ("pad", Value.T_str) ]
+  in
+  let copy rel =
+    let out =
+      Relation.create ~name:(Relation.name rel ^ "_str") ~capacity:(Relation.cardinality rel)
+        schema
+    in
+    Relation.iter rel (fun t ->
+        let t = Array.copy t in
+        (match t.(col2) with Value.Int v -> t.(col2) <- Value.Str (string_of_int v) | _ -> ());
+        Relation.append_unchecked out t);
+    out
+  in
+  { pair with outer = copy pair.outer; inner = copy pair.inner }
+
 let join_size pair =
   let m1 = Rsj_stats.Frequency.of_relation pair.outer ~key:col2 in
   let m2 = Rsj_stats.Frequency.of_relation pair.inner ~key:col2 in

@@ -41,6 +41,13 @@ val make_pair :
 (** The joinable pair for one experimental cell; outer and inner use
     decorrelated seeds derived from [seed]. *)
 
+val string_keyed : pair -> pair
+(** The same pair with [col2] stored as a string column (["17"] for
+    17): the same rows match, but the join columns have no
+    {!Rsj_relation.Column.int_view}, so every strategy runs its
+    sequential boxed kernel — the input that exercises the parallel
+    runtime's fallback. *)
+
 val join_size : pair -> int
 (** Exact |outer ⋈ inner| on col2. *)
 

@@ -1,19 +1,15 @@
 (* Daemon helper for the serve suite: [serve_child.exe SOCK SNAPSHOT
-   BUDGET PLANE]. The tests exec this instead of forking because
-   OCaml 5 forbids [Unix.fork] in any process that has ever spawned a
-   domain — and by the time the serve suite runs inside the monolithic
-   test binary, the parallel suites have. BUDGET <= 0 keeps the
-   default admission cap; PLANE ([boxed] or [int]) pins the column
-   data plane before any relation is built, so served samples are
-   byte-comparable to the parent's in-process runs on either plane. *)
+   BUDGET]. The tests exec this instead of forking because OCaml 5
+   forbids [Unix.fork] in any process that has ever spawned a domain —
+   and by the time the serve suite runs inside the monolithic test
+   binary, the parallel suites have. BUDGET <= 0 keeps the default
+   admission cap. *)
 
 module Server = Rsj_server.Server
-module Column = Rsj_relation.Column
 
 let () =
   match Sys.argv with
-  | [| _; sock; snapshot; budget; plane |] ->
-      Column.set_mode (if plane = "int" then Column.Int_keys else Column.Boxed);
+  | [| _; sock; snapshot; budget |] ->
       let base = Server.default_config (Server.Unix_path sock) in
       let config =
         {
@@ -28,5 +24,5 @@ let () =
       (try Server.run config with _ -> ());
       exit 0
   | _ ->
-      prerr_endline "usage: serve_child.exe SOCK SNAPSHOT BUDGET PLANE";
+      prerr_endline "usage: serve_child.exe SOCK SNAPSHOT BUDGET";
       exit 2

@@ -188,10 +188,10 @@ let test_biased_sampler_rejected () =
   Alcotest.(check int) "every attempt rejected" 3 outcome.Kernel.attempts
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end matrix runner (reduced matrix; the full 230-comparison
-   sweep — 144 cells + 72 estimator KS rows (strategy × estimator ×
-   domains) + 2 chain rows + 12 picker rows (profile × domains) — runs
-   under @conformance / rsj verify).    *)
+(* End-to-end matrix runner (reduced matrix; the full 262-comparison
+   sweep — 144 int-keyed cells + 32 string-keyed cells + 72 estimator
+   KS rows (strategy × estimator × domains) + 2 chain rows + 12 picker
+   rows (profile × domains) — runs under @conformance / rsj verify). *)
 
 let test_conformance_run_mini () =
   let config =

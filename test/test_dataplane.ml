@@ -1,13 +1,16 @@
 (* Compact data plane: the columnar int fast path must be a perfect
-   twin of the boxed plane.
+   twin of the boxed kernels.
 
-   Three layers of evidence:
+   Four layers of evidence:
    - the Wr_int kernel replays Reservoir.Wr's draw sequence bit-for-bit
      (slots AND the post-finish generator stream agree);
-   - with a fixed seed, every chunked strategy produces bit-identical
-     samples whether Column.mode is Boxed or Int_keys, WR and WoR, at
-     domain widths 1, 2 and 4 (Olken at width 1 only — wider Olken is
-     timing-dependent by design);
+   - from the same generator state, each sequential int twin
+     (Naive/Olken/Stream/Count_sample.sample_int) returns exactly the
+     sample of its boxed kernel, which stays the reference, and leaves
+     the generator in the same state;
+   - join columns without an int view (Float keys, min_int as data)
+     make the parallel runtime return exactly the sequential kernels'
+     sample;
    - the int inner loop really is allocation-free: feeding 10k tuples
      through the Stream-Sample kernel costs < 256 minor words. *)
 
@@ -17,11 +20,6 @@ module Zipf_tables = Rsj_workload.Zipf_tables
 module Prng = Rsj_util.Prng
 module Wr_int = Rsj_util.Wr_int
 module Counter = Rsj_index.Int_index.Counter
-
-let with_mode mode f =
-  let prev = Column.mode () in
-  Column.set_mode mode;
-  Fun.protect ~finally:(fun () -> Column.set_mode prev) f
 
 let drain rng =
   let a = Array.make 8 0 in
@@ -106,12 +104,7 @@ let test_int_view () =
   | None -> Alcotest.fail "int column should be viewable");
   Alcotest.(check bool) "string column escapes" true (Column.int_view rel ~col:1 = None)
 
-(* --- Boxed vs int bit-identity through the full stack --- *)
-
-let env_of_seed seed =
-  let pair = Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
-  Strategy.make_env ~seed ~left:pair.outer ~right:pair.inner ~left_key:Zipf_tables.col2
-    ~right_key:Zipf_tables.col2 ()
+(* --- Boxed kernel vs int twin, same generator state --- *)
 
 let check_same what a b =
   Alcotest.(check int) (what ^ ": size") (Array.length a) (Array.length b);
@@ -120,43 +113,125 @@ let check_same what a b =
       Alcotest.(check bool) (Printf.sprintf "%s: tuple %d" what i) true (Tuple.equal t b.(i)))
     a
 
-let sample_with mode run = with_mode mode (fun () -> run (env_of_seed 13))
-
-let test_planes_bit_identical_sequential () =
+let test_twins_bit_identical () =
   List.iter
-    (fun s ->
-      let run env = (Strategy.run env s ~r:12).Strategy.sample in
-      check_same
-        (Strategy.name s ^ " sequential")
-        (sample_with Column.Boxed run)
-        (sample_with Column.Int_keys run))
-    Strategy.all
+    (fun seed ->
+      let pair = Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
+      let left = pair.outer and right = pair.inner in
+      let key = Zipf_tables.col2 in
+      let keys1 = Option.get (Column.int_view left ~col:key) in
+      let keys2 = Option.get (Column.int_view right ~col:key) in
+      let right_index = Rsj_index.Hash_index.build right ~key in
+      let right_stats = Rsj_stats.Frequency.of_relation right ~key in
+      let freq = Option.get (Rsj_stats.Frequency.int_counter right_stats) in
+      let stream () = Relation.to_stream left in
+      let r = 12 in
+      let twin name boxed int =
+        let run kernel =
+          let rng = Prng.create ~seed () in
+          let sample = kernel rng (Rsj_exec.Metrics.create ()) in
+          (sample, drain rng)
+        in
+        let boxed_sample, boxed_after = run boxed in
+        let int_sample, int_after = run int in
+        let what = Printf.sprintf "%s (seed=%d)" name seed in
+        check_same what boxed_sample int_sample;
+        Alcotest.(check (array int)) (what ^ ": generator after") boxed_after int_after
+      in
+      twin "Naive"
+        (fun rng metrics ->
+          Naive_sample.sample rng ~metrics ~r ~left:(stream ()) ~right ~left_key:key
+            ~right_key:key)
+        (fun rng metrics -> Naive_sample.sample_int rng ~metrics ~r ~left ~right ~keys1 ~keys2);
+      twin "Olken"
+        (fun rng metrics ->
+          Olken_sample.sample rng ~metrics ~r ~left ~left_key:key ~right_index ())
+        (fun rng metrics -> Olken_sample.sample_int rng ~metrics ~r ~left ~keys1 ~right_index ());
+      twin "Stream"
+        (fun rng metrics ->
+          Stream_sample.sample rng ~metrics ~r ~left:(stream ()) ~left_key:key ~right_index
+            ~right_stats ())
+        (fun rng metrics ->
+          Stream_sample.sample_int rng ~metrics ~r ~left ~keys:keys1 ~right_index ~freq ());
+      twin "Count"
+        (fun rng metrics ->
+          Count_sample.sample rng ~metrics ~r ~left:(stream ()) ~left_key:key ~right
+            ~right_key:key ~right_stats)
+        (fun rng metrics ->
+          Count_sample.sample_int rng ~metrics ~r ~left ~right ~keys1 ~keys2 ~freq))
+    [ 13; 14; 15 ]
 
-let test_planes_bit_identical_parallel () =
+(* --- Keys the int view cannot hold ---
+
+   A join column with a Float key, or with min_int as a genuine Int key
+   (the Null sentinel), has no int view. The parallel runtime then runs
+   the sequential kernels at every width, so its sample is exactly
+   Strategy.run's. The min_int rows also join each other, as the boxed
+   kernels' Value equality says they must. *)
+
+let rekey ~ty ~f rel =
+  let schema =
+    Schema.of_list [ ("rid", Value.T_int); ("col2", ty); ("pad", Value.T_str) ]
+  in
+  let out =
+    Relation.create ~name:(Relation.name rel ^ "_rekeyed") ~capacity:(Relation.cardinality rel)
+      schema
+  in
+  Relation.iteri rel (fun i t ->
+      let t = Array.copy t in
+      t.(Zipf_tables.col2) <- f i t.(Zipf_tables.col2);
+      Relation.append_unchecked out t);
+  out
+
+let test_unviewable_keys_fall_back () =
+  let pair = Zipf_tables.make_pair ~seed:21 ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
+  let sentinel i v = if i < 2 then Value.Int Column.null_key else v in
+  let to_float _ v = match v with Value.Int x -> Value.Float (float_of_int x) | v -> v in
+  let key = Zipf_tables.col2 in
   List.iter
-    (fun s ->
+    (fun (what, ty, f) ->
+      let left = rekey ~ty ~f pair.outer and right = rekey ~ty ~f pair.inner in
+      Alcotest.(check bool) (what ^ ": no int view") true (Column.int_view left ~col:key = None);
+      let env () = Strategy.make_env ~seed:4 ~left ~right ~left_key:key ~right_key:key () in
       List.iter
-        (fun d ->
-          let run env = (Rsj_parallel.run env s ~r:12 ~domains:d).Strategy.sample in
-          check_same
-            (Printf.sprintf "%s WR d=%d" (Strategy.name s) d)
-            (sample_with Column.Boxed run)
-            (sample_with Column.Int_keys run))
-        (if s = Strategy.Olken then [ 1 ] else [ 1; 2; 4 ]))
-    Strategy.all
-
-let test_planes_bit_identical_parallel_wor () =
+        (fun s ->
+          let seq = Strategy.run (env ()) s ~r:10 in
+          let seq_wor = Strategy.run_wor (env ()) s ~r:10 in
+          List.iter
+            (fun d ->
+              let cell = Printf.sprintf "%s %s d=%d" what (Strategy.name s) d in
+              check_same (cell ^ " WR") seq.Strategy.sample
+                (Rsj_parallel.run (env ()) s ~r:10 ~domains:d).Strategy.sample;
+              check_same (cell ^ " WoR") seq_wor.Strategy.sample
+                (Rsj_parallel.run_wor (env ()) s ~r:10 ~domains:d).Strategy.sample)
+            [ 1; 2; 4 ])
+        Strategy.all)
+    [ ("min_int keys", Value.T_int, sentinel); ("float keys", Value.T_float, to_float) ];
+  (* Left keys [min_int; min_int; 1], right keys [min_int; 1]: |J| = 3,
+     two of them on the sentinel. A WoR request past |J| returns all 3. *)
+  let schema = Schema.of_list [ ("rid", Value.T_int); ("k", Value.T_int) ] in
+  let rel keys =
+    Relation.of_rows schema (List.mapi (fun i k -> [ Value.Int i; Value.Int k ]) keys)
+  in
+  let env =
+    Strategy.make_env ~seed:4
+      ~left:(rel [ Column.null_key; Column.null_key; 1 ])
+      ~right:(rel [ Column.null_key; 1 ])
+      ~left_key:1 ~right_key:1 ()
+  in
   List.iter
-    (fun s ->
-      List.iter
-        (fun d ->
-          let run env = (Rsj_parallel.run_wor env s ~r:12 ~domains:d).Strategy.sample in
-          check_same
-            (Printf.sprintf "%s WoR d=%d" (Strategy.name s) d)
-            (sample_with Column.Boxed run)
-            (sample_with Column.Int_keys run))
-        (if s = Strategy.Olken then [ 1 ] else [ 1; 2; 4 ]))
-    Strategy.all
+    (fun d ->
+      let sample = (Rsj_parallel.run_wor env Strategy.Naive ~r:10 ~domains:d).Strategy.sample in
+      let on_sentinel =
+        Array.fold_left
+          (fun n t -> if Tuple.get t 1 = Value.Int Column.null_key then n + 1 else n)
+          0 sample
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "d=%d: |J| and min_int join tuples" d)
+        (3, 2)
+        (Array.length sample, on_sentinel))
+    [ 1; 2; 4 ]
 
 (* --- Allocation regression: the Stream-Sample int inner loop ---
 
@@ -192,11 +267,9 @@ let suite =
     Alcotest.test_case "linked kernels share one generator stream" `Quick test_linked_kernels;
     Alcotest.test_case "int_view extraction and escape" `Quick test_int_view;
     Alcotest.test_case "boxed and int planes bit-identical (sequential)" `Quick
-      test_planes_bit_identical_sequential;
-    Alcotest.test_case "boxed and int planes bit-identical (parallel WR)" `Quick
-      test_planes_bit_identical_parallel;
-    Alcotest.test_case "boxed and int planes bit-identical (parallel WoR)" `Quick
-      test_planes_bit_identical_parallel_wor;
+      test_twins_bit_identical;
+    Alcotest.test_case "keys without an int view run the sequential kernels" `Quick
+      test_unviewable_keys_fall_back;
     Alcotest.test_case "int inner loop allocates < 256 minor words / 10k tuples" `Quick
       test_inner_loop_allocation;
   ]

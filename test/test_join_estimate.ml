@@ -158,34 +158,30 @@ let test_bifocal_zero_high_histogram () =
     (within_sigmas ~sigmas:4. est truth)
 
 let test_boxed_int_plane_agreement () =
-  (* The estimators read keys through Tuple.attr; the data plane's
-     global mode (boxed values vs flat int columns) must not change a
-     single bit of the estimate at equal seeds. *)
+  (* The estimators read keys through Tuple.attr; whether the join
+     columns also have an int plane (an int-keyed pair builds one in
+     the index, a string-keyed copy cannot) must not change a single
+     bit of the estimate at equal seeds. *)
   let pair, _ = instance ~z1:1. ~z2:2. in
-  let run_in mode =
-    let saved = Rsj_relation.Column.mode () in
-    Rsj_relation.Column.set_mode mode;
-    Fun.protect
-      ~finally:(fun () -> Rsj_relation.Column.set_mode saved)
-      (fun () ->
-        let rng = Rsj_util.Prng.create ~seed:8 () in
-        let idx = Rsj_index.Hash_index.build pair.inner ~key:Zipf_tables.col2 in
-        let ia =
-          Join_estimate.index_assisted rng ~left:pair.outer ~right_index:idx
-            ~left_key:Zipf_tables.col2 ~draws:300
-        in
-        let cp =
-          Join_estimate.cross_product rng ~left:pair.outer ~right:pair.inner
-            ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ~r1:300 ~r2:300
-        in
-        (ia, cp))
+  let estimates (pair : Zipf_tables.pair) =
+    let rng = Rsj_util.Prng.create ~seed:8 () in
+    let idx = Rsj_index.Hash_index.build pair.inner ~key:Zipf_tables.col2 in
+    let ia =
+      Join_estimate.index_assisted rng ~left:pair.outer ~right_index:idx
+        ~left_key:Zipf_tables.col2 ~draws:300
+    in
+    let cp =
+      Join_estimate.cross_product rng ~left:pair.outer ~right:pair.inner
+        ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ~r1:300 ~r2:300
+    in
+    (ia, cp)
   in
-  let ia_boxed, cp_boxed = run_in Rsj_relation.Column.Boxed in
-  let ia_int, cp_int = run_in Rsj_relation.Column.Int_keys in
-  Alcotest.(check (float 0.)) "index-assisted value agrees" ia_boxed.value ia_int.value;
-  Alcotest.(check (float 0.)) "index-assisted stderr agrees" ia_boxed.stderr ia_int.stderr;
-  Alcotest.(check (float 0.)) "cross-product value agrees" cp_boxed.value cp_int.value;
-  Alcotest.(check (float 0.)) "cross-product stderr agrees" cp_boxed.stderr cp_int.stderr
+  let ia_int, cp_int = estimates pair in
+  let ia_str, cp_str = estimates (Zipf_tables.string_keyed pair) in
+  Alcotest.(check (float 0.)) "index-assisted value agrees" ia_str.value ia_int.value;
+  Alcotest.(check (float 0.)) "index-assisted stderr agrees" ia_str.stderr ia_int.stderr;
+  Alcotest.(check (float 0.)) "cross-product value agrees" cp_str.value cp_int.value;
+  Alcotest.(check (float 0.)) "cross-product stderr agrees" cp_str.stderr cp_int.stderr
 
 let suite =
   [

@@ -40,15 +40,6 @@ let domain_counts =
       | l -> l)
   | _ -> [ 1; 2; 4 ]
 
-let test_all_parallelizable () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Strategy.name s ^ " is parallelizable")
-        true
-        (Rsj_parallel.is_parallelizable s))
-    Strategy.all
-
 (* ------------------------------------------------------------------ *)
 (* Parallel strategy execution                                         *)
 
@@ -220,6 +211,61 @@ let test_parallel_domains_zero_is_sequential () =
             (Tuple.equal t par.Strategy.sample.(i)))
         seq.Strategy.sample)
     parallel_strategies
+
+(* ------------------------------------------------------------------ *)
+(* Join keys without an int view                                       *)
+
+(* A string-keyed copy of the small instance: no int key views, so the
+   runtime runs the sequential kernels at every width. *)
+let str_env ~seed =
+  let pair =
+    Zipf_tables.string_keyed (Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 ())
+  in
+  Strategy.make_env ~seed ~left:pair.outer ~right:pair.inner ~left_key:Zipf_tables.col2
+    ~right_key:Zipf_tables.col2 ()
+
+let check_same_sample what (a : Strategy.result) (b : Strategy.result) =
+  Alcotest.(check int) (what ^ " size") (Array.length a.Strategy.sample)
+    (Array.length b.Strategy.sample);
+  Array.iteri
+    (fun i t ->
+      Alcotest.(check bool) (what ^ " identical") true (Tuple.equal t b.Strategy.sample.(i)))
+    a.Strategy.sample
+
+let test_string_keys_run_sequential_kernels () =
+  List.iter
+    (fun s ->
+      let seq = Strategy.run (str_env ~seed:9) s ~r:12 in
+      let seq_wor = Strategy.run_wor (str_env ~seed:9) s ~r:12 in
+      List.iter
+        (fun d ->
+          let what = Printf.sprintf "%s string keys d=%d" (Strategy.name s) d in
+          check_same_sample (what ^ " WR") seq
+            (Rsj_parallel.run (str_env ~seed:9) s ~r:12 ~domains:d);
+          check_same_sample (what ^ " WoR") seq_wor
+            (Rsj_parallel.run_wor (str_env ~seed:9) s ~r:12 ~domains:d))
+        domain_counts)
+    Strategy.all
+
+let test_fallback_counted () =
+  let fallbacks s =
+    Rsj_obs.Registry.value
+      (Rsj_obs.Registry.counter
+         ~labels:[ ("strategy", Strategy.name s) ]
+         "rsj_int_plane_fallback_total")
+  in
+  List.iter
+    (fun s ->
+      let before = fallbacks s in
+      ignore (Rsj_parallel.run (small_env ()) s ~r:8 ~domains:1);
+      ignore (Rsj_parallel.run_wor (small_env ()) s ~r:8 ~domains:1);
+      Alcotest.(check int) (Strategy.name s ^ ": int keys never fall back") before (fallbacks s);
+      ignore (Rsj_parallel.run (str_env ~seed:3) s ~r:8 ~domains:1);
+      ignore (Rsj_parallel.run_wor (str_env ~seed:3) s ~r:8 ~domains:1);
+      Alcotest.(check int)
+        (Strategy.name s ^ ": string keys counted per call")
+        (before + 2) (fallbacks s))
+    Strategy.all
 
 (* ------------------------------------------------------------------ *)
 (* Parallel without-replacement                                        *)
@@ -626,7 +672,6 @@ let test_split_n () =
 
 let suite =
   [
-    Alcotest.test_case "every strategy is parallelizable" `Quick test_all_parallelizable;
     Alcotest.test_case "parallel run returns r tuples" `Quick test_parallel_returns_r;
     Alcotest.test_case "parallel output is join tuples" `Quick test_parallel_emits_join_tuples;
     Alcotest.test_case "parallel sample is WR-uniform (chi-square)" `Slow test_parallel_uniform;
@@ -635,6 +680,10 @@ let suite =
     Alcotest.test_case "parallel seeded reproducibility" `Quick test_parallel_deterministic;
     Alcotest.test_case "domains = 0 is exactly sequential" `Quick
       test_parallel_domains_zero_is_sequential;
+    Alcotest.test_case "string keys run the sequential kernels" `Quick
+      test_string_keys_run_sequential_kernels;
+    Alcotest.test_case "fallback to the sequential kernels is counted" `Quick
+      test_fallback_counted;
     Alcotest.test_case "parallel WoR basics" `Quick test_parallel_wor_basics;
     Alcotest.test_case "parallel WoR clamps to join size" `Quick
       test_parallel_wor_clamps_to_join_size;

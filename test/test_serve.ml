@@ -3,7 +3,8 @@
    parallel suites have spawned domains in this binary) driven over
    its Unix socket. Covers the conformance contract (served
    samples byte-identical to in-process runs, all eight strategies,
-   both data planes; a chi-square cell through the served path),
+   int and string join keys; a chi-square cell through the served
+   path),
    the operational behavior (deadlines, admission control, graceful
    SIGTERM shutdown with socket unlink + metrics snapshot, the warm
    cache's byte budget over the wire) and the HTTP metrics endpoint. *)
@@ -45,20 +46,13 @@ let cleanup_dir dir =
    with Sys_error _ -> ());
   try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ()
 
-let mode_name = function Column.Boxed -> "boxed" | Column.Int_keys -> "int"
-
 (* The daemon helper lives next to this binary in _build. The child
-   inherits our environment (RSJ_CACHE_BYTES etc.) and is told the
-   current column data plane so served samples stay byte-comparable
-   to in-process runs on either plane. *)
+   inherits our environment (RSJ_CACHE_BYTES etc.). *)
 let serve_child_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "serve_child.exe"
 
 let spawn_server ?(max_queued_work = 0) ~sock ~snapshot () =
-  let argv =
-    [| serve_child_exe; sock; snapshot; string_of_int max_queued_work;
-       mode_name (Column.mode ()) |]
-  in
+  let argv = [| serve_child_exe; sock; snapshot; string_of_int max_queued_work |] in
   Unix.create_process serve_child_exe argv Unix.stdin Unix.stdout Unix.stderr
 
 let connect_with_retry addr =
@@ -94,6 +88,7 @@ let must_reply what = function
       Alcotest.failf "%s failed (%s): %s" what (P.error_code_to_string code) msg
 
 let zipf_schema = [ ("rid", Value.T_int); ("col2", Value.T_int); ("pad", Value.T_str) ]
+let str_key_schema = [ ("rid", Value.T_int); ("col2", Value.T_str); ("pad", Value.T_str) ]
 
 let rows_of rel =
   let acc = ref [] in
@@ -103,12 +98,12 @@ let rows_of rel =
 let make_pair ?(seed = 0xBEEF) () =
   Zipf_tables.make_pair ~seed ~n1:60 ~n2:240 ~z1:1. ~z2:1. ~domain:24 ()
 
-let register_pair client pair =
+let register_pair ?(schema = zipf_schema) client pair =
   ignore
-    (must "register t1" (Client.register_rows client ~name:"t1" ~schema:zipf_schema
+    (must "register t1" (Client.register_rows client ~name:"t1" ~schema
                            ~rows:(rows_of pair.Zipf_tables.outer)));
   ignore
-    (must "register t2" (Client.register_rows client ~name:"t2" ~schema:zipf_schema
+    (must "register t2" (Client.register_rows client ~name:"t2" ~schema
                            ~rows:(rows_of pair.Zipf_tables.inner)))
 
 let write_all fd s =
@@ -120,11 +115,6 @@ let write_all fd s =
 
 (* ---------- conformance: served ≡ in-process ---------- *)
 
-let with_mode mode f =
-  let prev = Column.mode () in
-  Column.set_mode mode;
-  Fun.protect ~finally:(fun () -> Column.set_mode prev) f
-
 let local_env' ~seed pair =
   Strategy.make_env ~seed ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
     ~left_key:key ~right_key:key ()
@@ -132,15 +122,14 @@ let local_env' ~seed pair =
 (* For a fixed seed at domains=1 the daemon must return the very same
    bytes as the same run in this process: the FIFO loop and the warm
    cache may change who builds the structures and when, never what is
-   sampled. Checked for every strategy under both data planes (the
-   daemon is told the current column mode), plus the WoR conversion. *)
+   sampled. Checked for every strategy, plus the WoR conversion, on
+   int keys (the chunked int plane) and on a string-keyed copy (the
+   fallback to the sequential kernels). *)
 let test_served_identical () =
   List.iter
-    (fun mode ->
-      with_mode mode @@ fun () ->
-      let pair = make_pair () in
+    (fun (keys, pair, schema) ->
       with_server @@ fun ~sock:_ ~snapshot:_ client ->
-      register_pair client pair;
+      register_pair ~schema client pair;
       let local_env () =
         Strategy.make_env ~seed:4242 ~left:pair.Zipf_tables.outer
           ~right:pair.Zipf_tables.inner ~left_key:key ~right_key:key ()
@@ -150,7 +139,7 @@ let test_served_identical () =
       in
       List.iter
         (fun s ->
-          let label = mode_name mode ^ "/" ^ Strategy.name s in
+          let label = keys ^ "/" ^ Strategy.name s in
           let served =
             (must_reply label
                (Client.sample client ~left:"t1" ~right:"t2" ~r:25
@@ -172,9 +161,12 @@ let test_served_identical () =
         strings_of (Rsj_parallel.run_wor (local_env' ~seed:99 pair) Strategy.Stream ~r:20 ~domains:1)
       in
       Alcotest.(check (list string))
-        (mode_name mode ^ "/stream WoR: served = in-process")
+        (keys ^ "/stream WoR: served = in-process")
         local_wor served_wor)
-    [ Column.Boxed; Column.Int_keys ]
+    [
+      ("int", make_pair (), zipf_schema);
+      ("str", Zipf_tables.string_keyed (make_pair ()), str_key_schema);
+    ]
 
 (* ---------- conformance: a chi-square cell through the socket ---------- *)
 

@@ -297,6 +297,62 @@ let test_run_wor_distinct () =
       Alcotest.(check int) (Strategy.name s ^ " WoR distinct") 15 distinct)
     [ Strategy.Naive; Strategy.Stream; Strategy.Frequency_partition ]
 
+(* Inverse of an odd int modulo 2^63 (native wrap-around), by Newton
+   iteration: each step doubles the number of correct low bits. *)
+let odd_inverse a =
+  let x = ref a in
+  for _ = 1 to 6 do
+    x := !x * (2 - (a * !x))
+  done;
+  !x
+
+(* Two distinct join tuples (k1, x1, k1) and (k2, x2, k2) with equal
+   Tuple.hash. The middle slot enters the hash as 31 * H(x), with
+   H(x) = x * M mod 2^62 for Value.hash's odd multiplier M, so H(x2)
+   is solved from the target hash and x2 recovered through M^-1. *)
+let colliding_join_rows () =
+  let k1 = 1 and k2 = 2 in
+  let hash k x = Tuple.hash [| Value.Int k; Value.Int x; Value.Int k |] in
+  let m_inv = odd_inverse 0x2545F4914F6CDD1D in
+  let rec search x1 =
+    let h = (hash k1 x1 - hash k2 0) * odd_inverse 31 in
+    if h < 0 then search (x1 + 1) else (x1, (h * m_inv) land max_int)
+  in
+  let x1, x2 = search 1 in
+  let t1 = [| Value.Int k1; Value.Int x1; Value.Int k1 |] in
+  let t2 = [| Value.Int k2; Value.Int x2; Value.Int k2 |] in
+  Alcotest.(check int) "constructed tuples collide" (Tuple.hash t1) (Tuple.hash t2);
+  Alcotest.(check bool) "constructed tuples differ" false (Tuple.equal t1 t2);
+  ((k1, x1), (k2, x2))
+
+(* WoR distinctness is tuple equality: a join of exactly two tuples
+   whose hashes collide must come back whole, through the sequential
+   driver and the parallel runtime alike. *)
+let test_run_wor_hash_collision () =
+  let (k1, x1), (k2, x2) = colliding_join_rows () in
+  let rel name cols rows =
+    Relation.of_rows ~name (Schema.of_list cols) (List.map (List.map (fun v -> Value.Int v)) rows)
+  in
+  let env () =
+    Strategy.make_env
+      ~left:(rel "L" [ ("k", Value.T_int); ("x", Value.T_int) ] [ [ k1; x1 ]; [ k2; x2 ] ])
+      ~right:(rel "R" [ ("k", Value.T_int) ] [ [ k1 ]; [ k2 ] ])
+      ~left_key:0 ~right_key:0 ()
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (label, run) ->
+          let sample = (run (env ()) s).Strategy.sample in
+          let what = Printf.sprintf "%s %s" (Strategy.name s) label in
+          Alcotest.(check int) (what ^ ": both tuples") 2 (Array.length sample);
+          Alcotest.(check bool) (what ^ ": distinct") false (Tuple.equal sample.(0) sample.(1)))
+        [
+          ("sequential", fun env s -> Strategy.run_wor env s ~r:2);
+          ("d=1", fun env s -> Rsj_parallel.run_wor env s ~r:2 ~domains:1);
+        ])
+    Strategy.all
+
 let test_table1 () =
   let rows = Strategy.table1 () in
   Alcotest.(check int) "eight strategies" 8 (List.length rows);
@@ -442,6 +498,7 @@ let suite =
     Alcotest.test_case "count-sample detects overstated stats" `Quick test_count_sample_overstated_stats_fails;
     Alcotest.test_case "foreign-key join" `Quick test_foreign_key_join;
     Alcotest.test_case "WoR variant yields distinct tuples" `Quick test_run_wor_distinct;
+    Alcotest.test_case "WoR keeps hash-colliding tuples apart" `Quick test_run_wor_hash_collision;
     Alcotest.test_case "table 1 requirements" `Quick test_table1;
     Alcotest.test_case "missing-structure matrix" `Quick test_missing_structure_matrix;
     Alcotest.test_case "strategy name parsing" `Quick test_of_name;
