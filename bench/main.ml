@@ -328,72 +328,6 @@ let run_json () =
           per_d)
       timings
   in
-  (* Draw-plane pass: the chain walker's repeated weighted picks, CDF
-     binary search vs Vose alias O(1), over the same 3-level chain
-     (per-value buckets plus a |R1|-wide root table), rebuilt per
-     plane since the tables are baked at prepare time. sample_rows
-     isolates the draw kernel (row-id paths, no tuple
-     materialization); sample is the end-to-end request. The
-     allocation probe: 10k draws through the packed alias kernel must
-     allocate nothing beyond its 40-byte PRNG state. *)
-  let module Chain_sample = Rsj_core.Chain_sample in
-  let module Dist = Rsj_util.Dist in
-  let chain_spec =
-    let t1 = Zipf_tables.make ~seed:71 ~name:"chain1" ~rows:n1 ~z:1. ~domain:100 () in
-    let t2 = Zipf_tables.make ~seed:72 ~name:"chain2" ~rows:n2 ~z:1. ~domain:100 () in
-    let t3 = Zipf_tables.make ~seed:73 ~name:"chain3" ~rows:n2 ~z:1. ~domain:100 () in
-    {
-      Chain_sample.relations = [| t1; t2; t3 |];
-      join_keys =
-        [| (Zipf_tables.col2, Zipf_tables.col2); (Zipf_tables.col2, Zipf_tables.col2) |];
-    }
-  in
-  let r_draws = 10_000 in
-  let time_chain plane =
-    let prev = Dist.draw_plane () in
-    Dist.set_draw_plane plane;
-    Fun.protect ~finally:(fun () -> Dist.set_draw_plane prev) @@ fun () ->
-    let prep =
-      median
-        (Array.init reps (fun _ ->
-             let t0 = Rsj_obs.Clock.now_s () in
-             ignore (Chain_sample.prepare chain_spec);
-             Rsj_obs.Clock.now_s () -. t0))
-    in
-    let cs = Chain_sample.prepare chain_spec in
-    let rng = Rsj_util.Prng.create ~seed:99 () in
-    (* Warm the structures (page in the root and bucket tables) so the
-       medians measure the steady state the daemon serves from. *)
-    ignore (Chain_sample.sample_rows cs rng ~r:r_draws ());
-    ignore (Chain_sample.sample cs rng ~r:r_draws ());
-    let kernel =
-      median
-        (Array.init reps (fun _ ->
-             let t0 = Rsj_obs.Clock.now_s () in
-             ignore (Chain_sample.sample_rows cs rng ~r:r_draws ());
-             Rsj_obs.Clock.now_s () -. t0))
-    in
-    let full =
-      median
-        (Array.init reps (fun _ ->
-             let t0 = Rsj_obs.Clock.now_s () in
-             ignore (Chain_sample.sample cs rng ~r:r_draws ());
-             Rsj_obs.Clock.now_s () -. t0))
-    in
-    (prep, kernel, full)
-  in
-  let cdf_prep, cdf_kernel, cdf_full = time_chain Dist.Cdf in
-  let alias_prep, alias_kernel, alias_full = time_chain Dist.Alias in
-  let alias_words_per_10k =
-    let weights = Array.init 1024 (fun i -> float_of_int (1 + (i mod 17))) in
-    let at = Rsj_util.Alias_int.of_weights weights in
-    let rng = Rsj_util.Prng.create ~seed:5 () in
-    let into = Array.make 10_000 0 in
-    Rsj_util.Alias_int.draw_many at rng ~into ~n:10_000;
-    let w0 = Gc.minor_words () in
-    Rsj_util.Alias_int.draw_many at rng ~into ~n:10_000;
-    Gc.minor_words () -. w0
-  in
   (* Traced pass: the same WR grid at d = 4 with telemetry on. The
      strategy/chunk histograms observe only while enabled, so the
      quantiles below summarize exactly this pass, and the ratio against
@@ -449,14 +383,6 @@ let run_json () =
   "results": [
 %s
   ],
-  "draw_plane": {
-    "chain_k": 3,
-    "r_draws": %d,
-    "prepare": {"cdf_median_s": %s, "alias_median_s": %s},
-    "sample_rows": {"cdf_median_s": %s, "alias_median_s": %s, "speedup": %s},
-    "sample": {"cdf_median_s": %s, "alias_median_s": %s, "speedup": %s},
-    "allocation": {"alias_minor_words_per_10k_draws": %.1f}
-  },
   "telemetry": {
     "trace_events": %d,
     "per_strategy_d4": [
@@ -469,13 +395,6 @@ let run_json () =
 |}
     n1 n2 r reps
     (String.concat ",\n" rows)
-    r_draws
-    (num cdf_prep) (num alias_prep)
-    (num cdf_kernel) (num alias_kernel)
-    (if alias_kernel > 0. then Printf.sprintf "%.3f" (cdf_kernel /. alias_kernel) else "null")
-    (num cdf_full) (num alias_full)
-    (if alias_full > 0. then Printf.sprintf "%.3f" (cdf_full /. alias_full) else "null")
-    alias_words_per_10k
     trace_events
     (String.concat ",\n" telemetry_rows)
     (Obs.Registry.observed_count chunk_h)

@@ -7,8 +7,8 @@ module Hash_index = Rsj_index.Hash_index
 (* What is stored. The histogram kind carries the threshold fraction
    (as its IEEE bits, so the key stays an immediate) — distinct
    fractions are distinct structures. The chain kind carries the
-   member uids, the flattened join-key pairs and the draw plane
-   (structural equality/hash apply), keyed under the root relation's
+   member uids and the flattened join-key pairs (structural
+   equality/hash apply), keyed under the root relation's
    uid; its entry fingerprint mixes every member's fingerprint, so a
    mutation of ANY member relation invalidates the chain. *)
 type kind =
@@ -16,7 +16,7 @@ type kind =
   | K_frequency of int
   | K_histogram of int * int  (* key column, fraction bits *)
   | K_int_view of int
-  | K_chain of int array * int array * int  (* member uids, join keys, plane *)
+  | K_chain of int array * int array  (* member uids, join keys *)
 
 let kind_name = function
   | K_hash_index _ -> "hash_index"
@@ -286,18 +286,16 @@ let chain t (spec : Rsj_core.Chain_sample.spec) =
       keys.(2 * i) <- a;
       keys.((2 * i) + 1) <- b)
     spec.join_keys;
-  let plane = match Rsj_util.Dist.draw_plane () with Rsj_util.Dist.Cdf -> 0 | Alias -> 1 in
   (* The entry lives under the root's uid; the fingerprint mixes every
      member's, so mutating ANY member relation invalidates on the next
-     lookup. The plane is part of the key — draw tables are baked at
-     prepare time, so a toggled [RSJ_DRAW] builds its own entry. *)
+     lookup. *)
   let fp =
     Array.fold_left
       (fun acc rel -> (acc * 0x9E3779B1) lxor Relation.fingerprint rel)
       0 spec.relations
   in
   find t ~fp ~base:(Obj.repr spec.relations) spec.relations.(0)
-    (K_chain (uids, keys, plane))
+    (K_chain (uids, keys))
     ~build:(fun () -> Rsj_core.Chain_sample.prepare spec)
     ~pack:(fun v -> P_chain v)
     ~unpack:(function P_chain v -> v | _ -> assert false)

@@ -69,14 +69,13 @@ val int_view : t -> Relation.t -> col:int -> int array option
     (non-int column) is cached too — it is a per-snapshot fact. *)
 
 val chain : t -> Rsj_core.Chain_sample.spec -> Rsj_core.Chain_sample.t
-(** The prepared chain walker (weight tables + per-value alias/CDF draw
+(** The prepared chain walker (weight tables + per-value alias
     tables) for the whole spec, keyed under the root relation's uid with
     a fingerprint mixing {e every} member relation's — mutating any
-    member invalidates on the next lookup. The current [RSJ_DRAW] plane
-    participates in the key, since draw tables are baked at prepare
-    time. This is what makes the alias plane pay off under [rsj serve]:
-    the O(k·Σ|Ri|) build happens once, and every later request on the
-    same chain pays only O(k) per drawn tuple. *)
+    member invalidates on the next lookup. This is what makes the alias
+    tables pay off under [rsj serve]: the O(k·Σ|Ri|) build happens
+    once, and every later request on the same chain pays only O(k) per
+    drawn tuple. *)
 
 val env :
   t ->
@@ -91,7 +90,9 @@ val env :
 (** A strategy env whose auxiliary-structure thunks consult this cache
     instead of building privately — the drop-in warm replacement for
     {!Rsj_core.Strategy.make_env}. Nothing is built until a strategy
-    forces it, exactly like the cold env. *)
+    forces it, exactly like the cold env: the key views in particular
+    are forced only by the parallel runtime's chunked runners, never by
+    {!Rsj_core.Strategy.run}. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Invalidation and introspection} *)

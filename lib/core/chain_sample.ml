@@ -8,10 +8,9 @@ type spec = { relations : Relation.t array; join_keys : (int * int) array }
 
 (* For relation i (i >= 1), tuples are reachable through their join-in
    value (column b of join i-1). bucket: per join-in value, the
-   matching rows with a draw table over their downstream weights —
-   O(1) per pick on the alias plane, O(log bucket) on the CDF plane
-   (RSJ_DRAW selects at prepare time). *)
-type bucket = { rows : int array; pick : Dist.Draw_table.t }
+   matching rows with an alias table over their downstream weights —
+   O(1) per pick. *)
+type bucket = { rows : int array; pick : Dist.Alias_table.t }
 
 type level = {
   relation : Relation.t;
@@ -24,23 +23,20 @@ type level = {
 type t = {
   levels : level array;
   root_rows : int array;
-  root_pick : Dist.Draw_table.t option;  (* None when the join is empty *)
+  root_pick : Dist.Alias_table.t option;  (* None when the join is empty *)
   total : float;
-  plane : Dist.draw_plane;  (* the plane every table was built on *)
 }
 
-(* Draws served through the alias plane, across every chain walk (root
-   pick + one pick per level entered). The CDF plane bumps nothing, so
-   the counter doubles as the toggle's visibility. A complete walk of
-   a k-chain makes exactly k weighted picks (positive root weight
-   guarantees a full path), so counting is one bump per request. *)
+(* Alias-table draws across every chain walk (root pick + one pick per
+   level entered). A complete walk of a k-chain makes exactly k
+   weighted picks (positive root weight guarantees a full path), so
+   counting is one bump per request. *)
 let alias_draws =
   lazy
-    (Obs.Registry.counter ~help:"Weighted draws served by the alias draw plane."
+    (Obs.Registry.counter ~help:"Weighted draws served by the chain walker's alias tables."
        "rsj_alias_draws_total")
 
-let count_draws t n =
-  if t.plane = Dist.Alias then Obs.Registry.add (Lazy.force alias_draws) (n * Array.length t.levels)
+let count_draws t n = Obs.Registry.add (Lazy.force alias_draws) (n * Array.length t.levels)
 
 let prepare ?(metrics = Metrics.create ()) spec =
   let k = Array.length spec.relations in
@@ -56,9 +52,7 @@ let prepare ?(metrics = Metrics.create ()) spec =
       if b < 0 || b >= arity_r then
         invalid_arg (Printf.sprintf "Chain_sample.prepare: join %d right column out of range" i))
     spec.join_keys;
-  Obs.Trace.with_span ~cat:"chain"
-    ~args:[ ("k", Obs.Json.Int k); ("plane", Obs.Json.Str (Dist.draw_plane_name ())) ]
-    "chain_sample.prepare"
+  Obs.Trace.with_span ~cat:"chain" ~args:[ ("k", Obs.Json.Int k) ] "chain_sample.prepare"
   @@ fun () ->
   (* weights.(i) : per-row weight for relation i; computed right to
      left. value_weight.(i) : join-in-value -> summed weight table used
@@ -111,7 +105,7 @@ let prepare ?(metrics = Metrics.create ()) spec =
       (fun v cell ->
         let rows = Array.of_list (List.rev !cell) in
         let w = Array.map (fun row_id -> weights.(i).(row_id)) rows in
-        Vtbl.replace buckets v { rows; pick = Dist.Draw_table.of_weights w })
+        Vtbl.replace buckets v { rows; pick = Dist.Alias_table.of_weights w })
       lists;
     buckets_of.(i) <- buckets
   done;
@@ -142,8 +136,10 @@ let prepare ?(metrics = Metrics.create ()) spec =
       end);
   let root_rows = Array.of_list (List.rev !root_rows) in
   let root_w = Array.of_list (List.rev !root_weights) in
-  let root_pick = if Array.length root_w = 0 then None else Some (Dist.Draw_table.of_weights root_w) in
-  { levels; root_rows; root_pick; total = !total; plane = Dist.draw_plane () }
+  let root_pick =
+    if Array.length root_w = 0 then None else Some (Dist.Alias_table.of_weights root_w)
+  in
+  { levels; root_rows; root_pick; total = !total }
 
 let join_size t = t.total
 
@@ -167,7 +163,7 @@ let walk_from t st metrics ~row0_id ~f ~init =
              unreachable unless the relations changed after prepare. *)
           failwith "Chain_sample.draw: weight table inconsistent with relation contents"
       | Some bucket ->
-          let j = Dist.Draw_table.draw_packed bucket.pick st in
+          let j = Dist.Alias_table.draw_packed bucket.pick st in
           let next_id = bucket.rows.(j) in
           let row = Relation.get t.levels.(level_idx + 1).relation next_id in
           walk (f acc next_id row) (level_idx + 1) next_id
@@ -180,7 +176,7 @@ let draw t rng ?(metrics = Metrics.create ()) () =
   | None -> None
   | Some root_pick ->
       count_draws t 1;
-      let idx = Dist.Draw_table.draw root_pick rng in
+      let idx = Dist.Alias_table.draw root_pick rng in
       let st = Bytes.create 40 in
       Rsj_util.Prng.dump_state rng st;
       let join acc _row_id row = match acc with None -> Some row | Some l -> Some (Tuple.join l row) in
@@ -194,11 +190,11 @@ let sample t rng ?(metrics = Metrics.create ()) ~r () =
   | Some root_pick ->
       Obs.Trace.with_span ~cat:"chain" ~args:[ ("r", Obs.Json.Int r) ] "chain_sample.sample"
       @@ fun () ->
-      (* Batch the root picks: one packed-state pass on the alias
-         plane amortizes PRNG and bounds checks across the request. *)
+      (* Batch the root picks: one packed-state pass amortizes PRNG
+         and bounds checks across the request. *)
       count_draws t r;
       let roots = Array.make (max 1 r) 0 in
-      Dist.Draw_table.draw_many root_pick rng ~into:roots ~n:r;
+      Dist.Alias_table.draw_many root_pick rng ~into:roots ~n:r;
       let st = Bytes.create 40 in
       Rsj_util.Prng.dump_state rng st;
       let join acc _row_id row = match acc with None -> Some row | Some l -> Some (Tuple.join l row) in
@@ -220,12 +216,11 @@ let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
       count_draws t r;
       let k = Array.length t.levels in
       let roots = Array.make (max 1 r) 0 in
-      Dist.Draw_table.draw_many root_pick rng ~into:roots ~n:r;
+      Dist.Alias_table.draw_many root_pick rng ~into:roots ~n:r;
       let out = Array.make (r * k) 0 in
       (* The walk inlined without closures, on the packed state for the
-         whole batch: this is the draw kernel the bench's draw-plane
-         section times, so nothing per-draw beyond the picks
-         themselves. *)
+         whole batch: this is the draw kernel of every warm chain
+         request, so nothing per-draw beyond the picks themselves. *)
       let st = Bytes.create 40 in
       Rsj_util.Prng.dump_state rng st;
       (* Accounting hoisted out of the loop: a complete batch makes
@@ -243,7 +238,7 @@ let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
           | None ->
               failwith "Chain_sample.draw: weight table inconsistent with relation contents"
           | Some bucket ->
-              let jj = Dist.Draw_table.draw_packed bucket.pick st in
+              let jj = Dist.Alias_table.draw_packed bucket.pick st in
               row_id := Array.unsafe_get bucket.rows jj;
               Array.unsafe_set out (base + level_idx + 1) !row_id
         done

@@ -32,16 +32,13 @@ type spec = {
 }
 
 type t
-(** Prepared sampler (weight tables and per-value draw tables, built
-    on the current [RSJ_DRAW] plane: alias structures for O(1) picks
-    by default, CDF tables under [RSJ_DRAW=cdf]). *)
+(** Prepared sampler: weight tables and per-value Vose alias tables
+    ({!Rsj_util.Dist.Alias_table}) for O(1) picks. *)
 
 val prepare : ?metrics:Metrics.t -> spec -> t
 (** Validates the spec and builds the weight tables. Raises
-    [Invalid_argument] on shape errors. The per-value pick structures
-    are built on the draw plane current at this call; an r-draw from a
-    k-chain is then O(k·r) on the alias plane against
-    O(r·(log |R1| + Σ log bucket)) on the CDF plane. *)
+    [Invalid_argument] on shape errors. An r-draw from the prepared
+    k-chain then costs O(k·r). *)
 
 val join_size : t -> float
 (** Exact |J| as the total root weight (float: chains can overflow
@@ -53,8 +50,8 @@ val draw : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> unit -> Tuple.t option
 
 val sample : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> Tuple.t array
 (** [r] independent draws (WR). [[||]] when the join is empty. The
-    root picks are batched through the plane's [draw_many] (one
-    packed-state pass on the alias plane), so the stream differs from
+    root picks are batched through the alias table's [draw_many] (one
+    packed-state pass), so the stream differs from
     [r] successive {!draw}s — each tuple is still an exact independent
     uniform draw of the join. *)
 

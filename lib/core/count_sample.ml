@@ -16,36 +16,3 @@ let sample rng ~metrics ~r ~left ~left_key ~right ~right_key ~right_stats =
   in
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   out
-
-(* Columnar fast path: the weighted S1 pass runs through the Wr_int
-   kernel over the flat R1 key column, and the R2 matching scan is the
-   int twin Internals_int.count_sample_scan over the flat R2 column;
-   only the accepted pairs are rehydrated. Bit-identical to [sample]
-   from the same generator state. *)
-let sample_int rng ~metrics ~r ~left ~right ~(keys1 : int array) ~(keys2 : int array) ~freq =
-  let open Metrics in
-  let module Counter = Rsj_index.Int_index.Counter in
-  let n1 = Array.length keys1 in
-  metrics.tuples_scanned <- metrics.tuples_scanned + n1;
-  metrics.stats_lookups <- metrics.stats_lookups + n1;
-  let ker = Rsj_util.Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r in
-  for row = 0 to n1 - 1 do
-    Rsj_util.Wr_int.feed ker ~weight:(Counter.get freq (Array.unsafe_get keys1 row)) row
-  done;
-  Rsj_util.Wr_int.finish ker;
-  let s1 = Rsj_util.Wr_int.contents ker in
-  let pairs =
-    Internals_int.count_sample_scan rng metrics ~strategy:"Count_sample.sample" ~s1 ~keys1
-      ~keys2
-      ~population:(fun k -> Counter.get freq k)
-  in
-  let out =
-    Array.map
-      (fun p ->
-        Tuple.join
-          (Relation.get left (Internals_int.unpack_left p))
-          (Relation.get right (Internals_int.unpack_right p)))
-      pairs
-  in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  out

@@ -11,7 +11,11 @@
     joined pairs.
 
     Replaces Stream-Sample's index requirement with one sequential scan
-    of R2 — total work n1 + n2 + r regardless of skew. *)
+    of R2 — total work n1 + n2 + r regardless of skew.
+
+    This module is the strategy's sequential reference implementation
+    over boxed tuples ({!Strategy.run}); the parallel runtime's chunked
+    runner over flat int key columns is its fast path. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -29,18 +33,3 @@ val sample :
 (** WR sample of size [r] of R1 ⋈ R2 ([[||]] when empty). Raises
     [Failure] when the statistics disagree with R2's actual content
     (fewer than m2(v) tuples of a sampled value encountered). *)
-
-val sample_int :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  r:int ->
-  left:Relation.t ->
-  right:Relation.t ->
-  keys1:int array ->
-  keys2:int array ->
-  freq:Rsj_index.Int_index.Counter.t ->
-  Tuple.t array
-(** Columnar twin of {!sample}: both join columns as
-    {!Column.int_view} extractions and [freq] the statistics' int
-    counter. Bit-identical output to the boxed path from the same
-    generator state. *)

@@ -155,10 +155,9 @@ let count_sample_scan rng (metrics : Metrics.t) ~strategy ~(s1 : Tuple.t array) 
       }
     end in
     let member_lists : Tuple.t list ref Vtbl.t = Vtbl.create (2 * Array.length s1) in
-    (* Group in S1 first-occurrence order — a deterministic order shared
-       with the data-plane twin (which cannot reproduce Vtbl iteration
-       order), so the per-group shuffles below consume the generator
-       identically in both planes. *)
+    (* Group in S1 first-occurrence order rather than Vtbl iteration
+       order, so the per-group shuffles below consume the generator in
+       an order that depends only on the sample. *)
     let order = ref [] in
     Array.iter
       (fun t1 ->

@@ -5,11 +5,11 @@
    pairs until the caller rehydrates the accepted winners through
    Relation.get.
 
-   Every function here consumes the generator draw-for-draw like its
-   boxed counterpart in Internals (test/test_dataplane.ml pins the
-   sequential twins built on them against the boxed kernels). The
-   parallel runtime runs only these. The module is Value-free by
-   construction (enforced by the @box-hygiene alias). *)
+   Every function here follows the draw order of its boxed
+   counterpart in Internals. The chunked runners of the parallel
+   runtime are the only callers; the sequential reference is the boxed
+   kernels themselves. The module is Value-free by construction
+   (enforced by the @box-hygiene alias). *)
 
 open Rsj_exec
 module Prng = Rsj_util.Prng
@@ -171,84 +171,3 @@ let index_hi_pick rng (metrics : Metrics.t) ~right_index ~(keys1 : int array) (s
           metrics.join_output_tuples <- metrics.join_output_tuples + 1;
           pack row r2)
     s1
-
-(* Int twin of Internals.count_sample_scan: groups S1 rows by key in
-   first-occurrence order (members in reverse-S1 order before the
-   per-group shuffle, like the boxed consed lists), then the same
-   binomial-thinning R2 scan over the flat key column. Output is the
-   packed join pairs in the boxed emission order, shuffled with the
-   same draws. *)
-let count_sample_scan rng (metrics : Metrics.t) ~strategy ~(s1 : int array) ~keys1 ~keys2
-    ~(population : int -> int) : int array =
-  let n1 = Array.length s1 in
-  if n1 = 0 then [||]
-  else begin
-    let gid = Counter.create ~capacity:(2 * n1) () in
-    let order = Array.make n1 0 in
-    let cells = Array.make n1 [] in
-    let ngroups = ref 0 in
-    Array.iter
-      (fun row ->
-        let k = keys1.(row) in
-        let g =
-          match Counter.get gid k with
-          | 0 ->
-              incr ngroups;
-              Counter.add gid k !ngroups;
-              order.(!ngroups - 1) <- k;
-              !ngroups - 1
-          | g -> g - 1
-        in
-        cells.(g) <- row :: cells.(g))
-      s1;
-    let ng = !ngroups in
-    let members = Array.make ng [||] in
-    let outstanding = Array.make ng 0 in
-    let seen = Array.make ng 0 in
-    let pops = Array.make ng 0 in
-    let next_member = Array.make ng 0 in
-    for g = 0 to ng - 1 do
-      let mem = Array.of_list cells.(g) in
-      Prng.shuffle_in_place rng mem;
-      let pop = population order.(g) in
-      if pop <= 0 then
-        failwith (strategy ^ ": sampled value has no frequency in the statistics");
-      members.(g) <- mem;
-      outstanding.(g) <- Array.length mem;
-      pops.(g) <- pop
-    done;
-    let out = ref [] in
-    let n2 = Array.length keys2 in
-    for i = 0 to n2 - 1 do
-      metrics.tuples_scanned <- metrics.tuples_scanned + 1;
-      let k = Array.unsafe_get keys2 i in
-      if k <> null_key then begin
-        let g = Counter.get gid k in
-        if g > 0 then begin
-          let g = g - 1 in
-          if outstanding.(g) > 0 then begin
-            if seen.(g) >= pops.(g) then
-              failwith (strategy ^ ": R2 holds more tuples of a value than the statistics claim");
-            let p = 1. /. float_of_int (pops.(g) - seen.(g)) in
-            let copies = Dist.binomial rng ~n:outstanding.(g) ~p in
-            seen.(g) <- seen.(g) + 1;
-            outstanding.(g) <- outstanding.(g) - copies;
-            for _ = 1 to copies do
-              let row1 = members.(g).(next_member.(g)) in
-              next_member.(g) <- next_member.(g) + 1;
-              metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-              out := pack row1 i :: !out
-            done
-          end
-          else seen.(g) <- seen.(g) + 1
-        end
-      end
-    done;
-    for g = 0 to ng - 1 do
-      if outstanding.(g) > 0 then
-        failwith (strategy ^ ": statistics overstate a value's frequency (stale statistics?)")
-    done;
-    let pool = Array.of_list !out in
-    Prng.shuffle_in_place rng pool;
-    pool
-  end

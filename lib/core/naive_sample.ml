@@ -25,43 +25,6 @@ let sample_known_n rng ~metrics ~r ~n ~left ~right ~left_key ~right_key =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   out
 
-(* Columnar fast path of [sample]: the join is enumerated over the two
-   flat key columns (int-plane hash build, CSR bucket walk) and each
-   output pair feeds the allocation-free Wr_int kernel as a packed row
-   pair; only the r winners are rehydrated. Bit-identical to [sample]
-   from the same generator state. *)
-let sample_int rng ~metrics ~r ~left ~right ~(keys1 : int array) ~(keys2 : int array) =
-  let open Metrics in
-  let module I = Rsj_index.Int_index in
-  let tbl = Internals_int.build_join_index metrics ~keys:keys2 in
-  let n1 = Array.length keys1 in
-  metrics.tuples_scanned <- metrics.tuples_scanned + n1;
-  let ker = Rsj_util.Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r in
-  let matched = ref 0 in
-  for row = 0 to n1 - 1 do
-    match I.find_gid tbl (Array.unsafe_get keys1 row) with
-    | -1 -> ()
-    | g ->
-        let s = I.gid_start tbl g in
-        let m = I.gid_multiplicity tbl g in
-        for j = s to s + m - 1 do
-          Rsj_util.Wr_int.feed ker ~weight:1 (Internals_int.pack row (I.row tbl j))
-        done;
-        matched := !matched + m
-  done;
-  metrics.join_output_tuples <- metrics.join_output_tuples + !matched;
-  Rsj_util.Wr_int.finish ker;
-  let out =
-    Array.map
-      (fun p ->
-        Tuple.join
-          (Relation.get left (Internals_int.unpack_left p))
-          (Relation.get right (Internals_int.unpack_right p)))
-      (Rsj_util.Wr_int.contents ker)
-  in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  out
-
 let sample_cf rng ~metrics ~f ~left ~right ~left_key ~right_key =
   let j = join_stream metrics ~left ~right ~left_key ~right_key in
   let out = Stream0.to_array (Black_box.coin_flip rng ~f j) in

@@ -3,7 +3,11 @@
     Compute the full join J = R1 ⋈ R2 and sample sequentially from the
     output pipeline with an unweighted WR black box, never materializing
     J. The only strategy available when no index or statistics exist on
-    either operand; every other strategy is measured against it. *)
+    either operand; every other strategy is measured against it.
+
+    This module is the strategy's sequential reference implementation
+    over boxed tuples ({!Strategy.run}); the parallel runtime's chunked
+    runner over flat int key columns is its fast path. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -37,21 +41,6 @@ val sample_known_n :
     statistics): O(1) auxiliary memory and online output, but identical
     join work. Raises [Failure] if the join produces fewer than [n]
     tuples. *)
-
-val sample_int :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  r:int ->
-  left:Relation.t ->
-  right:Relation.t ->
-  keys1:int array ->
-  keys2:int array ->
-  Tuple.t array
-(** Columnar twin of {!sample}: both join columns as
-    {!Column.int_view} extractions; the hash build, probe scan and
-    reservoir feed run over flat ints and packed row pairs, with
-    winners rehydrated by row id. Bit-identical output to the boxed
-    path from the same generator state. *)
 
 val sample_cf :
   Rsj_util.Prng.t ->

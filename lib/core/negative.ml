@@ -58,12 +58,10 @@ let biased_wr_draw rng ~universe ~r =
   if r < 0 then invalid_arg "Negative.biased_wr_draw: r < 0";
   (* Over-weight the first half of the universe 4:1 — a gross, easily
      detectable departure from the uniform law every strategy targets.
-     Drawn through the plane-dispatched table, so the negative control
-     exercises whichever RSJ_DRAW plane is live (the @drawplane sweep
-     must reject it under both). *)
+     Drawn through the alias table every repeated-draw path uses. *)
   let weights = Array.init n (fun i -> if 2 * i < n then 4. else 1.) in
-  let table = Dist.Draw_table.of_weights weights in
-  Array.init r (fun _ -> universe.(Dist.Draw_table.draw table rng))
+  let table = Dist.Alias_table.of_weights weights in
+  Array.init r (fun _ -> universe.(Dist.Alias_table.draw table rng))
 
 type uniformity_report = {
   cells : int;

@@ -63,36 +63,6 @@ let attempt_int rng ~(metrics : Metrics.t) ~left_n ~(keys1 : int array) ~right_i
         -1
       end
 
-let sample_int rng ~metrics ~r ~left ~(keys1 : int array) ~right_index ?m_bound
-    ?(max_iterations = default_max_iterations) () =
-  if r <= 0 then [||]
-  else begin
-    if Relation.cardinality left = 0 then
-      invalid_arg "Olken_sample.sample: empty R1 with r > 0";
-    let m = resolve_m_bound ~right_index m_bound in
-    if m = 0 then failwith "Olken_sample.sample: R2 has no joinable tuples";
-    let left_n = Relation.cardinality left in
-    let right = Hash_index.relation right_index in
-    let out = Array.make r [||] in
-    let produced = ref 0 in
-    let iterations = ref 0 in
-    while !produced < r do
-      incr iterations;
-      if !iterations > max_iterations then
-        failwith "Olken_sample.sample: iteration budget exhausted (join empty or near-empty?)";
-      let p = attempt_int rng ~metrics ~left_n ~keys1 ~right_index ~m in
-      if p >= 0 then begin
-        out.(!produced) <-
-          Tuple.join
-            (Relation.get left (Internals_int.unpack_left p))
-            (Relation.get right (Internals_int.unpack_right p));
-        incr produced
-      end
-    done;
-    metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + r;
-    out
-  end
-
 let sample rng ~metrics ~r ~left ~left_key ~right_index ?m_bound
     ?(max_iterations = default_max_iterations) () =
   (* r = 0 asks for nothing: return before touching the input, so an

@@ -6,7 +6,12 @@
     random matching tuple t2 from R2 (index), and {e accept} the pair
     with probability m2(t1.A) / M where M bounds m2; otherwise reject
     and retry. Theorem 5: expected M·n1/n iterations per output tuple.
-    The rejection step is the inefficiency Stream-Sample eliminates. *)
+    The rejection step is the inefficiency Stream-Sample eliminates.
+
+    This module is the strategy's sequential reference implementation
+    over boxed tuples ({!Strategy.run}); the parallel runtime's
+    speculative runner over flat int key columns, built on
+    {!attempt_int}, is its fast path. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -31,21 +36,6 @@ val attempt_int :
     independent rounds speculatively on every domain ({!Rsj_parallel}).
     Draws from the generator exactly as the boxed round of {!sample}
     does. [m] must bound every m2(v). *)
-
-val sample_int :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  r:int ->
-  left:Relation.t ->
-  keys1:int array ->
-  right_index:Rsj_index.Hash_index.t ->
-  ?m_bound:int ->
-  ?max_iterations:int ->
-  unit ->
-  Tuple.t array
-(** Columnar twin of {!sample}: the rejection loop runs {!attempt_int}
-    and only accepted pairs are rehydrated. Bit-identical output to the
-    boxed path from the same generator state. *)
 
 val sample :
   Rsj_util.Prng.t ->

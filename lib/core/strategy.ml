@@ -225,57 +225,29 @@ type result = {
 
 let now () = Rsj_obs.Clock.now_s ()
 
-(* Dispatch takes a strategy's columnar twin whenever every plane it
-   needs exists (int-viewable key columns, int-keyed statistics/index
-   planes); anything missing runs the boxed kernel — same
-   distribution, and for the twinned strategies the very same
-   draws. *)
+(* One paper kernel per strategy: this is the sequential reference.
+   The compact data plane (flat int key columns) lives in the chunked
+   runners of the parallel runtime. *)
 let dispatch env strategy rng metrics ~r =
   (* Strategies treat their R1 input as an opaque stream; the scan is
      counted here so pipelined inputs (whose own operators already
-     count) are never double-counted. (The columnar twins bypass the
-     wrapper and count their flat scans themselves.) *)
+     count) are never double-counted. *)
   let left () =
     Stream0.on_element
       (fun _ -> metrics.Metrics.tuples_scanned <- metrics.Metrics.tuples_scanned + 1)
       (Relation.to_stream env.left)
   in
   match strategy with
-  | Naive -> (
-      let boxed () =
-        Naive_sample.sample rng ~metrics ~r ~left:(left ()) ~right:env.right
-          ~left_key:env.left_key ~right_key:env.right_key
-      in
-      match (Lazy.force env.left_key_view, Lazy.force env.right_key_view) with
-      | Some keys1, Some keys2 ->
-          Naive_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1 ~keys2
-      | _ -> boxed ())
-  | Olken -> (
-      let boxed () =
-        Olken_sample.sample rng ~metrics ~r ~left:env.left ~left_key:env.left_key
-          ~right_index:(Lazy.force env.right_index) ()
-      in
-      let index = Lazy.force env.right_index in
-      match (Lazy.force env.left_key_view, Hash_index.int_plane index) with
-      | Some keys1, Some _ ->
-          Olken_sample.sample_int rng ~metrics ~r ~left:env.left ~keys1 ~right_index:index ()
-      | _ -> boxed ())
-  | Stream -> (
-      let boxed () =
-        Stream_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
-          ~right_index:(Lazy.force env.right_index)
-          ~right_stats:(Lazy.force env.right_stats) ()
-      in
-      let index = Lazy.force env.right_index in
-      match
-        ( Lazy.force env.left_key_view,
-          Frequency.int_counter (Lazy.force env.right_stats),
-          Hash_index.int_plane index )
-      with
-      | Some keys, Some freq, Some _ ->
-          Stream_sample.sample_int rng ~metrics ~r ~left:env.left ~keys ~right_index:index ~freq
-            ()
-      | _ -> boxed ())
+  | Naive ->
+      Naive_sample.sample rng ~metrics ~r ~left:(left ()) ~right:env.right
+        ~left_key:env.left_key ~right_key:env.right_key
+  | Olken ->
+      Olken_sample.sample rng ~metrics ~r ~left:env.left ~left_key:env.left_key
+        ~right_index:(Lazy.force env.right_index) ()
+  | Stream ->
+      Stream_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
+        ~right_index:(Lazy.force env.right_index)
+        ~right_stats:(Lazy.force env.right_stats) ()
   | Group ->
       Group_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
         ~right:env.right ~right_key:env.right_key
@@ -288,21 +260,10 @@ let dispatch env strategy rng metrics ~r =
       fst
         (Index_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
            ~right_index:(Lazy.force env.right_index) ~histogram:(Lazy.force env.histogram))
-  | Count_sample -> (
-      let boxed () =
-        Count_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
-          ~right:env.right ~right_key:env.right_key
-          ~right_stats:(Lazy.force env.right_stats)
-      in
-      match
-        ( Lazy.force env.left_key_view,
-          Lazy.force env.right_key_view,
-          Frequency.int_counter (Lazy.force env.right_stats) )
-      with
-      | Some keys1, Some keys2, Some freq ->
-          Count_sample.sample_int rng ~metrics ~r ~left:env.left ~right:env.right ~keys1 ~keys2
-            ~freq
-      | _ -> boxed ())
+  | Count_sample ->
+      Count_sample.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
+        ~right:env.right ~right_key:env.right_key
+        ~right_stats:(Lazy.force env.right_stats)
   | Hybrid_count ->
       fst
         (Hybrid_count.sample rng ~metrics ~r ~left:(left ()) ~left_key:env.left_key
@@ -319,19 +280,9 @@ let prepare env strategy =
       ignore (Lazy.force env.right_stats)
   | Statistics -> ignore (Lazy.force env.right_stats)
   | Partial_statistics -> ignore (Lazy.force env.histogram));
-  (match strategy with
+  match strategy with
   | Index_sample -> ignore (Lazy.force env.right_index)
-  | Naive | Olken | Stream | Group | Frequency_partition | Count_sample | Hybrid_count -> ());
-  (* The compact data plane's structures count as pre-existing too:
-     key-column extractions and the int twins of whatever statistics
-     the strategy is entitled to are forced before the clock starts,
-     like the indexes and statistics above. *)
-  ignore (Lazy.force env.left_key_view);
-  ignore (Lazy.force env.right_key_view);
-  match r2_requirement strategy with
-  | Statistics | Index_or_stats -> ignore (Frequency.int_counter (Lazy.force env.right_stats))
-  | Partial_statistics -> ignore (Histogram.End_biased.int_tracked (Lazy.force env.histogram))
-  | Nothing | Index -> ()
+  | Naive | Olken | Stream | Group | Frequency_partition | Count_sample | Hybrid_count -> ()
 
 let run env strategy ~r =
   prepare env strategy;

@@ -7,7 +7,7 @@
     {!Stream_sample}, {!Group_sample}, {!Frequency_partition},
     {!Index_sample}, {!Count_sample}, {!Hybrid_count}) remain the
     precise, fully-typed API; this module is the convenience layer used
-    by the harness, the CLI, and quick experiments. *)
+    by the harness, the examples and quick experiments. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -128,9 +128,9 @@ val env_left_key_view : env -> int array option
 val env_right_key_view : env -> int array option
 (** The join columns as flat {!Column.int_view} extractions ([None]
     when not int-viewable), cached per env. These are the compact data
-    plane's inputs: {!run} takes a strategy's columnar twin whenever
-    they exist, and the parallel runtime runs only on them (without
-    them it falls back to {!run} / {!run_wor}). *)
+    plane's inputs: the parallel runtime's chunked runners run only on
+    them (without them it falls back to {!run} / {!run_wor}). {!run}
+    never forces them. *)
 
 type result = {
   strategy : t;
@@ -144,12 +144,15 @@ type result = {
 val prepare : env -> t -> unit
 (** Force the auxiliary structures [strategy] is entitled to (Table 1),
     so a subsequent timed run excludes their construction. {!run} calls
-    this itself; alternative runners (the parallel runtime) reuse it. *)
+    this itself; the parallel runtime reuses it and forces the int
+    planes its runners read on top. *)
 
 val run : env -> t -> r:int -> result
-(** Draw a WR sample of size [r] with the given strategy. A fresh
-    child generator is split off the env's seed per run, so runs are
-    reproducible and independent. *)
+(** Draw a WR sample of size [r] with the strategy's paper kernel —
+    the sequential reference implementation, over boxed tuples. A
+    fresh child generator is split off the env's seed per run, so runs
+    are reproducible and independent. The served fast path is
+    [Rsj_parallel.run]. *)
 
 val run_wor : env -> t -> r:int -> result
 (** WoR variant: runs the strategy with WR semantics and applies the

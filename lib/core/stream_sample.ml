@@ -38,39 +38,3 @@ let sample rng ~metrics ~r ~left ~left_key ~right_index ?right_stats ?total_weig
   in
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   out
-
-(* Columnar fast path: the weighted S1 pass runs over the flat key
-   column through the allocation-free Wr_int kernel (weights from the
-   statistics' int counter), and only the r winners touch Tuple.t.
-   Draw-for-draw the reservoir (WR2) path of [sample] with
-   [right_stats] — same generator stream, bit-identical sample. *)
-let sample_int rng ~metrics ~r ~left ~(keys : int array) ~right_index ~freq () =
-  let open Metrics in
-  let n = Array.length keys in
-  (* The boxed path's R1 scan and per-tuple stats lookup, batched. *)
-  metrics.tuples_scanned <- metrics.tuples_scanned + n;
-  metrics.stats_lookups <- metrics.stats_lookups + n;
-  let ker = Rsj_util.Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r in
-  for row = 0 to n - 1 do
-    Rsj_util.Wr_int.feed ker
-      ~weight:(Rsj_index.Int_index.Counter.get freq (Array.unsafe_get keys row))
-      row
-  done;
-  Rsj_util.Wr_int.finish ker;
-  let s1 = Rsj_util.Wr_int.contents ker in
-  let right = Hash_index.relation right_index in
-  let out =
-    Array.map
-      (fun row ->
-        metrics.index_probes <- metrics.index_probes + 1;
-        match Hash_index.random_match_row right_index rng keys.(row) with
-        | -1 ->
-            failwith
-              "Stream_sample.sample: sampled tuple has no match in R2 (stale statistics?)"
-        | r2 ->
-            metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Tuple.join (Relation.get left row) (Relation.get right r2))
-      s1
-  in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  out

@@ -7,7 +7,11 @@
 
     Theorem 6: the result is a WR sample of R1 ⋈ R2 and {e exactly one}
     iteration is spent per output tuple — no rejection, no index or
-    materialization of R1 (contrast Olken-Sample). *)
+    materialization of R1 (contrast Olken-Sample).
+
+    This module is the strategy's sequential reference implementation
+    over boxed tuples ({!Strategy.run}); the parallel runtime's chunked
+    runner over flat int key columns is its fast path. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -33,19 +37,3 @@ val sample :
     O(1) memory, output begins before R1 is drained; otherwise the
     reservoir Black-Box WR2 is used, which needs no advance knowledge.
     Both produce identical distributions. *)
-
-val sample_int :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  r:int ->
-  left:Relation.t ->
-  keys:int array ->
-  right_index:Rsj_index.Hash_index.t ->
-  freq:Rsj_index.Int_index.Counter.t ->
-  unit ->
-  Tuple.t array
-(** Columnar twin of the reservoir (WR2 + [right_stats]) path of
-    {!sample}: [keys] is R1's join column as a {!Column.int_view},
-    [freq] the statistics' int counter; the S1 inner loop is
-    allocation-free and winners are rehydrated by row id. Bit-identical
-    output to the boxed path from the same generator state. *)

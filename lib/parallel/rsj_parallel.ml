@@ -629,8 +629,10 @@ let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
 (* The data-plane gate: [Some runner] when both join columns have int
    views and the int planes of the structures the strategy reads exist
    (they do whenever the columns are int-viewable; the gate checks
-   rather than assumes), [None] otherwise. [prepare] has already forced
-   every structure consulted here. With [~wor:true], Naive's runner is
+   rather than assumes), [None] otherwise. The gate is where those
+   views and planes are forced — before the runner starts its clock,
+   so like the indexes and statistics [Strategy.prepare] forces, they
+   count as pre-existing. With [~wor:true], Naive's runner is
    the chunked Vitter pass; the other strategies' WoR re-enters [run]
    per batch, so their WR runner only answers "is the int plane
    there". *)
@@ -673,7 +675,7 @@ let int_runner ?(wor = false) env strategy ~domains ~chunk_for =
       Some (fun ~r rng -> run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl)
 
 let validate ~caller ?chunk_size ~r ~domains () =
-  if domains < 0 then invalid_arg (caller ^ ": domains < 0");
+  if domains < 1 then invalid_arg (caller ^ ": domains < 1");
   if r < 0 then invalid_arg (caller ^ ": r < 0");
   match chunk_size with
   | Some c when c <= 0 -> invalid_arg (caller ^ ": chunk_size <= 0")
@@ -684,17 +686,14 @@ let chunk_for chunk_size n =
 
 let run ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run" ?chunk_size ~r ~domains ();
-  if domains = 0 then Strategy.run env strategy ~r
-  else begin
-    Strategy.prepare env strategy;
-    match int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
-    | None ->
-        sequential ~semantics:"WR" strategy ~r ~domains (fun () -> Strategy.run env strategy ~r)
-    | Some runner ->
-        observed ~plane:"int" ~semantics:"WR" strategy ~r ~domains (fun () ->
-            let rng = Prng.split (Strategy.env_rng env) in
-            timed strategy (fun () -> runner ~r rng))
-  end
+  Strategy.prepare env strategy;
+  match int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
+  | None ->
+      sequential ~semantics:"WR" strategy ~r ~domains (fun () -> Strategy.run env strategy ~r)
+  | Some runner ->
+      observed ~plane:"int" ~semantics:"WR" strategy ~r ~domains (fun () ->
+          let rng = Prng.split (Strategy.env_rng env) in
+          timed strategy (fun () -> runner ~r rng))
 
 (* Parallel WoR for every strategy but Naive: the §3 conversion of
    Strategy.run_wor — WR batches deduplicated until [target] distinct
@@ -713,22 +712,18 @@ let run_wor_batches ?chunk_size env strategy ~domains ~target =
 
 let run_wor ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run_wor" ?chunk_size ~r ~domains ();
-  if domains = 0 then Strategy.run_wor env strategy ~r
-  else begin
-    Strategy.prepare env strategy;
-    match int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
-    | None ->
-        sequential ~semantics:"WoR" strategy ~r ~domains (fun () ->
-            Strategy.run_wor env strategy ~r)
-    | Some runner ->
-        (* Only the direct chunked-Vitter path (Naive) absorbs its
-           counters here; the batch-conversion path re-enters [run],
-           which absorbs per batch. *)
-        let naive = strategy = Strategy.Naive in
-        observed ~absorb:naive ~plane:"int" ~semantics:"WoR" strategy ~r ~domains (fun () ->
-            let target = min r (Strategy.env_join_size env) in
-            timed strategy (fun () ->
-                if target = 0 then ([||], Metrics.create ())
-                else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
-                else run_wor_batches ?chunk_size env strategy ~domains ~target))
-  end
+  Strategy.prepare env strategy;
+  match int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
+  | None ->
+      sequential ~semantics:"WoR" strategy ~r ~domains (fun () -> Strategy.run_wor env strategy ~r)
+  | Some runner ->
+      (* Only the direct chunked-Vitter path (Naive) absorbs its
+         counters here; the batch-conversion path re-enters [run],
+         which absorbs per batch. *)
+      let naive = strategy = Strategy.Naive in
+      observed ~absorb:naive ~plane:"int" ~semantics:"WoR" strategy ~r ~domains (fun () ->
+          let target = min r (Strategy.env_join_size env) in
+          timed strategy (fun () ->
+              if target = 0 then ([||], Metrics.create ())
+              else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
+              else run_wor_batches ?chunk_size env strategy ~domains ~target))

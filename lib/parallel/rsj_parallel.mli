@@ -1,8 +1,12 @@
 (** Parallel sampling runtime on OCaml 5 domains — all eight
     strategies, WR and WoR.
 
-    One implementation per strategy, on the compact data plane: the
-    runners scan the join columns as flat int arrays
+    Every strategy has two implementations, each with one job: the
+    paper's boxed kernel behind {!Strategy.run} is the sequential
+    reference, and the chunked runner here is the one fast path, at
+    every [domains >= 1] (the daemon, the CLI and the SQL engine's
+    two-table [SAMPLE] all come through it). The runners scan the join
+    columns as flat int arrays
     ({!Rsj_relation.Column.int_view}) and rehydrate only the sampled
     rows. When a join column has no int view (a string or float
     column, or [min_int] as data), {!run} and {!run_wor} run the
@@ -63,28 +67,29 @@ val run :
     {!Strategy.run}, executed through the chunk-scheduled pooled
     runtime for every [domains >= 1] ([domains - 1] pool workers plus
     the caller; at [domains = 1] the caller runs every chunk itself).
-    [domains = 0] is the explicit sequential escape: exactly
-    {!Strategy.run}, no chunking. The sample's distribution never
+    A caller that wants the sequential reference calls {!Strategy.run}
+    instead. The sample's distribution never
     depends on [domains] or [chunk_size]; for a fixed seed the drawn
     tuples are bit-identical across all [domains >= 1] for every
     strategy except Olken at [domains > 1] on int keys (speculative
-    ticketing — see above). As in {!Strategy.run}, auxiliary structures are forced
-    before the clock starts and a fresh child generator is split off
-    the env per run.
+    ticketing — see above). As in {!Strategy.run}, auxiliary structures
+    — here including the key views and the int planes of the
+    statistics and histogram — are forced before the clock starts, and
+    a fresh child generator is split off the env per run.
 
     [chunk_size] overrides the scheduler's
     {!Chunk_scheduler.default_chunk_size} (setting it to
     [ceil (n / domains)] reproduces the old static one-shard-per-domain
     split, which is how the benchmarks compare static sharding against
-    the chunk queue). Raises [Invalid_argument] when [r] or [domains]
-    is negative or [chunk_size <= 0]. *)
+    the chunk queue). Raises [Invalid_argument] when [r < 0],
+    [domains < 1] or [chunk_size <= 0]. *)
 
 val run_wor :
   ?chunk_size:int -> Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run_wor env strategy ~r ~domains] draws a without-replacement
     sample of [min r |J|] distinct join tuples like
     {!Strategy.run_wor}, executed on the pooled runtime for
-    [domains >= 1] ([domains = 0] falls back to {!Strategy.run_wor}).
+    [domains >= 1].
 
     Naive-Sample gets a direct parallel path: every chunk of the R1
     scan feeds its enumerated join tuples into a private
@@ -100,5 +105,5 @@ val run_wor :
     Deterministic for a fixed seed across all [domains >= 1] (Olken
     excepted, as for {!run}). Raises [Failure] when 64 batch rounds
     cannot accumulate the target (degenerate joins), like
-    {!Strategy.run_wor}; raises [Invalid_argument] on negative [r] or
-    [domains] or non-positive [chunk_size]. *)
+    {!Strategy.run_wor}; raises [Invalid_argument] on [r < 0],
+    [domains < 1] or [chunk_size <= 0]. *)

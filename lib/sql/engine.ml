@@ -271,7 +271,9 @@ let strategy_sample_plan ~seed bindings classified (sample : Ast.sample_clause) 
             let s, d = Rsj_optimizer.Picker.choose_counted catalog shape in
             (s, Some d)
       in
-      let res = Strategy.run env strategy ~r:size in
+      (* The fast path the daemon's sample requests take, so a query
+         and a sample request run the same code. *)
+      let res = Rsj_parallel.run env strategy ~r:size ~domains:1 in
       let schema =
         Schema.concat (Relation.schema left_rel) (Relation.schema right_rel)
       in
@@ -325,10 +327,9 @@ let chain_edges bindings classified =
 
 (* Plain SAMPLE over a linear chain: route it into the chain walker —
    exact WR sampling with no join materialization at all. The prepared
-   walker (weight tables + per-value draw tables on the current
-   RSJ_DRAW plane) is memoized in the shared structure cache whenever
-   every input is unfiltered, so a warm daemon pays only the O(k) walk
-   per drawn tuple. The fraction form resolves against the walker's
+   walker (weight tables + per-value alias tables) is memoized in the
+   shared structure cache whenever every input is unfiltered, so a
+   warm daemon pays only the O(k) walk per drawn tuple. The fraction form resolves against the walker's
    exact join size (paper §7.2's precomputed-statistics argument,
    extended along the chain). *)
 let chain_sample_plan ~seed bindings classified (sample : Ast.sample_clause) edges =

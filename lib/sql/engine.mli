@@ -21,6 +21,11 @@
       without executing: the result carries the plan and decision with
       no rows.
 
+    Picked or named, a two-table strategy runs through
+    [Rsj_parallel.run ~domains:1], the chunked runner a daemon [sample]
+    request runs, so a query and a sample request with the same seed
+    return the same rows.
+
     Aggregation over a sample estimates the aggregate over the full
     result scaled via {!Rsj_core.Aqp} only in the examples; the engine
     itself evaluates aggregates over whatever rows reach them, exactly

@@ -1,5 +1,5 @@
 (* Walker/Vose alias table over flat arrays — the O(1) weighted-draw
-   kernel of the draw plane.
+   kernel under Dist.Alias_table.
 
    A CDF table answers a categorical draw in O(log k) binary-search
    steps, each a data-dependent load into a k-sized float array; an

@@ -1,6 +1,5 @@
 (** Allocation-free Walker/Vose alias table over flat arrays — the
-    int-plane twin of [Dist.Alias_table] and the O(1) half of the
-    [RSJ_DRAW] draw plane.
+    kernel under [Dist.Alias_table].
 
     Construction is O(k) (Vose's worklist pairing over a scaled weight
     vector); a draw is one uniform cell pick plus one threshold

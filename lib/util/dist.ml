@@ -146,7 +146,8 @@ module Cdf_table = struct
     cdf.(k - 1) <- 1.;
     { cdf; probs }
 
-  let search t u =
+  let draw t rng =
+    let u = Prng.unit_float rng in
     (* Binary search for the first index with cdf >= u. *)
     let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
     while !lo < !hi do
@@ -155,16 +156,6 @@ module Cdf_table = struct
     done;
     !lo
 
-  let draw t rng = search t (Prng.unit_float rng)
-
-  (* The unit-float extraction inlined in argument position ([search]
-     takes the float unboxed with flambda off only when the producer
-     is in the same compilation unit). *)
-  let draw_packed t st =
-    Prng.step_packed st;
-    search t
-      (float_of_int (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le st 32) 11))
-      *. 0x1.0p-53)
   let prob t i = t.probs.(i)
   let support t = Array.length t.cdf
 end
@@ -187,75 +178,9 @@ module Alias_table = struct
   let expected_counts t ~n = Array.map (fun p -> float_of_int n *. p) t.probs
 end
 
-(* ------------------------------------------------------------------ *)
-(* The draw plane: which table repeated-draw call sites build. Read
-   once from the environment, overridable in-process by tests and
-   benches. The two
-   planes are distribution-identical, not draw-for-draw identical (an
-   alias draw consumes cell + threshold randomness, a CDF draw one
-   deviate), so equivalence is gated statistically (@drawplane). *)
-
-type draw_plane = Cdf | Alias
-
-let plane_of_env () =
-  match Sys.getenv_opt "RSJ_DRAW" with
-  | Some "cdf" -> Cdf
-  | Some "alias" | None -> Alias
-  | Some other ->
-      invalid_arg (Printf.sprintf "RSJ_DRAW: expected \"cdf\" or \"alias\", got %S" other)
-
-let current_plane = ref (plane_of_env ())
-let draw_plane () = !current_plane
-let set_draw_plane p = current_plane := p
-let draw_plane_name () = match !current_plane with Cdf -> "cdf" | Alias -> "alias"
-
-module Draw_table = struct
-  type t = T_cdf of Cdf_table.t | T_alias of Alias_table.t
-
-  let of_weights weights =
-    match !current_plane with
-    | Cdf -> T_cdf (Cdf_table.of_weights weights)
-    | Alias -> T_alias (Alias_table.of_weights weights)
-
-  let draw t rng =
-    match t with T_cdf c -> Cdf_table.draw c rng | T_alias a -> Alias_table.draw a rng
-
-  let draw_packed t st =
-    match t with
-    | T_cdf c -> Cdf_table.draw_packed c st
-    | T_alias a -> Alias_table.draw_packed a st
-
-  let draw_many t rng ~into ~n =
-    match t with
-    | T_alias a -> Alias_table.draw_many a rng ~into ~n
-    | T_cdf c ->
-        if n < 0 || n > Array.length into then
-          invalid_arg "Dist.Draw_table.draw_many: bad n";
-        if n > 0 then begin
-          (* Same packed-state discipline as the alias batch: the
-             binary searches run off a dumped state, stream-identical
-             to n single draws. *)
-          let st = Bytes.create 40 in
-          Prng.dump_state rng st;
-          for j = 0 to n - 1 do
-            into.(j) <- Cdf_table.draw_packed c st
-          done;
-          Prng.load_state rng st
-        end
-
-  let prob t i = match t with T_cdf c -> Cdf_table.prob c i | T_alias a -> Alias_table.prob a i
-
-  let support t =
-    match t with T_cdf c -> Cdf_table.support c | T_alias a -> Alias_table.support a
-
-  let plane t = match t with T_cdf _ -> Cdf | T_alias _ -> Alias
-end
-
-(* Zipf stays on Cdf_table unconditionally: it is the *workload
-   generator*, and its draw stream is pinned by every fixed-seed
-   experiment and golden table. Keeping it off the RSJ_DRAW toggle
-   means the two planes sample the byte-identical relations, so any
-   delta between RSJ_DRAW runs is the draw plane alone. *)
+(* Zipf stays on Cdf_table: it is the *workload generator*, and its
+   draw stream is pinned by every fixed-seed experiment and golden
+   table. *)
 module Zipf = struct
   type t = { z : float; support : int; table : Cdf_table.t }
 

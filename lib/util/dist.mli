@@ -32,11 +32,13 @@ val categorical : Prng.t -> weights:float array -> int
 (** [categorical rng ~weights] draws index [i] with probability
     proportional to [weights.(i)] (single draw, linear scan). Weights must
     be non-negative with a positive sum. One-shot sites only — repeated
-    draws from fixed weights belong on {!Draw_table} (the [@draw-hygiene]
-    rule holds strategy code to that). *)
+    draws from fixed weights belong on {!Alias_table} (the
+    [@draw-hygiene] rule holds code outside [lib/util] to that). *)
 
 (** Precomputed discrete distribution supporting O(log k) draws by binary
-    search on the CDF — one half of the draw plane (see {!Draw_table}). *)
+    search on the CDF. Only {!Zipf} (the workload generator, whose draw
+    stream every fixed-seed table pins) builds one; the tests keep it
+    as the reference {!Alias_table} is checked against. *)
 module Cdf_table : sig
   type t
 
@@ -46,10 +48,6 @@ module Cdf_table : sig
   val draw : t -> Prng.t -> int
   (** Draw an index with probability proportional to its weight. *)
 
-  val draw_packed : t -> Bytes.t -> int
-  (** {!draw} against a packed state buffer ([Prng.dump_state]),
-      stream-identical to {!draw}. *)
-
   val prob : t -> int -> float
   (** [prob t i] is the normalized probability of index [i]. *)
 
@@ -57,8 +55,9 @@ module Cdf_table : sig
   (** Number of categories. *)
 end
 
-(** Walker/Vose alias table: O(k) construction, O(1) draws — the other
-    half of the draw plane. Wraps {!Alias_int} (the flat-array kernel)
+(** Walker/Vose alias table: O(k) construction, O(1) draws — the one
+    table every repeated-draw path builds (the chain walker, the
+    negative control). Wraps {!Alias_int} (the flat-array kernel)
     with the exact accessors {!Cdf_table} exposes, plus expected counts
     for chi-square cells. Draws are distribution-identical to
     {!Cdf_table} over the same weights, not draw-for-draw identical. *)
@@ -73,8 +72,11 @@ module Alias_table : sig
   (** Draw an index with probability proportional to its weight. O(1). *)
 
   val draw_packed : t -> Bytes.t -> int
-  (** {!draw} against a packed state buffer ({!Alias_int.draw_packed}),
-      stream-identical to {!draw}. *)
+  (** {!draw} against a packed state buffer ([Prng.dump_state], >= 40
+      bytes; {!Alias_int.draw_packed}), stream-identical to {!draw}.
+      Kernels that make many picks per request (the chain walker) dump
+      the state once and draw packed, so no pick ever touches the
+      boxed int64 generator fields. *)
 
   val draw_many : t -> Prng.t -> into:int array -> n:int -> unit
   (** Batched draws on a packed generator state ({!Alias_int.draw_many}):
@@ -91,48 +93,6 @@ module Alias_table : sig
 
   val expected_counts : t -> n:int -> float array
   (** Expected frequency of each index in [n] draws. *)
-end
-
-(** {1 The draw plane}
-
-    [RSJ_DRAW=cdf|alias] selects which table repeated-draw call sites
-    build (default [alias]). Read once at startup, overridable
-    in-process. *)
-
-type draw_plane = Cdf | Alias
-
-val draw_plane : unit -> draw_plane
-val set_draw_plane : draw_plane -> unit
-
-val draw_plane_name : unit -> string
-(** ["cdf"] or ["alias"], for logs and bench output. *)
-
-(** The plane-dispatched table: built on whichever plane is current at
-    construction, drawn through a uniform interface. Repeated-draw
-    strategy code ([Chain_sample], [Negative]) builds these instead of
-    naming a concrete table, so the [RSJ_DRAW] toggle reaches every hot
-    path at once. *)
-module Draw_table : sig
-  type t
-
-  val of_weights : float array -> t
-  (** Build on the current plane ({!draw_plane}). *)
-
-  val draw : t -> Prng.t -> int
-
-  val draw_packed : t -> Bytes.t -> int
-  (** {!draw} against a packed state buffer ([Prng.dump_state], >= 40
-      bytes), stream-identical to {!draw} on either plane. Kernels that
-      make many picks per request (the chain walker) dump the state
-      once and draw packed, so no pick ever touches the boxed int64
-      generator fields. *)
-
-  val draw_many : t -> Prng.t -> into:int array -> n:int -> unit
-  val prob : t -> int -> float
-  val support : t -> int
-
-  val plane : t -> draw_plane
-  (** The plane this table was built on. *)
 end
 
 (** The Zipfian data distribution of the paper's experimental setup

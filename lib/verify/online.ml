@@ -10,8 +10,7 @@
    |J| = sum_v m1(v) m2(v). The daemon already keeps those tables warm
    in the structure cache, so the expected law is free; this module
    folds the *served* sample output into streaming per-stream counters
-   and periodically runs the Kernel chi-square of observed window
-   counts against that law.
+   and tests each full window of observed counts against that law.
 
    One stream per (fingerprint-pair, strategy, semantics): different
    strategies (and WoR/CF semantics) are monitored separately so a
@@ -24,11 +23,20 @@
    Alert policy:
    - A join-attribute value outside the join support (m1*m2 = 0) is a
      correctness bug, not noise: the stream alerts immediately.
-   - Chi-square windows use alpha spending over the unbounded window
-     sequence: window k (1-based) is tested at
-     significance / (k * (k + 1)), whose sum over all k is exactly
-     [significance] — the lifetime false-alert budget per stream holds
-     no matter how long the daemon runs.
+   - Windows use alpha spending over the unbounded window sequence:
+     window k (1-based) is tested at significance / (k * (k + 1)),
+     whose sum over all k is exactly [significance] — the lifetime
+     false-alert budget per stream holds no matter how long the daemon
+     runs.
+   - The window p-value is a Chernoff bound per pooled cell with a
+     Bonferroni correction over the cells, not the asymptotic
+     chi-square tail. Spent thresholds fall to 1e-7 and below, far
+     into the tail, and on a concentrated law (few pooled cells, each
+     expecting only a few draws) the chi-square approximation there is
+     much too light: an exact iid sampler on the z=2 x z=3 benchmark
+     pair crossed p < 1e-5 several times as often as a valid p-value
+     can. The Chernoff bound holds at every threshold, for any cell
+     size.
    - Alerts latch: once tripped, a stream stays red until [reset]
      (operators should treat an alert as "drain and investigate", not
      as a transient). *)
@@ -77,7 +85,7 @@ type stream = {
   mutable in_window : int;  (* draws accumulated in current window *)
   mutable seen : int;  (* lifetime draws *)
   mutable foreign : int;  (* lifetime draws outside the join support *)
-  mutable windows : int;  (* chi-square windows completed *)
+  mutable windows : int;  (* windows completed *)
   mutable last_p : float;  (* p-value of the last completed window; nan before *)
   mutable alert : bool;  (* latched *)
   pvalue_g : Obs.Registry.gauge;
@@ -85,7 +93,7 @@ type stream = {
 }
 
 type t = {
-  window : int;  (* draws per chi-square window *)
+  window : int;  (* draws per window *)
   significance : float;  (* lifetime false-alert budget per stream *)
   min_expected : float;  (* Kernel bucketing floor *)
   streams : (string, stream) Hashtbl.t;
@@ -147,7 +155,7 @@ let stream_for t ~key ~law =
           last_p = Float.nan;
           alert = false;
           pvalue_g =
-            Obs.Registry.gauge ~help:"Last window's chi-square p-value per quality stream"
+            Obs.Registry.gauge ~help:"Last window's p-value per quality stream"
               ~labels:[ ("stream", key) ] "rsj_quality_pvalue";
           alert_g =
             Obs.Registry.gauge ~help:"1 when the quality stream's alert is latched"
@@ -170,20 +178,34 @@ let trip s =
    sum over all k is exactly the lifetime budget. *)
 let window_threshold t k = t.significance /. (float_of_int k *. float_of_int (k + 1))
 
+(* Binary relative entropy KL(q || p), with 0 ln 0 = 0. *)
+let kl_bernoulli q p =
+  let term a b = if a <= 0. then 0. else a *. log (a /. b) in
+  term q p +. term (1. -. q) (1. -. p)
+
+(* The window p-value: the cells are pooled as for a chi-square
+   (Kernel.bucket), then each pooled cell's count x out of n draws
+   with probability p gets the two-sided Chernoff bound
+   P(|X/n - p| >= |x/n - p|) <= 2 exp (-n KL(x/n || p)), and the
+   smallest bound is Bonferroni-corrected over the k cells. *)
+let window_p_value ~min_expected ~probs ~counts ~n =
+  let nf = float_of_int n in
+  let expected = Array.map (fun p -> p *. nf) probs in
+  let expected, observed = Kernel.bucket ~min_expected ~expected ~observed:counts in
+  let k = Array.length expected in
+  let smallest = ref 1. in
+  for i = 0 to k - 1 do
+    let p = Float.min 1. (expected.(i) /. nf) in
+    let q = float_of_int observed.(i) /. nf in
+    smallest := Float.min !smallest (2. *. exp (-.nf *. kl_bernoulli q p))
+  done;
+  Float.min 1. (float_of_int k *. !smallest)
+
 let close_window t s =
   s.windows <- s.windows + 1;
-  let total = s.in_window in
-  let expected = Array.map (fun p -> p *. float_of_int total) s.law.probs in
-  let cfg =
-    {
-      Kernel.significance = t.significance;
-      comparisons = 1;
-      retries = 0;
-      min_expected = t.min_expected;
-    }
-  in
-  let r = Kernel.goodness_of_fit cfg Kernel.Chi_square ~expected ~observed:s.counts in
-  s.last_p <- r.Rsj_util.Stats_math.p_value;
+  s.last_p <-
+    window_p_value ~min_expected:t.min_expected ~probs:s.law.probs ~counts:s.counts
+      ~n:s.in_window;
   Obs.Registry.set_gauge s.pvalue_g s.last_p;
   if s.last_p < window_threshold t s.windows then trip s;
   Array.fill s.counts 0 (Array.length s.counts) 0;

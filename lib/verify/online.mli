@@ -1,13 +1,17 @@
 (** Online statistical-quality monitor for the serving path.
 
     Streams served join-attribute values into per-stream window
-    counters and periodically chi-squares each window against the
-    expected marginal P(A = v) = m1(v) m2(v) / |J| derived from the
-    cached frequency tables. One stream per (fingerprint-pair,
-    strategy, semantics) key. Alerts latch; the lifetime false-alert
-    budget per stream is bounded by [significance] via alpha spending
-    (window k tested at significance / (k (k+1))). Draws outside the
-    join support alert immediately.
+    counters and tests each full window against the expected marginal
+    P(A = v) = m1(v) m2(v) / |J| derived from the cached frequency
+    tables. One stream per (fingerprint-pair, strategy, semantics) key.
+    A window's p-value is a two-sided Chernoff bound per pooled cell
+    (cells pooled to [min_expected] as for a chi-square), Bonferroni-
+    corrected over the cells: unlike the asymptotic chi-square tail it
+    stays valid at the tiny spent thresholds below. Alerts latch; the
+    lifetime false-alert budget per stream is bounded by
+    [significance] via alpha spending (window k tested at
+    significance / (k (k+1))). Draws outside the join support alert
+    immediately.
 
     Exports [rsj_quality_pvalue{stream}] /
     [rsj_quality_stream_alert{stream}] gauges plus the aggregate

@@ -1,8 +1,9 @@
-(* The Vose alias draw plane: distribution equality against the CDF
-   plane on shared weights (the two tables must be interchangeable up
-   to the chi-square), degenerate weight shapes, stream identity of
-   draw_many against repeated draw, the packed kernel's allocation
-   bound, and the shared one-pass weight validation. *)
+(* The Vose alias table, the one table repeated draws use:
+   distribution equality against the CDF table on shared weights (the
+   two must agree up to the chi-square), degenerate weight shapes,
+   stream identity of draw_many against repeated draw, the packed
+   kernel's allocation bound, and the shared one-pass weight
+   validation. *)
 
 open Rsj_util
 
@@ -61,7 +62,7 @@ let test_alias_matches_weights () =
     (chi_square_ok ~prob:(Dist.Alias_table.prob t) ~observed:counts ~n)
 
 (* Alias and CDF built from the same weights expose identical
-   normalized probabilities — the planes are interchangeable. *)
+   normalized probabilities. *)
 let prop_alias_cdf_same_probs =
   QCheck.Test.make ~name:"alias and cdf tables agree on prob" ~count:300
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 10))
@@ -164,22 +165,15 @@ let prop_draw_many_is_repeated_draw =
       Alias_int.draw_many t r2 ~into:batched ~n;
       singles = batched)
 
-let test_draw_table_draw_many_both_planes () =
-  List.iter
-    (fun plane ->
-      let prev = Dist.draw_plane () in
-      Dist.set_draw_plane plane;
-      Fun.protect ~finally:(fun () -> Dist.set_draw_plane prev) @@ fun () ->
-      let t = Dist.Draw_table.of_weights [| 1.; 5.; 2.; 0.; 8. |] in
-      Alcotest.(check bool) "plane recorded" true (Dist.Draw_table.plane t = plane);
-      let n = 64 in
-      let r1 = Prng.create ~seed:7 () in
-      let singles = Array.init n (fun _ -> Dist.Draw_table.draw t r1) in
-      let r2 = Prng.create ~seed:7 () in
-      let batched = Array.make n 0 in
-      Dist.Draw_table.draw_many t r2 ~into:batched ~n;
-      Alcotest.(check (array int)) "batched = singles" singles batched)
-    [ Dist.Cdf; Dist.Alias ]
+let test_alias_table_draw_many () =
+  let t = Dist.Alias_table.of_weights [| 1.; 5.; 2.; 0.; 8. |] in
+  let n = 64 in
+  let r1 = Prng.create ~seed:7 () in
+  let singles = Array.init n (fun _ -> Dist.Alias_table.draw t r1) in
+  let r2 = Prng.create ~seed:7 () in
+  let batched = Array.make n 0 in
+  Dist.Alias_table.draw_many t r2 ~into:batched ~n;
+  Alcotest.(check (array int)) "batched = singles" singles batched
 
 (* ---------- allocation ---------- *)
 
@@ -218,27 +212,16 @@ let test_validation () =
     "validate_weights returns the sum" 6.
     (Dist.validate_weights ~who:"t" [| 1.; 2.; 3. |])
 
-let test_plane_of_env_values () =
-  (* The in-process toggle; the env parse itself is covered by the
-     @drawplane sweep running rsj verify under both values. *)
-  let prev = Dist.draw_plane () in
-  Fun.protect ~finally:(fun () -> Dist.set_draw_plane prev) @@ fun () ->
-  Dist.set_draw_plane Dist.Cdf;
-  Alcotest.(check string) "cdf name" "cdf" (Dist.draw_plane_name ());
-  Dist.set_draw_plane Dist.Alias;
-  Alcotest.(check string) "alias name" "alias" (Dist.draw_plane_name ())
-
 let suite =
   [
     Alcotest.test_case "alias table matches weights (chi2)" `Slow test_alias_matches_weights;
     Alcotest.test_case "single-element table" `Quick test_single_element;
     Alcotest.test_case "near-equal weights" `Slow test_near_equal_weights;
     Alcotest.test_case "k=100k with one heavy cell" `Slow test_large_support;
-    Alcotest.test_case "Draw_table draw_many on both planes" `Quick
-      test_draw_table_draw_many_both_planes;
+    Alcotest.test_case "Alias_table draw_many = repeated draw" `Quick
+      test_alias_table_draw_many;
     Alcotest.test_case "draw_many allocation bound" `Quick test_draw_many_allocation;
     Alcotest.test_case "shared weight validation" `Quick test_validation;
-    Alcotest.test_case "plane toggle names" `Quick test_plane_of_env_values;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_alias_cdf_same_probs; prop_alias_draws_match_cdf_law; prop_draw_many_is_repeated_draw ]

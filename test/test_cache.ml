@@ -117,6 +117,28 @@ let test_warm_env_identical () =
   Alcotest.(check bool) "repeated envs actually hit the cache" true
     ((Cache.stats c).Cache.hits > 0)
 
+(* The sequential reference kernels read boxed tuples only: running
+   every strategy through Strategy.run on a warm env never builds a
+   columnar key view. The chunked runners are what force them. *)
+let test_reference_kernels_build_no_key_view () =
+  let pair = make_pair () in
+  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
+  let c = Cache.create () in
+  let env () = Cache.env c ~seed:5 ~left ~right ~left_key:key ~right_key:key () in
+  let int_view_misses () =
+    match List.assoc_opt "int_view" (Cache.stats c).Cache.by_kind with
+    | Some (_, misses) -> misses
+    | None -> 0
+  in
+  List.iter
+    (fun s ->
+      ignore (Strategy.run (env ()) s ~r:8);
+      ignore (Strategy.run_wor (env ()) s ~r:8))
+    Strategy.all;
+  Alcotest.(check int) "Strategy.run builds no int_view entry" 0 (int_view_misses ());
+  ignore (Rsj_parallel.run (env ()) Strategy.Stream ~r:8 ~domains:1);
+  Alcotest.(check int) "the chunked runner builds both key views" 2 (int_view_misses ())
+
 (* The chain getter: a prepared walker is cached under the root with a
    fingerprint mixing every member, so a warm lookup serves the very
    same walker, per-kind counters expose the traffic, and mutating any
@@ -163,6 +185,8 @@ let suite =
     Alcotest.test_case "explicit invalidate" `Quick test_explicit_invalidate;
     Alcotest.test_case "LRU eviction respects the byte budget" `Quick test_lru_eviction_budget;
     Alcotest.test_case "warm env is sample-identical to cold" `Quick test_warm_env_identical;
+    Alcotest.test_case "Strategy.run builds no key view" `Quick
+      test_reference_kernels_build_no_key_view;
     Alcotest.test_case "chain walker entry (by_kind, member invalidation)" `Quick
       test_chain_entry;
   ]

@@ -1,13 +1,9 @@
-(* Compact data plane: the columnar int fast path must be a perfect
-   twin of the boxed kernels.
+(* Compact data plane: the columnar int kernels under the parallel
+   runtime's chunked runners.
 
-   Four layers of evidence:
+   Three layers of evidence:
    - the Wr_int kernel replays Reservoir.Wr's draw sequence bit-for-bit
      (slots AND the post-finish generator stream agree);
-   - from the same generator state, each sequential int twin
-     (Naive/Olken/Stream/Count_sample.sample_int) returns exactly the
-     sample of its boxed kernel, which stays the reference, and leaves
-     the generator in the same state;
    - join columns without an int view (Float keys, min_int as data)
      make the parallel runtime return exactly the sequential kernels'
      sample;
@@ -104,62 +100,12 @@ let test_int_view () =
   | None -> Alcotest.fail "int column should be viewable");
   Alcotest.(check bool) "string column escapes" true (Column.int_view rel ~col:1 = None)
 
-(* --- Boxed kernel vs int twin, same generator state --- *)
-
 let check_same what a b =
   Alcotest.(check int) (what ^ ": size") (Array.length a) (Array.length b);
   Array.iteri
     (fun i t ->
       Alcotest.(check bool) (Printf.sprintf "%s: tuple %d" what i) true (Tuple.equal t b.(i)))
     a
-
-let test_twins_bit_identical () =
-  List.iter
-    (fun seed ->
-      let pair = Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
-      let left = pair.outer and right = pair.inner in
-      let key = Zipf_tables.col2 in
-      let keys1 = Option.get (Column.int_view left ~col:key) in
-      let keys2 = Option.get (Column.int_view right ~col:key) in
-      let right_index = Rsj_index.Hash_index.build right ~key in
-      let right_stats = Rsj_stats.Frequency.of_relation right ~key in
-      let freq = Option.get (Rsj_stats.Frequency.int_counter right_stats) in
-      let stream () = Relation.to_stream left in
-      let r = 12 in
-      let twin name boxed int =
-        let run kernel =
-          let rng = Prng.create ~seed () in
-          let sample = kernel rng (Rsj_exec.Metrics.create ()) in
-          (sample, drain rng)
-        in
-        let boxed_sample, boxed_after = run boxed in
-        let int_sample, int_after = run int in
-        let what = Printf.sprintf "%s (seed=%d)" name seed in
-        check_same what boxed_sample int_sample;
-        Alcotest.(check (array int)) (what ^ ": generator after") boxed_after int_after
-      in
-      twin "Naive"
-        (fun rng metrics ->
-          Naive_sample.sample rng ~metrics ~r ~left:(stream ()) ~right ~left_key:key
-            ~right_key:key)
-        (fun rng metrics -> Naive_sample.sample_int rng ~metrics ~r ~left ~right ~keys1 ~keys2);
-      twin "Olken"
-        (fun rng metrics ->
-          Olken_sample.sample rng ~metrics ~r ~left ~left_key:key ~right_index ())
-        (fun rng metrics -> Olken_sample.sample_int rng ~metrics ~r ~left ~keys1 ~right_index ());
-      twin "Stream"
-        (fun rng metrics ->
-          Stream_sample.sample rng ~metrics ~r ~left:(stream ()) ~left_key:key ~right_index
-            ~right_stats ())
-        (fun rng metrics ->
-          Stream_sample.sample_int rng ~metrics ~r ~left ~keys:keys1 ~right_index ~freq ());
-      twin "Count"
-        (fun rng metrics ->
-          Count_sample.sample rng ~metrics ~r ~left:(stream ()) ~left_key:key ~right
-            ~right_key:key ~right_stats)
-        (fun rng metrics ->
-          Count_sample.sample_int rng ~metrics ~r ~left ~right ~keys1 ~keys2 ~freq))
-    [ 13; 14; 15 ]
 
 (* --- Keys the int view cannot hold ---
 
@@ -266,8 +212,6 @@ let suite =
       test_kernel_equivalence;
     Alcotest.test_case "linked kernels share one generator stream" `Quick test_linked_kernels;
     Alcotest.test_case "int_view extraction and escape" `Quick test_int_view;
-    Alcotest.test_case "boxed and int planes bit-identical (sequential)" `Quick
-      test_twins_bit_identical;
     Alcotest.test_case "keys without an int view run the sequential kernels" `Quick
       test_unviewable_keys_fall_back;
     Alcotest.test_case "int inner loop allocates < 256 minor words / 10k tuples" `Quick

@@ -194,24 +194,6 @@ let test_parallel_deterministic () =
         domains)
     parallel_strategies
 
-let test_parallel_domains_zero_is_sequential () =
-  (* domains = 0 is the explicit sequential escape: exactly
-     Strategy.run, same env seed, identical sample. (domains = 1 runs
-     the chunked path on the caller so its output matches the wider
-     widths instead — see test_pool.) *)
-  List.iter
-    (fun s ->
-      let seq = Strategy.run (small_env ~seed:5 ()) s ~r:12 in
-      let par = Rsj_parallel.run (small_env ~seed:5 ()) s ~r:12 ~domains:0 in
-      Alcotest.(check int) (Strategy.name s ^ " d=0 size") (Array.length seq.Strategy.sample)
-        (Array.length par.Strategy.sample);
-      Array.iteri
-        (fun i t ->
-          Alcotest.(check bool) (Strategy.name s ^ " d=0 identical") true
-            (Tuple.equal t par.Strategy.sample.(i)))
-        seq.Strategy.sample)
-    parallel_strategies
-
 (* ------------------------------------------------------------------ *)
 (* Join keys without an int view                                       *)
 
@@ -342,20 +324,21 @@ let test_parallel_wor_deterministic () =
         domains)
     parallel_strategies
 
-let test_parallel_wor_domains_zero_is_sequential () =
+(* There is no sequential escape at domains = 0: a caller that wants
+   the sequential reference calls Strategy.run. *)
+let test_parallel_rejects_zero_domains () =
   List.iter
-    (fun s ->
-      let seq = Strategy.run_wor (small_env ~seed:5 ()) s ~r:12 in
-      let par = Rsj_parallel.run_wor (small_env ~seed:5 ()) s ~r:12 ~domains:0 in
-      Alcotest.(check int) (Strategy.name s ^ " WoR d=0 size")
-        (Array.length seq.Strategy.sample)
-        (Array.length par.Strategy.sample);
-      Array.iteri
-        (fun i t ->
-          Alcotest.(check bool) (Strategy.name s ^ " WoR d=0 identical") true
-            (Tuple.equal t par.Strategy.sample.(i)))
-        seq.Strategy.sample)
-    parallel_strategies
+    (fun (what, f) ->
+      List.iter
+        (fun s ->
+          match f s with
+          | _ -> Alcotest.failf "%s %s ~domains:0 returned" what (Strategy.name s)
+          | exception Invalid_argument _ -> ())
+        Strategy.all)
+    [
+      ("run", fun s -> Rsj_parallel.run (small_env ()) s ~r:4 ~domains:0);
+      ("run_wor", fun s -> Rsj_parallel.run_wor (small_env ()) s ~r:4 ~domains:0);
+    ]
 
 let test_parallel_metrics_sum () =
   (* tuples_scanned covers every R1 tuple exactly once regardless of
@@ -678,8 +661,6 @@ let suite =
     Alcotest.test_case "parallel r = 0" `Quick test_parallel_r_zero;
     Alcotest.test_case "more domains than rows" `Quick test_parallel_more_domains_than_rows;
     Alcotest.test_case "parallel seeded reproducibility" `Quick test_parallel_deterministic;
-    Alcotest.test_case "domains = 0 is exactly sequential" `Quick
-      test_parallel_domains_zero_is_sequential;
     Alcotest.test_case "string keys run the sequential kernels" `Quick
       test_string_keys_run_sequential_kernels;
     Alcotest.test_case "fallback to the sequential kernels is counted" `Quick
@@ -689,8 +670,7 @@ let suite =
       test_parallel_wor_clamps_to_join_size;
     Alcotest.test_case "parallel WoR seeded reproducibility" `Quick
       test_parallel_wor_deterministic;
-    Alcotest.test_case "WoR domains = 0 is exactly sequential" `Quick
-      test_parallel_wor_domains_zero_is_sequential;
+    Alcotest.test_case "domains < 1 rejected" `Quick test_parallel_rejects_zero_domains;
     Alcotest.test_case "metrics sum across domains" `Quick test_parallel_metrics_sum;
     Alcotest.test_case "scheduler returns results in chunk order" `Quick
       test_scheduler_results_in_order;

@@ -81,6 +81,59 @@ let test_unbiased_stays_green () =
       Alcotest.(check bool) "p-value recorded" false (Float.is_nan st.Online.st_last_p)
   | l -> Alcotest.failf "expected one stream, saw %d" (List.length l)
 
+(* False-positive side on a concentrated law: the benchmark's skewed
+   pair (10k rows at z=2 against 2.5k rows at z=3 over 1000 values)
+   puts most of the join's mass on a few values, so the pooled cells
+   expect only a few draws each and the asymptotic chi-square tail is
+   far too light at the alpha-spent thresholds. An exact iid sampler
+   from the true m1*m2/|J| law must stay green for 10k windows of the
+   daemon's default size at the daemon's default significance, and
+   its window p-values must be valid in the tail: at most one of the
+   10k windows may fall below 1e-4 (a valid p-value expects 1; the
+   chi-square tail gives several). *)
+let test_concentrated_law_stays_green () =
+  let left_rel = Zipf_tables.make ~seed:204 ~name:"s1" ~rows:10_000 ~z:2. ~domain:1000 () in
+  let right_rel = Zipf_tables.make ~seed:205 ~name:"s2" ~rows:2_500 ~z:3. ~domain:1000 () in
+  let left = Frequency.of_relation left_rel ~key in
+  let right = Frequency.of_relation right_rel ~key in
+  let law =
+    match Online.law_of_frequencies ~left ~right with
+    | Some law -> law
+    | None -> Alcotest.fail "skewed pair produced an empty join"
+  in
+  let cells = ref [] in
+  Frequency.iter left (fun v m1 ->
+      let m2 = Frequency.frequency right v in
+      if m2 > 0 then cells := (v, float_of_int (m1 * m2)) :: !cells);
+  let values = Array.of_list (List.map fst !cells) in
+  let table = Rsj_util.Dist.Alias_table.of_weights (Array.of_list (List.map snd !cells)) in
+  let monitor = Online.create () in
+  let w = Online.window monitor in
+  let rng = Prng.create ~seed:204 () in
+  let windows = 10_000 in
+  let batch = Array.make w (Value.Int 0) in
+  let tail = ref 0 in
+  let last () =
+    match Online.stats monitor with
+    | [ st ] -> st
+    | l -> Alcotest.failf "expected one stream, saw %d" (List.length l)
+  in
+  for _ = 1 to windows do
+    for i = 0 to w - 1 do
+      batch.(i) <- values.(Rsj_util.Dist.Alias_table.draw table rng)
+    done;
+    Online.observe monitor ~key:"unit/stream/concentrated" ~law batch;
+    if (last ()).Online.st_last_p < 1e-4 then incr tail
+  done;
+  let st = last () in
+  Alcotest.(check int) "all windows closed" windows st.Online.st_windows;
+  Alcotest.(check bool)
+    (Printf.sprintf "exact iid sampler green after %d windows of %d" windows w)
+    false st.Online.st_alert;
+  Alcotest.(check bool)
+    (Printf.sprintf "windows with p < 1e-4: %d (at most 1)" !tail)
+    true (!tail <= 1)
+
 (* True-positive side: the conformance suite's negative control (first
    half of the universe carries 4x the mass) must trip the monitor —
    a monitor that tolerates it has no power. The universe is sorted by
@@ -192,6 +245,8 @@ let suite =
   [
     Alcotest.test_case "unbiased stream stays green (FP cell)" `Slow
       test_unbiased_stays_green;
+    Alcotest.test_case "exact sampler on a concentrated law stays green" `Slow
+      test_concentrated_law_stays_green;
     Alcotest.test_case "the negative control trips the monitor (TP cell)" `Quick
       test_biased_trips;
     Alcotest.test_case "foreign join values alert immediately" `Quick

@@ -335,6 +335,34 @@ let test_explain_query () =
   Alcotest.(check bool) "single-table explain" true plain.Engine.explained;
   Alcotest.(check int) "no rows" 0 (List.length plain.Engine.rows)
 
+(* A two-table SAMPLE runs the same chunked runner a daemon sample
+   request runs: for every strategy, the rows are exactly
+   Rsj_parallel.run at one domain on an env with the same seed. *)
+let test_strategy_sample_is_the_fast_path () =
+  let module Strategy = Rsj_core.Strategy in
+  let module Zipf_tables = Rsj_workload.Zipf_tables in
+  let pair = Zipf_tables.make_pair ~seed:31 ~n1:200 ~n2:800 ~z1:1. ~z2:2. ~domain:30 () in
+  let cat = [ ("t1", pair.Zipf_tables.outer); ("t2", pair.Zipf_tables.inner) ] in
+  List.iter
+    (fun s ->
+      let using = String.map (function '-' -> '_' | c -> c) (Strategy.name s) in
+      let q = "select * from t1, t2 where t1.col2 = t2.col2 sample 25 using " ^ using in
+      let rows =
+        match Engine.run ~seed:17 cat q with
+        | Ok r -> List.map Tuple.to_string r.Engine.rows
+        | Error e -> Alcotest.failf "%s: %s" q e
+      in
+      let env =
+        Strategy.make_env ~seed:17 ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
+          ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ()
+      in
+      let fast =
+        (Rsj_parallel.run env s ~r:25 ~domains:1).Strategy.sample
+        |> Array.map Tuple.to_string |> Array.to_list
+      in
+      Alcotest.(check (list string)) (Strategy.name s ^ ": SQL rows = Rsj_parallel.run d=1") fast rows)
+    Strategy.all
+
 let test_seed_reproducibility () =
   let q = "select * from orders, customers where orders.cust = customers.cust sample 4 using stream" in
   match (Engine.run ~seed:9 (catalog ()) q, Engine.run ~seed:9 (catalog ()) q) with
@@ -484,6 +512,8 @@ let suite =
     Alcotest.test_case "engine: error messages" `Quick test_engine_errors;
     Alcotest.test_case "engine: explain" `Quick test_explain_available;
     Alcotest.test_case "engine: seeded reproducibility" `Quick test_seed_reproducibility;
+    Alcotest.test_case "engine: SAMPLE USING runs the parallel runner at d=1" `Quick
+      test_strategy_sample_is_the_fast_path;
     Alcotest.test_case "engine: order by" `Quick test_order_by;
     Alcotest.test_case "engine: order by aggregate alias" `Quick test_order_by_aggregate_output;
     Alcotest.test_case "engine: order by unknown column" `Quick test_order_by_unknown_column;
