@@ -1,43 +1,9 @@
 # Convenience targets around dune. Everything is reproducible from a
-# seed; scale and repetitions come from environment knobs:
-#
-#   RSJ_N1, RSJ_N2     outer/inner relation sizes of the paper harness
-#                      (defaults 10_000 / 40_000)
-#   RSJ_DOMAIN         distinct join values (default 1_000)
-#   RSJ_SCALE          multiplies n1/n2/domain (default 1)
-#   RSJ_SEED           workload seed (default 0x5EED)
-#   RSJ_REPS           median-of-k wall-clock repetitions (default 1)
-#   RSJ_BENCH_QUOTA    seconds per bechamel micro-test (default 0.5)
-#   RSJ_PAR_N1         outer size of the parallel/* benches
-#                      (default 1_000_000)
-#   RSJ_SKIP_MICRO=1   skip the bechamel micro-benchmarks
-#   RSJ_SKIP_PAPER=1   skip the paper-harness figures
-#   RSJ_ONLY_PARALLEL=1  run only the parallel/* benches
-#   RSJ_CONF_TRIALS    samples per conformance cell (default 60;
-#                      raise for a deep statistical sweep)
-#   RSJ_DOMAINS        comma list of domain counts the parallel test
-#                      suite exercises (default 1,2,4)
-#   RSJ_CHUNK_SIZE     chunk-queue scheduler chunk size override
-#   RSJ_TRACE          telemetry switch: RSJ_TRACE=1 (or =path.json)
-#                      makes any rsj command record spans and write a
-#                      Chrome Trace Event JSON on exit
-#   RSJ_TRACE_CAP      per-domain trace ring capacity in events
-#                      (default 32768; overflow counts as dropped)
-#   RSJ_LOG            daemon request log: RSJ_LOG=path.ndjson appends
-#                      one JSON line per served request (id, strategy,
-#                      picker reason, cache hit/miss, deadline verdict,
-#                      latency, allocated words)
-#   RSJ_SLOW_MS        slow-request threshold for the exemplar counter
-#                      and trace instants (default 100)
-#   RSJ_QUALITY_WINDOW draws per online quality chi-square window
-#                      (default 512)
-#   RSJ_QUALITY_ALPHA  lifetime false-alert budget per quality stream
-#                      (default 0.01, alpha-spending across windows)
-#   RSJ_SERVE_BIAS=1   serve deliberately biased draws (negative
-#                      control: the quality monitor must catch it)
-#   RSJ_SERVE_DRAIN_LINGER_MS  keep the drain loop alive this long
-#                      after SIGTERM so probes can see the 503
-#                      /healthz verdict (default 0)
+# seed. `dune exec bin/rsj.exe -- config` lists every RSJ_* knob the
+# library and CLI read (name, effective value, source, doc); the bench
+# harness additionally reads RSJ_BENCH_QUOTA, RSJ_PAR_N1,
+# RSJ_SKIP_MICRO, RSJ_SKIP_PAPER and RSJ_ONLY_PARALLEL (bench/main.ml),
+# and the test suite RSJ_DOMAINS and RSJ_COVERAGE_TRIALS.
 
 .PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench clean
 
@@ -65,7 +31,7 @@ conformance:
 
 # bench = the full harness: paper figures + bechamel micro-benchmarks
 # (including the parallel/* speedup benches). Expect minutes; scale
-# with the knobs above.
+# with the RSJ_N1/RSJ_N2/RSJ_DOMAIN/RSJ_SCALE/RSJ_REPS knobs.
 bench:
 	dune exec bench/main.exe
 
@@ -124,13 +90,14 @@ serve:
 serve-test:
 	dune build @serve @serve-hygiene
 
-# serve-bench = the cold-vs-warm load harness: one-shot `rsj sample`
-# subprocesses vs the same requests against a warm daemon, written to
-# BENCH_serve.json (p50/p99/qps; RSJ_SERVE_SOAK_SECONDS adds a soak
-# phase; SERVE_CLIENTS concurrent connections, default 4).
-SERVE_CLIENTS ?= 4
+# serve-bench = the interleaved telemetry A/B on the served path: two
+# rsj serve daemons (telemetry off / RSJ_TRACE + RSJ_LOG on) alternate
+# 400 warm requests each; p50/p99 on/off ratios, each side's IQR and
+# the host go to BENCH_serve.json. Served latency and throughput at
+# scale are perfbench's (python3 perfbench/run.py, BENCHMARK.json).
 serve-bench:
-	dune exec bin/rsj.exe -- bench-serve --clients $(SERVE_CLIENTS) --out BENCH_serve.json
+	dune build bin/rsj.exe bench/serve_ab.exe
+	./_build/default/bench/serve_ab.exe ./_build/default/bin/rsj.exe BENCH_serve.json
 
 clean:
 	dune clean

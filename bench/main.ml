@@ -14,8 +14,7 @@
    Environment knobs: RSJ_N1, RSJ_N2, RSJ_DOMAIN, RSJ_SCALE, RSJ_SEED,
    RSJ_REPS (paper harness); RSJ_BENCH_QUOTA (seconds per bechamel
    test, default 0.5); RSJ_PAR_N1 (outer-relation size of the
-   parallel/* benches, default 1,000,000); RSJ_CHUNK_SIZE (scheduler
-   chunk size override, see Rsj_parallel); RSJ_SKIP_MICRO=1 to skip
+   parallel/* benches, default 1,000,000); RSJ_SKIP_MICRO=1 to skip
    layer 2; RSJ_SKIP_PAPER=1 to skip layer 1; RSJ_ONLY_PARALLEL=1 to
    run only the parallel/* benches (what `make bench-parallel` sets).
 
@@ -247,7 +246,7 @@ let run_json () =
   in
   let n1 = getenv_int "RSJ_PAR_N1" 100_000 in
   let n2 = max 1 (n1 / 4) in
-  let reps = getenv_int "RSJ_REPS" 3 in
+  let reps = Rsj_obs.Config.reps ~default:3 () in
   let make_env ?histogram_fraction ~z1 ~z2 () =
     let pair = Zipf_tables.make_pair ~seed:42 ~n1 ~n2 ~z1 ~z2 ~domain:1_000 () in
     let env =

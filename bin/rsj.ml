@@ -13,7 +13,8 @@
                  Chrome Trace Event JSON (Perfetto / chrome://tracing)
      metrics     run the strategies with telemetry on and print the
                  counter/histogram registry (Prometheus text or JSON)
-     explain     show the strategy requirement table (Table 1) *)
+     explain     show the strategy requirement table (Table 1)
+     config      print every RSJ_* knob in effect *)
 
 open Cmdliner
 module Zipf_tables = Rsj_workload.Zipf_tables
@@ -38,7 +39,7 @@ let trace_arg =
 
 (* The --trace flag and the RSJ_TRACE variable resolve to one
    destination; the flag wins. *)
-let trace_dest cli = match cli with Some _ -> cli | None -> Obs.env_trace_path ()
+let trace_dest cli = match cli with Some _ -> cli | None -> Obs.Config.trace ()
 
 let report_trace path =
   let events = List.length (Obs.Trace.events ()) in
@@ -61,17 +62,11 @@ let with_tracing dest f =
    clamped to Domain.recommended_domain_count (): oversubscribing
    domains is pure scheduling overhead users should not pay by default
    (on a 1-core box, Naive WoR at d4 measures ~6x slower than d1 —
-   BENCH_parallel.json). An explicit --domains, or the RSJ_DOMAINS
-   environment variable, is honored as given, with a stderr warning
-   when it exceeds the recommendation. *)
+   BENCH_parallel.json). An explicit --domains is honored as given,
+   with a stderr warning when it exceeds the recommendation. *)
 
 let resolve_domains ~preferred explicit =
   let recommended = Rsj_parallel.default_domains () in
-  let explicit =
-    match explicit with
-    | Some _ -> explicit
-    | None -> Option.bind (Sys.getenv_opt "RSJ_DOMAINS") (fun s -> int_of_string_opt (String.trim s))
-  in
   match explicit with
   | Some n ->
       if n > recommended then
@@ -168,7 +163,7 @@ let sample_cmd =
           ~docv:"N"
           ~doc:
             "Execute across N OCaml domains (default: 1, clamped to this machine's \
-             recommended domain count; RSJ_DOMAINS overrides). All eight strategies run on \
+             recommended domain count). All eight strategies run on \
              the pooled chunk-scheduled runtime, with or without --without-replacement; for \
              a fixed --seed the sample is identical at every N (except Olken at N > 1, \
              whose speculative rounds are timing-dependent).")
@@ -490,7 +485,7 @@ let trace_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "OCaml domains to run across (default: 4, clamped to this machine's \
-             recommended domain count; RSJ_DOMAINS overrides).")
+             recommended domain count).")
   in
   let wor =
     Arg.(value & flag & info [ "without-replacement" ] ~doc:"Trace the WoR path instead of WR.")
@@ -537,7 +532,7 @@ let metrics_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "OCaml domains to run across (default: 2, clamped to this machine's \
-             recommended domain count; RSJ_DOMAINS overrides).")
+             recommended domain count).")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON (with p50/p99) instead of Prometheus text.")
@@ -714,7 +709,7 @@ let explain_cmd =
   Cmd.v info Term.(ret (const run $ const ()))
 
 (* ------------------------------------------------------------------ *)
-(* serve / client / bench-serve                                        *)
+(* serve / client                                                      *)
 
 module Server = Rsj_server.Server
 module Client = Rsj_server.Client
@@ -731,8 +726,7 @@ let serve_cmd =
       & info [ "queue-budget" ] ~docv:"N"
           ~doc:
             "Admission cap on queued sample tuples; requests beyond it fail with a typed \
-             'overloaded' error instead of queueing (default 1000000, or \
-             $(b,RSJ_SERVE_QUEUE_BUDGET)).")
+             'overloaded' error instead of queueing (default 1000000).")
   in
   let snapshot =
     Arg.(
@@ -740,8 +734,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "snapshot" ] ~docv:"FILE"
           ~doc:
-            "Write the final Prometheus metrics snapshot here on shutdown (default stderr, \
-             or $(b,RSJ_SERVE_SNAPSHOT)).")
+            "Write the final Prometheus metrics snapshot here on shutdown (default stderr).")
   in
   let run socket budget snapshot =
     match Server.addr_of_string socket with
@@ -753,8 +746,7 @@ let serve_cmd =
             {
               base with
               Server.max_queued_work = Option.value budget ~default:base.Server.max_queued_work;
-              snapshot_path =
-                (match snapshot with Some _ -> snapshot | None -> base.Server.snapshot_path);
+              snapshot_path = snapshot;
             }
           in
           Printf.eprintf "# rsj serve: listening on %s (queue budget %d)\n%!"
@@ -800,7 +792,7 @@ let client_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Domains for the sample op (default: 1, clamped to this machine's recommended \
-             domain count; RSJ_DOMAINS overrides).")
+             domain count).")
   in
   let on =
     Arg.(value & opt string "col2" & info [ "on" ] ~docv:"COL" ~doc:"Join column (sample op).")
@@ -889,63 +881,23 @@ let client_cmd =
     Term.(
       ret (const run $ socket_arg $ args $ r $ strategy $ wor $ domains $ on $ deadline $ seed_arg))
 
-let bench_serve_cmd =
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent connections.")
-  in
-  let requests =
-    Arg.(value & opt int 25 & info [ "requests" ] ~docv:"N" ~doc:"Warm requests per connection.")
-  in
-  let r = Arg.(value & opt int 64 & info [ "r" ] ~docv:"R" ~doc:"Sample size per request.") in
-  let cold_runs =
-    Arg.(value & opt int 5 & info [ "cold-runs" ] ~docv:"N" ~doc:"One-shot subprocess timings.")
-  in
-  let soak =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "soak" ] ~docv:"SECONDS"
-          ~doc:"Keep the warm load running this long (default 0, or $(b,RSJ_SERVE_SOAK_SECONDS)).")
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt string "stream"
-      & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Strategy timed on both sides.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let run clients requests r cold_runs soak strategy out seed =
-    if clients < 1 then `Error (false, "--clients must be at least 1")
-    else if requests < 1 then `Error (false, "--requests must be at least 1")
-    else if r < 0 then `Error (false, "--r must be non-negative")
-    else if cold_runs < 1 then `Error (false, "--cold-runs must be at least 1")
-    else begin
-      try
-        let report =
-          Rsj_server.Bench_serve.run ~clients ~requests_per_client:requests ~r ~cold_runs
-            ~strategy ?soak_seconds:soak ~seed ~out ()
-        in
-        print_endline (Obs.Json.to_string report);
-        Printf.eprintf "# wrote %s\n" out;
-        `Ok ()
-      with Failure msg -> `Error (false, msg)
-    end
+(* ------------------------------------------------------------------ *)
+(* config                                                              *)
+
+let config_cmd =
+  let run () =
+    List.iter
+      (fun (e : Obs.Config.entry) ->
+        Printf.printf "%-26s %-10s %-7s %s\n" e.name e.value
+          (Obs.Config.source_to_string e.source) e.doc)
+      (Obs.Config.effective ());
+    `Ok ()
   in
   let info =
-    Cmd.info "bench-serve"
-      ~doc:
-        "Cold-vs-warm service benchmark: time one-shot rsj sample subprocesses against the \
-         same request served warm by a spawned rsj serve daemon over concurrent pipelined \
-         connections; report p50/p99 latency, throughput and the speedup to FILE."
+    Cmd.info "config"
+      ~doc:"Print every RSJ_* knob: name, effective value, source (env or default) and doc."
   in
-  Cmd.v
-    info
-    Term.(ret (const run $ clients $ requests $ r $ cold_runs $ soak $ strategy $ out $ seed_arg))
+  Cmd.v info Term.(ret (const run $ const ()))
 
 let main =
   let doc = "Random sampling over joins (Chaudhuri, Motwani, Narasayya; SIGMOD 1999)" in
@@ -964,7 +916,14 @@ let main =
       explain_cmd;
       serve_cmd;
       client_cmd;
-      bench_serve_cmd;
+      config_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A malformed knob stops every command, the daemon included, before it
+   runs with a configuration other than the one the operator set. *)
+let () =
+  (try Obs.Config.check ()
+   with Invalid_argument msg ->
+     prerr_endline ("rsj: " ^ msg);
+     exit 2);
+  exit (Cmd.eval main)

@@ -121,14 +121,7 @@ let create ?max_bytes () =
     lock = Mutex.create ();
   }
 
-let shared_cell =
-  lazy
-    (let max_bytes =
-       match Sys.getenv_opt "RSJ_CACHE_BYTES" with
-       | Some s -> int_of_string_opt (String.trim s)
-       | None -> None
-     in
-     create ?max_bytes ())
+let shared_cell = lazy (create ?max_bytes:(Obs.Config.cache_bytes ()) ())
 
 let shared () = Lazy.force shared_cell
 let max_bytes t = t.budget

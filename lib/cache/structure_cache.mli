@@ -17,7 +17,7 @@
     on next touch or by eviction).
 
     Eviction: a byte budget (constructor argument, or the
-    [RSJ_CACHE_BYTES] environment variable for {!shared}) bounds the
+    [RSJ_CACHE_BYTES] knob for {!shared}) bounds the
     cache's measured heap footprint (via [Obj.reachable_words],
     excluding the base relation, which the cache does not own).
     Least-recently-used entries are dropped until the total fits; the
@@ -42,7 +42,8 @@ val create : ?max_bytes:int -> unit -> t
 val shared : unit -> t
 (** The process-wide cache (the SQL engine and the daemon use it).
     Created on first use with the [RSJ_CACHE_BYTES] budget (bytes;
-    absent or non-positive = unbounded). *)
+    unset = unbounded; anything but a positive integer raises
+    [Invalid_argument], see {!Rsj_obs.Config}). *)
 
 val max_bytes : t -> int option
 (** The configured budget, [None] when unbounded. *)

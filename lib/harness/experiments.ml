@@ -7,12 +7,7 @@ module Join_size = Rsj_stats.Join_size
 type config = { scale : Zipf_tables.Scale.t; repetitions : int }
 
 let config_from_env () =
-  let repetitions =
-    match Sys.getenv_opt "RSJ_REPS" with
-    | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> 1)
-    | None -> 1
-  in
-  { scale = Zipf_tables.Scale.from_env (); repetitions }
+  { scale = Zipf_tables.Scale.from_env (); repetitions = Rsj_obs.Config.reps () }
 
 type cell = { label : string; runtime_pct : float; work_pct : float; sample_size : int }
 type sweep_point = { x_label : string; naive_seconds : float; naive_work : int; cells : cell list }

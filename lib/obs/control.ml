@@ -7,16 +7,6 @@
    pool's spawn accounting) bypass the flag because they are plain
    atomic increments and pre-date the subsystem as public API. *)
 
-let parse_env = function
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let flag = Atomic.make (parse_env (Sys.getenv_opt "RSJ_TRACE"))
+let flag = Atomic.make (Config.trace () <> None)
 let enabled () = Atomic.get flag
 let set_enabled b = Atomic.set flag b
-
-let env_trace_path () =
-  match Sys.getenv_opt "RSJ_TRACE" with
-  | None | Some "" | Some "0" -> None
-  | Some "1" -> Some "trace.json"
-  | Some path -> Some path

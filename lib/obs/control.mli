@@ -2,12 +2,6 @@
 
 val enabled : unit -> bool
 (** One atomic read; the only cost every instrumentation hook pays when
-    telemetry is off. Initialised from [RSJ_TRACE] ([""], ["0"] or
-    unset = off; anything else = on). *)
+    telemetry is off. Initialised from [RSJ_TRACE] ({!Config.trace}). *)
 
 val set_enabled : bool -> unit
-
-val env_trace_path : unit -> string option
-(** Where [RSJ_TRACE] asks the trace to be written: [None] when
-    telemetry is off, ["trace.json"] for [RSJ_TRACE=1], the variable's
-    value itself when it names a path. *)

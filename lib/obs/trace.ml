@@ -9,10 +9,10 @@
    are meant for quiescent moments — after a pool barrier, between
    runs — which is when every caller in this tree invokes them.
 
-   A ring holds a fixed number of events (RSJ_TRACE_CAP, default 2^15
-   per domain); once full, further events are counted as dropped rather
-   than recorded, so a runaway trace degrades to a truncated file, never
-   to unbounded memory. *)
+   A ring holds a fixed number of events (2^15 per domain); once full,
+   further events are counted as dropped rather than recorded, so a
+   runaway trace degrades to a truncated file, never to unbounded
+   memory. *)
 
 type event = {
   name : string;
@@ -24,15 +24,7 @@ type event = {
   args : (string * Json.t) list;
 }
 
-let default_capacity = 1 lsl 15
-
-let capacity =
-  match Sys.getenv_opt "RSJ_TRACE_CAP" with
-  | Some s when String.trim s <> "" -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> invalid_arg (Printf.sprintf "RSJ_TRACE_CAP must be a positive integer, got %S" s))
-  | _ -> default_capacity
+let capacity = 1 lsl 15
 
 let dummy = { name = ""; cat = ""; ph = 'X'; ts = 0.; dur = 0.; tid = 0; args = [] }
 

@@ -5,12 +5,11 @@
 
     One-writer discipline (mirroring {!Domain_pool}): each domain
     appends only to its own ring, reached through domain-local storage,
-    so recording takes no lock. Rings hold [RSJ_TRACE_CAP] events each
-    (default 2^15); overflow increments a drop counter instead of
-    growing, so tracing degrades to truncation, never to unbounded
-    memory. {!events}, {!to_json}, {!clear} read/reset every ring and
-    are meant for quiescent moments (after a pool barrier, between
-    runs).
+    so recording takes no lock. Rings hold 2^15 events each; overflow
+    increments a drop counter instead of growing, so tracing degrades
+    to truncation, never to unbounded memory. {!events}, {!to_json},
+    {!clear} read/reset every ring and are meant for quiescent moments
+    (after a pool barrier, between runs).
 
     Every recording entry point is gated on {!Control.enabled}: with
     telemetry off each hook costs one branch. *)

@@ -46,20 +46,12 @@ type stats = {
   claims : int array;  (* chunks claimed by each domain, index 0 = caller *)
 }
 
-let default_chunk_size ~n =
-  match Sys.getenv_opt "RSJ_CHUNK_SIZE" with
-  | Some s when String.trim s <> "" -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> invalid_arg (Printf.sprintf "RSJ_CHUNK_SIZE must be a positive integer, got %S" s))
-  | _ ->
-      (* ~16 chunks per scan so stealing has slack to act on at any
-         realistic domain count, capped so huge relations still get
-         cache-friendly chunks. Deliberately independent of the domain
-         count: the chunk cut fixes the per-chunk generators, so a
-         domain-count-dependent size would break bit-identity across
-         pool widths. *)
-      max 1 (min 4096 (n / 16))
+(* ~16 chunks per scan so stealing has slack to act on at any realistic
+   domain count, capped so huge relations still get cache-friendly
+   chunks. Deliberately independent of the domain count: the chunk cut
+   fixes the per-chunk generators, so a domain-count-dependent size
+   would break bit-identity across pool widths. *)
+let default_chunk_size ~n = max 1 (min 4096 (n / 16))
 
 let run ?pool ~domains ~chunks ~task () =
   if domains <= 0 then invalid_arg "Chunk_scheduler.run: domains <= 0";

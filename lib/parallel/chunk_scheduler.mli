@@ -29,9 +29,9 @@ val default_chunk_size : n:int -> int
     slack to act on at any realistic domain count. Independent of the
     domain count on purpose: the chunk cut fixes the per-chunk split
     generators, so the same seed yields bit-identical samples at every
-    pool width. The [RSJ_CHUNK_SIZE] environment variable overrides
-    it; raises [Invalid_argument] when set to anything but a positive
-    integer. *)
+    pool width. A pure function of [n]: no knob moves the cut, so no
+    environment can change a fixed-seed sample. Callers that want
+    another cut pass [?chunk_size] to the runners. *)
 
 val run :
   ?pool:Domain_pool.t ->

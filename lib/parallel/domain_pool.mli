@@ -10,7 +10,7 @@
     Workers start lazily: a fresh pool holds none, and {!run} grows it
     to [domains - 1] workers on demand (the calling domain always
     executes index 0). Requests are sized by whatever the caller asks
-    for — the CLI's [--domains], the [RSJ_DOMAINS] test knob — so the
+    for — the CLI's [--domains], the test suite's domain counts — so the
     pool never holds more workers than the largest request seen.
 
     Park/wake protocol: each worker owns a [Mutex.t]/[Condition.t]

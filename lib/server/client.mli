@@ -2,9 +2,7 @@
 
     Wraps one socket connection with line framing, request-id
     allocation and typed helpers for every {!Protocol} operation. The
-    low-level {!send}/{!next_response} pair is exposed for pipelining
-    (the bench harness keeps several requests in flight per
-    connection); the helpers are strictly request/response. *)
+    helpers are strictly request/response. *)
 
 open Rsj_relation
 
@@ -19,24 +17,20 @@ val fd : t -> Unix.file_descr
 val fresh_id : t -> int
 (** Next request id on this connection (monotone). *)
 
-val send : t -> Protocol.request -> unit
-(** Write one request line (blocking). *)
-
 val next_response : t -> Protocol.response
-(** Read one response frame (blocking). Raises [Failure] on EOF or an
-    undecodable frame. *)
+(** Read one response frame (blocking), for callers that pipeline raw
+    request lines on {!fd}. Raises [Failure] on EOF or an undecodable
+    frame. *)
 
 type reply = {
   rows : Value.t list list;  (** Concatenation of the [rows] frames. *)
   detail : (string * Rsj_obs.Json.t) list;  (** The [ok]/[done] frame's payload. *)
 }
 
-val collect : t -> id:int -> (reply, Protocol.error_code * string) result
-(** Read frames until the terminal frame for [id] arrives. Frames for
-    other ids raise [Failure] (the blocking helpers never interleave). *)
-
 val rpc : t -> Protocol.request -> (reply, Protocol.error_code * string) result
-(** {!send} then {!collect}. *)
+(** Write one request line, then read frames until its terminal frame
+    arrives. Raises [Failure] on EOF, an undecodable frame, or a frame
+    for another request id. *)
 
 (** {1 Typed helpers} *)
 

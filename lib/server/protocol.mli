@@ -59,7 +59,7 @@ type request =
       (** Drop the relation's warm-cache entries (keeps the catalog
           binding). *)
   | Metrics of { id : int }  (** Prometheus text of the whole registry. *)
-  | Stats of { id : int }  (** Structure-cache counters. *)
+  | Stats of { id : int }  (** Cache counters, quality verdicts, knobs in effect. *)
   | Shutdown of { id : int }  (** Ack, then drain and exit. *)
 
 type error_code =

@@ -2,6 +2,7 @@ open Rsj_relation
 module Json = Rsj_obs.Json
 module Registry = Rsj_obs.Registry
 module Clock = Rsj_obs.Clock
+module Config = Rsj_obs.Config
 module Strategy = Rsj_core.Strategy
 module Cache = Rsj_cache.Structure_cache
 module P = Protocol
@@ -32,25 +33,15 @@ type config = {
   log_path : string option;
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some v when v >= 0. -> v | _ -> default)
-  | None -> default
-
 let default_config addr =
   {
     addr;
-    max_queued_work = env_int "RSJ_SERVE_QUEUE_BUDGET" 1_000_000;
+    max_queued_work = 1_000_000;
     frame_rows = 256;
-    snapshot_path = Sys.getenv_opt "RSJ_SERVE_SNAPSHOT";
-    drain_linger_ms = env_float "RSJ_SERVE_DRAIN_LINGER_MS" 0.;
-    slow_ms = env_float "RSJ_SLOW_MS" 100.;
-    log_path = Sys.getenv_opt "RSJ_LOG";
+    snapshot_path = None;
+    drain_linger_ms = Config.drain_linger_ms ();
+    slow_ms = Config.slow_ms ();
+    log_path = Config.log_path ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -382,6 +373,14 @@ let exec_stats st ~id =
                          ("alert", Json.Bool q.st_alert);
                        ])
                    (Rsj_verify.Online.stats st.quality)) );
+            (* Every RSJ_* knob in effect, as `rsj config` prints it. *)
+            ( "config",
+              Json.Obj
+                (List.map
+                   (fun (e : Config.entry) ->
+                     let source = Json.Str (Config.source_to_string e.source) in
+                     (e.name, Json.Obj [ ("value", Json.Str e.value); ("source", source) ]))
+                   (Config.effective ())) );
           ];
       };
   ]
@@ -748,10 +747,7 @@ let run ?(on_ready = fun () -> ()) config =
       stopping = false;
       quality = Rsj_verify.Online.create ();
       laws = Hashtbl.create 8;
-      biased =
-        (match Sys.getenv_opt "RSJ_SERVE_BIAS" with
-        | Some s when String.trim s <> "" && String.trim s <> "0" -> true
-        | _ -> false);
+      biased = Config.serve_bias ();
       bias_universes = Hashtbl.create 8;
       note = { n_strategy = "none"; n_reason = "none"; n_sql = None };
       rid_serial = 0;
@@ -859,7 +855,7 @@ let run ?(on_ready = fun () -> ()) config =
   (* The daemon's spans go to the RSJ_TRACE destination at exit —
      the serve-path analogue of with_tracing in bin/rsj.ml. *)
   (if Rsj_obs.enabled () then
-     match Rsj_obs.env_trace_path () with
+     match Config.trace () with
      | Some path -> Rsj_obs.Trace.write_file path
      | None -> ());
   Rsj_obs.Reqlog.close ();

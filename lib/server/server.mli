@@ -41,11 +41,11 @@ type config = {
   addr : addr;
   max_queued_work : int;
       (** Admission cap on queued sample tuples (default 1_000_000;
-          [RSJ_SERVE_QUEUE_BUDGET] overrides). *)
+          [rsj serve --queue-budget] overrides). *)
   frame_rows : int;  (** Rows per streamed [rows] frame (default 256). *)
   snapshot_path : string option;
       (** Where the final metrics snapshot goes; [None] = stderr
-          ([RSJ_SERVE_SNAPSHOT] overrides). *)
+          (default; [rsj serve --snapshot] overrides). *)
   drain_linger_ms : float;
       (** After SIGTERM/shutdown, keep the loop alive this long past
           the drain so pre-existing connections can observe the 503
@@ -63,7 +63,8 @@ type config = {
 }
 
 val default_config : addr -> config
-(** Defaults with the environment overrides applied. *)
+(** Defaults, with the [RSJ_*] knobs read through
+    {!Rsj_obs.Config}. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Bind, listen and serve until shutdown. [on_ready] fires once the

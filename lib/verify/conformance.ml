@@ -27,18 +27,9 @@ type config = {
   retries : int;
 }
 
-let env_trials fallback =
-  match Sys.getenv_opt "RSJ_CONF_TRIALS" with
-  | None -> fallback
-  | Some s when String.trim s = "" -> fallback
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> invalid_arg (Printf.sprintf "RSJ_CONF_TRIALS must be a positive integer, got %S" s))
-
 let default_config () =
   {
-    trials = env_trials 60;
+    trials = Rsj_obs.Config.conf_trials ();
     r = 16;
     n1 = 40;
     n2 = 80;

@@ -49,9 +49,9 @@ type config = {
 
 val default_config : unit -> config
 (** Fast-tier defaults (trials=60, r=16, 40×80 tables, domain 6,
-    alpha=0.01, 2 retries). [RSJ_CONF_TRIALS] overrides [trials];
-    raises [Invalid_argument] if it is set but not a positive
-    integer. *)
+    alpha=0.01, 2 retries). [RSJ_CONF_TRIALS] overrides [trials]
+    (read through {!Rsj_obs.Config}, which raises [Invalid_argument]
+    when it is set but not a positive integer). *)
 
 type cell = {
   strategy : Strategy.t;

@@ -100,33 +100,10 @@ type t = {
   any_alert_g : Obs.Registry.gauge;
 }
 
-let default_window = 512
-let default_significance = 0.01
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s when String.trim s <> "" -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> invalid_arg (Printf.sprintf "%s must be a positive integer, got %S" name s))
-  | _ -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s when String.trim s <> "" -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0. && v < 1. -> v
-      | _ -> invalid_arg (Printf.sprintf "%s must be in (0,1), got %S" name s))
-  | _ -> default
-
 let create ?window ?significance ?(min_expected = 5.) () =
-  let window =
-    match window with Some w -> w | None -> env_int "RSJ_QUALITY_WINDOW" default_window
-  in
+  let window = match window with Some w -> w | None -> Obs.Config.quality_window () in
   let significance =
-    match significance with
-    | Some s -> s
-    | None -> env_float "RSJ_QUALITY_ALPHA" default_significance
+    match significance with Some s -> s | None -> Obs.Config.quality_alpha ()
   in
   {
     window;

@@ -24,7 +24,8 @@ type law
 
 val create : ?window:int -> ?significance:float -> ?min_expected:float -> unit -> t
 (** Defaults: window from RSJ_QUALITY_WINDOW (512 draws), significance
-    from RSJ_QUALITY_ALPHA (0.01), min_expected 5.0. *)
+    from RSJ_QUALITY_ALPHA (0.01), both read through {!Rsj_obs.Config};
+    min_expected 5.0. *)
 
 val window : t -> int
 

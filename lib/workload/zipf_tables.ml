@@ -75,24 +75,10 @@ let join_size pair =
 module Scale = struct
   type t = { n1 : int; n2 : int; domain : int; seed : int }
 
-  let default = { n1 = 3_000; n2 = 12_000; domain = 600; seed = 0x5EED }
-
-  let env_int name fallback =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v > 0 -> v
-        | _ -> invalid_arg (Printf.sprintf "%s must be a positive integer, got %S" name s))
-    | None -> fallback
-
   let from_env () =
-    let scale = env_int "RSJ_SCALE" 1 in
-    {
-      n1 = scale * env_int "RSJ_N1" default.n1;
-      n2 = scale * env_int "RSJ_N2" default.n2;
-      domain = env_int "RSJ_DOMAIN" default.domain;
-      seed = env_int "RSJ_SEED" default.seed;
-    }
+    let module C = Rsj_obs.Config in
+    let scale = C.scale () in
+    { n1 = scale * C.n1 (); n2 = scale * C.n2 (); domain = C.domain (); seed = C.seed () }
 
   let pp ppf t =
     Format.fprintf ppf "n1=%d n2=%d domain=%d seed=%#x" t.n1 t.n2 t.domain t.seed

@@ -51,15 +51,13 @@ val string_keyed : pair -> pair
 val join_size : pair -> int
 (** Exact |outer ⋈ inner| on col2. *)
 
-(** Experiment scale, overridable via environment variables so the
-    benches can be rerun at the paper's full scale:
-    [RSJ_N1] (default 3000), [RSJ_N2] (default 12000),
-    [RSJ_DOMAIN] (default 600), [RSJ_SCALE] (multiplies n1 and n2),
-    [RSJ_SEED]. *)
+(** Experiment scale. {!from_env} reads [RSJ_N1] (default 3000),
+    [RSJ_N2] (default 12000), [RSJ_DOMAIN] (default 600), [RSJ_SCALE]
+    (multiplies n1 and n2) and [RSJ_SEED] through {!Rsj_obs.Config},
+    so the benches can be rerun at the paper's full scale. *)
 module Scale : sig
   type t = { n1 : int; n2 : int; domain : int; seed : int }
 
-  val default : t
   val from_env : unit -> t
   val pp : Format.formatter -> t -> unit
 end

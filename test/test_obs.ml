@@ -381,8 +381,40 @@ let test_metrics_artifacts () =
             [ "rsj_pool_workers_spawned_total"; "rsj_chunk_claims_total"; "rsj_strategy_run_seconds" ])
         paths
 
+(* ---------- Config: one parse rule for every knob ---------- *)
+
+let with_env name value f =
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name "") f
+
+let raises_naming name value f =
+  with_env name value @@ fun () ->
+  match f () with
+  | _ -> Alcotest.failf "%s=%S was accepted" name value
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names the knob: " ^ msg) true
+        (String.starts_with ~prefix:name msg)
+
+let test_config_parse_rule () =
+  let module C = Obs.Config in
+  let check_opt what expected got = Alcotest.(check (option int)) what expected got in
+  with_env "RSJ_CACHE_BYTES" "" (fun () -> check_opt "empty = default" None (C.cache_bytes ()));
+  with_env "RSJ_CACHE_BYTES" " 4096 " (fun () -> check_opt "trim" (Some 4096) (C.cache_bytes ()));
+  List.iter (fun v -> raises_naming "RSJ_CACHE_BYTES" v C.cache_bytes) [ "64M"; "0"; "-1" ];
+  raises_naming "RSJ_SLOW_MS" "soon" C.slow_ms;
+  raises_naming "RSJ_SERVE_DRAIN_LINGER_MS" "-5" C.drain_linger_ms;
+  raises_naming "RSJ_REPS" "many" (fun () -> C.reps ());
+  raises_naming "RSJ_QUALITY_ALPHA" "1.5" C.quality_alpha;
+  raises_naming "RSJ_SERVE_BIAS" "yes" C.serve_bias;
+  raises_naming "RSJ_N1" "1e3" C.check;
+  with_env "RSJ_REPS" "" (fun () -> Alcotest.(check int) "caller default" 3 (C.reps ~default:3 ()));
+  with_env "RSJ_REPS" "5" (fun () -> Alcotest.(check int) "env beats it" 5 (C.reps ~default:3 ()));
+  with_env "RSJ_TRACE" "1" (fun () ->
+      Alcotest.(check (option string)) "RSJ_TRACE=1" (Some "trace.json") (C.trace ()))
+
 let suite =
   [
+    Alcotest.test_case "config: one parse rule for every knob" `Quick test_config_parse_rule;
     Alcotest.test_case "json to_string/parse round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parser accepts/rejects" `Quick test_json_parser;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_bucket_boundaries;

@@ -412,17 +412,10 @@ let test_scheduler_rejects_bad_args () =
          Rsj_parallel.run ~chunk_size:0 (small_env ()) Strategy.Stream ~r:1 ~domains:2))
 
 let test_scheduler_default_chunk_size () =
-  (* Only meaningful when the env override is not set (the test runner
-     never sets it). *)
-  match Sys.getenv_opt "RSJ_CHUNK_SIZE" with
-  | Some _ -> ()
-  | None ->
-      Alcotest.(check int) "small n floors at 1" 1
-        (Chunk_scheduler.default_chunk_size ~n:3);
-      Alcotest.(check int) "mid n ~ n/16" 625
-        (Chunk_scheduler.default_chunk_size ~n:10_000);
-      Alcotest.(check int) "huge n caps at 4096" 4096
-        (Chunk_scheduler.default_chunk_size ~n:10_000_000)
+  Alcotest.(check int) "small n floors at 1" 1 (Chunk_scheduler.default_chunk_size ~n:3);
+  Alcotest.(check int) "mid n ~ n/16" 625 (Chunk_scheduler.default_chunk_size ~n:10_000);
+  Alcotest.(check int) "huge n caps at 4096" 4096
+    (Chunk_scheduler.default_chunk_size ~n:10_000_000)
 
 let test_explicit_chunk_size_same_sample () =
   (* chunk_size changes the schedule, never the sample: per-chunk state

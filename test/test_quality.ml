@@ -24,11 +24,7 @@ module Prng = Rsj_util.Prng
 
 let key = Zipf_tables.col2
 
-let trials () =
-  match Sys.getenv_opt "RSJ_CONF_TRIALS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with Some v when v > 0 -> v | _ -> 60)
-  | None -> 60
+let trials = Rsj_obs.Config.conf_trials
 
 let law_and_universe pair =
   let left = Frequency.of_relation pair.Zipf_tables.outer ~key in

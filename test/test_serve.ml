@@ -1,13 +1,12 @@
-(* The sampling service end to end: a daemon subprocess (the
-   [serve_child.exe] helper, exec'd — OCaml 5 forbids fork once the
-   parallel suites have spawned domains in this binary) driven over
-   its Unix socket. Covers the conformance contract (served
-   samples byte-identical to in-process runs, all eight strategies,
-   int and string join keys; a chi-square cell through the served
-   path),
-   the operational behavior (deadlines, admission control, graceful
-   SIGTERM shutdown with socket unlink + metrics snapshot, the warm
-   cache's byte budget over the wire) and the HTTP metrics endpoint. *)
+(* The sampling service end to end: a real `rsj serve` subprocess
+   (exec'd — OCaml 5 forbids fork once the parallel suites have spawned
+   domains in this binary) driven over its Unix socket. Covers the
+   conformance contract (served samples byte-identical to in-process
+   runs, all eight strategies, int and string join keys; a chi-square
+   cell through the served path), the operational behavior (deadlines,
+   admission control, graceful SIGTERM shutdown with socket unlink +
+   metrics snapshot, the warm cache's byte budget over the wire), the
+   HTTP metrics endpoint and the configuration surface. *)
 
 open Rsj_relation
 module Server = Rsj_server.Server
@@ -46,14 +45,44 @@ let cleanup_dir dir =
    with Sys_error _ -> ());
   try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ()
 
-(* The daemon helper lives next to this binary in _build. The child
-   inherits our environment (RSJ_CACHE_BYTES etc.). *)
-let serve_child_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "serve_child.exe"
+(* The CLI, built beside this binary (a dependency of the test rule).
+   The daemon inherits our environment (RSJ_CACHE_BYTES etc.). *)
+let rsj_exe =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/rsj.exe"
 
-let spawn_server ?(max_queued_work = 0) ~sock ~snapshot () =
-  let argv = [| serve_child_exe; sock; snapshot; string_of_int max_queued_work |] in
-  Unix.create_process serve_child_exe argv Unix.stdin Unix.stdout Unix.stderr
+let spawn_server ?max_queued_work ~sock ~snapshot () =
+  let budget =
+    Option.fold ~none:[] ~some:(fun b -> [ "--queue-budget"; string_of_int b ]) max_queued_work
+  in
+  let args = [ "serve"; "--socket"; sock; "--snapshot"; snapshot ] @ budget in
+  Unix.create_process rsj_exe (Array.of_list (rsj_exe :: args)) Unix.stdin Unix.stdout Unix.stderr
+
+(* Runs the CLI with every inherited RSJ_* variable dropped and [knobs]
+   set. Returns the exit code ([None]: still running after 5 s, then
+   SIGTERMed), stdout and stderr. *)
+let run_rsj ~knobs args =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup_dir dir) @@ fun () ->
+  let file f = Filename.concat dir f in
+  let fd f = Unix.openfile (file f) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  let fo = fd "out" and fe = fd "err" in
+  let inherited = Array.to_list (Unix.environment ()) in
+  let env = List.filter (fun kv -> not (String.starts_with ~prefix:"RSJ_" kv)) inherited in
+  let env = Array.of_list (env @ List.map (fun (k, v) -> k ^ "=" ^ v) knobs) in
+  let argv = Array.of_list (rsj_exe :: args) in
+  let pid = Unix.create_process_env rsj_exe argv env Unix.stdin fo fe in
+  List.iter Unix.close [ fo; fe ];
+  let deadline = Rsj_obs.Clock.now_s () +. 5. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Rsj_obs.Clock.now_s () < deadline -> Unix.sleepf 0.05; wait ()
+    | 0, _ -> Unix.kill pid Sys.sigterm; ignore (Unix.waitpid [] pid); None
+    | _, Unix.WEXITED c -> Some c
+    | _, _ -> Some (-1)
+  in
+  let code = wait () in
+  let read f = In_channel.with_open_bin (file f) In_channel.input_all in
+  (code, read "out", read "err")
 
 let connect_with_retry addr =
   let rec go attempts =
@@ -657,8 +686,54 @@ let test_request_id_end_to_end () =
     | Some (Json.Float _) | Some (Json.Int _) -> true
     | _ -> false)
 
+(* ---------- configuration: refused when malformed, visible in effect ---------- *)
+
+let test_malformed_knob_stops_daemon () =
+  let sock = Filename.concat (Filename.get_temp_dir_name ()) "rsj-bad-knob.sock" in
+  let code, _, err = run_rsj ~knobs:[ ("RSJ_CACHE_BYTES", "64M") ] [ "serve"; "--socket"; sock ] in
+  Alcotest.(check bool) "rsj serve refused to start" true (code <> None && code <> Some 0);
+  Alcotest.(check bool) ("stderr names the knob: " ^ err) true (contains "RSJ_CACHE_BYTES" err)
+
+let test_rsj_config_lists_knobs () =
+  let code, out, _ = run_rsj ~knobs:[ ("RSJ_QUALITY_WINDOW", "200") ] [ "config" ] in
+  Alcotest.(check (option int)) "rsj config exits 0" (Some 0) code;
+  let set = "RSJ_QUALITY_WINDOW" in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | name :: value :: source :: _ ->
+            Some (name, if name = set then value ^ " " ^ source else source)
+        | _ -> None)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check (list (pair string string))) "the retained knobs; only the set one from env"
+    (List.map
+       (fun name -> (name, if name = set then "200 env" else "default"))
+       [
+         "RSJ_CACHE_BYTES"; "RSJ_CONF_TRIALS"; "RSJ_DOMAIN"; "RSJ_LOG"; "RSJ_N1"; "RSJ_N2";
+         "RSJ_QUALITY_ALPHA"; "RSJ_QUALITY_WINDOW"; "RSJ_REPS"; "RSJ_SCALE"; "RSJ_SEED";
+         "RSJ_SERVE_BIAS"; "RSJ_SERVE_DRAIN_LINGER_MS"; "RSJ_SLOW_MS"; "RSJ_TRACE";
+       ])
+    (List.sort compare rows)
+
+let test_stats_reports_config () =
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  let stats = must "stats" (Client.cache_stats client) in
+  let module C = Rsj_obs.Config in
+  let alpha = List.find (fun (e : C.entry) -> e.name = "RSJ_QUALITY_ALPHA") (C.effective ()) in
+  let source = C.source_to_string alpha.source in
+  let expected = Json.Obj [ ("value", Json.Str alpha.value); ("source", Json.Str source) ] in
+  Alcotest.(check (option Test_obs.json)) "config.RSJ_QUALITY_ALPHA" (Some expected)
+    (Option.bind (List.assoc_opt "config" stats) (Json.member "RSJ_QUALITY_ALPHA"))
+
 let suite =
   [
+    Alcotest.test_case "a malformed knob stops rsj serve" `Quick
+      test_malformed_knob_stops_daemon;
+    Alcotest.test_case "rsj config lists every knob and its source" `Quick
+      test_rsj_config_lists_knobs;
+    Alcotest.test_case "stats RPC carries the knobs in effect" `Quick test_stats_reports_config;
     Alcotest.test_case "served samples byte-identical (8 strategies × 2 planes)" `Slow
       test_served_identical;
     Alcotest.test_case "chi-square cell through the served path" `Slow test_served_chi_square;

@@ -73,14 +73,13 @@ let test_generator_matches_zipf_pmf () =
     true (res.p_value > 0.001)
 
 let test_scale_defaults () =
-  let s = Zipf_tables.Scale.default in
-  Alcotest.(check int) "n1" 3_000 s.n1;
-  Alcotest.(check int) "n2" 12_000 s.n2;
-  Alcotest.(check bool) "from_env without overrides" true
-    (try
-       ignore (Zipf_tables.Scale.from_env ());
-       true
-     with _ -> false)
+  let knobs = [ "RSJ_N1"; "RSJ_N2"; "RSJ_DOMAIN"; "RSJ_SCALE"; "RSJ_SEED" ] in
+  let saved = List.map (fun k -> (k, Option.value ~default:"" (Sys.getenv_opt k))) knobs in
+  List.iter (fun k -> Unix.putenv k "") knobs;
+  Fun.protect ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved) @@ fun () ->
+  let s = Zipf_tables.Scale.from_env () in
+  Alcotest.(check (list int)) "n1, n2, domain, seed" [ 3_000; 12_000; 600; 0x5EED ]
+    [ s.n1; s.n2; s.domain; s.seed ]
 
 let test_invalid_args () =
   Alcotest.(check bool) "rows 0" true
