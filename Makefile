@@ -5,7 +5,7 @@
 # RSJ_SKIP_MICRO, RSJ_SKIP_PAPER and RSJ_ONLY_PARALLEL (bench/main.ml),
 # and the test suite RSJ_DOMAINS and RSJ_COVERAGE_TRIALS.
 
-.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench clean
+.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench loc clean
 
 all: build
 
@@ -98,6 +98,11 @@ serve-test:
 serve-bench:
 	dune build bin/rsj.exe bench/serve_ab.exe
 	./_build/default/bench/serve_ab.exe ./_build/default/bin/rsj.exe BENCH_serve.json
+
+# loc = the tracked source size: total lines of every committed .ml,
+# .mli and dune file, the figure line-count criteria are stated in.
+loc:
+	@git ls-files '*.ml' '*.mli' '*dune' | xargs wc -l | tail -1
 
 clean:
 	dune clean

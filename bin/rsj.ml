@@ -652,7 +652,7 @@ let logs_cmd =
           | _ -> None
         in
         let field name render = function Some v -> " " ^ name ^ "=" ^ render v | None -> "" in
-        Printf.printf "%s %s %s%s%s%s%s%s%s%s\n"
+        Printf.printf "%s %s %s%s%s%s%s%s%s%s%s\n"
           (match num "ts" with Some t -> Printf.sprintf "%.3f" t | None -> "-")
           (Option.value (str "req") ~default:"-")
           (Option.value (str "op") ~default:"-")
@@ -661,6 +661,7 @@ let logs_cmd =
           (field "cache" Fun.id (str "cache"))
           (field "deadline" Fun.id (str "deadline"))
           (field "status" Fun.id (str "status"))
+          (field "queued_ms" (fun v -> Printf.sprintf "%.2f" (v *. 1000.)) (num "queued_s"))
           (field "latency_ms" (fun v -> Printf.sprintf "%.2f" (v *. 1000.)) (num "latency_s"))
           (field "alloc_words" (fun v -> Printf.sprintf "%.0f" v) (num "alloc_words"));
         match str "sql" with Some q -> Printf.printf "      sql: %s\n" q | None -> ()

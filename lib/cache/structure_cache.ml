@@ -29,7 +29,7 @@ type packed =
   | P_hash_index of Hash_index.t
   | P_frequency of Frequency.t
   | P_histogram of Histogram.End_biased.t
-  | P_int_view of int array option
+  | P_int_view of int array
   | P_chain of Rsj_core.Chain_sample.t
 
 type entry = {

@@ -65,9 +65,10 @@ val histogram :
     participates in the cache key (distinct fractions coexist). The
     build reuses the cached {!frequency} table. *)
 
-val int_view : t -> Relation.t -> col:int -> int array option
-(** The columnar key extraction ({!Column.int_view}); a [None] escape
-    (non-int column) is cached too — it is a per-snapshot fact. *)
+val int_view : t -> Relation.t -> col:int -> int array
+(** The columnar key extraction ({!Column.int_view}). Its keys stay
+    valid for any join partner: the encoding is the same in every
+    relation. *)
 
 val chain : t -> Rsj_core.Chain_sample.spec -> Rsj_core.Chain_sample.t
 (** The prepared chain walker (weight tables + per-value alias
@@ -114,8 +115,8 @@ type stats = {
   bytes : int;  (** measured footprint of live entries *)
   by_kind : (string * (int * int)) list;
       (** per-kind [(hits, misses)] split, sorted by kind name — the
-          serve bench reads the ["chain"] row to show alias-structure
-          reuse across requests *)
+          daemon's stats RPC reports it as [by_kind], where perfbench
+          reads which kinds each request's first answer built *)
 }
 
 val stats : t -> stats

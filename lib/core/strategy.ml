@@ -144,10 +144,10 @@ type env = {
   left_stats : Frequency.t Lazy.t;
   right_index : Hash_index.t Lazy.t;
   histogram : Histogram.End_biased.t Lazy.t;
-  (* Columnar key views for the compact data plane: extracted once per
-     env, [None] when a column is not int-viewable. *)
-  left_key_view : int array option Lazy.t;
-  right_key_view : int array option Lazy.t;
+  (* Columnar key views for the compact data plane, extracted once per
+     env. *)
+  left_key_view : int array Lazy.t;
+  right_key_view : int array Lazy.t;
 }
 
 (* Injection point for memoized auxiliary structures: a warm cache
@@ -160,8 +160,8 @@ type prebuilt = {
   p_right_stats : (unit -> Frequency.t) option;
   p_right_index : (unit -> Hash_index.t) option;
   p_histogram : (unit -> Histogram.End_biased.t) option;
-  p_left_key_view : (unit -> int array option) option;
-  p_right_key_view : (unit -> int array option) option;
+  p_left_key_view : (unit -> int array) option;
+  p_right_key_view : (unit -> int array) option;
 }
 
 let no_prebuilt =

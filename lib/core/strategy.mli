@@ -88,8 +88,8 @@ type prebuilt = {
   p_right_stats : (unit -> Rsj_stats.Frequency.t) option;
   p_right_index : (unit -> Rsj_index.Hash_index.t) option;
   p_histogram : (unit -> Rsj_stats.Histogram.End_biased.t) option;
-  p_left_key_view : (unit -> int array option) option;
-  p_right_key_view : (unit -> int array option) option;
+  p_left_key_view : (unit -> int array) option;
+  p_right_key_view : (unit -> int array) option;
 }
 
 val no_prebuilt : prebuilt
@@ -124,13 +124,11 @@ val env_histogram : env -> Rsj_stats.Histogram.End_biased.t
 val env_join_size : env -> int
 (** Exact |R1 ⋈ R2| (forces statistics on both sides). *)
 
-val env_left_key_view : env -> int array option
-val env_right_key_view : env -> int array option
-(** The join columns as flat {!Column.int_view} extractions ([None]
-    when not int-viewable), cached per env. These are the compact data
-    plane's inputs: the parallel runtime's chunked runners run only on
-    them (without them it falls back to {!run} / {!run_wor}). {!run}
-    never forces them. *)
+val env_left_key_view : env -> int array
+val env_right_key_view : env -> int array
+(** The join columns as flat {!Column.int_view} extractions, cached
+    per env. These are the compact data plane's inputs: the parallel
+    runtime's chunked runners scan them. {!run} never forces them. *)
 
 type result = {
   strategy : t;

@@ -461,7 +461,7 @@ let parallel_speedup ?(domain_counts = [ 1; 2; 4 ]) cfg =
     List.map
       (fun d ->
         let t0 = Rsj_obs.Clock.now_s () in
-        ignore (Rsj_index.Hash_index.build_parallel right ~key:Zipf_tables.col2 ~domains:d);
+        ignore (Rsj_index.Hash_index.build right ~key:Zipf_tables.col2);
         ignore (Frequency.of_relation_parallel ~domains:d right ~key:Zipf_tables.col2);
         let t = Rsj_obs.Clock.now_s () -. t0 in
         if d = 1 then build_base := t;

@@ -1,9 +1,7 @@
-(* Int-specialised hash index over a flat key column — the data-plane
-   twin of Hash_index. Open addressing over flat int arrays: no Vtbl
+(* Int-specialised hash index over a flat key column — the storage
+   behind Hash_index. Open addressing over flat int arrays: no Vtbl
    functor dispatch, no boxed keys, no per-bucket blocks. Buckets are a
-   CSR layout (starts/rows) with row ids in storage order, which is the
-   same in-bucket order Hash_index.build produces — a uniform pick from
-   a bucket lands on the same row in both planes.
+   CSR layout (starts/rows) with row ids in storage order.
 
    This module is Value-free by design (enforced by the @box-hygiene
    alias): the Null sentinel is the literal min_int, shared with
@@ -166,9 +164,8 @@ let row t j = t.rows.(j)
 let multiplicity t k = match find_gid t k with -1 -> 0 | g -> gid_multiplicity t g
 
 let random_row t rng k =
-  (* Mirrors Hash_index.random_match: nothing drawn on a miss, one
-     Prng.int on a hit (which itself draws nothing when the bucket is a
-     singleton). *)
+  (* Nothing drawn on a miss, one Prng.int on a hit (which itself
+     draws nothing when the bucket is a singleton). *)
   match find_gid t k with
   | -1 -> -1
   | g ->

@@ -1,12 +1,10 @@
 (** Int-specialised hash structures over flat key columns — the
-    data-plane twin of {!Hash_index}.
+    storage of {!Hash_index} and of the chunked runners' join tables.
 
     Keys are raw ints from a {!Column.int_view} extraction; the [Null]
     sentinel ([min_int]) matches nothing. Buckets are CSR
-    ([starts]/[rows]) with row ids in storage order — the same in-bucket
-    order {!Hash_index.build} produces, so a uniform in-bucket pick
-    lands on the same row in both planes. Value-free by construction
-    (pinned by the [@box-hygiene] alias). *)
+    ([starts]/[rows]) with row ids in storage order. Value-free by
+    construction (pinned by the [@box-hygiene] alias). *)
 
 (** Growable open-addressing int→int accumulator (counts, or any small
     int payload). [get] of an absent or sentinel key is 0. *)
@@ -47,9 +45,8 @@ val multiplicity : t -> int -> int
 (** Bucket size by key; 0 on a miss. *)
 
 val random_row : t -> Rsj_util.Prng.t -> int -> int
-(** Uniform row id among the key's matches, or -1 on a miss — drawing
-    from the generator exactly as {!Hash_index.random_match} does
-    (nothing on a miss or singleton bucket). *)
+(** Uniform row id among the key's matches, or -1 on a miss: nothing
+    drawn on a miss, one [Prng.int] on a hit. *)
 
 val group_count : t -> int
 val size : t -> int

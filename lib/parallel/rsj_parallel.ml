@@ -2,14 +2,10 @@
    coverage, WR and WoR, on the persistent worker pool.
 
    The runtime has one data plane. Every runner below scans the join
-   columns as flat int arrays (Column.int_view), feeds allocation-free
-   Wr_int kernels (or plain reservoirs of row ids / packed row pairs)
-   and rehydrates only the accepted winners through Relation.get. A
-   join column without an int view (a string or float column, or
-   min_int as data) sends the call to the paper's sequential kernels
-   through Strategy.run / Strategy.run_wor instead: same law, and
-   bit-identical at every domain count. The fallback is counted
-   (rsj_int_plane_fallback_total) and tagged on the strategy span.
+   columns as flat int arrays (Column.int_view, total over every key
+   type), feeds allocation-free Wr_int kernels (or plain reservoirs of
+   row ids / packed row pairs) and rehydrates only the accepted winners
+   through Relation.get.
 
    Scans are distributed by the chunk-queue scheduler
    (Chunk_scheduler): the relation is cut into fixed-size chunks that
@@ -80,16 +76,13 @@ let default_domains () = Domain.recommended_domain_count ()
    (cat "strategy") encloses the scan/merge work — pool.run, pool.job
    and chunk spans nest temporally inside it — and, after the run, the
    work counters fold into the registry (the rsj_metrics_ family) and
-   the wall-time into a per-strategy histogram. [plane] says which
-   implementation ran: "int" (the chunked runners below) or
-   "sequential" (the fallback to the paper's kernels). One branch when
-   off. *)
+   the wall-time into a per-strategy histogram. One branch when off. *)
 let strategy_seconds strategy ~domains =
   Obs.Registry.histogram ~help:"Whole-strategy sampling run wall time, seconds"
     ~labels:[ ("strategy", Strategy.name strategy); ("domains", string_of_int domains) ]
     "rsj_strategy_run_seconds"
 
-let observed ?(absorb = true) ~plane ~semantics strategy ~r ~domains body =
+let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
   if not (Obs.enabled ()) then body ()
   else
     Obs.Trace.with_span ~cat:"strategy"
@@ -99,7 +92,6 @@ let observed ?(absorb = true) ~plane ~semantics strategy ~r ~domains body =
           ("semantics", Obs.Json.Str semantics);
           ("r", Obs.Json.Int r);
           ("domains", Obs.Json.Int domains);
-          ("plane", Obs.Json.Str plane);
         ]
       ("strategy." ^ Strategy.name strategy)
       (fun () ->
@@ -112,17 +104,6 @@ let observed ?(absorb = true) ~plane ~semantics strategy ~r ~domains body =
             (Metrics.to_assoc result.Strategy.metrics);
         Obs.Registry.observe (strategy_seconds strategy ~domains) result.Strategy.elapsed_seconds;
         result)
-
-(* A call whose join columns have no int view runs the sequential
-   kernels. It is counted whether or not telemetry is on, so the
-   fallback is never silent. *)
-let sequential ~semantics strategy ~r ~domains body =
-  Obs.Registry.incr
-    (Obs.Registry.counter
-       ~help:"Parallel-runtime calls that ran the sequential kernels (join column not int-viewable)"
-       ~labels:[ ("strategy", Strategy.name strategy) ]
-       "rsj_int_plane_fallback_total");
-  observed ~plane:"sequential" ~semantics strategy ~r ~domains body
 
 let timed strategy body =
   let t0 = Obs.Clock.now_s () in
@@ -626,53 +607,43 @@ let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   (out, metrics)
 
-(* The data-plane gate: [Some runner] when both join columns have int
-   views and the int planes of the structures the strategy reads exist
-   (they do whenever the columns are int-viewable; the gate checks
-   rather than assumes), [None] otherwise. The gate is where those
-   views and planes are forced — before the runner starts its clock,
-   so like the indexes and statistics [Strategy.prepare] forces, they
-   count as pre-existing. With [~wor:true], Naive's runner is
-   the chunked Vitter pass; the other strategies' WoR re-enters [run]
-   per batch, so their WR runner only answers "is the int plane
-   there". *)
+(* The runner for [strategy] over the env's key views. Building it
+   forces those views and the int planes of the structures the
+   strategy reads — before the runner starts its clock, so like the
+   indexes and statistics [Strategy.prepare] forces, they count as
+   pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
+   pass; the other strategies' WoR re-enters [run] per batch, so their
+   WR runner is never called. *)
 let int_runner ?(wor = false) env strategy ~domains ~chunk_for =
-  let ( let* ) = Option.bind in
-  let* keys1 = Strategy.env_left_key_view env in
-  let* keys2 = Strategy.env_right_key_view env in
+  let keys1 = Strategy.env_left_key_view env in
+  let keys2 = Strategy.env_right_key_view env in
   let chunk_size = chunk_for (Array.length keys1) in
   let freq () = Frequency.int_counter (Strategy.env_right_stats env) in
   let tracked () = End_biased.int_tracked (Strategy.env_histogram env) in
-  let index_plane () = Hash_index.int_plane (Strategy.env_right_index env) in
   match strategy with
   | Strategy.Naive when wor ->
-      Some (fun ~r rng -> run_wor_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2)
-  | Strategy.Naive -> Some (fun ~r rng -> run_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2)
-  | Strategy.Olken ->
-      let* _ = index_plane () in
-      Some (fun ~r rng -> run_olken env ~r ~domains rng ~keys1)
+      fun ~r rng -> run_wor_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2
+  | Strategy.Naive -> fun ~r rng -> run_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2
+  | Strategy.Olken -> fun ~r rng -> run_olken env ~r ~domains rng ~keys1
   | Strategy.Stream ->
-      let* freq = freq () in
-      let* _ = index_plane () in
-      Some (fun ~r rng -> run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq)
+      let freq = freq () in
+      fun ~r rng -> run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq
   | Strategy.Group ->
-      let* freq = freq () in
-      Some (fun ~r rng -> run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq)
+      let freq = freq () in
+      fun ~r rng -> run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
   | Strategy.Count_sample ->
-      let* freq = freq () in
-      Some (fun ~r rng -> run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq)
+      let freq = freq () in
+      fun ~r rng -> run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
   | Strategy.Frequency_partition ->
-      let* tracked = tracked () in
-      Some
-        (fun ~r rng ->
-          run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked)
+      let tracked = tracked () in
+      fun ~r rng -> run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked
   | Strategy.Hybrid_count ->
-      let* tracked = tracked () in
-      Some (fun ~r rng -> run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked)
+      let tracked = tracked () in
+      fun ~r rng -> run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked
   | Strategy.Index_sample ->
-      let* tracked = tracked () in
-      let* lo_tbl = index_plane () in
-      Some (fun ~r rng -> run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl)
+      let tracked = tracked () in
+      let lo_tbl = Hash_index.int_plane (Strategy.env_right_index env) in
+      fun ~r rng -> run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl
 
 let validate ~caller ?chunk_size ~r ~domains () =
   if domains < 1 then invalid_arg (caller ^ ": domains < 1");
@@ -687,13 +658,10 @@ let chunk_for chunk_size n =
 let run ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run" ?chunk_size ~r ~domains ();
   Strategy.prepare env strategy;
-  match int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
-  | None ->
-      sequential ~semantics:"WR" strategy ~r ~domains (fun () -> Strategy.run env strategy ~r)
-  | Some runner ->
-      observed ~plane:"int" ~semantics:"WR" strategy ~r ~domains (fun () ->
-          let rng = Prng.split (Strategy.env_rng env) in
-          timed strategy (fun () -> runner ~r rng))
+  let runner = int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
+  observed ~semantics:"WR" strategy ~r ~domains (fun () ->
+      let rng = Prng.split (Strategy.env_rng env) in
+      timed strategy (fun () -> runner ~r rng))
 
 (* Parallel WoR for every strategy but Naive: the §3 conversion of
    Strategy.run_wor — WR batches deduplicated until [target] distinct
@@ -713,17 +681,14 @@ let run_wor_batches ?chunk_size env strategy ~domains ~target =
 let run_wor ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run_wor" ?chunk_size ~r ~domains ();
   Strategy.prepare env strategy;
-  match int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) with
-  | None ->
-      sequential ~semantics:"WoR" strategy ~r ~domains (fun () -> Strategy.run_wor env strategy ~r)
-  | Some runner ->
-      (* Only the direct chunked-Vitter path (Naive) absorbs its
-         counters here; the batch-conversion path re-enters [run],
-         which absorbs per batch. *)
-      let naive = strategy = Strategy.Naive in
-      observed ~absorb:naive ~plane:"int" ~semantics:"WoR" strategy ~r ~domains (fun () ->
-          let target = min r (Strategy.env_join_size env) in
-          timed strategy (fun () ->
-              if target = 0 then ([||], Metrics.create ())
-              else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
-              else run_wor_batches ?chunk_size env strategy ~domains ~target))
+  let runner = int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
+  (* Only the direct chunked-Vitter path (Naive) absorbs its counters
+     here; the batch-conversion path re-enters [run], which absorbs per
+     batch. *)
+  let naive = strategy = Strategy.Naive in
+  observed ~absorb:naive ~semantics:"WoR" strategy ~r ~domains (fun () ->
+      let target = min r (Strategy.env_join_size env) in
+      timed strategy (fun () ->
+          if target = 0 then ([||], Metrics.create ())
+          else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
+          else run_wor_batches ?chunk_size env strategy ~domains ~target))

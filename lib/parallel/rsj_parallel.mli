@@ -6,15 +6,10 @@
     reference, and the chunked runner here is the one fast path, at
     every [domains >= 1] (the daemon, the CLI and the SQL engine's
     two-table [SAMPLE] all come through it). The runners scan the join
-    columns as flat int arrays
-    ({!Rsj_relation.Column.int_view}) and rehydrate only the sampled
-    rows. When a join column has no int view (a string or float
-    column, or [min_int] as data), {!run} and {!run_wor} run the
-    paper's sequential kernels through {!Strategy.run} /
-    {!Strategy.run_wor} at every [domains >= 1] — the same law, and
-    bit-identical across domain counts, Olken included. Such a call
-    bumps [rsj_int_plane_fallback_total{strategy}] and its strategy
-    span carries [plane = "sequential"] ([plane = "int"] otherwise).
+    columns as flat int arrays ({!Rsj_relation.Column.int_view}, total
+    over every key type) and rehydrate only the sampled rows. How a key
+    is stored never changes the sample: a string-, float- or int-keyed
+    copy of a join draws the same row pairs at the same seed.
 
     Worker domains come from the persistent {!Domain_pool}: spawned
     once, parked on a condition variable between calls, reused by
@@ -47,10 +42,7 @@
     bit-reproducible, at [domains > 1].
 
     Auxiliary structures (hash index, frequency statistics, histogram)
-    are shared read-only across domains; their parallel construction
-    lives with them ({!Rsj_index.Hash_index.build_parallel},
-    {!Rsj_stats.Frequency.of_relation_parallel}) and draws workers
-    from the same pool. *)
+    are shared read-only across domains. *)
 
 module Strategy = Rsj_core.Strategy
 

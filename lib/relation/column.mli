@@ -1,22 +1,34 @@
 (** Columnar int-key views of a relation — the compact data plane.
 
-    Join-key columns whose every cell is [Value.Int] (or [Null]) can be
-    extracted once into a flat [int array]; the sampling inner loops
-    then scan unboxed ints and touch [Tuple.t] only to rehydrate
-    accepted rows by id through {!Relation.get}. [Null] maps to
-    {!null_key}, a sentinel that the int-plane index and counters treat
-    as matching nothing — the same join semantics the boxed plane gives
-    [Null]. Columns that cannot be represented (a non-int cell, or the
-    sentinel itself as data) have no view: the sequential strategies
-    then run their boxed kernels, and the parallel runtime falls back
-    to them. *)
+    Every join-key column is extracted once into a flat [int array];
+    the sampling inner loops then scan unboxed ints and touch
+    [Tuple.t] only to rehydrate accepted rows by id through
+    {!Relation.get}.
+
+    The encoding {!key} is total and injective, and the same in every
+    relation. An [Int x] outside the reserved band — the 2{^32} ints
+    starting at [min_int] — is its own key, so int columns keep their
+    exact values. Every other non-[Null] value ([Str], [Float], and an
+    [Int] inside the band, [min_int] included) gets a code inside the
+    band from one process-wide dictionary, which compares values with
+    {!Value.equal}: two cells share a key exactly when the boxed
+    structures would join them. [Null] maps to {!null_key}, which is
+    never handed out as a code and which the int-plane index and
+    counters treat as matching nothing. The dictionary only grows, so
+    a key, and a cached view holding it, stays valid for the life of
+    the process. *)
 
 val null_key : int
-(** The [Null] sentinel ([min_int]). Never a valid data key: a column
-    containing it as a genuine value is not int-viewable. *)
+(** The [Null] key ([min_int]). *)
 
-val int_view : Relation.t -> col:int -> int array option
-(** [int_view t ~col] is the column as a flat key array in row order,
-    or [None] when some cell is neither [Int] (≠ {!null_key}) nor
-    [Null]. O(n); callers cache the result (strategy environments hold
-    it lazily). *)
+val key : Value.t -> int
+(** The int key of one value; interns a new [Str], [Float] or in-band
+    [Int] in the dictionary. Safe to call from any domain. *)
+
+val value_of_key : int -> Value.t
+(** The inverse of {!key}: [Value.equal (value_of_key (key v)) v].
+    Raises [Invalid_argument] on an in-band int that is no code. *)
+
+val int_view : Relation.t -> col:int -> int array
+(** [int_view t ~col] is the column's keys in row order. O(n); callers
+    cache the result (strategy environments hold it lazily). *)

@@ -71,6 +71,11 @@ let m_request_kind ~kind ~strategy ~cache =
     ~labels:[ ("kind", kind); ("strategy", strategy); ("cache", cache) ]
     "rsj_request_seconds"
 
+let m_queue_wait_seconds =
+  lazy
+    (Registry.histogram ~help:"Time a request waited in the FIFO before it ran"
+       "rsj_serve_queue_wait_seconds")
+
 let m_slow_requests =
   lazy
     (Registry.counter ~help:"Requests slower than the RSJ_SLOW_MS exemplar threshold"
@@ -564,9 +569,11 @@ let run_pending st =
       let id = P.request_id req in
       let op = P.request_op req in
       let rid = mint_rid st req in
+      let queued_s = Clock.now_s () -. p_enqueued_s in
+      Registry.observe (Lazy.force m_queue_wait_seconds) queued_s;
       let late =
         match deadline_of req with
-        | Some budget_ms -> (Clock.now_s () -. p_enqueued_s) *. 1000. > budget_ms
+        | Some budget_ms -> queued_s *. 1000. > budget_ms
         | None -> false
       in
       st.note.n_strategy <- "none";
@@ -583,7 +590,7 @@ let run_pending st =
                 ("client_id", Json.Int id);
                 ("status", Json.Str "deadline_exceeded");
                 ("deadline", Json.Str "late");
-                ("queued_s", Json.Float (Clock.now_s () -. p_enqueued_s));
+                ("queued_s", Json.Float queued_s);
               ]
           end
           else begin
@@ -639,6 +646,7 @@ let run_pending st =
                   ( "deadline",
                     Json.Str (match deadline_of req with Some _ -> "met" | None -> "none") );
                   ("status", Json.Str !status);
+                  ("queued_s", Json.Float queued_s);
                   ("latency_s", Json.Float dt);
                   ("alloc_words", Json.Float alloc);
                 ])

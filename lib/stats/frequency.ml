@@ -9,82 +9,61 @@ end)
 
 module Counter = Rsj_index.Int_index.Counter
 
-(* [key_cache] is the data-plane view of the table: the same counts
-   keyed by raw int instead of boxed Value, derived lazily and
-   invalidated by any mutation. [Unavailable] marks tables holding a
-   non-int value, for which the int plane escapes to boxed lookups. *)
-type key_cache = Stale | Unavailable | Ready of Counter.t
-
+(* [plane] is the data-plane view of the table: the same counts keyed
+   by Column.key instead of boxed Value, built by [of_relation],
+   derived lazily otherwise and dropped by any mutation. *)
 type t = {
   counts : int Vtbl.t;
   mutable total : int;
   mutable max_freq : int;
-  mutable key_cache : key_cache;
+  mutable plane : Counter.t option;
 }
 
-let empty () = { counts = Vtbl.create 256; total = 0; max_freq = 0; key_cache = Stale }
+let empty () = { counts = Vtbl.create 256; total = 0; max_freq = 0; plane = None }
 
 let bump t v k =
   let c = k + Option.value ~default:0 (Vtbl.find_opt t.counts v) in
   Vtbl.replace t.counts v c;
   t.total <- t.total + k;
-  t.key_cache <- Stale;
+  t.plane <- None;
   if c > t.max_freq then t.max_freq <- c
 
 let int_counter t =
-  match t.key_cache with
-  | Ready c -> Some c
-  | Unavailable -> None
-  | Stale ->
-      let ok = ref true in
+  match t.plane with
+  | Some c -> c
+  | None ->
       let c = Counter.create ~capacity:(Vtbl.length t.counts) () in
       Vtbl.iter
         (fun v n ->
-          match v with
-          | Value.Int x when x <> min_int -> Counter.add c x n
-          | _ -> ok := false)
+          let k = Column.key v in
+          if k <> Column.null_key then Counter.add c k n)
         t.counts;
-      if !ok then begin
-        t.key_cache <- Ready c;
-        Some c
-      end
-      else begin
-        t.key_cache <- Unavailable;
-        None
-      end
+      t.plane <- Some c;
+      c
 
 let of_relation rel ~key =
-  match Column.int_view rel ~col:key with
-  | Some keys ->
-      (* Int-column fast path: count raw keys through the open-addressing
-         counter (no Value hashing), then mirror the table into the boxed
-         Vtbl for the boxed consumers. Totals, multiplicities and the
-         maximum agree exactly with the row-order build. *)
-      let c = Counter.create ~capacity:64 () in
-      let total = ref 0 in
-      let nk = Array.length keys in
-      for i = 0 to nk - 1 do
-        let k = Array.unsafe_get keys i in
-        if k <> min_int then begin
-          Counter.add c k 1;
-          incr total
-        end
-      done;
-      let t = empty () in
-      Counter.iter
-        (fun k n ->
-          Vtbl.replace t.counts (Value.Int k) n;
-          if n > t.max_freq then t.max_freq <- n)
-        c;
-      t.total <- !total;
-      t.key_cache <- Ready c;
-      t
-  | None ->
-      let t = empty () in
-      Relation.iter rel (fun row ->
-          let v = Tuple.attr row key in
-          if not (Value.is_null v) then bump t v 1);
-      t
+  (* Count raw keys through the open-addressing counter (no Value
+     hashing), then mirror the table into the boxed Vtbl for the boxed
+     consumers. *)
+  let keys = Column.int_view rel ~col:key in
+  let c = Counter.create ~capacity:64 () in
+  let total = ref 0 in
+  for i = 0 to Array.length keys - 1 do
+    let k = Array.unsafe_get keys i in
+    if k <> Column.null_key then begin
+      Counter.add c k 1;
+      incr total
+    end
+  done;
+  let t = empty () in
+  Counter.iter
+    (fun k n ->
+      Vtbl.replace t.counts (Column.value_of_key k) n;
+      if n > t.max_freq then t.max_freq <- n)
+    c;
+  t.total <- !total;
+  t.plane <- Some c;
+  t
 
 let of_stream stream ~key =
   let t = empty () in

@@ -36,12 +36,12 @@ val of_assoc : (Value.t * int) list -> t
 val frequency : t -> Value.t -> int
 (** m(v); 0 for unseen values. The paper's m1/m2 functions. *)
 
-val int_counter : t -> Rsj_index.Int_index.Counter.t option
-(** The data-plane view of the table: the same counts keyed by raw int,
-    for inner loops scanning a {!Column.int_view} key column
-    ([Counter.get c k] = [frequency t (Int k)]). Derived on first use
-    and cached until the next mutation; [None] when the table holds a
-    value no int key can represent. *)
+val int_counter : t -> Rsj_index.Int_index.Counter.t
+(** The data-plane view of the table: the same counts keyed by
+    {!Column.key}, for inner loops scanning a {!Column.int_view} key
+    column ([Counter.get c (Column.key v)] = [frequency t v] for every
+    non-[Null] [v]). Built with the table by {!of_relation}, derived on
+    first use otherwise. *)
 
 val total : t -> int
 (** Sum of all frequencies (= number of non-NULL tuples scanned). *)

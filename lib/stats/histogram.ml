@@ -10,45 +10,26 @@ end)
 module End_biased = struct
   module Counter = Rsj_index.Int_index.Counter
 
-  (* Data-plane view of the tracked set, derived lazily: tracked counts
-     are >= threshold >= 1, so [Counter.get c k] = 0 unambiguously
-     means "not tracked" (low frequency). [Unavailable] marks histograms
-     tracking a non-int value. *)
-  type key_cache = Stale | Unavailable | Ready of Counter.t
-  type t = { threshold : int; tracked : int Vtbl.t; mass : int; mutable key_cache : key_cache }
+  (* Data-plane view of the tracked set, keyed by Column.key: tracked
+     counts are >= threshold >= 1, so [Counter.get plane k] = 0
+     unambiguously means "not tracked" (low frequency). *)
+  type t = { threshold : int; tracked : int Vtbl.t; mass : int; plane : Counter.t }
 
   let build freq ~threshold =
     let threshold = max threshold 1 in
     let tracked = Vtbl.create 64 in
+    let plane = Counter.create () in
     let mass = ref 0 in
     Frequency.iter freq (fun v c ->
         if c >= threshold then begin
           Vtbl.replace tracked v c;
+          let k = Column.key v in
+          if k <> Column.null_key then Counter.add plane k c;
           mass := !mass + c
         end);
-    { threshold; tracked; mass = !mass; key_cache = Stale }
+    { threshold; tracked; mass = !mass; plane }
 
-  let int_tracked t =
-    match t.key_cache with
-    | Ready c -> Some c
-    | Unavailable -> None
-    | Stale ->
-        let ok = ref true in
-        let c = Counter.create ~capacity:(Vtbl.length t.tracked) () in
-        Vtbl.iter
-          (fun v n ->
-            match v with
-            | Value.Int x when x <> min_int -> Counter.add c x n
-            | _ -> ok := false)
-          t.tracked;
-        if !ok then begin
-          t.key_cache <- Ready c;
-          Some c
-        end
-        else begin
-          t.key_cache <- Unavailable;
-          None
-        end
+  let int_tracked t = t.plane
 
   let build_fraction freq ~fraction =
     if fraction < 0. || fraction > 1. then

@@ -29,11 +29,10 @@ module End_biased : sig
       "below threshold", exactly the information loss the strategy must
       tolerate. *)
 
-  val int_tracked : t -> Rsj_index.Int_index.Counter.t option
-  (** Data-plane view of the tracked set: [Counter.get c k] is the
-      tracked frequency of [Int k], and 0 unambiguously means "not
-      tracked" (tracked counts are >= threshold >= 1). Derived on first
-      use; [None] when a tracked value has no int representation. *)
+  val int_tracked : t -> Rsj_index.Int_index.Counter.t
+  (** Data-plane view of the tracked set: [Counter.get c (Column.key v)]
+      is the tracked frequency of [v], and 0 unambiguously means "not
+      tracked" (tracked counts are >= threshold >= 1). *)
 
   val is_high : t -> Value.t -> bool
   (** Membership of the high-frequency subdomain Dhi. *)

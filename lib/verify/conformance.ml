@@ -71,9 +71,8 @@ let matrix ?(strategies = Strategy.all) ?(semantics = Semantics.all) ?(skews = d
         semantics)
     strategies
 
-(* The parallel runtime's fallback, covered by input: a string-keyed
-   copy of the uniform pair has no int key views, so every call runs
-   the sequential kernels. *)
+(* Dictionary-coded join keys, covered by input: a string-keyed copy of
+   the uniform pair, whose key views hold codes instead of ints. *)
 let default_cells () =
   matrix ()
   @ matrix ~semantics:[ Semantics.WR; Semantics.WoR ] ~skews:[ List.hd default_skews ]

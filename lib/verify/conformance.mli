@@ -10,8 +10,8 @@
       pooled draws against uniform; WoR cells test the hypergeometric
       marginal inclusion counts; CF cells conjoin conditional
       uniformity with a z-test of the Binomial(|J|, f) total size.
-      String-keyed WR/WoR cells run the parallel runtime's fallback
-      to the sequential kernels.
+      String-keyed WR/WoR cells run the same chunked runners over
+      dictionary-coded keys.
     - {b Aggregates}: per strategy × estimator × domain count, a KS
       test of standardized estimates against the normal CDF — gating
       the paper's §1 use case (approximate aggregates over the
@@ -60,8 +60,8 @@ type cell = {
   domains : int;
   str_keys : bool;
       (** Run on {!Rsj_workload.Zipf_tables.string_keyed} copies of the
-          skew's pair: the join columns have no int view, so the
-          parallel runtime falls back to the sequential kernels. *)
+          skew's pair: the chunked runners scan dictionary-coded
+          keys instead of the ints. *)
 }
 
 type cell_result = {
@@ -89,8 +89,8 @@ val matrix :
 val default_cells : unit -> cell list
 (** What {!run} sweeps when given no [cells]: {!matrix} plus 32
     string-keyed cells — every strategy × {WR, WoR} on the uniform
-    skew at domains 1 and 2 — which cover the parallel runtime's
-    fallback to the sequential kernels. *)
+    skew at domains 1 and 2 — which cover dictionary-coded join
+    keys. *)
 
 type estimator = Sum | Count | Avg
 (** Aggregate estimators KS-gated per strategy: Horvitz–Thompson SUM,

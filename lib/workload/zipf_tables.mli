@@ -43,10 +43,10 @@ val make_pair :
 
 val string_keyed : pair -> pair
 (** The same pair with [col2] stored as a string column (["17"] for
-    17): the same rows match, but the join columns have no
-    {!Rsj_relation.Column.int_view}, so every strategy runs its
-    sequential boxed kernel — the input that exercises the parallel
-    runtime's fallback. *)
+    17): the same rows match, and the join columns'
+    {!Rsj_relation.Column.int_view} holds dictionary codes instead of
+    the ints — the input that checks that the key representation
+    never changes a sample. *)
 
 val join_size : pair -> int
 (** Exact |outer ⋈ inner| on col2. *)

@@ -9,6 +9,7 @@ let relation_of_keys keys =
     (List.mapi (fun i k -> [| k; Value.Int i |]) keys)
 
 let ints l = List.map Value.int l
+let group_count idx = Rsj_index.Int_index.group_count (Hash_index.int_plane idx)
 
 (* ---------- hash index ---------- *)
 
@@ -21,11 +22,18 @@ let test_hash_lookup () =
   Alcotest.(check (array int)) "row ids in order" [| 0; 2; 4 |] (Hash_index.lookup idx (Value.Int 1));
   Alcotest.(check int) "max multiplicity" 3 (Hash_index.max_multiplicity idx)
 
+let test_hash_lookup_is_fresh () =
+  let r = relation_of_keys (ints [ 4; 4 ]) in
+  let idx = Hash_index.build r ~key:0 in
+  (Hash_index.lookup idx (Value.Int 4)).(0) <- 99;
+  Alcotest.(check (array int)) "next lookup unchanged" [| 0; 1 |]
+    (Hash_index.lookup idx (Value.Int 4))
+
 let test_hash_excludes_null () =
   let r = relation_of_keys [ Value.Int 1; Value.Null; Value.Int 1 ] in
   let idx = Hash_index.build r ~key:0 in
   Alcotest.(check int) "nulls not indexed" 0 (Hash_index.multiplicity idx Value.Null);
-  Alcotest.(check int) "distinct" 1 (Array.length (Hash_index.distinct_keys idx))
+  Alcotest.(check int) "distinct" 1 (group_count idx)
 
 let test_hash_matching_tuples () =
   let r = relation_of_keys (ints [ 5; 6; 5 ]) in
@@ -63,7 +71,7 @@ let test_hash_empty_relation () =
   let r = Relation.create schema in
   let idx = Hash_index.build r ~key:0 in
   Alcotest.(check int) "max mult 0" 0 (Hash_index.max_multiplicity idx);
-  Alcotest.(check int) "no keys" 0 (Array.length (Hash_index.distinct_keys idx))
+  Alcotest.(check int) "no keys" 0 (group_count idx)
 
 (* ---------- btree ---------- *)
 
@@ -139,9 +147,7 @@ let test_btree_agrees_with_hash_index () =
       (Printf.sprintf "postings agree for %d" v)
       (sorted hv) (sorted bv)
   done;
-  Alcotest.(check int) "distinct agree"
-    (Array.length (Hash_index.distinct_keys h))
-    (Btree.distinct_key_count b)
+  Alcotest.(check int) "distinct agree" (group_count h) (Btree.distinct_key_count b)
 
 (* ---------- btree deletion ---------- *)
 
@@ -253,6 +259,7 @@ let btree_model_prop =
 let suite =
   [
     Alcotest.test_case "hash: lookup and multiplicity" `Quick test_hash_lookup;
+    Alcotest.test_case "hash: lookup returns a fresh array" `Quick test_hash_lookup_is_fresh;
     Alcotest.test_case "hash: NULL keys excluded" `Quick test_hash_excludes_null;
     Alcotest.test_case "hash: matching tuples" `Quick test_hash_matching_tuples;
     Alcotest.test_case "hash: random_match uniform" `Slow test_hash_random_match_uniform;

@@ -158,10 +158,9 @@ let test_bifocal_zero_high_histogram () =
     (within_sigmas ~sigmas:4. est truth)
 
 let test_boxed_int_plane_agreement () =
-  (* The estimators read keys through Tuple.attr; whether the join
-     columns also have an int plane (an int-keyed pair builds one in
-     the index, a string-keyed copy cannot) must not change a single
-     bit of the estimate at equal seeds. *)
+  (* The estimators read keys through Tuple.attr and the index through
+     Column.key; whether the keys are ints or dictionary-coded strings
+     must not change a single bit of the estimate at equal seeds. *)
   let pair, _ = instance ~z1:1. ~z2:2. in
   let estimates (pair : Zipf_tables.pair) =
     let rng = Rsj_util.Prng.create ~seed:8 () in

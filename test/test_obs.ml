@@ -214,29 +214,6 @@ let small_env ?(seed = 0xAB) () =
 
 let span_end (e : Obs.Trace.event) = e.Obs.Trace.ts +. e.Obs.Trace.dur
 
-(* The strategy span names the implementation that ran: the chunked
-   int runners, or the sequential kernels a string-keyed join falls
-   back to. *)
-let test_strategy_span_plane () =
-  List.iter
-    (fun (expected, pair) ->
-      with_tracing @@ fun () ->
-      let env =
-        Strategy.make_env ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
-          ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ()
-      in
-      ignore (Rsj_parallel.run env Strategy.Stream ~r:8 ~domains:1);
-      let spans =
-        List.filter (fun e -> e.Obs.Trace.name = "strategy.Stream-Sample") (Obs.Trace.events ())
-      in
-      match spans with
-      | [ span ] ->
-          Alcotest.(check bool) ("plane = " ^ expected) true
-            (List.assoc_opt "plane" span.Obs.Trace.args = Some (Obs.Json.Str expected))
-      | l -> Alcotest.failf "expected 1 strategy span, got %d" (List.length l))
-    (let pair = Zipf_tables.make_pair ~seed:3 ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
-     [ ("int", pair); ("sequential", Zipf_tables.string_keyed pair) ])
-
 let test_span_nesting_under_pool () =
   List.iter
     (fun domains ->
@@ -424,7 +401,6 @@ let suite =
     Alcotest.test_case "registry JSON export parses" `Quick test_registry_json_export;
     Alcotest.test_case "trace document parses back" `Quick test_trace_json_wellformed;
     Alcotest.test_case "span nesting under the pool (d=1,2,4)" `Quick test_span_nesting_under_pool;
-    Alcotest.test_case "strategy span names its plane" `Quick test_strategy_span_plane;
     Alcotest.test_case "disabled path allocates nothing" `Quick test_disabled_path_allocation_free;
   ]
 

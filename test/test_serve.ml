@@ -152,8 +152,8 @@ let local_env' ~seed pair =
    bytes as the same run in this process: the FIFO loop and the warm
    cache may change who builds the structures and when, never what is
    sampled. Checked for every strategy, plus the WoR conversion, on
-   int keys (the chunked int plane) and on a string-keyed copy (the
-   fallback to the sequential kernels). *)
+   int keys and on a string-keyed copy (dictionary-coded keys through
+   the same chunked runners). *)
 let test_served_identical () =
   List.iter
     (fun (keys, pair, schema) ->
@@ -598,7 +598,10 @@ let read_whole path =
 (* Drive one picker-routed query with a client-chosen rid under
    RSJ_TRACE + RSJ_LOG: the very same id must come back in the done
    frame, tag the request/picker spans in the trace the daemon writes
-   at exit, and key the NDJSON request-log line. *)
+   at exit, and key the NDJSON request-log line. Every log line also
+   carries its request's FIFO wait (queued_s >= 0), and the
+   rsj_serve_queue_wait_seconds histogram in the exit snapshot observed
+   each executed request exactly once. *)
 let test_request_id_end_to_end () =
   let dir = fresh_dir () in
   let sock = Filename.concat dir "rsj.sock" in
@@ -684,7 +687,26 @@ let test_request_id_end_to_end () =
   Alcotest.(check bool) "log counts allocation" true
     (match Json.member "alloc_words" line with
     | Some (Json.Float _) | Some (Json.Int _) -> true
-    | _ -> false)
+    | _ -> false);
+  (* 4. Queue wait: on every line, and once per request in the
+     histogram. *)
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "log line carries queued_s >= 0" true
+        (match Json.member "queued_s" j with
+        | Some (Json.Float q) -> q >= 0.
+        | Some (Json.Int q) -> q >= 0
+        | _ -> false))
+    parsed;
+  let waits =
+    String.split_on_char '\n' (read_whole snapshot)
+    |> List.find_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "rsj_serve_queue_wait_seconds_count"; n ] -> int_of_string_opt n
+           | _ -> None)
+  in
+  Alcotest.(check (option int)) "one queue-wait observation per logged request"
+    (Some (List.length parsed)) waits
 
 (* ---------- configuration: refused when malformed, visible in effect ---------- *)
 
