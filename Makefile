@@ -5,7 +5,7 @@
 # RSJ_SKIP_MICRO, RSJ_SKIP_PAPER and RSJ_ONLY_PARALLEL (bench/main.ml),
 # and the test suite RSJ_DOMAINS and RSJ_COVERAGE_TRIALS.
 
-.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench loc clean
+.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench digest loc clean
 
 all: build
 
@@ -98,6 +98,14 @@ serve-test:
 serve-bench:
 	dune build bin/rsj.exe bench/serve_ab.exe
 	./_build/default/bench/serve_ab.exe ./_build/default/bin/rsj.exe BENCH_serve.json
+
+# digest = the bit-identity digest: one MD5 line per sampling cell
+# (reference and pooled runners, WR and WoR, int and string keys, the
+# chain walker) and a TOTAL. Run it on two checkouts and compare the
+# TOTALs to prove a refactor left every sample unchanged.
+digest:
+	dune build bench/digest.exe
+	./_build/default/bench/digest.exe
 
 # loc = the tracked source size: total lines of every committed .ml,
 # .mli and dune file, the figure line-count criteria are stated in.

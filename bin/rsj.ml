@@ -222,6 +222,7 @@ let sample_cmd =
       with
       | Failure msg -> `Error (false, msg)
       | Invalid_argument msg -> `Error (false, msg)
+      | Strategy.Wor_shortfall _ as e -> `Error (false, Printexc.to_string e)
     end
   in
   let info =
@@ -511,6 +512,7 @@ let trace_cmd =
       with
       | Failure msg -> `Error (false, msg)
       | Invalid_argument msg -> `Error (false, msg)
+      | Strategy.Wor_shortfall _ as e -> `Error (false, Printexc.to_string e)
     end
   in
   let info =

@@ -32,8 +32,11 @@ type spec = {
 }
 
 type t
-(** Prepared sampler: weight tables and per-value Vose alias tables
-    ({!Rsj_util.Dist.Alias_table}) for O(1) picks. *)
+(** Prepared sampler: per level, the positive-weight rows grouped by
+    their join key over the {!Rsj_relation.Column.int_view} plane
+    ({!Rsj_index.Int_index}), one Vose alias table
+    ({!Rsj_util.Dist.Alias_table}) per group for O(1) picks, and each
+    row's successor group resolved in advance. *)
 
 val prepare : ?metrics:Metrics.t -> spec -> t
 (** Validates the spec and builds the weight tables. Raises
@@ -44,19 +47,19 @@ val join_size : t -> float
 (** Exact |J| as the total root weight (float: chains can overflow
     int range; exact up to float precision). *)
 
-val draw : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> unit -> Tuple.t option
-(** One uniform random tuple of the chain join (concatenated row), or
-    [None] when the join is empty. *)
+val sample_rows : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> int array
+(** The one walk kernel: [r] independent WR draws returned as join
+    positions — row-id paths, [r] consecutive groups of [k] row ids
+    (group [j] holds the R1..Rk row ids of draw [j]) — with no tuple
+    materialization. The root picks are batched through the alias
+    table's [draw_many] (one packed-state pass). [[||]] when the join
+    is empty. *)
 
 val sample : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> Tuple.t array
-(** [r] independent draws (WR). [[||]] when the join is empty. The
-    root picks are batched through the alias table's [draw_many] (one
-    packed-state pass), so the stream differs from
-    [r] successive {!draw}s — each tuple is still an exact independent
-    uniform draw of the join. *)
+(** {!sample_rows} rehydrated through {!Rsj_relation.Relation.rehydrate}:
+    [r] independent uniform tuples of the chain join (concatenated
+    rows), WR. [[||]] when the join is empty. *)
 
-val sample_rows : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> int array
-(** The draw kernel alone: [r] independent WR draws returned as row-id
-    paths — [r] consecutive groups of [k] row ids (group [j] holds the
-    R1..Rk row ids of draw [j]) — with no tuple materialization.
-    [[||]] when the join is empty. *)
+val draw : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> unit -> Tuple.t option
+(** [sample ~r:1]: one uniform random tuple of the chain join, or
+    [None] when the join is empty. *)

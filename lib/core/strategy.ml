@@ -293,21 +293,28 @@ let run env strategy ~r =
   let elapsed_seconds = now () -. t0 in
   { strategy; sample; metrics; elapsed_seconds }
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
+exception Wor_shortfall of { caller : string; target : int; distinct : int }
 
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
+let () =
+  Printexc.register_printer (function
+    | Wor_shortfall { caller; _ } ->
+        Some (caller ^ ": failed to accumulate distinct samples (very small join?)")
+    | _ -> None)
 
 (* The §3 WR-to-WoR driver (observation 1): pull WR batches from
    [next] — each with the generator its dedupe pass shuffles with —
-   and keep the first occurrence of every distinct join tuple until
+   and keep the first occurrence of every distinct element until
    [target] have accumulated; returns them in acceptance order.
-   Distinct means tuple equality, not an equal hash, so colliding
-   tuples are never merged. *)
-let wor_batches ~caller ~target next =
-  let collected = Tuple_tbl.create (2 * max 1 target) in
+   Distinct means [equal], not an equal hash, so colliding elements are
+   never merged. *)
+let wor_batches (type a) ~equal ~hash ~caller ~target next =
+  let module Seen = Hashtbl.Make (struct
+    type t = a
+
+    let equal = equal
+    let hash = hash
+  end) in
+  let collected = Seen.create (2 * max 1 target) in
   let out = ref [] in
   let count = ref 0 in
   (* Batch size r keeps the expected number of rounds small. *)
@@ -316,17 +323,15 @@ let wor_batches ~caller ~target next =
     incr rounds;
     let dedup_rng, batch = next () in
     Array.iter
-      (fun t ->
-        if not (Tuple_tbl.mem collected t) then begin
-          Tuple_tbl.replace collected t ();
-          out := t :: !out;
+      (fun x ->
+        if not (Seen.mem collected x) then begin
+          Seen.replace collected x ();
+          out := x :: !out;
           incr count
         end)
-      (Convert.wr_to_wor dedup_rng ~equal:Tuple.equal ~hash:Tuple.hash ~r:(target - !count)
-         batch)
+      (Convert.wr_to_wor dedup_rng ~equal ~hash ~r:(target - !count) batch)
   done;
-  if !count < target then
-    failwith (caller ^ ": failed to accumulate distinct samples (very small join?)");
+  if !count < target then raise (Wor_shortfall { caller; target; distinct = !count });
   List.rev !out
 
 let run_wor env strategy ~r =
@@ -335,7 +340,7 @@ let run_wor env strategy ~r =
   let metrics = Metrics.create () in
   let t0 = now () in
   let accepted =
-    wor_batches ~caller:"Strategy.run_wor" ~target (fun () ->
+    wor_batches ~equal:Tuple.equal ~hash:Tuple.hash ~caller:"Strategy.run_wor" ~target (fun () ->
         let batch_rng = Rsj_util.Prng.split rng in
         let batch = dispatch env strategy batch_rng metrics ~r in
         (batch_rng, batch))

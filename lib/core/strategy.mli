@@ -156,15 +156,27 @@ val run_wor : env -> t -> r:int -> result
 (** WoR variant: runs the strategy with WR semantics and applies the
     §3 conversion through {!wor_batches}, topping up with further WR
     batches of size [r] until [min r |J|] distinct tuples are found.
-    Returns them newest first. *)
+    Returns them newest first. The kernels return tuples, not join
+    positions, so this reference is defined for set joins (no
+    duplicate tuples): on a bag join it raises {!Wor_shortfall}. *)
+
+exception Wor_shortfall of { caller : string; target : int; distinct : int }
+(** 64 WR batches yielded only [distinct] of the [target] distinct
+    elements. Prints as ["<caller>: failed to accumulate distinct
+    samples (very small join?)"]. *)
 
 val wor_batches :
-  caller:string -> target:int -> (unit -> Rsj_util.Prng.t * Tuple.t array) -> Tuple.t list
-(** The §3 WR-to-WoR driver shared by {!run_wor} and the parallel
-    runtime: each call of the closure yields one WR batch and the
-    generator {!Convert.wr_to_wor} shuffles it with; the first
-    occurrence of every distinct tuple is kept until [target] have
-    accumulated, and they come back in acceptance order. Distinct
-    means {!Rsj_relation.Tuple.equal}: tuples whose hashes collide are
-    never merged. Raises [Failure] (prefixed with [caller]) when 64
-    batches cannot reach the target. *)
+  equal:('a -> 'a -> bool) ->
+  hash:('a -> int) ->
+  caller:string ->
+  target:int ->
+  (unit -> Rsj_util.Prng.t * 'a array) ->
+  'a list
+(** The §3 WR-to-WoR driver shared by {!run_wor} (over tuples) and the
+    parallel runtime (over packed join positions): each call of the
+    closure yields one WR batch and the generator {!Convert.wr_to_wor}
+    shuffles it with; the first occurrence of every distinct element is
+    kept until [target] have accumulated, and they come back in
+    acceptance order. Distinct means [equal] ([hash] must agree with
+    it): elements whose hashes collide are never merged. Raises
+    {!Wor_shortfall} when 64 batches cannot reach the target. *)

@@ -90,9 +90,7 @@ module Counter = struct
 end
 
 type t = {
-  slot_keys : int array;
-  slot_gid : int array;
-  mask : int;
+  gids : Counter.t; (* key -> gid + 1, so a miss reads 0 *)
   starts : int array; (* length groups + 1; CSR offsets into rows *)
   rows : int array; (* row ids, storage order within each group *)
   groups : int;
@@ -101,12 +99,10 @@ type t = {
 
 let build ?keep ~keys () =
   let n = Array.length keys in
-  let cap = capacity_for n in
-  let slot_keys = Array.make cap sentinel in
-  let slot_gid = Array.make cap 0 in
-  let mask = cap - 1 in
   let keep_key = match keep with None -> fun _ -> true | Some f -> f in
-  (* Pass 1: assign gids in first-occurrence order, count group sizes. *)
+  (* Pass 1: assign gids in first-occurrence order, count group sizes.
+     The key table grows with the distinct keys, not with n. *)
+  let gids = Counter.create () in
   let counts = ref (Array.make 16 0) in
   let groups = ref 0 in
   let kept = ref 0 in
@@ -114,20 +110,18 @@ let build ?keep ~keys () =
     let k = Array.unsafe_get keys i in
     if k <> sentinel && keep_key k then begin
       incr kept;
-      let s = slot_of slot_keys mask k in
       let g =
-        if Array.unsafe_get slot_keys s = sentinel then begin
-          slot_keys.(s) <- k;
-          slot_gid.(s) <- !groups;
-          if !groups >= Array.length !counts then begin
-            let nc = Array.make (2 * Array.length !counts) 0 in
-            Array.blit !counts 0 nc 0 (Array.length !counts);
-            counts := nc
-          end;
-          incr groups;
-          !groups - 1
-        end
-        else Array.unsafe_get slot_gid s
+        match Counter.get gids k with
+        | 0 ->
+            Counter.add gids k (!groups + 1);
+            if !groups >= Array.length !counts then begin
+              let nc = Array.make (2 * Array.length !counts) 0 in
+              Array.blit !counts 0 nc 0 (Array.length !counts);
+              counts := nc
+            end;
+            incr groups;
+            !groups - 1
+        | g -> g - 1
       in
       !counts.(g) <- !counts.(g) + 1
     end
@@ -145,19 +139,14 @@ let build ?keep ~keys () =
   for i = 0 to n - 1 do
     let k = Array.unsafe_get keys i in
     if k <> sentinel && keep_key k then begin
-      let gid = Array.unsafe_get slot_gid (slot_of slot_keys mask k) in
+      let gid = Counter.get gids k - 1 in
       rows.(cursor.(gid)) <- i;
       cursor.(gid) <- cursor.(gid) + 1
     end
   done;
-  { slot_keys; slot_gid; mask; starts; rows; groups = g; max_mult = !max_mult }
+  { gids; starts; rows; groups = g; max_mult = !max_mult }
 
-let find_gid t k =
-  if k = sentinel then -1
-  else
-    let s = slot_of t.slot_keys t.mask k in
-    if Array.unsafe_get t.slot_keys s = sentinel then -1 else Array.unsafe_get t.slot_gid s
-
+let find_gid t k = Counter.get t.gids k - 1
 let gid_start t g = t.starts.(g)
 let gid_multiplicity t g = t.starts.(g + 1) - t.starts.(g)
 let row t j = t.rows.(j)

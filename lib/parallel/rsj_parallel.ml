@@ -1,30 +1,20 @@
 (* Parallel sampling runtime on OCaml 5 domains — full strategy
-   coverage, WR and WoR, on the persistent worker pool.
+   coverage, WR and WoR, on the persistent worker pool. The
+   chunk-queue scheduling, its determinism and Olken's speculative
+   ticketing are documented in rsj_parallel.mli.
 
    The runtime has one data plane. Every runner below scans the join
    columns as flat int arrays (Column.int_view, total over every key
    type), feeds allocation-free Wr_int kernels (or plain reservoirs of
-   row ids / packed row pairs) and rehydrates only the accepted winners
-   through Relation.get.
+   row ids / packed row pairs) and returns its sample as join
+   positions: packed (left row, right row) pairs. [run] and [run_wor]
+   turn the positions into tuples once, through Relation.rehydrate, and
+   WoR dedupes on the positions themselves.
 
-   Scans are distributed by the chunk-queue scheduler
-   (Chunk_scheduler): the relation is cut into fixed-size chunks that
-   sit behind one atomic cursor, and each domain claims the next chunk
-   with a fetch-and-add, so skewed chunks cannot strand work on one
-   domain the way a static split could. Each chunk carries its own
-   split generator, metrics and mergeable state (Reservoir.Wr /
-   Reservoir.Multi / Reservoir.Wor / Internals_int.Partition); the
-   results land in per-chunk slots and merge on the calling domain in
-   chunk order. Because chunk state depends only on the chunk index —
-   never on which domain ran it — and the chunk cut never depends on
-   the domain count, every chunked strategy is bit-deterministic for a
-   fixed seed at any domain count, and distribution-identical to one
-   sequential pass (the reservoir merges preserve the slot laws).
-
-   Worker domains come from the persistent Domain_pool: spawned once,
-   parked between calls, woken per scan — so a conformance sweep of
-   thousands of parallel calls pays a handful of spawns instead of
-   thousands.
+   Each chunk carries its own split generator, metrics and mergeable
+   state (Reservoir.Wr / Reservoir.Multi / Reservoir.Wor /
+   Internals_int.Partition); the reservoir merges preserve the slot
+   laws, so a merged result is distributed as one sequential pass.
 
    Count-Sample and Hybrid-Count's R2 matching step runs through the
    same machinery: one Multi reservoir per sampled join value per
@@ -35,18 +25,6 @@
    entry's merged unit pick is exactly such a draw, so the parallel
    scan keeps the law while auditing the reservoirs' fed counts
    against the claimed populations for staleness.
-
-   Olken-Sample is the one strategy that is not a scan: it is a
-   sequence of iid accept/reject rounds. It parallelizes
-   speculatively: every domain runs independent rounds with its own
-   split generator into a private buffer, a shared atomic ticket
-   counter hands out acceptance slots, and domains stop once r tickets
-   are gone. Accepted pairs are iid uniform on the join no matter
-   which domain produced them or when, and ticketing/stopping look
-   only at the counter — never at the sampled values — so discarding
-   post-r acceptances keeps the output law exactly Olken's. The
-   trade-off: which rounds land is timing-dependent, so Olken at
-   domains > 1 is distribution-identical but not bit-reproducible.
 
    Auxiliary structures (hash index, frequency statistics, histogram)
    are shared read-only; work counters are per-chunk Metrics.t values
@@ -82,7 +60,7 @@ let strategy_seconds strategy ~domains =
     ~labels:[ ("strategy", Strategy.name strategy); ("domains", string_of_int domains) ]
     "rsj_strategy_run_seconds"
 
-let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
+let observed ~semantics strategy ~r ~domains body =
   if not (Obs.enabled ()) then body ()
   else
     Obs.Trace.with_span ~cat:"strategy"
@@ -96,18 +74,30 @@ let observed ?(absorb = true) ~semantics strategy ~r ~domains body =
       ("strategy." ^ Strategy.name strategy)
       (fun () ->
         let result = body () in
-        (* WoR batch conversion re-enters [run] per batch, which already
-           absorbs each batch's counters — the outer wrapper must not
-           absorb the summed record again. *)
-        if absorb then
-          Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_"
-            (Metrics.to_assoc result.Strategy.metrics);
+        Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_" (Metrics.to_assoc result.Strategy.metrics);
         Obs.Registry.observe (strategy_seconds strategy ~domains) result.Strategy.elapsed_seconds;
         result)
 
-let timed strategy body =
+(* The one place a run's join positions — packed (left row, right row)
+   pairs (Internals_int.pack) — become tuples, counted once as the
+   run's delivered output. Consumes no randomness. *)
+let rehydrate env (metrics : Metrics.t) pairs =
+  Obs.Trace.with_span ~cat:"strategy" "rehydrate" @@ fun () ->
+  let rows = Array.make (2 * Array.length pairs) 0 in
+  Array.iteri
+    (fun j p ->
+      rows.(2 * j) <- Internals_int.unpack_left p;
+      rows.((2 * j) + 1) <- Internals_int.unpack_right p)
+    pairs;
+  let out = Relation.rehydrate [| Strategy.env_left env; Strategy.env_right env |] rows in
+  metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + Array.length out;
+  out
+
+(* The timed window of a run: the draws and the rehydration. *)
+let timed env strategy draw =
   let t0 = Obs.Clock.now_s () in
-  let sample, metrics = body () in
+  let pairs, metrics = draw () in
+  let sample = rehydrate env metrics pairs in
   { Strategy.strategy; sample; metrics; elapsed_seconds = Obs.Clock.now_s () -. t0 }
 
 (* Fold (state, metrics) chunk results in chunk order. [merge_rng] is
@@ -124,34 +114,6 @@ let fold_parts ~merge_rng ~merge ~empty (parts : _ array) =
     done;
     (!state, !metrics)
   end
-
-(* In-place Metrics accumulation, for call sites that thread a shared
-   mutable record (the partition finish) rather than folding fresh
-   ones. *)
-let absorb_metrics (dst : Metrics.t) (src : Metrics.t) =
-  let open Metrics in
-  dst.tuples_scanned <- dst.tuples_scanned + src.tuples_scanned;
-  dst.join_output_tuples <- dst.join_output_tuples + src.join_output_tuples;
-  dst.index_probes <- dst.index_probes + src.index_probes;
-  dst.hash_build_tuples <- dst.hash_build_tuples + src.hash_build_tuples;
-  dst.sort_tuples <- dst.sort_tuples + src.sort_tuples;
-  dst.output_tuples <- dst.output_tuples + src.output_tuples;
-  dst.random_accesses <- dst.random_accesses + src.random_accesses;
-  dst.rejected_samples <- dst.rejected_samples + src.rejected_samples;
-  dst.stats_lookups <- dst.stats_lookups + src.stats_lookups
-
-(* Join outputs travel as packed (left row, right row) pairs
-   (Internals_int.pack); only the accepted winners are turned back into
-   tuples. *)
-let rehydrate env pairs =
-  let left = Strategy.env_left env in
-  let right = Strategy.env_right env in
-  Array.map
-    (fun p ->
-      Tuple.join
-        (Relation.get left (Internals_int.unpack_left p))
-        (Relation.get right (Internals_int.unpack_right p)))
-    pairs
 
 (* One chunk-scheduled pass over [relation]'s rows. Each chunk gets
    its own generator (split by chunk index, so the result is
@@ -208,9 +170,7 @@ let run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq =
   let open Metrics in
   let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size rng ~keys1 ~freq in
   let index = Strategy.env_right_index env in
-  let left = Strategy.env_left env in
-  let right = Strategy.env_right env in
-  let out =
+  let pairs =
     Array.map
       (fun row ->
         metrics.index_probes <- metrics.index_probes + 1;
@@ -218,11 +178,10 @@ let run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq =
         | -1 -> failwith "Rsj_parallel.run(Stream): sampled tuple has no match in R2"
         | r2 ->
             metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Tuple.join (Relation.get left row) (Relation.get right r2))
+            Internals_int.pack row r2)
       s1
   in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
+  (pairs, metrics)
 
 let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
@@ -257,10 +216,7 @@ let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
     fold_parts ~merge_rng ~merge:Reservoir.Wr.merge ~empty:(fun () -> Reservoir.Wr.create ~r)
       parts
   in
-  let out = rehydrate env (Reservoir.Wr.contents res) in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
+  (Reservoir.Wr.contents res, Metrics.add main_metrics scan_metrics)
 
 (* Chunk-scheduled R2 matching shared by Group-Sample's step 3 and the
    Count-Sample scans. Each S1 entry needs an independent uniform pick
@@ -326,8 +282,23 @@ let per_group_r2_scan env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1 : i
   let merged, metrics = fold_parts ~merge_rng ~merge:merge_multi_arrays ~empty:fresh_multis parts in
   ((group_keys, members, merged), metrics)
 
+(* Pair every S1 entry with its group's merged R2 pick. *)
+let pair_picks ~caller (metrics : Metrics.t) ~(s1 : int array) ~members ~merged =
+  let pairs = Array.make (Array.length s1) 0 in
+  Array.iteri
+    (fun g mem ->
+      Array.iteri
+        (fun j i ->
+          match Reservoir.Multi.get merged.(g) j with
+          | Some r2 ->
+              metrics.join_output_tuples <- metrics.join_output_tuples + 1;
+              pairs.(i) <- Internals_int.pack s1.(i) r2
+          | None -> failwith (caller ^ ": sampled tuple has no match in R2"))
+        mem)
+    members;
+  pairs
+
 let run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
-  let open Metrics in
   let n1 = Relation.cardinality (Strategy.env_left env) in
   let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
   if Array.length s1 = 0 then ([||], metrics)
@@ -337,21 +308,7 @@ let run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
       per_group_r2_scan env ~domains ~chunk_size:(chunk_for n2) rng ~s1 ~keys1 ~keys2
     in
     let metrics = Metrics.add metrics scan_metrics in
-    let pairs = Array.make (Array.length s1) 0 in
-    Array.iteri
-      (fun g mem ->
-        Array.iteri
-          (fun j i ->
-            match Reservoir.Multi.get merged.(g) j with
-            | Some r2 ->
-                metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-                pairs.(i) <- Internals_int.pack s1.(i) r2
-            | None -> failwith "Rsj_parallel.run(Group): sampled tuple has no match in R2")
-          mem)
-      members;
-    let out = rehydrate env pairs in
-    metrics.output_tuples <- metrics.output_tuples + Array.length out;
-    (out, metrics)
+    (pair_picks ~caller:"Rsj_parallel.run(Group)" metrics ~s1 ~members ~merged, metrics)
   end
 
 (* Count-Sample's R2 matching: the per-group Multi reservoirs above
@@ -363,7 +320,6 @@ let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array)
     ~keys2 ~(population : int -> int) =
   if Array.length s1 = 0 then ([||], Metrics.create ())
   else begin
-    let open Metrics in
     Array.iter
       (fun row ->
         if population keys1.(row) <= 0 then
@@ -372,31 +328,20 @@ let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array)
     let (group_keys, members, merged), metrics =
       per_group_r2_scan env ~domains ~chunk_size rng ~s1 ~keys1 ~keys2
     in
-    let pairs = Array.make (Array.length s1) 0 in
     Array.iteri
-      (fun g mem ->
-        let pop = population group_keys.(g) in
+      (fun g key ->
+        let pop = population key in
         let fed = Reservoir.Multi.fed_count merged.(g) in
         if fed > pop then
           failwith (strategy ^ ": R2 holds more tuples of a value than the statistics claim");
         if fed < pop then
-          failwith (strategy ^ ": statistics overstate a value's frequency (stale statistics?)");
-        Array.iteri
-          (fun j i ->
-            match Reservoir.Multi.get merged.(g) j with
-            | Some r2 ->
-                metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-                pairs.(i) <- Internals_int.pack s1.(i) r2
-            | None ->
-                (* fed = pop > 0 guarantees every slot holds a pick. *)
-                assert false)
-          mem)
-      members;
-    (pairs, metrics)
+          failwith (strategy ^ ": statistics overstate a value's frequency (stale statistics?)"))
+      group_keys;
+    (* fed = pop > 0: every slot holds a pick. *)
+    (pair_picks ~caller:strategy metrics ~s1 ~members ~merged, metrics)
   end
 
 let run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
-  let open Metrics in
   let n1 = Relation.cardinality (Strategy.env_left env) in
   let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
   let n2 = Relation.cardinality (Strategy.env_right env) in
@@ -405,10 +350,7 @@ let run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
       ~strategy:"Rsj_parallel.run(Count)" ~s1 ~keys1 ~keys2
       ~population:(fun k -> Counter.get freq k)
   in
-  let metrics = Metrics.add metrics scan_metrics in
-  let out = rehydrate env pairs in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
+  (pairs, Metrics.add metrics scan_metrics)
 
 (* Speculative Olken: every domain runs independent accept/reject
    rounds (Olken_sample.attempt_int — iid, uniform on the join
@@ -464,8 +406,6 @@ let run_olken env ~r ~domains rng ~keys1 =
     if Array.length pairs < r then
       failwith
         "Rsj_parallel.run(Olken): iteration budget exhausted (join empty or near-empty?)";
-    let out = rehydrate env pairs in
-    metrics.output_tuples <- metrics.output_tuples + r;
     (* Acceptance/rejection tallies as first-class registry counters, so
        the rejection-rate churn Olken trades for its index probes is
        readable off `rsj metrics` without diffing work records. *)
@@ -478,7 +418,7 @@ let run_olken env ~r ~domains rng ~keys1 =
         (Obs.Registry.counter ~help:"Olken rounds accepted" "rsj_olken_acceptances_total")
         r
     end;
-    (out, metrics)
+    (pairs, metrics)
   end
 
 (* The shared hi/lo routing pass of the partition strategies
@@ -505,18 +445,16 @@ let partition_pass env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~tracked
     parts
 
 (* Combine a merged partition accumulator into the final sample: exact
-   |Jhi| from the tallies, the strategy-specific hi pool, the binomial
-   hi/lo split. Runs on the calling domain — the pools have size r. *)
-let partition_finish env ~r rng metrics acc ~tracked ~hi_pool =
-  let open Metrics in
+   |Jhi| from the tallies, the strategy-specific hi pool (which returns
+   the run's metrics with its own work added), the binomial hi/lo
+   split. Runs on the calling domain — the pools have size r. *)
+let partition_finish ~r rng metrics acc ~tracked ~hi_pool =
   let n_hi = Internals_int.Partition.n_hi acc ~tracked in
   let n_lo = Internals_int.Partition.n_lo acc in
-  let hi_pool = hi_pool metrics (Internals_int.Partition.s1 acc) in
+  let hi_pool, metrics = hi_pool metrics (Internals_int.Partition.s1 acc) in
   let lo_pool = Internals_int.Partition.lo_pool acc in
   let pairs, _r_hi, _r_lo = Internals.binomial_combine rng ~r ~n_hi ~n_lo ~hi_pool ~lo_pool in
-  let out = rehydrate env pairs in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
+  (pairs, metrics)
 
 let run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked =
   let main_metrics = Metrics.create () in
@@ -526,8 +464,8 @@ let run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~track
       ~on_lo_probe:(fun _ -> ())
   in
   let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
-      Internals_int.fps_hi_pick rng m ~tbl ~keys1 s1)
+  partition_finish ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+      (Internals_int.fps_hi_pick rng m ~tbl ~keys1 s1, m))
 
 let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
   let n1 = Relation.cardinality (Strategy.env_left env) in
@@ -541,7 +479,7 @@ let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
       ~on_lo_probe:(fun _ -> ())
   in
   let metrics = Metrics.add main_metrics scan_metrics in
-  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+  partition_finish ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
       (* The hi pool is Count-Sample on the high-frequency values: the
          chunk-scheduled per-entry R2 scan replaces the sequential U1
          pass here too. *)
@@ -550,8 +488,7 @@ let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
           ~strategy:"Rsj_parallel.run(Hybrid)" ~s1 ~keys1 ~keys2
           ~population:(fun k -> Counter.get tracked k)
       in
-      absorb_metrics m hi_metrics;
-      pairs)
+      (pairs, Metrics.add m hi_metrics))
 
 let run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
   let right_index = Strategy.env_right_index env in
@@ -562,8 +499,8 @@ let run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
   let acc, metrics =
     partition_pass env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
   in
-  partition_finish env ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
-      Internals_int.index_hi_pick rng m ~right_index ~keys1 s1)
+  partition_finish ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
+      (Internals_int.index_hi_pick rng m ~right_index ~keys1 s1, m))
 
 (* Parallel WoR, Naive path: the join is enumerated by the chunked R1
    scan and every join pair is fed into the chunk's Wor (Vitter
@@ -602,18 +539,16 @@ let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
       ~empty:(fun () -> Reservoir.Wor.create ~r)
       parts
   in
-  let out = rehydrate env (Reservoir.Wor.contents res) in
-  let metrics = Metrics.add main_metrics scan_metrics in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  (out, metrics)
+  (Reservoir.Wor.contents res, Metrics.add main_metrics scan_metrics)
 
-(* The runner for [strategy] over the env's key views. Building it
+(* The runner for [strategy] over the env's key views: a function from
+   ~r and a generator to (packed join positions, metrics). Building it
    forces those views and the int planes of the structures the
    strategy reads — before the runner starts its clock, so like the
    indexes and statistics [Strategy.prepare] forces, they count as
    pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
-   pass; the other strategies' WoR re-enters [run] per batch, so their
-   WR runner is never called. *)
+   pass; the other strategies' WoR draws WR batches from their WR
+   runner. *)
 let int_runner ?(wor = false) env strategy ~domains ~chunk_for =
   let keys1 = Strategy.env_left_key_view env in
   let keys2 = Strategy.env_right_key_view env in
@@ -661,34 +596,39 @@ let run ?chunk_size env strategy ~r ~domains =
   let runner = int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
   observed ~semantics:"WR" strategy ~r ~domains (fun () ->
       let rng = Prng.split (Strategy.env_rng env) in
-      timed strategy (fun () -> runner ~r rng))
+      timed env strategy (fun () -> runner ~r rng))
 
-(* Parallel WoR for every strategy but Naive: the §3 conversion of
-   Strategy.run_wor — WR batches deduplicated until [target] distinct
-   join tuples have accumulated — with each batch a pooled parallel
-   draw through [run]. *)
-let run_wor_batches ?chunk_size env strategy ~domains ~target =
+let wor_batches_total strategy =
+  Obs.Registry.counter ~help:"WR batches drawn by the WoR conversion driver"
+    ~labels:[ ("strategy", Strategy.name strategy) ]
+    "rsj_wor_batches_total"
+
+(* WoR for every strategy but Naive: the §3 conversion — WR batches of
+   [target] positions from the strategy's own runner, deduplicated on
+   the packed positions until [target] distinct ones have accumulated.
+   The generators split off the env in a fixed order ([dedup_rng]
+   first, then one per batch), so the loop is deterministic. On a set
+   join distinct positions are distinct tuples. *)
+let run_wor_batches env strategy runner ~target =
   let dedup_rng = Prng.split (Strategy.env_rng env) in
   let metrics = ref (Metrics.create ()) in
-  let sample =
-    Strategy.wor_batches ~caller:"Rsj_parallel.run_wor" ~target (fun () ->
-        let batch = run ?chunk_size env strategy ~r:target ~domains in
-        metrics := Metrics.add !metrics batch.Strategy.metrics;
-        (dedup_rng, batch.Strategy.sample))
+  let pairs =
+    Strategy.wor_batches ~equal:Int.equal ~hash:Hashtbl.hash ~caller:"Rsj_parallel.run_wor"
+      ~target (fun () ->
+        if Obs.enabled () then Obs.Registry.incr (wor_batches_total strategy);
+        let batch, m = runner ~r:target (Prng.split (Strategy.env_rng env)) in
+        metrics := Metrics.add !metrics m;
+        (dedup_rng, batch))
   in
-  (Array.of_list sample, !metrics)
+  (Array.of_list pairs, !metrics)
 
 let run_wor ?chunk_size env strategy ~r ~domains =
   validate ~caller:"Rsj_parallel.run_wor" ?chunk_size ~r ~domains ();
   Strategy.prepare env strategy;
   let runner = int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
-  (* Only the direct chunked-Vitter path (Naive) absorbs its counters
-     here; the batch-conversion path re-enters [run], which absorbs per
-     batch. *)
-  let naive = strategy = Strategy.Naive in
-  observed ~absorb:naive ~semantics:"WoR" strategy ~r ~domains (fun () ->
+  observed ~semantics:"WoR" strategy ~r ~domains (fun () ->
       let target = min r (Strategy.env_join_size env) in
-      timed strategy (fun () ->
+      timed env strategy (fun () ->
           if target = 0 then ([||], Metrics.create ())
-          else if naive then runner ~r:target (Prng.split (Strategy.env_rng env))
-          else run_wor_batches ?chunk_size env strategy ~domains ~target))
+          else if strategy = Strategy.Naive then runner ~r:target (Prng.split (Strategy.env_rng env))
+          else run_wor_batches env strategy runner ~target))

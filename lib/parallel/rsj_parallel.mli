@@ -7,9 +7,11 @@
     every [domains >= 1] (the daemon, the CLI and the SQL engine's
     two-table [SAMPLE] all come through it). The runners scan the join
     columns as flat int arrays ({!Rsj_relation.Column.int_view}, total
-    over every key type) and rehydrate only the sampled rows. How a key
-    is stored never changes the sample: a string-, float- or int-keyed
-    copy of a join draws the same row pairs at the same seed.
+    over every key type) and return join positions — (R1 row, R2 row)
+    pairs — which {!run} and {!run_wor} turn into tuples once, through
+    {!Rsj_relation.Relation.rehydrate}. How a key is stored never
+    changes the sample: a string-, float- or int-keyed copy of a join
+    draws the same row pairs at the same seed.
 
     Worker domains come from the persistent {!Domain_pool}: spawned
     once, parked on a condition variable between calls, reused by
@@ -79,23 +81,22 @@ val run :
 val run_wor :
   ?chunk_size:int -> Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run_wor env strategy ~r ~domains] draws a without-replacement
-    sample of [min r |J|] distinct join tuples like
-    {!Strategy.run_wor}, executed on the pooled runtime for
-    [domains >= 1].
+    sample of [min r |J|] distinct join positions, on the pooled
+    runtime for [domains >= 1]. On a set join these are distinct
+    tuples, as in {!Strategy.run_wor}; on a bag join a tuple appears
+    at most as often as its multiplicity.
 
-    Naive-Sample gets a direct parallel path: every chunk of the R1
-    scan feeds its enumerated join tuples into a private
-    without-replacement reservoir (Vitter's Algorithm R,
-    {!Rsj_core.Reservoir.Wor}), and the chunk-order merge applies the
-    Wor merge law — the merged reservoir is distributed exactly as one
-    sequential Algorithm R pass over the join stream. Every other
-    strategy keeps the §3 conversion of {!Strategy.run_wor} — WR
-    batches deduplicated by the shared driver {!Strategy.wor_batches}
-    until the target is reached — with each batch drawn through
-    {!run}, so the batches themselves are parallel.
+    Naive-Sample feeds every enumerated join pair of a chunk into a
+    private without-replacement reservoir (Vitter's Algorithm R,
+    {!Rsj_core.Reservoir.Wor}); the chunk-order Wor merge makes the
+    result distributed as one sequential pass over the join. Every other
+    strategy runs the §3 conversion through {!Strategy.wor_batches}:
+    WR batches of [min r |J|] positions from the strategy's chunked
+    runner, deduplicated on the positions until the target is reached.
+    Either way the request is one strategy span and one run-time
+    observation; the batches count in [rsj_wor_batches_total].
 
     Deterministic for a fixed seed across all [domains >= 1] (Olken
-    excepted, as for {!run}). Raises [Failure] when 64 batch rounds
-    cannot accumulate the target (degenerate joins), like
-    {!Strategy.run_wor}; raises [Invalid_argument] on [r < 0],
-    [domains < 1] or [chunk_size <= 0]. *)
+    excepted, as for {!run}). Raises {!Strategy.Wor_shortfall} when 64
+    batches cannot reach the target, and [Invalid_argument] on
+    [r < 0], [domains < 1] or [chunk_size <= 0]. *)

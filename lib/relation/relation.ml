@@ -58,6 +58,13 @@ let get t i =
     invalid_arg (Printf.sprintf "Relation.get(%s): row %d out of range [0,%d)" t.name i t.size);
   t.rows.(i)
 
+let rehydrate rels rows =
+  let k = Array.length rels in
+  if k = 0 || Array.length rows mod k <> 0 then
+    invalid_arg "Relation.rehydrate: row ids must come in groups of one per relation";
+  Array.init (Array.length rows / k) (fun j ->
+      Array.concat (List.init k (fun i -> get rels.(i) rows.((j * k) + i))))
+
 let iter t f =
   for i = 0 to t.size - 1 do
     f t.rows.(i)

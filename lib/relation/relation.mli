@@ -40,6 +40,14 @@ val get : t -> int -> Tuple.t
 (** [get t i] is row [i] (0-based). Raises [Invalid_argument] when out of
     range. This is the random-access primitive. *)
 
+val rehydrate : t array -> int array -> Tuple.t array
+(** [rehydrate rels rows] turns a sample of join positions into tuples.
+    [rows] holds consecutive groups of [Array.length rels] row ids, one
+    per relation in order; output [j] is group [j]'s rows concatenated.
+    The one place where the sampling fast paths (the pooled runners,
+    the chain walker) build output tuples. Raises [Invalid_argument]
+    on an empty [rels], a ragged [rows] or an out-of-range id. *)
+
 val iter : t -> (Tuple.t -> unit) -> unit
 val iteri : t -> (int -> Tuple.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Tuple.t -> 'a) -> 'a

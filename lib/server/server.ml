@@ -263,7 +263,9 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     try
       if wor then Rsj_parallel.run_wor env strategy ~r ~domains
       else Rsj_parallel.run env strategy ~r ~domains
-    with Failure msg | Invalid_argument msg -> rejectf P.Engine_error "%s" msg
+    with
+    | Failure msg | Invalid_argument msg -> rejectf P.Engine_error "%s" msg
+    | Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
   in
   let sample =
     if st.biased then biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r

@@ -39,12 +39,16 @@ let default_config () =
     retries = 2;
   }
 
+type input = Int_keys | Str_keys | Bag
+
+let input_suffix = function Int_keys -> "" | Str_keys -> "/str-keys" | Bag -> "/bag"
+
 type cell = {
   strategy : Strategy.t;
   semantics : Semantics.t;
   skew : skew;
   domains : int;
-  str_keys : bool;
+  input : input;
 }
 
 type cell_result = {
@@ -57,7 +61,7 @@ type cell_result = {
 let default_domain_counts = [ 1; 2; 4 ]
 
 let matrix ?(strategies = Strategy.all) ?(semantics = Semantics.all) ?(skews = default_skews)
-    ?(domain_counts = default_domain_counts) ?(str_keys = false) () =
+    ?(domain_counts = default_domain_counts) ?(input = Int_keys) () =
   List.concat_map
     (fun strategy ->
       List.concat_map
@@ -65,18 +69,24 @@ let matrix ?(strategies = Strategy.all) ?(semantics = Semantics.all) ?(skews = d
           List.concat_map
             (fun skew ->
               List.map
-                (fun domains -> { strategy; semantics = sem; skew; domains; str_keys })
+                (fun domains -> { strategy; semantics = sem; skew; domains; input })
                 domain_counts)
             skews)
         semantics)
     strategies
 
-(* Dictionary-coded join keys, covered by input: a string-keyed copy of
-   the uniform pair, whose key views hold codes instead of ints. *)
+(* Two more inputs: dictionary-coded join keys (a string-keyed copy of
+   the uniform pair, whose key views hold codes instead of ints), and a
+   bag join (the skewed pair with its rids zeroed, so each join value
+   yields many copies of one tuple) against the multiplicity-weighted
+   oracle. *)
 let default_cells () =
+  let sub ~skew ~domain_counts input =
+    matrix ~semantics:[ Semantics.WR; Semantics.WoR ] ~skews:[ skew ] ~domain_counts ~input ()
+  in
   matrix ()
-  @ matrix ~semantics:[ Semantics.WR; Semantics.WoR ] ~skews:[ List.hd default_skews ]
-      ~domain_counts:[ 1; 2 ] ~str_keys:true ()
+  @ sub ~skew:(List.hd default_skews) ~domain_counts:[ 1; 2 ] Str_keys
+  @ sub ~skew:(List.nth default_skews 1) ~domain_counts:[ 1; 4 ] Bag
 
 (* Deterministic seed mixing: every attempt of every cell draws from its
    own reproducible stream, so retries are independent and reruns are
@@ -104,6 +114,18 @@ let draw_cf rng env strategy ~f ~domains =
 (* ------------------------------------------------------------------ *)
 (* Cell runner                                                         *)
 
+(* A WoR trial is a set of distinct join positions: exactly min r |J|
+   tuples, none more often than its multiplicity. Like a tuple outside
+   the join, a violation is a correctness bug, not bias. *)
+let check_wor oracle ~r sample =
+  let counts = Oracle.counter oracle in
+  Array.iter (Oracle.observe oracle counts) sample;
+  if
+    Array.length sample <> min r (Oracle.size oracle)
+    || Array.exists Fun.id (Array.mapi (fun i c -> c > Oracle.multiplicity oracle i) counts)
+  then failwith "Conformance: a WoR trial is not min r |J| distinct join positions";
+  sample
+
 let cf_fraction config ~join_size =
   Float.min 0.9 (float_of_int config.r /. float_of_int (max 1 join_size))
 
@@ -115,7 +137,7 @@ let run_cell kconfig config ~pair ~oracle ~cell_index cell =
         ("semantics", Obs.Json.Str (Semantics.to_string cell.semantics));
         ("skew", Obs.Json.Str cell.skew.label);
         ("domains", Obs.Json.Int cell.domains);
-        ("str_keys", Obs.Json.Bool cell.str_keys);
+        ("input", Obs.Json.Str (input_suffix cell.input));
       ]
     "verify.cell"
   @@ fun () ->
@@ -159,7 +181,8 @@ let run_cell kconfig config ~pair ~oracle ~cell_index cell =
         Kernel.run kconfig Kernel.Chi_square ~sample:(fun ~attempt ->
             let counts, _ =
               tally (make_env attempt) (fun env ->
-                  draw_wor env cell.strategy ~r:config.r ~domains:cell.domains)
+                  check_wor oracle ~r:config.r
+                    (draw_wor env cell.strategy ~r:config.r ~domains:cell.domains))
             in
             (Oracle.wor_expected oracle ~trials ~r:config.r, counts))
     | Semantics.CF ->
@@ -495,17 +518,21 @@ let run ?config ?cells ?(with_aggregates = true) ?(with_chains = true) ?(with_co
             ~seed:(mix config.seed 0x7A1E i)
             ~n1:config.n1 ~n2:config.n2 ~z1:skew.z1 ~z2:skew.z2 ~domain:config.domain ()
         in
-        (skew.label, (with_oracle pair, lazy (with_oracle (Zipf_tables.string_keyed pair)))))
+        let copy f = lazy (with_oracle (f pair)) in
+        (skew.label, (with_oracle pair, copy Zipf_tables.string_keyed, copy Zipf_tables.bag)))
       skews
   in
-  let instance label = fst (List.assoc label instances) in
+  let instance ?(input = Int_keys) label =
+    let int_keyed, str_keyed, bag = List.assoc label instances in
+    match input with
+    | Int_keys -> int_keyed
+    | Str_keys -> Lazy.force str_keyed
+    | Bag -> Lazy.force bag
+  in
   let results =
     List.mapi
       (fun i cell ->
-        let pair, oracle =
-          if cell.str_keys then Lazy.force (snd (List.assoc cell.skew.label instances))
-          else instance cell.skew.label
-        in
+        let pair, oracle = instance ~input:cell.input cell.skew.label in
         run_cell kconfig config ~pair ~oracle ~cell_index:i cell)
       cells
   in
@@ -553,7 +580,7 @@ let report summary =
         [
           Strategy.name cell.strategy;
           Semantics.to_string cell.semantics;
-          (if cell.str_keys then cell.skew.label ^ "/str-keys" else cell.skew.label);
+          cell.skew.label ^ input_suffix cell.input;
           string_of_int cell.domains;
           string_of_int join_size;
           string_of_int draws;

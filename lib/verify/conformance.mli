@@ -11,7 +11,10 @@
       marginal inclusion counts; CF cells conjoin conditional
       uniformity with a z-test of the Binomial(|J|, f) total size.
       String-keyed WR/WoR cells run the same chunked runners over
-      dictionary-coded keys.
+      dictionary-coded keys; bag-join cells run them on a join with
+      duplicate output tuples against the multiplicity-weighted
+      oracle. Every WoR trial must return exactly [min r |J|] tuples,
+      none more often than its multiplicity.
     - {b Aggregates}: per strategy × estimator × domain count, a KS
       test of standardized estimates against the normal CDF — gating
       the paper's §1 use case (approximate aggregates over the
@@ -53,15 +56,22 @@ val default_config : unit -> config
     (read through {!Rsj_obs.Config}, which raises [Invalid_argument]
     when it is set but not a positive integer). *)
 
+(** The input a cell samples from, built off the skew's pair. *)
+type input =
+  | Int_keys  (** The pair itself. *)
+  | Str_keys
+      (** {!Rsj_workload.Zipf_tables.string_keyed}: the chunked runners
+          scan dictionary-coded keys instead of the ints. *)
+  | Bag
+      (** {!Rsj_workload.Zipf_tables.bag}: a bag join, many positions
+          per distinct tuple. *)
+
 type cell = {
   strategy : Strategy.t;
   semantics : Semantics.t;
   skew : skew;
   domains : int;
-  str_keys : bool;
-      (** Run on {!Rsj_workload.Zipf_tables.string_keyed} copies of the
-          skew's pair: the chunked runners scan dictionary-coded
-          keys instead of the ints. *)
+  input : input;
 }
 
 type cell_result = {
@@ -79,18 +89,18 @@ val matrix :
   ?semantics:Semantics.t list ->
   ?skews:skew list ->
   ?domain_counts:int list ->
-  ?str_keys:bool ->
+  ?input:input ->
   unit ->
   cell list
 (** The full cross product (default: every strategy × {WR, WoR, CF} ×
     {!default_skews} × {!default_domain_counts} = 144 cells), on
-    int keys unless [str_keys]. *)
+    [input] (default [Int_keys]). *)
 
 val default_cells : unit -> cell list
 (** What {!run} sweeps when given no [cells]: {!matrix} plus 32
     string-keyed cells — every strategy × {WR, WoR} on the uniform
-    skew at domains 1 and 2 — which cover dictionary-coded join
-    keys. *)
+    skew at domains 1 and 2 — and 32 bag-join cells — every strategy
+    × {WR, WoR} on the zipf(1,2) skew at domains 1 and 4. *)
 
 type estimator = Sum | Count | Avg
 (** Aggregate estimators KS-gated per strategy: Horvitz–Thompson SUM,
@@ -148,7 +158,7 @@ val run :
   summary
 (** Execute the sweep ([cells] defaults to {!default_cells}). Workload
     pairs and oracles are built once per skew (and once more for its
-    string-keyed copy when a cell asks for it); every cell attempt re-derives its own seed from
+    string-keyed or bag copy when a cell asks for it); every cell attempt re-derives its own seed from
     [config.seed], the cell index and the attempt number, so the whole
     run is reproducible and retries are independent. *)
 

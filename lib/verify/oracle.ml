@@ -3,20 +3,35 @@ module Strategy = Rsj_core.Strategy
 module Chain_sample = Rsj_core.Chain_sample
 module Hash_index = Rsj_index.Hash_index
 
-type t = { universe : Tuple.t array; index : (Tuple.t, int) Hashtbl.t }
+(* One cell per distinct join tuple, weighted by its multiplicity:
+   a bag join's c_t copies of a tuple are c_t join positions that all
+   land in the same cell. *)
+type t = {
+  universe : Tuple.t array;
+  mult : int array;
+  size : int;
+  index : (Tuple.t, int) Hashtbl.t;
+}
 
-let of_universe universe =
-  let n = Array.length universe in
-  let index = Hashtbl.create (2 * max 1 n) in
-  Array.iteri
-    (fun i t ->
-      if Hashtbl.mem index t then
-        invalid_arg
-          (Printf.sprintf "Oracle: duplicate tuple %s in the enumerated join"
-             (Tuple.to_string t));
-      Hashtbl.replace index t i)
-    universe;
-  { universe; index }
+let of_universe tuples =
+  let index = Hashtbl.create (2 * max 1 (Array.length tuples)) in
+  let mult = Array.make (Array.length tuples) 0 in
+  let cells = ref [] in
+  Array.iter
+    (fun t ->
+      let i =
+        match Hashtbl.find_opt index t with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length index in
+            Hashtbl.replace index t i;
+            cells := t :: !cells;
+            i
+      in
+      mult.(i) <- mult.(i) + 1)
+    tuples;
+  let universe = Array.of_list (List.rev !cells) in
+  { universe; mult = Array.sub mult 0 (Array.length universe); size = Array.length tuples; index }
 
 let of_relations ~left ~right ~left_key ~right_key =
   let plan =
@@ -59,10 +74,11 @@ let of_chain (spec : Chain_sample.spec) =
   of_universe (Array.of_list (List.map fst !acc))
 
 let universe t = t.universe
-let size t = Array.length t.universe
+let size t = t.size
+let multiplicity t i = t.mult.(i)
 let cell t tuple = Hashtbl.find_opt t.index tuple
 
-let counter t = Array.make (size t) 0
+let counter t = Array.make (Array.length t.universe) 0
 
 let observe t counts tuple =
   match Hashtbl.find_opt t.index tuple with
@@ -71,19 +87,20 @@ let observe t counts tuple =
       invalid_arg
         (Printf.sprintf "Oracle.observe: tuple %s is not in the join" (Tuple.to_string tuple))
 
+(* Every law below is per join position; a cell's expectation is its
+   multiplicity times that of one position. *)
+let per_cell t x = Array.map (fun c -> float_of_int c *. x) t.mult
+
 let wr_expected t ~draws =
-  let n = size t in
-  if n = 0 then invalid_arg "Oracle.wr_expected: empty join";
-  Array.make n (float_of_int draws /. float_of_int n)
+  if t.size = 0 then invalid_arg "Oracle.wr_expected: empty join";
+  per_cell t (float_of_int draws /. float_of_int t.size)
 
 let wor_inclusion t ~r =
-  let n = size t in
-  if n = 0 then invalid_arg "Oracle.wor_inclusion: empty join";
-  float_of_int (min r n) /. float_of_int n
+  if t.size = 0 then invalid_arg "Oracle.wor_inclusion: empty join";
+  float_of_int (min r t.size) /. float_of_int t.size
 
-let wor_expected t ~trials ~r =
-  Array.make (size t) (float_of_int trials *. wor_inclusion t ~r)
+let wor_expected t ~trials ~r = per_cell t (float_of_int trials *. wor_inclusion t ~r)
 
 let cf_expected t ~trials ~f =
   if f < 0. || f > 1. then invalid_arg "Oracle.cf_expected: f outside [0,1]";
-  Array.make (size t) (float_of_int trials *. f)
+  per_cell t (float_of_int trials *. f)

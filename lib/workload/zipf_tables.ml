@@ -50,22 +50,29 @@ let make_pair ?(seed = 0x5EED) ~n1 ~n2 ~z1 ~z2 ~domain () =
     domain;
   }
 
-let string_keyed pair =
-  let schema =
-    Schema.of_list [ ("rid", Value.T_int); ("col2", Value.T_str); ("pad", Value.T_str) ]
-  in
+(* Both tables of [pair] copied row by row through [set], which
+   rewrites one cell of a fresh row. *)
+let rewrite ~suffix ?schema set pair =
   let copy rel =
+    let schema = Option.value schema ~default:(Relation.schema rel) in
     let out =
-      Relation.create ~name:(Relation.name rel ^ "_str") ~capacity:(Relation.cardinality rel)
-        schema
+      Relation.create ~name:(Relation.name rel ^ suffix) ~capacity:(Relation.cardinality rel) schema
     in
     Relation.iter rel (fun t ->
         let t = Array.copy t in
-        (match t.(col2) with Value.Int v -> t.(col2) <- Value.Str (string_of_int v) | _ -> ());
+        set t;
         Relation.append_unchecked out t);
     out
   in
   { pair with outer = copy pair.outer; inner = copy pair.inner }
+
+let string_keyed =
+  rewrite ~suffix:"_str"
+    ~schema:(Schema.of_list [ ("rid", Value.T_int); ("col2", Value.T_str); ("pad", Value.T_str) ])
+    (fun t ->
+      match t.(col2) with Value.Int v -> t.(col2) <- Value.Str (string_of_int v) | _ -> ())
+
+let bag = rewrite ~suffix:"_bag" (fun t -> t.(col_rid) <- Value.Int 0)
 
 let join_size pair =
   let m1 = Rsj_stats.Frequency.of_relation pair.outer ~key:col2 in

@@ -48,6 +48,13 @@ val string_keyed : pair -> pair
     the ints — the input that checks that the key representation
     never changes a sample. *)
 
+val bag : pair -> pair
+(** The same pair with [rid] set to 0 on both sides, so the rows of a
+    join value are indistinguishable: value v yields m1(v)·m2(v) copies
+    of one tuple. A bag join — the same join positions, far fewer
+    distinct tuples — for checking that samples are samples of
+    positions. *)
+
 val join_size : pair -> int
 (** Exact |outer ⋈ inner| on col2. *)
 

@@ -139,6 +139,66 @@ let test_oracle_expected_laws () =
        false
      with Invalid_argument _ -> true)
 
+(* A bag join: one cell per distinct tuple, weighted by how many join
+   positions carry it; |J| still counts positions. *)
+let test_oracle_bag_join () =
+  let pair = Zipf_tables.bag (small_pair ~z1:1. ~z2:2. ()) in
+  let oracle = Oracle.of_env (env_of pair) in
+  let n = Zipf_tables.join_size pair in
+  Alcotest.(check int) "size = |J| positions" n (Oracle.size oracle);
+  let cells = Array.length (Oracle.universe oracle) in
+  Alcotest.(check bool) "fewer cells than positions" true (cells < n);
+  let mult = Array.init cells (Oracle.multiplicity oracle) in
+  Alcotest.(check int) "multiplicities sum to |J|" n (Array.fold_left ( + ) 0 mult);
+  let wr = Oracle.wr_expected oracle ~draws:1000 in
+  let wor = Oracle.wor_expected oracle ~trials:50 ~r:7 in
+  Array.iteri
+    (fun i c ->
+      let c = float_of_int c and n = float_of_int n in
+      Alcotest.(check (float 1e-9)) "WR: draws·c_t/|J|" (1000. *. c /. n) wr.(i);
+      Alcotest.(check (float 1e-9)) "WoR: trials·c_t·min(r,|J|)/|J|" (50. *. c *. 7. /. n) wor.(i))
+    mult
+
+(* Samples are join positions. On a bag join every fast-path WoR trial
+   returns min r |J| tuples, none more often than its multiplicity —
+   distinct positions, not distinct tuples. *)
+let test_bag_join_wor_positions () =
+  let pair = Zipf_tables.bag (small_pair ~z1:1. ~z2:2. ()) in
+  let oracle = Oracle.of_env (env_of pair) in
+  let r = 40 in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun domains ->
+          let label = Printf.sprintf "%s d=%d" (Strategy.name strategy) domains in
+          let sample = (Rsj_parallel.run_wor (env_of ~seed:7 pair) strategy ~r ~domains).sample in
+          Alcotest.(check int) (label ^ ": min r |J| tuples") (min r (Oracle.size oracle))
+            (Array.length sample);
+          let counts = Oracle.counter oracle in
+          Array.iter (Oracle.observe oracle counts) sample;
+          Array.iteri
+            (fun i c ->
+              Alcotest.(check bool) (label ^ ": within multiplicity") true
+                (c <= Oracle.multiplicity oracle i))
+            counts)
+        [ 1; 4 ])
+    Strategy.all
+
+(* The reference kernels return tuples, so their WoR is defined for set
+   joins only: on a bag join it runs out of distinct tuples and says
+   so with the typed shortfall. *)
+let test_reference_bag_wor_shortfall () =
+  let pair = Zipf_tables.bag (small_pair ~z1:1. ~z2:2. ()) in
+  match Strategy.run_wor (env_of pair) Strategy.Stream ~r:40 with
+  | _ -> Alcotest.fail "reference WoR on a bag join returned a sample"
+  | exception Strategy.Wor_shortfall { caller; target; distinct } ->
+      Alcotest.(check string) "caller" "Strategy.run_wor" caller;
+      Alcotest.(check int) "target" 40 target;
+      Alcotest.(check bool) "fewer distinct tuples than the target" true (distinct < target);
+      Alcotest.(check string) "printed like the old failure"
+        "Strategy.run_wor: failed to accumulate distinct samples (very small join?)"
+        (Printexc.to_string (Strategy.Wor_shortfall { caller; target; distinct }))
+
 let chain_spec ?(seed = 0xC4A1) ~z () =
   let mk i rows =
     Zipf_tables.make ~seed:(seed + (31 * i)) ~name:(Printf.sprintf "c%d" i) ~rows ~z ~domain:5 ()
@@ -188,10 +248,11 @@ let test_biased_sampler_rejected () =
   Alcotest.(check int) "every attempt rejected" 3 outcome.Kernel.attempts
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end matrix runner (reduced matrix; the full 262-comparison
-   sweep — 144 int-keyed cells + 32 string-keyed cells + 72 estimator
-   KS rows (strategy × estimator × domains) + 2 chain rows + 12 picker
-   rows (profile × domains) — runs under @conformance / rsj verify). *)
+(* End-to-end matrix runner (reduced matrix; the full 294-comparison
+   sweep — 144 int-keyed cells + 32 string-keyed cells + 32 bag-join
+   cells + 72 estimator KS rows (strategy × estimator × domains) + 2
+   chain rows + 12 picker rows (profile × domains) — runs under
+   @conformance / rsj verify). *)
 
 let test_conformance_run_mini () =
   let config =
@@ -284,6 +345,10 @@ let suite =
     Alcotest.test_case "oracle matches plan enumeration" `Quick test_oracle_matches_plan;
     Alcotest.test_case "oracle expected-count laws" `Quick test_oracle_expected_laws;
     Alcotest.test_case "oracle chain = walker weights" `Quick test_oracle_chain_matches_walker;
+    Alcotest.test_case "oracle weights bag-join cells" `Quick test_oracle_bag_join;
+    Alcotest.test_case "bag-join WoR samples positions" `Quick test_bag_join_wor_positions;
+    Alcotest.test_case "reference bag-join WoR: typed shortfall" `Quick
+      test_reference_bag_wor_shortfall;
     Alcotest.test_case "biased sampler is rejected" `Slow test_biased_sampler_rejected;
     Alcotest.test_case "matrix runner end to end" `Slow test_conformance_run_mini;
     Alcotest.test_case "matrix runner is deterministic" `Quick test_conformance_deterministic;

@@ -78,10 +78,92 @@ let test_tree_samplers_uniform () =
   check "pushdown tree" (fun () ->
       Join_tree.pushdown_sample rng ~metrics:(Metrics.create ()) ~r:8 (tree ()))
 
+(* The same chain plus rows the walker must never reach — NULL join
+   keys, and dangling rows whose key has no match downstream (zero
+   weight) — with every column stored as [ty] through [conv]. The
+   extra rows come after the originals, so the original row ids stay
+   put: r1 rows 3-4, r2 rows 3-5 and r3 rows 3-4 are unreachable. *)
+let twin_spec (ty, conv) =
+  let v = function Some x -> conv x | None -> Value.Null in
+  let rel name rows =
+    Relation.of_tuples ~name
+      (Schema.of_list [ ("a", ty); ("b", ty) ])
+      (List.map (fun (a, b) -> [| v a; v b |]) rows)
+  in
+  let some = List.map (fun (a, b) -> (Some a, Some b)) in
+  {
+    Chain_sample.relations =
+      [|
+        rel "r1" (some [ (1, 10); (2, 10); (3, 20) ] @ [ (Some 4, None); (Some 5, Some 30) ]);
+        rel "r2"
+          (some [ (10, 100); (10, 200); (20, 100) ]
+          @ [ (None, Some 100); (Some 20, Some 999); (Some 30, None) ]);
+        rel "r3" (some [ (100, 0); (100, 1); (200, 2) ] @ [ (None, Some 3); (Some 300, Some 4) ]);
+      |];
+    join_keys = [| (1, 0); (1, 0) |];
+  }
+
+let int_keys = (Value.T_int, fun x -> Value.Int x)
+
+let twins =
+  [
+    ("int", int_keys);
+    ("string", (Value.T_str, fun x -> Value.Str (string_of_int x)));
+    ("float", (Value.T_float, fun x -> Value.Float (float_of_int x)));
+  ]
+
 let test_chain_join_size () =
-  let c = Chain_sample.prepare (chain_spec ()) in
-  Alcotest.(check (float 1e-9)) "exact size without joining" (float_of_int expected_size)
-    (Chain_sample.join_size c)
+  List.iter
+    (fun (label, spec) ->
+      let c = Chain_sample.prepare spec in
+      Alcotest.(check (float 1e-9))
+        (label ^ ": exact size without joining")
+        (float_of_int expected_size) (Chain_sample.join_size c))
+    (("plain", chain_spec ()) :: List.map (fun (l, keys) -> (l ^ " + dead rows", twin_spec keys)) twins)
+
+(* How a key is stored never moves the walk: every twin draws the same
+   row-id paths at the same seed, and no path enters a NULL or
+   dangling row. *)
+let test_chain_twins_same_paths () =
+  let paths keys seed =
+    Chain_sample.sample_rows
+      (Chain_sample.prepare (twin_spec keys))
+      (Rsj_util.Prng.create ~seed ()) ~r:200 ()
+  in
+  List.iter
+    (fun seed ->
+      let base = paths int_keys seed in
+      Array.iter (fun row -> Alcotest.(check bool) "no dead row on a path" true (row < 3)) base;
+      Alcotest.(check (array int)) "the plain chain walks the same paths" base
+        (Chain_sample.sample_rows
+           (Chain_sample.prepare (chain_spec ()))
+           (Rsj_util.Prng.create ~seed ()) ~r:200 ());
+      List.iter
+        (fun (label, keys) ->
+          Alcotest.(check (array int)) (label ^ " keys: same paths") base (paths keys seed))
+        twins)
+    [ 1; 2; 3 ]
+
+(* One walk kernel: [sample] is [sample_rows] rehydrated, and [draw] is
+   [sample ~r:1]. *)
+let test_chain_sample_is_rehydrated_rows () =
+  let spec = twin_spec int_keys in
+  let c = Chain_sample.prepare spec in
+  let tuples = Alcotest.(array (of_pp Tuple.pp)) in
+  List.iter
+    (fun (seed, r) ->
+      let rows = Chain_sample.sample_rows c (Rsj_util.Prng.create ~seed ()) ~r () in
+      Alcotest.(check tuples)
+        (Printf.sprintf "sample = rehydrated sample_rows (seed %d, r %d)" seed r)
+        (Relation.rehydrate spec.Chain_sample.relations rows)
+        (Chain_sample.sample c (Rsj_util.Prng.create ~seed ()) ~r ()))
+    [ (1, 1); (2, 17); (3, 1000) ];
+  let a = Rsj_util.Prng.create ~seed:4 () and b = Rsj_util.Prng.create ~seed:4 () in
+  for _ = 1 to 20 do
+    Alcotest.(check tuples) "draw = sample ~r:1"
+      (Chain_sample.sample c b ~r:1 ())
+      (Option.to_list (Chain_sample.draw c a ()) |> Array.of_list)
+  done
 
 let test_chain_draw_membership_and_uniformity () =
   let c = Chain_sample.prepare (chain_spec ()) in
@@ -173,6 +255,10 @@ let suite =
     Alcotest.test_case "tree pushdown sampling" `Quick test_tree_pushdown_sample;
     Alcotest.test_case "tree samplers uniform" `Slow test_tree_samplers_uniform;
     Alcotest.test_case "chain exact join size" `Quick test_chain_join_size;
+    Alcotest.test_case "chain paths ignore key storage and dead rows" `Quick
+      test_chain_twins_same_paths;
+    Alcotest.test_case "chain sample = rehydrated rows, draw = sample 1" `Quick
+      test_chain_sample_is_rehydrated_rows;
     Alcotest.test_case "chain sampler uniform" `Slow test_chain_draw_membership_and_uniformity;
     Alcotest.test_case "chain empty join" `Quick test_chain_empty_join;
     Alcotest.test_case "chain of one relation" `Quick test_chain_single_relation;

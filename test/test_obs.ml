@@ -263,6 +263,40 @@ let test_span_nesting_under_pool () =
       end)
     [ 1; 2; 4 ]
 
+(* A WoR request is one strategy run whatever the number of WR batches
+   its conversion draws: one strategy span, one wall-time observation,
+   and the batches on their own counter. *)
+let test_wor_request_observed_once () =
+  with_tracing @@ fun () ->
+  let pair = Zipf_tables.make_pair ~seed:0x0B5 ~n1:2000 ~n2:2000 ~z1:1. ~z2:1. ~domain:100 () in
+  let env =
+    Strategy.make_env ~seed:0x0B5 ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
+      ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ()
+  in
+  let seconds =
+    Obs.Registry.histogram
+      ~labels:[ ("strategy", Strategy.name Strategy.Stream); ("domains", "1") ]
+      "rsj_strategy_run_seconds"
+  in
+  let batches =
+    Obs.Registry.counter ~labels:[ ("strategy", Strategy.name Strategy.Stream) ]
+      "rsj_wor_batches_total"
+  in
+  let observed0 = Obs.Registry.observed_count seconds in
+  let batches0 = Obs.Registry.value batches in
+  let result = Rsj_parallel.run_wor env Strategy.Stream ~r:20000 ~domains:1 in
+  Alcotest.(check int) "min r |J| tuples"
+    (min 20000 (Zipf_tables.join_size pair))
+    (Array.length result.Strategy.sample);
+  Alcotest.(check int) "one run-seconds observation" 1
+    (Obs.Registry.observed_count seconds - observed0);
+  let spans =
+    List.filter (fun e -> e.Obs.Trace.name = "strategy.Stream-Sample") (Obs.Trace.events ())
+  in
+  Alcotest.(check int) "one strategy span" 1 (List.length spans);
+  let drawn = Obs.Registry.value batches - batches0 in
+  Alcotest.(check bool) (Printf.sprintf "several WR batches (%d)" drawn) true (drawn > 1)
+
 let test_disabled_path_allocation_free () =
   Obs.set_enabled false;
   let body = fun () -> () in
@@ -401,6 +435,7 @@ let suite =
     Alcotest.test_case "registry JSON export parses" `Quick test_registry_json_export;
     Alcotest.test_case "trace document parses back" `Quick test_trace_json_wellformed;
     Alcotest.test_case "span nesting under the pool (d=1,2,4)" `Quick test_span_nesting_under_pool;
+    Alcotest.test_case "a WoR request is one observed run" `Quick test_wor_request_observed_once;
     Alcotest.test_case "disabled path allocates nothing" `Quick test_disabled_path_allocation_free;
   ]
 

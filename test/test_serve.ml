@@ -197,6 +197,27 @@ let test_served_identical () =
       ("str", Zipf_tables.string_keyed (make_pair ()), str_key_schema);
     ]
 
+(* Samples are join positions on the served path too: on a bag join
+   (fewer distinct tuples than r) a WoR request returns min r |J|
+   tuples for every strategy, and the daemon keeps serving. *)
+let test_served_bag_join_wor () =
+  let pair = Zipf_tables.bag (make_pair ()) in
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  let want = min 30 (Zipf_tables.join_size pair) in
+  List.iter
+    (fun s ->
+      let reply =
+        must_reply
+          ("bag WoR " ^ Strategy.name s)
+          (Client.sample client ~left:"t1" ~right:"t2" ~r:30 ~strategy:(Strategy.name s) ~seed:5
+             ~wor:true ~domains:1 ())
+      in
+      Alcotest.(check int) (Strategy.name s ^ ": min r |J| tuples") want
+        (List.length reply.Client.rows))
+    Strategy.all;
+  Alcotest.(check bool) "daemon still serving" true (Client.ping client)
+
 (* ---------- conformance: a chi-square cell through the socket ---------- *)
 
 (* The daemon's samples must not merely match bytes at one seed — the
@@ -759,6 +780,7 @@ let suite =
     Alcotest.test_case "served samples byte-identical (8 strategies × 2 planes)" `Slow
       test_served_identical;
     Alcotest.test_case "chi-square cell through the served path" `Slow test_served_chi_square;
+    Alcotest.test_case "served bag-join WoR (8 strategies)" `Quick test_served_bag_join_wor;
     Alcotest.test_case "SQL and SAMPLE p% over the wire" `Quick test_query_over_wire;
     Alcotest.test_case "typed errors and explicit invalidation" `Quick
       test_typed_errors_and_invalidate;
