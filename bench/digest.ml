@@ -7,8 +7,12 @@
    Cells: Strategy.run / Strategy.run_wor for the 8 strategies on
    int- and string-keyed copies of each pair; Rsj_parallel.run /
    Rsj_parallel.run_wor at d ∈ {1, 2, 4} (Olken at d = 1 only: it is
-   not bit-reproducible at d > 1), on both key types; a 3-table
-   chain SAMPLE through the SQL engine; and 10 successive
+   not bit-reproducible at d > 1), on both key types; every SQL
+   sampling route: a two-table SAMPLE r (picked, with the picked
+   strategy's name digested ahead of the rows), USING each of the 8
+   strategies, SAMPLE 2%, a constant-filtered two-table query (the
+   uncached env) and the 3-table chain SAMPLE, unfiltered (the cached
+   walker) and constant-filtered (a private walker); and 10 successive
    Chain_sample.draw calls on the same chain. Each runs over 3 seeds × 3
    skews (uniform, zipf(1,2), zipf(2,3)). The inputs are §8.1 tables
    with unique rids, so every join is a set join. *)
@@ -68,14 +72,30 @@ let () =
             [ ("int", pair); ("str", Zipf_tables.string_keyed pair) ];
           let t3 = Zipf_tables.make ~seed:(seed + 3) ~name:"t3" ~rows:900 ~z:z2 ~domain:40 () in
           let catalog = [ ("t1", pair.outer); ("t2", pair.inner); ("t3", t3) ] in
-          let sql =
-            Printf.sprintf
-              "SELECT * FROM t1, t2, t3 WHERE t1.col2 = t2.col2 AND t2.col2 = t3.col2 SAMPLE %d" r
+          let sql what query =
+            guarded (Printf.sprintf "%s s=%d SQL %s" skew seed what) (fun () ->
+                match Rsj_sql.Engine.run ~seed catalog query with
+                | Ok res ->
+                    let picked =
+                      match res.Rsj_sql.Engine.decision with
+                      | Some d -> [ [| Value.str (Strategy.name d.Rsj_optimizer.Picker.chosen) |] ]
+                      | None -> []
+                    in
+                    Array.of_list (picked @ res.Rsj_sql.Engine.rows)
+                | Error msg -> failwith msg)
           in
-          guarded (Printf.sprintf "%s s=%d chain SAMPLE" skew seed) (fun () ->
-              match Rsj_sql.Engine.run ~seed catalog sql with
-              | Ok res -> Array.of_list res.Rsj_sql.Engine.rows
-              | Error msg -> failwith msg);
+          let two = "SELECT * FROM t1, t2 WHERE t1.col2 = t2.col2" in
+          sql "SAMPLE r" (Printf.sprintf "%s SAMPLE %d" two r);
+          List.iter
+            (fun s ->
+              let using = String.map (function '-' -> '_' | c -> c) (Strategy.name s) in
+              sql ("USING " ^ using) (Printf.sprintf "%s SAMPLE %d USING %s" two r using))
+            Strategy.all;
+          sql "SAMPLE 2%" (two ^ " SAMPLE 2%");
+          sql "filtered SAMPLE r" (Printf.sprintf "%s AND t1.rid < 200 SAMPLE %d" two r);
+          let chain = "SELECT * FROM t1, t2, t3 WHERE t1.col2 = t2.col2 AND t2.col2 = t3.col2" in
+          sql "chain SAMPLE" (Printf.sprintf "%s SAMPLE %d" chain r);
+          sql "filtered chain SAMPLE" (Printf.sprintf "%s AND t3.rid < 600 SAMPLE %d" chain r);
           let walker =
             Chain_sample.prepare
               {

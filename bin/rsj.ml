@@ -124,6 +124,13 @@ let strategy_conv =
   in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Strategy.name s))
 
+(* The one-line stderr note of a picked strategy (`sample`, `query`). *)
+let note_picker = function
+  | Some (d : Rsj_optimizer.Picker.decision) ->
+      Printf.eprintf "# picker: %s (%s)\n" (Strategy.name d.chosen)
+        (Rsj_optimizer.Picker.reason_to_string d.reason)
+  | None -> ()
+
 let sample_cmd =
   let left =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"LEFT.csv" ~doc:"Outer relation R1.")
@@ -181,30 +188,14 @@ let sample_cmd =
           Strategy.make_env ~seed ~left:l ~right:rt ~left_key:Zipf_tables.col2
             ~right_key:Zipf_tables.col2 ()
         in
-        let strategy, decision =
-          match strategy with
-          | Some s -> (s, None)
-          | None ->
-              let catalog =
-                Rsj_optimizer.Catalog.of_env ~availability:Strategy.all_available env
-              in
-              let s, d =
-                Rsj_optimizer.Picker.choose_counted catalog
-                  (Rsj_optimizer.Cost_model.shape ~r)
-              in
-              (s, Some d)
-        in
+        let strategy, decision = Rsj_optimizer.Picker.decide env ~r strategy in
         let result =
           if wor then Rsj_parallel.run_wor env strategy ~r ~domains
           else Rsj_parallel.run env strategy ~r ~domains
         in
         (match decision with
         | Some d when explain -> prerr_string (Rsj_optimizer.Picker.to_string d)
-        | Some d ->
-            Printf.eprintf "# picker: %s (%s)\n"
-              (Strategy.name d.Rsj_optimizer.Picker.chosen)
-              (Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason)
-        | None -> ());
+        | _ -> note_picker decision);
         Array.iter
           (fun t -> print_endline (Rsj_relation.Tuple.to_string t))
           result.Strategy.sample;
@@ -326,12 +317,7 @@ let query_cmd =
             | None -> ()
           end
           else begin
-            (match result.Rsj_sql.Engine.decision with
-            | Some d ->
-                Printf.eprintf "# picker: %s (%s)\n"
-                  (Strategy.name d.Rsj_optimizer.Picker.chosen)
-                  (Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason)
-            | None -> ());
+            note_picker result.Rsj_sql.Engine.decision;
             let schema = result.Rsj_sql.Engine.schema in
             let header =
               Array.to_list (Rsj_relation.Schema.columns schema)

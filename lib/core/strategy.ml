@@ -209,6 +209,7 @@ let env_right env = env.right
 let env_left_key env = env.left_key
 let env_right_key env = env.right_key
 let env_rng env = env.rng
+let env_left_stats env = Lazy.force env.left_stats
 let env_right_stats env = Lazy.force env.right_stats
 let env_right_index env = Lazy.force env.right_index
 let env_histogram env = Lazy.force env.histogram

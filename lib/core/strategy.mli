@@ -118,6 +118,7 @@ val env_rng : env -> Rsj_util.Prng.t
 (** The env's root generator. Runners split children off it (never
     draw from it directly) so successive runs stay reproducible. *)
 
+val env_left_stats : env -> Rsj_stats.Frequency.t
 val env_right_stats : env -> Rsj_stats.Frequency.t
 val env_right_index : env -> Rsj_index.Hash_index.t
 val env_histogram : env -> Rsj_stats.Histogram.End_biased.t

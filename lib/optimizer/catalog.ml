@@ -47,11 +47,7 @@ let of_env ?(estimate_seed = 0x0CA7) ?(estimate_draws = default_estimate_draws)
      catalog declares frequency statistics it has them for both
      operands, which is what lets the second-moment formulas (Thms 7-9)
      be evaluated exactly. *)
-  let left_stats =
-    if a.Strategy.right_stats then
-      Some (Frequency.of_relation left ~key:(Strategy.env_left_key env))
-    else None
-  in
+  let left_stats = if a.Strategy.right_stats then Some (Strategy.env_left_stats env) else None in
   let right_stats = if a.Strategy.right_stats then Some (Strategy.env_right_stats env) else None in
   let histogram = if a.Strategy.right_histogram then Some (Strategy.env_histogram env) else None in
   let join_size, join_size_exact, join_size_stderr =

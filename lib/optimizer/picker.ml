@@ -105,6 +105,13 @@ let choose_counted catalog shape =
         "picker.decision";
       (chosen, decision))
 
+let decide env ~r = function
+  | Some s -> (s, None)
+  | None ->
+      let catalog = Catalog.of_env ~availability:Strategy.all_available env in
+      let s, d = choose_counted catalog (Cost_model.shape ~r) in
+      (s, Some d)
+
 let pp ppf d =
   Format.fprintf ppf "picker: %s (%s), r=%d@," (Strategy.name d.chosen)
     (reason_to_string d.reason) d.shape.Cost_model.r;

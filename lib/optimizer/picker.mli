@@ -31,8 +31,19 @@ val choose : Catalog.t -> Cost_model.query_shape -> Rsj_core.Strategy.t * decisi
 
 val choose_counted : Catalog.t -> Cost_model.query_shape -> Rsj_core.Strategy.t * decision
 (** {!choose}, then bump
-    [rsj_picker_choice_total{strategy,reason}] in {!Rsj_obs.Registry}.
-    The engine and CLI route through this one. *)
+    [rsj_picker_choice_total{strategy,reason}] in {!Rsj_obs.Registry}. *)
+
+val decide :
+  Rsj_core.Strategy.env ->
+  r:int ->
+  Rsj_core.Strategy.t option ->
+  Rsj_core.Strategy.t * decision option
+(** The one named-or-picked decision every front door (the SQL engine,
+    [rsj sample], the daemon's [sample] request) makes: a named
+    strategy runs as given, with no decision; [None] runs
+    {!choose_counted} over {!Catalog.of_env} with every structure
+    available (a materialized env can build any of Table 1) at
+    [Cost_model.shape ~r]. *)
 
 val rank : Rsj_core.Strategy.t -> int
 (** The tie-break preference order (lower wins). Exposed so tests can

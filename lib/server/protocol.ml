@@ -41,6 +41,7 @@ type error_code =
   | Deadline_exceeded
   | Overloaded
   | Shutting_down
+  | Internal_error
 
 type response =
   | Ack of { id : int; detail : (string * Json.t) list }
@@ -84,6 +85,7 @@ let error_code_to_string = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Overloaded -> "overloaded"
   | Shutting_down -> "shutting_down"
+  | Internal_error -> "internal_error"
 
 let error_code_of_string = function
   | "bad_request" -> Some Bad_request
@@ -93,6 +95,7 @@ let error_code_of_string = function
   | "deadline_exceeded" -> Some Deadline_exceeded
   | "overloaded" -> Some Overloaded
   | "shutting_down" -> Some Shutting_down
+  | "internal_error" -> Some Internal_error
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -70,6 +70,9 @@ type error_code =
   | Deadline_exceeded
   | Overloaded  (** Admission controller rejected: queued sample work over budget. *)
   | Shutting_down
+  | Internal_error
+      (** Any other exception a request raised (an allocation past the
+          address space, say); the daemon keeps serving. *)
 
 type response =
   | Ack of { id : int; detail : (string * Rsj_obs.Json.t) list }

@@ -240,21 +240,17 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     Rsj_obs.Trace.with_span ~cat:"serve" "cache.env" (fun () ->
         Cache.env st.cache ~seed ~left:l ~right:rt ~left_key ~right_key ())
   in
-  let strategy, picked =
-    match strategy with
-    | Some name -> (
+  let named =
+    Option.map
+      (fun name ->
         match Strategy.of_name name with
-        | Some s -> (s, None)
+        | Some s -> s
         | None ->
             rejectf P.Unknown_strategy "unknown strategy %S (try: %s)" name
               (String.concat ", " (List.map Strategy.name Strategy.all)))
-    | None ->
-        let catalog = Rsj_optimizer.Catalog.of_env ~availability:Strategy.all_available env in
-        let s, d =
-          Rsj_optimizer.Picker.choose_counted catalog (Rsj_optimizer.Cost_model.shape ~r)
-        in
-        (s, Some d)
+      strategy
   in
+  let strategy, picked = Rsj_optimizer.Picker.decide env ~r named in
   st.note.n_strategy <- Strategy.name strategy;
   (match picked with
   | Some d -> st.note.n_reason <- Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason
@@ -263,9 +259,7 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     try
       if wor then Rsj_parallel.run_wor env strategy ~r ~domains
       else Rsj_parallel.run env strategy ~r ~domains
-    with
-    | Failure msg | Invalid_argument msg -> rejectf P.Engine_error "%s" msg
-    | Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
+    with Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
   in
   let sample =
     if st.biased then biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r
@@ -604,6 +598,8 @@ let run_pending st =
               ~args:[ ("op", Json.Str op); ("client_id", Json.Int id) ]
               "request"
               (fun () ->
+                (* The request boundary: whatever a request raises fails
+                   that request alone, typed, and the loop keeps serving. *)
                 match execute st req with
                 | frames -> List.iter (send_frame conn) (tag_frames rid frames)
                 | exception Reject (code, msg) ->
@@ -611,7 +607,10 @@ let run_pending st =
                     fail_request conn ~id code msg
                 | exception (Failure msg | Invalid_argument msg) ->
                     status := "engine_error";
-                    fail_request conn ~id P.Engine_error msg);
+                    fail_request conn ~id P.Engine_error msg
+                | exception e ->
+                    status := "internal_error";
+                    fail_request conn ~id P.Internal_error (Printexc.to_string e));
             let dt = Clock.now_s () -. t0 in
             let alloc = Rsj_obs.Runtime.allocated_words () -. alloc0 in
             let cache1 = Cache.stats st.cache in

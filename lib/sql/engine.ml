@@ -204,93 +204,7 @@ let filtered_relation b conds =
 let valid_strategy_names () =
   String.concat ", " (List.map Strategy.name Strategy.all)
 
-(* How the sampling strategy was determined: spelled out in the query
-   ([USING <name>]) or left to the cost-based picker. *)
-type sample_route = Named of Strategy.t | Picked
-
-let picker_shape_ok bindings classified =
-  match (bindings, classified.equijoins, classified.residual) with
-  | [ _; _ ], [ _ ], [] -> true
-  | _ -> false
-
-(* Resolve a SAMPLE size to an absolute tuple count. The fraction form
-   is a share of the join size, which the env's frequency statistics
-   give exactly (and, routed through the structure cache, cheaply);
-   this happens before the picker runs, so the picker's cost formulas
-   always see absolute r. *)
-let resolve_sample_size env (size : Ast.sample_size) =
-  match size with
-  | Ast.Abs n -> n
-  | Ast.Pct p ->
-      let join_size = Strategy.env_join_size env in
-      if join_size = 0 then 0
-      else max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int join_size)))
-
-let strategy_sample_plan ~seed bindings classified (sample : Ast.sample_clause) route =
-  match (bindings, classified.equijoins, classified.residual) with
-  | [ b1; b2 ], [ (l, r) ], [] ->
-      (* Push constant selections below the sampling (selection
-         commutes with sampling), then run the strategy. *)
-      let conds_for label =
-        List.filter_map
-          (fun (lbl, c) -> if lbl = label then Some c else None)
-          classified.constants
-      in
-      let left_rel = filtered_relation b1 (conds_for b1.label) in
-      let right_rel = filtered_relation b2 (conds_for b2.label) in
-      let local1 = [ { b1 with relation = left_rel; offset = 0 } ] in
-      let local2 = [ { b2 with relation = right_rel; offset = 0 } ] in
-      let left_key, right_key =
-        if resolve_opt local1 l <> None && resolve_opt local2 r <> None then
-          (resolve local1 l, resolve local2 r)
-        else (resolve local1 r, resolve local2 l)
-      in
-      let env =
-        (* Unfiltered inputs are the caller's own relations: their
-           auxiliary structures are memoized in the shared structure
-           cache, so repeated queries stop rebuilding. A filtered input
-           is a fresh one-shot relation — don't pollute the cache. *)
-        if left_rel == b1.relation && right_rel == b2.relation then
-          Rsj_cache.Structure_cache.env
-            (Rsj_cache.Structure_cache.shared ())
-            ~seed ~left:left_rel ~right:right_rel ~left_key ~right_key ()
-        else Strategy.make_env ~seed ~left:left_rel ~right:right_rel ~left_key ~right_key ()
-      in
-      let size = resolve_sample_size env sample.Ast.size in
-      let strategy, decision =
-        match route with
-        | Named s -> (s, None)
-        | Picked ->
-            (* The engine owns materialized relations, so every
-               auxiliary structure of Table 1 is constructible: the
-               picker decides on cost alone, over an exact catalog. *)
-            let catalog =
-              Rsj_optimizer.Catalog.of_env ~availability:Strategy.all_available env
-            in
-            let shape = Rsj_optimizer.Cost_model.shape ~r:size in
-            let s, d = Rsj_optimizer.Picker.choose_counted catalog shape in
-            (s, Some d)
-      in
-      (* The fast path the daemon's sample requests take, so a query
-         and a sample request run the same code. *)
-      let res = Rsj_parallel.run env strategy ~r:size ~domains:1 in
-      let schema =
-        Schema.concat (Relation.schema left_rel) (Relation.schema right_rel)
-      in
-      let rows = res.Strategy.sample in
-      ( Plan.source_of_stream ~name:(Printf.sprintf "Sample[%s, r=%d]" (Strategy.name strategy) size)
-          schema
-          (fun () -> Stream0.of_array rows),
-        decision )
-  | _ ->
-      fail
-        "SAMPLE ... USING requires exactly two tables joined by one equi-join predicate and \
-         no cross-table filters (got %d tables, %d join predicates, %d residual conditions)"
-        (List.length bindings)
-        (List.length classified.equijoins)
-        (List.length classified.residual)
-
-(* Linear-chain detection for k >= 3 tables: exactly k-1 equi-joins,
+(* Linear-chain detection for k >= 2 tables: exactly k-1 equi-joins,
    each pairing two consecutive FROM tables (one per edge, either
    orientation), and no residual conditions. Returns the columns per
    edge oriented FROM-order (left table's column first), or [None]
@@ -298,7 +212,7 @@ let strategy_sample_plan ~seed bindings classified (sample : Ast.sample_clause) 
    reservoir path. *)
 let chain_edges bindings classified =
   let k = List.length bindings in
-  if k < 3 || classified.residual <> [] || List.length classified.equijoins <> k - 1 then
+  if k < 2 || classified.residual <> [] || List.length classified.equijoins <> k - 1 then
     None
   else begin
     let arr = Array.of_list bindings in
@@ -325,59 +239,83 @@ let chain_edges bindings classified =
     with Exit -> None
   end
 
-(* Plain SAMPLE over a linear chain: route it into the chain walker —
-   exact WR sampling with no join materialization at all. The prepared
-   walker (weight tables + per-value alias tables) is memoized in the
-   shared structure cache whenever every input is unfiltered, so a
-   warm daemon pays only the O(k) walk per drawn tuple. The fraction form resolves against the walker's
-   exact join size (paper §7.2's precomputed-statistics argument,
-   extended along the chain). *)
-let chain_sample_plan ~seed bindings classified (sample : Ast.sample_clause) edges =
-  let conds_for label =
-    List.filter_map
-      (fun (lbl, c) -> if lbl = label then Some c else None)
-      classified.constants
-  in
+(* SAMPLE over a linear chain, pushed into the join (§1; §7.2 for
+   longer chains). Each table's constant selections go below the
+   sampling first (selection commutes with sampling). Two tables run a
+   Table-1 strategy, named by USING or picked by cost over an exact
+   catalog, through the chunked runner a daemon sample request runs,
+   so a query and a sample request with the same seed return the same
+   rows. Three or more run the chain walker: exact WR sampling with no
+   join materialized. Unfiltered inputs are the caller's own relations,
+   so their structures (env statistics, the prepared walker) come from
+   the shared structure cache; a filtered input is a fresh one-shot
+   relation and builds privately. The fraction form resolves against
+   the sampler's exact join size. Planning prepares and decides; the
+   draw runs, once, when the plan executes. *)
+let sample_plan ~seed bindings classified (sample : Ast.sample_clause) named edges =
   let arr = Array.of_list bindings in
-  let rels = Array.map (fun b -> filtered_relation b (conds_for b.label)) arr in
+  let rels =
+    Array.map
+      (fun b ->
+        filtered_relation b
+          (List.filter_map
+             (fun (lbl, c) -> if lbl = b.label then Some c else None)
+             classified.constants))
+      arr
+  in
   let join_keys =
     Array.mapi
       (fun i (a, b) ->
-        let la = [ { arr.(i) with relation = rels.(i); offset = 0 } ] in
-        let lb = [ { arr.(i + 1) with relation = rels.(i + 1); offset = 0 } ] in
-        (resolve la a, resolve lb b))
+        let local j = [ { arr.(j) with relation = rels.(j); offset = 0 } ] in
+        (resolve (local i) a, resolve (local (i + 1)) b))
       edges
   in
-  let spec = { Rsj_core.Chain_sample.relations = rels; join_keys } in
-  let unfiltered = ref true in
-  Array.iteri (fun i b -> if rels.(i) != b.relation then unfiltered := false) arr;
-  let cs =
-    if !unfiltered then
-      Rsj_cache.Structure_cache.chain (Rsj_cache.Structure_cache.shared ()) spec
-    else Rsj_core.Chain_sample.prepare spec
+  let cache =
+    if Array.for_all2 (fun rel b -> rel == b.relation) rels arr then
+      Some (Rsj_cache.Structure_cache.shared ())
+    else None
   in
-  let size =
+  let resolve_size join_size =
     match sample.Ast.size with
     | Ast.Abs n -> n
     | Ast.Pct p ->
-        let join_size = Rsj_core.Chain_sample.join_size cs in
-        if join_size <= 0. then 0
-        else max 1 (int_of_float (Float.ceil (p /. 100. *. join_size)))
+        let join_size = join_size () in
+        if join_size <= 0. then 0 else max 1 (int_of_float (Float.ceil (p /. 100. *. join_size)))
   in
-  let rng = Rsj_util.Prng.create ~seed () in
-  let rows = Rsj_core.Chain_sample.sample cs rng ~r:size () in
-  let schema =
-    Array.fold_left
-      (fun acc rel ->
-        match acc with
-        | None -> Some (Relation.schema rel)
-        | Some s -> Some (Schema.concat s (Relation.schema rel)))
-      None rels
-    |> Option.get
+  let source name ~r draw =
+    let rows = lazy (draw ()) in
+    let schema =
+      Array.fold_left
+        (fun acc rel -> Schema.concat acc (Relation.schema rel))
+        (Relation.schema rels.(0))
+        (Array.sub rels 1 (Array.length rels - 1))
+    in
+    Plan.source_of_stream ~name:(Printf.sprintf "Sample[%s, r=%d]" name r) schema (fun () ->
+        Stream0.of_array (Lazy.force rows))
   in
-  ( Plan.source_of_stream ~name:(Printf.sprintf "Sample[chain-walk, r=%d]" size) schema
-      (fun () -> Stream0.of_array rows),
-    None )
+  match (rels, join_keys) with
+  | [| left; right |], [| (left_key, right_key) |] ->
+      let env =
+        match cache with
+        | Some c -> Rsj_cache.Structure_cache.env c ~seed ~left ~right ~left_key ~right_key ()
+        | None -> Strategy.make_env ~seed ~left ~right ~left_key ~right_key ()
+      in
+      let r = resolve_size (fun () -> float_of_int (Strategy.env_join_size env)) in
+      let s, decision = Rsj_optimizer.Picker.decide env ~r named in
+      ( source (Strategy.name s) ~r (fun () ->
+            (Rsj_parallel.run env s ~r ~domains:1).Strategy.sample),
+        decision )
+  | _ ->
+      let spec = { Rsj_core.Chain_sample.relations = rels; join_keys } in
+      let cs =
+        match cache with
+        | Some c -> Rsj_cache.Structure_cache.chain c spec
+        | None -> Rsj_core.Chain_sample.prepare spec
+      in
+      let r = resolve_size (fun () -> Rsj_core.Chain_sample.join_size cs) in
+      ( source "chain-walk" ~r (fun () ->
+            Rsj_core.Chain_sample.sample cs (Rsj_util.Prng.create ~seed ()) ~r ()),
+        None )
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and projection                                          *)
@@ -467,28 +405,33 @@ let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
   let classified = classify bindings query.Ast.where in
   let sampled_source =
     match query.Ast.sample with
-    | Some ({ Ast.strategy = Some strat; _ } as sample) ->
-        let strategy =
-          match Strategy.of_name strat with
-          | Some s -> s
-          | None ->
-              fail "unknown sampling strategy %S (valid: %s)" strat
-                (valid_strategy_names ())
-        in
-        Some (strategy_sample_plan ~seed bindings classified sample (Named strategy))
-    | Some ({ Ast.strategy = None; _ } as sample)
-      when picker_shape_ok bindings classified ->
-        (* Plain SAMPLE n on the two-table equi-join shape: let the
-           cost-based picker route it into the join. *)
-        Some (strategy_sample_plan ~seed bindings classified sample Picked)
-    | Some ({ Ast.strategy = None; _ } as sample) -> (
-        (* Three or more tables: if the joins form a linear chain,
-           route into the chain walker (no join is ever materialized).
-           Other shapes fall through to the reservoir below. *)
-        match chain_edges bindings classified with
-        | Some edges -> Some (chain_sample_plan ~seed bindings classified sample edges)
-        | None -> None)
     | None -> None
+    | Some sample -> (
+        let named =
+          Option.map
+            (fun strat ->
+              match Strategy.of_name strat with
+              | Some s -> s
+              | None ->
+                  fail "unknown sampling strategy %S (valid: %s)" strat
+                    (valid_strategy_names ()))
+            sample.Ast.strategy
+        in
+        (* A linear chain samples inside the join; USING names a
+           two-table strategy. Any other plain SAMPLE falls through to
+           the reservoir below. *)
+        match chain_edges bindings classified with
+        | Some edges when named = None || Array.length edges = 1 ->
+            Some (sample_plan ~seed bindings classified sample named edges)
+        | _ when named = None -> None
+        | _ ->
+            fail
+              "SAMPLE ... USING requires exactly two tables joined by one equi-join predicate \
+               and no cross-table filters (got %d tables, %d join predicates, %d residual \
+               conditions)"
+              (List.length bindings)
+              (List.length classified.equijoins)
+              (List.length classified.residual))
   in
   let decision = Option.bind sampled_source snd in
   let base_plan =
@@ -608,29 +551,20 @@ let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
   let final = match query.Ast.limit with Some n -> Plan.Limit (n, shaped) | None -> shaped in
   (final, decision)
 
-let plan_query ?seed catalog query =
-  try Ok (fst (plan_query_exn ?seed catalog query)) with Plan_error msg -> Error msg
+(* Planning errors, and a sampler's own failures (an empty R1 under
+   Olken, say), come back as [Error msg]. *)
+let guarded f =
+  try Ok (f ()) with Plan_error msg | Failure msg | Invalid_argument msg -> Error msg
+
+let plan_query ?seed catalog query = guarded (fun () -> fst (plan_query_exn ?seed catalog query))
 
 let run_query ?seed catalog query =
-  match (try Ok (plan_query_exn ?seed catalog query) with Plan_error msg -> Error msg) with
-  | Error _ as e -> e
-  | Ok (plan, decision) -> (
-      try
-        let metrics = Metrics.create () in
-        let rows =
-          (* EXPLAIN: plan (and decide) but do not execute. *)
-          if query.Ast.explain then [] else Plan.collect ~metrics plan
-        in
-        Ok
-          {
-            schema = Plan.schema_of plan;
-            rows;
-            metrics;
-            plan;
-            decision;
-            explained = query.Ast.explain;
-          }
-      with Plan_error msg -> Error msg)
+  guarded (fun () ->
+      let plan, decision = plan_query_exn ?seed catalog query in
+      let metrics = Metrics.create () in
+      (* EXPLAIN: plan (and decide) but do not execute. *)
+      let rows = if query.Ast.explain then [] else Plan.collect ~metrics plan in
+      { schema = Plan.schema_of plan; rows; metrics; plan; decision; explained = query.Ast.explain })
 
 let run ?seed catalog input =
   match Parser.parse input with

@@ -4,27 +4,29 @@
     of named relations, then runs it. The [SAMPLE n] clause implements
     the paper's proposal of sampling as a language primitive:
 
-    - [SAMPLE n] on a single equi-join of two tables routes through the
-      cost-based picker ({!Rsj_optimizer.Picker}): the engine snapshots
-      an exact catalog, costs every strategy (Theorems 5–9), runs the
-      winner, and records the decision trace in the result. On any
-      other query shape it places a WR reservoir (Black-Box U2) at the
-      root of the query tree — the Naive-Sample construction, valid
-      for any query shape;
-    - [SAMPLE n USING <strategy>] pushes the named strategy into the
-      join; this requires the query to be a single equi-join of two
-      tables (the setting of §5–6). Single-table constant filters are
-      pushed below the sampling first — selection commutes with
-      sampling (§1) — so [WHERE t1.a = t2.a AND t1.x > 5] is sampled
-      correctly.
-    - [EXPLAIN SELECT ...] plans (and, for picked samples, decides)
-      without executing: the result carries the plan and decision with
+    - [SAMPLE n] on a linear chain — k >= 2 tables, k-1 equi-joins each
+      joining two consecutive FROM tables, no cross-table filters —
+      samples inside the join, through one route. Each table's constant
+      filters are pushed below the sampling first (selection commutes
+      with sampling, §1), and [SAMPLE p%] resolves against the
+      sampler's exact join size. Two tables run a Table-1 strategy:
+      the one [USING <strategy>] names, or the cost-based picker's
+      choice over an exact catalog ({!Rsj_optimizer.Picker.decide},
+      Theorems 5–9), with the decision recorded in the result. Either
+      runs through [Rsj_parallel.run ~domains:1], the chunked runner a
+      daemon [sample] request runs, so a query and a sample request
+      with the same seed return the same rows. Three or more tables
+      run the chain walker ({!Rsj_core.Chain_sample}, §7.2). Unfiltered
+      inputs take their structures from the shared structure cache.
+    - [USING] requires the two-table shape (the setting of §5–6).
+      Any other plain [SAMPLE n] places a WR reservoir (Black-Box U2)
+      at the root of the query tree — the Naive-Sample construction,
+      valid for any query shape.
+    - Planning prepares the structures and makes the picker decision;
+      the draw runs when the plan executes, once however often the
+      plan is run. So [EXPLAIN SELECT ...] and {!plan_query} decide
+      but draw nothing: the result carries the plan and decision with
       no rows.
-
-    Picked or named, a two-table strategy runs through
-    [Rsj_parallel.run ~domains:1], the chunked runner a daemon [sample]
-    request runs, so a query and a sample request with the same seed
-    return the same rows.
 
     Aggregation over a sample estimates the aggregate over the full
     result scaled via {!Rsj_core.Aqp} only in the examples; the engine
@@ -52,4 +54,5 @@ val plan_query : ?seed:int -> catalog -> Ast.query -> (Rsj_exec.Plan.t, string) 
 val run_query : ?seed:int -> catalog -> Ast.query -> (query_result, string) result
 val run : ?seed:int -> catalog -> string -> (query_result, string) result
 (** Parse + plan + execute. All errors (syntax, unknown table/column,
-    ambiguity, unsupported sampling shape) come back as [Error msg]. *)
+    ambiguity, unsupported sampling shape, a sampler's own [Failure] or
+    [Invalid_argument]) come back as [Error msg]. *)

@@ -233,6 +233,31 @@ let test_of_env_masks_structures () =
     (Float.abs (indexed.Catalog.join_size -. exact)
     <= Float.max 1. (4. *. indexed.Catalog.join_size_stderr))
 
+(* On a structure-cache env the catalog's m1 is the cached R1 table
+   itself, not a rescan; and [Picker.decide] is the named strategy
+   as given, or the counted choice over that catalog. *)
+let test_of_env_shares_cached_stats () =
+  let module Cache = Rsj_cache.Structure_cache in
+  let pair = Zipf_tables.make_pair ~seed:0x0C0F ~n1:30 ~n2:60 ~z1:1. ~z2:1. ~domain:5 () in
+  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
+  let key = Zipf_tables.col2 in
+  let cache = Cache.create () in
+  let env = Cache.env cache ~seed:1 ~left ~right ~left_key:key ~right_key:key () in
+  let cat = Catalog.of_env ~availability:Strategy.all_available env in
+  Alcotest.(check bool) "left_stats is the cached frequency table" true
+    (Option.get cat.Catalog.left_stats == Cache.frequency cache left ~key);
+  let r = 12 in
+  (match Picker.decide env ~r (Some Strategy.Group) with
+  | Strategy.Group, None -> ()
+  | _ -> Alcotest.fail "a named strategy runs as given, undecided");
+  let expected, _ = Picker.choose cat (Cost_model.shape ~r) in
+  match Picker.decide env ~r None with
+  | s, Some d ->
+      Alcotest.(check string) "picked = choose over the env's catalog" (Strategy.name expected)
+        (Strategy.name s);
+      Alcotest.(check bool) "the decision names it" true (d.Picker.chosen = s)
+  | _, None -> Alcotest.fail "an unnamed strategy carries a decision"
+
 (* ------------------------------------------------------------------ *)
 (* Normal quantile                                                     *)
 
@@ -350,6 +375,8 @@ let suite =
     Alcotest.test_case "tie-break rank order" `Quick test_rank_order;
     Alcotest.test_case "costs agree with Join_size analytics" `Quick test_costs_agree_with_join_size;
     Alcotest.test_case "of_env respects availability mask" `Quick test_of_env_masks_structures;
+    Alcotest.test_case "of_env shares the cached R1 statistics" `Quick
+      test_of_env_shares_cached_stats;
     Alcotest.test_case "normal quantile" `Quick test_normal_quantile;
     Alcotest.test_case "error report units" `Quick test_error_report_units;
     Alcotest.test_case "error report predicate" `Quick test_error_report_predicate;

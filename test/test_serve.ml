@@ -310,6 +310,37 @@ let test_typed_errors_and_invalidate () =
     (Printf.sprintf "invalidate dropped entries (%d -> %d)" entries0 entries1)
     true (entries1 < entries0)
 
+(* Any exception other than the engine's own Failure/Invalid_argument
+   fails its request typed as internal_error, is counted, and leaves
+   the daemon serving. r = 2^53 passes admission (an empty queue skips
+   the work budget); its 2^53-word reservoir (2^56 bytes) exceeds any
+   x86-64 user address space, so the allocation raises Out_of_memory
+   at once. *)
+let test_internal_error_keeps_serving () =
+  let pair = make_pair () in
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  let huge = 1 lsl 53 in
+  let expect_internal what = function
+    | Error (P.Internal_error, _) ->
+        Alcotest.(check bool) (what ^ ": the next ping answers") true (Client.ping client)
+    | Ok _ -> Alcotest.failf "%s succeeded" what
+    | Error (code, msg) ->
+        Alcotest.failf "%s: expected internal_error, got %s: %s" what
+          (P.error_code_to_string code) msg
+  in
+  expect_internal "sample r=2^53"
+    (Client.sample client ~left:"t1" ~right:"t2" ~r:huge ~strategy:"stream" ());
+  expect_internal "SQL SAMPLE 2^53"
+    (Client.query client
+       ~sql:
+         (Printf.sprintf "select * from t1, t2 where t1.col2 = t2.col2 sample %d using stream"
+            huge)
+       ());
+  let metrics = must "metrics" (Client.metrics client) in
+  Alcotest.(check bool) "both counted under code=internal_error" true
+    (contains "rsj_serve_errors_total{code=\"internal_error\"} 2" metrics)
+
 (* ---------- deadlines ---------- *)
 
 (* Pipeline three real samples and then one with a 0ms budget in a
@@ -784,6 +815,8 @@ let suite =
     Alcotest.test_case "SQL and SAMPLE p% over the wire" `Quick test_query_over_wire;
     Alcotest.test_case "typed errors and explicit invalidation" `Quick
       test_typed_errors_and_invalidate;
+    Alcotest.test_case "any other exception fails typed; the daemon keeps serving" `Quick
+      test_internal_error_keeps_serving;
     Alcotest.test_case "queued past the deadline fails typed" `Quick test_deadline_exceeded;
     Alcotest.test_case "admission control sheds load" `Quick test_admission_overloaded;
     Alcotest.test_case "SIGTERM: unlink, snapshot, restartable" `Quick

@@ -321,7 +321,9 @@ let test_named_strategy_skips_picker () =
   Alcotest.(check bool) "no picker decision" true (r.Engine.decision = None)
 
 (* EXPLAIN plans (and, for picker-routed samples, decides) without
-   executing. *)
+   executing: with telemetry on, neither a two-table strategy nor the
+   chain walker records a draw span, while the same queries run
+   without EXPLAIN do. *)
 let test_explain_query () =
   let q = parse_ok "explain select * from orders sample 2" in
   Alcotest.(check bool) "parser flags explain" true q.Ast.explain;
@@ -333,7 +335,42 @@ let test_explain_query () =
   Alcotest.(check bool) "decision still attached" true (r.Engine.decision <> None);
   let plain = run_ok "explain select * from orders" in
   Alcotest.(check bool) "single-table explain" true plain.Engine.explained;
-  Alcotest.(check int) "no rows" 0 (List.length plain.Engine.rows)
+  Alcotest.(check int) "no rows" 0 (List.length plain.Engine.rows);
+  let draw_spans q =
+    let was = Rsj_obs.enabled () in
+    Rsj_obs.set_enabled true;
+    Rsj_obs.Trace.clear ();
+    Fun.protect ~finally:(fun () ->
+        Rsj_obs.Trace.clear ();
+        Rsj_obs.set_enabled was)
+    @@ fun () ->
+    ignore (run_ok q);
+    List.filter
+      (fun (e : Rsj_obs.Trace.event) ->
+        String.starts_with ~prefix:"strategy." e.name || e.name = "chain_sample.sample_rows")
+      (Rsj_obs.Trace.events ())
+    |> List.length
+  in
+  List.iter
+    (fun q ->
+      Alcotest.(check int) ("EXPLAIN draws nothing: " ^ q) 0 (draw_spans ("explain " ^ q));
+      Alcotest.(check bool) ("running it draws: " ^ q) true (draw_spans q > 0))
+    [
+      "select * from orders, customers where orders.cust = customers.cust sample 5 using naive";
+      "select * from orders, customers, regions where orders.cust = customers.cust and \
+       customers.city = regions.city sample 5";
+    ]
+
+(* A sampler's own failure is an [Error], not an exception: Olken
+   cannot draw from an empty R1. *)
+let test_sampler_failure_is_error () =
+  let cat = ("empty", Relation.create ~name:"empty" orders_schema) :: catalog () in
+  match
+    Engine.run cat "select * from empty, customers where empty.cust = customers.cust sample 5 \
+                    using olken"
+  with
+  | Ok _ -> Alcotest.fail "sampling an empty R1 with Olken succeeded"
+  | Error msg -> Alcotest.(check bool) ("reports the empty R1: " ^ msg) true (contains "empty R1" msg)
 
 (* A two-table SAMPLE runs the same chunked runner a daemon sample
    request runs: for every strategy, the rows are exactly
@@ -505,6 +542,8 @@ let suite =
     Alcotest.test_case "engine: picker routes plain SAMPLE" `Quick test_picker_routed_sample;
     Alcotest.test_case "engine: USING bypasses picker" `Quick test_named_strategy_skips_picker;
     Alcotest.test_case "engine: EXPLAIN plans without executing" `Quick test_explain_query;
+    Alcotest.test_case "engine: a sampler failure is an Error" `Quick
+      test_sampler_failure_is_error;
     Alcotest.test_case "engine: SAMPLE USING stream" `Quick test_strategy_sample;
     Alcotest.test_case "engine: filter pushdown below sampling" `Quick
       test_strategy_sample_with_filter_pushdown;
