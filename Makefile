@@ -47,9 +47,6 @@ bench-parallel:
 # bench-json = machine-readable perf trajectory: strategy × domains
 # median wall-times over the pooled runtime plus the domain-pool spawn
 # counters and the telemetry pass, written to BENCH_parallel.json.
-# (The committed file still holds the boxed-vs-int "dataplane" and the
-# cdf-vs-alias "draw_plane" sections, recorded before the boxed chunked
-# runners and the RSJ_DRAW toggle were retired; a rerun drops them.)
 # CI-friendly scale (RSJ_PAR_N1 default 100_000; RSJ_REPS medians,
 # default 3).
 bench-json:

@@ -94,14 +94,11 @@ let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
     @@ fun () ->
     count_draws t r;
     let k = Array.length t.levels in
-    let roots = Array.make (max 1 r) 0 in
-    Dist.Alias_table.draw_many root.picks.(0) rng ~into:roots ~n:r;
+    let roots = Array.init r (fun _ -> Dist.Alias_table.draw root.picks.(0) rng) in
     let out = Array.make (r * k) 0 in
-    (* The walk inlined without closures, on the packed state for the
-       whole batch: this is the draw kernel of every chain request, so
-       nothing per-draw beyond the picks themselves. *)
-    let st = Bytes.create 40 in
-    Rsj_util.Prng.dump_state rng st;
+    (* The walk inlined without closures: this is the draw kernel of
+       every chain request, so nothing per-draw beyond the picks
+       themselves. *)
     (* Accounting hoisted out of the loop: a complete batch makes
        exactly r root accesses and r * (k-1) successor probes. *)
     metrics.Metrics.random_accesses <- metrics.Metrics.random_accesses + r;
@@ -119,12 +116,11 @@ let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
         if g < 0 then
           failwith "Chain_sample.draw: weight table inconsistent with relation contents";
         let next = Array.unsafe_get levels (level_idx + 1) in
-        let jj = Dist.Alias_table.draw_packed (Array.unsafe_get next.picks g) st in
+        let jj = Dist.Alias_table.draw (Array.unsafe_get next.picks g) rng in
         row_id := Int_index.row next.index (Int_index.gid_start next.index g + jj);
         Array.unsafe_set out (base + level_idx + 1) !row_id
       done
     done;
-    Rsj_util.Prng.load_state rng st;
     out
 
 let sample t rng ?metrics ~r () = Relation.rehydrate t.relations (sample_rows t rng ?metrics ~r ())

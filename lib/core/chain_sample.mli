@@ -51,9 +51,9 @@ val sample_rows : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit ->
 (** The one walk kernel: [r] independent WR draws returned as join
     positions — row-id paths, [r] consecutive groups of [k] row ids
     (group [j] holds the R1..Rk row ids of draw [j]) — with no tuple
-    materialization. The root picks are batched through the alias
-    table's [draw_many] (one packed-state pass). [[||]] when the join
-    is empty. *)
+    materialization. All [r] root picks are drawn first, then the [r]
+    walks, each pick one allocation-free [Dist.Alias_table.draw] on
+    [rng]. [[||]] when the join is empty. *)
 
 val sample : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> Tuple.t array
 (** {!sample_rows} rehydrated through {!Rsj_relation.Relation.rehydrate}:

@@ -39,11 +39,11 @@ let build_join_index ?keep (metrics : Metrics.t) ~keys =
   idx
 
 (* Int twin of Internals.Partition: the hi/lo routing pass with both
-   reservoirs as allocation-free Wr_int kernels sharing one packed
-   generator stream (the boxed route interleaves s1/jlo feeds on one
-   rng, so the kernels must too), and the Rhi1 tallies in an int
-   Counter. [seal] lifts a chunk's kernels into plain int reservoirs so
-   Reservoir.Wr.merge applies unchanged. *)
+   reservoirs as allocation-free Wr_int kernels on one generator (the
+   boxed route interleaves s1/jlo feeds on one rng, so the kernels
+   must too), and the Rhi1 tallies in an int Counter. [seal] lifts a
+   chunk's kernels into plain int reservoirs so Reservoir.Wr.merge
+   applies unchanged. *)
 module Partition = struct
   type kernels = {
     s1k : Wr_int.t;
@@ -60,10 +60,9 @@ module Partition = struct
   }
 
   let create_kernels rng ~r =
-    let s1k = Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r in
     {
-      s1k;
-      jlok = Wr_int.create_linked ~on_displace:Reservoir.note_displacements s1k ~r;
+      s1k = Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r;
+      jlok = Wr_int.create ~on_displace:Reservoir.note_displacements rng ~r;
       m1_hi = Counter.create ();
       n_lo = 0;
     }
@@ -99,8 +98,6 @@ module Partition = struct
     end
 
   let seal ~r kers =
-    (* The kernels share one packed state; one finish releases it. *)
-    Wr_int.finish kers.s1k;
     {
       s1_res =
         Reservoir.Wr.of_parts ~r ~slots:(Wr_int.contents kers.s1k)

@@ -121,9 +121,8 @@ let fold_parts ~merge_rng ~merge ~empty (parts : _ array) =
    scan itself counted here. [feed] consumes a whole [lo, hi) row range
    in one call so the call sites can write flat loops over the shared
    key column; [make] receives the chunk's generator (the Wr_int
-   kernels capture its state); [seal] converts the chunk state for
-   merging (and releases any captured generator state). Results come
-   back in chunk order. *)
+   kernels draw from it); [seal] converts the chunk state for merging.
+   Results come back in chunk order. *)
 let chunked_pass ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
   let chunks = Relation.chunk_count relation ~chunk_size in
   let n = Relation.cardinality relation in
@@ -155,7 +154,6 @@ let parallel_s1 env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
           Wr_int.feed ker ~weight:(Counter.get freq (Array.unsafe_get keys1 row)) row
         done)
       ~seal:(fun ker ->
-        Wr_int.finish ker;
         Reservoir.Wr.of_parts ~r ~slots:(Wr_int.contents ker) ~fed:(Wr_int.fed_count ker)
           ~total:(Wr_int.total_weight ker))
       (Strategy.env_left env)
@@ -207,7 +205,6 @@ let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
         done;
         metrics.join_output_tuples <- metrics.join_output_tuples + !matched)
       ~seal:(fun ker ->
-        Wr_int.finish ker;
         Reservoir.Wr.of_parts ~r ~slots:(Wr_int.contents ker) ~fed:(Wr_int.fed_count ker)
           ~total:(Wr_int.total_weight ker))
       (Strategy.env_left env)

@@ -160,19 +160,86 @@ module Cdf_table = struct
   let support t = Array.length t.cdf
 end
 
+(* Walker/Vose alias table over one flat array. A CDF table answers a
+   categorical draw in O(log k) binary-search steps, each a
+   data-dependent load into a k-sized float array; an alias table
+   answers it with one uniform cell pick and one threshold compare —
+   two loads, independent of k. Construction is the classic Vose
+   pairing: scale weights to mean 1, then repeatedly move mass from an
+   overfull cell onto an underfull one, recording the donor as the
+   cell's alias. O(k) time, 2k words. *)
 module Alias_table = struct
-  type t = { core : Alias_int.t; probs : float array }
+  type t = {
+    data : float array;
+        (* Interleaved cell pairs: [data.(2i)] is the keep threshold in
+           [0, 1], [data.(2i+1)] the donor index encoded as a float
+           (exact: indexes are far below 2^53). A draw reads both slots
+           of one 16-byte pair — always a single cache line — where a
+           threshold array and a donor array would cost two misses on
+           tables past L2. *)
+    probs : float array;
+  }
 
   let of_weights weights =
     let total = validate_weights ~who:"Dist.Alias_table.of_weights" weights in
-    {
-      core = Alias_int.of_weights ~total weights;
-      probs = Array.map (fun w -> w /. total) weights;
-    }
+    let k = Array.length weights in
+    let scale = float_of_int k /. total in
+    let p = Array.map (fun w -> w *. scale) weights in
+    let prob = Array.make k 1. in
+    let alias = Array.init k Fun.id in
+    (* Worklists as preallocated stacks: every index enters exactly once. *)
+    let small = Array.make k 0 and large = Array.make k 0 in
+    let ns = ref 0 and nl = ref 0 in
+    for i = 0 to k - 1 do
+      if p.(i) < 1. then begin
+        small.(!ns) <- i;
+        incr ns
+      end
+      else begin
+        large.(!nl) <- i;
+        incr nl
+      end
+    done;
+    while !ns > 0 && !nl > 0 do
+      decr ns;
+      let s = small.(!ns) in
+      let l = large.(!nl - 1) in
+      prob.(s) <- p.(s);
+      alias.(s) <- l;
+      (* The donor keeps what the underfull cell did not need. *)
+      p.(l) <- p.(l) -. (1. -. p.(s));
+      if p.(l) < 1. then begin
+        decr nl;
+        small.(!ns) <- l;
+        incr ns
+      end
+    done;
+    (* Leftovers on either list hold exactly mass 1 up to rounding (the
+       pairing conserves total mass k), so their threshold is 1. A true
+       zero-weight cell can never be left over: its mass deficit would
+       have to be carried by peers each strictly below 1, which cannot
+       sum to the remaining cell count. *)
+    while !nl > 0 do
+      decr nl;
+      prob.(large.(!nl)) <- 1.
+    done;
+    while !ns > 0 do
+      decr ns;
+      prob.(small.(!ns)) <- 1.
+    done;
+    let data = Array.make (2 * k) 0. in
+    for i = 0 to k - 1 do
+      data.(2 * i) <- prob.(i);
+      data.((2 * i) + 1) <- float_of_int alias.(i)
+    done;
+    { data; probs = Array.map (fun w -> w /. total) weights }
 
-  let draw t rng = Alias_int.draw t.core rng
-  let draw_packed t st = Alias_int.draw_packed t.core st
-  let draw_many t rng ~into ~n = Alias_int.draw_many t.core rng ~into ~n
+  (* A uniform cell, then the threshold, compared in place. *)
+  let draw t rng =
+    let i = Prng.int rng (Array.length t.probs) in
+    if float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < Array.unsafe_get t.data (2 * i) then i
+    else int_of_float (Array.unsafe_get t.data ((2 * i) + 1))
+
   let prob t i = t.probs.(i)
   let support t = Array.length t.probs
   let expected_counts t ~n = Array.map (fun p -> float_of_int n *. p) t.probs

@@ -57,10 +57,12 @@ end
 
 (** Walker/Vose alias table: O(k) construction, O(1) draws — the one
     table every repeated-draw path builds (the chain walker, the
-    negative control). Wraps {!Alias_int} (the flat-array kernel)
-    with the exact accessors {!Cdf_table} exposes, plus expected counts
-    for chi-square cells. Draws are distribution-identical to
-    {!Cdf_table} over the same weights, not draw-for-draw identical. *)
+    negative control). Vose's construction over one flat array of
+    threshold/donor pairs, with the exact accessors {!Cdf_table}
+    exposes, plus expected counts for chi-square cells. The table is
+    immutable and safe to share across domains. Draws are
+    distribution-identical to {!Cdf_table} over the same weights, not
+    draw-for-draw identical. *)
 module Alias_table : sig
   type t
 
@@ -69,20 +71,9 @@ module Alias_table : sig
       pass, shared with {!Cdf_table.of_weights}). *)
 
   val draw : t -> Prng.t -> int
-  (** Draw an index with probability proportional to its weight. O(1). *)
-
-  val draw_packed : t -> Bytes.t -> int
-  (** {!draw} against a packed state buffer ([Prng.dump_state], >= 40
-      bytes; {!Alias_int.draw_packed}), stream-identical to {!draw}.
-      Kernels that make many picks per request (the chain walker) dump
-      the state once and draw packed, so no pick ever touches the
-      boxed int64 generator fields. *)
-
-  val draw_many : t -> Prng.t -> into:int array -> n:int -> unit
-  (** Batched draws on a packed generator state ({!Alias_int.draw_many}):
-      fills [into.(0 .. n-1)], allocation-free beyond the 40-byte state
-      buffer, equal element-for-element to [n] single {!draw}s from the
-      same state. *)
+  (** Draw an index with probability proportional to its weight: one
+      {!Prng.int} cell pick and one {!Prng.bits53} threshold compare.
+      O(1), allocation-free. *)
 
   val prob : t -> int -> float
   (** [prob t i] is the normalized probability of index [i] — exact, not

@@ -1,17 +1,18 @@
 (* xoshiro256** with splitmix64 seeding.
 
-   The state is four int64 words. xoshiro256** is the recommended
-   general-purpose member of the xoshiro family (Blackman & Vigna, 2018);
-   splitmix64 is the seeding/splitting function recommended by its
-   authors because consecutive splitmix64 outputs are equidistributed and
-   decorrelated from the xoshiro stream. *)
+   xoshiro256** is the recommended general-purpose member of the
+   xoshiro family (Blackman & Vigna, 2018); splitmix64 is the
+   seeding/splitting function recommended by its authors because
+   consecutive splitmix64 outputs are equidistributed and decorrelated
+   from the xoshiro stream.
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+   The state is one 40-byte buffer: the four state words s0..s3
+   little-endian at offsets 0, 8, 16, 24 and the last output word at
+   32. Bytes.{get,set}_int64_le compile to plain loads and stores of
+   unboxed words, so a step allocates nothing, and neither does any
+   draw that returns an int. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -22,6 +23,14 @@ let splitmix64_next state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.make 40 '\000' in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3;
+  t
+
 let of_seed64 seed =
   let st = ref seed in
   let s0 = splitmix64_next st in
@@ -31,24 +40,36 @@ let of_seed64 seed =
   (* xoshiro must not start from the all-zero state; splitmix64 outputs
      are zero only for one specific input, so perturb defensively. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = golden_gamma; s2 = 3L; s3 = 7L }
-  else { s0; s1; s2; s3 }
+    of_words 1L golden_gamma 3L 7L
+  else of_words s0 s1 s2 s3
 
 let create ?(seed = 0x5EED) () = of_seed64 (Int64.of_int seed)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* One xoshiro256** step; the output word lands at offset 32. *)
+let step t =
+  let s0 = Bytes.get_int64_le t 0 in
+  let s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 in
+  let s3 = Bytes.get_int64_le t 24 in
+  let r5 = Int64.mul s1 5L in
+  Bytes.set_int64_le t 32
+    (Int64.mul (Int64.logor (Int64.shift_left r5 7) (Int64.shift_right_logical r5 57)) 9L);
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 tt in
+  let s3 = Int64.logor (Int64.shift_left s3 45) (Int64.shift_right_logical s3 19) in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3
 
 let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
-  result
+  step t;
+  Bytes.get_int64_le t 32
 
 let split t = of_seed64 (bits64 t)
 
@@ -61,40 +82,46 @@ let split_n t n =
   let st = ref (bits64 t) in
   Array.init n (fun _ -> of_seed64 (splitmix64_next st))
 
+let mask62 = 0x3FFF_FFFF_FFFF_FFFFL
+let max62 = Int64.to_int mask62
+
+(* Rejection sampling on the top 62 bits avoids modulo bias while
+   staying within OCaml's native int range. *)
+let rec draw_int t bound =
+  step t;
+  let raw = Int64.to_int (Int64.logand (Bytes.get_int64_le t 32) mask62) in
+  let v = raw mod bound in
+  (* Reject draws from the final incomplete block. *)
+  if raw - v > max62 - bound + 1 then draw_int t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  if bound = 1 then 0
-  else begin
-    (* Rejection sampling on the top 62 bits avoids modulo bias while
-       staying within OCaml's native int range. *)
-    let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-    let rec draw () =
-      let raw = Int64.to_int (Int64.logand (bits64 t) mask) in
-      let v = raw mod bound in
-      (* Reject draws from the final incomplete block. *)
-      if raw - v > Int64.to_int mask - bound + 1 then draw () else v
-    in
-    draw ()
-  end
+  if bound = 1 then 0 else draw_int t bound
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
-  (* 53 random bits scaled into [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int bits *. 0x1.0p-53
+let bits53 t =
+  step t;
+  Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le t 32) 11)
+
+let unit_float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let rec unit_float_pos t =
   let u = unit_float t in
   if u > 0. then u else unit_float_pos t
 
 let float t bound = bound *. unit_float t
-let bool t = Int64.logand (bits64 t) 1L = 1L
+
+let bool t =
+  step t;
+  Int64.logand (Bytes.get_int64_le t 32) 1L = 1L
 
 let bernoulli t p =
-  if p <= 0. then false else if p >= 1. then true else unit_float t < p
+  if p <= 0. then false
+  else if p >= 1. then true
+  else float_of_int (bits53 t) *. 0x1.0p-53 < p
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
@@ -124,68 +151,10 @@ let sample_distinct t ~k ~n =
   shuffle_in_place t out;
   out
 
-(* Raw state transport for the data-plane kernel (Wr_int): the kernel
-   keeps the four state words in a Bytes buffer so its inner loop can
-   step the generator without touching this module's mutable int64
-   fields (stores into which would box). Layout: s0..s3 little-endian
-   at offsets 0, 8, 16, 24; callers provide a buffer of >= 32 bytes. *)
-let dump_state t buf =
-  Bytes.set_int64_le buf 0 t.s0;
-  Bytes.set_int64_le buf 8 t.s1;
-  Bytes.set_int64_le buf 16 t.s2;
-  Bytes.set_int64_le buf 24 t.s3
-
-let load_state t buf =
-  t.s0 <- Bytes.get_int64_le buf 0;
-  t.s1 <- Bytes.get_int64_le buf 8;
-  t.s2 <- Bytes.get_int64_le buf 16;
-  t.s3 <- Bytes.get_int64_le buf 24
-
-(* One xoshiro256** step on the packed state; the output word lands at
-   offset 32. Mirrors bits64 exactly, rotl inlined. The single copy of
-   the packed stepping code — the kernels (Wr_int, Alias_int) run
-   whole inner loops on a dumped state without touching the mutable
-   int64 fields above (stores into which would box). *)
-let step_packed st =
-  let s0 = Bytes.get_int64_le st 0 in
-  let s1 = Bytes.get_int64_le st 8 in
-  let s2 = Bytes.get_int64_le st 16 in
-  let s3 = Bytes.get_int64_le st 24 in
-  let r5 = Int64.mul s1 5L in
-  Bytes.set_int64_le st 32
-    (Int64.mul (Int64.logor (Int64.shift_left r5 7) (Int64.shift_right_logical r5 57)) 9L);
-  let tt = Int64.shift_left s1 17 in
-  let s2 = Int64.logxor s2 s0 in
-  let s3 = Int64.logxor s3 s1 in
-  let s1 = Int64.logxor s1 s2 in
-  let s0 = Int64.logxor s0 s3 in
-  let s2 = Int64.logxor s2 tt in
-  let s3 = Int64.logor (Int64.shift_left s3 45) (Int64.shift_right_logical s3 19) in
-  Bytes.set_int64_le st 0 s0;
-  Bytes.set_int64_le st 8 s1;
-  Bytes.set_int64_le st 16 s2;
-  Bytes.set_int64_le st 24 s3
-
-let packed_mask62 = 0x3FFF_FFFF_FFFF_FFFFL
-let packed_max62 = Int64.to_int packed_mask62
-
-(* [int]'s rejection sampling on the packed state; callers guarantee
-   bound >= 2 ([int] returns 0 without drawing when bound = 1, so a
-   packed caller must skip the call to stay stream-identical). *)
-let rec rand_int_packed st bound =
-  step_packed st;
-  let raw = Int64.to_int (Int64.logand (Bytes.get_int64_le st 32) packed_mask62) in
-  let v = raw mod bound in
-  if raw - v > packed_max62 - bound + 1 then rand_int_packed st bound else v
-
-(* [unit_float]'s 53-bit extraction on the packed state: one step, one
-   scale. The float travels in a register — callers that compare it
-   immediately (the draw kernels) never box it. *)
-let unit_float_packed st =
-  step_packed st;
-  float_of_int (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le st 32) 11))
-  *. 0x1.0p-53
-
 let state_fingerprint t =
   let mix acc x = Int64.add (Int64.mul acc 0x100000001B3L) x in
-  mix (mix (mix (mix 0xCBF29CE484222325L t.s0) t.s1) t.s2) t.s3
+  mix
+    (mix
+       (mix (mix 0xCBF29CE484222325L (Bytes.get_int64_le t 0)) (Bytes.get_int64_le t 8))
+       (Bytes.get_int64_le t 16))
+    (Bytes.get_int64_le t 24)

@@ -5,7 +5,12 @@
     The generator is xoshiro256** seeded through splitmix64, which is fast,
     has a 256-bit state, and passes BigCrush; splitmix64 is also used to
     derive independent child generators ({!split}) so that parallel
-    pipelines do not share streams. *)
+    pipelines do not share streams.
+
+    There is one state representation: a 40-byte buffer stepped in
+    place, so {!int}, {!bits53}, {!bernoulli} and {!bool} allocate
+    nothing, and every kernel — the reservoirs, [Wr_int], the alias
+    draws — steps the same [t] directly. *)
 
 type t
 (** Mutable generator state. Not thread-safe; use {!split} to hand a
@@ -46,8 +51,14 @@ val float : t -> float -> float
 (** [float t bound] is uniform on [\[0, bound)], with 53 bits of
     precision. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the top 53 bits of the next output word, uniform on
+    [\[0, 2^53)]; [float_of_int (bits53 t) *. 0x1.0p-53] is exactly
+    [unit_float t]. *)
+(* An int, not a float: under -opaque a float returned across modules boxes. *)
+
 val unit_float : t -> float
-(** [unit_float t] is uniform on [\[0, 1)]. *)
+(** [unit_float t] is uniform on [\[0, 1)]: {!bits53} scaled by 2^-53. *)
 
 val unit_float_pos : t -> float
 (** [unit_float_pos t] is uniform on [(0, 1)] — never returns [0.],
@@ -71,36 +82,6 @@ val sample_distinct : t -> k:int -> n:int -> int array
 (** [sample_distinct t ~k ~n] draws [k] distinct integers from
     [\[0, n)] uniformly (Floyd's algorithm), in random order. Raises
     [Invalid_argument] if [k > n] or [k < 0]. *)
-
-val dump_state : t -> Bytes.t -> unit
-(** [dump_state t buf] writes the four state words into [buf] (little
-    endian at offsets 0, 8, 16, 24; [buf] must hold at least 32 bytes).
-    Raw state transport for the allocation-free data-plane kernel
-    ({!Wr_int}), which steps the generator inside a [Bytes] buffer so
-    its inner loop never stores into boxed int64 fields. While a dumped
-    state is live the owning [t] must not be drawn from; {!load_state}
-    hands the stream back. *)
-
-val load_state : t -> Bytes.t -> unit
-(** [load_state t buf] overwrites [t]'s state from a buffer written by
-    {!dump_state} (and possibly advanced by the kernel since). *)
-
-val step_packed : Bytes.t -> unit
-(** One xoshiro256** step on a packed state buffer; the output word is
-    written little-endian at offset 32 ([buf] must hold at least 40
-    bytes). Bit-for-bit the step {!bits64} performs — the single copy
-    of the packed stepping code, shared by the allocation-free kernels
-    ({!Wr_int}, {!Alias_int}). *)
-
-val rand_int_packed : Bytes.t -> int -> int
-(** {!int}'s rejection sampling on a packed state. Callers guarantee
-    [bound >= 2]: {!int} returns 0 without drawing when the bound is 1,
-    so a packed caller must skip the call to stay stream-identical. *)
-
-val unit_float_packed : Bytes.t -> float
-(** {!unit_float}'s 53-bit extraction on a packed state: one step, one
-    scale, stream-identical to the unpacked call. The result travels in
-    a register, so a caller that compares it immediately never boxes. *)
 
 val state_fingerprint : t -> int64
 (** [state_fingerprint t] is a hash of the current state, used by tests to

@@ -2,15 +2,14 @@
    loop of the compact data plane.
 
    Reservoir.Wr.feed is law-correct but allocates on every fed element:
-   the float weight boxes across the call, Dist.binomial's draw stores
-   boxed int64s back into the Prng.t record, and Prng.sample_distinct
-   builds a Hashtbl. None of that work is algorithmically necessary for
-   an int element stream, so this module re-implements the feed with
-   every loop-carried value held in unboxed storage:
+   the float weight boxes across the call, Dist.binomial's deviate
+   comes back as a boxed float, and Prng.sample_distinct builds a
+   Hashtbl. None of that work is algorithmically necessary for an int
+   element stream, so this module re-implements the feed with every
+   loop-carried value held in unboxed storage:
 
-   - the xoshiro256** state lives in a Bytes buffer ([step] loads and
-     stores the four words with Bytes.{get,set}_int64_le, which the
-     compiler keeps in registers);
+   - the generator is stepped through Prng's int-returning draws
+     (Prng.int, Prng.bits53), which allocate nothing;
    - loop-carried floats (total weight, the inversion deviate and pmf,
      the pmf ratio) live in a float array, whose elements are stored
      flat;
@@ -23,14 +22,12 @@
    The draw sequence is bit-for-bit the one Reservoir.Wr.feed performs
    (same generator steps, same branch structure), which
    test/test_dataplane.ml's kernel-equivalence check pins. Rare regimes
-   (p > 1/2, r·p above Dist's small-mean threshold, pmf underflow) sync
-   the packed state back into the Prng.t and defer to Dist.binomial
-   itself, so there is exactly one copy of the non-trivial sampling
-   math. *)
+   (p > 1/2, r·p above Dist's small-mean threshold, pmf underflow)
+   call Dist.binomial itself, so there is exactly one copy of the
+   non-trivial sampling math. *)
 
 type t = {
-  rng : Prng.t;  (* owner; stale while the packed state is live *)
-  st : Bytes.t;  (* s0..s3 at 0,8,16,24; last output word at 32 *)
+  rng : Prng.t;
   freg : float array;  (* 0: total weight; 1: deviate; 2: pmf; 3: ratio *)
   r : int;
   slots : int array;  (* meaningful once fed > 0 *)
@@ -44,11 +41,8 @@ type t = {
 
 let create ?(on_displace = ignore) rng ~r =
   if r < 0 then invalid_arg "Wr_int.create: r < 0";
-  let st = Bytes.create 40 in
-  Prng.dump_state rng st;
   {
     rng;
-    st;
     freg = Array.make 4 0.;
     r;
     slots = Array.make r 0;
@@ -59,40 +53,6 @@ let create ?(on_displace = ignore) rng ~r =
     ireg = 0;
     on_displace;
   }
-
-(* A second reservoir drawing from the SAME packed stream: shares the
-   owner Prng.t and the state buffer, so two kernels fed interleaved
-   (the partition route's s1/jlo pair) consume one generator stream
-   exactly like two Reservoir.Wr.feed call sites sharing one rng.
-   [finish] on either kernel releases the shared state. *)
-let create_linked ?(on_displace = ignore) t ~r =
-  if r < 0 then invalid_arg "Wr_int.create_linked: r < 0";
-  {
-    rng = t.rng;
-    st = t.st;
-    freg = Array.make 4 0.;
-    r;
-    slots = Array.make r 0;
-    scratch = Array.make r 0;
-    mark = Array.make r 0;
-    gen = 0;
-    fed = 0;
-    ireg = 0;
-    on_displace;
-  }
-
-(* The packed xoshiro step and rejection draw live in Prng (the owner
-   of the state layout), shared with Alias_int's batched draw loop. *)
-let step = Prng.step_packed
-let rand_int = Prng.rand_int_packed
-
-(* Rare-regime fallback: hand the stream back to the Prng.t, let
-   Dist.binomial do the work, re-pack. *)
-let slow_binomial t p =
-  Prng.load_state t.rng t.st;
-  let k = Dist.binomial t.rng ~n:t.r ~p in
-  Prng.dump_state t.rng t.st;
-  k
 
 let feed t ~weight row =
   if weight < 0 then invalid_arg "Wr_int.feed: negative weight";
@@ -103,19 +63,16 @@ let feed t ~weight row =
     else begin
       let p = float_of_int weight /. t.freg.(0) in
       let flips =
-        if p > 0.5 || float_of_int t.r *. p > 30. then slow_binomial t p
+        if p > 0.5 || float_of_int t.r *. p > 30. then Dist.binomial t.rng ~n:t.r ~p
         else begin
           (* Dist.binomial's small-mean branch: sequential inversion
              from k = 0 on the pmf recurrence, one uniform deviate. *)
           let q = 1. -. p in
           let pmf0 = q ** float_of_int t.r in
-          if pmf0 = 0. then slow_binomial t p
+          if pmf0 = 0. then Dist.binomial t.rng ~n:t.r ~p
           else begin
             t.freg.(3) <- p /. q;
-            step t.st;
-            t.freg.(1) <-
-              float_of_int (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le t.st 32) 11))
-              *. 0x1.0p-53;
+            t.freg.(1) <- float_of_int (Prng.bits53 t.rng) *. 0x1.0p-53;
             t.freg.(2) <- pmf0;
             t.ireg <- 0;
             while t.freg.(1) >= t.freg.(2) && t.ireg < t.r do
@@ -139,7 +96,7 @@ let feed t ~weight row =
         t.gen <- t.gen + 1;
         t.ireg <- 0;
         for j = t.r - flips to t.r - 1 do
-          let v = if j = 0 then 0 else rand_int t.st (j + 1) in
+          let v = Prng.int t.rng (j + 1) in
           (* j itself is always fresh: earlier rounds drew from [0, j),
              so stamping the chosen position keeps membership exact. *)
           let v = if Array.unsafe_get t.mark v = t.gen then j else v in
@@ -148,7 +105,7 @@ let feed t ~weight row =
           t.ireg <- t.ireg + 1
         done;
         for i = flips - 1 downto 1 do
-          let j = rand_int t.st (i + 1) in
+          let j = Prng.int t.rng (i + 1) in
           let tmp = t.scratch.(i) in
           t.scratch.(i) <- t.scratch.(j);
           t.scratch.(j) <- tmp
@@ -165,7 +122,6 @@ let feed t ~weight row =
     t.freg.(0) <- t.freg.(0) +. float_of_int weight
   end
 
-let finish t = Prng.load_state t.rng t.st
 let fed_count t = t.fed
 let total_weight t = t.freg.(0)
 let size t = t.r

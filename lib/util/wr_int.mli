@@ -3,40 +3,31 @@
     The push-style twin of [Reservoir.Wr] specialised to int elements
     and int weights — the inner loop of the compact data plane. The
     draw sequence is bit-for-bit the one [Reservoir.Wr.feed] performs
-    from the same generator state: the xoshiro step, the small-mean
-    binomial inversion and Floyd's distinct sampling are inlined over
-    unboxed storage (state words in [Bytes], loop-carried floats in a
-    float array), and the rare regimes defer to [Dist.binomial]. Feeding
-    n elements allocates nothing beyond the [create]-time buffers.
+    from the same generator: the small-mean binomial inversion and
+    Floyd's distinct sampling are inlined over unboxed storage
+    (loop-carried floats in a float array, the generator stepped
+    through [Prng]'s int-returning draws), and the rare regimes defer
+    to [Dist.binomial]. Feeding n elements allocates nothing beyond
+    the [create]-time buffers.
 
-    Ownership contract: between [create] and [finish] the live generator
-    state is inside the kernel, and the [Prng.t] handed to [create] must
-    not be drawn from. [finish] writes the advanced state back, after
-    which the [Prng.t] continues the stream exactly where a
-    [Reservoir.Wr]-fed generator would be. *)
+    The kernel draws from the [Prng.t] handed to [create], in place:
+    after any feed that generator continues the stream exactly where a
+    [Reservoir.Wr]-fed one would be, and several kernels created on one
+    generator interleave like several [Reservoir.Wr.feed] call sites
+    sharing it. *)
 
 type t
 
 val create : ?on_displace:(int -> unit) -> Prng.t -> r:int -> t
-(** [create rng ~r] captures [rng]'s state and allocates the fixed
-    buffers. [on_displace] mirrors the reservoir displacement telemetry
+(** [create rng ~r] allocates the fixed buffers; feeds draw from
+    [rng]. [on_displace] mirrors the reservoir displacement telemetry
     hook (called with the flip count whenever occupied slots are
     overwritten). Raises [Invalid_argument] when [r < 0]. *)
-
-val create_linked : ?on_displace:(int -> unit) -> t -> r:int -> t
-(** [create_linked t ~r] is a second reservoir drawing from [t]'s
-    packed stream — for call sites that interleave feeds into two
-    reservoirs from one generator (the partition route). One [finish]
-    on either kernel releases the shared state. *)
 
 val feed : t -> weight:int -> int -> unit
 (** [feed t ~weight row]: weight 0 is ignored, negative raises
     [Invalid_argument] — exactly [Reservoir.Wr.feed] with
     [~weight:(float_of_int weight)]. *)
-
-val finish : t -> unit
-(** Write the advanced generator state back into the owning [Prng.t].
-    Call exactly once, after the last [feed]. *)
 
 val fed_count : t -> int
 val total_weight : t -> float

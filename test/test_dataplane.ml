@@ -3,7 +3,7 @@
 
    Four layers of evidence:
    - the Wr_int kernel replays Reservoir.Wr's draw sequence bit-for-bit
-     (slots AND the post-finish generator stream agree);
+     (slots AND the generator stream after the feed agree);
    - the key encoding (Column.key) round-trips every value kind and
      joins exactly as Value.equal;
    - how a join key is stored (int, string, float, or an int inside the
@@ -47,7 +47,6 @@ let test_kernel_equivalence () =
       let rng_int = Prng.create ~seed () in
       let ker = Wr_int.create rng_int ~r in
       Array.iteri (fun i w -> Wr_int.feed ker ~weight:w i) weights;
-      Wr_int.finish ker;
       let label what = Printf.sprintf "%s (seed=%d r=%d n=%d)" what seed r n in
       Alcotest.(check (array int)) (label "slots") boxed (Wr_int.contents ker);
       Alcotest.(check int) (label "fed") (Reservoir.Wr.fed_count res) (Wr_int.fed_count ker);
@@ -55,7 +54,7 @@ let test_kernel_equivalence () =
         (label "total")
         (Reservoir.Wr.total_weight res)
         (Wr_int.total_weight ker);
-      Alcotest.(check (array int)) (label "post-finish stream") (drain rng_box) (drain rng_int))
+      Alcotest.(check (array int)) (label "post-feed stream") (drain rng_box) (drain rng_int))
     [ (1, 4, 100); (2, 1, 57); (3, 16, 1000); (4, 8, 8); (5, 3, 0); (6, 5, 3000) ]
 
 (* Two kernels interleaved on one generator (the partition route) must
@@ -72,15 +71,14 @@ let test_linked_kernels () =
     route;
   let rng_int = Prng.create ~seed () in
   let hik = Wr_int.create rng_int ~r in
-  let lok = Wr_int.create_linked hik ~r in
+  let lok = Wr_int.create rng_int ~r in
   Array.iteri
     (fun i b ->
       if b < 4 then Wr_int.feed hik ~weight:(b + 1) i else Wr_int.feed lok ~weight:1 i)
     route;
-  Wr_int.finish hik;
   Alcotest.(check (array int)) "hi slots" (Reservoir.Wr.contents hi) (Wr_int.contents hik);
   Alcotest.(check (array int)) "lo slots" (Reservoir.Wr.contents lo) (Wr_int.contents lok);
-  Alcotest.(check (array int)) "post-finish stream" (drain rng_box) (drain rng_int)
+  Alcotest.(check (array int)) "post-feed stream" (drain rng_box) (drain rng_int)
 
 (* --- Key encoding --- *)
 
@@ -308,7 +306,6 @@ let test_inner_loop_allocation () =
     Wr_int.feed ker ~weight:(Counter.get freq (Array.unsafe_get keys row)) row
   done;
   let words = Gc.minor_words () -. before in
-  Wr_int.finish ker;
   if words >= 256. then
     Alcotest.failf "Stream int inner loop allocated %.0f minor words per %d tuples" words n
 
