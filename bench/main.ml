@@ -9,7 +9,7 @@
    2. Bechamel micro-benchmarks — one Test.make per paper artifact —
       timing the kernel of the strategy/black box each figure exercises,
       plus ablations (binomial sampler variants, reservoir vs known-n
-      black boxes, hash vs btree probes, CF skipping).
+      black boxes, hash-index probes, CF skipping).
 
    Environment knobs: RSJ_N1, RSJ_N2, RSJ_DOMAIN, RSJ_SCALE, RSJ_SEED,
    RSJ_REPS (paper harness); RSJ_BENCH_QUOTA (seconds per bechamel
@@ -68,14 +68,6 @@ let micro_tests () =
              (Rsj_index.Hash_index.multiplicity idx
                 (Rsj_relation.Value.Int (1 + Rsj_util.Prng.int rng 400)))))
   in
-  let btree_probe_test =
-    let bt = Rsj_index.Btree.build (Strategy.env_right env_skewed) ~key:Zipf_tables.col2 in
-    Test.make ~name:"ablation/btree-probe"
-      (Staged.stage (fun () ->
-           ignore
-             (Rsj_index.Btree.multiplicity bt
-                (Rsj_relation.Value.Int (1 + Rsj_util.Prng.int rng 400)))))
-  in
   [
     (* Table 1 is about requirements, not speed; its micro bench times
        the cheapest strategy satisfying the Case B row at z=(0,0). *)
@@ -113,17 +105,6 @@ let micro_tests () =
     Test.make ~name:"ablation/binomial-large-mean"
       (Staged.stage (fun () -> ignore (Rsj_util.Dist.binomial rng ~n:100_000 ~p:0.4)));
     hash_probe_test;
-    btree_probe_test;
-    (let paged =
-       Rsj_relation.Paged.create ~tuples_per_page:100 (Strategy.env_right env_skewed)
-     in
-     Test.make ~name:"ablation/paged-scan-sample"
-       (Staged.stage (fun () -> ignore (Rsj_core.Block_sample.scan_sample rng ~r:50 paged))));
-    (let paged =
-       Rsj_relation.Paged.create ~tuples_per_page:100 (Strategy.env_right env_skewed)
-     in
-     Test.make ~name:"ablation/paged-block-sample"
-       (Staged.stage (fun () -> ignore (Rsj_core.Block_sample.u1_paged rng ~r:50 paged))));
   ]
 
 (* Parallel-runtime benches. The workload is the acceptance-size Zipf
@@ -276,15 +257,17 @@ let run_json () =
     Array.sort compare a;
     a.(Array.length a / 2)
   in
+  (* One untimed request per cell before its timed reps, so a cell
+     does not read the caches and heap the previous cell left behind. *)
+  let timed_median request =
+    ignore (request ());
+    median (Array.init reps (fun _ -> (request ()).Strategy.elapsed_seconds))
+  in
   let time_wr env strategy d =
-    median
-      (Array.init reps (fun _ ->
-           (Rsj_parallel.run env strategy ~r ~domains:d).Strategy.elapsed_seconds))
+    timed_median (fun () -> Rsj_parallel.run env strategy ~r ~domains:d)
   in
   let time_wor env strategy d =
-    median
-      (Array.init reps (fun _ ->
-           (Rsj_parallel.run_wor env strategy ~r ~domains:d).Strategy.elapsed_seconds))
+    timed_median (fun () -> Rsj_parallel.run_wor env strategy ~r ~domains:d)
   in
   let domain_counts = [ 1; 2; 4 ] in
   (* Untraced pass first: these medians are the perf-trajectory numbers
