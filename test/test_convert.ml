@@ -149,6 +149,91 @@ let test_wor_reservoir () =
   Alcotest.(check bool) "distinct" true
     (List.length (List.sort_uniq compare (Array.to_list out)) = 3)
 
+let test_multi_reservoir_basics () =
+  let r = rng () in
+  let m = Reservoir.Multi.create ~k:4 in
+  Alcotest.(check int) "size" 4 (Reservoir.Multi.size m);
+  Alcotest.(check bool) "empty slots" true
+    (List.for_all (fun i -> Reservoir.Multi.get m i = None) [ 0; 1; 2; 3 ]);
+  Reservoir.Multi.feed r m "first";
+  Alcotest.(check bool) "the first element fills every slot" true
+    (List.for_all (fun i -> Reservoir.Multi.get m i = Some "first") [ 0; 1; 2; 3 ]);
+  for i = 1 to 20 do
+    Reservoir.Multi.feed r m (string_of_int i)
+  done;
+  Alcotest.(check int) "fed count" 21 (Reservoir.Multi.fed_count m);
+  Alcotest.(check bool) "every slot holds a fed element" true
+    (List.for_all (fun i -> Option.is_some (Reservoir.Multi.get m i)) [ 0; 1; 2; 3 ]);
+  let z = Reservoir.Multi.create ~k:0 in
+  Reservoir.Multi.feed r z 1;
+  Alcotest.(check int) "k = 0 still counts" 1 (Reservoir.Multi.fed_count z);
+  Alcotest.(check bool) "negative k rejected" true
+    (try
+       ignore (Reservoir.Multi.create ~k:(-1));
+       false
+     with Invalid_argument _ -> true)
+
+(* Each slot is a uniform pick of the feed, and slots are independent:
+   the pair (slot 0, slot 1) is uniform over all 5 × 5 cells. *)
+let test_multi_reservoir_uniform () =
+  let r = rng () in
+  let cells = Array.make 25 0 in
+  for _ = 1 to 25_000 do
+    let m = Reservoir.Multi.create ~k:3 in
+    for i = 0 to 4 do
+      Reservoir.Multi.feed r m i
+    done;
+    match (Reservoir.Multi.get m 0, Reservoir.Multi.get m 1) with
+    | Some a, Some b -> cells.((5 * a) + b) <- cells.((5 * a) + b) + 1
+    | _ -> Alcotest.fail "fed reservoir must hold something"
+  done;
+  let res = Stats_math.chi_square_uniform ~observed:cells in
+  Alcotest.(check bool) "iid uniform slots" true (res.p_value > 0.001)
+
+let test_multi_reservoir_merge () =
+  let r = rng () in
+  let feed k xs =
+    let m = Reservoir.Multi.create ~k in
+    List.iter (Reservoir.Multi.feed r m) xs;
+    m
+  in
+  let a = feed 3 [ 1; 2 ] and b = feed 3 [ 10; 20; 30 ] and e = feed 3 [] in
+  let slots m = List.init 3 (Reservoir.Multi.get m) in
+  let before = (slots a, slots b) in
+  let ab = Reservoir.Multi.merge r a b in
+  Alcotest.(check int) "fed counts add" 5 (Reservoir.Multi.fed_count ab);
+  Alcotest.(check bool) "inputs untouched" true ((slots a, slots b) = before);
+  Alcotest.(check bool) "each merged slot is one of the inputs' slot picks" true
+    (List.for_all
+       (fun i ->
+         let s = Reservoir.Multi.get ab i in
+         s = Reservoir.Multi.get a i || s = Reservoir.Multi.get b i)
+       [ 0; 1; 2 ]);
+  Alcotest.(check bool) "merging an empty side keeps the other" true
+    (slots (Reservoir.Multi.merge r e b) = slots b && slots (Reservoir.Multi.merge r a e) = slots a);
+  Alcotest.(check bool) "mismatched k rejected" true
+    (try
+       ignore (Reservoir.Multi.merge r a (feed 2 [ 1 ]));
+       false
+     with Invalid_argument _ -> true)
+
+(* The merge law: slot i of merge a b keeps a's pick with probability
+   fed_a / (fed_a + fed_b), so a slot of a 1-element side merged with a
+   3-element side lands on each of the 4 elements a quarter of the time. *)
+let test_multi_reservoir_merge_law () =
+  let r = rng () in
+  let counts = Array.make 4 0 in
+  for _ = 1 to 20_000 do
+    let a = Reservoir.Multi.create ~k:2 and b = Reservoir.Multi.create ~k:2 in
+    Reservoir.Multi.feed r a 0;
+    List.iter (Reservoir.Multi.feed r b) [ 1; 2; 3 ];
+    match Reservoir.Multi.get (Reservoir.Multi.merge r a b) 1 with
+    | Some x -> counts.(x) <- counts.(x) + 1
+    | None -> Alcotest.fail "merged slot empty"
+  done;
+  let res = Stats_math.chi_square_uniform ~observed:counts in
+  Alcotest.(check bool) "uniform over the union" true (res.p_value > 0.001)
+
 let suite =
   [
     Alcotest.test_case "semantics conversion table (§3)" `Quick test_semantics_conversions_table;
@@ -162,4 +247,8 @@ let suite =
     Alcotest.test_case "Wr reservoir bookkeeping" `Quick test_wr_reservoir_bookkeeping;
     Alcotest.test_case "Unit reservoir uniform" `Slow test_unit_reservoir_uniform;
     Alcotest.test_case "WoR reservoir" `Quick test_wor_reservoir;
+    Alcotest.test_case "Multi reservoir basics" `Quick test_multi_reservoir_basics;
+    Alcotest.test_case "Multi reservoir slots iid uniform" `Slow test_multi_reservoir_uniform;
+    Alcotest.test_case "Multi reservoir merge bookkeeping" `Quick test_multi_reservoir_merge;
+    Alcotest.test_case "Multi reservoir merge law" `Slow test_multi_reservoir_merge_law;
   ]

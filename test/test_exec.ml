@@ -211,6 +211,71 @@ let test_predicates () =
   Alcotest.(check bool) "not_null" true (eval (Not_null 1) tn);
   Alcotest.(check bool) "to_string total" true (String.length (to_string (And (True, Not (Eq (0, Value.Int 1))))) > 0)
 
+let test_predicate_to_string () =
+  let open Predicate in
+  let p =
+    Or
+      ( And (Between (1, Value.Int 2, Value.Int 9), Not (Is_null 0)),
+        Or (Ne (0, Value.str "x"), Custom ("my_udf", fun _ -> true)) )
+  in
+  Alcotest.(check string) "compound" "((#1 between 2 and 9 and (not #0 is null)) or (#0 <> \"x\" or my_udf))"
+    (to_string p);
+  Alcotest.(check (list string))
+    "comparisons"
+    [ "true"; "#0 = 1"; "#0 < 1"; "#0 <= 1"; "#0 > 1"; "#0 >= 1"; "#2 is not null" ]
+    (List.map to_string
+       [ True; Eq (0, Value.Int 1); Lt (0, Value.Int 1); Le (0, Value.Int 1); Gt (0, Value.Int 1);
+         Ge (0, Value.Int 1); Not_null 2 ])
+
+(* Property: on one nullable int column, eval agrees with a model in
+   which every comparison against NULL is false and the connectives
+   are the two-valued ones. *)
+let predicate_model_prop =
+  let open QCheck in
+  let leaf =
+    Gen.(
+      let c = int_range (-2) 2 in
+      oneof
+        [
+          return (Predicate.True, fun _ -> true);
+          map (fun v -> (Predicate.Eq (0, Value.Int v), function Some x -> x = v | None -> false)) c;
+          map (fun v -> (Predicate.Ne (0, Value.Int v), function Some x -> x <> v | None -> false)) c;
+          map (fun v -> (Predicate.Lt (0, Value.Int v), function Some x -> x < v | None -> false)) c;
+          map (fun v -> (Predicate.Le (0, Value.Int v), function Some x -> x <= v | None -> false)) c;
+          map (fun v -> (Predicate.Gt (0, Value.Int v), function Some x -> x > v | None -> false)) c;
+          map (fun v -> (Predicate.Ge (0, Value.Int v), function Some x -> x >= v | None -> false)) c;
+          map2
+            (fun lo hi ->
+              ( Predicate.Between (0, Value.Int lo, Value.Int hi),
+                function Some x -> lo <= x && x <= hi | None -> false ))
+            c c;
+          return (Predicate.Is_null 0, Option.is_none);
+          return (Predicate.Not_null 0, Option.is_some);
+        ])
+  in
+  let tree =
+    Gen.(
+      sized_size (int_bound 4)
+      @@ fix (fun self n ->
+             if n = 0 then leaf
+             else
+               frequency
+                 [
+                   (1, leaf);
+                   (2, map2 (fun (a, fa) (b, fb) -> (Predicate.And (a, b), fun x -> fa x && fb x)) (self (n / 2)) (self (n / 2)));
+                   (2, map2 (fun (a, fb) (b, fc) -> (Predicate.Or (a, b), fun x -> fb x || fc x)) (self (n / 2)) (self (n / 2)));
+                   (1, map (fun (a, fa) -> (Predicate.Not a, fun x -> not (fa x))) (self (n - 1)));
+                 ]))
+  in
+  Test.make ~name:"predicate eval matches a two-valued model" ~count:300
+    (make ~print:(fun (p, _) -> Predicate.to_string p) tree)
+    (fun (p, model) ->
+      List.for_all
+        (fun x ->
+          let row = [| (match x with Some v -> Value.Int v | None -> Value.Null) |] in
+          Predicate.eval p row = model x)
+        (None :: List.init 7 (fun i -> Some (i - 3))))
+
 let test_io_model () =
   let open Rsj_exec in
   let m = Metrics.create () in
@@ -261,6 +326,8 @@ let suite =
     Alcotest.test_case "pipelined source node" `Quick test_source_node;
     Alcotest.test_case "explain renders" `Quick test_explain_renders;
     Alcotest.test_case "predicate evaluation incl. NULL" `Quick test_predicates;
+    Alcotest.test_case "predicate rendering" `Quick test_predicate_to_string;
+    QCheck_alcotest.to_alcotest predicate_model_prop;
     Alcotest.test_case "I/O cost model arithmetic" `Quick test_io_model;
     Alcotest.test_case "I/O model penalizes random access" `Quick test_io_model_orders_random_access;
   ]

@@ -201,6 +201,142 @@ let test_csv_int_roundtrip_extremes () =
             true
             (Tuple.equal t (Relation.get r i))))
 
+let ids_rel n =
+  Relation.of_tuples schema (List.init n (fun i -> row i (string_of_int i)))
+
+let ids stream = List.map (fun t -> Value.to_int_exn (Tuple.get t 0)) (Stream0.to_list stream)
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_stream_range_and_shards () =
+  let r = ids_rel 10 in
+  Alcotest.(check (list int)) "range" [ 3; 4; 5 ] (ids (Relation.stream_range r ~lo:3 ~hi:6));
+  Alcotest.(check (list int)) "empty range" [] (ids (Relation.stream_range r ~lo:10 ~hi:10));
+  Alcotest.(check bool) "lo > hi" true (raises_invalid (fun () -> Relation.stream_range r ~lo:4 ~hi:3));
+  Alcotest.(check bool) "hi past end" true (raises_invalid (fun () -> Relation.stream_range r ~lo:0 ~hi:11));
+  Alcotest.(check bool) "negative lo" true (raises_invalid (fun () -> Relation.stream_range r ~lo:(-1) ~hi:2));
+  List.iter
+    (fun n ->
+      let parts = List.map ids (Array.to_list (Relation.shards r ~n)) in
+      Alcotest.(check int) (Printf.sprintf "%d shards" n) n (List.length parts);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d shards cover every row once, in order" n)
+        (List.init 10 Fun.id) (List.concat parts);
+      let sizes = List.map List.length parts in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards near-equal" n)
+        true
+        (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1))
+    [ 1; 3; 4; 10; 13 ];
+  Alcotest.(check bool) "n = 0" true (raises_invalid (fun () -> Relation.shards r ~n:0))
+
+let test_chunk_count () =
+  let r = ids_rel 10 in
+  Alcotest.(check (list int)) "ceil(10 / size)" [ 10; 5; 4; 1; 1 ]
+    (List.map (fun chunk_size -> Relation.chunk_count r ~chunk_size) [ 1; 2; 3; 10; 64 ]);
+  Alcotest.(check int) "empty relation" 0 (Relation.chunk_count (Relation.create schema) ~chunk_size:4);
+  Alcotest.(check bool) "chunk_size 0" true (raises_invalid (fun () -> Relation.chunk_count r ~chunk_size:0))
+
+let test_rehydrate () =
+  let a = ids_rel 3 and b = sample () in
+  let out = Relation.rehydrate [| a; b |] [| 2; 0; 0; 1 |] in
+  Alcotest.(check int) "two join positions" 2 (Array.length out);
+  Alcotest.(check bool) "first" true (Tuple.equal out.(0) (Array.append (row 2 "2") (row 1 "ann")));
+  Alcotest.(check bool) "second" true (Tuple.equal out.(1) (Array.append (row 0 "0") (row 2 "bob")));
+  Alcotest.(check int) "no positions" 0 (Array.length (Relation.rehydrate [| a |] [||]));
+  Alcotest.(check bool) "no relations" true (raises_invalid (fun () -> Relation.rehydrate [||] [| 0 |]));
+  Alcotest.(check bool) "ragged ids" true (raises_invalid (fun () -> Relation.rehydrate [| a; b |] [| 0; 1; 2 |]));
+  Alcotest.(check bool) "id out of range" true (raises_invalid (fun () -> Relation.rehydrate [| a; b |] [| 0; 3 |]))
+
+let test_identity_and_version () =
+  let r = sample () and r' = sample () in
+  Alcotest.(check bool) "uids differ" true (Relation.uid r <> Relation.uid r');
+  Alcotest.(check bool) "same contents, different fingerprints" true
+    (Relation.fingerprint r <> Relation.fingerprint r');
+  let v = Relation.version r and fp = Relation.fingerprint r in
+  Alcotest.(check int) "reads do not bump" v (ignore (Relation.get r 0); Relation.version r);
+  Relation.append r (row 4 "dan");
+  Alcotest.(check int) "append bumps" (v + 1) (Relation.version r);
+  Alcotest.(check bool) "fingerprint moves" true (Relation.fingerprint r <> fp);
+  Alcotest.(check bool) "a rejected append does not bump" true
+    (raises_invalid (fun () -> Relation.append r [| Value.Int 1 |]) && Relation.version r = v + 1);
+  Relation.append_unchecked r (row 5 "eve");
+  Alcotest.(check int) "append_unchecked bumps" (v + 2) (Relation.version r);
+  Alcotest.(check int) "uid is stable" (Relation.uid r) (Relation.uid r)
+
+let test_csv_escape_field () =
+  Alcotest.(check string) "plain" "abc" (Csv_io.escape_field "abc");
+  Alcotest.(check string) "empty" "" (Csv_io.escape_field "");
+  Alcotest.(check string) "comma" "\"a,b\"" (Csv_io.escape_field "a,b");
+  Alcotest.(check string) "quote doubled" "\"say \"\"hi\"\"\"" (Csv_io.escape_field "say \"hi\"");
+  Alcotest.(check string) "newline" "\"a\nb\"" (Csv_io.escape_field "a\nb");
+  Alcotest.(check string) "carriage return" "\"a\rb\"" (Csv_io.escape_field "a\rb");
+  Alcotest.(check string) "spaces need no quotes" " a b " (Csv_io.escape_field " a b ")
+
+(* parse_line inverts escape_field on any record whose fields hold no
+   line break (records are line-oriented in this dialect). *)
+let csv_fields_prop =
+  QCheck.Test.make ~name:"csv parse_line inverts escape_field" ~count:300
+    QCheck.(list_of_size (Gen.int_range 1 6) (string_gen_of_size (Gen.int_range 0 8) (Gen.oneofl [ 'a'; ','; '"'; ' '; 'z' ])))
+    (fun fields ->
+      Csv_io.parse_line (String.concat "," (List.map Csv_io.escape_field fields)) = fields)
+
+let test_csv_rejects_bad_rows () =
+  let s = Schema.of_list [ ("a", Value.T_int); ("b", Value.T_float) ] in
+  let fails_naming body want =
+    let path = Filename.temp_file "rsj_test" ".csv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc ("a,b\n" ^ body));
+        match Csv_io.load ~path s with
+        | _ -> Alcotest.failf "accepted %S" body
+        | exception Failure msg ->
+            let n = String.length want in
+            let rec has i = i + n <= String.length msg && (String.sub msg i n = want || has (i + 1)) in
+            Alcotest.(check bool) (Printf.sprintf "%S: %S names %S" body msg want) true (has 0))
+  in
+  fails_naming "1,2.5\n3\n" "line 3: 1 fields, expected 2";
+  fails_naming "1,2,3\n" "line 2: 3 fields, expected 2";
+  fails_naming "x,2.5\n" "line 2 column 0";
+  fails_naming "1,2.5\n\n4,y\n" "line 4 column 1";
+  fails_naming "1,\"2.5\n" "unterminated quote";
+  let empty = Filename.temp_file "rsj_test" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove empty)
+    (fun () ->
+      Alcotest.(check bool) "empty file" true
+        (try
+           ignore (Csv_io.load ~path:empty s);
+           false
+         with Failure _ -> true))
+
+(* Column.key is the join identity of the data plane: two values get
+   the same key exactly when Value.equal joins them, and value_of_key
+   inverts it. *)
+let column_key_prop =
+  let value =
+    QCheck.(
+      oneof
+        [
+          map Value.int (int_range (-3) 3);
+          map Value.int (oneofl [ min_int; min_int + 1; max_int ]);
+          map Value.float (oneofl [ 0.; -0.; 1.; 2.5; Float.nan; Float.infinity ]);
+          map Value.str (oneofl [ ""; "1"; "a"; "A" ]);
+          always Value.Null;
+        ])
+  in
+  QCheck.Test.make ~name:"Column.key agrees with Value.equal" ~count:500 (QCheck.pair value value)
+    (fun (a, b) ->
+      let ka = Column.key a and kb = Column.key b in
+      (a = Value.Null || Value.equal (Column.value_of_key ka) a)
+      && (a = Value.Null || b = Value.Null || (ka = kb) = Value.equal a b)
+      && (a <> Value.Null || ka = Column.null_key))
+
 let test_tuple_ops () =
   let t = Tuple.of_ints [ 1; 2; 3 ] in
   Alcotest.(check int) "arity" 3 (Tuple.arity t);
@@ -239,4 +375,12 @@ let suite =
     Alcotest.test_case "csv parse_int agrees with int_of_string" `Quick test_csv_parse_int;
     Alcotest.test_case "csv int roundtrip at the extremes" `Quick test_csv_int_roundtrip_extremes;
     Alcotest.test_case "tuple operations" `Quick test_tuple_ops;
+    Alcotest.test_case "csv escape_field" `Quick test_csv_escape_field;
+    QCheck_alcotest.to_alcotest csv_fields_prop;
+    Alcotest.test_case "csv rejects malformed rows by line" `Quick test_csv_rejects_bad_rows;
+    QCheck_alcotest.to_alcotest column_key_prop;
+    Alcotest.test_case "stream_range and shards" `Quick test_stream_range_and_shards;
+    Alcotest.test_case "chunk_count" `Quick test_chunk_count;
+    Alcotest.test_case "rehydrate join positions" `Quick test_rehydrate;
+    Alcotest.test_case "uid, version and fingerprint" `Quick test_identity_and_version;
   ]

@@ -142,6 +142,56 @@ let test_equi_depth_join_estimate () =
     true
     (est > truth /. 2. && est < truth *. 2.)
 
+let test_end_biased_planes_agree () =
+  let f = freq [ 7; 7; 7; 3; 3; 3; 5; 5; 9; 1 ] in
+  let h = Histogram.End_biased.build f ~threshold:2 in
+  Alcotest.(check (list (pair int int)))
+    "decreasing frequency, ties by value"
+    [ (3, 3); (7, 3); (5, 2) ]
+    (List.map (fun (v, c) -> (Value.to_int_exn v, c)) (Histogram.End_biased.high_values h));
+  Alcotest.(check int) "threshold" 2 (Histogram.End_biased.threshold h);
+  let plane = Histogram.End_biased.int_tracked h in
+  List.iter
+    (fun v ->
+      let boxed = Option.value ~default:0 (Histogram.End_biased.frequency h (Value.Int v)) in
+      Alcotest.(check int)
+        (Printf.sprintf "int plane agrees on %d" v)
+        boxed
+        (Rsj_index.Int_index.Counter.get plane (Column.key (Value.Int v))))
+    [ 1; 3; 5; 7; 9; 42 ];
+  Alcotest.(check int) "int plane tracks the head only" 3 (Rsj_index.Int_index.Counter.cardinal plane);
+  Alcotest.(check int) "tracked mass" 8 (Histogram.End_biased.tracked_mass h)
+
+let test_equi_depth_shape () =
+  let keys = [ 5; 1; 1; 1; 1; 2; 9; 9; 3; 4; 4; 8 ] in
+  let r =
+    Relation.of_tuples schema
+      ([| Value.Null |] :: List.map (fun k -> [| Value.Int k |]) keys)
+  in
+  let h = Histogram.Equi_depth.build r ~key:0 ~buckets:3 in
+  let bs = Histogram.Equi_depth.buckets h in
+  Alcotest.(check int) "total skips NULL" 12 (Histogram.Equi_depth.total h);
+  Alcotest.(check int) "counts sum to total" 12
+    (Array.fold_left (fun acc (b : Histogram.Equi_depth.bucket) -> acc + b.count) 0 bs);
+  Array.iteri
+    (fun i (b : Histogram.Equi_depth.bucket) ->
+      Alcotest.(check bool) (Printf.sprintf "bucket %d lo <= hi" i) true (Value.compare b.lo b.hi <= 0);
+      Alcotest.(check bool) (Printf.sprintf "bucket %d distinct <= count" i) true
+        (b.distinct >= 1 && b.distinct <= b.count);
+      if i > 0 then
+        Alcotest.(check bool) (Printf.sprintf "bucket %d starts above bucket %d" i (i - 1)) true
+          (Value.compare bs.(i - 1).hi b.lo < 0))
+    bs;
+  Alcotest.(check (float 1e-9)) "below the domain" 0.
+    (Histogram.Equi_depth.estimate_frequency h (Value.Int 0));
+  Alcotest.(check (float 1e-9)) "above the domain" 0.
+    (Histogram.Equi_depth.estimate_frequency h (Value.Int 10));
+  Alcotest.(check bool) "buckets <= 0 rejected" true
+    (try
+       ignore (Histogram.Equi_depth.build r ~key:0 ~buckets:0);
+       false
+     with Invalid_argument _ -> true)
+
 let test_theorem5_olken_iterations () =
   (* Uniform case: every value frequency m in both relations over d
      values: n = d m^2, M = m, n1 = d m, iterations = M n1 / n = 1. *)
@@ -205,6 +255,8 @@ let suite =
     Alcotest.test_case "end-biased fraction threshold" `Quick test_end_biased_fraction;
     Alcotest.test_case "equi-depth buckets" `Quick test_equi_depth;
     Alcotest.test_case "equi-depth join estimate" `Quick test_equi_depth_join_estimate;
+    Alcotest.test_case "end-biased boxed and int planes agree" `Quick test_end_biased_planes_agree;
+    Alcotest.test_case "equi-depth bucket shape" `Quick test_equi_depth_shape;
     Alcotest.test_case "theorem 5: Olken iterations" `Quick test_theorem5_olken_iterations;
     Alcotest.test_case "theorem 7: alpha closed forms" `Quick test_theorem7_alpha_uniform_case;
     Alcotest.test_case "theorems 8 & 9: hybrid alphas" `Quick test_theorem8_theorem9_alpha;
