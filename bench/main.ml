@@ -153,50 +153,6 @@ let parallel_tests () =
       (Staged.stage (fun () ->
            ignore (Rsj_index.Hash_index.build pair.inner ~key:Zipf_tables.col2)))
   in
-  (* Skew-rebalance comparison: R2 is Zipf z=2 and R1 is sorted so its
-     heavy join keys (largest m2) cluster in the leading chunks — the
-     per-tuple cost of Naive's scan is proportional to m2(v), so a
-     static one-shard-per-domain split strands nearly all the join
-     output on domain 0 while the chunk queue lets finished domains
-     claim the remaining heavy chunks. Static sharding is reproduced by
-     pinning [chunk_size] to ceil(n/domains). *)
-  let skew_tests =
-    let sn1 = max 1 (n1 / 10) in
-    let spair =
-      Zipf_tables.make_pair ~seed:43 ~n1:sn1 ~n2:(max 1 (sn1 / 2)) ~z1:0. ~z2:2. ~domain:1_000 ()
-    in
-    let m2 = Hashtbl.create 1_024 in
-    Rsj_relation.Relation.iter spair.inner (fun t ->
-        let v = Rsj_relation.Tuple.attr t Zipf_tables.col2 in
-        let n = try Hashtbl.find m2 v with Not_found -> 0 in
-        Hashtbl.replace m2 v (n + 1));
-    let weight t =
-      let v = Rsj_relation.Tuple.attr t Zipf_tables.col2 in
-      try Hashtbl.find m2 v with Not_found -> 0
-    in
-    let rows = Rsj_relation.Relation.to_array spair.outer in
-    Array.sort (fun a b -> compare (weight b) (weight a)) rows;
-    let sorted =
-      Rsj_relation.Relation.of_tuples ~name:"outer-heavy-first"
-        (Rsj_relation.Relation.schema spair.outer)
-        (Array.to_list rows)
-    in
-    let senv =
-      Strategy.make_env ~seed:42 ~left:sorted ~right:spair.inner ~left_key:Zipf_tables.col2
-        ~right_key:Zipf_tables.col2 ()
-    in
-    let sr = max 1 (sn1 / 100) in
-    let domains = 4 in
-    let static_chunk = (sn1 + domains - 1) / domains in
-    [
-      Test.make ~name:"parallel/skew-naive-static-d4"
-        (Staged.stage (fun () ->
-             ignore
-               (Rsj_parallel.run ~chunk_size:static_chunk senv Strategy.Naive ~r:sr ~domains)));
-      Test.make ~name:"parallel/skew-naive-chunkq-d4"
-        (Staged.stage (fun () -> ignore (Rsj_parallel.run senv Strategy.Naive ~r:sr ~domains)));
-    ]
-  in
   List.concat
     [
       List.concat_map
@@ -209,7 +165,6 @@ let parallel_tests () =
           ("hybrid", Strategy.Hybrid_count);
         ];
       [ index_bench ];
-      skew_tests;
     ]
 
 (* --json: machine-readable strategy × domains wall-times, written to

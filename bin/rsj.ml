@@ -19,6 +19,7 @@
 open Cmdliner
 module Zipf_tables = Rsj_workload.Zipf_tables
 module Strategy = Rsj_core.Strategy
+module Sampler = Rsj_sql.Sampler
 module Experiments = Rsj_harness.Experiments
 module Obs = Rsj_obs
 
@@ -113,15 +114,7 @@ let generate_cmd =
 (* sample                                                              *)
 
 let strategy_conv =
-  let parse s =
-    match Strategy.of_name s with
-    | Some st -> Ok st
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown strategy %S (try: %s)" s
-               (String.concat ", " (List.map Strategy.name Strategy.all))))
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Sampler.strategy_of_name s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Strategy.name s))
 
 (* The one-line stderr note of a picked strategy (`sample`, `query`). *)
@@ -184,31 +177,26 @@ let sample_cmd =
         with_tracing (trace_dest trace) @@ fun () ->
         let l = Rsj_relation.Csv_io.load ~path:left Zipf_tables.schema in
         let rt = Rsj_relation.Csv_io.load ~path:right Zipf_tables.schema in
-        let env =
-          Strategy.make_env ~seed ~left:l ~right:rt ~left_key:Zipf_tables.col2
-            ~right_key:Zipf_tables.col2 ()
+        let request =
+          Sampler.prepare ~wor ~seed [| l; rt |]
+            ~join_keys:[| (Zipf_tables.col2, Zipf_tables.col2) |]
+            ~size:(Rsj_sql.Ast.Abs r) strategy
         in
-        let strategy, decision = Rsj_optimizer.Picker.decide env ~r strategy in
-        let result =
-          if wor then Rsj_parallel.run_wor env strategy ~r ~domains
-          else Rsj_parallel.run env strategy ~r ~domains
-        in
+        let drawn = Sampler.draw ~domains request in
+        let decision = Sampler.decision request in
         (match decision with
         | Some d when explain -> prerr_string (Rsj_optimizer.Picker.to_string d)
         | _ -> note_picker decision);
-        Array.iter
-          (fun t -> print_endline (Rsj_relation.Tuple.to_string t))
-          result.Strategy.sample;
-        Printf.eprintf "# %s: %d tuples in %.4fs (join size %d)\n" (Strategy.name strategy)
-          (Array.length result.Strategy.sample)
-          result.Strategy.elapsed_seconds (Strategy.env_join_size env);
-        if explain && Array.length result.Strategy.sample > 0 then
+        Array.iter (fun t -> print_endline (Rsj_relation.Tuple.to_string t)) drawn.sample;
+        let join_size = int_of_float (Sampler.join_size request) in
+        Printf.eprintf "# %s: %d tuples in %.4fs (join size %d)\n" (Sampler.name request)
+          (Array.length drawn.sample) drawn.elapsed_seconds join_size;
+        if explain && Array.length drawn.sample > 0 then
           prerr_string
             (Rsj_optimizer.Error_report.to_string
-               (Rsj_optimizer.Error_report.make ~sample:result.Strategy.sample
-                  ~n:(Strategy.env_join_size env) ~col:Zipf_tables.col_rid ()));
-        if show_metrics then
-          Format.eprintf "%a@." Rsj_exec.Metrics.pp result.Strategy.metrics;
+               (Rsj_optimizer.Error_report.make ~sample:drawn.sample ~n:join_size
+                  ~col:Zipf_tables.col_rid ()));
+        if show_metrics then Format.eprintf "%a@." Rsj_exec.Metrics.pp drawn.metrics;
         `Ok ()
       with
       | Failure msg -> `Error (false, msg)
@@ -444,12 +432,11 @@ let make_workload ~seed (n1, n2, z1, z2, domain) =
   else Zipf_tables.make_pair ~seed ~n1 ~n2 ~z1 ~z2 ~domain ()
 
 let run_strategy ~seed ~wor ~r ~domains pair strategy =
-  let env =
-    Strategy.make_env ~seed ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
-      ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ()
-  in
-  if wor then Rsj_parallel.run_wor env strategy ~r ~domains
-  else Rsj_parallel.run env strategy ~r ~domains
+  Sampler.draw ~domains
+    (Sampler.prepare ~wor ~seed
+       [| pair.Zipf_tables.outer; pair.Zipf_tables.inner |]
+       ~join_keys:[| (Zipf_tables.col2, Zipf_tables.col2) |]
+       ~size:(Rsj_sql.Ast.Abs r) (Some strategy))
 
 let trace_cmd =
   let strategy =
@@ -491,9 +478,9 @@ let trace_cmd =
         Printf.printf
           "%s: traced %d-tuple %s sample over %d domains (join size %d, %.4fs) -> %s\n"
           (Strategy.name strategy)
-          (Array.length result.Strategy.sample)
+          (Array.length result.Sampler.sample)
           (if wor then "WoR" else "WR")
-          domains (Zipf_tables.join_size pair) result.Strategy.elapsed_seconds out;
+          domains (Zipf_tables.join_size pair) result.Sampler.elapsed_seconds out;
         `Ok ()
       with
       | Failure msg -> `Error (false, msg)
@@ -811,44 +798,30 @@ let client_cmd =
         try
           let client = Client.connect addr in
           Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+          let detail f = Result.map (fun x -> { Client.rows = []; detail = f x }) in
+          let wire_error =
+            Result.map_error (fun (code, msg) ->
+                Rsj_server.Protocol.error_code_to_string code ^ ": " ^ msg)
+          in
           let reply =
             match args with
             | [ "ping" ] ->
-                if Client.ping client then Ok { Client.rows = []; detail = [ ("pong", Obs.Json.Bool true) ] }
-                else Error "no pong"
-            | [ "register"; name; path ] -> (
-                match Client.register_path client ~name ~path with
-                | Ok n -> Ok { Client.rows = []; detail = [ ("rows", Obs.Json.Int n) ] }
-                | Error e -> Error e)
-            | [ "sample"; left; right ] -> (
-                match
-                  Client.sample client ~left ~right ~r ?strategy ~seed ~wor ~domains ~on
-                    ?deadline_ms:deadline ()
-                with
-                | Ok reply -> Ok reply
-                | Error (code, msg) ->
-                    Error (Rsj_server.Protocol.error_code_to_string code ^ ": " ^ msg))
-            | [ "query"; sql ] -> (
-                match Client.query client ~sql ~seed ?deadline_ms:deadline () with
-                | Ok reply -> Ok reply
-                | Error (code, msg) ->
-                    Error (Rsj_server.Protocol.error_code_to_string code ^ ": " ^ msg))
-            | [ "metrics" ] -> (
-                match Client.metrics client with
-                | Ok text -> Ok { Client.rows = []; detail = [ ("prometheus", Obs.Json.Str text) ] }
-                | Error e -> Error e)
-            | [ "stats" ] -> (
-                match Client.cache_stats client with
-                | Ok detail -> Ok { Client.rows = []; detail }
-                | Error e -> Error e)
-            | [ "invalidate"; name ] -> (
-                match Client.invalidate client ~name with
-                | Ok () -> Ok { Client.rows = []; detail = [] }
-                | Error e -> Error e)
-            | [ "shutdown" ] -> (
-                match Client.shutdown client with
-                | Ok () -> Ok { Client.rows = []; detail = [ ("stopping", Obs.Json.Bool true) ] }
-                | Error e -> Error e)
+                detail
+                  (fun () -> [ ("pong", Obs.Json.Bool true) ])
+                  (if Client.ping client then Ok () else Error "no pong")
+            | [ "register"; name; path ] ->
+                detail (fun n -> [ ("rows", Obs.Json.Int n) ]) (Client.register_path client ~name ~path)
+            | [ "sample"; left; right ] ->
+                wire_error
+                  (Client.sample client ~left ~right ~r ?strategy ~seed ~wor ~domains ~on
+                     ?deadline_ms:deadline ())
+            | [ "query"; sql ] -> wire_error (Client.query client ~sql ~seed ?deadline_ms:deadline ())
+            | [ "metrics" ] ->
+                detail (fun text -> [ ("prometheus", Obs.Json.Str text) ]) (Client.metrics client)
+            | [ "stats" ] -> detail Fun.id (Client.cache_stats client)
+            | [ "invalidate"; name ] -> detail (fun () -> []) (Client.invalidate client ~name)
+            | [ "shutdown" ] ->
+                detail (fun () -> [ ("stopping", Obs.Json.Bool true) ]) (Client.shutdown client)
             | op :: _ -> Error (Printf.sprintf "unknown or malformed op %S (see --help)" op)
             | [] -> Error "missing op"
           in

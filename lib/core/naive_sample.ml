@@ -18,15 +18,3 @@ let sample rng ~metrics ~r ~left ~right ~left_key ~right_key =
   let out = Black_box.u2 rng ~r j in
   metrics.output_tuples <- metrics.output_tuples + Array.length out;
   out
-
-let sample_known_n rng ~metrics ~r ~n ~left ~right ~left_key ~right_key =
-  let j = join_stream metrics ~left ~right ~left_key ~right_key in
-  let out = Stream0.to_array (Black_box.u1 rng ~n ~r j) in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  out
-
-let sample_cf rng ~metrics ~f ~left ~right ~left_key ~right_key =
-  let j = join_stream metrics ~left ~right ~left_key ~right_key in
-  let out = Stream0.to_array (Black_box.coin_flip rng ~f j) in
-  metrics.output_tuples <- metrics.output_tuples + Array.length out;
-  out

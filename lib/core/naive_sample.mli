@@ -26,30 +26,3 @@ val sample :
     its output feeds Black-Box U2 (reservoir, since |J| is unknown in
     advance). Work counted: the R2 build scan, the R1 probe scan, and
     every join output tuple — the full |J|. *)
-
-val sample_known_n :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  r:int ->
-  n:int ->
-  left:Tuple.t Stream0.t ->
-  right:Relation.t ->
-  left_key:int ->
-  right_key:int ->
-  Tuple.t array
-(** Variant using Black-Box U1 when |J| = [n] is known (e.g. from exact
-    statistics): O(1) auxiliary memory and online output, but identical
-    join work. Raises [Failure] if the join produces fewer than [n]
-    tuples. *)
-
-val sample_cf :
-  Rsj_util.Prng.t ->
-  metrics:Metrics.t ->
-  f:float ->
-  left:Tuple.t Stream0.t ->
-  right:Relation.t ->
-  left_key:int ->
-  right_key:int ->
-  Tuple.t array
-(** Coin-flip semantics over the join output (each output tuple kept
-    independently with probability [f]). *)

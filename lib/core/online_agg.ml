@@ -64,9 +64,6 @@ let run ~draw ~value ~scale ?(on_progress = fun _ -> ()) ?(max_draws = 1_000_000
 let estimate_mean ~draw ~value ?on_progress ?max_draws target =
   run ~draw ~value ~scale:1. ?on_progress ?max_draws target
 
-let estimate_sum ~draw ~value ~join_size ?on_progress ?max_draws target =
-  run ~draw ~value ~scale:(float_of_int join_size) ?on_progress ?max_draws target
-
 let estimate_count_where ~draw ~pred ~join_size ?on_progress ?max_draws target =
   run ~draw
     ~value:(fun t -> if pred t then 1. else 0.)

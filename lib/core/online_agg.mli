@@ -35,17 +35,6 @@ val estimate_mean :
     the sampler returns [None] (empty join: the estimate is 0 draws /
     NaN). [on_progress] fires every draw-doubling (1, 2, 4, ...). *)
 
-val estimate_sum :
-  draw:(unit -> Tuple.t option) ->
-  value:(Tuple.t -> float) ->
-  join_size:int ->
-  ?on_progress:(progress -> unit) ->
-  ?max_draws:int ->
-  target ->
-  progress
-(** Estimate Σ value over the join: join_size · mean. The CI scales
-    accordingly; [Relative_ci] applies to the scaled estimate. *)
-
 val estimate_count_where :
   draw:(unit -> Tuple.t option) ->
   pred:(Tuple.t -> bool) ->

@@ -29,10 +29,15 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of [%.15g] and [%.17g] that re-parses to [f] exactly,
+   always carrying a [.] or an exponent so it re-parses as a float. *)
 let float_to_string f =
-  if Float.is_nan f then "null" (* JSON has no NaN *)
+  if not (Float.is_finite f) then "null" (* JSON has no NaN or infinity *)
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

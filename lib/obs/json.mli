@@ -13,9 +13,11 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact rendering. [Float nan] prints as [null] (JSON has no NaN);
-    integral floats keep a trailing [.0] so they stay floats on
-    re-parse. *)
+(** Compact rendering. A finite [Float] prints in the fewest digits
+    (15 or 17 significant) that {!parse} reads back as the same float,
+    and integral floats keep a trailing [.0] so they stay floats on
+    re-parse. Non-finite floats print as [null] (JSON has no NaN or
+    infinity). *)
 
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset this library emits plus

@@ -30,8 +30,7 @@ val default_chunk_size : n:int -> int
     domain count on purpose: the chunk cut fixes the per-chunk split
     generators, so the same seed yields bit-identical samples at every
     pool width. A pure function of [n]: no knob moves the cut, so no
-    environment can change a fixed-seed sample. Callers that want
-    another cut pass [?chunk_size] to the runners. *)
+    environment can change a fixed-seed sample. *)
 
 val run :
   ?pool:Domain_pool.t ->

@@ -123,9 +123,10 @@ let fold_parts ~merge_rng ~merge ~empty (parts : _ array) =
    key column; [make] receives the chunk's generator (the Wr_int
    kernels draw from it); [seal] converts the chunk state for merging.
    Results come back in chunk order. *)
-let chunked_pass ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
-  let chunks = Relation.chunk_count relation ~chunk_size in
+let chunked_pass ~domains ~rng ~make ~feed ~seal relation =
   let n = Relation.cardinality relation in
+  let chunk_size = Chunk_scheduler.default_chunk_size ~n in
+  let chunks = Relation.chunk_count relation ~chunk_size in
   let rngs = Prng.split_n rng chunks in
   let task i =
     let metrics = Metrics.create () in
@@ -142,11 +143,11 @@ let chunked_pass ~domains ~chunk_size ~rng ~make ~feed ~seal relation =
    frequency statistics — the shared first step of Stream-, Group- and
    Count-Sample. Returns the merged row ids and the summed scan
    metrics. *)
-let parallel_s1 env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
+let parallel_s1 env ~r ~domains rng ~(keys1 : int array) ~freq =
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~rng:scan_rng
       ~make:(fun crng -> Wr_int.create ~on_displace:Reservoir.note_displacements crng ~r)
       ~feed:(fun metrics _crng ker ~lo ~hi ->
         metrics.Metrics.stats_lookups <- metrics.Metrics.stats_lookups + (hi - lo);
@@ -164,9 +165,9 @@ let parallel_s1 env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~freq =
   in
   (Reservoir.Wr.contents res, metrics)
 
-let run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq =
+let run_stream env ~r ~domains rng ~keys1 ~freq =
   let open Metrics in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size rng ~keys1 ~freq in
+  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
   let index = Strategy.env_right_index env in
   let pairs =
     Array.map
@@ -181,14 +182,14 @@ let run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq =
   in
   (pairs, metrics)
 
-let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
+let run_naive env ~r ~domains rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~rng:scan_rng
       ~make:(fun crng -> Wr_int.create ~on_displace:Reservoir.note_displacements crng ~r)
       ~feed:(fun metrics _crng ker ~lo ~hi ->
         let matched = ref 0 in
@@ -228,7 +229,7 @@ let run_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
    their S1 first-occurrence order, so the scan is deterministic at any
    pool width. Returns, per group in that order, (join key, member
    indices, merged reservoir of R2 row ids), plus the scan metrics. *)
-let per_group_r2_scan env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1 : int array)
+let per_group_r2_scan env ~domains rng ~(s1 : int array) ~(keys1 : int array)
     ~(keys2 : int array) =
   let n1 = Array.length s1 in
   let gids = Counter.create ~capacity:(2 * max 1 n1) () in
@@ -254,7 +255,7 @@ let per_group_r2_scan env ~domains ~chunk_size rng ~(s1 : int array) ~(keys1 : i
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~rng:scan_rng
       ~make:(fun _crng -> fresh_multis ())
       ~feed:(fun _m crng multis ~lo ~hi ->
         for row = lo to hi - 1 do
@@ -295,14 +296,12 @@ let pair_picks ~caller (metrics : Metrics.t) ~(s1 : int array) ~members ~merged 
     members;
   pairs
 
-let run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
+let run_group env ~r ~domains rng ~keys1 ~keys2 ~freq =
+  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
   if Array.length s1 = 0 then ([||], metrics)
   else begin
-    let n2 = Relation.cardinality (Strategy.env_right env) in
     let (_group_keys, members, merged), scan_metrics =
-      per_group_r2_scan env ~domains ~chunk_size:(chunk_for n2) rng ~s1 ~keys1 ~keys2
+      per_group_r2_scan env ~domains rng ~s1 ~keys1 ~keys2
     in
     let metrics = Metrics.add metrics scan_metrics in
     (pair_picks ~caller:"Rsj_parallel.run(Group)" metrics ~s1 ~members ~merged, metrics)
@@ -313,7 +312,7 @@ let run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
    audited against the claimed populations afterwards so stale
    statistics fail with the same diagnostics as the sequential kernel
    (Internals.count_sample_scan). *)
-let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array) ~keys1
+let parallel_count_scan env ~domains rng ~strategy ~(s1 : int array) ~keys1
     ~keys2 ~(population : int -> int) =
   if Array.length s1 = 0 then ([||], Metrics.create ())
   else begin
@@ -323,7 +322,7 @@ let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array)
           failwith (strategy ^ ": sampled value has no frequency in the statistics"))
       s1;
     let (group_keys, members, merged), metrics =
-      per_group_r2_scan env ~domains ~chunk_size rng ~s1 ~keys1 ~keys2
+      per_group_r2_scan env ~domains rng ~s1 ~keys1 ~keys2
     in
     Array.iteri
       (fun g key ->
@@ -338,12 +337,10 @@ let parallel_count_scan env ~domains ~chunk_size rng ~strategy ~(s1 : int array)
     (pair_picks ~caller:strategy metrics ~s1 ~members ~merged, metrics)
   end
 
-let run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq =
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let s1, metrics = parallel_s1 env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~freq in
-  let n2 = Relation.cardinality (Strategy.env_right env) in
+let run_count env ~r ~domains rng ~keys1 ~keys2 ~freq =
+  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
   let pairs, scan_metrics =
-    parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
+    parallel_count_scan env ~domains rng
       ~strategy:"Rsj_parallel.run(Count)" ~s1 ~keys1 ~keys2
       ~population:(fun k -> Counter.get freq k)
   in
@@ -422,12 +419,12 @@ let run_olken env ~r ~domains rng ~keys1 =
    (Internals_int.Partition), chunk-scheduled over R1. [lo_tbl]
    resolves a low-frequency key's R2 bucket; [on_lo_probe] charges the
    probe metric the strategy's cost model counts. *)
-let partition_pass env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~tracked ~lo_tbl
+let partition_pass env ~r ~domains rng ~(keys1 : int array) ~tracked ~lo_tbl
     ~on_lo_probe =
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~rng:scan_rng
       ~make:(fun crng -> Internals_int.Partition.create_kernels crng ~r)
       ~feed:(fun metrics _crng kers ~lo ~hi ->
         for row = lo to hi - 1 do
@@ -453,25 +450,23 @@ let partition_finish ~r rng metrics acc ~tracked ~hi_pool =
   let pairs, _r_hi, _r_lo = Internals.binomial_combine rng ~r ~n_hi ~n_lo ~hi_pool ~lo_pool in
   (pairs, metrics)
 
-let run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked =
+let run_frequency_partition env ~r ~domains rng ~keys1 ~keys2 ~tracked =
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let acc, scan_metrics =
-    partition_pass env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl:tbl
+    partition_pass env ~r ~domains rng ~keys1 ~tracked ~lo_tbl:tbl
       ~on_lo_probe:(fun _ -> ())
   in
   let metrics = Metrics.add main_metrics scan_metrics in
   partition_finish ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
       (Internals_int.fps_hi_pick rng m ~tbl ~keys1 s1, m))
 
-let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
-  let n1 = Relation.cardinality (Strategy.env_left env) in
-  let n2 = Relation.cardinality (Strategy.env_right env) in
+let run_hybrid_count env ~r ~domains rng ~keys1 ~keys2 ~tracked =
   let main_metrics = Metrics.create () in
   let is_low k = Counter.get tracked k = 0 in
   let tbl = Internals_int.build_join_index ~keep:is_low main_metrics ~keys:keys2 in
   let acc, scan_metrics =
-    partition_pass env ~r ~domains ~chunk_size:(chunk_for n1) rng ~keys1 ~tracked
+    partition_pass env ~r ~domains rng ~keys1 ~tracked
       ~lo_tbl:tbl
       ~on_lo_probe:(fun _ -> ())
   in
@@ -481,20 +476,20 @@ let run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked =
          chunk-scheduled per-entry R2 scan replaces the sequential U1
          pass here too. *)
       let pairs, hi_metrics =
-        parallel_count_scan env ~domains ~chunk_size:(chunk_for n2) rng
+        parallel_count_scan env ~domains rng
           ~strategy:"Rsj_parallel.run(Hybrid)" ~s1 ~keys1 ~keys2
           ~population:(fun k -> Counter.get tracked k)
       in
       (pairs, Metrics.add m hi_metrics))
 
-let run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
+let run_index_sample env ~r ~domains rng ~keys1 ~tracked ~lo_tbl =
   let right_index = Strategy.env_right_index env in
   let on_lo_probe (m : Metrics.t) =
     m.Metrics.index_probes <- m.Metrics.index_probes + 1;
     Hash_index.note_probe right_index
   in
   let acc, metrics =
-    partition_pass env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
+    partition_pass env ~r ~domains rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
   in
   partition_finish ~r rng metrics acc ~tracked ~hi_pool:(fun m s1 ->
       (Internals_int.index_hi_pick rng m ~right_index ~keys1 s1, m))
@@ -505,14 +500,14 @@ let run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl =
    law, so the merged reservoir holds a uniform without-replacement
    sample of min (r, |J|) join positions — the same law as one
    sequential Algorithm R pass over the join stream. *)
-let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
+let run_wor_naive env ~r ~domains rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
   let main_metrics = Metrics.create () in
   let tbl = Internals_int.build_join_index main_metrics ~keys:keys2 in
   let scan_rng = Prng.split rng in
   let merge_rng = Prng.split rng in
   let parts, _ =
-    chunked_pass ~domains ~chunk_size ~rng:scan_rng
+    chunked_pass ~domains ~rng:scan_rng
       ~make:(fun _crng -> Reservoir.Wor.create ~r)
       ~feed:(fun metrics crng res ~lo ~hi ->
         let matched = ref 0 in
@@ -546,51 +541,44 @@ let run_wor_naive env ~r ~domains ~chunk_size rng ~(keys1 : int array) ~keys2 =
    pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
    pass; the other strategies' WoR draws WR batches from their WR
    runner. *)
-let int_runner ?(wor = false) env strategy ~domains ~chunk_for =
+let int_runner ?(wor = false) env strategy ~domains =
   let keys1 = Strategy.env_left_key_view env in
   let keys2 = Strategy.env_right_key_view env in
-  let chunk_size = chunk_for (Array.length keys1) in
   let freq () = Frequency.int_counter (Strategy.env_right_stats env) in
   let tracked () = End_biased.int_tracked (Strategy.env_histogram env) in
   match strategy with
   | Strategy.Naive when wor ->
-      fun ~r rng -> run_wor_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2
-  | Strategy.Naive -> fun ~r rng -> run_naive env ~r ~domains ~chunk_size rng ~keys1 ~keys2
+      fun ~r rng -> run_wor_naive env ~r ~domains rng ~keys1 ~keys2
+  | Strategy.Naive -> fun ~r rng -> run_naive env ~r ~domains rng ~keys1 ~keys2
   | Strategy.Olken -> fun ~r rng -> run_olken env ~r ~domains rng ~keys1
   | Strategy.Stream ->
       let freq = freq () in
-      fun ~r rng -> run_stream env ~r ~domains ~chunk_size rng ~keys1 ~freq
+      fun ~r rng -> run_stream env ~r ~domains rng ~keys1 ~freq
   | Strategy.Group ->
       let freq = freq () in
-      fun ~r rng -> run_group env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
+      fun ~r rng -> run_group env ~r ~domains rng ~keys1 ~keys2 ~freq
   | Strategy.Count_sample ->
       let freq = freq () in
-      fun ~r rng -> run_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~freq
+      fun ~r rng -> run_count env ~r ~domains rng ~keys1 ~keys2 ~freq
   | Strategy.Frequency_partition ->
       let tracked = tracked () in
-      fun ~r rng -> run_frequency_partition env ~r ~domains ~chunk_size rng ~keys1 ~keys2 ~tracked
+      fun ~r rng -> run_frequency_partition env ~r ~domains rng ~keys1 ~keys2 ~tracked
   | Strategy.Hybrid_count ->
       let tracked = tracked () in
-      fun ~r rng -> run_hybrid_count env ~r ~domains ~chunk_for rng ~keys1 ~keys2 ~tracked
+      fun ~r rng -> run_hybrid_count env ~r ~domains rng ~keys1 ~keys2 ~tracked
   | Strategy.Index_sample ->
       let tracked = tracked () in
       let lo_tbl = Hash_index.int_plane (Strategy.env_right_index env) in
-      fun ~r rng -> run_index_sample env ~r ~domains ~chunk_size rng ~keys1 ~tracked ~lo_tbl
+      fun ~r rng -> run_index_sample env ~r ~domains rng ~keys1 ~tracked ~lo_tbl
 
-let validate ~caller ?chunk_size ~r ~domains () =
+let validate ~caller ~r ~domains =
   if domains < 1 then invalid_arg (caller ^ ": domains < 1");
-  if r < 0 then invalid_arg (caller ^ ": r < 0");
-  match chunk_size with
-  | Some c when c <= 0 -> invalid_arg (caller ^ ": chunk_size <= 0")
-  | _ -> ()
+  if r < 0 then invalid_arg (caller ^ ": r < 0")
 
-let chunk_for chunk_size n =
-  match chunk_size with Some c -> c | None -> Chunk_scheduler.default_chunk_size ~n
-
-let run ?chunk_size env strategy ~r ~domains =
-  validate ~caller:"Rsj_parallel.run" ?chunk_size ~r ~domains ();
+let run env strategy ~r ~domains =
+  validate ~caller:"Rsj_parallel.run" ~r ~domains;
   Strategy.prepare env strategy;
-  let runner = int_runner env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
+  let runner = int_runner env strategy ~domains in
   observed ~semantics:"WR" strategy ~r ~domains (fun () ->
       let rng = Prng.split (Strategy.env_rng env) in
       timed env strategy (fun () -> runner ~r rng))
@@ -619,10 +607,10 @@ let run_wor_batches env strategy runner ~target =
   in
   (Array.of_list pairs, !metrics)
 
-let run_wor ?chunk_size env strategy ~r ~domains =
-  validate ~caller:"Rsj_parallel.run_wor" ?chunk_size ~r ~domains ();
+let run_wor env strategy ~r ~domains =
+  validate ~caller:"Rsj_parallel.run_wor" ~r ~domains;
   Strategy.prepare env strategy;
-  let runner = int_runner ~wor:true env strategy ~domains ~chunk_for:(chunk_for chunk_size) in
+  let runner = int_runner ~wor:true env strategy ~domains in
   observed ~semantics:"WoR" strategy ~r ~domains (fun () ->
       let target = min r (Strategy.env_join_size env) in
       timed env strategy (fun () ->

@@ -55,31 +55,24 @@ val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [~domains] for
     the current machine. *)
 
-val run :
-  ?chunk_size:int -> Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
+val run : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run env strategy ~r ~domains] draws a WR sample of size [r] like
     {!Strategy.run}, executed through the chunk-scheduled pooled
     runtime for every [domains >= 1] ([domains - 1] pool workers plus
     the caller; at [domains = 1] the caller runs every chunk itself).
     A caller that wants the sequential reference calls {!Strategy.run}
     instead. The sample's distribution never
-    depends on [domains] or [chunk_size]; for a fixed seed the drawn
+    depends on [domains]; for a fixed seed the drawn
     tuples are bit-identical across all [domains >= 1] for every
     strategy except Olken at [domains > 1] on int keys (speculative
     ticketing — see above). As in {!Strategy.run}, auxiliary structures
     — here including the key views and the int planes of the
     statistics and histogram — are forced before the clock starts, and
-    a fresh child generator is split off the env per run.
+    a fresh child generator is split off the env per run. Every scan
+    is cut at {!Chunk_scheduler.default_chunk_size}. Raises
+    [Invalid_argument] when [r < 0] or [domains < 1]. *)
 
-    [chunk_size] overrides the scheduler's
-    {!Chunk_scheduler.default_chunk_size} (setting it to
-    [ceil (n / domains)] reproduces the old static one-shard-per-domain
-    split, which is how the benchmarks compare static sharding against
-    the chunk queue). Raises [Invalid_argument] when [r < 0],
-    [domains < 1] or [chunk_size <= 0]. *)
-
-val run_wor :
-  ?chunk_size:int -> Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
+val run_wor : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run_wor env strategy ~r ~domains] draws a without-replacement
     sample of [min r |J|] distinct join positions, on the pooled
     runtime for [domains >= 1]. On a set join these are distinct
@@ -99,4 +92,4 @@ val run_wor :
     Deterministic for a fixed seed across all [domains >= 1] (Olken
     excepted, as for {!run}). Raises {!Strategy.Wor_shortfall} when 64
     batches cannot reach the target, and [Invalid_argument] on
-    [r < 0], [domains < 1] or [chunk_size <= 0]. *)
+    [r < 0] or [domains < 1]. *)

@@ -132,12 +132,3 @@ let random_row t rng =
   t.rows.(Rsj_util.Prng.int rng t.size)
 
 let column_values t col = Array.init t.size (fun i -> Tuple.get t.rows.(i) col)
-
-let pp_sample ?(limit = 10) ppf t =
-  Format.fprintf ppf "@[<v>%s %a (%d rows)" t.name Schema.pp t.schema t.size;
-  let shown = min limit t.size in
-  for i = 0 to shown - 1 do
-    Format.fprintf ppf "@,  %a" Tuple.pp t.rows.(i)
-  done;
-  if t.size > shown then Format.fprintf ppf "@,  ... (%d more)" (t.size - shown);
-  Format.fprintf ppf "@]"

@@ -96,6 +96,3 @@ val column_values : t -> int -> Value.t array
     @deprecated Hot paths should use {!Column.int_view}: the flat
     [int array] extraction that the sampling inner loops scan without
     allocation. This boxed copy remains only for debug/report code. *)
-
-val pp_sample : ?limit:int -> Format.formatter -> t -> unit
-(** Debug printer showing up to [limit] rows (default 10). *)

@@ -5,6 +5,8 @@ module Clock = Rsj_obs.Clock
 module Config = Rsj_obs.Config
 module Strategy = Rsj_core.Strategy
 module Cache = Rsj_cache.Structure_cache
+module Sampler = Rsj_sql.Sampler
+module Picker = Rsj_optimizer.Picker
 module P = Protocol
 
 type addr = Unix_path of string | Tcp of string * int
@@ -121,8 +123,6 @@ type state = {
   mutable queued_work : int;
   mutable stopping : bool;
   quality : Rsj_verify.Online.t;
-  laws : (int * int, Rsj_verify.Online.law option) Hashtbl.t;
-      (* join-value marginal per (left fp, right fp); None = empty join *)
   biased : bool;  (* RSJ_SERVE_BIAS: serve deliberately biased WR draws *)
   bias_universes : (int * int, Tuple.t array) Hashtbl.t;
   note : note;
@@ -181,23 +181,6 @@ let exec_register st ~id ~name ~source =
       };
   ]
 
-(* The join-value marginal the quality monitor tests against, derived
-   from the warm frequency tables and memoized per fingerprint pair
-   (a mutation changes the fingerprint, so stale laws age out as new
-   keys). *)
-let quality_law st ~l ~rt ~left_key ~right_key =
-  let fp = (Relation.fingerprint l, Relation.fingerprint rt) in
-  match Hashtbl.find_opt st.laws fp with
-  | Some law -> (fp, law)
-  | None ->
-      let law =
-        Rsj_verify.Online.law_of_frequencies
-          ~left:(Cache.frequency st.cache l ~key:left_key)
-          ~right:(Cache.frequency st.cache rt ~key:right_key)
-      in
-      Hashtbl.replace st.laws fp law;
-      (fp, law)
-
 (* RSJ_SERVE_BIAS: replace the strategy's output with the negative
    control's deliberately biased WR draws (Negative.biased_wr_draw) —
    the daemon keeps claiming success while serving a wrong law. Exists
@@ -236,74 +219,54 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     | None -> rejectf P.Bad_request "relation %S has no column %S" (Relation.name rel) on
   in
   let left_key = key_of l and right_key = key_of rt in
-  let env =
-    Rsj_obs.Trace.with_span ~cat:"serve" "cache.env" (fun () ->
-        Cache.env st.cache ~seed ~left:l ~right:rt ~left_key ~right_key ())
+  let strategy_of name =
+    Result.fold ~ok:Fun.id ~error:(rejectf P.Unknown_strategy "%s") (Sampler.strategy_of_name name)
   in
-  let named =
+  let request =
+    Sampler.prepare ~cache:st.cache ~wor ~seed [| l; rt |]
+      ~join_keys:[| (left_key, right_key) |] ~size:(Rsj_sql.Ast.Abs r)
+      (Option.map strategy_of strategy)
+  in
+  let reason =
     Option.map
-      (fun name ->
-        match Strategy.of_name name with
-        | Some s -> s
-        | None ->
-            rejectf P.Unknown_strategy "unknown strategy %S (try: %s)" name
-              (String.concat ", " (List.map Strategy.name Strategy.all)))
-      strategy
+      (fun (d : Picker.decision) -> Picker.reason_to_string d.reason)
+      (Sampler.decision request)
   in
-  let strategy, picked = Rsj_optimizer.Picker.decide env ~r named in
-  st.note.n_strategy <- Strategy.name strategy;
-  (match picked with
-  | Some d -> st.note.n_reason <- Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason
-  | None -> st.note.n_reason <- "explicit");
-  let result =
-    try
-      if wor then Rsj_parallel.run_wor env strategy ~r ~domains
-      else Rsj_parallel.run env strategy ~r ~domains
+  st.note.n_strategy <- Sampler.name request;
+  st.note.n_reason <- Option.value reason ~default:"explicit";
+  let drawn =
+    try Sampler.draw ~domains request
     with Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
   in
   let sample =
     if st.biased then biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r
-    else result.Strategy.sample
+    else drawn.Sampler.sample
   in
-  (* Feed the served output — biased or not — to the quality monitor:
-     the monitor watches what actually left the daemon. *)
-  (let (fp_l, fp_r), law = quality_law st ~l ~rt ~left_key ~right_key in
-   match law with
-   | Some law when Array.length sample > 0 ->
-       let key =
-         Printf.sprintf "%x-%x/%s/%s" fp_l fp_r (Strategy.name strategy)
-           (if wor then "wor" else "wr")
-       in
-       Rsj_verify.Online.observe st.quality ~key ~law
-         (Array.map (fun t -> t.(left_key)) sample)
-   | _ -> ());
+  (* The monitor watches what actually leaves the daemon, biased or not. *)
+  Sampler.observe st.quality request sample;
   let rows = Array.to_list (Array.map Array.to_list sample) in
   let detail =
     [
-      ("strategy", Json.Str (Strategy.name result.Strategy.strategy));
+      ("strategy", Json.Str (Sampler.name request));
       ("tuples", Json.Int (Array.length sample));
-      ("join_size", Json.Int (Strategy.env_join_size env));
-      ("elapsed_s", Json.Float result.Strategy.elapsed_seconds);
+      ("join_size", Json.Int (int_of_float (Sampler.join_size request)));
+      ("elapsed_s", Json.Float drawn.Sampler.elapsed_seconds);
     ]
-    @
-    match picked with
-    | Some d ->
-        [ ("picker_reason", Json.Str (Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason)) ]
-    | None -> []
+    @ match reason with Some r -> [ ("picker_reason", Json.Str r) ] | None -> []
   in
   stream_rows ~id ~frame_rows:st.config.frame_rows rows detail
 
 let exec_query st ~id ~sql ~seed =
   st.note.n_sql <- Some sql;
   let catalog = Hashtbl.fold (fun name rel acc -> (name, rel) :: acc) st.catalog [] in
-  match Rsj_sql.Engine.run ~seed catalog sql with
+  match Rsj_sql.Engine.run ~seed ~monitor:st.quality catalog sql with
   | Error msg -> rejectf P.Engine_error "%s" msg
   | Ok result ->
       let open Rsj_sql in
       (match result.Engine.decision with
       | Some d ->
-          st.note.n_strategy <- Strategy.name d.Rsj_optimizer.Picker.chosen;
-          st.note.n_reason <- Rsj_optimizer.Picker.reason_to_string d.Rsj_optimizer.Picker.reason
+          st.note.n_strategy <- Strategy.name d.Picker.chosen;
+          st.note.n_reason <- Picker.reason_to_string d.Picker.reason
       | None -> ());
       let rows = List.map Array.to_list result.Engine.rows in
       let columns =
@@ -323,7 +286,7 @@ let exec_query st ~id ~sql ~seed =
         @
         match result.Engine.decision with
         | Some d ->
-            [ ("picked", Json.Str (Strategy.name d.Rsj_optimizer.Picker.chosen)) ]
+            [ ("picked", Json.Str (Strategy.name d.Picker.chosen)) ]
         | None -> []
       in
       stream_rows ~id ~frame_rows:st.config.frame_rows rows detail
@@ -515,12 +478,15 @@ let admit st conn (req : P.request) =
   let id = P.request_id req in
   if st.stopping then fail_request conn ~id P.Shutting_down "server is draining"
   else begin
-    let w = work_of req in
-    if w > 0 && not (Queue.is_empty st.queue) && st.queued_work + w > st.config.max_queued_work
-    then
+    let w = work_of req and budget = st.config.max_queued_work in
+    (* A request larger than the whole budget is refused even on an
+       empty queue, before its draw allocates r-sized reservoirs. *)
+    if w > budget then
       fail_request conn ~id P.Overloaded
-        (Printf.sprintf "queued sample work %d + %d exceeds budget %d" st.queued_work w
-           st.config.max_queued_work)
+        (Printf.sprintf "sample work %d exceeds the whole budget %d" w budget)
+    else if w > 0 && (not (Queue.is_empty st.queue)) && st.queued_work + w > budget then
+      fail_request conn ~id P.Overloaded
+        (Printf.sprintf "queued sample work %d + %d exceeds budget %d" st.queued_work w budget)
     else begin
       conn.queued <- conn.queued + 1;
       st.queued_work <- st.queued_work + w;
@@ -740,7 +706,7 @@ let handle_input st conn =
         (take_lines conn)
   | M_unknown -> ()
 
-let run ?(on_ready = fun () -> ()) config =
+let run config =
   Atomic.set stop_requested false;
   install_signal_handlers ();
   let listener = bind_listener config.addr in
@@ -755,7 +721,6 @@ let run ?(on_ready = fun () -> ()) config =
       queued_work = 0;
       stopping = false;
       quality = Rsj_verify.Online.create ();
-      laws = Hashtbl.create 8;
       biased = Config.serve_bias ();
       bias_universes = Hashtbl.create 8;
       note = { n_strategy = "none"; n_reason = "none"; n_sql = None };
@@ -765,7 +730,6 @@ let run ?(on_ready = fun () -> ()) config =
   let conns = ref [] in
   let listening = ref true in
   let buf = Bytes.create 65536 in
-  on_ready ();
   let close_conn conn =
     (try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ());
     conns := List.filter (fun c -> c != conn) !conns

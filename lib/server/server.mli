@@ -6,9 +6,12 @@
     requests — the warm path. The event loop is a single-threaded
     [Unix.select] multiplexer: any number of clients connect and
     pipeline newline-delimited JSON requests ({!Protocol}); requests
-    are executed FIFO on the loop thread, so for a fixed seed a served
-    sample is byte-identical to the same in-process run
-    ({!Rsj_parallel.run} at the requested domain count).
+    are executed FIFO on the loop thread. A [sample] request and a SQL
+    [query] both draw through {!Rsj_sql.Sampler}, so for a fixed seed a
+    served sample is byte-identical to the same in-process run, and a
+    two-table [SAMPLE] over registered relations returns the rows of
+    the equivalent [sample] request. Both feed the daemon's quality
+    monitor ({!Rsj_verify.Online}) with what they serve.
 
     Operational behavior:
     - {b Deadlines}: a request carrying [deadline_ms] fails with
@@ -17,8 +20,9 @@
     - {b Admission control}: queued sample work (the sum of requested
       [r] over waiting requests) is capped; requests beyond the cap
       are rejected immediately with [Overloaded] rather than queued.
-      A request is always admitted when the queue is empty, so the
-      service keeps making progress whatever the cap.
+      A request within the cap is always admitted when the queue is
+      empty, so the service keeps making progress; one whose own [r]
+      exceeds the cap is refused before any work.
     - {b Metrics}: [GET /metrics] on the same socket answers with the
       Prometheus text of {!Rsj_obs.Registry} (the listener sniffs the
       first bytes; JSON clients are unaffected), covering the
@@ -41,7 +45,9 @@ type config = {
   addr : addr;
   max_queued_work : int;
       (** Admission cap on queued sample tuples (default 1_000_000;
-          [rsj serve --queue-budget] overrides). *)
+          [rsj serve --queue-budget] overrides). A request whose own
+          work exceeds it is refused [overloaded] even on an empty
+          queue. *)
   frame_rows : int;  (** Rows per streamed [rows] frame (default 256). *)
   snapshot_path : string option;
       (** Where the final metrics snapshot goes; [None] = stderr
@@ -66,8 +72,7 @@ val default_config : addr -> config
 (** Defaults, with the [RSJ_*] knobs read through
     {!Rsj_obs.Config}. *)
 
-val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Bind, listen and serve until shutdown. [on_ready] fires once the
-    socket is listening (an embedding can synchronize on it). A stale
-    Unix socket file left by a crashed daemon is unlinked before
-    binding. Raises [Failure] on bind/listen errors. *)
+val run : config -> unit
+(** Bind, listen and serve until shutdown. A stale Unix socket file
+    left by a crashed daemon is unlinked before binding. Raises
+    [Failure] on bind/listen errors. *)

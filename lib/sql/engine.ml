@@ -201,9 +201,6 @@ let filtered_relation b conds =
     out
   end
 
-let valid_strategy_names () =
-  String.concat ", " (List.map Strategy.name Strategy.all)
-
 (* Linear-chain detection for k >= 2 tables: exactly k-1 equi-joins,
    each pairing two consecutive FROM tables (one per edge, either
    orientation), and no residual conditions. Returns the columns per
@@ -240,19 +237,16 @@ let chain_edges bindings classified =
   end
 
 (* SAMPLE over a linear chain, pushed into the join (§1; §7.2 for
-   longer chains). Each table's constant selections go below the
-   sampling first (selection commutes with sampling). Two tables run a
-   Table-1 strategy, named by USING or picked by cost over an exact
-   catalog, through the chunked runner a daemon sample request runs,
-   so a query and a sample request with the same seed return the same
-   rows. Three or more run the chain walker: exact WR sampling with no
-   join materialized. Unfiltered inputs are the caller's own relations,
-   so their structures (env statistics, the prepared walker) come from
-   the shared structure cache; a filtered input is a fresh one-shot
-   relation and builds privately. The fraction form resolves against
-   the sampler's exact join size. Planning prepares and decides; the
-   draw runs, once, when the plan executes. *)
-let sample_plan ~seed bindings classified (sample : Ast.sample_clause) named edges =
+   longer chains), through the one sampler every front door shares.
+   Each table's constant selections go below the sampling first
+   (selection commutes with sampling). Unfiltered inputs are the
+   caller's own relations, so their structures come from the shared
+   structure cache and their samples feed [monitor]; a filtered input
+   is a fresh one-shot relation and builds privately. The fraction
+   form resolves against the sampler's exact join size. Planning
+   prepares and decides; the draw runs, once, when the plan
+   executes. *)
+let sample_plan ~seed ?monitor bindings classified (sample : Ast.sample_clause) named edges =
   let arr = Array.of_list bindings in
   let rels =
     Array.map
@@ -275,47 +269,24 @@ let sample_plan ~seed bindings classified (sample : Ast.sample_clause) named edg
       Some (Rsj_cache.Structure_cache.shared ())
     else None
   in
-  let resolve_size join_size =
-    match sample.Ast.size with
-    | Ast.Abs n -> n
-    | Ast.Pct p ->
-        let join_size = join_size () in
-        if join_size <= 0. then 0 else max 1 (int_of_float (Float.ceil (p /. 100. *. join_size)))
+  let request = Sampler.prepare ?cache ~seed rels ~join_keys ~size:sample.Ast.size named in
+  let rows =
+    lazy
+      (let drawn = Sampler.draw ~domains:1 request in
+       Option.iter (fun m -> Sampler.observe m request drawn.Sampler.sample) monitor;
+       drawn.Sampler.sample)
   in
-  let source name ~r draw =
-    let rows = lazy (draw ()) in
-    let schema =
-      Array.fold_left
-        (fun acc rel -> Schema.concat acc (Relation.schema rel))
-        (Relation.schema rels.(0))
-        (Array.sub rels 1 (Array.length rels - 1))
-    in
-    Plan.source_of_stream ~name:(Printf.sprintf "Sample[%s, r=%d]" name r) schema (fun () ->
-        Stream0.of_array (Lazy.force rows))
+  let schema =
+    Array.fold_left
+      (fun acc rel -> Schema.concat acc (Relation.schema rel))
+      (Relation.schema rels.(0))
+      (Array.sub rels 1 (Array.length rels - 1))
   in
-  match (rels, join_keys) with
-  | [| left; right |], [| (left_key, right_key) |] ->
-      let env =
-        match cache with
-        | Some c -> Rsj_cache.Structure_cache.env c ~seed ~left ~right ~left_key ~right_key ()
-        | None -> Strategy.make_env ~seed ~left ~right ~left_key ~right_key ()
-      in
-      let r = resolve_size (fun () -> float_of_int (Strategy.env_join_size env)) in
-      let s, decision = Rsj_optimizer.Picker.decide env ~r named in
-      ( source (Strategy.name s) ~r (fun () ->
-            (Rsj_parallel.run env s ~r ~domains:1).Strategy.sample),
-        decision )
-  | _ ->
-      let spec = { Rsj_core.Chain_sample.relations = rels; join_keys } in
-      let cs =
-        match cache with
-        | Some c -> Rsj_cache.Structure_cache.chain c spec
-        | None -> Rsj_core.Chain_sample.prepare spec
-      in
-      let r = resolve_size (fun () -> Rsj_core.Chain_sample.join_size cs) in
-      ( source "chain-walk" ~r (fun () ->
-            Rsj_core.Chain_sample.sample cs (Rsj_util.Prng.create ~seed ()) ~r ()),
-        None )
+  ( Plan.source_of_stream
+      ~name:(Printf.sprintf "Sample[%s, r=%d]" (Sampler.name request) (Sampler.r request))
+      schema
+      (fun () -> Stream0.of_array (Lazy.force rows)),
+    Sampler.decision request )
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and projection                                          *)
@@ -399,7 +370,7 @@ let build_projection bindings select plan =
 
 (* ------------------------------------------------------------------ *)
 
-let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
+let plan_query_exn ?(seed = 0x5EED) ?monitor catalog (query : Ast.query) =
   if query.Ast.select = [] then fail "empty SELECT list";
   let bindings = bind_tables catalog query.Ast.from in
   let classified = classify bindings query.Ast.where in
@@ -410,11 +381,7 @@ let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
         let named =
           Option.map
             (fun strat ->
-              match Strategy.of_name strat with
-              | Some s -> s
-              | None ->
-                  fail "unknown sampling strategy %S (valid: %s)" strat
-                    (valid_strategy_names ()))
+              match Sampler.strategy_of_name strat with Ok s -> s | Error msg -> fail "%s" msg)
             sample.Ast.strategy
         in
         (* A linear chain samples inside the join; USING names a
@@ -422,7 +389,7 @@ let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
            the reservoir below. *)
         match chain_edges bindings classified with
         | Some edges when named = None || Array.length edges = 1 ->
-            Some (sample_plan ~seed bindings classified sample named edges)
+            Some (sample_plan ~seed ?monitor bindings classified sample named edges)
         | _ when named = None -> None
         | _ ->
             fail
@@ -556,17 +523,15 @@ let plan_query_exn ?(seed = 0x5EED) catalog (query : Ast.query) =
 let guarded f =
   try Ok (f ()) with Plan_error msg | Failure msg | Invalid_argument msg -> Error msg
 
-let plan_query ?seed catalog query = guarded (fun () -> fst (plan_query_exn ?seed catalog query))
-
-let run_query ?seed catalog query =
+let run_query ?seed ?monitor catalog query =
   guarded (fun () ->
-      let plan, decision = plan_query_exn ?seed catalog query in
+      let plan, decision = plan_query_exn ?seed ?monitor catalog query in
       let metrics = Metrics.create () in
       (* EXPLAIN: plan (and decide) but do not execute. *)
       let rows = if query.Ast.explain then [] else Plan.collect ~metrics plan in
       { schema = Plan.schema_of plan; rows; metrics; plan; decision; explained = query.Ast.explain })
 
-let run ?seed catalog input =
+let run ?seed ?monitor catalog input =
   match Parser.parse input with
   | Error msg -> Error ("parse error: " ^ msg)
-  | Ok query -> run_query ?seed catalog query
+  | Ok query -> run_query ?seed ?monitor catalog query

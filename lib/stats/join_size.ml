@@ -44,15 +44,3 @@ let alpha_index_sample ~m1 ~m2 ~is_high ~r =
   if n = 0. then 0. else (float_of_int r +. lo) /. n
 
 let naive_work ~m1 ~m2 = join_cardinality m1 m2
-
-let pp_summary ppf ~m1 ~m2 ~r =
-  let n = join_cardinality m1 m2 in
-  Format.fprintf ppf
-    "@[<v>join size n = %d@,n1 = %d, n2 = %d, M = max m2 = %d@,\
-     Olken iterations/tuple (Thm 5): %.3f@,\
-     Group-Sample alpha (Thm 7):     %.6f@,\
-     naive work: %d tuples@]"
-    n (Frequency.total m1) (Frequency.total m2) (Frequency.max_frequency m2)
-    (olken_expected_iterations ~m1 ~m2)
-    (alpha_group_sample ~m1 ~m2 ~r)
-    (naive_work ~m1 ~m2)

@@ -40,6 +40,3 @@ val alpha_index_sample :
 
 val naive_work : m1:Frequency.t -> m2:Frequency.t -> int
 (** Tuples the naive strategy materializes: all of J. *)
-
-val pp_summary : Format.formatter -> m1:Frequency.t -> m2:Frequency.t -> r:int -> unit
-(** Human-readable report of the formulas for one join instance. *)

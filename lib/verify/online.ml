@@ -12,7 +12,7 @@
    folds the *served* sample output into streaming per-stream counters
    and tests each full window of observed counts against that law.
 
-   One stream per (fingerprint-pair, strategy, semantics): different
+   One stream per (inputs, join columns, strategy, semantics): different
    strategies (and WoR/CF semantics) are monitored separately so a
    regression in one draw path cannot hide in another's traffic. WoR
    and CF windows are tested against the same WR marginal — exact for
@@ -97,6 +97,8 @@ type t = {
   significance : float;  (* lifetime false-alert budget per stream *)
   min_expected : float;  (* Kernel bucketing floor *)
   streams : (string, stream) Hashtbl.t;
+  laws : (int * int * int * int, law option) Hashtbl.t;
+      (* join-value marginal per (left fp, right fp, left key, right key); None = empty join *)
   any_alert_g : Obs.Registry.gauge;
 }
 
@@ -110,6 +112,7 @@ let create ?window ?significance ?(min_expected = 5.) () =
     significance;
     min_expected;
     streams = Hashtbl.create 8;
+    laws = Hashtbl.create 8;
     any_alert_g =
       Obs.Registry.gauge ~help:"1 when any quality stream has a latched alert" "rsj_quality_alert";
   }
@@ -207,6 +210,30 @@ let observe t ~key ~law values =
           trip s)
     values;
   publish_any t
+
+(* The law is derived once per inputs and join columns (a mutation
+   changes the fingerprint, so stale laws age out as new keys). *)
+let observe_join t ~frequency ~left ~right ~left_key ~right_key ~stream sample =
+  let fp_l = Relation.fingerprint left and fp_r = Relation.fingerprint right in
+  let inputs = (fp_l, fp_r, left_key, right_key) in
+  let law =
+    match Hashtbl.find_opt t.laws inputs with
+    | Some law -> law
+    | None ->
+        let law =
+          law_of_frequencies ~left:(frequency left ~key:left_key)
+            ~right:(frequency right ~key:right_key)
+        in
+        Hashtbl.replace t.laws inputs law;
+        law
+  in
+  match law with
+  | Some law when Array.length sample > 0 ->
+      observe t
+        ~key:(Printf.sprintf "%x.%d-%x.%d/%s" fp_l left_key fp_r right_key stream)
+        ~law
+        (Array.map (fun (tu : Tuple.t) -> tu.(left_key)) sample)
+  | _ -> ()
 
 type stream_stats = {
   st_key : string;

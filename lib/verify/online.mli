@@ -3,7 +3,7 @@
     Streams served join-attribute values into per-stream window
     counters and tests each full window against the expected marginal
     P(A = v) = m1(v) m2(v) / |J| derived from the cached frequency
-    tables. One stream per (fingerprint-pair, strategy, semantics) key.
+    tables. One stream per (inputs, join columns, strategy, semantics).
     A window's p-value is a two-sided Chernoff bound per pooled cell
     (cells pooled to [min_expected] as for a chi-square), Bonferroni-
     corrected over the cells: unlike the asymptotic chi-square tail it
@@ -40,6 +40,21 @@ val join_size : law -> float
 val observe : t -> key:string -> law:law -> Value.t array -> unit
 (** Fold one served sample's join-attribute values into stream [key],
     closing and testing windows as they fill. *)
+
+val observe_join :
+  t ->
+  frequency:(Relation.t -> key:int -> Rsj_stats.Frequency.t) ->
+  left:Relation.t ->
+  right:Relation.t ->
+  left_key:int ->
+  right_key:int ->
+  stream:string ->
+  Tuple.t array ->
+  unit
+(** Fold a two-table join sample (left row ++ right row) into stream
+    ["<left fp>.<left key>-<right fp>.<right key>/<stream>"]. The law
+    comes from [frequency] once per inputs and join columns and is
+    memoized in [t]. *)
 
 val any_alert : t -> bool
 

@@ -351,10 +351,7 @@ let test_scheduler_rejects_bad_args () =
   Alcotest.(check bool) "domains=0 rejected" true
     (rejects (fun () -> Chunk_scheduler.run ~domains:0 ~chunks:1 ~task:(fun i -> i) ()));
   Alcotest.(check bool) "chunks<0 rejected" true
-    (rejects (fun () -> Chunk_scheduler.run ~domains:2 ~chunks:(-1) ~task:(fun i -> i) ()));
-  Alcotest.(check bool) "run chunk_size<=0 rejected" true
-    (rejects (fun () ->
-         Rsj_parallel.run ~chunk_size:0 (small_env ()) Strategy.Stream ~r:1 ~domains:2))
+    (rejects (fun () -> Chunk_scheduler.run ~domains:2 ~chunks:(-1) ~task:(fun i -> i) ()))
 
 let test_scheduler_default_chunk_size () =
   Alcotest.(check int) "small n floors at 1" 1 (Chunk_scheduler.default_chunk_size ~n:3);
@@ -362,33 +359,6 @@ let test_scheduler_default_chunk_size () =
   Alcotest.(check int) "huge n caps at 4096" 4096
     (Chunk_scheduler.default_chunk_size ~n:10_000_000)
 
-let test_explicit_chunk_size_same_sample () =
-  (* chunk_size changes the schedule, never the sample: per-chunk state
-     is split by chunk index, and merges are distribution-preserving —
-     but bit-identity across chunk sizes is NOT promised (different
-     split trees), so this checks determinism within each size and the
-     static-shard size (ceil n/d) specifically. *)
-  List.iter
-    (fun cs ->
-      let a = Rsj_parallel.run ~chunk_size:cs (small_env ~seed:11 ()) Strategy.Naive ~r:8 ~domains:2 in
-      let b = Rsj_parallel.run ~chunk_size:cs (small_env ~seed:11 ()) Strategy.Naive ~r:8 ~domains:2 in
-      Alcotest.(check int) (Printf.sprintf "chunk_size=%d size" cs) 8
-        (Array.length a.Strategy.sample);
-      Array.iteri
-        (fun i t ->
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk_size=%d reproducible" cs)
-            true
-            (Tuple.equal t b.Strategy.sample.(i)))
-        a.Strategy.sample)
-    [ 1; 7; 20; 40 ]
-
-(* ------------------------------------------------------------------ *)
-(* Reservoir merges                                                    *)
-
-(* Degenerate r = 1 and saturated r = n reservoirs exercise different
-   merge branches than the mid-size case, so every law is checked at
-   all three. *)
 let merge_sizes ~n ~r = [ 1; r; n ]
 
 let test_wr_merge_mass_conservation () =
@@ -610,8 +580,6 @@ let suite =
       test_scheduler_results_in_order;
     Alcotest.test_case "scheduler rejects bad arguments" `Quick test_scheduler_rejects_bad_args;
     Alcotest.test_case "scheduler default chunk size" `Quick test_scheduler_default_chunk_size;
-    Alcotest.test_case "explicit chunk sizes stay deterministic" `Quick
-      test_explicit_chunk_size_same_sample;
     Alcotest.test_case "Wr.merge conserves mass" `Quick test_wr_merge_mass_conservation;
     Alcotest.test_case "Wr.merge with an empty shard" `Quick test_wr_merge_empty_side;
     Alcotest.test_case "Wr.merge at r = 0" `Quick test_wr_merge_r_zero;

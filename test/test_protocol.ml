@@ -189,6 +189,30 @@ let test_cell_codec () =
   Alcotest.(check string) "tuple_to_json" {|[1,null,"s"]|}
     (Json.to_string (P.tuple_to_json [| Value.Int 1; Value.Null; Value.Str "s" |]))
 
+(* A Float cell crosses the wire unchanged, however many digits it
+   needs; a non-finite one, which JSON cannot carry, arrives as NULL. *)
+let test_float_cells_round_trip () =
+  let rows_frame v = P.Rows { id = 1; rows = [ [ Value.Float v ] ] } in
+  let back v =
+    match decode_resp (P.encode_response (rows_frame v)) with
+    | P.Rows { rows = [ [ cell ] ]; _ } -> cell
+    | _ -> Alcotest.failf "no single cell back for %h" v
+  in
+  List.iter
+    (fun v ->
+      match back v with
+      | Value.Float v' when Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v') -> ()
+      | cell -> Alcotest.failf "%h came back as %s" v (Value.to_string cell))
+    [
+      0.1234567891234; 0.1; 1. /. 3.; -2. /. 3.; 1e-300; 5e-324; Float.max_float;
+      Float.min_float; -0.; 1e15 +. 1.; 2. ** 53. +. 2.; 1e22; 123456789.123456789;
+      Float.pi; Float.epsilon;
+    ];
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%h arrives as NULL" v) true (back v = Value.Null))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 let suite =
   [
     Alcotest.test_case "request codec round-trips every op" `Quick test_request_round_trip;
@@ -199,4 +223,6 @@ let suite =
     Alcotest.test_case "malformed responses are rejected" `Quick test_response_rejections;
     Alcotest.test_case "error codes round-trip by name" `Quick test_error_codes;
     Alcotest.test_case "cell codec" `Quick test_cell_codec;
+    Alcotest.test_case "float cells round-trip exactly; non-finite ones as NULL" `Quick
+      test_float_cells_round_trip;
   ]

@@ -318,7 +318,9 @@ let test_typed_errors_and_invalidate () =
    at once. *)
 let test_internal_error_keeps_serving () =
   let pair = make_pair () in
-  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  (* A budget that admits r = 2^53, so the sample gets as far as its
+     allocation; the default budget refuses it at admission. *)
+  with_server ~max_queued_work:max_int @@ fun ~sock:_ ~snapshot:_ client ->
   register_pair client pair;
   let huge = 1 lsl 53 in
   let expect_internal what = function
@@ -418,6 +420,103 @@ let test_admission_overloaded () =
             (P.error_code_to_string code)
       | `Ok -> Alcotest.failf "request %d was admitted over budget" id)
     [ 201; 202 ]
+
+(* A sample larger than the whole budget is refused even on an empty
+   queue, before the draw allocates anything r-sized; one within it is
+   still served. *)
+let test_admission_refuses_oversized () =
+  let pair = make_pair () in
+  with_server ~max_queued_work:100 @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  (match Client.sample client ~left:"t1" ~right:"t2" ~r:101 ~strategy:"stream" () with
+  | Error (P.Overloaded, _) -> ()
+  | Ok _ -> Alcotest.fail "a sample over the whole budget was admitted"
+  | Error (code, _) -> Alcotest.failf "expected overloaded, got %s" (P.error_code_to_string code));
+  let reply =
+    must_reply "sample at the budget"
+      (Client.sample client ~left:"t1" ~right:"t2" ~r:100 ~strategy:"stream" ())
+  in
+  Alcotest.(check int) "r = budget is served" 100 (List.length reply.Client.rows)
+
+(* The two front doors are one sampler: through one daemon, a sample
+   request and the equivalent two-table SQL SAMPLE with the same seed
+   return byte-identical rows, and both feed the same quality
+   stream. *)
+let test_cross_door_same_rows_one_stream () =
+  let pair = make_pair () in
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  let streams () =
+    match List.assoc_opt "quality" (must "stats" (Client.cache_stats client)) with
+    | Some (Json.List l) ->
+        List.map
+          (fun s ->
+            match (Json.member "stream" s, Json.member "seen" s) with
+            | Some (Json.Str k), Some (Json.Int n) -> (k, n)
+            | _ -> Alcotest.fail "a quality stream without key or count")
+          l
+    | _ -> Alcotest.fail "stats carry no quality stream list"
+  in
+  let wire rows =
+    String.concat "\n"
+      (List.map (fun row -> Json.to_string (P.tuple_to_json (Array.of_list row))) rows)
+  in
+  let stream_of strategy =
+    let suffix = "/" ^ Strategy.name (Option.get (Strategy.of_name strategy)) ^ "/wr" in
+    match List.filter (fun (k, _) -> String.ends_with ~suffix k) (streams ()) with
+    | [] -> None
+    | [ s ] -> Some s
+    | l -> Alcotest.failf "%d quality streams end in %s" (List.length l) suffix
+  in
+  List.iter
+    (fun (strategy, seed) ->
+      Alcotest.(check bool) (strategy ^ ": no stream yet") true (stream_of strategy = None);
+      let sql =
+        Printf.sprintf "select * from t1, t2 where t1.col2 = t2.col2 sample 40 using %s" strategy
+      in
+      let queried = must_reply "query" (Client.query client ~seed ~sql ()) in
+      let key, seen =
+        match stream_of strategy with
+        | Some s -> s
+        | None -> Alcotest.failf "%s: the query fed no quality stream" strategy
+      in
+      Alcotest.(check int) (key ^ ": the query fed its stream") 40 seen;
+      let sampled =
+        must_reply "sample" (Client.sample client ~left:"t1" ~right:"t2" ~r:40 ~strategy ~seed ())
+      in
+      Alcotest.(check string)
+        (strategy ^ ": the query's rows are the sample request's")
+        (wire sampled.Client.rows) (wire queried.Client.rows);
+      Alcotest.(check (option (pair string int)))
+        (strategy ^ ": the sample fed the same stream")
+        (Some (key, 80)) (stream_of strategy))
+    [ ("stream", 7); ("fps", 8); ("olken", 9); ("hybrid_count", 10) ]
+
+(* The monitor's law depends on the join columns: the same two
+   relations joined on another column are a stream of their own, not
+   foreign values in the first join's stream. *)
+let test_other_join_column_own_stream () =
+  let pair = make_pair () in
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  ignore (must_reply "col2" (Client.sample client ~left:"t1" ~right:"t2" ~r:30 ~strategy:"stream" ()));
+  ignore
+    (must_reply "rid"
+       (Client.sample client ~left:"t1" ~right:"t2" ~r:30 ~strategy:"stream" ~on:"rid" ()));
+  ignore
+    (must_reply "rid query"
+       (Client.query client ~sql:"select * from t1, t2 where t1.rid = t2.rid sample 30 using stream" ()));
+  let stats = must "stats" (Client.cache_stats client) in
+  let streams =
+    match List.assoc_opt "quality" stats with Some (Json.List l) -> l | _ -> []
+  in
+  Alcotest.(check int) "one stream per join column" 2 (List.length streams);
+  List.iter
+    (fun s ->
+      Alcotest.(check (option int)) "no foreign values" (Some 0)
+        (match Json.member "foreign" s with Some (Json.Int n) -> Some n | _ -> None))
+    streams;
+  Alcotest.(check bool) "no alert" true (List.assoc_opt "quality_alert" stats = Some (Json.Bool false))
 
 (* ---------- graceful shutdown and restart ---------- *)
 
@@ -819,6 +918,12 @@ let suite =
       test_internal_error_keeps_serving;
     Alcotest.test_case "queued past the deadline fails typed" `Quick test_deadline_exceeded;
     Alcotest.test_case "admission control sheds load" `Quick test_admission_overloaded;
+    Alcotest.test_case "a sample over the whole budget is refused" `Quick
+      test_admission_refuses_oversized;
+    Alcotest.test_case "sample request and SQL SAMPLE: same rows, one quality stream" `Quick
+      test_cross_door_same_rows_one_stream;
+    Alcotest.test_case "a join on another column is a quality stream of its own" `Quick
+      test_other_join_column_own_stream;
     Alcotest.test_case "SIGTERM: unlink, snapshot, restartable" `Quick
       test_sigterm_shutdown_restart;
     Alcotest.test_case "RSJ_CACHE_BYTES bounds the daemon cache" `Quick
