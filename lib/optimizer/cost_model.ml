@@ -2,6 +2,7 @@ module Frequency = Rsj_stats.Frequency
 module Histogram = Rsj_stats.Histogram
 module Join_size = Rsj_stats.Join_size
 module Strategy = Rsj_core.Strategy
+module Counter = Rsj_index.Int_index.Counter
 
 type query_shape = { r : int }
 
@@ -25,20 +26,19 @@ let distinct_guess (c : Catalog.t) =
       | Some h -> max 1 (2 * Histogram.End_biased.tracked_count h)
       | None -> 1)
 
-(* Σ_v m1(v)·m2(v)² restricted to [keep], together with the matching
+(* Σ_v m1(v)·m2(v)² over the tracked values of [h], together with the matching
    Σ m1·m2, using exact m1 when statistics exist and the uniform
    m1 ≈ n1/d approximation otherwise. *)
 let hi_sums (c : Catalog.t) h =
-  let is_high = Histogram.End_biased.is_high h in
   match (c.left_stats, c.right_stats) with
   | Some m1, Some m2 ->
-      Frequency.fold m2 ~init:(0., 0.) ~f:(fun (mm, mmsq) v m2v ->
-          if is_high v then begin
-            let m1v = fi (Frequency.frequency m1 v) in
-            let m2v = fi m2v in
-            (mm +. (m1v *. m2v), mmsq +. (m1v *. m2v *. m2v))
-          end
-          else (mm, mmsq))
+      (* The tracked set is the small side: fold it. *)
+      let m1 = Frequency.int_counter m1 and m2 = Frequency.int_counter m2 in
+      Counter.fold
+        (fun k _ (mm, mmsq) ->
+          let m1v = fi (Counter.get m1 k) and m2v = fi (Counter.get m2 k) in
+          (mm +. (m1v *. m2v), mmsq +. (m1v *. m2v *. m2v)))
+        (Histogram.End_biased.int_tracked h) (0., 0.)
   | _ ->
       let m1_hat = fi c.n1 /. fi (distinct_guess c) in
       List.fold_left
@@ -93,7 +93,9 @@ let cost (c : Catalog.t) ({ r } : query_shape) strategy =
             | _, Some m2 ->
                 let m1_hat = n1 /. fi (distinct_guess c) in
                 let sq =
-                  Frequency.fold m2 ~init:0. ~f:(fun acc _ m2v -> acc +. (fi m2v *. fi m2v))
+                  Counter.fold
+                    (fun _ m2v acc -> acc +. (fi m2v *. fi m2v))
+                    (Frequency.int_counter m2) 0.
                 in
                 (m1_hat *. sq, "uniform-m1 moment")
             | _, None -> (0., "no statistics")

@@ -52,6 +52,11 @@ let key = function
   | Value.Null -> null_key
   | v -> intern v
 
+let find_key = function
+  | Value.Int x when x >= band_hi -> x
+  | Value.Null -> null_key
+  | v -> Mutex.protect lock (fun () -> Option.value ~default:null_key (Dict.find_opt codes v))
+
 let value_of_key k =
   if k >= band_hi then Value.Int k
   else if k = null_key then Value.Null

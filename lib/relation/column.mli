@@ -25,6 +25,11 @@ val key : Value.t -> int
 (** The int key of one value; interns a new [Str], [Float] or in-band
     [Int] in the dictionary. Safe to call from any domain. *)
 
+val find_key : Value.t -> int
+(** {!key} without interning: a value the dictionary has never seen
+    gets {!null_key}, which no table holds. For probes of int-keyed
+    tables by a boxed value. *)
+
 val value_of_key : int -> Value.t
 (** The inverse of {!key}: [Value.equal (value_of_key (key v)) v].
     Raises [Invalid_argument] on an in-band int that is no code. *)

@@ -209,6 +209,14 @@ let biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r =
   if Array.length universe = 0 then [||]
   else Rsj_core.Negative.biased_wr_draw (Rsj_util.Prng.create ~seed ()) ~universe ~r
 
+let reason_of = Option.map (fun (d : Picker.decision) -> Picker.reason_to_string d.reason)
+
+(* Every sampled request, whichever door, logs the sampler that ran and
+   the picker's reason for it, or "explicit". *)
+let note_sampler st name reason =
+  st.note.n_strategy <- name;
+  st.note.n_reason <- Option.value reason ~default:"explicit"
+
 let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
   if r < 0 then rejectf P.Bad_request "r must be non-negative, got %d" r;
   if domains < 1 then rejectf P.Bad_request "domains must be at least 1, got %d" domains;
@@ -227,13 +235,8 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
       ~join_keys:[| (left_key, right_key) |] ~size:(Rsj_sql.Ast.Abs r)
       (Option.map strategy_of strategy)
   in
-  let reason =
-    Option.map
-      (fun (d : Picker.decision) -> Picker.reason_to_string d.reason)
-      (Sampler.decision request)
-  in
-  st.note.n_strategy <- Sampler.name request;
-  st.note.n_reason <- Option.value reason ~default:"explicit";
+  let reason = reason_of (Sampler.decision request) in
+  note_sampler st (Sampler.name request) reason;
   let drawn =
     try Sampler.draw ~domains request
     with Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
@@ -263,11 +266,9 @@ let exec_query st ~id ~sql ~seed =
   | Error msg -> rejectf P.Engine_error "%s" msg
   | Ok result ->
       let open Rsj_sql in
-      (match result.Engine.decision with
-      | Some d ->
-          st.note.n_strategy <- Strategy.name d.Picker.chosen;
-          st.note.n_reason <- Picker.reason_to_string d.Picker.reason
-      | None -> ());
+      Option.iter
+        (fun name -> note_sampler st name (reason_of result.Engine.decision))
+        result.Engine.sampler;
       let rows = List.map Array.to_list result.Engine.rows in
       let columns =
         Array.to_list (Schema.columns result.Engine.schema)
@@ -462,7 +463,13 @@ let handle_http st conn =
 let work_of (req : P.request) =
   match req with
   | P.Sample { r; _ } -> max r 1
-  | P.Query _ -> 64 (* flat charge: the engine resolves its own r *)
+  | P.Query { sql; _ } -> (
+      (* An absolute SAMPLE n is charged its n; any other query (a %
+         sample, none, or a parse error the execution reports) a flat
+         64. *)
+      match Rsj_sql.Parser.parse sql with
+      | Ok { Rsj_sql.Ast.sample = Some { size = Rsj_sql.Ast.Abs n; _ }; _ } -> max n 1
+      | Ok _ | Error _ -> 64)
   | _ -> 0
 
 let publish_queue_gauges st =

@@ -13,6 +13,7 @@ type query_result = {
   metrics : Metrics.t;
   plan : Plan.t;
   decision : Rsj_optimizer.Picker.decision option;
+  sampler : string option;
   explained : bool;
 }
 
@@ -286,7 +287,7 @@ let sample_plan ~seed ?monitor bindings classified (sample : Ast.sample_clause) 
       ~name:(Printf.sprintf "Sample[%s, r=%d]" (Sampler.name request) (Sampler.r request))
       schema
       (fun () -> Stream0.of_array (Lazy.force rows)),
-    Sampler.decision request )
+    request )
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and projection                                          *)
@@ -400,7 +401,7 @@ let plan_query_exn ?(seed = 0x5EED) ?monitor catalog (query : Ast.query) =
               (List.length classified.equijoins)
               (List.length classified.residual))
   in
-  let decision = Option.bind sampled_source snd in
+  let request = Option.map snd sampled_source in
   let base_plan =
     match sampled_source with
     | Some (p, _) -> p
@@ -516,7 +517,7 @@ let plan_query_exn ?(seed = 0x5EED) ?monitor catalog (query : Ast.query) =
     end
   in
   let final = match query.Ast.limit with Some n -> Plan.Limit (n, shaped) | None -> shaped in
-  (final, decision)
+  (final, request)
 
 (* Planning errors, and a sampler's own failures (an empty R1 under
    Olken, say), come back as [Error msg]. *)
@@ -525,11 +526,19 @@ let guarded f =
 
 let run_query ?seed ?monitor catalog query =
   guarded (fun () ->
-      let plan, decision = plan_query_exn ?seed ?monitor catalog query in
+      let plan, request = plan_query_exn ?seed ?monitor catalog query in
       let metrics = Metrics.create () in
       (* EXPLAIN: plan (and decide) but do not execute. *)
       let rows = if query.Ast.explain then [] else Plan.collect ~metrics plan in
-      { schema = Plan.schema_of plan; rows; metrics; plan; decision; explained = query.Ast.explain })
+      {
+        schema = Plan.schema_of plan;
+        rows;
+        metrics;
+        plan;
+        decision = Option.bind request Sampler.decision;
+        sampler = Option.map Sampler.name request;
+        explained = query.Ast.explain;
+      })
 
 let run ?seed ?monitor catalog input =
   match Parser.parse input with

@@ -39,6 +39,9 @@ type query_result = {
   plan : Rsj_exec.Plan.t;  (** The executed plan, for EXPLAIN. *)
   decision : Rsj_optimizer.Picker.decision option;
       (** Present iff the picker routed a plain [SAMPLE n]. *)
+  sampler : string option;
+      (** The {!Sampler.name} a linear-chain [SAMPLE] ran through (or,
+          under [EXPLAIN], would run): a strategy or ["chain-walk"]. *)
   explained : bool;  (** The query carried an [EXPLAIN] prefix. *)
 }
 

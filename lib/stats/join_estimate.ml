@@ -1,5 +1,6 @@
 open Rsj_relation
 module Prng = Rsj_util.Prng
+module Counter = Rsj_index.Int_index.Counter
 
 type estimate = { value : float; stderr : float; draws : int }
 
@@ -21,19 +22,15 @@ let cross_product rng ~left ~right ~left_key ~right_key ~r1 ~r2 =
   else begin
     let s1 = Array.init r1 (fun _ -> Tuple.attr (Relation.random_row left rng) left_key) in
     let s2 = Array.init r2 (fun _ -> Tuple.attr (Relation.random_row right rng) right_key) in
-    (* Count matches via a small frequency map over s2. *)
-    let counts = Hashtbl.create (2 * r2) in
+    (* Count matches via a small frequency map over s2's keys. *)
+    let counts = Counter.create ~capacity:(2 * r2) () in
     Array.iter
-      (fun v ->
-        if not (Value.is_null v) then
-          Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
+      (fun v -> if not (Value.is_null v) then Counter.add counts (Column.key v) 1)
       s2;
     (* Per-s1-draw matching fraction, for a CLT interval over r1. *)
     let per_draw =
       Array.map
-        (fun v ->
-          let m = Option.value ~default:0 (Hashtbl.find_opt counts v) in
-          float_of_int m /. float_of_int r2)
+        (fun v -> float_of_int (Counter.get counts (Column.find_key v)) /. float_of_int r2)
         s1
     in
     let mean, stderr = mean_stderr per_draw in
@@ -59,35 +56,24 @@ let index_assisted rng ~left ~right_index ~left_key ~draws =
 let bifocal rng ~left ~right ~left_key ~right_key ~histogram ~draws =
   if draws <= 0 then invalid_arg "Join_estimate.bifocal: draws must be positive";
   let n1 = Relation.cardinality left in
-  (* Exact hot part: m1 over Dhi from one scan of R1; m2 from the
-     histogram. *)
-  let hot_m1 : (Value.t, int) Hashtbl.t = Hashtbl.create 64 in
-  Relation.iter left (fun row ->
-      let v = Tuple.attr row left_key in
-      if (not (Value.is_null v)) && Histogram.End_biased.is_high histogram v then
-        Hashtbl.replace hot_m1 v (1 + Option.value ~default:0 (Hashtbl.find_opt hot_m1 v)));
-  let hot =
-    Hashtbl.fold
-      (fun v m1v acc ->
-        match Histogram.End_biased.frequency histogram v with
-        | Some m2v -> acc +. (float_of_int m1v *. float_of_int m2v)
-        | None -> acc)
-      hot_m1 0.
-  in
-  (* Sampled cold part: frequencies of the low-frequency side of R2. *)
-  let cold_m2 : (Value.t, int) Hashtbl.t = Hashtbl.create 256 in
-  Relation.iter right (fun row ->
-      let v = Tuple.attr row right_key in
-      if (not (Value.is_null v)) && not (Histogram.End_biased.is_high histogram v) then
-        Hashtbl.replace cold_m2 v (1 + Option.value ~default:0 (Hashtbl.find_opt cold_m2 v)));
+  (* Exact hot part Σ_hi m1·m2 from one scan of R1, m2 from the
+     histogram; cold part from R2's low-frequency keys. *)
+  let tracked = Histogram.End_biased.int_tracked histogram in
+  let hot = ref 0. in
+  Array.iter
+    (fun k -> hot := !hot +. float_of_int (Counter.get tracked k))
+    (Column.int_view left ~col:left_key);
+  let hot = !hot in
+  let cold_m2 = Counter.create ~capacity:256 () in
+  Array.iter
+    (fun k -> if k <> Column.null_key && Counter.get tracked k = 0 then Counter.add cold_m2 k 1)
+    (Column.int_view right ~col:right_key);
   if n1 = 0 then { value = hot; stderr = 0.; draws = 0 }
   else begin
     let xs =
       Array.init draws (fun _ ->
           let t = Relation.random_row left rng in
-          let v = Tuple.attr t left_key in
-          if Value.is_null v || Histogram.End_biased.is_high histogram v then 0.
-          else float_of_int (Option.value ~default:0 (Hashtbl.find_opt cold_m2 v)))
+          float_of_int (Counter.get cold_m2 (Column.find_key (Tuple.attr t left_key))))
     in
     let mean, stderr = mean_stderr xs in
     let scale = float_of_int n1 in

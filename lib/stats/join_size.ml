@@ -1,12 +1,15 @@
-let join_cardinality m1 m2 = Frequency.join_size m1 m2
+module Counter = Rsj_index.Int_index.Counter
 
 let self_join_moment m1 m2 =
-  Frequency.fold m1 ~init:0. ~f:(fun acc v c1 ->
-      let c2 = float_of_int (Frequency.frequency m2 v) in
+  let m2 = Frequency.int_counter m2 in
+  Counter.fold
+    (fun k c1 acc ->
+      let c2 = float_of_int (Counter.get m2 k) in
       acc +. (float_of_int c1 *. c2 *. c2))
+    (Frequency.int_counter m1) 0.
 
 let olken_expected_iterations ~m1 ~m2 =
-  let n = join_cardinality m1 m2 in
+  let n = Frequency.join_size m1 m2 in
   if n = 0 then infinity
   else
     let m = float_of_int (Frequency.max_frequency m2) in
@@ -14,7 +17,7 @@ let olken_expected_iterations ~m1 ~m2 =
     m *. n1 /. float_of_int n
 
 let alpha_group_sample ~m1 ~m2 ~r =
-  let n = float_of_int (join_cardinality m1 m2) in
+  let n = float_of_int (Frequency.join_size m1 m2) in
   if n = 0. then 0. else float_of_int r *. self_join_moment m1 m2 /. (n *. n)
 
 let alpha_group_sample_uniform ~m ~d ~r =
@@ -43,4 +46,4 @@ let alpha_index_sample ~m1 ~m2 ~is_high ~r =
   let n = lo +. hi in
   if n = 0. then 0. else (float_of_int r +. lo) /. n
 
-let naive_work ~m1 ~m2 = join_cardinality m1 m2
+let naive_work ~m1 ~m2 = Frequency.join_size m1 m2

@@ -8,9 +8,6 @@
 
 open Rsj_relation
 
-val join_cardinality : Frequency.t -> Frequency.t -> int
-(** n = |R1 ⋈ R2| = Σ_v m1(v)·m2(v). *)
-
 val self_join_moment : Frequency.t -> Frequency.t -> float
 (** Σ_v m1(v)·m2(v)² — the second-moment term of Theorem 7. *)
 

@@ -43,39 +43,39 @@
 
 open Rsj_relation
 module Frequency = Rsj_stats.Frequency
+module Counter = Rsj_index.Int_index.Counter
 module Obs = Rsj_obs
 
 type law = {
-  index : (Value.t, int) Hashtbl.t;  (* join value -> cell *)
+  index : Counter.t;  (* Column.key of a join value -> cell + 1; 0 = outside the support *)
   probs : float array;  (* P(A = v) per cell, sums to 1 *)
   join_size : float;  (* |J| = sum m1*m2 *)
 }
 
 let law_of_frequencies ~left ~right =
-  let cells = ref [] in
-  let total = ref 0. in
-  Frequency.iter left (fun v m1 ->
-      let m2 = Frequency.frequency right v in
+  let right = Frequency.int_counter right in
+  let index = Counter.create () in
+  let weights = ref [] and total = ref 0. in
+  Counter.iter
+    (fun k m1 ->
+      let m2 = Counter.get right k in
       if m2 > 0 then begin
         let w = float_of_int m1 *. float_of_int m2 in
-        cells := (v, w) :: !cells;
+        Counter.add index k (Counter.cardinal index + 1);
+        weights := w :: !weights;
         total := !total +. w
-      end);
+      end)
+    (Frequency.int_counter left);
   if !total <= 0. then None
   else begin
-    let arr = Array.of_list (List.rev !cells) in
-    let index = Hashtbl.create (Array.length arr) in
-    let probs =
-      Array.mapi
-        (fun i (v, w) ->
-          Hashtbl.replace index v i;
-          w /. !total)
-        arr
-    in
+    let probs = Array.of_list (List.rev_map (fun w -> w /. !total) !weights) in
     Some { index; probs; join_size = !total }
   end
 
 let support_size law = Array.length law.probs
+
+let probability law v =
+  match Counter.get law.index (Column.find_key v) with 0 -> 0. | cell -> law.probs.(cell - 1)
 let join_size law = law.join_size
 
 type stream = {
@@ -198,12 +198,12 @@ let observe t ~key ~law values =
   Array.iter
     (fun v ->
       s.seen <- s.seen + 1;
-      match Hashtbl.find_opt s.law.index v with
-      | Some cell ->
+      match Counter.get s.law.index (Column.find_key v) - 1 with
+      | cell when cell >= 0 ->
           s.counts.(cell) <- s.counts.(cell) + 1;
           s.in_window <- s.in_window + 1;
           if s.in_window >= t.window then close_window t s
-      | None ->
+      | _ ->
           (* Outside the join support: cannot be produced by a correct
              sampler — alert immediately, don't wait for a window. *)
           s.foreign <- s.foreign + 1;

@@ -34,6 +34,9 @@ val law_of_frequencies :
 (** The WR join-value marginal from the two frequency tables; [None]
     when the join is empty (nothing to monitor). *)
 
+val probability : law -> Value.t -> float
+(** P(A = v) = m1(v) m2(v) / |J|; 0 outside the join support. *)
+
 val support_size : law -> int
 val join_size : law -> float
 

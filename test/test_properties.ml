@@ -199,6 +199,107 @@ let prop_end_biased_partition =
           if high <> (c >= threshold) then ok := false);
       !ok)
 
+(* The statistics are one int-keyed table over Column.key; a scan
+   model over boxed values (nested loops under Value.equal, Null never
+   joining) pins them on every key kind: ints outside the reserved band,
+   in-band ints (interned like strings), strings, floats (0. = -0.) and
+   Null. *)
+let key_pools =
+  [|
+    ( Value.T_int,
+      [|
+        Value.Int 3; Value.Int (-7); Value.Int max_int; Value.Int (min_int + 1);
+        Value.Int (min_int + 2); Value.Int (min_int + (1 lsl 32) - 1);
+        Value.Int (min_int + (1 lsl 32)); Value.Null;
+      |] );
+    (Value.T_str, [| Value.Str "a"; Value.Str "b"; Value.Str ""; Value.Null |]);
+    ( Value.T_float,
+      [| Value.Float 1.5; Value.Float 0.; Value.Float (-0.); Value.Float 3.; Value.Null |] );
+  |]
+
+let every_key = Array.concat (Array.to_list (Array.map snd key_pools))
+
+(* A column of one kind (a schema types its column): its pool's
+   values, Null included, in any multiplicity. *)
+let key_column =
+  QCheck.(
+    pair (int_bound (Array.length key_pools - 1)) (list_of_size (Gen.int_range 0 30) (int_bound 7)))
+
+let column_values (kind, picks) =
+  let ty, pool = key_pools.(kind) in
+  (ty, List.map (fun i -> pool.(i mod Array.length pool)) picks)
+
+let freq_of_values (ty, vs) =
+  let schema = Schema.of_list [ ("k", ty) ] in
+  Frequency.of_relation (Relation.of_tuples schema (List.map (fun v -> [| v |]) vs)) ~key:0
+
+(* m(v) by scan; 0 for Null. *)
+let model_m vs v =
+  if Value.is_null v then 0 else List.length (List.filter (Value.equal v) vs)
+
+let distinct_values vs =
+  List.fold_left
+    (fun acc v -> if Value.is_null v || List.exists (Value.equal v) acc then acc else v :: acc)
+    [] vs
+
+let prop_statistics_scan_model =
+  QCheck.Test.make ~name:"frequency, end-biased and law agree with a scan on every key kind"
+    ~count:300
+    QCheck.(triple key_column key_column (int_range 1 4))
+    (fun (i1, i2, threshold) ->
+      let col1 = column_values i1 and col2 = column_values i2 in
+      let m1 = freq_of_values col1 and m2 = freq_of_values col2 in
+      let c1 = snd col1 and c2 = snd col2 in
+      let d1 = distinct_values c1 in
+      let per_value = List.for_all (fun v -> Frequency.frequency m1 v = model_m c1 v) in
+      let folded = Frequency.fold m1 ~init:[] ~f:(fun acc v c -> (v, c) :: acc) in
+      let join = List.fold_left (fun acc v -> acc + model_m c2 v) 0 c1 in
+      let freq_ok =
+        per_value (Array.to_list every_key)
+        && Frequency.total m1 = List.length (List.filter (fun v -> not (Value.is_null v)) c1)
+        && Frequency.distinct_count m1 = List.length d1
+        && Frequency.max_frequency m1 = List.fold_left (fun acc v -> max acc (model_m c1 v)) 0 d1
+        && List.length folded = List.length d1
+        && List.for_all
+             (fun v -> List.exists (fun (u, c) -> Value.equal u v && c = model_m c1 v) folded)
+             d1
+        && Frequency.join_size m1 m2 = join
+        && Frequency.join_size m2 m1 = join
+      in
+      let module Eb = Rsj_stats.Histogram.End_biased in
+      let h = Eb.build m1 ~threshold in
+      let high = List.filter (fun v -> model_m c1 v >= threshold) d1 in
+      let tracked_ok =
+        List.length (Eb.high_values h) = List.length high
+        && List.for_all
+             (fun v -> List.exists (fun (u, _) -> Value.equal u v) (Eb.high_values h))
+             high
+        && Eb.tracked_mass h = List.fold_left (fun acc v -> acc + model_m c1 v) 0 high
+        && Array.for_all
+             (fun v ->
+               let m = model_m c1 v in
+               let want = if m >= threshold then m else 0 in
+               Eb.frequency h v = (if want > 0 then Some want else None)
+               && (Value.is_null v
+                  || Rsj_index.Int_index.Counter.get (Eb.int_tracked h) (Column.key v) = want))
+             every_key
+      in
+      let law_ok =
+        match Rsj_verify.Online.law_of_frequencies ~left:m1 ~right:m2 with
+        | None -> join = 0
+        | Some law ->
+            let common = List.filter (fun v -> model_m c2 v > 0) d1 in
+            let p = Rsj_verify.Online.probability law in
+            Rsj_verify.Online.support_size law = List.length common
+            && List.for_all
+                 (fun v ->
+                   let want = float_of_int (model_m c1 v * model_m c2 v) /. float_of_int join in
+                   Float.abs (p v -. want) < 1e-12)
+                 (Array.to_list every_key)
+            && Float.abs (List.fold_left (fun acc v -> acc +. p v) 0. common -. 1.) < 1e-9
+      in
+      freq_ok && tracked_ok && law_ok)
+
 let prop_binomial_support =
   QCheck.Test.make ~name:"binomial stays in [0, n]" ~count:500
     QCheck.(triple small_nat (int_bound 1000) (float_bound_inclusive 1.))
@@ -306,6 +407,7 @@ let suite =
       prop_join_size_commutes;
       prop_join_size_bounds;
       prop_end_biased_partition;
+      prop_statistics_scan_model;
       prop_binomial_support;
       prop_strategies_agree_on_membership;
       prop_parser_total;

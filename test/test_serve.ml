@@ -438,6 +438,28 @@ let test_admission_refuses_oversized () =
   in
   Alcotest.(check int) "r = budget is served" 100 (List.length reply.Client.rows)
 
+(* SQL SAMPLE is admitted by the same rule: an absolute SAMPLE n is
+   charged its n, so one over the whole budget is refused before any
+   work, and one at the budget is served. *)
+let test_admission_charges_sql_sample () =
+  let pair = make_pair () in
+  with_server ~max_queued_work:100 @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client pair;
+  let sql n =
+    Printf.sprintf "select * from t1, t2 where t1.col2 = t2.col2 sample %s using stream" n
+  in
+  List.iter
+    (fun n ->
+      match Client.query client ~sql:(sql n) () with
+      | Error (P.Overloaded, _) -> ()
+      | Ok _ -> Alcotest.failf "SAMPLE %s was admitted over the budget" n
+      | Error (code, msg) ->
+          Alcotest.failf "SAMPLE %s: expected overloaded, got %s: %s" n
+            (P.error_code_to_string code) msg)
+    [ "101"; "9007199254740992" ];
+  let reply = must_reply "SAMPLE at the budget" (Client.query client ~sql:(sql "100") ()) in
+  Alcotest.(check int) "SAMPLE 100 is served" 100 (List.length reply.Client.rows)
+
 (* The two front doors are one sampler: through one daemon, a sample
    request and the equivalent two-table SQL SAMPLE with the same seed
    return byte-identical rows, and both feed the same quality
@@ -859,6 +881,57 @@ let test_request_id_end_to_end () =
   Alcotest.(check (option int)) "one queue-wait observation per logged request"
     (Some (List.length parsed)) waits
 
+(* A SQL SAMPLE logs the sampler that ran, not only a picked one: a
+   USING strategy under its name and reason "explicit", a three-table
+   chain as the chain walker. *)
+let test_sql_sample_logs_its_sampler () =
+  let dir = fresh_dir () in
+  let sock = Filename.concat dir "rsj.sock" in
+  let log = Filename.concat dir "requests.ndjson" in
+  Unix.putenv "RSJ_LOG" log;
+  Fun.protect ~finally:(fun () ->
+      Unix.putenv "RSJ_LOG" "";
+      cleanup_dir dir)
+  @@ fun () ->
+  let pair = make_pair () in
+  let pid = spawn_server ~sock ~snapshot:(Filename.concat dir "snap.prom") () in
+  (Fun.protect ~finally:(fun () ->
+       (try Unix.kill pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
+       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (_, _, _) -> ()))
+   @@ fun () ->
+   let client = connect_with_retry (Server.Unix_path sock) in
+   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+   register_pair client pair;
+   ignore
+     (must "register t3"
+        (Client.register_rows client ~name:"t3" ~schema:zipf_schema
+           ~rows:(rows_of pair.Zipf_tables.inner)));
+   List.iter
+     (fun (rid, sql) -> ignore (must_reply rid (Client.query client ~sql ~rid ())))
+     [
+       ("fps", "select * from t1, t2 where t1.col2 = t2.col2 sample 6 using fps");
+       ("chain", "select * from t1, t2, t3 where t1.col2 = t2.col2 and t2.col2 = t3.col2 sample 6");
+     ]);
+  let line rid =
+    String.split_on_char '\n' (read_whole log)
+    |> List.find_map (fun l ->
+           match Json.parse l with
+           | Ok j when Json.member "req" j = Some (Json.Str rid) -> Some j
+           | _ -> None)
+    |> function
+    | Some j -> j
+    | None -> Alcotest.failf "no log line for %s" rid
+  in
+  let field rid k =
+    match Json.member k (line rid) with
+    | Some (Json.Str s) -> s
+    | _ -> Alcotest.failf "log line %s carries no string %S" rid k
+  in
+  Alcotest.(check string) "USING fps logs its strategy" "Frequency-Partition-Sample"
+    (field "fps" "strategy");
+  Alcotest.(check string) "USING is explicit" "explicit" (field "fps" "picker_reason");
+  Alcotest.(check string) "a 3-table chain logs the walker" "chain-walk" (field "chain" "strategy")
+
 (* ---------- configuration: refused when malformed, visible in effect ---------- *)
 
 let test_malformed_knob_stops_daemon () =
@@ -920,6 +993,8 @@ let suite =
     Alcotest.test_case "admission control sheds load" `Quick test_admission_overloaded;
     Alcotest.test_case "a sample over the whole budget is refused" `Quick
       test_admission_refuses_oversized;
+    Alcotest.test_case "SQL SAMPLE n is charged n at admission" `Quick
+      test_admission_charges_sql_sample;
     Alcotest.test_case "sample request and SQL SAMPLE: same rows, one quality stream" `Quick
       test_cross_door_same_rows_one_stream;
     Alcotest.test_case "a join on another column is a quality stream of its own" `Quick
@@ -936,4 +1011,6 @@ let suite =
       test_healthz_draining;
     Alcotest.test_case "one request id across response, trace and log" `Quick
       test_request_id_end_to_end;
+    Alcotest.test_case "SQL SAMPLE logs the sampler that ran" `Quick
+      test_sql_sample_logs_its_sampler;
   ]

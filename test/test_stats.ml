@@ -24,21 +24,32 @@ let test_frequency_null_excluded () =
   Alcotest.(check int) "total skips null" 2 (Frequency.total f);
   Alcotest.(check int) "distinct" 1 (Frequency.distinct_count f)
 
-let test_frequency_of_stream_matches () =
-  let r = rel [ 4; 4; 5 ] in
-  let a = Frequency.of_relation r ~key:0 in
-  let b = Frequency.of_stream (Relation.to_stream r) ~key:0 in
-  Alcotest.(check int) "same m(4)" (Frequency.frequency a (Value.Int 4))
-    (Frequency.frequency b (Value.Int 4));
-  Alcotest.(check int) "same total" (Frequency.total a) (Frequency.total b)
+(* Shards of the key view, counted on pooled workers and summed by
+   key, give the sequential table, Nulls and uneven shards included. *)
+let test_frequency_parallel_matches () =
+  let rng = Rsj_util.Prng.create ~seed:8 () in
+  let r =
+    Relation.of_tuples schema
+      (List.init 1_001 (fun i ->
+           [| (if i mod 7 = 0 then Value.Null else Value.Int (Rsj_util.Prng.int rng 40)) |]))
+  in
+  let seq = Frequency.of_relation r ~key:0 in
+  List.iter
+    (fun domains ->
+      let par = Frequency.of_relation_parallel ~domains r ~key:0 in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "same table at %d domains" domains)
+        (List.map (fun (v, c) -> (Value.to_int_exn v, c)) (Frequency.to_assoc seq))
+        (List.map (fun (v, c) -> (Value.to_int_exn v, c)) (Frequency.to_assoc par));
+      Alcotest.(check int) "same total" (Frequency.total seq) (Frequency.total par);
+      Alcotest.(check int) "same max" (Frequency.max_frequency seq) (Frequency.max_frequency par))
+    [ 2; 3 ]
 
 let test_frequency_to_assoc_sorted () =
   let f = freq [ 1; 2; 2; 3; 3; 3 ] in
   let assoc = Frequency.to_assoc f in
   Alcotest.(check (list int)) "descending frequency" [ 3; 2; 1 ]
-    (List.map (fun (_, c) -> c) assoc);
-  Alcotest.(check (list int)) "values above 2" [ 3; 2 ]
-    (List.map (fun (v, _) -> Value.to_int_exn v) (Frequency.values_above f ~threshold:2))
+    (List.map (fun (_, c) -> c) assoc)
 
 let test_frequency_of_assoc_validation () =
   Alcotest.(check bool) "non-positive rejected" true
@@ -74,13 +85,6 @@ let test_join_size_against_real_join () =
   Alcotest.(check int) "formula = brute force" brute
     (Frequency.join_size (freq k1) (freq k2))
 
-let test_restrict () =
-  let f = freq [ 1; 1; 2; 3 ] in
-  let hi = Frequency.restrict f ~keep:(fun v -> Value.to_int_exn v = 1) in
-  Alcotest.(check int) "kept" 2 (Frequency.frequency hi (Value.Int 1));
-  Alcotest.(check int) "dropped" 0 (Frequency.frequency hi (Value.Int 2));
-  Alcotest.(check int) "total" 2 (Frequency.total hi)
-
 let test_end_biased () =
   let f = freq [ 1; 1; 1; 1; 2; 2; 3 ] in
   let h = Histogram.End_biased.build f ~threshold:2 in
@@ -109,39 +113,6 @@ let test_end_biased_fraction () =
        false
      with Invalid_argument _ -> true)
 
-let test_equi_depth () =
-  let r = rel (List.init 100 (fun i -> i)) in
-  let h = Histogram.Equi_depth.build r ~key:0 ~buckets:4 in
-  let buckets = Histogram.Equi_depth.buckets h in
-  Alcotest.(check int) "4 buckets" 4 (Array.length buckets);
-  Array.iter
-    (fun (b : Histogram.Equi_depth.bucket) ->
-      Alcotest.(check int) "25 per bucket" 25 b.count)
-    buckets;
-  Alcotest.(check int) "total" 100 (Histogram.Equi_depth.total h);
-  Alcotest.(check (float 0.01)) "frequency estimate" 1.
-    (Histogram.Equi_depth.estimate_frequency h (Value.Int 50))
-
-let test_equi_depth_join_estimate () =
-  (* Uniform 0..99 in both relations, 1000 and 2000 rows: true join size
-     = sum over v of m1(v)*m2(v) = 100 * 10 * 20 = 20_000. *)
-  let rng = Rsj_util.Prng.create ~seed:7 () in
-  let mk n = rel (List.init n (fun _ -> Rsj_util.Prng.int rng 100)) in
-  let r1 = mk 1_000 and r2 = mk 2_000 in
-  let h1 = Histogram.Equi_depth.build r1 ~key:0 ~buckets:10 in
-  let h2 = Histogram.Equi_depth.build r2 ~key:0 ~buckets:10 in
-  let est = Histogram.Equi_depth.estimate_join_size h1 h2 in
-  let truth =
-    float_of_int
-      (Frequency.join_size
-         (Frequency.of_relation r1 ~key:0)
-         (Frequency.of_relation r2 ~key:0))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate %.0f within 2x of %.0f" est truth)
-    true
-    (est > truth /. 2. && est < truth *. 2.)
-
 let test_end_biased_planes_agree () =
   let f = freq [ 7; 7; 7; 3; 3; 3; 5; 5; 9; 1 ] in
   let h = Histogram.End_biased.build f ~threshold:2 in
@@ -161,36 +132,6 @@ let test_end_biased_planes_agree () =
     [ 1; 3; 5; 7; 9; 42 ];
   Alcotest.(check int) "int plane tracks the head only" 3 (Rsj_index.Int_index.Counter.cardinal plane);
   Alcotest.(check int) "tracked mass" 8 (Histogram.End_biased.tracked_mass h)
-
-let test_equi_depth_shape () =
-  let keys = [ 5; 1; 1; 1; 1; 2; 9; 9; 3; 4; 4; 8 ] in
-  let r =
-    Relation.of_tuples schema
-      ([| Value.Null |] :: List.map (fun k -> [| Value.Int k |]) keys)
-  in
-  let h = Histogram.Equi_depth.build r ~key:0 ~buckets:3 in
-  let bs = Histogram.Equi_depth.buckets h in
-  Alcotest.(check int) "total skips NULL" 12 (Histogram.Equi_depth.total h);
-  Alcotest.(check int) "counts sum to total" 12
-    (Array.fold_left (fun acc (b : Histogram.Equi_depth.bucket) -> acc + b.count) 0 bs);
-  Array.iteri
-    (fun i (b : Histogram.Equi_depth.bucket) ->
-      Alcotest.(check bool) (Printf.sprintf "bucket %d lo <= hi" i) true (Value.compare b.lo b.hi <= 0);
-      Alcotest.(check bool) (Printf.sprintf "bucket %d distinct <= count" i) true
-        (b.distinct >= 1 && b.distinct <= b.count);
-      if i > 0 then
-        Alcotest.(check bool) (Printf.sprintf "bucket %d starts above bucket %d" i (i - 1)) true
-          (Value.compare bs.(i - 1).hi b.lo < 0))
-    bs;
-  Alcotest.(check (float 1e-9)) "below the domain" 0.
-    (Histogram.Equi_depth.estimate_frequency h (Value.Int 0));
-  Alcotest.(check (float 1e-9)) "above the domain" 0.
-    (Histogram.Equi_depth.estimate_frequency h (Value.Int 10));
-  Alcotest.(check bool) "buckets <= 0 rejected" true
-    (try
-       ignore (Histogram.Equi_depth.build r ~key:0 ~buckets:0);
-       false
-     with Invalid_argument _ -> true)
 
 let test_theorem5_olken_iterations () =
   (* Uniform case: every value frequency m in both relations over d
@@ -245,18 +186,14 @@ let suite =
   [
     Alcotest.test_case "frequency basics" `Quick test_frequency_basics;
     Alcotest.test_case "frequency excludes NULL" `Quick test_frequency_null_excluded;
-    Alcotest.test_case "frequency from stream" `Quick test_frequency_of_stream_matches;
+    Alcotest.test_case "frequency parallel build" `Quick test_frequency_parallel_matches;
     Alcotest.test_case "frequency sorted assoc" `Quick test_frequency_to_assoc_sorted;
     Alcotest.test_case "frequency of_assoc validation" `Quick test_frequency_of_assoc_validation;
     Alcotest.test_case "join size formula" `Quick test_join_size;
     Alcotest.test_case "join size vs brute force" `Quick test_join_size_against_real_join;
-    Alcotest.test_case "restrict" `Quick test_restrict;
     Alcotest.test_case "end-biased histogram" `Quick test_end_biased;
     Alcotest.test_case "end-biased fraction threshold" `Quick test_end_biased_fraction;
-    Alcotest.test_case "equi-depth buckets" `Quick test_equi_depth;
-    Alcotest.test_case "equi-depth join estimate" `Quick test_equi_depth_join_estimate;
     Alcotest.test_case "end-biased boxed and int planes agree" `Quick test_end_biased_planes_agree;
-    Alcotest.test_case "equi-depth bucket shape" `Quick test_equi_depth_shape;
     Alcotest.test_case "theorem 5: Olken iterations" `Quick test_theorem5_olken_iterations;
     Alcotest.test_case "theorem 7: alpha closed forms" `Quick test_theorem7_alpha_uniform_case;
     Alcotest.test_case "theorems 8 & 9: hybrid alphas" `Quick test_theorem8_theorem9_alpha;
