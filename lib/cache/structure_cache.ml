@@ -6,16 +6,18 @@ module Hash_index = Rsj_index.Hash_index
 
 (* What is stored. The histogram kind carries the threshold fraction
    (as its IEEE bits, so the key stays an immediate) — distinct
-   fractions are distinct structures. The chain kind carries the
-   member uids and the flattened join-key pairs (structural
-   equality/hash apply), keyed under the root relation's
-   uid; its entry fingerprint mixes every member's fingerprint, so a
-   mutation of ANY member relation invalidates the chain. *)
+   fractions are distinct structures. The multi-relation kinds are
+   keyed under their first relation's uid: the root kind carries R2's
+   uid and both key columns, the chain kind the member uids and the
+   flattened join-key pairs (structural equality/hash apply). Their
+   entry fingerprint mixes every member's, so a mutation of ANY member
+   relation invalidates them. *)
 type kind =
   | K_hash_index of int  (* key column *)
   | K_frequency of int
   | K_histogram of int * int  (* key column, fraction bits *)
   | K_int_view of int
+  | K_root of int * int * int  (* R2 uid, R1 key column, R2 key column *)
   | K_chain of int array * int array  (* member uids, join keys *)
 
 let kind_name = function
@@ -23,6 +25,7 @@ let kind_name = function
   | K_frequency _ -> "frequency"
   | K_histogram _ -> "histogram"
   | K_int_view _ -> "int_view"
+  | K_root _ -> "root"
   | K_chain _ -> "chain"
 
 type packed =
@@ -30,10 +33,12 @@ type packed =
   | P_frequency of Frequency.t
   | P_histogram of Histogram.End_biased.t
   | P_int_view of int array
+  | P_root of Rsj_core.Root_table.t
   | P_chain of Rsj_core.Chain_sample.t
 
 type entry = {
   fp : int;  (* Relation.fingerprint at build time *)
+  members : int array;  (* uids of every relation the structure reads *)
   bytes : int;
   value : packed;
   mutable tick : int;  (* LRU clock at last touch *)
@@ -192,14 +197,20 @@ let enforce_budget t ~keep =
         ()
       done
 
-(* [fp] defaults to the relation's own fingerprint; multi-relation
-   structures (chains) pass a mix of every member's so a mutation of
-   any member invalidates. [base] defaults to the relation; it is
-   whatever the built structure references but the cache does not own
-   (for chains, the whole member array). *)
-let find t ?fp ?base rel kind ~build ~pack ~unpack =
+(* [members] defaults to [rel] alone; a multi-relation structure (root
+   tables, chains) lists every relation it reads. The entry's
+   fingerprint mixes every member's, so a mutation of any member
+   invalidates it, and [invalidate] of any member drops it. [base]
+   defaults to the relation; it is whatever the built structure
+   references but the cache does not own (for chains, the whole member
+   array). *)
+let find t ?members ?base rel kind ~build ~pack ~unpack =
   let key = (Relation.uid rel, kind) in
-  let fp = match fp with Some f -> f | None -> Relation.fingerprint rel in
+  let members = Option.value members ~default:[| rel |] in
+  let fp =
+    Array.fold_left (fun acc m -> (acc * 0x9E3779B1) lxor Relation.fingerprint m) 0 members
+  in
+  let members = Array.map Relation.uid members in
   let base = match base with Some b -> b | None -> Obj.repr rel in
   let kind_s = kind_name kind in
   Mutex.lock t.lock;
@@ -234,7 +245,7 @@ let find t ?fp ?base rel kind ~build ~pack ~unpack =
       | Some racing -> t.total_bytes <- t.total_bytes - racing.bytes
       | None -> ());
       t.clock <- t.clock + 1;
-      let entry = { fp; bytes; value = pack v; tick = t.clock } in
+      let entry = { fp; members; bytes; value = pack v; tick = t.clock } in
       Hashtbl.replace t.table key entry;
       t.total_bytes <- t.total_bytes + bytes;
       enforce_budget t ~keep:entry;
@@ -279,19 +290,21 @@ let chain t (spec : Rsj_core.Chain_sample.spec) =
       keys.(2 * i) <- a;
       keys.((2 * i) + 1) <- b)
     spec.join_keys;
-  (* The entry lives under the root's uid; the fingerprint mixes every
-     member's, so mutating ANY member relation invalidates on the next
-     lookup. *)
-  let fp =
-    Array.fold_left
-      (fun acc rel -> (acc * 0x9E3779B1) lxor Relation.fingerprint rel)
-      0 spec.relations
-  in
-  find t ~fp ~base:(Obj.repr spec.relations) spec.relations.(0)
+  find t ~members:spec.relations ~base:(Obj.repr spec.relations) spec.relations.(0)
     (K_chain (uids, keys))
     ~build:(fun () -> Rsj_core.Chain_sample.prepare spec)
     ~pack:(fun v -> P_chain v)
     ~unpack:(function P_chain v -> v | _ -> assert false)
+
+let root_table t ~left ~right ~left_key ~right_key =
+  (* The table holds row ids, not tuples: nothing to exclude, and no
+     walk over R1 to measure it. *)
+  find t ~members:[| left; right |] ~base:(Obj.repr ()) left
+    (K_root (Relation.uid right, left_key, right_key))
+    ~build:(fun () ->
+      Rsj_core.Root_table.of_keys (int_view t left ~col:left_key) (frequency t right ~key:right_key))
+    ~pack:(fun v -> P_root v)
+    ~unpack:(function P_root v -> v | _ -> assert false)
 
 let env t ?seed ?(histogram_fraction = 0.05) ~left ~right ~left_key ~right_key () =
   let structures =
@@ -303,6 +316,7 @@ let env t ?seed ?(histogram_fraction = 0.05) ~left ~right ~left_key ~right_key (
         Some (fun () -> histogram t right ~key:right_key ~fraction:histogram_fraction);
       p_left_key_view = Some (fun () -> int_view t left ~col:left_key);
       p_right_key_view = Some (fun () -> int_view t right ~col:right_key);
+      p_root_table = Some (fun () -> root_table t ~left ~right ~left_key ~right_key);
     }
   in
   Rsj_core.Strategy.make_env ?seed ~histogram_fraction ~structures ~left ~right ~left_key
@@ -313,7 +327,8 @@ let invalidate t rel =
   Mutex.lock t.lock;
   let doomed =
     Hashtbl.fold
-      (fun key (entry : entry) acc -> if fst key = uid then (key, entry) :: acc else acc)
+      (fun key (entry : entry) acc ->
+        if Array.mem uid entry.members then (key, entry) :: acc else acc)
       t.table []
   in
   List.iter (fun (key, entry) -> remove_entry t key entry ~family:`Invalidation) doomed;

@@ -2,7 +2,8 @@
     Table-1 auxiliary structures.
 
     Every sampling strategy needs some subset of {index on R2,
-    frequency statistics, end-biased histogram, columnar key view}
+    frequency statistics, end-biased histogram, columnar key view, S1
+    root table}
     (paper Table 1); batch execution rebuilds them per query, paying
     the very costs the paper assumes are amortized across many
     queries. This cache makes the amortization real: structures are
@@ -70,6 +71,14 @@ val int_view : t -> Relation.t -> col:int -> int array
     valid for any join partner: the encoding is the same in every
     relation. *)
 
+val root_table :
+  t -> left:Relation.t -> right:Relation.t -> left_key:int -> right_key:int -> Rsj_core.Root_table.t
+(** The two-way S1 table ({!Rsj_core.Strategy.env_root_table}): R1's
+    rows weighted by m2(key), built from the cached {!int_view} of R1
+    and {!frequency} of R2. Kind ["root"], keyed under R1's uid with
+    R2's uid and both key columns, with a fingerprint mixing both
+    relations' — mutating or invalidating either one rebuilds it. *)
+
 val chain : t -> Rsj_core.Chain_sample.spec -> Rsj_core.Chain_sample.t
 (** The prepared chain walker (weight tables + per-value alias
     tables) for the whole spec, keyed under the root relation's uid with
@@ -100,8 +109,9 @@ val env :
 (** {1 Invalidation and introspection} *)
 
 val invalidate : t -> Relation.t -> unit
-(** Drop every entry belonging to the relation (any version, any
-    column, any kind). *)
+(** Drop every entry that reads the relation (any version, any column,
+    any kind), multi-relation entries (root tables, chains) included
+    whichever member it is. *)
 
 val clear : t -> unit
 (** Drop everything. Counters keep their totals. *)

@@ -6,17 +6,17 @@ module Obs = Rsj_obs
 
 type spec = { relations : Relation.t array; join_keys : (int * int) array }
 
-(* Level i holds relation i's positive-weight rows grouped by their
-   join-in key (column b of join i-1) over the int plane, in storage
-   order, and [picks.(g)] is an alias table over group g's row weights —
-   O(1) per pick. R1 is entered through one constant key, so its single
-   group is the root table. [succ] maps each row to the group id of its
-   join-out key (column a of join i) in level i+1, -1 for none,
-   resolved at prepare time so the walk never hashes a key; [||] for
-   the last level. *)
+(* Level i > 0 holds relation i's positive-weight rows grouped by
+   their join-in key (column b of join i-1) over the int plane, in
+   storage order, and [picks.(g)] is an alias table over group g's row
+   weights — O(1) per pick. R1 is entered through [root], the
+   Root_table over its w_1 weights, so level 0 keeps only [succ].
+   [succ] maps each row to the group id of its join-out key (column a
+   of join i) in level i+1, -1 for none, resolved at prepare time so
+   the walk never hashes a key; [||] for the last level. *)
 type level = { index : Int_index.t; picks : Dist.Alias_table.t array; succ : int array }
 
-type t = { relations : Relation.t array; levels : level array; total : float }
+type t = { relations : Relation.t array; root : Root_table.t; levels : level array }
 
 (* Alias-table draws across every chain walk (root pick + one pick per
    level entered). A complete walk of a k-chain makes exactly k
@@ -46,7 +46,9 @@ let prepare ?(metrics = Metrics.create ()) (spec : spec) =
   Obs.Trace.with_span ~cat:"chain" ~args:[ ("k", Obs.Json.Int k) ] "chain_sample.prepare"
   @@ fun () ->
   let scanned n = metrics.Metrics.tuples_scanned <- metrics.Metrics.tuples_scanned + n in
-  let levels = Array.make k { index = Int_index.build ~keys:[||] (); picks = [||]; succ = [||] } in
+  let no_groups = { index = Int_index.build ~keys:[||] (); picks = [||]; succ = [||] } in
+  let levels = Array.make k no_groups in
+  let root = ref (Root_table.of_weights [||]) in
   (* Right to left: w_i(row) is the summed weight of the row's matches
      in level i+1 ([sums], per group of that level, added up in storage
      order), and 1 on the last level. *)
@@ -63,38 +65,38 @@ let prepare ?(metrics = Metrics.create ()) (spec : spec) =
         (succ, Array.map (fun g -> if g < 0 then 0. else !sums.(g)) succ)
       end
     in
-    let keys =
-      if i = 0 then Array.make n 0
-      else begin
-        scanned n;
-        Column.int_view rel ~col:(snd spec.join_keys.(i - 1))
-      end
-    in
-    (* Zero-weight rows lead nowhere: masking their key to the sentinel
-       keeps them out of the index. *)
-    Array.iteri (fun row w -> if not (w > 0.) then keys.(row) <- Int_index.null_key) w;
-    let index = Int_index.build ~keys () in
-    let group_weights g =
-      let s = Int_index.gid_start index g in
-      Array.init (Int_index.gid_multiplicity index g) (fun j -> w.(Int_index.row index (s + j)))
-    in
-    let groups = Array.init (Int_index.group_count index) group_weights in
-    sums := Array.map (Array.fold_left ( +. ) 0.) groups;
-    levels.(i) <- { index; picks = Array.map Dist.Alias_table.of_weights groups; succ }
+    if i = 0 then begin
+      root := Root_table.of_weights w;
+      levels.(0) <- { no_groups with succ }
+    end
+    else begin
+      scanned n;
+      let keys = Column.int_view rel ~col:(snd spec.join_keys.(i - 1)) in
+      (* Zero-weight rows lead nowhere: masking their key to the
+         sentinel keeps them out of the index. *)
+      Array.iteri (fun row w -> if not (w > 0.) then keys.(row) <- Int_index.null_key) w;
+      let index = Int_index.build ~keys () in
+      let group_weights g =
+        let s = Int_index.gid_start index g in
+        Array.init (Int_index.gid_multiplicity index g) (fun j -> w.(Int_index.row index (s + j)))
+      in
+      let groups = Array.init (Int_index.group_count index) group_weights in
+      sums := Array.map (Array.fold_left ( +. ) 0.) groups;
+      levels.(i) <- { index; picks = Array.map Dist.Alias_table.of_weights groups; succ }
+    end
   done;
-  { relations = spec.relations; levels; total = (match !sums with [||] -> 0. | s -> s.(0)) }
+  { relations = spec.relations; root = !root; levels }
 
-let join_size t = t.total
+let join_size t = Root_table.total t.root
 
 let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
-  let root = t.levels.(0) in
-  if Array.length root.picks = 0 then [||]
+  if Root_table.size t.root = 0 then [||]
   else
     Obs.Trace.with_span ~cat:"chain" ~args:[ ("r", Obs.Json.Int r) ] "chain_sample.sample_rows"
     @@ fun () ->
     count_draws t r;
     let k = Array.length t.levels in
-    let roots = Array.init r (fun _ -> Dist.Alias_table.draw root.picks.(0) rng) in
+    let roots = Array.init r (fun _ -> Root_table.draw t.root rng) in
     let out = Array.make (r * k) 0 in
     (* The walk inlined without closures: this is the draw kernel of
        every chain request, so nothing per-draw beyond the picks
@@ -104,10 +106,9 @@ let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
     metrics.Metrics.random_accesses <- metrics.Metrics.random_accesses + r;
     metrics.Metrics.index_probes <- metrics.Metrics.index_probes + (r * (k - 1));
     let levels = t.levels in
-    let root_start = Int_index.gid_start root.index 0 in
     for j = 0 to r - 1 do
       let base = j * k in
-      let row_id = ref (Int_index.row root.index (root_start + Array.unsafe_get roots j)) in
+      let row_id = ref (Array.unsafe_get roots j) in
       Array.unsafe_set out base !row_id;
       for level_idx = 0 to k - 2 do
         let g = Array.unsafe_get (Array.unsafe_get levels level_idx).succ !row_id in

@@ -32,11 +32,12 @@ type spec = {
 }
 
 type t
-(** Prepared sampler: per level, the positive-weight rows grouped by
-    their join key over the {!Rsj_relation.Column.int_view} plane
-    ({!Rsj_index.Int_index}), one Vose alias table
-    ({!Rsj_util.Dist.Alias_table}) per group for O(1) picks, and each
-    row's successor group resolved in advance. *)
+(** Prepared sampler: R1's {!Root_table} over its w_1 weights (the
+    same builder as the two-way S1 table); per later level, the
+    positive-weight rows grouped by their join key over the
+    {!Rsj_relation.Column.int_view} plane ({!Rsj_index.Int_index}), one
+    Vose alias table ({!Rsj_util.Dist.Alias_table}) per group for O(1)
+    picks; and each row's successor group resolved in advance. *)
 
 val prepare : ?metrics:Metrics.t -> spec -> t
 (** Validates the spec and builds the weight tables. Raises

@@ -19,6 +19,11 @@ val to_string : t -> string
     re-parse. Non-finite floats print as [null] (JSON has no NaN or
     infinity). *)
 
+val write : Buffer.t -> t -> unit
+(** {!to_string}'s rendering, appended to a caller's buffer — a writer
+    that reuses one buffer across documents allocates no output
+    string. *)
+
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset this library emits plus
     standard escapes ([\uXXXX] decodes to UTF-8). Numbers without

@@ -3,13 +3,20 @@
    chunk-queue scheduling, its determinism and Olken's speculative
    ticketing are documented in rsj_parallel.mli.
 
-   The runtime has one data plane. Every runner below scans the join
+   The runtime has one data plane. Every runner below reads the join
    columns as flat int arrays (Column.int_view, total over every key
    type), feeds allocation-free Wr_int kernels (or plain reservoirs of
    row ids / packed row pairs) and returns its sample as join
    positions: packed (left row, right row) pairs. [run] and [run_wor]
    turn the positions into tuples once, through Relation.rehydrate, and
    WoR dedupes on the positions themselves.
+
+   Stream-, Group- and Count-Sample do not scan R1: their S1 (R1 rows
+   weighted by m2, §5 Thm 6) is r draws from the env's root table
+   (Root_table, an alias table over m2(key) built once per env or per
+   cached relation pair), O(r) on the calling domain. Stream is then
+   one random_match_row per draw; Group and Count keep their chunked
+   R2 pass.
 
    Each chunk carries its own split generator, metrics and mergeable
    state (Reservoir.Wr / Reservoir.Multi / Reservoir.Wor /
@@ -38,6 +45,7 @@ module Reservoir = Rsj_core.Reservoir
 module Internals = Rsj_core.Internals
 module Internals_int = Rsj_core.Internals_int
 module Olken_sample = Rsj_core.Olken_sample
+module Root_table = Rsj_core.Root_table
 module Frequency = Rsj_stats.Frequency
 module End_biased = Rsj_stats.Histogram.End_biased
 module Hash_index = Rsj_index.Hash_index
@@ -139,35 +147,21 @@ let chunked_pass ~domains ~rng ~make ~feed ~seal relation =
   in
   Chunk_scheduler.run ~domains ~chunks ~task ()
 
-(* Weighted WR sample of R1 rows with weights m2(t.A) from the
-   frequency statistics — the shared first step of Stream-, Group- and
-   Count-Sample. Returns the merged row ids and the summed scan
-   metrics. *)
-let parallel_s1 env ~r ~domains rng ~(keys1 : int array) ~freq =
-  let scan_rng = Prng.split rng in
-  let merge_rng = Prng.split rng in
-  let parts, _ =
-    chunked_pass ~domains ~rng:scan_rng
-      ~make:(fun crng -> Wr_int.create ~on_displace:Reservoir.note_displacements crng ~r)
-      ~feed:(fun metrics _crng ker ~lo ~hi ->
-        metrics.Metrics.stats_lookups <- metrics.Metrics.stats_lookups + (hi - lo);
-        for row = lo to hi - 1 do
-          Wr_int.feed ker ~weight:(Counter.get freq (Array.unsafe_get keys1 row)) row
-        done)
-      ~seal:(fun ker ->
-        Reservoir.Wr.of_parts ~r ~slots:(Wr_int.contents ker) ~fed:(Wr_int.fed_count ker)
-          ~total:(Wr_int.total_weight ker))
-      (Strategy.env_left env)
-  in
-  let res, metrics =
-    fold_parts ~merge_rng ~merge:Reservoir.Wr.merge ~empty:(fun () -> Reservoir.Wr.create ~r)
-      parts
-  in
-  (Reservoir.Wr.contents res, metrics)
+(* The shared first step of Stream-, Group- and Count-Sample: a WR
+   sample of R1 rows weighted by m2(t.A), drawn from the env's root
+   table in O(r) on the calling domain — no R1 scan, the same rows at
+   every pool width. Each draw fetches one R1 row. [||] when |J| = 0. *)
+let draw_s1 ~root ~r rng =
+  let metrics = Metrics.create () in
+  if Root_table.size root = 0 then ([||], metrics)
+  else begin
+    metrics.Metrics.random_accesses <- r;
+    (Array.init r (fun _ -> Root_table.draw root rng), metrics)
+  end
 
-let run_stream env ~r ~domains rng ~keys1 ~freq =
+let run_stream env ~r rng ~keys1 ~root =
   let open Metrics in
-  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
+  let s1, metrics = draw_s1 ~root ~r rng in
   let index = Strategy.env_right_index env in
   let pairs =
     Array.map
@@ -296,8 +290,8 @@ let pair_picks ~caller (metrics : Metrics.t) ~(s1 : int array) ~members ~merged 
     members;
   pairs
 
-let run_group env ~r ~domains rng ~keys1 ~keys2 ~freq =
-  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
+let run_group env ~r ~domains rng ~keys1 ~keys2 ~root =
+  let s1, metrics = draw_s1 ~root ~r rng in
   if Array.length s1 = 0 then ([||], metrics)
   else begin
     let (_group_keys, members, merged), scan_metrics =
@@ -337,8 +331,8 @@ let parallel_count_scan env ~domains rng ~strategy ~(s1 : int array) ~keys1
     (pair_picks ~caller:strategy metrics ~s1 ~members ~merged, metrics)
   end
 
-let run_count env ~r ~domains rng ~keys1 ~keys2 ~freq =
-  let s1, metrics = parallel_s1 env ~r ~domains rng ~keys1 ~freq in
+let run_count env ~r ~domains rng ~keys1 ~keys2 ~root ~freq =
+  let s1, metrics = draw_s1 ~root ~r rng in
   let pairs, scan_metrics =
     parallel_count_scan env ~domains rng
       ~strategy:"Rsj_parallel.run(Count)" ~s1 ~keys1 ~keys2
@@ -535,16 +529,15 @@ let run_wor_naive env ~r ~domains rng ~(keys1 : int array) ~keys2 =
 
 (* The runner for [strategy] over the env's key views: a function from
    ~r and a generator to (packed join positions, metrics). Building it
-   forces those views and the int planes of the structures the
-   strategy reads — before the runner starts its clock, so like the
-   indexes and statistics [Strategy.prepare] forces, they count as
-   pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
+   forces those views, the root table and the int planes of the
+   structures the strategy reads — before the runner starts its clock,
+   so like the indexes and statistics [Strategy.prepare] forces, they
+   count as pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
    pass; the other strategies' WoR draws WR batches from their WR
    runner. *)
 let int_runner ?(wor = false) env strategy ~domains =
   let keys1 = Strategy.env_left_key_view env in
   let keys2 = Strategy.env_right_key_view env in
-  let freq () = Frequency.int_counter (Strategy.env_right_stats env) in
   let tracked () = End_biased.int_tracked (Strategy.env_histogram env) in
   match strategy with
   | Strategy.Naive when wor ->
@@ -552,14 +545,15 @@ let int_runner ?(wor = false) env strategy ~domains =
   | Strategy.Naive -> fun ~r rng -> run_naive env ~r ~domains rng ~keys1 ~keys2
   | Strategy.Olken -> fun ~r rng -> run_olken env ~r ~domains rng ~keys1
   | Strategy.Stream ->
-      let freq = freq () in
-      fun ~r rng -> run_stream env ~r ~domains rng ~keys1 ~freq
+      let root = Strategy.env_root_table env in
+      fun ~r rng -> run_stream env ~r rng ~keys1 ~root
   | Strategy.Group ->
-      let freq = freq () in
-      fun ~r rng -> run_group env ~r ~domains rng ~keys1 ~keys2 ~freq
+      let root = Strategy.env_root_table env in
+      fun ~r rng -> run_group env ~r ~domains rng ~keys1 ~keys2 ~root
   | Strategy.Count_sample ->
-      let freq = freq () in
-      fun ~r rng -> run_count env ~r ~domains rng ~keys1 ~keys2 ~freq
+      let root = Strategy.env_root_table env in
+      let freq = Frequency.int_counter (Strategy.env_right_stats env) in
+      fun ~r rng -> run_count env ~r ~domains rng ~keys1 ~keys2 ~root ~freq
   | Strategy.Frequency_partition ->
       let tracked = tracked () in
       fun ~r rng -> run_frequency_partition env ~r ~domains rng ~keys1 ~keys2 ~tracked

@@ -5,7 +5,7 @@
     paper's boxed kernel behind {!Strategy.run} is the sequential
     reference, and the chunked runner here is the one fast path, at
     every [domains >= 1] (the daemon, the CLI and the SQL engine's
-    two-table [SAMPLE] all come through it). The runners scan the join
+    two-table [SAMPLE] all come through it). The runners read the join
     columns as flat int arrays ({!Rsj_relation.Column.int_view}, total
     over every key type) and return join positions — (R1 row, R2 row)
     pairs — which {!run} and {!run_wor} turn into tuples once, through
@@ -19,9 +19,16 @@
     parallel calls pays O(max domains) spawns rather than
     O(calls × domains).
 
-    Scans (everything except Olken) are distributed by the chunk-queue
-    scheduler {!Chunk_scheduler}: R1 — and R2, for the Group-Sample
-    and Count-Sample matching passes — is cut into fixed-size row
+    Stream-, Group- and Count-Sample scan no R1 rows: their first step,
+    S1 (R1 rows weighted by m2(t.A)), is [r] O(1) draws on the calling
+    domain from the env's root table ({!Rsj_core.Strategy.env_root_table},
+    built once per env, or once per relation pair through the
+    structure cache). Stream-Sample is then one
+    {!Rsj_index.Hash_index.random_match_row} per draw — O(r) in all.
+
+    Scans (Naive, the partition strategies, and Group's and Count's R2
+    matching passes) are distributed by the chunk-queue scheduler
+    {!Chunk_scheduler}: the relation is cut into fixed-size row
     ranges behind one atomic cursor, and
     domains claim chunks with a fetch-and-add, so a skew-heavy range
     cannot strand work on one domain the way a static contiguous split
@@ -43,8 +50,8 @@
     rounds land is timing-dependent: distribution-identical, not
     bit-reproducible, at [domains > 1].
 
-    Auxiliary structures (hash index, frequency statistics, histogram)
-    are shared read-only across domains. *)
+    Auxiliary structures (hash index, frequency statistics, histogram,
+    root table) are shared read-only across domains. *)
 
 module Strategy = Rsj_core.Strategy
 
@@ -66,10 +73,10 @@ val run : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
     tuples are bit-identical across all [domains >= 1] for every
     strategy except Olken at [domains > 1] on int keys (speculative
     ticketing — see above). As in {!Strategy.run}, auxiliary structures
-    — here including the key views and the int planes of the
-    statistics and histogram — are forced before the clock starts, and
-    a fresh child generator is split off the env per run. Every scan
-    is cut at {!Chunk_scheduler.default_chunk_size}. Raises
+    — here including the key views, the root table and the int planes
+    of the statistics and histogram — are forced before the clock
+    starts, and a fresh child generator is split off the env per run.
+    Every scan is cut at {!Chunk_scheduler.default_chunk_size}. Raises
     [Invalid_argument] when [r < 0] or [domains < 1]. *)
 
 val run_wor : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result

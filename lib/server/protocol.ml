@@ -287,28 +287,27 @@ let decode_request line =
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
-let encode_response resp =
-  let j =
-    match resp with
-    | Ack { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "ok") :: detail)
-    | Rows { id; rows } ->
-        Json.Obj
-          [
-            ("id", Json.Int id);
-            ("type", Json.Str "rows");
-            ("rows", Json.List (List.map (fun row -> Json.List (List.map value_to_json row)) rows));
-          ]
-    | Done { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "done") :: detail)
-    | Failed { id; code; message } ->
-        Json.Obj
-          [
-            ("id", Json.Int id);
-            ("type", Json.Str "error");
-            ("code", Json.Str (error_code_to_string code));
-            ("message", Json.Str message);
-          ]
-  in
-  Json.to_string j
+let response_json = function
+  | Ack { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "ok") :: detail)
+  | Rows { id; rows } ->
+      Json.Obj
+        [
+          ("id", Json.Int id);
+          ("type", Json.Str "rows");
+          ("rows", Json.List (List.map (fun row -> Json.List (List.map value_to_json row)) rows));
+        ]
+  | Done { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "done") :: detail)
+  | Failed { id; code; message } ->
+      Json.Obj
+        [
+          ("id", Json.Int id);
+          ("type", Json.Str "error");
+          ("code", Json.Str (error_code_to_string code));
+          ("message", Json.Str message);
+        ]
+
+let encode_response resp = Json.to_string (response_json resp)
+let write_response buf resp = Json.write buf (response_json resp)
 
 let decode_response line =
   match Json.parse line with

@@ -104,4 +104,10 @@ val encode_request : request -> string
 val decode_request : string -> (request, string) result
 
 val encode_response : response -> string
+(** One line, no trailing newline. *)
+
+val write_response : Buffer.t -> response -> unit
+(** {!encode_response}'s bytes appended to the buffer: the daemon
+    encodes every frame into its connection's reused output buffer. *)
+
 val decode_response : string -> (response, string) result

@@ -96,8 +96,10 @@ type mode = M_unknown | M_json | M_http
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  out : string Queue.t;  (** Encoded frames (newline included) not yet fully written. *)
-  mutable out_ofs : int;  (** Bytes of [Queue.peek out] already written. *)
+  out : Buffer.t;
+      (** Encoded frames, newline included; reused across requests
+          (cleared once written, keeping its grown storage). *)
+  mutable out_ofs : int;  (** Bytes of [out] already written. *)
   mutable mode : mode;
   mutable eof : bool;  (** Peer stopped sending; flush then close. *)
   mutable dead : bool;  (** Socket error; discard without flushing. *)
@@ -372,31 +374,40 @@ let execute st (req : P.request) =
 (* ------------------------------------------------------------------ *)
 (* Wire plumbing                                                       *)
 
-let send_frame conn resp = Queue.add (P.encode_response resp ^ "\n") conn.out
+(* Frames are encoded straight into the connection's output buffer:
+   a fresh string per frame would be several kilobytes, big enough to
+   go to the major heap on every request. *)
+let send_frame conn resp =
+  P.write_response conn.out resp;
+  Buffer.add_char conn.out '\n'
 
-let send_raw conn s = Queue.add s conn.out
+let send_raw conn s = Buffer.add_string conn.out s
+let has_output conn = Buffer.length conn.out > conn.out_ofs
+
+(* The daemon's one I/O scratch: reads land in it, and output is
+   blitted through it, since a Buffer cannot be written without a
+   copy. The select loop is single-threaded. *)
+let io_scratch = Bytes.create 65536
 
 let try_flush conn =
-  (* Write as much queued output as the socket accepts right now. *)
+  (* Write as much buffered output as the socket accepts right now. *)
   let again = ref true in
-  while !again && not (Queue.is_empty conn.out) && not conn.dead do
-    let head = Queue.peek conn.out in
-    let len = String.length head - conn.out_ofs in
-    match Unix.write_substring conn.fd head conn.out_ofs len with
+  while !again && has_output conn && not conn.dead do
+    let len = min (Bytes.length io_scratch) (Buffer.length conn.out - conn.out_ofs) in
+    Buffer.blit conn.out conn.out_ofs io_scratch 0 len;
+    match Unix.write conn.fd io_scratch 0 len with
     | n ->
-        if n = len then begin
-          ignore (Queue.pop conn.out);
-          conn.out_ofs <- 0
-        end
-        else begin
-          conn.out_ofs <- conn.out_ofs + n;
-          again := false
-        end
+        conn.out_ofs <- conn.out_ofs + n;
+        if n < len then again := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
         again := false
     | exception Unix.Unix_error (_, _, _) ->
         conn.dead <- true
-  done
+  done;
+  if not (has_output conn) then begin
+    Buffer.clear conn.out;
+    conn.out_ofs <- 0
+  end
 
 (* Pull complete lines off the connection's input buffer, leaving any
    trailing fragment in place. *)
@@ -736,7 +747,6 @@ let run config =
   in
   let conns = ref [] in
   let listening = ref true in
-  let buf = Bytes.create 65536 in
   let close_conn conn =
     (try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ());
     conns := List.filter (fun c -> c != conn) !conns
@@ -752,7 +762,7 @@ let run config =
             {
               fd;
               inbuf = Buffer.create 256;
-              out = Queue.create ();
+              out = Buffer.create 4096;
               out_ofs = 0;
               mode = M_unknown;
               eof = false;
@@ -766,9 +776,9 @@ let run config =
     done
   in
   let read_conn conn =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Unix.read conn.fd io_scratch 0 (Bytes.length io_scratch) with
     | 0 -> conn.eof <- true
-    | n -> Buffer.add_subbytes conn.inbuf buf 0 n
+    | n -> Buffer.add_subbytes conn.inbuf io_scratch 0 n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> conn.dead <- true
   in
@@ -795,7 +805,7 @@ let run config =
           !conns
     in
     let writes =
-      List.filter_map (fun c -> if not c.dead && not (Queue.is_empty c.out) then Some c.fd else None) !conns
+      List.filter_map (fun c -> if not c.dead && has_output c then Some c.fd else None) !conns
     in
     (match Unix.select reads writes [] 0.2 with
     | readable, writable, _ ->
@@ -815,7 +825,7 @@ let run config =
        queued requests have answered and the output drained. *)
     List.iter
       (fun c ->
-        if c.dead || (c.eof && c.queued = 0 && Queue.is_empty c.out) then close_conn c)
+        if c.dead || (c.eof && c.queued = 0 && not (has_output c)) then close_conn c)
       (List.filter (fun c -> c.dead || c.eof) !conns);
     let linger_over =
       match !drain_deadline with Some d -> Clock.now_s () >= d | None -> true

@@ -56,9 +56,9 @@ module Cdf_table : sig
 end
 
 (** Walker/Vose alias table: O(k) construction, O(1) draws — the one
-    table every repeated-draw path builds (the chain walker, the
-    negative control). Vose's construction over one flat array of
-    threshold/donor pairs, with the exact accessors {!Cdf_table}
+    table every repeated-draw path builds (the S1 root table, the
+    chain walker, the negative control). Vose's construction over one
+    flat array of threshold/donor pairs, with the exact accessors {!Cdf_table}
     exposes, plus expected counts for chi-square cells. The table is
     immutable and safe to share across domains. Draws are
     distribution-identical to {!Cdf_table} over the same weights, not

@@ -178,6 +178,74 @@ let test_chain_entry () =
   let cold = Rsj_core.Chain_sample.prepare spec in
   Alcotest.(check (list string)) "warm walker samples identically" (draw cold) (draw cs3)
 
+let root_counts c =
+  Option.value ~default:(0, 0) (List.assoc_opt "root" (Cache.stats c).Cache.by_kind)
+
+(* The S1 root table of a cache env: one build per relation pair,
+   served warm to every later env over the pair, and rebuilt once
+   either relation is invalidated or mutated. *)
+let test_root_table_entry () =
+  let c = Cache.create () in
+  let pair = make_pair () in
+  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
+  let env () = Cache.env c ~seed:3 ~left ~right ~left_key:key ~right_key:key () in
+  let stream () = ignore (Rsj_parallel.run (env ()) Strategy.Stream ~r:8 ~domains:1) in
+  List.iter (fun s -> ignore (Rsj_parallel.run (env ()) s ~r:8 ~domains:1))
+    [ Strategy.Stream; Strategy.Group; Strategy.Count_sample ];
+  Alcotest.(check (pair int int)) "Stream, Group and Count share one build" (2, 1) (root_counts c);
+  let t1 = Strategy.env_root_table (env ()) in
+  Alcotest.(check bool) "a warm env serves the very same table" true
+    (t1 == Strategy.env_root_table (env ()));
+  Cache.invalidate c right;
+  stream ();
+  Alcotest.(check (pair int int)) "invalidating R2 rebuilds" (4, 2) (root_counts c);
+  Cache.invalidate c left;
+  stream ();
+  Alcotest.(check (pair int int)) "invalidating R1 rebuilds" (4, 3) (root_counts c);
+  Relation.append right [| Value.Int 9999; Value.Int 1; Value.str "pad" |];
+  stream ();
+  Alcotest.(check (pair int int)) "mutating R2 rebuilds" (4, 4) (root_counts c);
+  Relation.append left [| Value.Int 9999; Value.Int 1; Value.str "pad" |];
+  stream ();
+  Alcotest.(check (pair int int)) "mutating R1 rebuilds" (4, 5) (root_counts c)
+
+(* Invalidating any member of a multi-relation entry drops it, not
+   only invalidating the relation it is filed under: a chain entry
+   lives under its root's uid, a root table under R1's. *)
+let test_invalidate_drops_multi_relation_entries () =
+  let c = Cache.create () in
+  let pair = make_pair () in
+  let third = Zipf_tables.make ~seed:0xBEEF ~name:"third" ~rows:120 ~z:1. ~domain:24 () in
+  let spec =
+    {
+      Rsj_core.Chain_sample.relations = [| pair.Zipf_tables.outer; pair.Zipf_tables.inner; third |];
+      join_keys = [| (key, key); (key, key) |];
+    }
+  in
+  ignore (Cache.chain c spec);
+  Cache.invalidate c third;
+  let s = Cache.stats c in
+  Alcotest.(check (pair int int)) "invalidating the last member drops the chain" (0, 0)
+    (s.Cache.entries, s.Cache.bytes);
+  ignore (Cache.chain c spec);
+  Alcotest.(check int) "the rebuild is the only live entry" 1 (Cache.stats c).Cache.entries;
+  let root () =
+    ignore
+      (Cache.root_table c ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
+         ~left_key:key ~right_key:key)
+  in
+  root ();
+  (* Nothing mutated, so only a dropped entry makes the next lookup a
+     miss. *)
+  Cache.invalidate c pair.Zipf_tables.inner;
+  ignore (Cache.chain c spec);
+  root ();
+  let kind k = List.assoc_opt k (Cache.stats c).Cache.by_kind in
+  Alcotest.(check (option (pair int int))) "invalidating R2 drops the chain" (Some (0, 3))
+    (kind "chain");
+  Alcotest.(check (option (pair int int))) "invalidating R2 drops the root table" (Some (0, 2))
+    (kind "root")
+
 let suite =
   [
     Alcotest.test_case "hit/miss accounting" `Quick test_hit_miss_accounting;
@@ -189,4 +257,8 @@ let suite =
       test_reference_kernels_build_no_key_view;
     Alcotest.test_case "chain walker entry (by_kind, member invalidation)" `Quick
       test_chain_entry;
+    Alcotest.test_case "root table entry: one build, rebuilt on either side" `Quick
+      test_root_table_entry;
+    Alcotest.test_case "invalidate drops multi-relation entries" `Quick
+      test_invalidate_drops_multi_relation_entries;
   ]

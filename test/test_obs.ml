@@ -218,7 +218,9 @@ let test_span_nesting_under_pool () =
   List.iter
     (fun domains ->
       with_tracing @@ fun () ->
-      ignore (Rsj_parallel.run (small_env ()) Strategy.Stream ~r:8 ~domains);
+      (* Naive still scans R1 through the chunk scheduler; Stream's S1
+         is root-table draws with no scheduler span. *)
+      ignore (Rsj_parallel.run (small_env ()) Strategy.Naive ~r:8 ~domains);
       let events = Obs.Trace.events () in
       let by_name n = List.filter (fun e -> e.Obs.Trace.name = n) events in
       let sched =
@@ -227,7 +229,7 @@ let test_span_nesting_under_pool () =
         | l -> Alcotest.failf "expected 1 scheduler span at d=%d, got %d" domains (List.length l)
       in
       let strat =
-        match by_name "strategy.Stream-Sample" with
+        match by_name "strategy.Naive-Sample" with
         | [ s ] -> s
         | l -> Alcotest.failf "expected 1 strategy span at d=%d, got %d" domains (List.length l)
       in

@@ -161,6 +161,53 @@ let test_parallel_r_zero () =
   check_r0 "empty R1" (tiny_env ~left:[] ~right:[ 1; 1; 2 ]);
   check_r0 "empty join" (tiny_env ~left:[ 1; 2 ] ~right:[ 3; 4 ])
 
+(* Stream, Group and Count draw S1 from the env's root table. With
+   |J| = 0 that table is empty: every WR and WoR run returns the empty
+   sample at any r, and r = 0 is empty on a non-empty join. *)
+let test_root_table_empty_cases () =
+  let check label env ~r =
+    List.iter
+      (fun s ->
+        List.iter
+          (fun d ->
+            let wr = Rsj_parallel.run env s ~r ~domains:d in
+            let wor = Rsj_parallel.run_wor env s ~r ~domains:d in
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s %s r=%d domains=%d: WR and WoR empty" (Strategy.name s) label r d)
+              (0, 0)
+              (Array.length wr.Strategy.sample, Array.length wor.Strategy.sample))
+          domain_counts)
+      [ Strategy.Stream; Strategy.Group; Strategy.Count_sample ]
+  in
+  check "|J| = 0" (tiny_env ~left:[ 1; 2 ] ~right:[ 3; 4 ]) ~r:10;
+  let nulls =
+    Relation.of_tuples ~name:"N" Zipf_tables.schema
+      (List.init 3 (fun i -> [| Value.Int i; Value.Null; Value.str "p" |]))
+  in
+  check "all-Null R1 keys"
+    (Strategy.make_env ~left:nulls ~right:(tiny_schema_rel "R" [ 1; 2 ])
+       ~left_key:Zipf_tables.col2 ~right_key:Zipf_tables.col2 ())
+    ~r:10;
+  check "non-empty join" (small_env ()) ~r:0
+
+(* S1 is drawn on the calling domain, so a Stream/Group/Count WR sample
+   is the same at every pool width — one table, one generator. *)
+let test_root_table_bit_identical_across_widths () =
+  List.iter
+    (fun s ->
+      let sample d =
+        (Rsj_parallel.run (small_env ~seed:19 ()) s ~r:48 ~domains:d).Strategy.sample
+        |> Array.map Tuple.to_string
+      in
+      let d1 = sample 1 in
+      List.iter
+        (fun d ->
+          Alcotest.(check (array string))
+            (Printf.sprintf "%s WR at d=%d equals d=1" (Strategy.name s) d)
+            d1 (sample d))
+        [ 2; 4 ])
+    [ Strategy.Stream; Strategy.Group; Strategy.Count_sample ]
+
 let test_parallel_more_domains_than_rows () =
   (* Chunks beyond the relation's size don't exist; idle domains must
      exit cleanly and the merge must cope. *)
@@ -286,16 +333,17 @@ let test_parallel_rejects_zero_domains () =
     ]
 
 let test_parallel_metrics_sum () =
-  (* tuples_scanned covers every R1 tuple exactly once regardless of
-     the chunking (Group and Naive also scan R2 once; Index-Sample
-     only R1). *)
+  (* tuples_scanned covers every scanned tuple exactly once regardless
+     of the chunking: Naive scans R1 and R2 once, Index-Sample only R1.
+     Stream draws S1 from the root table and scans nothing; Group scans
+     only R2, for its per-group picks. *)
   let env = small_env () in
   let n1 = Relation.cardinality (Strategy.env_left env) in
   let n2 = Relation.cardinality (Strategy.env_right env) in
   let expectations =
     [
-      (Strategy.Stream, n1, "n1");
-      (Strategy.Group, n1 + n2, "n1+n2");
+      (Strategy.Stream, 0, "nothing");
+      (Strategy.Group, n2, "n2");
       (Strategy.Naive, n1 + n2, "n1+n2");
       (Strategy.Index_sample, n1, "n1");
       (Strategy.Frequency_partition, n1 + n2, "n1+n2");
@@ -567,6 +615,10 @@ let suite =
     Alcotest.test_case "parallel output is join tuples" `Quick test_parallel_emits_join_tuples;
     Alcotest.test_case "parallel sample is WR-uniform (chi-square)" `Slow test_parallel_uniform;
     Alcotest.test_case "parallel r = 0" `Quick test_parallel_r_zero;
+    Alcotest.test_case "root table: |J| = 0 and r = 0 are empty" `Quick
+      test_root_table_empty_cases;
+    Alcotest.test_case "root table: Stream/Group/Count WR equal at d = 1, 2, 4" `Quick
+      test_root_table_bit_identical_across_widths;
     Alcotest.test_case "more domains than rows" `Quick test_parallel_more_domains_than_rows;
     Alcotest.test_case "parallel seeded reproducibility" `Quick test_parallel_deterministic;
     Alcotest.test_case "parallel WoR basics" `Quick test_parallel_wor_basics;

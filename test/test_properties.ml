@@ -300,6 +300,47 @@ let prop_statistics_scan_model =
       in
       freq_ok && tracked_ok && law_ok)
 
+(* The S1 root table of Stream/Group/Count, built by a plain env: row
+   i of R1 is drawn with probability m2(key_i)/|J| on every key kind,
+   and rows whose key is Null or absent from R2 are not in the table —
+   no draw lands on them. *)
+let prop_root_table_law =
+  QCheck.Test.make ~name:"root table draws R1 row i with probability m2(key_i)/|J|" ~count:300
+    QCheck.(triple small_nat key_column key_column)
+    (fun (seed, i1, i2) ->
+      let ty1, c1 = column_values i1 and ty2, c2 = column_values i2 in
+      let rel ty vs =
+        Relation.of_tuples (Schema.of_list [ ("k", ty) ]) (List.map (fun v -> [| v |]) vs)
+      in
+      let env =
+        Strategy.make_env ~left:(rel ty1 c1) ~right:(rel ty2 c2) ~left_key:0 ~right_key:0 ()
+      in
+      let root = Strategy.env_root_table env in
+      let keys = Array.of_list c1 in
+      let join = Array.fold_left (fun acc v -> acc + model_m c2 v) 0 keys in
+      let kept = Array.fold_left (fun n v -> if model_m c2 v > 0 then n + 1 else n) 0 keys in
+      let law_ok =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun row v ->
+               let want =
+                 if join = 0 then 0. else float_of_int (model_m c2 v) /. float_of_int join
+               in
+               Float.abs (Root_table.row_prob root row -. want) < 1e-12)
+             keys)
+      in
+      let rng = prng_of_int seed in
+      let draws_ok =
+        join = 0
+        || List.for_all
+             (fun _ -> model_m c2 keys.(Root_table.draw root rng) > 0)
+             (List.init 50 Fun.id)
+      in
+      Root_table.size root = kept
+      && Root_table.total root = float_of_int join
+      && Strategy.env_join_size env = join
+      && law_ok && draws_ok)
+
 let prop_binomial_support =
   QCheck.Test.make ~name:"binomial stays in [0, n]" ~count:500
     QCheck.(triple small_nat (int_bound 1000) (float_bound_inclusive 1.))
@@ -408,6 +449,7 @@ let suite =
       prop_join_size_bounds;
       prop_end_biased_partition;
       prop_statistics_scan_model;
+      prop_root_table_law;
       prop_binomial_support;
       prop_strategies_agree_on_membership;
       prop_parser_total;

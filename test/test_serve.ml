@@ -973,6 +973,44 @@ let test_stats_reports_config () =
   Alcotest.(check (option Test_obs.json)) "config.RSJ_QUALITY_ALPHA" (Some expected)
     (Option.bind (List.assoc_opt "config" stats) (Json.member "RSJ_QUALITY_ALPHA"))
 
+(* ---------- the write path leaves no major-heap garbage ---------- *)
+
+let major_words client =
+  let text = must "metrics" (Client.metrics client) in
+  match
+    List.find_opt
+      (String.starts_with ~prefix:"rsj_gc_major_words ")
+      (String.split_on_char '\n' text)
+  with
+  | Some line -> float_of_string (List.nth (String.split_on_char ' ' line) 1)
+  | None -> Alcotest.fail "rsj_gc_major_words missing from /metrics"
+
+(* A warm Stream answer is a few kilobytes. Encoded as a fresh string
+   per frame, those bytes went to the major heap on every request
+   (~3,400 words each); frames now go through the connection's reused
+   output buffer, so 500 warm requests on one connection must grow the
+   daemon's major heap by under 1,000 words each. *)
+let test_write_path_major_heap () =
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  register_pair client (make_pair ());
+  let sample () =
+    ignore
+      (must_reply "stream sample"
+         (Client.sample client ~left:"t1" ~right:"t2" ~r:64 ~strategy:"stream" ~seed:9 ()))
+  in
+  for _ = 1 to 50 do
+    sample ()
+  done;
+  let before = major_words client in
+  let n = 500 in
+  for _ = 1 to n do
+    sample ()
+  done;
+  let per_request = (major_words client -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major-heap words per warm request (< 1000)" per_request)
+    true (per_request < 1000.)
+
 let suite =
   [
     Alcotest.test_case "a malformed knob stops rsj serve" `Quick
@@ -1011,6 +1049,8 @@ let suite =
       test_healthz_draining;
     Alcotest.test_case "one request id across response, trace and log" `Quick
       test_request_id_end_to_end;
+    Alcotest.test_case "warm requests leave no major-heap garbage" `Quick
+      test_write_path_major_heap;
     Alcotest.test_case "SQL SAMPLE logs the sampler that ran" `Quick
       test_sql_sample_logs_its_sampler;
   ]
