@@ -291,7 +291,7 @@ let query_cmd =
             | Some i ->
                 let name = String.sub binding 0 i in
                 let path = String.sub binding (i + 1) (String.length binding - i - 1) in
-                (name, Rsj_relation.Csv_io.load ~path Zipf_tables.schema)
+                (name, Rsj_relation.Csv_io.load ~name ~path Zipf_tables.schema)
             | None -> failwith (Printf.sprintf "bad --table binding %S (want NAME=PATH)" binding))
           tables
       in

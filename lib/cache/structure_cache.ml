@@ -98,7 +98,7 @@ let counter_for family kind =
   c
 
 let build_seconds kind =
-  Obs.Registry.histogram ~help:"Wall-clock seconds spent building cacheable structures."
+  Obs.Registry.histogram ~help:"Wall-clock seconds spent building and sizing cacheable structures."
     ~labels:[ ("kind", kind) ] "rsj_structure_cache_build_seconds"
 
 let bytes_gauge = lazy (Obs.Registry.gauge ~help:"Structure-cache live footprint." "rsj_structure_cache_bytes")
@@ -143,14 +143,17 @@ let bump_kind t kind_s ~hit =
   in
   if hit then incr h else incr m
 
-(* Measured footprint of [v], excluding everything reachable from
-   [base] (the relation(s), which the cache does not own): words
-   reachable from the pair minus words reachable from the base alone,
-   minus the pair block itself. *)
-let bytes_excluding ~base v =
-  let together = Obj.reachable_words (Obj.repr (v, base)) in
-  let base_only = Obj.reachable_words (Obj.repr base) in
-  max 0 (together - base_only - 3) * (Sys.word_size / 8)
+(* The heap bytes an entry owns. Only the index and the chain point at
+   relations: the index is charged its plane, the chain counts its own. *)
+let owned_bytes packed =
+  let reachable v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8) in
+  match packed with
+  | P_hash_index v -> reachable (Hash_index.int_plane v)
+  | P_frequency v -> reachable v
+  | P_histogram v -> reachable v
+  | P_int_view v -> reachable v
+  | P_root v -> reachable v
+  | P_chain v -> Rsj_core.Chain_sample.bytes v
 
 let touch t (entry : entry) =
   t.clock <- t.clock + 1;
@@ -200,18 +203,14 @@ let enforce_budget t ~keep =
 (* [members] defaults to [rel] alone; a multi-relation structure (root
    tables, chains) lists every relation it reads. The entry's
    fingerprint mixes every member's, so a mutation of any member
-   invalidates it, and [invalidate] of any member drops it. [base]
-   defaults to the relation; it is whatever the built structure
-   references but the cache does not own (for chains, the whole member
-   array). *)
-let find t ?members ?base rel kind ~build ~pack ~unpack =
+   invalidates it, and [invalidate] of any member drops it. *)
+let find t ?members rel kind ~build ~pack ~unpack =
   let key = (Relation.uid rel, kind) in
   let members = Option.value members ~default:[| rel |] in
   let fp =
     Array.fold_left (fun acc m -> (acc * 0x9E3779B1) lxor Relation.fingerprint m) 0 members
   in
   let members = Array.map Relation.uid members in
-  let base = match base with Some b -> b | None -> Obj.repr rel in
   let kind_s = kind_name kind in
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.table key with
@@ -237,21 +236,25 @@ let find t ?members ?base rel kind ~build ~pack ~unpack =
       Obs.Registry.incr (counter_for "rsj_structure_cache_misses_total" kind_s);
       Mutex.unlock t.lock;
       let t0 = Obs.Clock.now_s () in
-      let v = build () in
+      let value, bytes =
+        Obs.Trace.with_span ~cat:"cache" ~args:[ ("kind", Obs.Json.Str kind_s) ]
+          "structure_cache.build" (fun () ->
+            let value = pack (build ()) in
+            (value, owned_bytes value))
+      in
       Obs.Registry.observe (build_seconds kind_s) (Obs.Clock.now_s () -. t0);
-      let bytes = bytes_excluding ~base v in
       Mutex.lock t.lock;
       (match Hashtbl.find_opt t.table key with
       | Some racing -> t.total_bytes <- t.total_bytes - racing.bytes
       | None -> ());
       t.clock <- t.clock + 1;
-      let entry = { fp; members; bytes; value = pack v; tick = t.clock } in
+      let entry = { fp; members; bytes; value; tick = t.clock } in
       Hashtbl.replace t.table key entry;
       t.total_bytes <- t.total_bytes + bytes;
       enforce_budget t ~keep:entry;
       publish_footprint t;
       Mutex.unlock t.lock;
-      v
+      unpack value
 
 let hash_index t rel ~key =
   find t rel (K_hash_index key)
@@ -290,16 +293,14 @@ let chain t (spec : Rsj_core.Chain_sample.spec) =
       keys.(2 * i) <- a;
       keys.((2 * i) + 1) <- b)
     spec.join_keys;
-  find t ~members:spec.relations ~base:(Obj.repr spec.relations) spec.relations.(0)
+  find t ~members:spec.relations spec.relations.(0)
     (K_chain (uids, keys))
     ~build:(fun () -> Rsj_core.Chain_sample.prepare spec)
     ~pack:(fun v -> P_chain v)
     ~unpack:(function P_chain v -> v | _ -> assert false)
 
 let root_table t ~left ~right ~left_key ~right_key =
-  (* The table holds row ids, not tuples: nothing to exclude, and no
-     walk over R1 to measure it. *)
-  find t ~members:[| left; right |] ~base:(Obj.repr ()) left
+  find t ~members:[| left; right |] left
     (K_root (Relation.uid right, left_key, right_key))
     ~build:(fun () ->
       Rsj_core.Root_table.of_keys (int_view t left ~col:left_key) (frequency t right ~key:right_key))
@@ -332,13 +333,6 @@ let invalidate t rel =
       t.table []
   in
   List.iter (fun (key, entry) -> remove_entry t key entry ~family:`Invalidation) doomed;
-  publish_footprint t;
-  Mutex.unlock t.lock
-
-let clear t =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.table;
-  t.total_bytes <- 0;
   publish_footprint t;
   Mutex.unlock t.lock
 

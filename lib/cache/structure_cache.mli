@@ -18,9 +18,9 @@
     on next touch or by eviction).
 
     Eviction: a byte budget (constructor argument, or the
-    [RSJ_CACHE_BYTES] knob for {!shared}) bounds the
-    cache's measured heap footprint (via [Obj.reachable_words],
-    excluding the base relation, which the cache does not own).
+    [RSJ_CACHE_BYTES] knob for {!shared}) bounds the heap bytes the
+    entries own: each entry is sized once, when built, from its own
+    arrays and tables, never from the relations it references.
     Least-recently-used entries are dropped until the total fits; the
     entry just inserted or touched is never the victim.
 
@@ -29,8 +29,9 @@
     [rsj_structure_cache_hits_total], [..._misses_total],
     [..._evictions_total], [..._invalidations_total] (labelled by
     structure kind) plus the [rsj_structure_cache_build_seconds]
-    histogram and [rsj_structure_cache_bytes] / [..._entries] gauges —
-    all exported by the daemon's [GET /metrics]. *)
+    histogram (a miss's build and sizing, traced as one
+    [structure_cache.build] span) and [rsj_structure_cache_bytes] /
+    [..._entries] gauges — all exported by the daemon's [GET /metrics]. *)
 
 open Rsj_relation
 
@@ -112,9 +113,6 @@ val invalidate : t -> Relation.t -> unit
 (** Drop every entry that reads the relation (any version, any column,
     any kind), multi-relation entries (root tables, chains) included
     whichever member it is. *)
-
-val clear : t -> unit
-(** Drop everything. Counters keep their totals. *)
 
 type stats = {
   hits : int;

@@ -89,6 +89,9 @@ let prepare ?(metrics = Metrics.create ()) (spec : spec) =
 
 let join_size t = Root_table.total t.root
 
+(* Root and levels as one pair, less the pair's three words. *)
+let bytes t = (Obj.reachable_words (Obj.repr (t.root, t.levels)) - 3) * (Sys.word_size / 8)
+
 let sample_rows t rng ?(metrics = Metrics.create ()) ~r () =
   if Root_table.size t.root = 0 then [||]
   else

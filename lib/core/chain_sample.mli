@@ -48,6 +48,10 @@ val join_size : t -> float
 (** Exact |J| as the total root weight (float: chains can overflow
     int range; exact up to float precision). *)
 
+val bytes : t -> int
+(** Heap bytes the walker owns (root table, levels, alias tables), not
+    counting the spec's relations, which it only references. *)
+
 val sample_rows : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> int array
 (** The one walk kernel: [r] independent WR draws returned as join
     positions — row-id paths, [r] consecutive groups of [k] row ids

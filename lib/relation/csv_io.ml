@@ -178,12 +178,12 @@ let value_of_field ~line_no ~col (raw, was_quoted) ty =
               (Printf.sprintf "Csv_io.load: line %d column %d: %S is not a float" line_no col raw))
     | Value.T_str -> Value.Str raw
 
-let load ~path schema =
+let load ?name ~path schema =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let rel = Relation.create ~name:(Filename.basename path) schema in
+      let rel = Relation.create ~name:(Option.value name ~default:(Filename.basename path)) schema in
       let header = try input_line ic with End_of_file -> failwith "Csv_io.load: empty file" in
       let header_fields = parse_line header in
       let expected =

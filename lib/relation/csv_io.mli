@@ -9,8 +9,9 @@
 val save : path:string -> Relation.t -> unit
 (** Write the relation with a header row. Overwrites [path]. *)
 
-val load : path:string -> Schema.t -> Relation.t
-(** Read a CSV produced by {!save} (or compatible). The header row is
+val load : ?name:string -> path:string -> Schema.t -> Relation.t
+(** Read a CSV produced by {!save} (or compatible) into a relation
+    called [name] (default: the file's basename). The header row is
     checked against the schema's column names. Raises [Failure] with a
     line-numbered message on malformed input. *)
 

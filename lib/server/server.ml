@@ -163,7 +163,7 @@ let exec_register st ~id ~name ~source =
     match source with
     | P.From_path path ->
         if not (Sys.file_exists path) then rejectf P.Bad_request "no such file %S" path;
-        (try Rsj_relation.Csv_io.load ~path Rsj_workload.Zipf_tables.schema
+        (try Rsj_relation.Csv_io.load ~name ~path Rsj_workload.Zipf_tables.schema
          with Failure msg -> rejectf P.Bad_request "cannot load %S: %s" path msg)
     | P.Inline (cols, rows) -> (
         if cols = [] then rejectf P.Bad_request "inline register needs a non-empty schema";

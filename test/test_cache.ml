@@ -246,6 +246,154 @@ let test_invalidate_drops_multi_relation_entries () =
   Alcotest.(check (option (pair int int))) "invalidating R2 drops the root table" (Some (0, 2))
     (kind "root")
 
+(* ---------- footprint: each entry is charged the bytes it owns ---------- *)
+
+(* One fixture per key encoding: plain ints keep their value as the
+   key, ints in the reserved band, strings and floats are interned, and
+   Null never joins (every other row of the last column). Keys repeat
+   with uneven multiplicities. Each maps a row index to its key. *)
+let key_kinds =
+  let x i = i * i mod 13 in
+  [
+    ("out-of-band int", Value.T_int, fun i -> Value.Int (x i));
+    ("in-band int", Value.T_int, fun i -> Value.Int (min_int + 1000 + x i));
+    ("string", Value.T_str, fun i -> Value.Str (Printf.sprintf "k%d" (x i)));
+    ("float", Value.T_float, fun i -> Value.Float (float_of_int (x i) +. 0.5));
+    ("half-Null int", Value.T_int, fun i -> if i mod 2 = 0 then Value.Null else Value.Int (x i));
+  ]
+
+(* (label, R1, R2, R3) per key kind, joined on column 1. *)
+let fixtures () =
+  List.map
+    (fun (label, ty, key_of) ->
+      let keyed name rows =
+        Relation.of_rows ~name
+          (Schema.of_list [ ("rid", Value.T_int); ("k", ty) ])
+          (List.init rows (fun i -> [ Value.Int i; key_of i ]))
+      in
+      (label, keyed "r1" 150, keyed "r2" 400, keyed "r3" 250))
+    key_kinds
+
+(* The reference measure, computed here only: the words reachable from
+   the structure and its relations together, less the relations' own
+   and the pair block's three. *)
+let walked_bytes v ~base =
+  (Obj.reachable_words (Obj.repr (v, base)) - Obj.reachable_words (Obj.repr base) - 3)
+  * (Sys.word_size / 8)
+
+(* The charge may differ from the walk by the few header words of a
+   record that also points at a relation (the index, the chain). *)
+let footprint_tolerance_words = 16
+
+(* [prebuild] warms the entries the structure's own build consults
+   (the frequency table under a histogram, the key view and frequency
+   table under a root table), so the byte delta is the one new entry. *)
+let check_footprint kind ?(prebuild = fun _ _ _ _ -> ()) get =
+  List.iter
+    (fun (label, r1, r2, r3) ->
+      let c = Cache.create () in
+      prebuild c r1 r2 r3;
+      let before = (Cache.stats c).Cache.bytes in
+      let walked = get c r1 r2 r3 in
+      let charged = (Cache.stats c).Cache.bytes - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s on %s keys: charged %d B, walk %d B" kind label charged walked)
+        true
+        (charged > 0
+        && abs (charged - walked) <= footprint_tolerance_words * (Sys.word_size / 8)))
+    (fixtures ())
+
+let test_footprint_hash_index () =
+  check_footprint "hash_index" (fun c _ r2 _ ->
+      walked_bytes (Cache.hash_index c r2 ~key:1) ~base:r2)
+
+let test_footprint_frequency () =
+  check_footprint "frequency" (fun c _ r2 _ ->
+      walked_bytes (Cache.frequency c r2 ~key:1) ~base:r2)
+
+let test_footprint_histogram () =
+  check_footprint "histogram"
+    ~prebuild:(fun c _ r2 _ -> ignore (Cache.frequency c r2 ~key:1))
+    (fun c _ r2 _ -> walked_bytes (Cache.histogram c r2 ~key:1 ~fraction:0.1) ~base:r2)
+
+let test_footprint_int_view () =
+  check_footprint "int_view" (fun c _ r2 _ -> walked_bytes (Cache.int_view c r2 ~col:1) ~base:r2)
+
+let test_footprint_root () =
+  check_footprint "root"
+    ~prebuild:(fun c r1 r2 _ ->
+      ignore (Cache.int_view c r1 ~col:1);
+      ignore (Cache.frequency c r2 ~key:1))
+    (fun c r1 r2 _ ->
+      walked_bytes
+        (Cache.root_table c ~left:r1 ~right:r2 ~left_key:1 ~right_key:1)
+        ~base:[| r1; r2 |])
+
+let test_footprint_chain () =
+  check_footprint "chain" (fun c r1 r2 r3 ->
+      let relations = [| r1; r2; r3 |] in
+      walked_bytes
+        (Cache.chain c { Rsj_core.Chain_sample.relations; join_keys = [| (1, 1); (1, 1) |] })
+        ~base:relations)
+
+(* A cold miss costs about the bare build: sizing walks what the entry
+   owns, never the relation. Medians of five pairs, alternating which
+   side runs first, on a 200k-row relation. *)
+let test_cold_miss_near_bare_build () =
+  let rel = Zipf_tables.make ~seed:0x5EED ~name:"big" ~rows:200_000 ~z:1. ~domain:1000 () in
+  let time f =
+    let t0 = Rsj_obs.Clock.now_s () in
+    f ();
+    Rsj_obs.Clock.now_s () -. t0
+  in
+  let bare () = ignore (Rsj_stats.Frequency.of_relation rel ~key) in
+  let miss () = ignore (Cache.frequency (Cache.create ()) rel ~key) in
+  let pairs =
+    Array.init 5 (fun i ->
+        if i mod 2 = 0 then
+          let b = time bare in
+          (b, time miss)
+        else
+          let m = time miss in
+          (time bare, m))
+  in
+  let median side =
+    let a = Array.map side pairs in
+    Array.sort compare a;
+    a.(2)
+  in
+  let bare_s = median fst and miss_s = median snd in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold miss %.2f ms vs bare build %.2f ms (at most 3x)" (miss_s *. 1e3)
+       (bare_s *. 1e3))
+    true
+    (miss_s <= 3. *. bare_s)
+
+(* A miss is one structure_cache.build span naming its kind; a hit
+   records none. *)
+let test_miss_is_one_span () =
+  let was = Rsj_obs.enabled () in
+  Rsj_obs.set_enabled true;
+  Rsj_obs.Trace.clear ();
+  Fun.protect ~finally:(fun () ->
+      Rsj_obs.Trace.clear ();
+      Rsj_obs.set_enabled was)
+  @@ fun () ->
+  let c = Cache.create () in
+  let rel = (make_pair ()).Zipf_tables.inner in
+  ignore (Cache.frequency c rel ~key);
+  ignore (Cache.frequency c rel ~key);
+  ignore (Cache.hash_index c rel ~key);
+  let kinds =
+    List.filter_map
+      (fun (e : Rsj_obs.Trace.event) ->
+        match (e.name, List.assoc_opt "kind" e.args) with
+        | "structure_cache.build", Some (Rsj_obs.Json.Str k) -> Some k
+        | _ -> None)
+      (Rsj_obs.Trace.events ())
+  in
+  Alcotest.(check (list string)) "one span per miss" [ "frequency"; "hash_index" ] kinds
+
 let suite =
   [
     Alcotest.test_case "hit/miss accounting" `Quick test_hit_miss_accounting;
@@ -261,4 +409,13 @@ let suite =
       test_root_table_entry;
     Alcotest.test_case "invalidate drops multi-relation entries" `Quick
       test_invalidate_drops_multi_relation_entries;
+    Alcotest.test_case "footprint: hash_index" `Quick test_footprint_hash_index;
+    Alcotest.test_case "footprint: frequency" `Quick test_footprint_frequency;
+    Alcotest.test_case "footprint: histogram" `Quick test_footprint_histogram;
+    Alcotest.test_case "footprint: int_view" `Quick test_footprint_int_view;
+    Alcotest.test_case "footprint: root" `Quick test_footprint_root;
+    Alcotest.test_case "footprint: chain" `Quick test_footprint_chain;
+    Alcotest.test_case "a cold miss costs about the bare build" `Quick
+      test_cold_miss_near_bare_build;
+    Alcotest.test_case "a miss is one traced build span" `Quick test_miss_is_one_span;
   ]

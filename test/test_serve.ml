@@ -310,6 +310,27 @@ let test_typed_errors_and_invalidate () =
     (Printf.sprintf "invalidate dropped entries (%d -> %d)" entries0 entries1)
     true (entries1 < entries0)
 
+(* A relation registered from a file answers to the name the client
+   gave it, in errors too, not to the file's. *)
+let test_register_path_keeps_its_name () =
+  let pair = make_pair () in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup_dir dir) @@ fun () ->
+  let path = Filename.concat dir "t1b.csv" in
+  Csv_io.save ~path pair.Zipf_tables.outer;
+  with_server @@ fun ~sock:_ ~snapshot:_ client ->
+  ignore (must "register t1 from a file" (Client.register_path client ~name:"t1" ~path));
+  ignore
+    (must "register t2"
+       (Client.register_rows client ~name:"t2" ~schema:zipf_schema
+          ~rows:(rows_of pair.Zipf_tables.inner)));
+  match Client.sample client ~left:"t1" ~right:"t2" ~r:4 ~on:"x" () with
+  | Error (P.Bad_request, msg) ->
+      Alcotest.(check bool) ("the error names t1: " ^ msg) true
+        (contains {|relation "t1"|} msg && not (contains "t1b.csv" msg))
+  | Ok _ -> Alcotest.fail "sampling on a missing column succeeded"
+  | Error (code, _) -> Alcotest.failf "expected bad_request, got %s" (P.error_code_to_string code)
+
 (* Any exception other than the engine's own Failure/Invalid_argument
    fails its request typed as internal_error, is counted, and leaves
    the daemon serving. r = 2^53 passes admission (an empty queue skips
@@ -1025,6 +1046,8 @@ let suite =
     Alcotest.test_case "SQL and SAMPLE p% over the wire" `Quick test_query_over_wire;
     Alcotest.test_case "typed errors and explicit invalidation" `Quick
       test_typed_errors_and_invalidate;
+    Alcotest.test_case "a file-registered relation keeps its registered name" `Quick
+      test_register_path_keeps_its_name;
     Alcotest.test_case "any other exception fails typed; the daemon keeps serving" `Quick
       test_internal_error_keeps_serving;
     Alcotest.test_case "queued past the deadline fails typed" `Quick test_deadline_exceeded;
