@@ -98,6 +98,7 @@ let () =
           sql "filtered chain SAMPLE" (Printf.sprintf "%s AND t3.rid < 600 SAMPLE %d" chain r);
           let walker =
             Chain_sample.prepare
+              ~index:(Rsj_index.Hash_index.build t3 ~key:Zipf_tables.col2)
               {
                 Chain_sample.relations = [| pair.outer; pair.inner; t3 |];
                 join_keys = [| (Zipf_tables.col2, Zipf_tables.col2); (Zipf_tables.col2, Zipf_tables.col2) |];

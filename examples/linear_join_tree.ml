@@ -78,7 +78,8 @@ let () =
   let m_chain = Metrics.create () in
   let (chain, t_chain) =
     time (fun () ->
-        let prepared = Chain_sample.prepare ~metrics:m_chain spec in
+        let index = Rsj_index.Hash_index.build promos ~key:0 in
+        let prepared = Chain_sample.prepare ~metrics:m_chain ~index spec in
         Chain_sample.sample prepared rng ~metrics:m_chain ~r ())
   in
 

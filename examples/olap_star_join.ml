@@ -52,7 +52,7 @@ let () =
   let spec =
     { Chain_sample.relations = [| date; sales; product |]; join_keys = [| (0, 0); (1, 0) |] }
   in
-  let prepared = Chain_sample.prepare spec in
+  let prepared = Chain_sample.prepare ~index:(Rsj_index.Hash_index.build product ~key:0) spec in
   let n = int_of_float (Chain_sample.join_size prepared) in
   Printf.printf "star join |date ⋈ sales ⋈ product| = %d (never materialized)\n\n" n;
 

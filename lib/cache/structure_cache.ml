@@ -6,26 +6,23 @@ module Hash_index = Rsj_index.Hash_index
 
 (* What is stored. The histogram kind carries the threshold fraction
    (as its IEEE bits, so the key stays an immediate) — distinct
-   fractions are distinct structures. The multi-relation kinds are
-   keyed under their first relation's uid: the root kind carries R2's
-   uid and both key columns, the chain kind the member uids and the
-   flattened join-key pairs (structural equality/hash apply). Their
-   entry fingerprint mixes every member's, so a mutation of ANY member
-   relation invalidates them. *)
+   fractions are distinct structures. The chain kind, the one
+   multi-relation kind, is keyed under its first relation's uid and
+   carries the member uids and the join-key pairs (structural
+   equality/hash apply). Its entry fingerprint mixes every member's, so
+   a mutation of ANY member relation invalidates it. *)
 type kind =
   | K_hash_index of int  (* key column *)
   | K_frequency of int
   | K_histogram of int * int  (* key column, fraction bits *)
   | K_int_view of int
-  | K_root of int * int * int  (* R2 uid, R1 key column, R2 key column *)
-  | K_chain of int array * int array  (* member uids, join keys *)
+  | K_chain of int array * (int * int) array  (* member uids, join keys *)
 
 let kind_name = function
   | K_hash_index _ -> "hash_index"
   | K_frequency _ -> "frequency"
   | K_histogram _ -> "histogram"
   | K_int_view _ -> "int_view"
-  | K_root _ -> "root"
   | K_chain _ -> "chain"
 
 type packed =
@@ -33,7 +30,6 @@ type packed =
   | P_frequency of Frequency.t
   | P_histogram of Histogram.End_biased.t
   | P_int_view of int array
-  | P_root of Rsj_core.Root_table.t
   | P_chain of Rsj_core.Chain_sample.t
 
 type entry = {
@@ -144,7 +140,7 @@ let bump_kind t kind_s ~hit =
   if hit then incr h else incr m
 
 (* The heap bytes an entry owns. Only the index and the chain point at
-   relations: the index is charged its plane, the chain counts its own. *)
+   relations: the index is charged its plane, the chain what it owns. *)
 let owned_bytes packed =
   let reachable v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8) in
   match packed with
@@ -152,7 +148,6 @@ let owned_bytes packed =
   | P_frequency v -> reachable v
   | P_histogram v -> reachable v
   | P_int_view v -> reachable v
-  | P_root v -> reachable v
   | P_chain v -> Rsj_core.Chain_sample.bytes v
 
 let touch t (entry : entry) =
@@ -200,8 +195,8 @@ let enforce_budget t ~keep =
         ()
       done
 
-(* [members] defaults to [rel] alone; a multi-relation structure (root
-   tables, chains) lists every relation it reads. The entry's
+(* [members] defaults to [rel] alone; a multi-relation structure (a
+   chain) lists every relation it reads. The entry's
    fingerprint mixes every member's, so a mutation of any member
    invalidates it, and [invalidate] of any member drops it. *)
 let find t ?members rel kind ~build ~pack ~unpack =
@@ -284,28 +279,12 @@ let int_view t rel ~col =
     ~unpack:(function P_int_view v -> v | _ -> assert false)
 
 let chain t (spec : Rsj_core.Chain_sample.spec) =
-  let k = Array.length spec.relations in
-  if k = 0 then invalid_arg "Structure_cache.chain: empty chain";
-  let uids = Array.map Relation.uid spec.relations in
-  let keys = Array.make (max 1 (2 * (k - 1))) 0 in
-  Array.iteri
-    (fun i (a, b) ->
-      keys.(2 * i) <- a;
-      keys.((2 * i) + 1) <- b)
-    spec.join_keys;
+  let last, key = Rsj_core.Chain_sample.last_level spec in
   find t ~members:spec.relations spec.relations.(0)
-    (K_chain (uids, keys))
-    ~build:(fun () -> Rsj_core.Chain_sample.prepare spec)
+    (K_chain (Array.map Relation.uid spec.relations, spec.join_keys))
+    ~build:(fun () -> Rsj_core.Chain_sample.prepare ~index:(hash_index t last ~key) spec)
     ~pack:(fun v -> P_chain v)
     ~unpack:(function P_chain v -> v | _ -> assert false)
-
-let root_table t ~left ~right ~left_key ~right_key =
-  find t ~members:[| left; right |] left
-    (K_root (Relation.uid right, left_key, right_key))
-    ~build:(fun () ->
-      Rsj_core.Root_table.of_keys (int_view t left ~col:left_key) (frequency t right ~key:right_key))
-    ~pack:(fun v -> P_root v)
-    ~unpack:(function P_root v -> v | _ -> assert false)
 
 let env t ?seed ?(histogram_fraction = 0.05) ~left ~right ~left_key ~right_key () =
   let structures =
@@ -317,7 +296,10 @@ let env t ?seed ?(histogram_fraction = 0.05) ~left ~right ~left_key ~right_key (
         Some (fun () -> histogram t right ~key:right_key ~fraction:histogram_fraction);
       p_left_key_view = Some (fun () -> int_view t left ~col:left_key);
       p_right_key_view = Some (fun () -> int_view t right ~col:right_key);
-      p_root_table = Some (fun () -> root_table t ~left ~right ~left_key ~right_key);
+      p_walker =
+        Some
+          (fun () ->
+            chain t { relations = [| left; right |]; join_keys = [| (left_key, right_key) |] });
     }
   in
   Rsj_core.Strategy.make_env ?seed ~histogram_fraction ~structures ~left ~right ~left_key

@@ -2,8 +2,8 @@
     Table-1 auxiliary structures.
 
     Every sampling strategy needs some subset of {index on R2,
-    frequency statistics, end-biased histogram, columnar key view, S1
-    root table}
+    frequency statistics, end-biased histogram, columnar key view, walk
+    weight tables}
     (paper Table 1); batch execution rebuilds them per query, paying
     the very costs the paper assumes are amortized across many
     queries. This cache makes the amortization real: structures are
@@ -72,22 +72,13 @@ val int_view : t -> Relation.t -> col:int -> int array
     valid for any join partner: the encoding is the same in every
     relation. *)
 
-val root_table :
-  t -> left:Relation.t -> right:Relation.t -> left_key:int -> right_key:int -> Rsj_core.Root_table.t
-(** The two-way S1 table ({!Rsj_core.Strategy.env_root_table}): R1's
-    rows weighted by m2(key), built from the cached {!int_view} of R1
-    and {!frequency} of R2. Kind ["root"], keyed under R1's uid with
-    R2's uid and both key columns, with a fingerprint mixing both
-    relations' — mutating or invalidating either one rebuilds it. *)
-
 val chain : t -> Rsj_core.Chain_sample.spec -> Rsj_core.Chain_sample.t
-(** The prepared chain walker (weight tables + per-value alias
-    tables) for the whole spec, keyed under the root relation's uid with
-    a fingerprint mixing {e every} member relation's — mutating any
-    member invalidates on the next lookup. This is what makes the alias
-    tables pay off under [rsj serve]: the O(k·Σ|Ri|) build happens
-    once, and every later request on the same chain pays only O(k) per
-    drawn tuple. *)
+(** The prepared walker for the whole spec, over R_k's cached
+    {!hash_index}; a cache {!env}'s walker is this entry at k = 2. Kind
+    ["chain"], keyed under the root relation's uid with a fingerprint
+    mixing {e every} member relation's — mutating or invalidating any
+    member rebuilds it. The O(k·Σ|Ri|) build happens once; every later
+    request on the chain pays O(k) per drawn tuple. *)
 
 val env :
   t ->
@@ -111,8 +102,7 @@ val env :
 
 val invalidate : t -> Relation.t -> unit
 (** Drop every entry that reads the relation (any version, any column,
-    any kind), multi-relation entries (root tables, chains) included
-    whichever member it is. *)
+    any kind), chain entries included whichever member it is. *)
 
 type stats = {
   hits : int;

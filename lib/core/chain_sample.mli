@@ -17,8 +17,9 @@
     matches — a weighted random walk whose acceptance probability is 1
     (the same idea later published as Wander Join with exact weights).
     Every draw is an independent uniform tuple of the chain join, so r
-    draws form a WR sample. Preparation costs one scan of every
-    relation; each sample costs k categorical draws. *)
+    draws form a WR sample. Preparation costs one scan of R1 ...
+    R(k-1), reusing R_k's hash index; each sample costs one alias pick
+    per level but the last, which picks uniformly. *)
 
 open Rsj_relation
 open Rsj_exec
@@ -32,33 +33,44 @@ type spec = {
 }
 
 type t
-(** Prepared sampler: R1's {!Root_table} over its w_1 weights (the
-    same builder as the two-way S1 table); per later level, the
-    positive-weight rows grouped by their join key over the
-    {!Rsj_relation.Column.int_view} plane ({!Rsj_index.Int_index}), one
-    Vose alias table ({!Rsj_util.Dist.Alias_table}) per group for O(1)
-    picks; and each row's successor group resolved in advance. *)
+(** Prepared walker: R1's {!Root_table} over w_1 (its one builder);
+    alias tables ({!Rsj_util.Dist.Alias_table}) on the inner levels
+    only, one per join value over the positive-weight rows; each row's
+    successor group resolved in advance; and as the last level R_k's
+    own {!Rsj_index.Hash_index} plane, borrowed, where the pick is
+    uniform in the bucket. *)
 
-val prepare : ?metrics:Metrics.t -> spec -> t
-(** Validates the spec and builds the weight tables. Raises
-    [Invalid_argument] on shape errors. An r-draw from the prepared
-    k-chain then costs O(k·r). *)
+val last_level : spec -> Relation.t * int
+(** R_k and the column {!prepare}'s index must key (column 0 when
+    k = 1). Raises [Invalid_argument] on a malformed spec. *)
+
+val prepare : ?metrics:Metrics.t -> index:Rsj_index.Hash_index.t -> spec -> t
+(** Builds the weight tables over [index], the {!last_level} index.
+    Raises [Invalid_argument] on shape errors and on an index over
+    another relation or column. An r-draw then costs O(k·r). *)
+
+val relations : t -> Relation.t array
+
+val root : t -> Root_table.t
+(** R1's rows weighted by w_1: at k = 2, by m2(key) — the S1 table of
+    Stream-, Group- and Count-Sample. *)
 
 val join_size : t -> float
 (** Exact |J| as the total root weight (float: chains can overflow
     int range; exact up to float precision). *)
 
 val bytes : t -> int
-(** Heap bytes the walker owns (root table, levels, alias tables), not
-    counting the spec's relations, which it only references. *)
+(** Heap bytes the walker owns: neither the spec's relations nor the
+    last level's plane, which R_k's index owns. *)
 
 val sample_rows : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> int array
 (** The one walk kernel: [r] independent WR draws returned as join
     positions — row-id paths, [r] consecutive groups of [k] row ids
     (group [j] holds the R1..Rk row ids of draw [j]) — with no tuple
     materialization. All [r] root picks are drawn first, then the [r]
-    walks, each pick one allocation-free [Dist.Alias_table.draw] on
-    [rng]. [[||]] when the join is empty. *)
+    walks, each inner pick one [Dist.Alias_table.draw] on [rng] and the
+    last one {!Rsj_index.Int_index.random_row}'s [Prng.int]. At k = 2
+    this is Stream-Sample. [[||]] when the join is empty. *)
 
 val sample : t -> Rsj_util.Prng.t -> ?metrics:Metrics.t -> r:int -> unit -> Tuple.t array
 (** {!sample_rows} rehydrated through {!Rsj_relation.Relation.rehydrate}:

@@ -24,10 +24,6 @@ let of_weights w =
       total = Array.fold_left ( +. ) 0. weights;
     }
 
-let of_keys keys m2 =
-  let m2 = Rsj_stats.Frequency.int_counter m2 in
-  of_weights (Array.map (fun k -> float_of_int (Rsj_index.Int_index.Counter.get m2 k)) keys)
-
 let draw t rng =
   match t.table with
   | Some table -> Array.unsafe_get t.rows (Alias_table.draw table rng)

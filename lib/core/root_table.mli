@@ -1,7 +1,8 @@
 (** The root table of a join walk: one Vose alias table over R1's rows,
     each weighted by the number of join results it heads — m2(t.A) for
     a two-way join, the propagated chain weight w_1 for a chain
-    ({!Chain_sample}). It is the first step of Stream-, Group- and
+    ({!Chain_sample}, whose prepare is the one builder: the two-way
+    table is its k = 2 root). It is the first step of Stream-, Group- and
     Count-Sample (§5, Thm 6: S1 drawn from R1 with weights m2(t.A)) as
     a precomputed structure: built once in O(n1), it serves every later
     S1 draw in O(1), where a streaming pass pays O(n1) per request.
@@ -18,11 +19,6 @@ val of_weights : float array -> t
 (** [of_weights w] draws row [i] with probability [w.(i) / Σ w] over
     the rows with [w.(i) > 0] (NaN and non-positive weights are left
     out). An all-zero or empty [w] gives the empty table. *)
-
-val of_keys : int array -> Rsj_stats.Frequency.t -> t
-(** [of_keys keys m2] is the two-way table: {!of_weights} over
-    m2(keys.(i)), with [keys] R1's {!Rsj_relation.Column.int_view} and
-    [m2] R2's frequency table. *)
 
 val draw : t -> Rsj_util.Prng.t -> int
 (** A row id, drawn in O(1) with one {!Rsj_util.Dist.Alias_table.draw}

@@ -148,7 +148,7 @@ type env = {
      env. *)
   left_key_view : int array Lazy.t;
   right_key_view : int array Lazy.t;
-  root_table : Root_table.t Lazy.t;
+  walker : Chain_sample.t Lazy.t;
 }
 
 (* Injection point for memoized auxiliary structures: a warm cache
@@ -163,7 +163,7 @@ type prebuilt = {
   p_histogram : (unit -> Histogram.End_biased.t) option;
   p_left_key_view : (unit -> int array) option;
   p_right_key_view : (unit -> int array) option;
-  p_root_table : (unit -> Root_table.t) option;
+  p_walker : (unit -> Chain_sample.t) option;
 }
 
 let no_prebuilt =
@@ -174,7 +174,7 @@ let no_prebuilt =
     p_histogram = None;
     p_left_key_view = None;
     p_right_key_view = None;
-    p_root_table = None;
+    p_walker = None;
   }
 
 let make_env ?(seed = 0x5EED) ?(histogram_fraction = 0.05) ?(structures = no_prebuilt) ~left
@@ -185,8 +185,8 @@ let make_env ?(seed = 0x5EED) ?(histogram_fraction = 0.05) ?(structures = no_pre
   let right_stats =
     via structures.p_right_stats (fun () -> Frequency.of_relation right ~key:right_key)
   in
-  let left_key_view =
-    via structures.p_left_key_view (fun () -> Column.int_view left ~col:left_key)
+  let right_index =
+    via structures.p_right_index (fun () -> Hash_index.build right ~key:right_key)
   in
   {
     rng = Rsj_util.Prng.create ~seed ();
@@ -198,18 +198,19 @@ let make_env ?(seed = 0x5EED) ?(histogram_fraction = 0.05) ?(structures = no_pre
     right_stats;
     left_stats =
       via structures.p_left_stats (fun () -> Frequency.of_relation left ~key:left_key);
-    right_index =
-      via structures.p_right_index (fun () -> Hash_index.build right ~key:right_key);
+    right_index;
     histogram =
       via structures.p_histogram (fun () ->
           Histogram.End_biased.build_fraction (Lazy.force right_stats)
             ~fraction:histogram_fraction);
-    left_key_view;
+    left_key_view =
+      via structures.p_left_key_view (fun () -> Column.int_view left ~col:left_key);
     right_key_view =
       via structures.p_right_key_view (fun () -> Column.int_view right ~col:right_key);
-    root_table =
-      via structures.p_root_table (fun () ->
-          Root_table.of_keys (Lazy.force left_key_view) (Lazy.force right_stats));
+    walker =
+      via structures.p_walker (fun () ->
+          Chain_sample.prepare ~index:(Lazy.force right_index)
+            { relations = [| left; right |]; join_keys = [| (left_key, right_key) |] });
   }
 
 let env_left env = env.left
@@ -224,7 +225,7 @@ let env_histogram env = Lazy.force env.histogram
 let env_join_size env = Frequency.join_size (Lazy.force env.left_stats) (Lazy.force env.right_stats)
 let env_left_key_view env = Lazy.force env.left_key_view
 let env_right_key_view env = Lazy.force env.right_key_view
-let env_root_table env = Lazy.force env.root_table
+let env_walker env = Lazy.force env.walker
 
 type result = {
   strategy : t;

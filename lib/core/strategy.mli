@@ -90,7 +90,7 @@ type prebuilt = {
   p_histogram : (unit -> Rsj_stats.Histogram.End_biased.t) option;
   p_left_key_view : (unit -> int array) option;
   p_right_key_view : (unit -> int array) option;
-  p_root_table : (unit -> Root_table.t) option;
+  p_walker : (unit -> Chain_sample.t) option;
 }
 
 val no_prebuilt : prebuilt
@@ -132,12 +132,11 @@ val env_right_key_view : env -> int array
     per env. These are the compact data plane's inputs: the parallel
     runtime's chunked runners scan them. {!run} never forces them. *)
 
-val env_root_table : env -> Root_table.t
-(** The S1 table of Stream-, Group- and Count-Sample: R1's rows
-    weighted by m2(key) ({!Root_table.of_keys} over the left key view
-    and R2's frequency table), built once per env — or once per
-    relation pair through a cache env — so each later S1 draw is O(1).
-    Like the key views, {!run} never forces it. *)
+val env_walker : env -> Chain_sample.t
+(** The two-way walker over {!env_right_index}, built once per env (or
+    per relation pair through a cache env): Stream-Sample is its walk,
+    and its {!Chain_sample.root} is Group's and Count's S1 table. Like
+    the key views, {!run} never forces it. *)
 
 type result = {
   strategy : t;

@@ -1,27 +1,10 @@
-(* Parallel sampling runtime on OCaml 5 domains — full strategy
-   coverage, WR and WoR, on the persistent worker pool. The
-   chunk-queue scheduling, its determinism and Olken's speculative
-   ticketing are documented in rsj_parallel.mli.
-
-   The runtime has one data plane. Every runner below reads the join
-   columns as flat int arrays (Column.int_view, total over every key
-   type), feeds allocation-free Wr_int kernels (or plain reservoirs of
-   row ids / packed row pairs) and returns its sample as join
-   positions: packed (left row, right row) pairs. [run] and [run_wor]
-   turn the positions into tuples once, through Relation.rehydrate, and
-   WoR dedupes on the positions themselves.
-
-   Stream-, Group- and Count-Sample do not scan R1: their S1 (R1 rows
-   weighted by m2, §5 Thm 6) is r draws from the env's root table
-   (Root_table, an alias table over m2(key) built once per env or per
-   cached relation pair), O(r) on the calling domain. Stream is then
-   one random_match_row per draw; Group and Count keep their chunked
-   R2 pass.
-
-   Each chunk carries its own split generator, metrics and mergeable
-   state (Reservoir.Wr / Reservoir.Multi / Reservoir.Wor /
-   Internals_int.Partition); the reservoir merges preserve the slot
-   laws, so a merged result is distributed as one sequential pass.
+(* Parallel sampling runtime on OCaml 5 domains; the data plane, the
+   two-way walker behind Stream/Group/Count, the chunk-queue scheduling,
+   its determinism and Olken's speculative ticketing are documented in
+   rsj_parallel.mli. Every runner returns packed (left row, right row)
+   pairs, the positions WoR dedupes on; each chunk's state is a
+   mergeable reservoir (Reservoir.Wr / Multi / Wor,
+   Internals_int.Partition) whose merge keeps the slot laws.
 
    Count-Sample and Hybrid-Count's R2 matching step runs through the
    same machinery: one Multi reservoir per sampled join value per
@@ -35,8 +18,7 @@
 
    Auxiliary structures (hash index, frequency statistics, histogram)
    are shared read-only; work counters are per-chunk Metrics.t values
-   summed at the end (the index's probe counter is atomic), so no
-   mutable state crosses domains unsynchronized. *)
+   summed at the end (the index's probe counter is atomic). *)
 
 open Rsj_relation
 open Rsj_exec
@@ -45,6 +27,7 @@ module Reservoir = Rsj_core.Reservoir
 module Internals = Rsj_core.Internals
 module Internals_int = Rsj_core.Internals_int
 module Olken_sample = Rsj_core.Olken_sample
+module Chain_sample = Rsj_core.Chain_sample
 module Root_table = Rsj_core.Root_table
 module Frequency = Rsj_stats.Frequency
 module End_biased = Rsj_stats.Histogram.End_biased
@@ -58,55 +41,58 @@ module Obs = Rsj_obs
 
 let default_domains () = Domain.recommended_domain_count ()
 
-(* Telemetry around a whole strategy run: a "strategy.<name>" span
-   (cat "strategy") encloses the scan/merge work — pool.run, pool.job
-   and chunk spans nest temporally inside it — and, after the run, the
-   work counters fold into the registry (the rsj_metrics_ family) and
-   the wall-time into a per-strategy histogram. One branch when off. *)
-let strategy_seconds strategy ~domains =
+(* Telemetry around a whole run, named [name] (a strategy's, or
+   "chain-walk"): a "strategy.<name>" span (cat "strategy") encloses
+   the scan/merge work — pool.run, pool.job and chunk spans nest
+   temporally inside it — and, after the run, the work counters fold
+   into the registry (the rsj_metrics_ family) and the wall-time into
+   a per-strategy histogram. One branch when off. *)
+let strategy_seconds name ~domains =
   Obs.Registry.histogram ~help:"Whole-strategy sampling run wall time, seconds"
-    ~labels:[ ("strategy", Strategy.name strategy); ("domains", string_of_int domains) ]
+    ~labels:[ ("strategy", name); ("domains", string_of_int domains) ]
     "rsj_strategy_run_seconds"
 
-let observed ~semantics strategy ~r ~domains body =
+let observed ~semantics ~name ~r ~domains body =
   if not (Obs.enabled ()) then body ()
   else
     Obs.Trace.with_span ~cat:"strategy"
       ~args:
         [
-          ("strategy", Obs.Json.Str (Strategy.name strategy));
+          ("strategy", Obs.Json.Str name);
           ("semantics", Obs.Json.Str semantics);
           ("r", Obs.Json.Int r);
           ("domains", Obs.Json.Int domains);
         ]
-      ("strategy." ^ Strategy.name strategy)
+      ("strategy." ^ name)
       (fun () ->
-        let result = body () in
-        Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_" (Metrics.to_assoc result.Strategy.metrics);
-        Obs.Registry.observe (strategy_seconds strategy ~domains) result.Strategy.elapsed_seconds;
-        result)
+        let ((_, metrics, elapsed_seconds) as run) = body () in
+        Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_" (Metrics.to_assoc metrics);
+        Obs.Registry.observe (strategy_seconds name ~domains) elapsed_seconds;
+        run)
 
-(* The one place a run's join positions — packed (left row, right row)
-   pairs (Internals_int.pack) — become tuples, counted once as the
-   run's delivered output. Consumes no randomness. *)
-let rehydrate env (metrics : Metrics.t) pairs =
-  Obs.Trace.with_span ~cat:"strategy" "rehydrate" @@ fun () ->
-  let rows = Array.make (2 * Array.length pairs) 0 in
-  Array.iteri
-    (fun j p ->
-      rows.(2 * j) <- Internals_int.unpack_left p;
-      rows.((2 * j) + 1) <- Internals_int.unpack_right p)
-    pairs;
-  let out = Relation.rehydrate [| Strategy.env_left env; Strategy.env_right env |] rows in
-  metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + Array.length out;
-  out
-
-(* The timed window of a run: the draws and the rehydration. *)
-let timed env strategy draw =
+(* The timed window of a run: the draws, then the one place its join
+   positions (row-id paths) become tuples, counted once as delivered
+   output, consuming no randomness. (sample, metrics, seconds). *)
+let timed relations draw =
   let t0 = Obs.Clock.now_s () in
-  let pairs, metrics = draw () in
-  let sample = rehydrate env metrics pairs in
-  { Strategy.strategy; sample; metrics; elapsed_seconds = Obs.Clock.now_s () -. t0 }
+  let rows, (metrics : Metrics.t) = draw () in
+  let sample =
+    Obs.Trace.with_span ~cat:"strategy" "rehydrate" (fun () -> Relation.rehydrate relations rows)
+  in
+  metrics.output_tuples <- metrics.output_tuples + Array.length sample;
+  (sample, metrics, Obs.Clock.now_s () -. t0)
+
+(* A two-way run in that window, its packed pairs unpacked. *)
+let timed_pairs env draw =
+  timed [| Strategy.env_left env; Strategy.env_right env |] (fun () ->
+      let pairs, metrics = draw () in
+      let rows = Array.make (2 * Array.length pairs) 0 in
+      Array.iteri
+        (fun j p ->
+          rows.(2 * j) <- Internals_int.unpack_left p;
+          rows.((2 * j) + 1) <- Internals_int.unpack_right p)
+        pairs;
+      (rows, metrics))
 
 (* Fold (state, metrics) chunk results in chunk order. [merge_rng] is
    consumed sequentially on the calling domain, so the fold is as
@@ -147,10 +133,10 @@ let chunked_pass ~domains ~rng ~make ~feed ~seal relation =
   in
   Chunk_scheduler.run ~domains ~chunks ~task ()
 
-(* The shared first step of Stream-, Group- and Count-Sample: a WR
-   sample of R1 rows weighted by m2(t.A), drawn from the env's root
-   table in O(r) on the calling domain — no R1 scan, the same rows at
-   every pool width. Each draw fetches one R1 row. [||] when |J| = 0. *)
+(* The first step of Group- and Count-Sample: a WR sample of R1 rows
+   weighted by m2(t.A), drawn from the two-way walker's root table in
+   O(r) on the calling domain — no R1 scan, the same rows at every pool
+   width. Each draw fetches one R1 row. [||] when |J| = 0. *)
 let draw_s1 ~root ~r rng =
   let metrics = Metrics.create () in
   if Root_table.size root = 0 then ([||], metrics)
@@ -159,22 +145,13 @@ let draw_s1 ~root ~r rng =
     (Array.init r (fun _ -> Root_table.draw root rng), metrics)
   end
 
-let run_stream env ~r rng ~keys1 ~root =
-  let open Metrics in
-  let s1, metrics = draw_s1 ~root ~r rng in
-  let index = Strategy.env_right_index env in
-  let pairs =
-    Array.map
-      (fun row ->
-        metrics.index_probes <- metrics.index_probes + 1;
-        match Hash_index.random_match_row index rng keys1.(row) with
-        | -1 -> failwith "Rsj_parallel.run(Stream): sampled tuple has no match in R2"
-        | r2 ->
-            metrics.join_output_tuples <- metrics.join_output_tuples + 1;
-            Internals_int.pack row r2)
-      s1
-  in
-  (pairs, metrics)
+(* Stream-Sample is the k = 2 walk: r root draws, then one uniform pick
+   in each drawn row's R2 bucket, packed into pairs. *)
+let run_stream walker ~r rng =
+  let metrics = Metrics.create () in
+  let rows = Chain_sample.sample_rows walker rng ~metrics ~r () in
+  let pair j = Internals_int.pack rows.(2 * j) rows.((2 * j) + 1) in
+  (Array.init (Array.length rows / 2) pair, metrics)
 
 let run_naive env ~r ~domains rng ~(keys1 : int array) ~keys2 =
   let open Metrics in
@@ -529,7 +506,7 @@ let run_wor_naive env ~r ~domains rng ~(keys1 : int array) ~keys2 =
 
 (* The runner for [strategy] over the env's key views: a function from
    ~r and a generator to (packed join positions, metrics). Building it
-   forces those views, the root table and the int planes of the
+   forces those views, the two-way walker and the int planes of the
    structures the strategy reads — before the runner starts its clock,
    so like the indexes and statistics [Strategy.prepare] forces, they
    count as pre-existing. With [~wor:true], Naive's runner is the chunked Vitter
@@ -545,13 +522,13 @@ let int_runner ?(wor = false) env strategy ~domains =
   | Strategy.Naive -> fun ~r rng -> run_naive env ~r ~domains rng ~keys1 ~keys2
   | Strategy.Olken -> fun ~r rng -> run_olken env ~r ~domains rng ~keys1
   | Strategy.Stream ->
-      let root = Strategy.env_root_table env in
-      fun ~r rng -> run_stream env ~r rng ~keys1 ~root
+      let walker = Strategy.env_walker env in
+      fun ~r rng -> run_stream walker ~r rng
   | Strategy.Group ->
-      let root = Strategy.env_root_table env in
+      let root = Chain_sample.root (Strategy.env_walker env) in
       fun ~r rng -> run_group env ~r ~domains rng ~keys1 ~keys2 ~root
   | Strategy.Count_sample ->
-      let root = Strategy.env_root_table env in
+      let root = Chain_sample.root (Strategy.env_walker env) in
       let freq = Frequency.int_counter (Strategy.env_right_stats env) in
       fun ~r rng -> run_count env ~r ~domains rng ~keys1 ~keys2 ~root ~freq
   | Strategy.Frequency_partition ->
@@ -569,13 +546,31 @@ let validate ~caller ~r ~domains =
   if domains < 1 then invalid_arg (caller ^ ": domains < 1");
   if r < 0 then invalid_arg (caller ^ ": r < 0")
 
-let run env strategy ~r ~domains =
-  validate ~caller:"Rsj_parallel.run" ~r ~domains;
+(* [run] and [run_wor]: validation and the forced structures, then one
+   observed run whose set-up [draw runner] does inside the span and
+   whose returned thunk is the timed window. *)
+let run_two_way ~wor env strategy ~r ~domains draw =
+  validate ~caller:(if wor then "Rsj_parallel.run_wor" else "Rsj_parallel.run") ~r ~domains;
   Strategy.prepare env strategy;
-  let runner = int_runner env strategy ~domains in
-  observed ~semantics:"WR" strategy ~r ~domains (fun () ->
+  let runner = int_runner ~wor env strategy ~domains in
+  let semantics = if wor then "WoR" else "WR" in
+  let sample, metrics, elapsed_seconds =
+    observed ~semantics ~name:(Strategy.name strategy) ~r ~domains (fun () ->
+        timed_pairs env (draw runner))
+  in
+  { Strategy.strategy; sample; metrics; elapsed_seconds }
+
+let run env strategy ~r ~domains =
+  run_two_way ~wor:false env strategy ~r ~domains (fun runner ->
       let rng = Prng.split (Strategy.env_rng env) in
-      timed env strategy (fun () -> runner ~r rng))
+      fun () -> runner ~r rng)
+
+let run_chain walker rng ~r ~domains =
+  validate ~caller:"Rsj_parallel.run_chain" ~r ~domains;
+  observed ~semantics:"WR" ~name:"chain-walk" ~r ~domains (fun () ->
+      timed (Chain_sample.relations walker) (fun () ->
+          let metrics = Metrics.create () in
+          (Chain_sample.sample_rows walker rng ~metrics ~r (), metrics)))
 
 let wor_batches_total strategy =
   Obs.Registry.counter ~help:"WR batches drawn by the WoR conversion driver"
@@ -602,12 +597,9 @@ let run_wor_batches env strategy runner ~target =
   (Array.of_list pairs, !metrics)
 
 let run_wor env strategy ~r ~domains =
-  validate ~caller:"Rsj_parallel.run_wor" ~r ~domains;
-  Strategy.prepare env strategy;
-  let runner = int_runner ~wor:true env strategy ~domains in
-  observed ~semantics:"WoR" strategy ~r ~domains (fun () ->
+  run_two_way ~wor:true env strategy ~r ~domains (fun runner ->
       let target = min r (Strategy.env_join_size env) in
-      timed env strategy (fun () ->
-          if target = 0 then ([||], Metrics.create ())
-          else if strategy = Strategy.Naive then runner ~r:target (Prng.split (Strategy.env_rng env))
-          else run_wor_batches env strategy runner ~target))
+      fun () ->
+        if target = 0 then ([||], Metrics.create ())
+        else if strategy = Strategy.Naive then runner ~r:target (Prng.split (Strategy.env_rng env))
+        else run_wor_batches env strategy runner ~target)

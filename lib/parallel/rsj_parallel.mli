@@ -21,10 +21,12 @@
 
     Stream-, Group- and Count-Sample scan no R1 rows: their first step,
     S1 (R1 rows weighted by m2(t.A)), is [r] O(1) draws on the calling
-    domain from the env's root table ({!Rsj_core.Strategy.env_root_table},
-    built once per env, or once per relation pair through the
-    structure cache). Stream-Sample is then one
-    {!Rsj_index.Hash_index.random_match_row} per draw — O(r) in all.
+    domain from the root table of the env's two-way walker
+    ({!Rsj_core.Strategy.env_walker}, built once per env, or once per
+    relation pair through the structure cache). Stream-Sample is that
+    walker's walk ({!Rsj_core.Chain_sample.sample_rows} at k = 2): one
+    uniform pick in R2's index bucket per draw — O(r) in all. Longer
+    chains walk the same kernel through {!run_chain}.
 
     Scans (Naive, the partition strategies, and Group's and Count's R2
     matching passes) are distributed by the chunk-queue scheduler
@@ -51,7 +53,7 @@
     bit-reproducible, at [domains > 1].
 
     Auxiliary structures (hash index, frequency statistics, histogram,
-    root table) are shared read-only across domains. *)
+    two-way walker) are shared read-only across domains. *)
 
 module Strategy = Rsj_core.Strategy
 
@@ -73,7 +75,7 @@ val run : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
     tuples are bit-identical across all [domains >= 1] for every
     strategy except Olken at [domains > 1] on int keys (speculative
     ticketing — see above). As in {!Strategy.run}, auxiliary structures
-    — here including the key views, the root table and the int planes
+    — here including the key views, the two-way walker and the int planes
     of the statistics and histogram — are forced before the clock
     starts, and a fresh child generator is split off the env per run.
     Every scan is cut at {!Chunk_scheduler.default_chunk_size}. Raises
@@ -100,3 +102,11 @@ val run_wor : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.res
     excepted, as for {!run}). Raises {!Strategy.Wor_shortfall} when 64
     batches cannot reach the target, and [Invalid_argument] on
     [r < 0] or [domains < 1]. *)
+
+val run_chain :
+  Rsj_core.Chain_sample.t -> Rsj_util.Prng.t -> r:int -> domains:int ->
+  Rsj_relation.Tuple.t array * Rsj_exec.Metrics.t * float
+(** [r] walks on the calling domain, as (sample, metrics, seconds),
+    observed as {!run} is: a [strategy.chain-walk] span over the walk
+    and [rehydrate], and a [rsj_strategy_run_seconds] observation.
+    [domains] only labels them. Raises as {!run}. *)

@@ -50,7 +50,13 @@ let prepare ?cache ?(wor = false) ~seed relations ~join_keys ~(size : Ast.sample
         if named <> None then invalid_arg "Sampler.prepare: a 3+ table chain takes no strategy";
         if wor then invalid_arg "Sampler.prepare: the chain walker draws WR only";
         let spec = { Chain_sample.relations; join_keys } in
-        let cs = match cache with Some c -> Cache.chain c spec | None -> Chain_sample.prepare spec in
+        let cs =
+          match cache with
+          | Some c -> Cache.chain c spec
+          | None ->
+              let last, key = Chain_sample.last_level spec in
+              Chain_sample.prepare ~index:(Rsj_index.Hash_index.build last ~key) spec
+        in
         (Chain_walk cs, resolve (fun () -> Chain_sample.join_size cs), None)
   in
   { run; cache; seed; r; wor; decision }
@@ -71,10 +77,9 @@ let draw ~domains t =
       let res = runner env s ~r:t.r ~domains in
       { sample = res.Strategy.sample; metrics = res.metrics; elapsed_seconds = res.elapsed_seconds }
   | Chain_walk cs ->
-      let metrics = Rsj_exec.Metrics.create () in
-      let t0 = Rsj_obs.Clock.now_s () in
-      let sample = Chain_sample.sample cs (Rsj_util.Prng.create ~seed:t.seed ()) ~metrics ~r:t.r () in
-      { sample; metrics; elapsed_seconds = Rsj_obs.Clock.now_s () -. t0 }
+      let rng = Rsj_util.Prng.create ~seed:t.seed () in
+      let sample, metrics, elapsed_seconds = Rsj_parallel.run_chain cs rng ~r:t.r ~domains in
+      { sample; metrics; elapsed_seconds }
 
 let observe monitor t sample =
   match (t.run, t.cache) with

@@ -442,7 +442,8 @@ let chain_row kconfig config ~row_index z =
   @@ fun () ->
   let spec = chain_spec ~seed:(mix config.seed 0xC4A1 row_index) ~z in
   let universe = Oracle.universe (Oracle.of_chain spec) in
-  let prepared = Chain_sample.prepare spec in
+  let last, key = Chain_sample.last_level spec in
+  let prepared = Chain_sample.prepare ~index:(Rsj_index.Hash_index.build last ~key) spec in
   let outcome =
     wr_uniformity ~config:kconfig ~trials:config.trials ~universe
       ~draw:(fun ~attempt ->

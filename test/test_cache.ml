@@ -175,16 +175,23 @@ let test_chain_entry () =
     Rsj_core.Chain_sample.sample w rng ~r:16 ()
     |> Array.map Tuple.to_string |> Array.to_list
   in
-  let cold = Rsj_core.Chain_sample.prepare spec in
-  Alcotest.(check (list string)) "warm walker samples identically" (draw cold) (draw cs3)
+  let third = spec.relations.(2) in
+  let cold =
+    Rsj_core.Chain_sample.prepare ~index:(Rsj_index.Hash_index.build third ~key) spec
+  in
+  Alcotest.(check (list string)) "warm walker samples identically" (draw cold) (draw cs3);
+  Alcotest.(check bool) "the walker's last level is R_k's cached index" true
+    (Cache.hash_index c third ~key == Cache.hash_index c third ~key
+    && List.assoc_opt "hash_index" (Cache.stats c).Cache.by_kind = Some (2, 2))
 
-let root_counts c =
-  Option.value ~default:(0, 0) (List.assoc_opt "root" (Cache.stats c).Cache.by_kind)
+let chain_counts c =
+  Option.value ~default:(0, 0) (List.assoc_opt "chain" (Cache.stats c).Cache.by_kind)
 
-(* The S1 root table of a cache env: one build per relation pair,
-   served warm to every later env over the pair, and rebuilt once
-   either relation is invalidated or mutated. *)
-let test_root_table_entry () =
+(* The two-way walker of a cache env (its root table is the S1 table):
+   one build per relation pair, over the env's own R2 index, served
+   warm to every later env over the pair, and rebuilt once either
+   relation is invalidated or mutated. *)
+let test_two_way_walker_entry () =
   let c = Cache.create () in
   let pair = make_pair () in
   let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
@@ -192,26 +199,28 @@ let test_root_table_entry () =
   let stream () = ignore (Rsj_parallel.run (env ()) Strategy.Stream ~r:8 ~domains:1) in
   List.iter (fun s -> ignore (Rsj_parallel.run (env ()) s ~r:8 ~domains:1))
     [ Strategy.Stream; Strategy.Group; Strategy.Count_sample ];
-  Alcotest.(check (pair int int)) "Stream, Group and Count share one build" (2, 1) (root_counts c);
-  let t1 = Strategy.env_root_table (env ()) in
-  Alcotest.(check bool) "a warm env serves the very same table" true
-    (t1 == Strategy.env_root_table (env ()));
+  Alcotest.(check (pair int int)) "Stream, Group and Count share one build" (2, 1) (chain_counts c);
+  Alcotest.(check (option (pair int int))) "one R2 index, shared with the walker" (Some (1, 1))
+    (List.assoc_opt "hash_index" (Cache.stats c).Cache.by_kind);
+  let w1 = Strategy.env_walker (env ()) in
+  Alcotest.(check bool) "a warm env serves the very same walker" true
+    (w1 == Strategy.env_walker (env ()));
   Cache.invalidate c right;
   stream ();
-  Alcotest.(check (pair int int)) "invalidating R2 rebuilds" (4, 2) (root_counts c);
+  Alcotest.(check (pair int int)) "invalidating R2 rebuilds" (4, 2) (chain_counts c);
   Cache.invalidate c left;
   stream ();
-  Alcotest.(check (pair int int)) "invalidating R1 rebuilds" (4, 3) (root_counts c);
+  Alcotest.(check (pair int int)) "invalidating R1 rebuilds" (4, 3) (chain_counts c);
   Relation.append right [| Value.Int 9999; Value.Int 1; Value.str "pad" |];
   stream ();
-  Alcotest.(check (pair int int)) "mutating R2 rebuilds" (4, 4) (root_counts c);
+  Alcotest.(check (pair int int)) "mutating R2 rebuilds" (4, 4) (chain_counts c);
   Relation.append left [| Value.Int 9999; Value.Int 1; Value.str "pad" |];
   stream ();
-  Alcotest.(check (pair int int)) "mutating R1 rebuilds" (4, 5) (root_counts c)
+  Alcotest.(check (pair int int)) "mutating R1 rebuilds" (4, 5) (chain_counts c)
 
 (* Invalidating any member of a multi-relation entry drops it, not
    only invalidating the relation it is filed under: a chain entry
-   lives under its root's uid, a root table under R1's. *)
+   lives under its root's uid. *)
 let test_invalidate_drops_multi_relation_entries () =
   let c = Cache.create () in
   let pair = make_pair () in
@@ -225,26 +234,25 @@ let test_invalidate_drops_multi_relation_entries () =
   ignore (Cache.chain c spec);
   Cache.invalidate c third;
   let s = Cache.stats c in
-  Alcotest.(check (pair int int)) "invalidating the last member drops the chain" (0, 0)
-    (s.Cache.entries, s.Cache.bytes);
-  ignore (Cache.chain c spec);
-  Alcotest.(check int) "the rebuild is the only live entry" 1 (Cache.stats c).Cache.entries;
-  let root () =
-    ignore
-      (Cache.root_table c ~left:pair.Zipf_tables.outer ~right:pair.Zipf_tables.inner
-         ~left_key:key ~right_key:key)
+  Alcotest.(check (pair int int)) "invalidating the last member drops the chain and its index"
+    (0, 0) (s.Cache.entries, s.Cache.bytes);
+  let chain3 = Cache.chain c spec in
+  Alcotest.(check int) "the rebuild and its R_k index are the only live entries" 2
+    (Cache.stats c).Cache.entries;
+  let two () =
+    Cache.chain c
+      {
+        Rsj_core.Chain_sample.relations = [| pair.Zipf_tables.outer; pair.Zipf_tables.inner |];
+        join_keys = [| (key, key) |];
+      }
   in
-  root ();
+  let chain2 = two () in
   (* Nothing mutated, so only a dropped entry makes the next lookup a
-     miss. *)
+     fresh walker. *)
   Cache.invalidate c pair.Zipf_tables.inner;
-  ignore (Cache.chain c spec);
-  root ();
-  let kind k = List.assoc_opt k (Cache.stats c).Cache.by_kind in
-  Alcotest.(check (option (pair int int))) "invalidating R2 drops the chain" (Some (0, 3))
-    (kind "chain");
-  Alcotest.(check (option (pair int int))) "invalidating R2 drops the root table" (Some (0, 2))
-    (kind "root")
+  Alcotest.(check bool) "invalidating R2 drops the chain" true
+    (not (Cache.chain c spec == chain3));
+  Alcotest.(check bool) "invalidating R2 drops the two-way walker" true (not (two () == chain2))
 
 (* ---------- footprint: each entry is charged the bytes it owns ---------- *)
 
@@ -286,8 +294,8 @@ let walked_bytes v ~base =
 let footprint_tolerance_words = 16
 
 (* [prebuild] warms the entries the structure's own build consults
-   (the frequency table under a histogram, the key view and frequency
-   table under a root table), so the byte delta is the one new entry. *)
+   (the frequency table under a histogram, R_k's index under a walker),
+   so the byte delta is the one new entry. *)
 let check_footprint kind ?(prebuild = fun _ _ _ _ -> ()) get =
   List.iter
     (fun (label, r1, r2, r3) ->
@@ -319,22 +327,27 @@ let test_footprint_histogram () =
 let test_footprint_int_view () =
   check_footprint "int_view" (fun c _ r2 _ -> walked_bytes (Cache.int_view c r2 ~col:1) ~base:r2)
 
-let test_footprint_root () =
-  check_footprint "root"
-    ~prebuild:(fun c r1 r2 _ ->
-      ignore (Cache.int_view c r1 ~col:1);
-      ignore (Cache.frequency c r2 ~key:1))
-    (fun c r1 r2 _ ->
+(* A walker over [relations] joined on column 1: the walked base is the
+   relations and the last level's plane, which R_k's index owns. *)
+let check_walker_footprint kind relations =
+  let last rels = rels.(Array.length rels - 1) in
+  check_footprint kind
+    ~prebuild:(fun c r1 r2 r3 -> ignore (Cache.hash_index c (last (relations r1 r2 r3)) ~key:1))
+    (fun c r1 r2 r3 ->
+      let relations = relations r1 r2 r3 in
       walked_bytes
-        (Cache.root_table c ~left:r1 ~right:r2 ~left_key:1 ~right_key:1)
-        ~base:[| r1; r2 |])
+        (Cache.chain c
+           {
+             Rsj_core.Chain_sample.relations;
+             join_keys = Array.make (Array.length relations - 1) (1, 1);
+           })
+        ~base:
+          (relations, Rsj_index.Hash_index.int_plane (Cache.hash_index c (last relations) ~key:1)))
 
-let test_footprint_chain () =
-  check_footprint "chain" (fun c r1 r2 r3 ->
-      let relations = [| r1; r2; r3 |] in
-      walked_bytes
-        (Cache.chain c { Rsj_core.Chain_sample.relations; join_keys = [| (1, 1); (1, 1) |] })
-        ~base:relations)
+let test_footprint_two_way_walker () =
+  check_walker_footprint "two-way walker" (fun r1 r2 _ -> [| r1; r2 |])
+
+let test_footprint_chain () = check_walker_footprint "chain" (fun r1 r2 r3 -> [| r1; r2; r3 |])
 
 (* A cold miss costs about the bare build: sizing walks what the entry
    owns, never the relation. Medians of five pairs, alternating which
@@ -405,15 +418,15 @@ let suite =
       test_reference_kernels_build_no_key_view;
     Alcotest.test_case "chain walker entry (by_kind, member invalidation)" `Quick
       test_chain_entry;
-    Alcotest.test_case "root table entry: one build, rebuilt on either side" `Quick
-      test_root_table_entry;
+    Alcotest.test_case "two-way walker entry: one build, rebuilt on either side" `Quick
+      test_two_way_walker_entry;
     Alcotest.test_case "invalidate drops multi-relation entries" `Quick
       test_invalidate_drops_multi_relation_entries;
     Alcotest.test_case "footprint: hash_index" `Quick test_footprint_hash_index;
     Alcotest.test_case "footprint: frequency" `Quick test_footprint_frequency;
     Alcotest.test_case "footprint: histogram" `Quick test_footprint_histogram;
     Alcotest.test_case "footprint: int_view" `Quick test_footprint_int_view;
-    Alcotest.test_case "footprint: root" `Quick test_footprint_root;
+    Alcotest.test_case "footprint: two-way walker" `Quick test_footprint_two_way_walker;
     Alcotest.test_case "footprint: chain" `Quick test_footprint_chain;
     Alcotest.test_case "a cold miss costs about the bare build" `Quick
       test_cold_miss_near_bare_build;

@@ -199,6 +199,11 @@ let test_reference_bag_wor_shortfall () =
         "Strategy.run_wor: failed to accumulate distinct samples (very small join?)"
         (Printexc.to_string (Strategy.Wor_shortfall { caller; target; distinct }))
 
+(* A walker over a fresh index of R_k (no cache to borrow one from). *)
+let prepare_cold ?metrics spec =
+  let last, key = Chain_sample.last_level spec in
+  Chain_sample.prepare ?metrics ~index:(Rsj_index.Hash_index.build last ~key) spec
+
 let chain_spec ?(seed = 0xC4A1) ~z () =
   let mk i rows =
     Zipf_tables.make ~seed:(seed + (31 * i)) ~name:(Printf.sprintf "c%d" i) ~rows ~z ~domain:5 ()
@@ -211,7 +216,7 @@ let chain_spec ?(seed = 0xC4A1) ~z () =
 let test_oracle_chain_matches_walker () =
   let spec = chain_spec ~z:1. () in
   let oracle = Oracle.of_chain spec in
-  let prepared = Chain_sample.prepare spec in
+  let prepared = prepare_cold spec in
   Alcotest.(check (float 0.5)) "chain |J| agrees with the weight tables"
     (Chain_sample.join_size prepared)
     (float_of_int (Oracle.size oracle));
@@ -335,6 +340,56 @@ let test_trials_env_knob () =
        Unix.putenv "RSJ_CONF_TRIALS" "";
        raise e)
 
+(* Edge shapes through the one walker, Stream at k = 2 and a k = 3
+   chain: all-Null R1 keys (|J| = 0), |J| = 1, a single-group join
+   (every row shares one key) and r >= |J| on a 4-tuple join. Each
+   sample must be r tuples of the oracle's support (none when
+   |J| = 0), must raise nothing, and at r = 50·|J| must cover that
+   support. Relations are (rid, key, pad), keyed on column 1. *)
+let test_walker_edge_shapes () =
+  let rel name keys =
+    Relation.of_tuples ~name Zipf_tables.schema
+      (List.mapi (fun i k -> [| Value.Int i; k; Value.str "p" |]) keys)
+  in
+  let ints = List.map (fun k -> Value.Int k) in
+  let key = Zipf_tables.col2 in
+  let shapes =
+    [
+      ("all-Null R1 keys", List.init 3 (fun _ -> Value.Null), ints [ 1; 1; 2 ], ints [ 1; 2 ], 10);
+      ("|J| = 1", ints [ 1; 5; 6 ], ints [ 1; 7 ], ints [ 1; 8 ], 10);
+      ("single group", ints [ 3; 3; 3 ], ints [ 3; 3 ], ints [ 3; 3; 3; 3 ], 24);
+      ("r >= |J|", ints [ 1; 2 ], ints [ 1; 2; 9 ], ints [ 1; 2; 2 ], 200);
+    ]
+  in
+  List.iter
+    (fun (label, k1, k2, k3, r) ->
+      let r1 = rel "r1" k1 and r2 = rel "r2" k2 and r3 = rel "r3" k3 in
+      let check_sample kind oracle sample =
+        let size = Oracle.size oracle in
+        Alcotest.(check int) (Printf.sprintf "%s, %s: r tuples" label kind)
+          (if size = 0 then 0 else r) (Array.length sample);
+        let counts = Oracle.counter oracle in
+        Array.iter
+          (fun t ->
+            Alcotest.(check bool) (Printf.sprintf "%s, %s: in the support" label kind) true
+              (Oracle.cell oracle t <> None);
+            Oracle.observe oracle counts t)
+          sample;
+        if r >= 50 * size then
+          Alcotest.(check bool) (Printf.sprintf "%s, %s: covers the support" label kind) true
+            (Array.for_all (fun c -> c > 0) counts)
+      in
+      let env = Strategy.make_env ~seed:5 ~left:r1 ~right:r2 ~left_key:key ~right_key:key () in
+      check_sample "Stream k = 2"
+        (Oracle.of_relations ~left:r1 ~right:r2 ~left_key:key ~right_key:key)
+        (Rsj_parallel.run env Strategy.Stream ~r ~domains:1).Strategy.sample;
+      let spec =
+        { Chain_sample.relations = [| r1; r2; r3 |]; join_keys = [| (key, key); (key, key) |] }
+      in
+      check_sample "chain k = 3" (Oracle.of_chain spec)
+        (Chain_sample.sample (prepare_cold spec) (Prng.create ~seed:5 ()) ~r ()))
+    shapes
+
 let suite =
   [
     Alcotest.test_case "kernel bucketing preserves totals" `Quick test_bucket_preserves_totals;
@@ -345,6 +400,8 @@ let suite =
     Alcotest.test_case "oracle matches plan enumeration" `Quick test_oracle_matches_plan;
     Alcotest.test_case "oracle expected-count laws" `Quick test_oracle_expected_laws;
     Alcotest.test_case "oracle chain = walker weights" `Quick test_oracle_chain_matches_walker;
+    Alcotest.test_case "walker edge shapes: Stream k = 2 and a k = 3 chain" `Quick
+      test_walker_edge_shapes;
     Alcotest.test_case "oracle weights bag-join cells" `Quick test_oracle_bag_join;
     Alcotest.test_case "bag-join WoR samples positions" `Quick test_bag_join_wor_positions;
     Alcotest.test_case "reference bag-join WoR: typed shortfall" `Quick

@@ -20,6 +20,11 @@ let r3 () = rel "r3" [ (100, 0); (100, 1); (200, 2) ]
    total = 2*3 + 2 = 8. *)
 let expected_size = 8
 
+(* A walker over a fresh index of R_k (no cache to borrow one from). *)
+let prepare_cold ?metrics spec =
+  let last, key = Chain_sample.last_level spec in
+  Chain_sample.prepare ?metrics ~index:(Rsj_index.Hash_index.build last ~key) spec
+
 let tree () =
   {
     Join_tree.base = r1 ();
@@ -115,7 +120,7 @@ let twins =
 let test_chain_join_size () =
   List.iter
     (fun (label, spec) ->
-      let c = Chain_sample.prepare spec in
+      let c = prepare_cold spec in
       Alcotest.(check (float 1e-9))
         (label ^ ": exact size without joining")
         (float_of_int expected_size) (Chain_sample.join_size c))
@@ -127,7 +132,7 @@ let test_chain_join_size () =
 let test_chain_twins_same_paths () =
   let paths keys seed =
     Chain_sample.sample_rows
-      (Chain_sample.prepare (twin_spec keys))
+      (prepare_cold (twin_spec keys))
       (Rsj_util.Prng.create ~seed ()) ~r:200 ()
   in
   List.iter
@@ -136,7 +141,7 @@ let test_chain_twins_same_paths () =
       Array.iter (fun row -> Alcotest.(check bool) "no dead row on a path" true (row < 3)) base;
       Alcotest.(check (array int)) "the plain chain walks the same paths" base
         (Chain_sample.sample_rows
-           (Chain_sample.prepare (chain_spec ()))
+           (prepare_cold (chain_spec ()))
            (Rsj_util.Prng.create ~seed ()) ~r:200 ());
       List.iter
         (fun (label, keys) ->
@@ -148,7 +153,7 @@ let test_chain_twins_same_paths () =
    [sample ~r:1]. *)
 let test_chain_sample_is_rehydrated_rows () =
   let spec = twin_spec int_keys in
-  let c = Chain_sample.prepare spec in
+  let c = prepare_cold spec in
   let tuples = Alcotest.(array (of_pp Tuple.pp)) in
   List.iter
     (fun (seed, r) ->
@@ -166,7 +171,7 @@ let test_chain_sample_is_rehydrated_rows () =
   done
 
 let test_chain_draw_membership_and_uniformity () =
-  let c = Chain_sample.prepare (chain_spec ()) in
+  let c = prepare_cold (chain_spec ()) in
   let universe = full_join_universe () in
   let rng = Rsj_util.Prng.create ~seed:4 () in
   let report =
@@ -185,7 +190,7 @@ let test_chain_empty_join () =
       join_keys = [| (1, 0) |];
     }
   in
-  let c = Chain_sample.prepare spec in
+  let c = prepare_cold spec in
   Alcotest.(check (float 0.)) "size 0" 0. (Chain_sample.join_size c);
   let rng = Rsj_util.Prng.create () in
   Alcotest.(check bool) "draw None" true (Chain_sample.draw c rng () = None);
@@ -193,7 +198,7 @@ let test_chain_empty_join () =
 
 let test_chain_single_relation () =
   let spec = { Chain_sample.relations = [| r1 () |]; join_keys = [||] } in
-  let c = Chain_sample.prepare spec in
+  let c = prepare_cold spec in
   Alcotest.(check (float 0.)) "size = n1" 3. (Chain_sample.join_size c);
   let rng = Rsj_util.Prng.create ~seed:5 () in
   let out = Chain_sample.sample c rng ~r:4 () in
@@ -202,21 +207,50 @@ let test_chain_single_relation () =
 let test_chain_validation () =
   Alcotest.(check bool) "empty chain" true
     (try
-       ignore (Chain_sample.prepare { Chain_sample.relations = [||]; join_keys = [||] });
+       ignore (prepare_cold { Chain_sample.relations = [||]; join_keys = [||] });
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "wrong key count" true
     (try
-       ignore (Chain_sample.prepare { Chain_sample.relations = [| r1 () |]; join_keys = [| (0, 0) |] });
+       ignore (prepare_cold { Chain_sample.relations = [| r1 () |]; join_keys = [| (0, 0) |] });
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "column out of range" true
     (try
        ignore
-         (Chain_sample.prepare
+         (prepare_cold
             { Chain_sample.relations = [| r1 (); r2 () |]; join_keys = [| (9, 0) |] });
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* The borrowed last level must be R_k's index on the last join's
+     column. *)
+  let spec = { Chain_sample.relations = [| r1 (); r2 () |]; join_keys = [| (1, 0) |] } in
+  let rejects label index =
+    Alcotest.(check bool) label true
+      (try
+         ignore (Chain_sample.prepare ~index spec);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "index over another relation" (Rsj_index.Hash_index.build (r2 ()) ~key:0);
+  rejects "index over another column" (Rsj_index.Hash_index.build spec.relations.(1) ~key:1)
+
+(* rsj_alias_draws_total counts real alias picks: the root and the
+   inner levels, r·(k−1) per batch; the last level's uniform pick is
+   not one. *)
+let test_alias_draw_count () =
+  let counter = Rsj_obs.Registry.counter "rsj_alias_draws_total" in
+  List.iter
+    (fun (k, spec) ->
+      let c = prepare_cold spec in
+      let before = Rsj_obs.Registry.value counter in
+      ignore (Chain_sample.sample_rows c (Rsj_util.Prng.create ~seed:4 ()) ~r:10 ());
+      Alcotest.(check int) (Printf.sprintf "k = %d: 10·(k−1) alias draws" k) (10 * (k - 1))
+        (Rsj_obs.Registry.value counter - before))
+    [
+      (2, { Chain_sample.relations = [| r1 (); r2 () |]; join_keys = [| (1, 0) |] });
+      (3, chain_spec ());
+    ]
 
 let test_chain_long () =
   (* 4-relation chain with fan-out; verify exact size against the plan. *)
@@ -238,7 +272,7 @@ let test_chain_long () =
         ];
     }
   in
-  let prepared = Chain_sample.prepare spec in
+  let prepared = prepare_cold spec in
   Alcotest.(check (float 1e-6)) "size matches materialized join"
     (float_of_int (Join_tree.cardinality tree))
     (Chain_sample.join_size prepared);
@@ -263,5 +297,7 @@ let suite =
     Alcotest.test_case "chain empty join" `Quick test_chain_empty_join;
     Alcotest.test_case "chain of one relation" `Quick test_chain_single_relation;
     Alcotest.test_case "chain spec validation" `Quick test_chain_validation;
+    Alcotest.test_case "alias draws counted per root and inner level" `Quick
+      test_alias_draw_count;
     Alcotest.test_case "4-relation chain vs materialized join" `Quick test_chain_long;
   ]

@@ -265,6 +265,44 @@ let test_span_nesting_under_pool () =
       end)
     [ 1; 2; 4 ]
 
+(* A chain draw through the sampler is observed as a two-way run is:
+   one strategy.chain-walk span enclosing the walk and a rehydrate
+   span, and one rsj_strategy_run_seconds observation. *)
+let test_chain_draw_observed () =
+  with_tracing @@ fun () ->
+  let t name seed =
+    Zipf_tables.make ~seed ~name ~rows:60 ~z:1. ~domain:6 ()
+  in
+  let key = Zipf_tables.col2 in
+  let seconds =
+    Obs.Registry.histogram ~labels:[ ("strategy", "chain-walk"); ("domains", "1") ]
+      "rsj_strategy_run_seconds"
+  in
+  let observed0 = Obs.Registry.observed_count seconds in
+  let prepared =
+    Rsj_sql.Sampler.prepare ~seed:9
+      [| t "c1" 1; t "c2" 2; t "c3" 3 |]
+      ~join_keys:[| (key, key); (key, key) |]
+      ~size:(Rsj_sql.Ast.Abs 16) None
+  in
+  let drawn = Rsj_sql.Sampler.draw ~domains:1 prepared in
+  Alcotest.(check int) "16 tuples" 16 (Array.length drawn.Rsj_sql.Sampler.sample);
+  Alcotest.(check int) "one run-seconds observation" 1
+    (Obs.Registry.observed_count seconds - observed0);
+  let events = Obs.Trace.events () in
+  let one n =
+    match List.filter (fun e -> e.Obs.Trace.name = n) events with
+    | [ e ] -> e
+    | l -> Alcotest.failf "expected one %s span, got %d" n (List.length l)
+  in
+  let run = one "strategy.chain-walk" in
+  List.iter
+    (fun n ->
+      let e = one n in
+      Alcotest.(check bool) (n ^ " inside the run span") true
+        (e.Obs.Trace.ts >= run.Obs.Trace.ts && span_end e <= span_end run))
+    [ "chain_sample.sample_rows"; "rehydrate" ]
+
 (* A WoR request is one strategy run whatever the number of WR batches
    its conversion draws: one strategy span, one wall-time observation,
    and the batches on their own counter. *)
@@ -438,6 +476,7 @@ let suite =
     Alcotest.test_case "trace document parses back" `Quick test_trace_json_wellformed;
     Alcotest.test_case "span nesting under the pool (d=1,2,4)" `Quick test_span_nesting_under_pool;
     Alcotest.test_case "a WoR request is one observed run" `Quick test_wor_request_observed_once;
+    Alcotest.test_case "a chain draw is one observed run" `Quick test_chain_draw_observed;
     Alcotest.test_case "disabled path allocates nothing" `Quick test_disabled_path_allocation_free;
   ]
 

@@ -7,12 +7,17 @@ let rel rows =
   Relation.of_tuples ~name:"oa" schema
     (List.map (fun (a, b) -> [| Value.Int a; Value.Int b |]) rows)
 
+(* A walker over a fresh index of R_k (no cache to borrow one from). *)
+let prepare_cold ?metrics spec =
+  let last, key = Chain_sample.last_level spec in
+  Chain_sample.prepare ?metrics ~index:(Rsj_index.Hash_index.build last ~key) spec
+
 (* A 2-relation chain whose join tuples carry a known-mean value. *)
 let chain () =
   let r1 = rel (List.init 50 (fun i -> (i mod 5, i))) in
   let r2 = rel (List.init 100 (fun i -> (i mod 5, i))) in
   let spec = { Chain_sample.relations = [| r1; r2 |]; join_keys = [| (0, 0) |] } in
-  Chain_sample.prepare spec
+  prepare_cold spec
 
 let test_fixed_draws () =
   let c = chain () in

@@ -208,6 +208,44 @@ let test_root_table_bit_identical_across_widths () =
         [ 2; 4 ])
     [ Strategy.Stream; Strategy.Group; Strategy.Count_sample ]
 
+(* Stream-Sample as written before it became the k = 2 walk: r draws
+   from a root table over m2(key), then one uniform pick in each drawn
+   row's R2 bucket, on the run's generator. The walk must return
+   exactly these positions, with the same work counters, at d = 1 and
+   d = 4. *)
+let test_stream_is_the_old_kernel () =
+  let r = 48 in
+  let reference env =
+    let keys1 = Column.int_view (Strategy.env_left env) ~col:Zipf_tables.col2 in
+    let m2 = Rsj_stats.Frequency.int_counter (Strategy.env_right_stats env) in
+    let root =
+      Root_table.of_weights
+        (Array.map (fun k -> float_of_int (Rsj_index.Int_index.Counter.get m2 k)) keys1)
+    in
+    let plane = Rsj_index.Hash_index.int_plane (Strategy.env_right_index env) in
+    let rng = Prng.split (Strategy.env_rng env) in
+    let s1 = Array.init r (fun _ -> Root_table.draw root rng) in
+    let rows = Array.make (2 * r) 0 in
+    Array.iteri
+      (fun j row ->
+        rows.(2 * j) <- row;
+        rows.((2 * j) + 1) <- Rsj_index.Int_index.random_row plane rng keys1.(row))
+      s1;
+    Relation.rehydrate [| Strategy.env_left env; Strategy.env_right env |] rows
+  in
+  let want = Array.map Tuple.to_string (reference (small_env ~seed:23 ())) in
+  List.iter
+    (fun d ->
+      let res = Rsj_parallel.run (small_env ~seed:23 ()) Strategy.Stream ~r ~domains:d in
+      Alcotest.(check (array string)) (Printf.sprintf "positions at d=%d" d) want
+        (Array.map Tuple.to_string res.Strategy.sample);
+      let m = res.Strategy.metrics in
+      Alcotest.(check (list int))
+        (Printf.sprintf "random accesses, index probes, join output at d=%d" d)
+        [ r; r; r ]
+        Rsj_exec.Metrics.[ m.random_accesses; m.index_probes; m.join_output_tuples ])
+    [ 1; 4 ]
+
 let test_parallel_more_domains_than_rows () =
   (* Chunks beyond the relation's size don't exist; idle domains must
      exit cleanly and the merge must cope. *)
@@ -619,6 +657,8 @@ let suite =
       test_root_table_empty_cases;
     Alcotest.test_case "root table: Stream/Group/Count WR equal at d = 1, 2, 4" `Quick
       test_root_table_bit_identical_across_widths;
+    Alcotest.test_case "Stream is the old root-table kernel, position for position" `Quick
+      test_stream_is_the_old_kernel;
     Alcotest.test_case "more domains than rows" `Quick test_parallel_more_domains_than_rows;
     Alcotest.test_case "parallel seeded reproducibility" `Quick test_parallel_deterministic;
     Alcotest.test_case "parallel WoR basics" `Quick test_parallel_wor_basics;

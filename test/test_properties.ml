@@ -300,10 +300,10 @@ let prop_statistics_scan_model =
       in
       freq_ok && tracked_ok && law_ok)
 
-(* The S1 root table of Stream/Group/Count, built by a plain env: row
-   i of R1 is drawn with probability m2(key_i)/|J| on every key kind,
-   and rows whose key is Null or absent from R2 are not in the table —
-   no draw lands on them. *)
+(* The S1 root table of Stream/Group/Count — the root of a plain env's
+   two-way walker: row i of R1 is drawn with probability m2(key_i)/|J|
+   on every key kind, and rows whose key is Null or absent from R2 are
+   not in the table — no draw lands on them. *)
 let prop_root_table_law =
   QCheck.Test.make ~name:"root table draws R1 row i with probability m2(key_i)/|J|" ~count:300
     QCheck.(triple small_nat key_column key_column)
@@ -315,7 +315,7 @@ let prop_root_table_law =
       let env =
         Strategy.make_env ~left:(rel ty1 c1) ~right:(rel ty2 c2) ~left_key:0 ~right_key:0 ()
       in
-      let root = Strategy.env_root_table env in
+      let root = Chain_sample.root (Strategy.env_walker env) in
       let keys = Array.of_list c1 in
       let join = Array.fold_left (fun acc v -> acc + model_m c2 v) 0 keys in
       let kept = Array.fold_left (fun n v -> if model_m c2 v > 0 then n + 1 else n) 0 keys in
