@@ -28,10 +28,6 @@ let count_where ~sample ~n ~pred =
   let xs = Array.map (fun t -> if pred t then 1. else 0.) sample in
   scaled_mean ~n xs
 
-let sum ~sample ~n ~col =
-  let xs = Array.map (fun t -> numeric_or_zero (Tuple.get t col)) sample in
-  scaled_mean ~n xs
-
 let sum_where ~sample ~n ~col ~pred =
   let xs =
     Array.map (fun t -> if pred t then numeric_or_zero (Tuple.get t col) else 0.) sample
@@ -89,9 +85,6 @@ let group_estimates ~sample ~n ~group_col ~value_of =
       groups []
   in
   List.sort (fun (_, a) (_, b) -> Float.compare b.value a.value) out
-
-let group_count ~sample ~n ~group_col =
-  group_estimates ~sample ~n ~group_col ~value_of:(fun _ -> 1.)
 
 let group_sum ~sample ~n ~group_col ~value_col =
   group_estimates ~sample ~n ~group_col ~value_of:(fun t ->

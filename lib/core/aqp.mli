@@ -14,19 +14,12 @@ open Rsj_relation
 type estimate = {
   value : float;  (** Point estimate. *)
   stderr : float;  (** Estimated standard error (0 when undefined). *)
-  ci_low : float;  (** value - z·stderr. *)
+  ci_low : float;  (** value - z·stderr, z = 1.96 (95%). *)
   ci_high : float;  (** value + z·stderr. *)
 }
 
-val confidence_z : float
-(** The z multiplier used for intervals: 1.96 (95%). *)
-
 val count_where : sample:Tuple.t array -> n:int -> pred:(Tuple.t -> bool) -> estimate
 (** Estimates |{t in J : pred t}| as n·(fraction of sample matching). *)
-
-val sum : sample:Tuple.t array -> n:int -> col:int -> estimate
-(** Estimates Σ over J of column [col] (numeric; NULLs contribute 0)
-    as n · (sample mean). *)
 
 val avg : sample:Tuple.t array -> col:int -> estimate
 (** Estimates the mean of column [col] over J directly from the sample
@@ -35,10 +28,6 @@ val avg : sample:Tuple.t array -> col:int -> estimate
 val sum_where :
   sample:Tuple.t array -> n:int -> col:int -> pred:(Tuple.t -> bool) -> estimate
 (** Σ of [col] over tuples satisfying [pred]. *)
-
-val group_count : sample:Tuple.t array -> n:int -> group_col:int -> (Value.t * estimate) list
-(** Per-group COUNT estimates, sorted descending by estimate. Groups
-    absent from the sample are (necessarily) absent from the output. *)
 
 val group_sum :
   sample:Tuple.t array -> n:int -> group_col:int -> value_col:int -> (Value.t * estimate) list

@@ -73,20 +73,33 @@ let sample rng ~metrics ~r ~left ~left_key ~right_index ?m_bound
     if Relation.cardinality left = 0 then
       invalid_arg "Olken_sample.sample: empty R1 with r > 0";
     let m = resolve_m_bound ~right_index m_bound in
-    if m = 0 then failwith "Olken_sample.sample: R2 has no joinable tuples";
-    let out = Array.make r [||] in
-    let produced = ref 0 in
-    let iterations = ref 0 in
-    while !produced < r do
-      incr iterations;
-      if !iterations > max_iterations then
-        failwith "Olken_sample.sample: iteration budget exhausted (join empty or near-empty?)";
-      match attempt rng ~metrics ~left ~left_key ~right_index ~m with
-      | Some t ->
-          out.(!produced) <- t;
-          incr produced
-      | None -> ()
-    done;
-    metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + r;
-    out
+    (* An empty join (every R1 key Null or missing from R2) is the
+       empty sample, as for every other strategy: the rejection loop
+       could only spin its whole budget on it. R1's keys are probed in
+       order, stopping at the first one that joins; the probes draw
+       nothing from [rng] and are not counted as work. *)
+    let n1 = Relation.cardinality left in
+    let rec joins i =
+      i < n1
+      && (Hash_index.multiplicity right_index (Tuple.attr (Relation.get left i) left_key) > 0
+         || joins (i + 1))
+    in
+    if not (joins 0) then [||]
+    else begin
+      let out = Array.make r [||] in
+      let produced = ref 0 in
+      let iterations = ref 0 in
+      while !produced < r do
+        incr iterations;
+        if !iterations > max_iterations then
+          failwith "Olken_sample.sample: iteration budget exhausted (join empty or near-empty?)";
+        match attempt rng ~metrics ~left ~left_key ~right_index ~m with
+        | Some t ->
+            out.(!produced) <- t;
+            incr produced
+        | None -> ()
+      done;
+      metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + r;
+      out
+    end
   end

@@ -55,7 +55,9 @@ val sample :
 
     [m_bound] is the upper bound M on m2(v) (default: the exact maximum
     from the index, the most favourable choice for Olken — a looser
-    bound only increases rejections). [max_iterations] (default
-    {!default_max_iterations}) guards against an empty join, where the
-    loop would never accept: exceeding it raises [Failure]. Raises
-    [Invalid_argument] if [left] is empty with [r > 0]. *)
+    bound only increases rejections). An empty join (no R1 key found in
+    R2) returns [[||]] without a round, as every other strategy does.
+    [max_iterations] (default {!default_max_iterations}) guards against
+    a near-empty join, where the loop would barely ever accept:
+    exceeding it raises [Failure]. Raises [Invalid_argument] if [left]
+    is empty with [r > 0]. *)

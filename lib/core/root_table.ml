@@ -1,7 +1,7 @@
 module Alias_table = Rsj_util.Dist.Alias_table
 
 (* [rows.(j)] is the row behind alias cell [j]; rows ascend (storage
-   order), which [row_prob] bisects on. *)
+   order). *)
 type t = { rows : int array; table : Alias_table.t option; total : float }
 
 let of_weights w =
@@ -31,15 +31,3 @@ let draw t rng =
 
 let size t = Array.length t.rows
 let total t = t.total
-
-let row_prob t row =
-  let rec find lo hi =
-    if lo >= hi then 0.
-    else
-      let mid = (lo + hi) / 2 in
-      let r = t.rows.(mid) in
-      if r = row then match t.table with Some table -> Alias_table.prob table mid | None -> 0.
-      else if r < row then find (mid + 1) hi
-      else find lo mid
-  in
-  find 0 (Array.length t.rows)

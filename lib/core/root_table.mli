@@ -30,7 +30,3 @@ val size : t -> int
 val total : t -> float
 (** Σ of the kept weights, summed in storage order: |J| for a two-way
     table (exact below 2^53). *)
-
-val row_prob : t -> int -> float
-(** Probability that {!draw} returns this row id; [0.] for a row that
-    is not in the table. *)

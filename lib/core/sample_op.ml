@@ -48,48 +48,3 @@ let coin_flip rng ~f child =
     ~name:(Printf.sprintf "Sample-CF (f=%g)" f)
     ~apply:(fun _metrics stream -> Black_box.coin_flip rng ~f stream)
     child
-
-let wor rng ~n ~r child =
-  let rng = Rsj_util.Prng.split rng in
-  transform
-    ~name:(Printf.sprintf "Sample-WoR (r=%d, n=%d)" r n)
-    ~apply:(fun _metrics stream -> Black_box.wor_sequential rng ~n ~r stream)
-    child
-
-let naive_sample_plan rng ~r ~left ~right ~left_key ~right_key =
-  u2 rng ~r
-    (Plan.Join { Plan.algorithm = Plan.Hash; left; right; left_key; right_key })
-
-let stream_sample_plan rng ~r ~left ~left_key ~right_index ~right_stats =
-  let rng = Rsj_util.Prng.split rng in
-  let weight t =
-    float_of_int (Rsj_stats.Frequency.frequency right_stats (Tuple.attr t left_key))
-  in
-  let sampled_outer = wr2 rng ~r ~weight left in
-  (* "We modified the join operator so that for each tuple sampled from
-     R1, we output exactly one tuple at random from among all the tuples
-     that join with R2." *)
-  let join_schema =
-    Rsj_relation.Schema.concat (Plan.schema_of left)
-      (Relation.schema (Rsj_index.Hash_index.relation right_index))
-  in
-  Plan.Transform
-    {
-      Plan.transform_name = "Join-one-random-match (Stream-Sample)";
-      child = sampled_outer;
-      out_schema = Some join_schema;
-      apply =
-        (fun metrics stream ->
-          Stream0.filter_map
-            (fun t1 ->
-              metrics.Metrics.index_probes <- metrics.Metrics.index_probes + 1;
-              match
-                Rsj_index.Hash_index.random_match right_index rng (Tuple.attr t1 left_key)
-              with
-              | Some t2 ->
-                  metrics.Metrics.join_output_tuples <-
-                    metrics.Metrics.join_output_tuples + 1;
-                  Some (Tuple.join t1 t2)
-              | None -> None)
-            stream);
-    }

@@ -34,26 +34,3 @@ val wr2 : Rsj_util.Prng.t -> r:int -> weight:(Tuple.t -> float) -> Plan.t -> Pla
 
 val coin_flip : Rsj_util.Prng.t -> f:float -> Plan.t -> Plan.t
 (** CF semantics: keep each row independently with probability [f]. *)
-
-val wor : Rsj_util.Prng.t -> n:int -> r:int -> Plan.t -> Plan.t
-(** Online WoR selection sampling; the child must produce exactly [n]
-    rows and [r <= n]. *)
-
-val naive_sample_plan :
-  Rsj_util.Prng.t -> r:int -> left:Plan.t -> right:Plan.t -> left_key:int -> right_key:int -> Plan.t
-(** The full Naive-Sample execution tree: hash join under a U2
-    reservoir — the paper's "added the U1 operator as the root of the
-    execution tree" construction, reservoir variant. *)
-
-val stream_sample_plan :
-  Rsj_util.Prng.t ->
-  r:int ->
-  left:Plan.t ->
-  left_key:int ->
-  right_index:Rsj_index.Hash_index.t ->
-  right_stats:Rsj_stats.Frequency.t ->
-  Plan.t
-(** The Stream-Sample execution tree: a WR2 operator inserted between
-    the outer scan and the join ("we inserted the WR1 operator as a
-    child of the join operator"), followed by a modified index join
-    that emits exactly one random match per outer row. *)

@@ -5,7 +5,6 @@ let to_string = function
   | WoR -> "without-replacement"
   | CF -> "coin-flip"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let all = [ WR; WoR; CF ]
 
 let convertible ~from ~into =

@@ -14,7 +14,6 @@ type t =
             with probability f; the sample size is Binomial(n, f). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val all : t list
 

@@ -92,8 +92,6 @@ let all_available =
 let nothing_available =
   { left_index = false; right_index = false; right_stats = false; right_histogram = false }
 
-exception Missing_structure of { strategy : string; structure : string }
-
 (* Structure names are stable identifiers: error messages, decision
    traces and the negative tests all match on them. *)
 let missing_r1 avail = function
@@ -127,11 +125,6 @@ let missing_structures avail strategy =
   match strategy with
   | Index_sample when not avail.right_index -> base @ [ "index(R2hi)" ]
   | _ -> base
-
-let require_structures avail strategy =
-  match missing_structures avail strategy with
-  | [] -> ()
-  | structure :: _ -> raise (Missing_structure { strategy = name strategy; structure })
 
 type env = {
   rng : Rsj_util.Prng.t;

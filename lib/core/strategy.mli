@@ -28,18 +28,6 @@ val of_name : string -> t option
 (** Case-insensitive; accepts the paper's hyphenated spellings
     ("Stream-Sample") and the short forms ("stream"). *)
 
-(** What a strategy needs to know about an operand (Table 1). *)
-type requirement =
-  | Nothing  (** The operand may be a pure stream. *)
-  | Index  (** Random access / index required. *)
-  | Index_or_stats  (** An index or full statistics. *)
-  | Statistics  (** Full frequency statistics (no index). *)
-  | Partial_statistics  (** An end-biased histogram suffices. *)
-
-val r1_requirement : t -> requirement
-val r2_requirement : t -> requirement
-val requirement_to_string : requirement -> string
-
 val table1 : unit -> (string * string * string) list
 (** Rows of the paper's Table 1: (strategy, R1 info, R2 info). *)
 
@@ -58,20 +46,13 @@ type availability = {
 val all_available : availability
 val nothing_available : availability
 
-exception Missing_structure of { strategy : string; structure : string }
-(** Raised by {!require_structures}; [structure] is the stable name of
-    the first absent requirement (e.g. ["index(R1)"],
-    ["statistics(R2)"], ["end-biased histogram(R2)"],
-    ["index(R2) or statistics(R2)"], ["index(R2hi)"]). *)
-
 val missing_structures : availability -> t -> string list
-(** Structure names required by the strategy (per {!r1_requirement} /
-    {!r2_requirement}, plus Index-Sample's hi-side index) that the
-    availability record does not provide; [[]] means runnable. *)
-
-val require_structures : availability -> t -> unit
-(** Raise {!Missing_structure} naming the first absent requirement, or
-    return unit when every requirement is met. *)
+(** Stable names of the structures the strategy requires (Table 1's
+    R1 and R2 columns, plus Index-Sample's hi-side index) that the
+    availability record does not provide, e.g. ["index(R1)"],
+    ["statistics(R2)"], ["end-biased histogram(R2)"],
+    ["index(R2) or statistics(R2)"], ["index(R2hi)"]; [[]] means
+    runnable. *)
 
 (** A prepared join instance: both relations materialized (so any
     strategy can run), auxiliary structures built lazily so a strategy
@@ -92,9 +73,6 @@ type prebuilt = {
   p_right_key_view : (unit -> int array) option;
   p_walker : (unit -> Chain_sample.t) option;
 }
-
-val no_prebuilt : prebuilt
-(** All fields [None] — the default private builds. *)
 
 val make_env :
   ?seed:int ->

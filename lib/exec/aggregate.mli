@@ -20,15 +20,13 @@ type t = {
   aggregates : (string * func) list;  (** Output-column name and function. *)
 }
 
-val output_schema : input:Schema.t -> t -> Schema.t
-(** Grouping columns (with their input names/types) followed by one
-    column per aggregate. Numeric aggregate columns are typed [T_float]
-    except [Count]/[Count_col] ([T_int]) and [Min]/[Max] (input type).
-    Raises [Invalid_argument] on out-of-range columns. *)
-
 val apply : t -> input:Schema.t -> Tuple.t Stream0.t -> Tuple.t Stream0.t
 (** Evaluate; group order is unspecified. Raises [Invalid_argument] if
     a [Sum]/[Avg] column holds a non-numeric value. *)
 
 val plan : t -> Plan.t -> Plan.t
-(** Wrap as a [Plan.Transform] node. *)
+(** Wrap as a [Plan.Transform] node. Its output schema is the grouping
+    columns (with their input names/types) followed by one column per
+    aggregate. Numeric aggregate columns are typed [T_float] except
+    [Count]/[Count_col] ([T_int]) and [Min]/[Max] (input type). Raises
+    [Invalid_argument] on out-of-range columns. *)

@@ -8,11 +8,8 @@ type t = {
 let default_disk =
   { page_size_tuples = 100; sequential_page_cost = 1.0; random_page_cost = 4.0; cpu_tuple_cost = 0.01 }
 
-let in_memory =
-  { page_size_tuples = 1; sequential_page_cost = 1.0; random_page_cost = 1.0; cpu_tuple_cost = 1.0 }
-
 let cost model (m : Metrics.t) =
-  if model.page_size_tuples <= 0 then invalid_arg "Io_model.cost: page_size_tuples <= 0";
+  if model.page_size_tuples <= 0 then invalid_arg "Io_model.relative_pct: page_size_tuples <= 0";
   let seq_pages =
     (m.tuples_scanned + model.page_size_tuples - 1) / model.page_size_tuples
   in

@@ -28,12 +28,7 @@ val default_disk : t
 (** 100 tuples/page, sequential 1.0, random 4.0, cpu 0.01 — magnetic-
     disk-era relative costs (the paper's setting). *)
 
-val in_memory : t
-(** Every touched tuple costs 1, pages are irrelevant: equals
-    {!Metrics.total_work} up to the page rounding of scans. *)
-
-val cost : t -> Metrics.t -> float
-(** Scalar cost of a run under the model. *)
-
 val relative_pct : t -> baseline:Metrics.t -> Metrics.t -> float
-(** [relative_pct model ~baseline m] = 100 · cost(m) / cost(baseline). *)
+(** [relative_pct model ~baseline m] = 100 · cost(m) / cost(baseline),
+    NaN when the baseline costs nothing. Raises [Invalid_argument] when
+    [page_size_tuples <= 0]. *)

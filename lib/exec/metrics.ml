@@ -11,7 +11,7 @@ type t = {
 }
 
 (* Single field-spec table. Every per-field operation below is derived
-   from it, so reset/copy/add/to_assoc/pp cannot drift apart when a
+   from it, so add/to_assoc/pp cannot drift apart when a
    counter is added: the compiler forces the new field into [create]'s
    record literal, and everything else reads this list. [output_tuples]
    is the one field excluded from [total_work] (delivering the sample
@@ -41,13 +41,6 @@ let create () =
     rejected_samples = 0;
     stats_lookups = 0;
   }
-
-let reset m = List.iter (fun (_, _, set) -> set m 0) fields
-
-let copy m =
-  let c = create () in
-  List.iter (fun (_, get, set) -> set c (get m)) fields;
-  c
 
 let add a b =
   let c = create () in

@@ -28,8 +28,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-val copy : t -> t
 val add : t -> t -> t
 (** Component-wise sum (fresh value). *)
 

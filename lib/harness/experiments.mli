@@ -78,27 +78,10 @@ val negative_demo : unit -> Report.t
 (** V3: Theorem 10 Monte-Carlo (empty sample-join rate on Example 1 vs
     the analytic prediction) and Theorem 12 feasibility rows. *)
 
-val disk_model_comparison : config -> Report.t
-(** V4: the Figure A sweep re-scored under {!Rsj_exec.Io_model}'s
-    disk cost model (random pages 4x sequential). Under disk costs
-    Olken-Sample's random accesses dominate and the paper's ordering
-    (Stream beats Olken at larger fractions) emerges from the same
-    runs whose in-memory wall-clock favours Olken. *)
-
-val all_strategies_comparison : config -> Report.t
-(** V5: every implemented strategy (including the §6.4 variants the
-    paper describes but does not plot) on one representative skewed
-    cell (Z = (1,2), fraction 1%): runtime %, work %, and the
-    dominant counter of each. *)
-
-val parallel_speedup : ?domain_counts:int list -> config -> Report.t
-(** V6: wall-clock speedup of the {!Rsj_parallel} runtime over the
-    sequential runner for Stream- and Group-Sample, plus the parallel
-    index/statistics build, at each requested domain count (default
-    [\[1; 2; 4\]]). Note the measurement only shows a speedup on a
-    machine with that many cores; the table reports the available
-    core count alongside. *)
-
 val run_all : Format.formatter -> unit
-(** Everything above, in paper order — the payload of
+(** Everything above, in paper order, then three reports of its own:
+    V4, the Figure A sweep re-scored under {!Rsj_exec.Io_model}'s disk
+    cost model; V5, every strategy (the §6.4 variants included) on one
+    skewed cell; V6, the {!Rsj_parallel} runtime against the
+    sequential runner at 1, 2 and 4 domains. The payload of
     [dune exec bench/main.exe]. *)

@@ -16,14 +16,11 @@ val render : Format.formatter -> t -> unit
 val print : t -> unit
 (** [render] to stdout. *)
 
-val render_csv : Format.formatter -> t -> unit
+val to_csv : t -> string
 (** Machine-readable rendering: one RFC-4180-style CSV line per row
     (header first, fields quoted when they contain commas, quotes or
     newlines; the title is not emitted). Raises [Invalid_argument] on a
     row-arity mismatch, like {!render}. *)
-
-val to_csv : t -> string
-(** {!render_csv} into a string. *)
 
 val pct : float -> string
 (** Format a percentage: ["63.1%"]; ["-"] for NaN. *)

@@ -19,16 +19,13 @@ val build : Relation.t -> key:int -> t
 val relation : t -> Relation.t
 val key : t -> int
 
-val lookup : t -> Value.t -> int array
-(** Row ids of tuples whose key equals the probe value, in storage
-    order (a fresh array). Empty for misses and for [Null]. *)
-
 val multiplicity : t -> Value.t -> int
 (** [multiplicity t v] is m(v), the number of matching tuples. *)
 
 val matching_tuples : t -> Value.t -> Tuple.t array
-(** Freshly allocated array of the matching tuples — the paper's
-    [Jt(R2)]. *)
+(** The tuples whose key equals the probe value, in storage order, as
+    a freshly allocated array — the paper's [Jt(R2)]. Empty for misses
+    and for [Null]. *)
 
 val random_match : t -> Rsj_util.Prng.t -> Value.t -> Tuple.t option
 (** [random_match t rng v] is a uniform random tuple among those with key
@@ -38,21 +35,12 @@ val random_match : t -> Rsj_util.Prng.t -> Value.t -> Tuple.t option
 val max_multiplicity : t -> int
 (** Largest m(v) over the domain — the upper bound M of Olken-Sample. *)
 
-val probe_count : t -> int
-(** Number of probes served since construction ({!lookup},
-    {!multiplicity}, {!matching_tuples}, {!random_match} and the int
-    probes below each count 1); feeds the work model. *)
-
 val int_plane : t -> Int_index.t
 (** The index itself, keyed by {!Column.key}. In-bucket row order is
     storage order. *)
 
-val note_probe : t -> unit
-(** Count one probe served through the raw {!int_plane} (callers that
-    walk its buckets directly still owe the work model a probe). *)
-
 val multiplicity_key : t -> int -> int
-(** {!multiplicity} of an int key (one probe). *)
+(** {!multiplicity} of an int key. *)
 
 val random_match_row : t -> Rsj_util.Prng.t -> int -> int
 (** {!random_match} of an int key: a uniform matching row id, or -1

@@ -74,6 +74,11 @@ let to_string v =
 
 exception Bad of string
 
+(* The parser recurses once per nesting level, so an unbounded depth
+   lets one request line overflow the daemon's stack. Every document
+   this library emits nests a handful of levels deep. *)
+let max_depth = 64
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -172,10 +177,12 @@ let parse (s : string) : (t, string) result =
           | Some f -> Float f
           | None -> fail (Printf.sprintf "bad number %S" lit))
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '"' -> Str (parse_string ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -188,11 +195,11 @@ let parse (s : string) : (t, string) result =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -211,7 +218,7 @@ let parse (s : string) : (t, string) result =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let fields = ref [ field () ] in
@@ -227,7 +234,7 @@ let parse (s : string) : (t, string) result =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

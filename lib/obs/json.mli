@@ -28,7 +28,9 @@ val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset this library emits plus
     standard escapes ([\uXXXX] decodes to UTF-8). Numbers without
     [./e/E] parse as [Int], others as [Float]. Rejects trailing
-    garbage. *)
+    garbage, and arrays or objects nested more than 64 deep (the
+    parser recurses per level, so the bound keeps a hostile line from
+    overflowing the stack). *)
 
 val member : string -> t -> t option
 (** [member k (Obj fields)] is the field [k] if present; [None] on any

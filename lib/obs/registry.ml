@@ -29,7 +29,7 @@ let atomic_add_float cell x =
 
 let default_buckets = Array.init 30 (fun i -> 1e-6 *. (2. ** float_of_int i))
 
-let bucket_index ?(buckets = default_buckets) v =
+let bucket_index buckets v =
   let n = Array.length buckets in
   let rec go i = if i >= n then n else if v <= buckets.(i) then i else go (i + 1) in
   go 0
@@ -106,10 +106,9 @@ let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
 let value c = Atomic.get c
 let set_gauge g v = Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let observe h v =
-  Atomic.incr h.counts.(bucket_index ~buckets:h.buckets v);
+  Atomic.incr h.counts.(bucket_index h.buckets v);
   atomic_add_float h.sum v
 
 let observed_count h = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.counts
@@ -133,18 +132,6 @@ let quantile h q =
     in
     go 0 0
   end
-
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Atomic.set c 0
-          | Gauge g -> Atomic.set g 0.
-          | Histogram h ->
-              Array.iter (fun c -> Atomic.set c 0) h.counts;
-              Atomic.set h.sum 0.)
-        metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

@@ -23,31 +23,23 @@ val value : counter -> int
 
 val gauge : ?help:string -> ?labels:labels -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val default_buckets : float array
-(** The shared exponential ladder: 30 upper bounds, powers of two from
-    1 µs (1e-6) to ~537 s — sized for pool wake latencies up through
-    whole-strategy runs, in seconds. *)
-
-val bucket_index : ?buckets:float array -> float -> int
-(** Index of the bucket whose upper bound first reaches [v]
-    ([v <= bound]); [Array.length buckets] — the +Inf slot — when [v]
-    exceeds every bound. *)
 
 val histogram : ?help:string -> ?labels:labels -> ?buckets:float array -> string -> histogram
+(** [buckets] are the upper bounds; the default is the shared
+    exponential ladder: 30 bounds, powers of two from 1 µs (1e-6) to
+    ~537 s — sized for pool wake latencies up through whole-strategy
+    runs, in seconds. *)
+
 val observe : histogram -> float -> unit
+(** Counts [v] in the first bucket whose bound reaches it
+    ([v <= bound]), or in the +Inf slot past every bound. *)
+
 val observed_count : histogram -> int
-val observed_sum : histogram -> float
 
 val quantile : histogram -> float -> float
 (** Upper bound of the bucket where the cumulative count crosses
     [q × count] — a factor-of-2 estimate by construction. [nan] when
     nothing was observed. *)
-
-val reset : unit -> unit
-(** Zero every registered metric (registrations survive). Test hook;
-    note it also zeroes the always-on pool counters. *)
 
 val to_prometheus : ?only:(string -> bool) -> unit -> string
 (** Prometheus text exposition: [# HELP]/[# TYPE] per family, then one

@@ -12,14 +12,14 @@
    (and always on close, which the daemon's drain path runs). *)
 
 let lock = Mutex.create ()
-let dest : (string * out_channel) option ref = ref None
+let dest : out_channel option ref = ref None
 let flush_interval_s = 0.5
 let last_flush = ref 0.
 
 let close () =
   Mutex.lock lock;
   (match !dest with
-  | Some (_, oc) -> ( try close_out oc with Sys_error _ -> ())
+  | Some oc -> ( try close_out oc with Sys_error _ -> ())
   | None -> ());
   dest := None;
   Mutex.unlock lock
@@ -30,14 +30,8 @@ let set_path = function
       close ();
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
       Mutex.lock lock;
-      dest := Some (path, oc);
+      dest := Some oc;
       Mutex.unlock lock
-
-let path () =
-  Mutex.lock lock;
-  let p = match !dest with Some (p, _) -> Some p | None -> None in
-  Mutex.unlock lock;
-  p
 
 let enabled () = Option.is_some !dest
 
@@ -45,7 +39,7 @@ let write fields =
   Mutex.lock lock;
   (match !dest with
   | None -> ()
-  | Some (_, oc) ->
+  | Some oc ->
       let now = Clock.now_s () in
       let base =
         [ ("ts", Json.Float now) ]

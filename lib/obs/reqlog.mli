@@ -6,9 +6,6 @@
 val set_path : string option -> unit
 (** Arm the log to append to the given file ([None]/[""] disarms). *)
 
-val path : unit -> string option
-(** The armed path, if any. *)
-
 val enabled : unit -> bool
 
 val write : (string * Json.t) list -> unit

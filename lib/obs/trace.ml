@@ -169,8 +169,7 @@ let to_json () =
       ("otherData", Json.Obj [ ("dropped_events", Json.Int (dropped ())) ]);
     ]
 
-let write_channel oc = output_string oc (Json.to_string (to_json ()))
-
 let write_file path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc (Json.to_string (to_json ())))

@@ -7,7 +7,7 @@
     appends only to its own ring, reached through domain-local storage,
     so recording takes no lock. Rings hold 2^15 events each; overflow
     increments a drop counter instead of growing, so tracing degrades
-    to truncation, never to unbounded memory. {!events}, {!to_json},
+    to truncation, never to unbounded memory. {!events}, {!write_file},
     {!clear} read/reset every ring and are meant for quiescent moments
     (after a pool barrier, between runs).
 
@@ -44,9 +44,7 @@ val dropped : unit -> int
 
 val clear : unit -> unit
 
-val to_json : unit -> Json.t
-(** The Chrome Trace Event document: [{"traceEvents": [...]}] with
-    per-domain [thread_name] metadata and a [dropped_events] tally. *)
-
-val write_channel : out_channel -> unit
 val write_file : string -> unit
+(** Write the Chrome Trace Event document: [{"traceEvents": [...]}]
+    with per-domain [thread_name] metadata and a [dropped_events]
+    tally. *)

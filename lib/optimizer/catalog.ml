@@ -16,22 +16,6 @@ type t = {
   join_size_stderr : float;
 }
 
-let make ?left_stats ?right_stats ?histogram ?(join_size_exact = false)
-    ?(join_size_stderr = 0.) ~availability ~n1 ~n2 ~join_size () =
-  if n1 < 0 || n2 < 0 then invalid_arg "Catalog.make: negative cardinality";
-  if join_size < 0. then invalid_arg "Catalog.make: negative join size";
-  {
-    availability;
-    n1;
-    n2;
-    left_stats;
-    right_stats;
-    histogram;
-    join_size;
-    join_size_exact;
-    join_size_stderr;
-  }
-
 (* Estimation budget when the join size cannot be read off statistics:
    a few hundred draws keeps the picker's own cost negligible next to
    the n1-tuple scan every strategy pays anyway. *)

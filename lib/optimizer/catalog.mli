@@ -4,9 +4,9 @@
     otherwise estimated through the best structure available
     ({!Rsj_stats.Join_estimate}).
 
-    A catalog is a plain value: {!make} builds synthetic states for the
-    golden decision tables, {!of_env} derives one from a prepared
-    {!Rsj_core.Strategy.env} under a declared availability mask. *)
+    A catalog is a plain record: {!of_env} derives one from a prepared
+    {!Rsj_core.Strategy.env} under a declared availability mask, and
+    the golden decision tables write synthetic states directly. *)
 
 type t = {
   availability : Rsj_core.Strategy.availability;
@@ -23,21 +23,6 @@ type t = {
   join_size_stderr : float;  (** 0 when exact. *)
 }
 
-val make :
-  ?left_stats:Rsj_stats.Frequency.t ->
-  ?right_stats:Rsj_stats.Frequency.t ->
-  ?histogram:Rsj_stats.Histogram.End_biased.t ->
-  ?join_size_exact:bool ->
-  ?join_size_stderr:float ->
-  availability:Rsj_core.Strategy.availability ->
-  n1:int ->
-  n2:int ->
-  join_size:float ->
-  unit ->
-  t
-(** Assemble a catalog state directly. Raises [Invalid_argument] on a
-    negative cardinality or join size. *)
-
 val of_env :
   ?estimate_seed:int ->
   ?estimate_draws:int ->
@@ -52,11 +37,6 @@ val of_env :
     estimator is chosen by the fallback chain: index-assisted when an
     R2 index exists, else bifocal over the histogram, else the
     cross-product estimator. *)
-
-val skew : t -> float
-(** Fraction of R2's tuples concentrated in heavy values: tracked mass
-    of the histogram over n2 when a histogram exists, else
-    max-frequency over total from statistics, else 0 (unknown). *)
 
 val max_multiplicity : t -> float option
 (** M = max_v m2(v) from statistics; from a histogram, the top tracked

@@ -17,7 +17,7 @@ let fi = float_of_int
 
 (* Distinct-count guess when only a histogram exists: the histogram
    names its tracked (heavy) values; doubling that count is a crude but
-   serviceable stand-in for the low-frequency tail. Exposed for tests. *)
+   serviceable stand-in for the low-frequency tail. *)
 let distinct_guess (c : Catalog.t) =
   match c.right_stats with
   | Some m2 -> max 1 (Frequency.distinct_count m2)

@@ -26,18 +26,13 @@ type costing = {
   formula : string;  (** Rendered formula with substituted values. *)
 }
 
-val cost : Catalog.t -> query_shape -> Rsj_core.Strategy.t -> costing
-(** The paper's formulas: Naive [n1+n2+|J|]; Olken [r·M·n1/|J|]
-    (Thm 5; [infinity] when the join is empty and [r > 0]); Stream
-    [n1+r] (Thm 6); Group [n1 + r·Σm1m2²/|J|] (Thm 7);
-    Frequency-Partition [n1 + Σ_lo m1m2 + r·Σ_hi m1m2²/Σ_hi m1m2]
-    (Thm 8); Index-Sample [n1 + r + Σ_lo m1m2] (Thm 9); Count/Hybrid
-    [n1+n2+r] (§6.4). *)
-
 val all_costs : Catalog.t -> query_shape -> costing list
-(** One costing per strategy, in {!Rsj_core.Strategy.all} order. *)
-
-val distinct_guess : Catalog.t -> int
-(** The d used by the uniform-m1 approximation: exact distinct count
-    when statistics exist, else twice the histogram's tracked count,
-    else 1. Exposed for the golden decision tests. *)
+(** One costing per strategy, in {!Rsj_core.Strategy.all} order, by
+    the paper's formulas: Naive [n1+n2+|J|]; Olken [r·M·n1/|J|] (Thm 5;
+    [infinity] when the join is empty and [r > 0]); Stream [n1+r]
+    (Thm 6); Group [n1 + r·Σm1m2²/|J|] (Thm 7); Frequency-Partition
+    [n1 + Σ_lo m1m2 + r·Σ_hi m1m2²/Σ_hi m1m2] (Thm 8); Index-Sample
+    [n1 + r + Σ_lo m1m2] (Thm 9); Count/Hybrid [n1+n2+r] (§6.4). The
+    uniform-m1 approximation takes d as the exact distinct count when
+    statistics exist, else twice the histogram's tracked count, else
+    1. *)

@@ -4,8 +4,6 @@ module Value = Rsj_relation.Value
 
 type interval = { lo : float; hi : float }
 
-let contains i x = i.lo <= x && x <= i.hi
-let width i = i.hi -. i.lo
 let everything = { lo = neg_infinity; hi = infinity }
 
 type line = {
@@ -123,8 +121,6 @@ let make ?(confidence = 0.95) ?range ?(pred = fun (_ : Tuple.t) -> true) ~sample
         }
   in
   { r; n; confidence; range_assumed; lines = [ sum_line; count_line; avg_line ] }
-
-let line t aggregate = List.find_opt (fun l -> l.aggregate = aggregate) t.lines
 
 let pp ppf t =
   Format.fprintf ppf "error report: r=%d |J|=%d confidence=%.0f%%%s@," t.r t.n

@@ -15,9 +15,6 @@
 
 type interval = { lo : float; hi : float }
 
-val contains : interval -> float -> bool
-val width : interval -> float
-
 type line = {
   aggregate : string;  (** ["sum"], ["count"], or ["avg"]. *)
   estimate : float;
@@ -53,8 +50,4 @@ val make :
     Raises [Invalid_argument] on an empty sample, negative [n],
     confidence outside (0,1), or an inverted range. *)
 
-val line : t -> string -> line option
-(** Look up a line by aggregate name. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

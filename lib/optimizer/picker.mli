@@ -45,11 +45,6 @@ val decide :
     available (a materialized env can build any of Table 1) at
     [Cost_model.shape ~r]. *)
 
-val rank : Rsj_core.Strategy.t -> int
-(** The tie-break preference order (lower wins). Exposed so tests can
-    pin it. *)
-
-val pp : Format.formatter -> decision -> unit
 val to_string : decision -> string
 (** Multi-line trace: header with choice and reason, catalog summary,
     then one row per candidate ([*] marks the winner). *)

@@ -53,7 +53,7 @@ type stats = {
    would break bit-identity across pool widths. *)
 let default_chunk_size ~n = max 1 (min 4096 (n / 16))
 
-let run ?pool ~domains ~chunks ~task () =
+let run ~domains ~chunks ~task () =
   if domains <= 0 then invalid_arg "Chunk_scheduler.run: domains <= 0";
   if chunks < 0 then invalid_arg "Chunk_scheduler.run: chunks < 0";
   let results = Array.make chunks None in
@@ -92,7 +92,7 @@ let run ?pool ~domains ~chunks ~task () =
     done;
     !mine
   in
-  let pool = match pool with Some p -> p | None -> Domain_pool.global () in
+  let pool = Domain_pool.global () in
   let claims =
     Obs.Trace.with_span ~cat:"chunk"
       ~args:[ ("chunks", Rsj_obs.Json.Int chunks); ("domains", Rsj_obs.Json.Int domains) ]

@@ -33,7 +33,6 @@ val default_chunk_size : n:int -> int
     environment can change a fixed-seed sample. *)
 
 val run :
-  ?pool:Domain_pool.t ->
   domains:int ->
   chunks:int ->
   task:(int -> 'a) ->
@@ -41,8 +40,8 @@ val run :
   'a array * stats
 (** [run ~domains ~chunks ~task ()] evaluates [task i] for every
     [i ∈ \[0, chunks)] across [domains] domains (the caller runs as
-    domain 0; [domains - 1] workers come from [pool], defaulting to
-    {!Domain_pool.global}), claiming indices off the shared cursor.
+    domain 0; [domains - 1] workers come from {!Domain_pool.global}),
+    claiming indices off the shared cursor.
     Returns the results in chunk order plus the per-domain claim
     counts. If some [task i] raised, the exception propagates after
     all domains have drained the cursor. Raises [Invalid_argument]

@@ -158,12 +158,6 @@ let await w =
 let create () =
   { lock = Mutex.create (); workers = [||]; handles = []; closed = false; in_use = false }
 
-let live_workers t =
-  Mutex.lock t.lock;
-  let n = Array.length t.workers in
-  Mutex.unlock t.lock;
-  n
-
 (* Sequential fallback: same results as the parallel path whenever f
    depends only on its index, which is the pool's usage contract. The
    explicit loop fixes the evaluation order (Array.init's is

@@ -28,20 +28,18 @@
     on the caller, a pooled worker, or the sequential fallback. *)
 
 type t
-(** A pool handle. Use from one domain at a time: {!run} holds the
-    pool for the duration of the call, and a reentrant or concurrent
-    {!run} on the same pool falls back to running all indices on the
-    calling domain (same results, no parallelism) rather than
-    deadlocking. *)
-
-val create : unit -> t
-(** A fresh pool with no workers; {!run} grows it on demand. *)
+(** A pool handle. {!run} holds the pool for the duration of the
+    call, and a reentrant or concurrent {!run} falls back to running
+    all indices on the calling domain (same results, no parallelism)
+    rather than deadlocking. *)
 
 val global : unit -> t
 (** The process-wide pool shared by the whole runtime
     ({!Chunk_scheduler}, [Rsj_parallel], the parallel statistics and
-    index builders). Created on first use; an [at_exit] hook shuts it
-    down so no worker domain outlives the process' main flow. *)
+    index builders), and the only pool. Created on first use with no
+    workers; an [at_exit] hook wakes every worker with a stop flag and
+    joins them all, so no worker domain outlives the process' main
+    flow. *)
 
 val run : t -> domains:int -> (int -> 'a) -> 'a array
 (** [run t ~domains f] evaluates [f k] for every [k ∈ [0, domains)] —
@@ -53,16 +51,6 @@ val run : t -> domains:int -> (int -> 'a) -> 'a array
     worker has returned to idle; the pool remains usable. On a closed
     or busy pool the indices all run sequentially on the caller.
     Raises [Invalid_argument] if [domains < 0]. *)
-
-val live_workers : t -> int
-(** Number of worker domains currently parked in or running for the
-    pool (excludes the caller). *)
-
-val shutdown : t -> unit
-(** Wake every worker with a stop flag and join them all; afterwards
-    {!live_workers} is [0] and subsequent {!run}s execute sequentially
-    on the caller. Idempotent. The {!global} pool registers this via
-    [at_exit]. *)
 
 (** {2 Spawn accounting}
 

@@ -326,18 +326,23 @@ let run_count env ~r ~domains rng ~keys1 ~keys2 ~root ~freq =
    concatenation below depend only on counters and timing — never on
    the sampled values — so the surviving pairs are r iid uniform draws
    from the join, exactly the sequential Olken law. The global
-   iteration budget is divided evenly across domains. *)
+   iteration budget is divided evenly across domains. An empty join
+   (every R1 key Null or missing from R2) is the empty sample, as in
+   the sequential kernel (Olken_sample.sample) and every other
+   strategy: the rejection rounds could only spin their whole budget on
+   it, so R1's keys are probed first, stopping at the first one that
+   joins. *)
 let run_olken env ~r ~domains rng ~keys1 =
   let open Metrics in
-  if r = 0 then ([||], Metrics.create ())
+  let left = Strategy.env_left env in
+  if r > 0 && Relation.cardinality left = 0 then
+    invalid_arg "Rsj_parallel.run(Olken): empty R1 with r > 0";
+  let right_index = Strategy.env_right_index env in
+  if r = 0 || not (Array.exists (fun k -> Hash_index.multiplicity_key right_index k > 0) keys1)
+  then ([||], Metrics.create ())
   else begin
-    let left = Strategy.env_left env in
-    if Relation.cardinality left = 0 then
-      invalid_arg "Rsj_parallel.run(Olken): empty R1 with r > 0";
     let left_n = Relation.cardinality left in
-    let right_index = Strategy.env_right_index env in
     let m = Hash_index.max_multiplicity right_index in
-    if m = 0 then failwith "Rsj_parallel.run(Olken): R2 has no joinable tuples";
     let budget = max 1 (Olken_sample.default_max_iterations / domains) in
     let rngs = Prng.split_n rng domains in
     let tickets = Atomic.make 0 in
@@ -455,10 +460,7 @@ let run_hybrid_count env ~r ~domains rng ~keys1 ~keys2 ~tracked =
 
 let run_index_sample env ~r ~domains rng ~keys1 ~tracked ~lo_tbl =
   let right_index = Strategy.env_right_index env in
-  let on_lo_probe (m : Metrics.t) =
-    m.Metrics.index_probes <- m.Metrics.index_probes + 1;
-    Hash_index.note_probe right_index
-  in
+  let on_lo_probe (m : Metrics.t) = m.Metrics.index_probes <- m.Metrics.index_probes + 1 in
   let acc, metrics =
     partition_pass env ~r ~domains rng ~keys1 ~tracked ~lo_tbl ~on_lo_probe
   in

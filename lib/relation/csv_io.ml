@@ -18,9 +18,8 @@ let field_of_value = function
   | Value.Null -> ""
   | Value.Int x -> string_of_int x
   | Value.Float x -> Printf.sprintf "%.17g" x
-  | Value.Str s -> escape_field (if s = "" then "\"\"" else s) |> fun e ->
-      (* empty string must be quoted to distinguish it from NULL *)
-      if s = "" then "\"\"" else e
+  | Value.Str "" -> "\"\"" (* quoted, to tell the empty string from NULL *)
+  | Value.Str s -> escape_field s
 
 let save ~path rel =
   let oc = open_out path in

@@ -40,8 +40,6 @@ let append_unchecked t row =
   t.version <- t.version + 1
 
 let uid t = t.uid
-let version t = t.version
-
 (* A fingerprint identifies one immutable snapshot of one relation:
    any append changes it, and no two relations ever share one. Derived
    caches (Structure_cache) key on it so stale entries can never be
@@ -70,11 +68,6 @@ let iter t f =
     f t.rows.(i)
   done
 
-let iteri t f =
-  for i = 0 to t.size - 1 do
-    f i t.rows.(i)
-  done
-
 let fold t ~init ~f =
   let acc = ref init in
   iter t (fun row -> acc := f !acc row);
@@ -84,8 +77,6 @@ let of_tuples ?name schema tuples =
   let t = create ?name ~capacity:(max 1 (List.length tuples)) schema in
   List.iter (append t) tuples;
   t
-
-let of_rows ?name schema rows = of_tuples ?name schema (List.map Array.of_list rows)
 
 let to_stream t =
   let i = ref 0 in
@@ -99,36 +90,11 @@ let to_stream t =
       end)
     ()
 
-let stream_range t ~lo ~hi =
-  if lo < 0 || hi > t.size || lo > hi then
-    invalid_arg
-      (Printf.sprintf "Relation.stream_range(%s): [%d,%d) outside [0,%d)" t.name lo hi t.size);
-  let i = ref lo in
-  Stream0.make
-    ~next:(fun () ->
-      if !i >= hi then None
-      else begin
-        let row = t.rows.(!i) in
-        incr i;
-        Some row
-      end)
-    ()
-
-let shards t ~n =
-  if n <= 0 then invalid_arg (Printf.sprintf "Relation.shards(%s): n <= 0" t.name);
-  Array.init n (fun k ->
-      stream_range t ~lo:(k * t.size / n) ~hi:((k + 1) * t.size / n))
-
 let chunk_count t ~chunk_size =
   if chunk_size <= 0 then
     invalid_arg (Printf.sprintf "Relation.chunk_count(%s): chunk_size <= 0" t.name);
   (t.size + chunk_size - 1) / chunk_size
 
-let to_list t = List.init t.size (fun i -> t.rows.(i))
-let to_array t = Array.init t.size (fun i -> t.rows.(i))
-
 let random_row t rng =
   if t.size = 0 then invalid_arg (Printf.sprintf "Relation.random_row(%s): empty" t.name);
   t.rows.(Rsj_util.Prng.int rng t.size)
-
-let column_values t col = Array.init t.size (fun i -> Tuple.get t.rows.(i) col)

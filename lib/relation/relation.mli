@@ -19,13 +19,11 @@ val cardinality : t -> int
 val uid : t -> int
 (** Process-unique identity assigned at creation; never reused. *)
 
-val version : t -> int
-(** Mutation counter: bumped on every {!append}/{!append_unchecked}. *)
-
 val fingerprint : t -> int
 (** Identifies one immutable snapshot of one relation: combines {!uid}
-    and {!version}, so any mutation (and any other relation) yields a
-    different fingerprint. The {!Rsj_cache.Structure_cache} keys its
+    and a mutation counter bumped on every {!append}/{!append_unchecked},
+    so any mutation (and any other relation) yields a different
+    fingerprint. The {!Rsj_cache.Structure_cache} keys its
     memoized auxiliary structures on it. *)
 
 val append : t -> Tuple.t -> unit
@@ -49,28 +47,15 @@ val rehydrate : t array -> int array -> Tuple.t array
     on an empty [rels], a ragged [rows] or an out-of-range id. *)
 
 val iter : t -> (Tuple.t -> unit) -> unit
-val iteri : t -> (int -> Tuple.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Tuple.t -> 'a) -> 'a
 
 val of_tuples : ?name:string -> Schema.t -> Tuple.t list -> t
-val of_rows : ?name:string -> Schema.t -> Value.t list list -> t
 
 val to_stream : t -> Tuple.t Stream0.t
 (** A single-pass cursor over the rows in storage order. The cursor does
     not reveal the relation's cardinality — strategies that need [n] must
     take it as an explicit argument, mirroring the paper's distinction
     between U1 (knows [n]) and U2 (does not). *)
-
-val stream_range : t -> lo:int -> hi:int -> Tuple.t Stream0.t
-(** Single-pass cursor over rows [lo, hi) in storage order. Raises
-    [Invalid_argument] unless [0 <= lo <= hi <= cardinality]. *)
-
-val shards : t -> n:int -> Tuple.t Stream0.t array
-(** [shards t ~n] splits the row range into [n] contiguous,
-    near-equal-size sub-streams covering every row exactly once. The
-    shards read shared storage and are safe to consume from distinct
-    domains as long as the relation is not mutated meanwhile. Raises
-    [Invalid_argument] if [n <= 0]. *)
 
 val chunk_count : t -> chunk_size:int -> int
 (** Number of fixed-size chunks covering the row range —
@@ -79,20 +64,6 @@ val chunk_count : t -> chunk_size:int -> int
     scheduler ({!Rsj_parallel.Chunk_scheduler}). Raises
     [Invalid_argument] if [chunk_size <= 0]. *)
 
-val to_list : t -> Tuple.t list
-val to_array : t -> Tuple.t array
-(** Copies; mutating the result does not affect the relation. *)
-
 val random_row : t -> Rsj_util.Prng.t -> Tuple.t
 (** Uniform random row; the Olken-Sample access path. Raises
     [Invalid_argument] on an empty relation. *)
-
-val column_values : t -> int -> Value.t array
-[@@ocaml.deprecated
-  "boxed column copy — hot paths use Column.int_view (the compact data plane's flat int \
-   extraction) instead"]
-(** All values in one column, in row order, as boxed values.
-
-    @deprecated Hot paths should use {!Column.int_view}: the flat
-    [int array] extraction that the sampling inner loops scan without
-    allocation. This boxed copy remains only for debug/report code. *)

@@ -50,18 +50,6 @@ let project t idxs =
   in
   create cols
 
-let rename t mapping =
-  let cols =
-    Array.map
-      (fun c ->
-        match List.assoc_opt c.name mapping with
-        | Some fresh -> { c with name = fresh }
-        | None -> c)
-      t.cols
-  in
-  List.iter (fun (src, _) -> if not (mem t src) then raise Not_found) mapping;
-  build cols
-
 let validate t row =
   if Array.length row <> arity t then
     Error
@@ -80,14 +68,3 @@ let validate t row =
       row;
     match !bad with None -> Ok () | Some msg -> Error msg
   end
-
-let equal a b =
-  arity a = arity b
-  && Array.for_all2 (fun x y -> String.equal x.name y.name && x.ty = y.ty) a.cols b.cols
-
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf c -> Format.fprintf ppf "%s:%s" c.name (Value.ty_to_string c.ty)))
-    (Array.to_list t.cols)

@@ -26,8 +26,6 @@ val column_index_opt : t -> string -> int option
 val column_name : t -> int -> string
 val column_ty : t -> int -> Value.ty
 
-val mem : t -> string -> bool
-
 val concat : ?left_prefix:string -> ?right_prefix:string -> t -> t -> t
 (** [concat a b] is the schema of a join output: [a]'s columns followed by
     [b]'s. Name collisions are resolved by the optional prefixes (default
@@ -37,12 +35,5 @@ val project : t -> int list -> t
 (** [project t idxs] keeps columns [idxs] in the given order. Raises
     [Invalid_argument] on an out-of-range index. *)
 
-val rename : t -> (string * string) list -> t
-(** [rename t mapping] renames columns; unknown source names raise
-    [Not_found]. *)
-
 val validate : t -> Value.t array -> (unit, string) result
 (** [validate t row] checks arity and per-column type conformance. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

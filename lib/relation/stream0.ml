@@ -49,17 +49,6 @@ let of_list l =
           Some x)
     ()
 
-let of_seq seq =
-  let state = ref seq in
-  make
-    ~next:(fun () ->
-      match Seq.uncons !state with
-      | None -> None
-      | Some (x, tl) ->
-          state := tl;
-          Some x)
-    ()
-
 let empty () = make ~next:(fun () -> None) ()
 
 let iter f t =
@@ -113,23 +102,6 @@ let concat_map f t =
       close t)
     ()
 
-let append a b =
-  let first = ref true in
-  let rec pull () =
-    if !first then
-      match next a with
-      | Some _ as r -> r
-      | None ->
-          first := false;
-          pull ()
-    else next b
-  in
-  make ~next:pull
-    ~close:(fun () ->
-      close a;
-      close b)
-    ()
-
 let take n t =
   let remaining = ref n in
   make
@@ -162,7 +134,3 @@ let on_element f t =
           r)
     ~close:(fun () -> close t)
     ()
-
-let tee_count t =
-  let count = ref 0 in
-  (on_element (fun _ -> incr count) t, fun () -> !count)

@@ -23,22 +23,17 @@ val close : 'a t -> unit
 
 val of_list : 'a list -> 'a t
 val of_array : 'a array -> 'a t
-val of_seq : 'a Seq.t -> 'a t
 val empty : unit -> 'a t
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Drain the stream, applying [f] to every element. *)
 
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val map : ('a -> 'b) -> 'a t -> 'b t
 val filter : ('a -> bool) -> 'a t -> 'a t
 val filter_map : ('a -> 'b option) -> 'a t -> 'b t
 
 val concat_map : ('a -> 'b t) -> 'a t -> 'b t
 (** Flatten: used to expand one input tuple into its join matches. *)
-
-val append : 'a t -> 'a t -> 'a t
-(** Sequential composition: drain the first, then the second. *)
 
 val take : int -> 'a t -> 'a t
 (** At most [n] elements; closes the source once satisfied. *)
@@ -48,11 +43,6 @@ val length : 'a t -> int
 
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
-
-val tee_count : 'a t -> 'a t * (unit -> int)
-(** [tee_count s] is a stream observing [s] plus a counter of elements
-    that have passed through — how Frequency-Partition-Sample measures
-    nlo/nhi while the join "is being produced" (§6.3 step 3). *)
 
 val on_element : ('a -> unit) -> 'a t -> 'a t
 (** Side-effecting tap, applied to each element as it streams by. *)

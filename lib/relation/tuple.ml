@@ -1,7 +1,6 @@
 type t = Value.t array
 
 let create = Array.of_list
-let of_ints l = Array.of_list (List.map Value.int l)
 
 let get t i =
   if i < 0 || i >= Array.length t then invalid_arg "Tuple.get: index out of range";
@@ -10,21 +9,8 @@ let get t i =
 let attr = get
 let join t1 t2 = Array.append t1 t2
 let project t idxs = Array.of_list (List.map (get t) idxs)
-let arity = Array.length
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
-
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 

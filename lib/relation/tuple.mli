@@ -9,7 +9,6 @@
 type t = Value.t array
 
 val create : Value.t list -> t
-val of_ints : int list -> t
 
 val get : t -> int -> Value.t
 (** [get t i] with bounds checking; raises [Invalid_argument]. *)
@@ -22,9 +21,7 @@ val join : t -> t -> t
 (** [join t1 t2] is the concatenated join output row [t1 ⋈ t2]. *)
 
 val project : t -> int list -> t
-val arity : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -6,12 +6,6 @@ type t =
 
 type ty = T_int | T_float | T_str
 
-let ty_of = function
-  | Null -> None
-  | Int _ -> Some T_int
-  | Float _ -> Some T_float
-  | Str _ -> Some T_str
-
 let conforms v ty =
   match (v, ty) with
   | Null, _ -> true
@@ -65,10 +59,6 @@ let to_float_exn = function
   | Int x -> float_of_int x
   | Null -> invalid_arg "Value.to_float_exn: null"
   | Str _ -> invalid_arg "Value.to_float_exn: string"
-
-let to_str_exn = function
-  | Str s -> s
-  | _ -> invalid_arg "Value.to_str_exn: not a string"
 
 let is_null = function Null -> true | Int _ | Float _ | Str _ -> false
 

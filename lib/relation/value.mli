@@ -15,9 +15,6 @@ type t =
 type ty = T_int | T_float | T_str
 (** Column types for schema declarations. [Null] inhabits every type. *)
 
-val ty_of : t -> ty option
-(** [ty_of v] is the type of [v], or [None] for [Null]. *)
-
 val conforms : t -> ty -> bool
 (** [conforms v ty] holds when [v] may appear in a column of type [ty]
     ([Null] conforms to every type). *)
@@ -44,9 +41,6 @@ val to_int_exn : t -> int
 
 val to_float_exn : t -> float
 (** Accepts [Int] (widened) and [Float]; raises otherwise. *)
-
-val to_str_exn : t -> string
-(** Raises [Invalid_argument] unless the value is [Str]. *)
 
 val is_null : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -101,9 +101,6 @@ let rows_detail = function
 let register_path t ~name ~path =
   rows_detail (simple t (P.Register { id = fresh_id t; name; source = P.From_path path }))
 
-let register_rows t ~name ~schema ~rows =
-  rows_detail (simple t (P.Register { id = fresh_id t; name; source = P.Inline (schema, rows) }))
-
 let sample t ~left ~right ~r ?strategy ?(seed = 0x5EED) ?(wor = false) ?(domains = 1)
     ?(on = "col2") ?deadline_ms ?rid () =
   rpc t

@@ -17,11 +17,6 @@ val fd : t -> Unix.file_descr
 val fresh_id : t -> int
 (** Next request id on this connection (monotone). *)
 
-val next_response : t -> Protocol.response
-(** Read one response frame (blocking), for callers that pipeline raw
-    request lines on {!fd}. Raises [Failure] on EOF or an undecodable
-    frame. *)
-
 type reply = {
   rows : Value.t list list;  (** Concatenation of the [rows] frames. *)
   detail : (string * Rsj_obs.Json.t) list;  (** The [ok]/[done] frame's payload. *)
@@ -37,10 +32,6 @@ val rpc : t -> Protocol.request -> (reply, Protocol.error_code * string) result
 val ping : t -> bool
 val register_path : t -> name:string -> path:string -> (int, string) result
 (** Rows loaded, or an error message. *)
-
-val register_rows :
-  t -> name:string -> schema:(string * Value.ty) list -> rows:Value.t list list ->
-  (int, string) result
 
 val sample :
   t ->

@@ -114,8 +114,6 @@ let value_of_json = function
   | Json.Str s -> Ok (Value.Str s)
   | Json.Bool _ | Json.List _ | Json.Obj _ -> Error "cell must be null, number or string"
 
-let tuple_to_json t = Json.List (Array.to_list (Array.map value_to_json t))
-
 let ty_to_wire = function Value.T_int -> "int" | Value.T_float -> "float" | Value.T_str -> "str"
 
 let ty_of_wire = function

@@ -89,14 +89,6 @@ val request_rid : request -> string option
 (** The client-supplied request id, when the operation carries one. *)
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
-
-val value_to_json : Value.t -> Rsj_obs.Json.t
-val value_of_json : Rsj_obs.Json.t -> (Value.t, string) result
-(** Cell codec: [Null]/[Bool]→error/[Int]/[Float]/[Str] map onto
-    {!Rsj_relation.Value.t} losslessly. *)
-
-val tuple_to_json : Tuple.t -> Rsj_obs.Json.t
 
 val encode_request : request -> string
 (** One line, no trailing newline. *)

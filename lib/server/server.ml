@@ -167,7 +167,7 @@ let exec_register st ~id ~name ~source =
          with Failure msg -> rejectf P.Bad_request "cannot load %S: %s" path msg)
     | P.Inline (cols, rows) -> (
         if cols = [] then rejectf P.Bad_request "inline register needs a non-empty schema";
-        try Relation.of_rows ~name (Schema.of_list cols) rows
+        try Relation.of_tuples ~name (Schema.of_list cols) (List.map Array.of_list rows)
         with Invalid_argument msg -> rejectf P.Bad_request "bad inline rows: %s" msg)
   in
   (match Hashtbl.find_opt st.catalog name with

@@ -21,10 +21,6 @@ type sample_size = Abs of int | Pct of float
 
 type sample_clause = { size : sample_size; strategy : string option }
 
-let sample_size_to_string = function
-  | Abs n -> string_of_int n
-  | Pct p -> Printf.sprintf "%g%%" p
-
 type query = {
   explain : bool;  (** [EXPLAIN SELECT ...]: plan, don't execute. *)
   select : select_item list;
@@ -38,69 +34,3 @@ type query = {
 
 let column_to_string c =
   match c.table with Some t -> t ^ "." ^ c.name | None -> c.name
-
-let literal_to_string = function
-  | L_int i -> string_of_int i
-  | L_float f -> Printf.sprintf "%g" f
-  | L_str s -> Printf.sprintf "'%s'" s
-
-let comparison_to_string = function
-  | Eq -> "="
-  | Ne -> "<>"
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-
-let agg_to_string = function
-  | Count -> "count"
-  | Sum -> "sum"
-  | Avg -> "avg"
-  | Min -> "min"
-  | Max -> "max"
-
-let select_item_to_string = function
-  | S_star -> "*"
-  | S_col (c, alias) ->
-      column_to_string c ^ (match alias with Some a -> " as " ^ a | None -> "")
-  | S_agg (f, arg, alias) ->
-      agg_to_string f ^ "("
-      ^ (match arg with Some c -> column_to_string c | None -> "*")
-      ^ ")"
-      ^ (match alias with Some a -> " as " ^ a | None -> "")
-
-let pp_query ppf q =
-  if q.explain then Format.fprintf ppf "explain ";
-  Format.fprintf ppf "select %s from %s"
-    (String.concat ", " (List.map select_item_to_string q.select))
-    (String.concat ", "
-       (List.map
-          (fun (t, alias) -> match alias with Some a -> t ^ " " ^ a | None -> t)
-          q.from));
-  if q.where <> [] then
-    Format.fprintf ppf " where %s"
-      (String.concat " and "
-         (List.map
-            (fun c ->
-              Printf.sprintf "%s %s %s" (column_to_string c.left)
-                (comparison_to_string c.cmp)
-                (match c.right with
-                | O_col col -> column_to_string col
-                | O_lit l -> literal_to_string l))
-            q.where));
-  if q.group_by <> [] then
-    Format.fprintf ppf " group by %s"
-      (String.concat ", " (List.map column_to_string q.group_by));
-  if q.order_by <> [] then
-    Format.fprintf ppf " order by %s"
-      (String.concat ", "
-         (List.map
-            (fun (c, d) ->
-              column_to_string c ^ (match d with Asc -> "" | Desc -> " desc"))
-            q.order_by));
-  (match q.sample with
-  | Some s ->
-      Format.fprintf ppf " sample %s%s" (sample_size_to_string s.size)
-        (match s.strategy with Some st -> " using " ^ st | None -> "")
-  | None -> ());
-  match q.limit with Some n -> Format.fprintf ppf " limit %d" n | None -> ()

@@ -44,8 +44,6 @@ type sample_clause = {
           equi-join). *)
 }
 
-val sample_size_to_string : sample_size -> string
-
 type query = {
   explain : bool;  (** [EXPLAIN SELECT ...]: plan (and pick), don't execute. *)
   select : select_item list;
@@ -59,5 +57,4 @@ type query = {
   limit : int option;
 }
 
-val pp_query : Format.formatter -> query -> unit
 val column_to_string : column -> string

@@ -18,7 +18,3 @@
 
 val parse : string -> (Ast.query, string) result
 (** Parse one query; error messages carry a character position. *)
-
-val tokenize : string -> (string list, string) result
-(** Exposed for tests: the token stream (lowercased keywords/symbols,
-    identifiers as-is, strings tagged with a leading ['\'']). *)

@@ -40,18 +40,6 @@ let of_relation_parallel ?(domains = 1) rel ~key =
     of_counter parts.(0)
   end
 
-let of_assoc pairs =
-  let c = Counter.create () in
-  List.iter
-    (fun (v, n) ->
-      if n <= 0 then invalid_arg "Frequency.of_assoc: non-positive frequency";
-      if Value.is_null v then invalid_arg "Frequency.of_assoc: Null value";
-      let k = Column.key v in
-      if Counter.get c k > 0 then invalid_arg "Frequency.of_assoc: duplicate value";
-      Counter.add c k n)
-    pairs;
-  of_counter c
-
 let frequency t v = Counter.get t.counts (Column.find_key v)
 let int_counter t = t.counts
 let total t = t.total

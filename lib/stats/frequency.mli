@@ -24,11 +24,6 @@ val of_relation_parallel : ?domains:int -> Relation.t -> key:int -> t
     [domains] OCaml domains and summing the per-shard tables.
     [domains <= 1] (the default) falls back to the sequential build. *)
 
-val of_assoc : (Value.t * int) list -> t
-(** Build directly from (value, frequency) pairs; frequencies must be
-    positive, values distinct and not [Null]. For tests and synthetic
-    scenarios. *)
-
 val frequency : t -> Value.t -> int
 (** m(v); 0 for unseen values. The paper's m1/m2 functions. *)
 

@@ -94,12 +94,8 @@ let geometric rng ~p =
     int_of_float (Float.floor (log u /. log (1. -. p)))
   end
 
-let exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Dist.exponential: rate <= 0";
-  -.log (Prng.unit_float_pos rng) /. rate
-
 (* One validation pass shared by every weighted-draw entry point
-   (categorical, Cdf_table, Alias_table): non-negative, non-NaN,
+   (Cdf_table, Alias_table): non-negative, non-NaN,
    positive sum. Returns the exact sum so builders never rescan. *)
 let validate_weights ~who weights =
   let total = ref 0. in
@@ -111,40 +107,21 @@ let validate_weights ~who weights =
   if not (!total > 0.) then invalid_arg (who ^ ": weights must have positive sum");
   !total
 
-let categorical rng ~weights =
-  let total = validate_weights ~who:"Dist.categorical" weights in
-  let target = Prng.unit_float rng *. total in
-  let acc = ref 0. in
-  let result = ref (Array.length weights - 1) in
-  (try
-     Array.iteri
-       (fun i w ->
-         acc := !acc +. w;
-         if target < !acc then begin
-           result := i;
-           raise Exit
-         end)
-       weights
-   with Exit -> ());
-  !result
-
 module Cdf_table = struct
-  type t = { cdf : float array; probs : float array }
+  type t = { cdf : float array }
 
   let of_weights weights =
     let k = Array.length weights in
     if k = 0 then invalid_arg "Dist.Cdf_table.of_weights: empty";
     let total = validate_weights ~who:"Dist.Cdf_table.of_weights" weights in
     let cdf = Array.make k 0. in
-    let probs = Array.make k 0. in
     let acc = ref 0. in
     for i = 0 to k - 1 do
       acc := !acc +. (weights.(i) /. total);
-      cdf.(i) <- !acc;
-      probs.(i) <- weights.(i) /. total
+      cdf.(i) <- !acc
     done;
     cdf.(k - 1) <- 1.;
-    { cdf; probs }
+    { cdf }
 
   let draw t rng =
     let u = Prng.unit_float rng in
@@ -155,9 +132,6 @@ module Cdf_table = struct
       if Array.unsafe_get t.cdf mid < u then lo := mid + 1 else hi := mid
     done;
     !lo
-
-  let prob t i = t.probs.(i)
-  let support t = Array.length t.cdf
 end
 
 (* Walker/Vose alias table over one flat array. A CDF table answers a
@@ -177,7 +151,7 @@ module Alias_table = struct
            of one 16-byte pair — always a single cache line — where a
            threshold array and a donor array would cost two misses on
            tables past L2. *)
-    probs : float array;
+    cells : int;
   }
 
   let of_weights weights =
@@ -232,38 +206,28 @@ module Alias_table = struct
       data.(2 * i) <- prob.(i);
       data.((2 * i) + 1) <- float_of_int alias.(i)
     done;
-    { data; probs = Array.map (fun w -> w /. total) weights }
+    { data; cells = k }
 
   (* A uniform cell, then the threshold, compared in place. *)
   let draw t rng =
-    let i = Prng.int rng (Array.length t.probs) in
+    let i = Prng.int rng t.cells in
     if float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < Array.unsafe_get t.data (2 * i) then i
     else int_of_float (Array.unsafe_get t.data ((2 * i) + 1))
-
-  let prob t i = t.probs.(i)
-  let support t = Array.length t.probs
-  let expected_counts t ~n = Array.map (fun p -> float_of_int n *. p) t.probs
 end
 
 (* Zipf stays on Cdf_table: it is the *workload generator*, and its
    draw stream is pinned by every fixed-seed experiment and golden
    table. *)
 module Zipf = struct
-  type t = { z : float; support : int; table : Cdf_table.t }
+  type t = { z : float; table : Cdf_table.t }
 
   let create ~z ~support =
     if support <= 0 then invalid_arg "Dist.Zipf.create: support <= 0";
     if z < 0. then invalid_arg "Dist.Zipf.create: z < 0";
     let weights = Array.init support (fun i -> (1. /. float_of_int (i + 1)) ** z) in
-    { z; support; table = Cdf_table.of_weights weights }
+    { z; table = Cdf_table.of_weights weights }
 
   let draw t rng = 1 + Cdf_table.draw t.table rng
-  let prob t rank =
-    if rank < 1 || rank > t.support then 0. else Cdf_table.prob t.table (rank - 1)
-
-  let expected_counts t ~n =
-    Array.init t.support (fun i -> float_of_int n *. Cdf_table.prob t.table i)
 
   let z t = t.z
-  let support t = t.support
 end

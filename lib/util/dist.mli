@@ -19,22 +19,6 @@ val geometric : Prng.t -> p:float -> int
     of a Bernoulli(p) sequence (support 0, 1, 2, ...). Requires
     [0 < p <= 1]. Used for skip-ahead sampling (Vitter-style). *)
 
-val exponential : Prng.t -> rate:float -> float
-(** [exponential rng ~rate] draws from Exp(rate), [rate > 0]. *)
-
-val validate_weights : who:string -> float array -> float
-(** One-pass weight validation shared by {!categorical},
-    {!Cdf_table.of_weights} and {!Alias_table.of_weights}: every weight
-    must be non-negative (NaN rejected) and the sum positive. Returns
-    the sum; raises [Invalid_argument] tagged with [who] otherwise. *)
-
-val categorical : Prng.t -> weights:float array -> int
-(** [categorical rng ~weights] draws index [i] with probability
-    proportional to [weights.(i)] (single draw, linear scan). Weights must
-    be non-negative with a positive sum. One-shot sites only — repeated
-    draws from fixed weights belong on {!Alias_table} (the
-    [@draw-hygiene] rule holds code outside [lib/util] to that). *)
-
 (** Precomputed discrete distribution supporting O(log k) draws by binary
     search on the CDF. Only {!Zipf} (the workload generator, whose draw
     stream every fixed-seed table pins) builds one; the tests keep it
@@ -47,19 +31,12 @@ module Cdf_table : sig
 
   val draw : t -> Prng.t -> int
   (** Draw an index with probability proportional to its weight. *)
-
-  val prob : t -> int -> float
-  (** [prob t i] is the normalized probability of index [i]. *)
-
-  val support : t -> int
-  (** Number of categories. *)
 end
 
 (** Walker/Vose alias table: O(k) construction, O(1) draws — the one
     table every repeated-draw path builds (the S1 root table, the
     chain walker, the negative control). Vose's construction over one
-    flat array of threshold/donor pairs, with the exact accessors {!Cdf_table}
-    exposes, plus expected counts for chi-square cells. The table is
+    flat array of threshold/donor pairs. The table is
     immutable and safe to share across domains. Draws are
     distribution-identical to {!Cdf_table} over the same weights, not
     draw-for-draw identical. *)
@@ -74,16 +51,6 @@ module Alias_table : sig
   (** Draw an index with probability proportional to its weight: one
       {!Prng.int} cell pick and one {!Prng.bits53} threshold compare.
       O(1), allocation-free. *)
-
-  val prob : t -> int -> float
-  (** [prob t i] is the normalized probability of index [i] — exact, not
-      reconstructed from the alias cells. *)
-
-  val support : t -> int
-  (** Number of categories. *)
-
-  val expected_counts : t -> n:int -> float array
-  (** Expected frequency of each index in [n] draws. *)
 end
 
 (** The Zipfian data distribution of the paper's experimental setup
@@ -103,13 +70,5 @@ module Zipf : sig
       order so that hot values collide ({i "the most frequent value was
       picked in the same order in each case"}). *)
 
-  val prob : t -> int -> float
-  (** [prob t rank] is the probability of [rank]. *)
-
-  val expected_counts : t -> n:int -> float array
-  (** [expected_counts t ~n] is the expected frequency of each rank in a
-      sample of [n] draws, index 0 holding rank 1. *)
-
   val z : t -> float
-  val support : t -> int
 end

@@ -98,10 +98,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound = 1 then 0 else draw_int t bound
 
-let int_in_range t ~lo ~hi =
-  if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let bits53 t =
   step t;
   Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le t 32) 11)
@@ -150,11 +146,3 @@ let sample_distinct t ~k ~n =
   done;
   shuffle_in_place t out;
   out
-
-let state_fingerprint t =
-  let mix acc x = Int64.add (Int64.mul acc 0x100000001B3L) x in
-  mix
-    (mix
-       (mix (mix 0xCBF29CE484222325L (Bytes.get_int64_le t 0)) (Bytes.get_int64_le t 8))
-       (Bytes.get_int64_le t 16))
-    (Bytes.get_int64_le t 24)

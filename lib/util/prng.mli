@@ -43,10 +43,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. Uses rejection to avoid modulo bias. *)
 
-val int_in_range : t -> lo:int -> hi:int -> int
-(** [int_in_range t ~lo ~hi] is uniform on [\[lo, hi\]] inclusive.
-    Raises [Invalid_argument] if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform on [\[0, bound)], with 53 bits of
     precision. *)
@@ -82,7 +78,3 @@ val sample_distinct : t -> k:int -> n:int -> int array
 (** [sample_distinct t ~k ~n] draws [k] distinct integers from
     [\[0, n)] uniformly (Floyd's algorithm), in random order. Raises
     [Invalid_argument] if [k > n] or [k < 0]. *)
-
-val state_fingerprint : t -> int64
-(** [state_fingerprint t] is a hash of the current state, used by tests to
-    check that [copy] and [split] detach state as documented. *)

@@ -95,23 +95,12 @@ let gamma_q_continued_fraction ~a ~x =
   done;
   !h *. exp ((a *. log x) -. x -. log_gamma a)
 
-let regularized_gamma_p ~a ~x =
-  if a <= 0. then invalid_arg "Stats_math.regularized_gamma_p: a <= 0";
-  if x < 0. then invalid_arg "Stats_math.regularized_gamma_p: x < 0";
-  if x = 0. then 0.
-  else if x < a +. 1. then gamma_p_series ~a ~x
-  else 1. -. gamma_q_continued_fraction ~a ~x
-
 let regularized_gamma_q ~a ~x =
   if a <= 0. then invalid_arg "Stats_math.regularized_gamma_q: a <= 0";
   if x < 0. then invalid_arg "Stats_math.regularized_gamma_q: x < 0";
   if x = 0. then 1.
   else if x < a +. 1. then 1. -. gamma_p_series ~a ~x
   else gamma_q_continued_fraction ~a ~x
-
-let chi_square_cdf ~dof x =
-  if dof <= 0 then invalid_arg "Stats_math.chi_square_cdf: dof <= 0";
-  if x <= 0. then 0. else regularized_gamma_p ~a:(float_of_int dof /. 2.) ~x:(x /. 2.)
 
 let chi_square_sf ~dof x =
   if dof <= 0 then invalid_arg "Stats_math.chi_square_sf: dof <= 0";

@@ -4,31 +4,9 @@
     the chi-square uniformity tests that validate every join-sampling
     strategy against the paper's semantics. *)
 
-val log_gamma : float -> float
-(** [log_gamma x] is [ln (Gamma x)] for [x > 0] (Lanczos approximation,
-    accurate to ~1e-13 relative error). *)
-
-val log_choose : int -> int -> float
-(** [log_choose n k] is [ln (n choose k)]; [neg_infinity] when the
-    coefficient is zero ([k < 0] or [k > n]). *)
-
 val log_binomial_pmf : n:int -> p:float -> int -> float
 (** [log_binomial_pmf ~n ~p k] is the log of the Binomial(n, p) probability
     mass at [k]. *)
-
-val regularized_gamma_p : a:float -> x:float -> float
-(** [regularized_gamma_p ~a ~x] is the regularized lower incomplete gamma
-    function P(a, x), for [a > 0], [x >= 0]. *)
-
-val regularized_gamma_q : a:float -> x:float -> float
-(** Complement Q(a, x) = 1 - P(a, x). *)
-
-val chi_square_cdf : dof:int -> float -> float
-(** [chi_square_cdf ~dof x] is the CDF of the chi-square distribution with
-    [dof] degrees of freedom at [x]. *)
-
-val chi_square_sf : dof:int -> float -> float
-(** Survival function (upper tail, i.e. the p-value of a statistic). *)
 
 type chi_square_result = {
   statistic : float;  (** Pearson X² statistic. *)
@@ -61,10 +39,6 @@ val normal_quantile : float -> float
     confidence-parameterized CLT intervals in the optimizer's error
     reports. Raises [Invalid_argument] unless [0 < p < 1]. *)
 
-val kolmogorov_sf : float -> float
-(** Asymptotic Kolmogorov distribution upper tail Q_KS(λ), the p-value
-    backbone of {!ks_test}. *)
-
 type ks_result = {
   ks_statistic : float;  (** Sup-norm distance D_n. *)
   n : int;  (** Sample count. *)
@@ -79,16 +53,10 @@ val ks_test : cdf:(float -> float) -> samples:float array -> ks_result
 val mean : float array -> float
 (** Arithmetic mean; [nan] on the empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance; [nan] when fewer than two observations. *)
-
 val stddev : float array -> float
-(** Square root of {!variance}. *)
+(** Square root of the unbiased sample variance; [nan] when fewer than
+    two observations. *)
 
 val median : float array -> float
 (** Median (averages the two central order statistics for even lengths);
     [nan] on the empty array. Does not mutate its argument. *)
-
-val percentile : float array -> float -> float
-(** [percentile a q] for [q] in [\[0,100\]], linear interpolation between
-    order statistics. *)

@@ -36,9 +36,6 @@ module Semantics := Rsj_core.Semantics
 
 type skew = { label : string; z1 : float; z2 : float }
 
-val default_skews : skew list
-(** Uniform (z=0) and the paper's skewed z1=1, z2=2 cell. *)
-
 type config = {
   trials : int;  (** Independent samples pooled per cell attempt. *)
   r : int;  (** Requested sample size per trial. *)
@@ -81,38 +78,6 @@ type cell_result = {
   outcome : Kernel.outcome;
 }
 
-val default_domain_counts : int list
-(** [\[1; 2; 4\]] per the acceptance matrix. *)
-
-val matrix :
-  ?strategies:Strategy.t list ->
-  ?semantics:Semantics.t list ->
-  ?skews:skew list ->
-  ?domain_counts:int list ->
-  ?input:input ->
-  unit ->
-  cell list
-(** The full cross product (default: every strategy × {WR, WoR, CF} ×
-    {!default_skews} × {!default_domain_counts} = 144 cells), on
-    [input] (default [Int_keys]). *)
-
-val default_cells : unit -> cell list
-(** What {!run} sweeps when given no [cells]: {!matrix} plus 32
-    string-keyed cells — every strategy × {WR, WoR} on the uniform
-    skew at domains 1 and 2 — and 32 bag-join cells — every strategy
-    × {WR, WoR} on the zipf(1,2) skew at domains 1 and 4. *)
-
-type estimator = Sum | Count | Avg
-(** Aggregate estimators KS-gated per strategy: Horvitz–Thompson SUM,
-    Horvitz–Thompson COUNT of a selection predicate (even outer row
-    id), and the sample-mean AVG. *)
-
-val all_estimators : estimator list
-val estimator_label : estimator -> string
-
-val default_chain_skews : float list
-(** Zipf parameters of the chain rows ([\[0.5; 2.0\]]). *)
-
 type picker_profile = {
   plabel : string;  (** Row label, e.g. ["histogram-only"]. *)
   availability : Strategy.availability;
@@ -120,11 +85,6 @@ type picker_profile = {
 (** A declared catalog state handed to the cost-based picker
     ({!Rsj_optimizer.Picker}): the picker chooses a strategy under this
     profile and the chosen strategy's WR law is gated like any cell. *)
-
-val default_picker_profiles : picker_profile list
-(** Four states spanning Table 1's columns: ["full"] (everything),
-    ["no-index"] (statistics + histogram), ["histogram-only"], and
-    ["none"] (Naive territory). *)
 
 type summary = {
   config : config;
@@ -156,7 +116,17 @@ val run :
   ?picker_profiles:picker_profile list ->
   unit ->
   summary
-(** Execute the sweep ([cells] defaults to {!default_cells}). Workload
+(** Execute the sweep. [cells] defaults to the full cross product —
+    every strategy × {WR, WoR, CF} × the uniform and zipf(1,2) skews ×
+    domains 1, 2 and 4, 144 cells — plus 32 string-keyed cells (every
+    strategy × {WR, WoR} on the uniform skew at domains 1 and 2) and 32
+    bag-join cells (every strategy × {WR, WoR} on the zipf(1,2) skew at
+    domains 1 and 4). The aggregate rows KS-gate Horvitz–Thompson SUM,
+    Horvitz–Thompson COUNT of a selection predicate (even outer row
+    id) and the sample-mean AVG; the chain rows walk chains at zipf
+    0.5 and 2.0; [picker_profiles] defaults to four catalog states
+    spanning Table 1's columns: ["full"], ["no-index"] (statistics +
+    histogram), ["histogram-only"] and ["none"] (Naive territory). Workload
     pairs and oracles are built once per skew (and once more for its
     string-keyed or bag copy when a cell asks for it); every cell attempt re-derives its own seed from
     [config.seed], the cell index and the attempt number, so the whole

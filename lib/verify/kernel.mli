@@ -27,10 +27,6 @@ type config = {
 
 val default : config
 
-val threshold : config -> float
-(** Per-test significance [significance / comparisons]. Raises
-    [Invalid_argument] on a degenerate config. *)
-
 type stat_test = Chi_square | G_test
 
 val test_name : stat_test -> string

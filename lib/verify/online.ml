@@ -37,9 +37,9 @@
      pair crossed p < 1e-5 several times as often as a valid p-value
      can. The Chernoff bound holds at every threshold, for any cell
      size.
-   - Alerts latch: once tripped, a stream stays red until [reset]
-     (operators should treat an alert as "drain and investigate", not
-     as a transient). *)
+   - Alerts latch: once tripped, a stream stays red for the monitor's
+     lifetime (operators should treat an alert as "drain and
+     investigate", not as a transient). *)
 
 open Rsj_relation
 module Frequency = Rsj_stats.Frequency
@@ -48,8 +48,7 @@ module Obs = Rsj_obs
 
 type law = {
   index : Counter.t;  (* Column.key of a join value -> cell + 1; 0 = outside the support *)
-  probs : float array;  (* P(A = v) per cell, sums to 1 *)
-  join_size : float;  (* |J| = sum m1*m2 *)
+  probs : float array;  (* P(A = v) = m1(v) m2(v) / |J| per cell, sums to 1 *)
 }
 
 let law_of_frequencies ~left ~right =
@@ -69,14 +68,11 @@ let law_of_frequencies ~left ~right =
   if !total <= 0. then None
   else begin
     let probs = Array.of_list (List.rev_map (fun w -> w /. !total) !weights) in
-    Some { index; probs; join_size = !total }
+    Some { index; probs }
   end
-
-let support_size law = Array.length law.probs
 
 let probability law v =
   match Counter.get law.index (Column.find_key v) with 0 -> 0. | cell -> law.probs.(cell - 1)
-let join_size law = law.join_size
 
 type stream = {
   key : string;
@@ -116,8 +112,6 @@ let create ?window ?significance ?(min_expected = 5.) () =
     any_alert_g =
       Obs.Registry.gauge ~help:"1 when any quality stream has a latched alert" "rsj_quality_alert";
   }
-
-let window t = t.window
 
 let stream_for t ~key ~law =
   match Hashtbl.find_opt t.streams key with
@@ -258,17 +252,3 @@ let stats t =
       :: acc)
     t.streams []
   |> List.sort (fun a b -> compare a.st_key b.st_key)
-
-let reset t =
-  Hashtbl.iter
-    (fun _ s ->
-      Array.fill s.counts 0 (Array.length s.counts) 0;
-      s.in_window <- 0;
-      s.seen <- 0;
-      s.foreign <- 0;
-      s.windows <- 0;
-      s.last_p <- Float.nan;
-      s.alert <- false;
-      Obs.Registry.set_gauge s.alert_g 0.)
-    t.streams;
-  publish_any t

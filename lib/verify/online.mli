@@ -27,18 +27,14 @@ val create : ?window:int -> ?significance:float -> ?min_expected:float -> unit -
     from RSJ_QUALITY_ALPHA (0.01), both read through {!Rsj_obs.Config};
     min_expected 5.0. *)
 
-val window : t -> int
-
 val law_of_frequencies :
   left:Rsj_stats.Frequency.t -> right:Rsj_stats.Frequency.t -> law option
 (** The WR join-value marginal from the two frequency tables; [None]
     when the join is empty (nothing to monitor). *)
 
 val probability : law -> Value.t -> float
-(** P(A = v) = m1(v) m2(v) / |J|; 0 outside the join support. *)
-
-val support_size : law -> int
-val join_size : law -> float
+(** P(A = v) = m1(v) m2(v) / |J|, the law {!observe} tests each window
+    against; [0.] outside the join support. *)
 
 val observe : t -> key:string -> law:law -> Value.t array -> unit
 (** Fold one served sample's join-attribute values into stream [key],
@@ -72,6 +68,3 @@ type stream_stats = {
 
 val stats : t -> stream_stats list
 (** Sorted by stream key. *)
-
-val reset : t -> unit
-(** Zero all streams and unlatch alerts (test hook). *)

@@ -6,7 +6,6 @@ let schema =
 
 let col_rid = 0
 let col2 = 1
-let col_pad = 2
 
 (* The paper pads records to a realistic size with a 32-byte character
    field; sharing one string per table keeps memory sane at scale while

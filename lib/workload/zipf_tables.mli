@@ -21,8 +21,6 @@ val col_rid : int
 val col2 : int
 (** Column index of the join attribute (1). *)
 
-val col_pad : int
-
 val make : ?seed:int -> name:string -> rows:int -> z:float -> domain:int -> unit -> Relation.t
 (** Generate one table. Reproducible from [seed]. Raises
     [Invalid_argument] for non-positive [rows] or [domain] or negative

@@ -84,7 +84,7 @@ let test_output_schema () =
   let spec =
     { Aggregate.group_by = [ 0 ]; aggregates = [ ("n", Aggregate.Count); ("m", Aggregate.Min 1) ] }
   in
-  let out = Aggregate.output_schema ~input:schema spec in
+  let out = Plan.schema_of (Aggregate.plan spec (Plan.Scan (rel []))) in
   Alcotest.(check int) "arity" 3 (Schema.arity out);
   Alcotest.(check string) "group col name" "g" (Schema.column_name out 0);
   Alcotest.(check bool) "count is int" true (Schema.column_ty out 1 = Value.T_int);
@@ -94,7 +94,7 @@ let test_column_validation () =
   let spec = { Aggregate.group_by = [ 99 ]; aggregates = [] } in
   Alcotest.(check bool) "out of range rejected" true
     (try
-       ignore (Aggregate.output_schema ~input:schema spec);
+       ignore (Aggregate.plan spec (Plan.Scan (rel [])));
        false
      with Invalid_argument _ -> true)
 

@@ -275,9 +275,9 @@ let fixtures () =
   List.map
     (fun (label, ty, key_of) ->
       let keyed name rows =
-        Relation.of_rows ~name
+        Relation.of_tuples ~name
           (Schema.of_list [ ("rid", Value.T_int); ("k", ty) ])
-          (List.init rows (fun i -> [ Value.Int i; key_of i ]))
+          (List.init rows (fun i -> [| Value.Int i; key_of i |]))
       in
       (label, keyed "r1" 150, keyed "r2" 400, keyed "r3" 250))
     key_kinds

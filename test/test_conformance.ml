@@ -62,19 +62,27 @@ let test_kernel_retry_policy () =
   let o = Kernel.run_custom config ~name:"scripted" ~attempt:(fun ~attempt:_ -> (0.1, 1, 0.9)) in
   Alcotest.(check int) "stops at first pass" 1 o.Kernel.attempts
 
+(* The per-test threshold is significance / comparisons (Bonferroni):
+   at 0.05 over 50 comparisons a p-value just above 0.001 passes and
+   one just below fails every attempt. *)
 let test_kernel_threshold () =
-  let t = Kernel.threshold { Kernel.default with significance = 0.05; comparisons = 50 } in
-  Alcotest.(check (float 1e-12)) "Bonferroni division" 0.001 t;
+  let config = { Kernel.default with significance = 0.05; comparisons = 50 } in
+  let verdict p =
+    (Kernel.run_custom config ~name:"scripted" ~attempt:(fun ~attempt:_ -> (1., 1, p)))
+      .Kernel.passed
+  in
+  Alcotest.(check bool) "above the Bonferroni threshold" true (verdict 0.0011);
+  Alcotest.(check bool) "below the Bonferroni threshold" false (verdict 0.0009);
+  let rejected config =
+    try
+      ignore (Kernel.run_custom config ~name:"bad" ~attempt:(fun ~attempt:_ -> (1., 1, 0.5)));
+      false
+    with Invalid_argument _ -> true
+  in
   Alcotest.(check bool) "bad significance rejected" true
-    (try
-       ignore (Kernel.threshold { Kernel.default with significance = 1.5 });
-       false
-     with Invalid_argument _ -> true);
+    (rejected { Kernel.default with significance = 1.5 });
   Alcotest.(check bool) "bad comparisons rejected" true
-    (try
-       ignore (Kernel.threshold { Kernel.default with comparisons = 0 });
-       false
-     with Invalid_argument _ -> true)
+    (rejected { Kernel.default with comparisons = 0 })
 
 let test_kernel_g_vs_chi_agree () =
   (* On the same healthy uniform data both tests accept; on grossly
@@ -114,7 +122,7 @@ let test_oracle_matches_plan () =
   Array.iter (fun c -> Alcotest.(check int) "each tuple lands in its cell" 1 c) counts;
   Alcotest.(check bool) "non-join tuple rejected" true
     (try
-       Oracle.observe oracle counts (Tuple.of_ints [ 999; 999 ]);
+       Oracle.observe oracle counts (Array.map Value.int [| 999; 999 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -259,15 +267,28 @@ let test_biased_sampler_rejected () =
    chain rows + 12 picker rows (profile × domains) — runs under
    @conformance / rsj verify). *)
 
+(* A slice of the sweep for the mini runs: the given strategies × every
+   semantics × the given domain counts, on one skew, int keys. *)
+let cells ~strategies ~skew ~domain_counts =
+  List.concat_map
+    (fun strategy ->
+      List.concat_map
+        (fun semantics ->
+          List.map
+            (fun domains -> { Conformance.strategy; semantics; skew; domains; input = Conformance.Int_keys })
+            domain_counts)
+        Rsj_core.Semantics.all)
+    strategies
+
+let uniform = { Conformance.label = "uniform"; z1 = 0.; z2 = 0. }
+let zipf_1_2 = { Conformance.label = "zipf(1,2)"; z1 = 1.; z2 = 2. }
+
 let test_conformance_run_mini () =
   let config =
     { (Conformance.default_config ()) with Conformance.trials = 40; seed = 0x7357 }
   in
   let cells =
-    Conformance.matrix
-      ~strategies:[ Strategy.Stream; Strategy.Olken ]
-      ~skews:[ List.nth Conformance.default_skews 1 ]
-      ~domain_counts:[ 1; 2 ] ()
+    cells ~strategies:[ Strategy.Stream; Strategy.Olken ] ~skew:zipf_1_2 ~domain_counts:[ 1; 2 ]
   in
   Alcotest.(check int) "2 strategies x 3 semantics x 1 skew x 2 domains" 12 (List.length cells);
   let summary = Conformance.run ~config ~cells () in
@@ -304,11 +325,7 @@ let test_conformance_deterministic () =
   let config =
     { (Conformance.default_config ()) with Conformance.trials = 30; seed = 42 }
   in
-  let cells =
-    Conformance.matrix ~strategies:[ Strategy.Stream ]
-      ~skews:[ List.hd Conformance.default_skews ]
-      ~domain_counts:[ 2 ] ()
-  in
+  let cells = cells ~strategies:[ Strategy.Stream ] ~skew:uniform ~domain_counts:[ 2 ] in
   let s1 =
     Conformance.run ~config ~cells ~with_aggregates:false ~with_control:false
       ~with_pickers:false ()
@@ -340,12 +357,15 @@ let test_trials_env_knob () =
        Unix.putenv "RSJ_CONF_TRIALS" "";
        raise e)
 
-(* Edge shapes through the one walker, Stream at k = 2 and a k = 3
-   chain: all-Null R1 keys (|J| = 0), |J| = 1, a single-group join
-   (every row shares one key) and r >= |J| on a 4-tuple join. Each
-   sample must be r tuples of the oracle's support (none when
+(* Edge shapes through every strategy at k = 2 — its sequential
+   reference kernel and its chunked runner at d = 1 — and the walker on
+   a k = 3 chain: all-Null R1 keys (|J| = 0), |J| = 1, a single-group
+   join (every row shares one key) and r >= |J| on a 4-tuple join. Each
+   WR sample must be r tuples of the oracle's support (none when
    |J| = 0), must raise nothing, and at r = 50·|J| must cover that
-   support. Relations are (rid, key, pad), keyed on column 1. *)
+   support. Every shape has r >= |J| at k = 2, so each strategy's WoR
+   sample must be the whole bag join. Relations are (rid, key, pad),
+   keyed on column 1. *)
 let test_walker_edge_shapes () =
   let rel name keys =
     Relation.of_tuples ~name Zipf_tables.schema
@@ -379,16 +399,99 @@ let test_walker_edge_shapes () =
           Alcotest.(check bool) (Printf.sprintf "%s, %s: covers the support" label kind) true
             (Array.for_all (fun c -> c > 0) counts)
       in
-      let env = Strategy.make_env ~seed:5 ~left:r1 ~right:r2 ~left_key:key ~right_key:key () in
-      check_sample "Stream k = 2"
-        (Oracle.of_relations ~left:r1 ~right:r2 ~left_key:key ~right_key:key)
-        (Rsj_parallel.run env Strategy.Stream ~r ~domains:1).Strategy.sample;
+      let env () = Strategy.make_env ~seed:5 ~left:r1 ~right:r2 ~left_key:key ~right_key:key () in
+      let oracle = Oracle.of_relations ~left:r1 ~right:r2 ~left_key:key ~right_key:key in
+      let bag_join =
+        List.sort compare
+          (List.concat
+             (Array.to_list
+                (Array.mapi
+                   (fun i t -> List.init (Oracle.multiplicity oracle i) (fun _ -> t))
+                   (Oracle.universe oracle))))
+      in
+      (* The sequential reference kernels and the chunked runners. *)
+      let runners =
+        [
+          ("", Strategy.run, Strategy.run_wor);
+          ( " d = 1",
+            (fun env s ~r -> Rsj_parallel.run env s ~r ~domains:1),
+            fun env s ~r -> Rsj_parallel.run_wor env s ~r ~domains:1 );
+        ]
+      in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (runner, run, run_wor) ->
+              let name = Strategy.name s ^ runner in
+              check_sample (name ^ " k = 2") oracle (run (env ()) s ~r).Strategy.sample;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s WoR: the whole bag join" label name)
+                true
+                (List.sort compare (Array.to_list (run_wor (env ()) s ~r).Strategy.sample)
+                = bag_join))
+            runners)
+        Strategy.all;
       let spec =
         { Chain_sample.relations = [| r1; r2; r3 |]; join_keys = [| (key, key); (key, key) |] }
       in
       check_sample "chain k = 3" (Oracle.of_chain spec)
         (Chain_sample.sample (prepare_cold spec) (Prng.create ~seed:5 ()) ~r ()))
     shapes
+
+let test_kernel_z_p_value () =
+  Alcotest.(check (float 1e-12)) "z = 0" 1. (Kernel.z_p_value 0.);
+  Alcotest.(check (float 1e-4)) "z = 1.96" 0.05 (Kernel.z_p_value 1.96);
+  Alcotest.(check (float 1e-4)) "z = 2.576" 0.01 (Kernel.z_p_value 2.576);
+  Alcotest.(check (float 1e-12)) "two-sided" (Kernel.z_p_value 1.3) (Kernel.z_p_value (-1.3));
+  Alcotest.(check bool) "far tail" true (Kernel.z_p_value 10. < 1e-20)
+
+(* KS with the retry policy: an evenly spread sample passes on its
+   first attempt; a sample piled at one end fails every attempt. *)
+let test_kernel_run_ks () =
+  let config = { Kernel.default with retries = 2 } in
+  let spread = Array.init 200 (fun i -> (float_of_int i +. 0.5) /. 200.) in
+  let attempts = ref [] in
+  let ok =
+    Kernel.run_ks config ~name:"ks-uniform" ~cdf:Fun.id ~sample:(fun ~attempt ->
+        attempts := attempt :: !attempts;
+        spread)
+  in
+  Alcotest.(check bool) "spread sample passes" true ok.Kernel.passed;
+  Alcotest.(check int) "on the first attempt" 1 ok.Kernel.attempts;
+  Alcotest.(check (list int)) "attempt numbers from 0" [ 0 ] !attempts;
+  Alcotest.(check int) "dof is the sample count" 200 ok.Kernel.dof;
+  Alcotest.(check (float 1e-9)) "D of the spread sample" 0.0025 ok.Kernel.statistic;
+  Alcotest.(check string) "name" "ks-uniform" ok.Kernel.name;
+  let piled = Array.init 200 (fun i -> float_of_int i /. 2000.) in
+  let bad = Kernel.run_ks config ~name:"ks-piled" ~cdf:Fun.id ~sample:(fun ~attempt:_ -> piled) in
+  Alcotest.(check bool) "piled sample fails" false bad.Kernel.passed;
+  Alcotest.(check int) "after every attempt" 3 bad.Kernel.attempts;
+  Alcotest.(check bool) "D near 0.9" true (Float.abs (bad.Kernel.statistic -. 0.9005) < 1e-3)
+
+(* An oracle over an enumerated universe: repeated tuples share a cell
+   weighted by their count, and unknown tuples are refused. *)
+let test_oracle_of_universe () =
+  let t a b = [| Value.Int a; Value.Int b |] in
+  let oracle = Oracle.of_universe [| t 1 1; t 2 2; t 1 1; t 3 3; t 1 1 |] in
+  Alcotest.(check int) "|J| counts positions" 5 (Oracle.size oracle);
+  Alcotest.(check int) "three distinct cells" 3 (Array.length (Oracle.universe oracle));
+  let cell x =
+    match Oracle.cell oracle x with Some c -> c | None -> Alcotest.fail "tuple has no cell"
+  in
+  Alcotest.(check int) "repeated tuple's multiplicity" 3 (Oracle.multiplicity oracle (cell (t 1 1)));
+  Alcotest.(check int) "single tuple's multiplicity" 1 (Oracle.multiplicity oracle (cell (t 3 3)));
+  Alcotest.(check bool) "a tuple outside the universe" true (Oracle.cell oracle (t 9 9) = None);
+  let expected = Oracle.wr_expected oracle ~draws:50 in
+  Alcotest.(check (float 1e-9)) "WR mass follows multiplicity" 30. expected.(cell (t 1 1));
+  Alcotest.(check (float 1e-9)) "WR mass of a single" 10. expected.(cell (t 2 2));
+  let counts = Oracle.counter oracle in
+  List.iter (Oracle.observe oracle counts) [ t 1 1; t 1 1; t 3 3 ];
+  Alcotest.(check int) "observed into the shared cell" 2 counts.(cell (t 1 1));
+  Alcotest.(check bool) "observing a non-join tuple raises" true
+    (try
+       Oracle.observe oracle counts (t 9 9);
+       false
+     with Invalid_argument _ -> true)
 
 let suite =
   [
@@ -397,10 +500,13 @@ let suite =
     Alcotest.test_case "kernel retry policy" `Quick test_kernel_retry_policy;
     Alcotest.test_case "kernel Bonferroni threshold" `Quick test_kernel_threshold;
     Alcotest.test_case "chi-square and G-test agree" `Quick test_kernel_g_vs_chi_agree;
+    Alcotest.test_case "kernel z p-value" `Quick test_kernel_z_p_value;
+    Alcotest.test_case "kernel KS retry policy" `Quick test_kernel_run_ks;
+    Alcotest.test_case "oracle over an enumerated universe" `Quick test_oracle_of_universe;
     Alcotest.test_case "oracle matches plan enumeration" `Quick test_oracle_matches_plan;
     Alcotest.test_case "oracle expected-count laws" `Quick test_oracle_expected_laws;
     Alcotest.test_case "oracle chain = walker weights" `Quick test_oracle_chain_matches_walker;
-    Alcotest.test_case "walker edge shapes: Stream k = 2 and a k = 3 chain" `Quick
+    Alcotest.test_case "edge shapes: every strategy at k = 2, WR and WoR, and a k = 3 chain" `Quick
       test_walker_edge_shapes;
     Alcotest.test_case "oracle weights bag-join cells" `Quick test_oracle_bag_join;
     Alcotest.test_case "bag-join WoR samples positions" `Quick test_bag_join_wor_positions;

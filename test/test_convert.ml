@@ -234,6 +234,61 @@ let test_multi_reservoir_merge_law () =
   let res = Stats_math.chi_square_uniform ~observed:counts in
   Alcotest.(check bool) "uniform over the union" true (res.p_value > 0.001)
 
+(* A finished Wr_int kernel lifts into a reservoir holding exactly its
+   slots, count and mass; a kernel that saw nothing lifts to an empty
+   reservoir. *)
+let test_wr_of_parts () =
+  let ker = Rsj_util.Wr_int.create (rng ()) ~r:4 in
+  List.iter
+    (fun (w, x) -> Rsj_util.Wr_int.feed ker ~weight:w x)
+    [ (2, 10); (0, 11); (3, 12); (1, 13) ];
+  let res =
+    Reservoir.Wr.of_parts ~r:4 ~slots:(Rsj_util.Wr_int.contents ker)
+      ~fed:(Rsj_util.Wr_int.fed_count ker) ~total:(Rsj_util.Wr_int.total_weight ker)
+  in
+  Alcotest.(check (array int)) "slots" (Rsj_util.Wr_int.contents ker) (Reservoir.Wr.contents res);
+  Alcotest.(check int) "fed count" (Rsj_util.Wr_int.fed_count ker) (Reservoir.Wr.fed_count res);
+  Alcotest.(check (float 0.)) "total weight" 6. (Reservoir.Wr.total_weight res);
+  Array.iter
+    (fun x ->
+      Alcotest.(check bool) "slots hold positive-weight elements" true (List.mem x [ 10; 12; 13 ]))
+    (Reservoir.Wr.contents res);
+  let empty = Reservoir.Wr.of_parts ~r:4 ~slots:[||] ~fed:0 ~total:0. in
+  Alcotest.(check (array int)) "nothing fed" [||] (Reservoir.Wr.contents empty);
+  Alcotest.(check int) "nothing counted" 0 (Reservoir.Wr.fed_count empty);
+  let merged = Reservoir.Wr.merge (rng ()) empty res in
+  Alcotest.(check (array int)) "merging into an empty lift keeps the slots"
+    (Reservoir.Wr.contents res) (Reservoir.Wr.contents merged);
+  Alcotest.(check bool) "slot count must match r" true
+    (try
+       ignore (Reservoir.Wr.of_parts ~r:4 ~slots:[| 1; 2 |] ~fed:2 ~total:2.);
+       false
+     with Invalid_argument _ -> true)
+
+(* Displacements reach the registry only while telemetry is on. *)
+let test_note_displacements () =
+  let c = Rsj_obs.Registry.counter "rsj_reservoir_displacements_total" in
+  let was = Rsj_obs.enabled () in
+  Fun.protect ~finally:(fun () -> Rsj_obs.set_enabled was) @@ fun () ->
+  Rsj_obs.set_enabled false;
+  let v0 = Rsj_obs.Registry.value c in
+  Reservoir.note_displacements 5;
+  Alcotest.(check int) "off: not counted" v0 (Rsj_obs.Registry.value c);
+  Rsj_obs.set_enabled true;
+  Reservoir.note_displacements 5;
+  Alcotest.(check int) "on: counted" (v0 + 5) (Rsj_obs.Registry.value c);
+  let res = Reservoir.Wr.create ~r:8 in
+  let g = rng () in
+  Reservoir.Wr.feed g res ~weight:1. "first";
+  Alcotest.(check int) "a first feed fills the slots, displacing nothing" (v0 + 5)
+    (Rsj_obs.Registry.value c);
+  Reservoir.Wr.feed g res ~weight:1. "second";
+  let displaced =
+    Array.fold_left (fun n x -> if x = "second" then n + 1 else n) 0 (Reservoir.Wr.contents res)
+  in
+  Alcotest.(check int) "each slot the second feed took is one displacement" (v0 + 5 + displaced)
+    (Rsj_obs.Registry.value c)
+
 let suite =
   [
     Alcotest.test_case "semantics conversion table (§3)" `Quick test_semantics_conversions_table;
@@ -245,6 +300,8 @@ let suite =
     Alcotest.test_case "WoR->WR" `Quick test_wor_to_wr;
     Alcotest.test_case "Wr reservoir weighted marginals" `Slow test_wr_reservoir_marginals;
     Alcotest.test_case "Wr reservoir bookkeeping" `Quick test_wr_reservoir_bookkeeping;
+    Alcotest.test_case "Wr reservoir lifts a kernel state" `Quick test_wr_of_parts;
+    Alcotest.test_case "displacements are counted under telemetry" `Quick test_note_displacements;
     Alcotest.test_case "Unit reservoir uniform" `Slow test_unit_reservoir_uniform;
     Alcotest.test_case "WoR reservoir" `Quick test_wor_reservoir;
     Alcotest.test_case "Multi reservoir basics" `Quick test_multi_reservoir_basics;

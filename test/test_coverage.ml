@@ -97,6 +97,12 @@ let report_for_trial truth trial =
 (* One counter per aggregate × interval family. *)
 type counters = { mutable clt : int; mutable hoeffding : int }
 
+let find_line (report : Error_report.t) name =
+  List.find_opt (fun l -> l.Error_report.aggregate = name) report.Error_report.lines
+
+let width (i : Error_report.interval) = i.hi -. i.lo
+let contains (i : Error_report.interval) x = i.lo <= x && x <= i.hi
+
 let test_interval_coverage () =
   let truth = Lazy.force truth in
   let trials = env_coverage_trials 150 in
@@ -106,12 +112,12 @@ let test_interval_coverage () =
   for trial = 0 to trials - 1 do
     let report = report_for_trial truth trial in
     let tally counters name target =
-      match Error_report.line report name with
+      match find_line report name with
       | None -> Alcotest.failf "report is missing the %s line" name
       | Some line ->
-          if Error_report.contains line.Error_report.clt target then
+          if contains line.Error_report.clt target then
             counters.clt <- counters.clt + 1;
-          if Error_report.contains line.Error_report.hoeffding target then
+          if contains line.Error_report.hoeffding target then
             counters.hoeffding <- counters.hoeffding + 1
     in
     tally sum_c "sum" truth.true_sum;
@@ -146,16 +152,16 @@ let test_hoeffding_wider () =
   let report = report_for_trial truth 0 in
   List.iter
     (fun name ->
-      match Error_report.line report name with
+      match find_line report name with
       | None -> Alcotest.failf "report is missing the %s line" name
       | Some line ->
           if
-            Error_report.width line.Error_report.hoeffding
-            < Error_report.width line.Error_report.clt
+            width line.Error_report.hoeffding
+            < width line.Error_report.clt
           then
             Alcotest.failf "%s: Hoeffding width %.3f < CLT width %.3f" name
-              (Error_report.width line.Error_report.hoeffding)
-              (Error_report.width line.Error_report.clt))
+              (width line.Error_report.hoeffding)
+              (width line.Error_report.clt))
     [ "sum"; "count" ]
 
 let test_trials_env_knob () =

@@ -126,9 +126,14 @@ let test_key_round_trip () =
     = 3)
 
 let key_rel keys =
-  let ty = match keys with v :: _ -> Option.get (Value.ty_of v) | [] -> Value.T_int in
+  let ty =
+    match keys with
+    | Value.Float _ :: _ -> Value.T_float
+    | Value.Str _ :: _ -> Value.T_str
+    | _ -> Value.T_int
+  in
   let schema = Schema.of_list [ ("rid", Value.T_int); ("k", ty) ] in
-  Relation.of_rows schema (List.mapi (fun i k -> [ Value.Int i; k ]) keys)
+  Relation.of_tuples schema (List.mapi (fun i k -> [| Value.Int i; k |]) keys)
 
 let test_float_keys_join_as_value_equal () =
   let f x = Value.Float x in
@@ -160,9 +165,9 @@ let test_float_keys_join_as_value_equal () =
 
 (* An Int column joined to a Str column spelling the same digits must
    behave exactly like an int pair whose key sets are disjoint: no key
-   collides across kinds. Olken's WR rounds on an empty join spin until
-   their iteration budget runs out, so its kernel runs here with a
-   small budget instead of the default one. *)
+   collides across kinds: both joins are empty, and every strategy
+   returns the empty sample on both, WR and WoR, sequential and
+   parallel. *)
 let test_int_vs_string_keys_never_match () =
   let ints l = List.map Value.int l in
   let outcome (left, right) run =
@@ -171,24 +176,17 @@ let test_int_vs_string_keys_never_match () =
     | sample -> Ok (Array.length sample)
     | exception e -> Error (Printexc.to_string e)
   in
-  let olken env =
-    Olken_sample.sample (Rsj_util.Prng.create ~seed:5 ()) ~metrics:(Rsj_exec.Metrics.create ())
-      ~r:5 ~left:(Strategy.env_left env) ~left_key:1 ~right_index:(Strategy.env_right_index env)
-      ~max_iterations:1000 ()
-  in
   let cross = (key_rel (ints [ 1; 2; 2; 3 ]), key_rel (List.map Value.str [ "1"; "2"; "3" ])) in
   let disjoint = (key_rel (ints [ 1; 2; 2; 3 ]), key_rel (ints [ 11; 12; 13 ])) in
   List.iter
     (fun s ->
       List.iter
         (fun (what, run) ->
-          let run env =
-            if s = Strategy.Olken && String.ends_with ~suffix:"WR" what then olken env
-            else run env
-          in
-          Alcotest.(check (result int string))
-            (Printf.sprintf "%s %s" (Strategy.name s) what)
-            (outcome disjoint run) (outcome cross run))
+          let label = Printf.sprintf "%s %s" (Strategy.name s) what in
+          Alcotest.(check (result int string)) (label ^ ", disjoint ints") (Ok 0)
+            (outcome disjoint run);
+          Alcotest.(check (result int string)) (label ^ ", Int against Str") (Ok 0)
+            (outcome cross run))
         [
           ("WR", fun env -> (Strategy.run env s ~r:5).Strategy.sample);
           ("WoR", fun env -> (Strategy.run_wor env s ~r:5).Strategy.sample);
@@ -309,6 +307,20 @@ let test_inner_loop_allocation () =
   if words >= 256. then
     Alcotest.failf "Stream int inner loop allocated %.0f minor words per %d tuples" words n
 
+(* find_key probes without interning: a value the dictionary has never
+   seen reads as the Null key, which matches nothing, and a known one
+   reads as its key. Ints outside the reserved band are their own key
+   either way. *)
+let test_find_key_never_interns () =
+  let fresh = Value.str (Printf.sprintf "never-interned-%d" (Column.key (Value.Float 0.125))) in
+  Alcotest.(check int) "unseen string" Column.null_key (Column.find_key fresh);
+  Alcotest.(check int) "still unseen after a probe" Column.null_key (Column.find_key fresh);
+  let k = Column.key fresh in
+  Alcotest.(check bool) "interned key is a real key" true (k <> Column.null_key);
+  Alcotest.(check int) "find_key after key" k (Column.find_key fresh);
+  Alcotest.(check int) "an int is its own key" 42 (Column.find_key (Value.Int 42));
+  Alcotest.(check int) "Null" Column.null_key (Column.find_key Value.Null)
+
 let suite =
   [
     Alcotest.test_case "Wr_int kernel replays Reservoir.Wr bit-for-bit" `Quick
@@ -316,6 +328,7 @@ let suite =
     Alcotest.test_case "linked kernels share one generator stream" `Quick test_linked_kernels;
     Alcotest.test_case "int_view extraction" `Quick test_int_view;
     Alcotest.test_case "key encoding round-trips every value kind" `Quick test_key_round_trip;
+    Alcotest.test_case "find_key probes without interning" `Quick test_find_key_never_interns;
     Alcotest.test_case "float keys join as Value.equal" `Quick
       test_float_keys_join_as_value_equal;
     Alcotest.test_case "Int and Str keys never match" `Quick test_int_vs_string_keys_never_match;

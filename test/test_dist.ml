@@ -71,7 +71,7 @@ let test_binomial_mean_variance_large () =
     (Printf.sprintf "mean %.1f ~ %.1f" mean expected_mean)
     true
     (Float.abs (mean -. expected_mean) < tolerance);
-  let var = Stats_math.variance xs in
+  let var = Stats_math.stddev xs ** 2. in
   Alcotest.(check bool)
     (Printf.sprintf "variance %.1f ~ %.1f" var (sd *. sd))
     true
@@ -93,38 +93,9 @@ let test_geometric () =
   Alcotest.check_raises "p=0 invalid" (Invalid_argument "Dist.geometric: need 0 < p <= 1")
     (fun () -> ignore (Dist.geometric r ~p:0.))
 
-let test_exponential () =
-  let r = rng () in
-  let n = 50_000 in
-  let acc = ref 0. in
-  for _ = 1 to n do
-    let x = Dist.exponential r ~rate:2. in
-    Alcotest.(check bool) "positive" true (x > 0.);
-    acc := !acc +. x
-  done;
-  let mean = !acc /. float_of_int n in
-  Alcotest.(check bool) (Printf.sprintf "mean %.3f ~ 0.5" mean) true (Float.abs (mean -. 0.5) < 0.02)
-
-let test_categorical () =
-  let r = rng () in
-  let weights = [| 1.; 0.; 3. |] in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 40_000 do
-    let i = Dist.categorical r ~weights in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Alcotest.(check int) "zero weight never drawn" 0 counts.(1);
-  let frac0 = float_of_int counts.(0) /. 40_000. in
-  Alcotest.(check bool) "proportions" true (Float.abs (frac0 -. 0.25) < 0.02);
-  Alcotest.check_raises "all zero"
-    (Invalid_argument "Dist.categorical: weights must have positive sum") (fun () ->
-      ignore (Dist.categorical r ~weights:[| 0.; 0. |]))
-
 let test_cdf_table () =
   let r = rng () in
   let t = Dist.Cdf_table.of_weights [| 2.; 2.; 6. |] in
-  Alcotest.(check int) "support" 3 (Dist.Cdf_table.support t);
-  Alcotest.(check (float 1e-9)) "prob" 0.2 (Dist.Cdf_table.prob t 0);
   let counts = Array.make 3 0 in
   for _ = 1 to 50_000 do
     let i = Dist.Cdf_table.draw t r in
@@ -146,21 +117,26 @@ let test_zipf_z0_uniform () =
   let res = Stats_math.chi_square_uniform ~observed in
   Alcotest.(check bool) "z=0 uniform" true (res.p_value > 0.001)
 
-let test_zipf_probabilities () =
-  let z = Dist.Zipf.create ~z:1. ~support:4 in
-  let h = 1. +. (1. /. 2.) +. (1. /. 3.) +. (1. /. 4.) in
-  Alcotest.(check (float 1e-9)) "rank 1" (1. /. h) (Dist.Zipf.prob z 1);
-  Alcotest.(check (float 1e-9)) "rank 4" (1. /. 4. /. h) (Dist.Zipf.prob z 4);
-  Alcotest.(check (float 1e-9)) "rank 0 out of domain" 0. (Dist.Zipf.prob z 0);
-  Alcotest.(check (float 1e-9)) "rank 5 out of domain" 0. (Dist.Zipf.prob z 5)
-
+(* Higher z concentrates more of the draws on rank 1. *)
 let test_zipf_skew_ordering () =
-  (* Higher z concentrates more mass on rank 1. *)
-  let p_at z = Dist.Zipf.prob (Dist.Zipf.create ~z ~support:100) 1 in
-  Alcotest.(check bool) "z=1 > z=0" true (p_at 1. > p_at 0.);
-  Alcotest.(check bool) "z=2 > z=1" true (p_at 2. > p_at 1.);
-  Alcotest.(check bool) "z=3 > z=2" true (p_at 3. > p_at 2.);
-  Alcotest.(check bool) "z=3 rank1 > 0.8" true (p_at 3. > 0.8)
+  let r = rng () in
+  let rank1_share z =
+    let t = Dist.Zipf.create ~z ~support:100 in
+    let hits = ref 0 in
+    for _ = 1 to 20_000 do
+      if Dist.Zipf.draw t r = 1 then incr hits
+    done;
+    float_of_int !hits /. 20_000.
+  in
+  let shares = List.map rank1_share [ 0.; 1.; 2.; 3. ] in
+  Alcotest.(check bool) "rank 1's share grows with z" true
+    (List.sort compare shares = shares && List.length (List.sort_uniq compare shares) = 4);
+  Alcotest.(check bool) "z=3 rank1 > 0.8" true (List.nth shares 3 > 0.8)
+
+(* Rank i of Zipf(z) over [support] ranks: i^-z / Σ_j j^-z. *)
+let zipf_pmf ~z ~support rank =
+  let w i = 1. /. (float_of_int i ** z) in
+  w rank /. List.fold_left (fun acc i -> acc +. w i) 0. (List.init support (fun i -> i + 1))
 
 let test_zipf_distribution () =
   let r = rng () in
@@ -171,7 +147,7 @@ let test_zipf_distribution () =
     let v = Dist.Zipf.draw z r in
     observed.(v - 1) <- observed.(v - 1) + 1
   done;
-  let expected = Dist.Zipf.expected_counts z ~n in
+  let expected = Array.init 10 (fun i -> float_of_int n *. zipf_pmf ~z:2. ~support:10 (i + 1)) in
   (* Merge the tiny tail into one cell. *)
   let cut = 5 in
   let obs = Array.make (cut + 1) 0 and exp_ = Array.make (cut + 1) 0. in
@@ -200,12 +176,9 @@ let suite =
     Alcotest.test_case "binomial chi2: large mean (mode-centered)" `Slow test_binomial_large_mean;
     Alcotest.test_case "binomial moments at n=100k" `Slow test_binomial_mean_variance_large;
     Alcotest.test_case "geometric mean and edges" `Slow test_geometric;
-    Alcotest.test_case "exponential mean" `Slow test_exponential;
-    Alcotest.test_case "categorical weights" `Slow test_categorical;
     Alcotest.test_case "cdf table draws" `Slow test_cdf_table;
     Alcotest.test_case "zipf z=0 is uniform" `Slow test_zipf_z0_uniform;
-    Alcotest.test_case "zipf analytic probabilities" `Quick test_zipf_probabilities;
-    Alcotest.test_case "zipf skew ordering in z" `Quick test_zipf_skew_ordering;
+    Alcotest.test_case "zipf skew ordering in z" `Slow test_zipf_skew_ordering;
     Alcotest.test_case "zipf z=2 matches pmf" `Slow test_zipf_distribution;
     Alcotest.test_case "zipf rejects bad parameters" `Quick test_zipf_invalid;
   ]

@@ -14,11 +14,11 @@ let right () = rel "R" schema_ac [ [ 2; 200 ]; [ 2; 201 ]; [ 3; 300 ]; [ 4; 400 
    (2,21)x(2,200),(2,201); (3,30)x(3,300) -> 5 tuples. *)
 let expected_join_size = 5
 
-let sort_tuples l = List.sort Tuple.compare l
+let sort_tuples l = List.sort compare l
 
 let expected_join_tuples () =
   sort_tuples
-    (List.map Tuple.of_ints
+    (List.map (fun l -> Array.of_list (List.map Value.int l))
        [
          [ 2; 20; 2; 200 ];
          [ 2; 20; 2; 201 ];
@@ -100,13 +100,9 @@ let test_metrics_ops () =
   let a = Metrics.create () in
   a.Metrics.tuples_scanned <- 3;
   a.Metrics.stats_lookups <- 2;
-  let b = Metrics.copy a in
-  Alcotest.(check int) "copy" 3 b.Metrics.tuples_scanned;
-  let c = Metrics.add a b in
+  let c = Metrics.add a a in
   Alcotest.(check int) "add" 6 c.Metrics.tuples_scanned;
   Alcotest.(check int) "total_work" 10 (Metrics.total_work c);
-  Metrics.reset a;
-  Alcotest.(check int) "reset" 0 (Metrics.total_work a);
   Alcotest.(check int) "assoc entries" 9 (List.length (Metrics.to_assoc c))
 
 (* Exercise every counter through the derived operations at once, so a
@@ -138,20 +134,13 @@ let test_metrics_field_spec_consistency () =
   in
   Alcotest.(check (list (pair string int))) "to_assoc sees every field" expected
     (Metrics.to_assoc m);
-  Alcotest.(check (list (pair string int))) "copy round-trips every field" expected
-    (Metrics.to_assoc (Metrics.copy m));
   Alcotest.(check (list (pair string int))) "add doubles every field"
     (List.map (fun (k, v) -> (k, 2 * v)) expected)
     (Metrics.to_assoc (Metrics.add m m));
   (* total_work is the assoc sum minus delivered output tuples. *)
   Alcotest.(check int) "total_work excludes output_tuples"
     (List.fold_left (fun acc (_, v) -> acc + v) 0 expected - m.Metrics.output_tuples)
-    (Metrics.total_work m);
-  let c = Metrics.copy m in
-  Metrics.reset c;
-  Alcotest.(check (list (pair string int))) "reset zeroes every field"
-    (List.map (fun (k, _) -> (k, 0)) expected)
-    (Metrics.to_assoc c)
+    (Metrics.total_work m)
 
 let test_transform_node () =
   (* A transform doubling every first column models a sampling operator
@@ -176,7 +165,7 @@ let test_transform_node () =
     (List.map (fun t -> Value.to_int_exn (Tuple.get t 0)) out)
 
 let test_source_node () =
-  let produce () = Stream0.of_list [ Tuple.of_ints [ 7; 8 ] ] in
+  let produce () = Stream0.of_list [ Array.map Value.int [| 7; 8 |] ] in
   let p = Plan.source_of_stream ~name:"pipe" schema_ab produce in
   Alcotest.(check int) "one tuple" 1 (Plan.count p)
 
@@ -191,7 +180,7 @@ let test_explain_renders () =
   Alcotest.(check bool) "mentions scans" true (contains ~needle:"Scan L" s)
 
 let test_predicates () =
-  let t = Tuple.of_ints [ 5; 10 ] in
+  let t = Array.map Value.int [| 5; 10 |] in
   let open Predicate in
   Alcotest.(check bool) "eq" true (eval (Eq (0, Value.Int 5)) t);
   Alcotest.(check bool) "ne" true (eval (Ne (0, Value.Int 6)) t);
@@ -284,17 +273,23 @@ let test_io_model () =
   m.Metrics.index_probes <- 5;
   m.Metrics.join_output_tuples <- 200;
   let disk = Io_model.default_disk in
-  (* 10 sequential pages + 15 random pages * 4 + 200 * 0.01 *)
-  Alcotest.(check (float 1e-9)) "disk cost" (10. +. 60. +. 2.) (Io_model.cost disk m);
-  (* in-memory: scans count per tuple *)
-  Alcotest.(check (float 1e-9)) "in-memory cost" (1000. +. 15. +. 200.)
-    (Io_model.cost Io_model.in_memory m);
+  (* One scanned page costs 1, so against it the relative cost is 100x
+     the disk cost: 10 sequential pages + 15 random pages * 4 + 200 *
+     0.01. *)
+  let page = Metrics.create () in
+  page.Metrics.tuples_scanned <- 100;
+  Alcotest.(check (float 1e-9)) "disk cost" (100. *. (10. +. 60. +. 2.))
+    (Io_model.relative_pct disk ~baseline:page m);
   let baseline = Metrics.create () in
   baseline.Metrics.tuples_scanned <- 2_000;
   Alcotest.(check (float 1e-9)) "relative" (72. /. 20. *. 100.)
     (Io_model.relative_pct disk ~baseline m);
+  Alcotest.(check bool) "empty baseline" true
+    (Float.is_nan (Io_model.relative_pct disk ~baseline:(Metrics.create ()) m));
   Alcotest.(check bool) "bad page size" true
-    (try ignore (Io_model.cost { disk with Io_model.page_size_tuples = 0 } m); false
+    (try
+       ignore (Io_model.relative_pct { disk with Io_model.page_size_tuples = 0 } ~baseline m);
+       false
      with Invalid_argument _ -> true)
 
 let test_io_model_orders_random_access () =
@@ -308,8 +303,20 @@ let test_io_model_orders_random_access () =
   Alcotest.(check int) "same in-memory work" (Metrics.total_work scanner)
     (Metrics.total_work prober);
   Alcotest.(check bool) "disk model separates them" true
-    (Io_model.cost Io_model.default_disk prober
-     > 100. *. Io_model.cost Io_model.default_disk scanner)
+    (Io_model.relative_pct Io_model.default_disk ~baseline:scanner prober > 10_000.)
+
+(* pp prints one aligned line per counter, in to_assoc order, then the
+   total work. *)
+let test_metrics_pp () =
+  let m = Metrics.create () in
+  m.Metrics.tuples_scanned <- 12;
+  m.Metrics.random_accesses <- 3;
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Metrics.pp m) in
+  let expected =
+    List.map (fun (k, v) -> Printf.sprintf "%-20s %d" k v) (Metrics.to_assoc m)
+    @ [ Printf.sprintf "%-20s %d" "total_work" (Metrics.total_work m) ]
+  in
+  Alcotest.(check (list string)) "one line per counter, then total_work" expected lines
 
 let suite =
   [
@@ -321,6 +328,7 @@ let suite =
     Alcotest.test_case "sort and limit" `Quick test_sort_limit;
     Alcotest.test_case "metrics counted by operators" `Quick test_metrics_counting;
     Alcotest.test_case "metrics arithmetic" `Quick test_metrics_ops;
+    Alcotest.test_case "metrics pretty-printer" `Quick test_metrics_pp;
     Alcotest.test_case "metrics field-spec consistency" `Quick test_metrics_field_spec_consistency;
     Alcotest.test_case "transform extension point" `Quick test_transform_node;
     Alcotest.test_case "pipelined source node" `Quick test_source_node;

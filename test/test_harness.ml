@@ -109,6 +109,88 @@ let test_config_from_env () =
   let cfg = Experiments.config_from_env () in
   Alcotest.(check bool) "reps >= 1" true (cfg.Experiments.repetitions >= 1)
 
+let labels (p : Experiments.sweep_point) =
+  List.map (fun (c : Experiments.cell) -> c.Experiments.label) p.Experiments.cells
+
+let work_of label (p : Experiments.sweep_point) =
+  (List.find (fun (c : Experiments.cell) -> c.Experiments.label = label) p.Experiments.cells)
+    .Experiments.work_pct
+
+(* Figure B repeats Figure A's fraction sweep on the skewed pair: the
+   same five fractions and three strategies, one sample size per point
+   growing with the fraction, and Stream-Sample's work below Naive's
+   everywhere. *)
+let test_figure_b_structure () =
+  let fig = Experiments.figure_b tiny_config in
+  Alcotest.(check string) "id" "B" fig.Experiments.id;
+  Alcotest.(check (list string)) "fractions"
+    [ "100 tuples"; "sqrt(n)"; "1%"; "5%"; "10%" ]
+    (List.map (fun (p : Experiments.sweep_point) -> p.Experiments.x_label) fig.Experiments.points);
+  let sizes =
+    List.map
+      (fun (p : Experiments.sweep_point) ->
+        Alcotest.(check (list string)) "strategies"
+          [ "Olken-Sample"; "Stream-Sample"; "Frequency-Partition-Sample" ]
+          (labels p);
+        let sizes = List.map (fun (c : Experiments.cell) -> c.Experiments.sample_size) p.Experiments.cells in
+        match List.sort_uniq compare sizes with
+        | [ n ] -> n
+        | _ -> Alcotest.failf "%s: strategies drew different sizes" p.Experiments.x_label)
+      fig.Experiments.points
+  in
+  Alcotest.(check bool) "sizes grow with the fraction" true (List.sort compare sizes = sizes);
+  List.iter
+    (fun (p : Experiments.sweep_point) ->
+      Alcotest.(check bool) (p.Experiments.x_label ^ ": stream below naive") true
+        (work_of "Stream-Sample" p < 100.))
+    fig.Experiments.points
+
+(* Figure D sweeps the inner skew with the outer at z = 3. *)
+let test_figure_d_structure () =
+  let fig = Experiments.figure_d tiny_config in
+  Alcotest.(check string) "id" "D" fig.Experiments.id;
+  Alcotest.(check (list string)) "inner skews" [ "z2=0"; "z2=1"; "z2=2"; "z2=3" ]
+    (List.map (fun (p : Experiments.sweep_point) -> p.Experiments.x_label) fig.Experiments.points);
+  List.iter
+    (fun (p : Experiments.sweep_point) ->
+      Alcotest.(check int) "three strategies" 3 (List.length p.Experiments.cells);
+      Alcotest.(check bool) "naive work positive" true (p.Experiments.naive_work > 0);
+      Alcotest.(check bool) (p.Experiments.x_label ^ ": stream below naive") true
+        (work_of "Stream-Sample" p < 100.))
+    fig.Experiments.points
+
+(* Figure E runs Frequency-Partition-Sample alone, one series per outer
+   skew, each over the four inner skews. *)
+let test_figure_e_structure () =
+  let fig = Experiments.figure_e tiny_config in
+  Alcotest.(check string) "id" "E" fig.Experiments.id;
+  let z2 = [ "z2=0"; "z2=1"; "z2=2"; "z2=3" ] in
+  Alcotest.(check (list string)) "two series over the inner skews" (z2 @ z2)
+    (List.map (fun (p : Experiments.sweep_point) -> p.Experiments.x_label) fig.Experiments.points);
+  Alcotest.(check (list (list string))) "one FPS cell per point"
+    (List.map (fun _ -> [ "FPS (outer z=0)" ]) z2 @ List.map (fun _ -> [ "FPS (outer z=3)" ]) z2)
+    (List.map labels fig.Experiments.points)
+
+(* V1: the measured intermediate-join fraction of Group-, Frequency-
+   Partition- and Index-Sample tracks Theorems 7-9 at every skew. *)
+let test_validate_alphas_report () =
+  let t = Experiments.validate_alphas tiny_config in
+  Alcotest.(check (list string)) "header"
+    [ "Z"; "strategy"; "r"; "alpha predicted"; "alpha measured" ]
+    t.Report.header;
+  Alcotest.(check int) "three strategies at three skews" 9 (List.length t.Report.rows);
+  List.iter
+    (fun row ->
+      match row with
+      | [ z; strategy; _; predicted; measured ] ->
+          let predicted = float_of_string predicted and measured = float_of_string measured in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: measured %g within 15%% of %g" z strategy measured predicted)
+            true
+            (Float.abs (measured -. predicted) <= 0.15 *. predicted)
+      | _ -> Alcotest.fail "row shape")
+    t.Report.rows
+
 let suite =
   [
     Alcotest.test_case "report renders" `Quick test_report_renders;
@@ -122,4 +204,8 @@ let suite =
     Alcotest.test_case "uniformity validation report" `Slow test_validate_uniformity_report;
     Alcotest.test_case "negative-results report" `Quick test_negative_demo_report;
     Alcotest.test_case "config from env" `Quick test_config_from_env;
+    Alcotest.test_case "figure B structure" `Slow test_figure_b_structure;
+    Alcotest.test_case "figure D structure" `Slow test_figure_d_structure;
+    Alcotest.test_case "figure E structure" `Slow test_figure_e_structure;
+    Alcotest.test_case "alpha validation report" `Slow test_validate_alphas_report;
   ]

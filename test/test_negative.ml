@@ -78,18 +78,18 @@ let test_thm12 () =
     (Negative.min_symmetric_fraction ~f:0.01)
 
 let test_uniformity_check_rejects_alien_tuples () =
-  let universe = [| Tuple.of_ints [ 1 ]; Tuple.of_ints [ 2 ] |] in
+  let universe = [| Array.map Value.int [| 1 |]; Array.map Value.int [| 2 |] |] in
   Alcotest.(check bool) "alien tuple detected" true
     (try
        ignore
          (Negative.uniformity_check ~trials:1 ~universe ~draw:(fun () ->
-              [| Tuple.of_ints [ 99 ] |]));
+              [| Array.map Value.int [| 99 |] |]));
        false
      with Invalid_argument _ -> true)
 
 let test_uniformity_check_detects_bias () =
   (* A deliberately biased sampler must fail the chi-square. *)
-  let universe = Array.init 10 (fun i -> Tuple.of_ints [ i ]) in
+  let universe = Array.init 10 (fun i -> Array.map Value.int [| i |]) in
   let rng = Rsj_util.Prng.create ~seed:0xBAD () in
   let report =
     Negative.uniformity_check ~trials:300 ~universe ~draw:(fun () ->

@@ -65,21 +65,42 @@ let test_json_parser () =
       | Error _ -> ())
     [ "{"; "[1,]"; "tru"; "\"unterminated"; "1 2"; "{\"a\":}"; "" ]
 
+(* The parser recurses per nesting level, so depth is bounded: 64
+   levels parse, 65 and a 100k-deep line are refused by name instead
+   of overflowing the stack. *)
+let test_json_depth_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "64 levels parse" true (Result.is_ok (Obs.Json.parse (nested 64)));
+  List.iter
+    (fun line ->
+      match Obs.Json.parse line with
+      | Ok _ -> Alcotest.fail "accepted a line nested past the bound"
+      | Error msg ->
+          Alcotest.(check bool) ("names the bound: " ^ msg) true
+            (String.starts_with ~prefix:"nesting deeper than 64" msg))
+    [ nested 65; String.make 100_000 '['; String.concat "" (List.init 100_000 (fun _ -> {|{"a":|})) ]
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 
 let test_bucket_boundaries () =
-  let b = Obs.Registry.default_buckets in
-  Alcotest.(check int) "30 bounds" 30 (Array.length b);
-  Alcotest.(check (float 1e-12)) "first bound is 1us" 1e-6 b.(0);
-  Alcotest.(check (float 1e-9)) "bounds double" (2. *. b.(10)) b.(11);
-  (* v <= bound picks the bucket; past the last bound is the +Inf slot. *)
-  Alcotest.(check int) "0 in first bucket" 0 (Obs.Registry.bucket_index 0.);
-  Alcotest.(check int) "exact bound stays in its bucket" 0 (Obs.Registry.bucket_index 1e-6);
-  Alcotest.(check int) "just above a bound moves up" 1 (Obs.Registry.bucket_index 1.0000001e-6);
-  Alcotest.(check int) "+Inf slot" 30 (Obs.Registry.bucket_index 1e9);
-  Alcotest.(check int) "custom ladder" 2
-    (Obs.Registry.bucket_index ~buckets:[| 1.; 2.; 4. |] 3.)
+  (* One observation per fresh histogram: its p50 is the upper bound of
+     the bucket the value landed in (the top finite bound for the +Inf
+     slot). v <= bound picks the bucket. *)
+  let fresh = ref 0 in
+  let bucket_of ?buckets v =
+    incr fresh;
+    let h = Obs.Registry.histogram ?buckets (Printf.sprintf "rsjtest_bucket%d_seconds" !fresh) in
+    Obs.Registry.observe h v;
+    Obs.Registry.quantile h 0.5
+  in
+  Alcotest.(check (float 1e-12)) "0 in first bucket, bound 1us" 1e-6 (bucket_of 0.);
+  Alcotest.(check (float 1e-12)) "exact bound stays in its bucket" 1e-6 (bucket_of 1e-6);
+  Alcotest.(check (float 1e-12)) "just above a bound moves up; bounds double" 2e-6
+    (bucket_of 1.0000001e-6);
+  Alcotest.(check (float 1e-9)) "+Inf slot past the 30th bound" (1e-6 *. (2. ** 29.))
+    (bucket_of 1e9);
+  Alcotest.(check (float 0.)) "custom ladder" 4. (bucket_of ~buckets:[| 1.; 2.; 4. |] 3.)
 
 let test_counters_and_gauges () =
   let c = Obs.Registry.counter ~help:"t" "rsjtest_counter_total" in
@@ -96,7 +117,9 @@ let test_counters_and_gauges () =
   Alcotest.(check int) "labeled series independent" 0 (Obs.Registry.value cl);
   let g = Obs.Registry.gauge "rsjtest_gauge" in
   Obs.Registry.set_gauge g 2.5;
-  Alcotest.(check (float 0.)) "gauge" 2.5 (Obs.Registry.gauge_value g);
+  Alcotest.(check bool) "gauge" true
+    (List.mem "rsjtest_gauge 2.5"
+       (String.split_on_char '\n' (Obs.Registry.to_prometheus ~only:(( = ) "rsjtest_gauge") ())));
   (* Re-registering a name as a different type is a bug, loudly. *)
   Alcotest.(check bool) "type mismatch raises" true
     (try
@@ -109,7 +132,10 @@ let test_histogram_quantiles () =
   Alcotest.(check bool) "empty quantile is nan" true (Float.is_nan (Obs.Registry.quantile h 0.5));
   List.iter (Obs.Registry.observe h) [ 0.5; 1.5; 1.6; 3.; 100. ];
   Alcotest.(check int) "count" 5 (Obs.Registry.observed_count h);
-  Alcotest.(check (float 1e-9)) "sum" 106.6 (Obs.Registry.observed_sum h);
+  Alcotest.(check bool) "sum" true
+    (List.mem "rsjtest_hist_seconds_sum 106.6"
+       (String.split_on_char '\n'
+          (Obs.Registry.to_prometheus ~only:(( = ) "rsjtest_hist_seconds") ())));
   (* Cumulative counts by bucket: 1,3,4,4,(+Inf)5. p50 target 2.5 lands
      in the le=2 bucket; the +Inf overflow reports the top finite
      bound. *)
@@ -180,7 +206,11 @@ let test_trace_json_wellformed () =
   Obs.Trace.with_span ~cat:"test" ~args:[ ("k", Obs.Json.Int 1) ] "outer" (fun () ->
       Obs.Trace.with_span ~cat:"test" "inner" (fun () -> ());
       Obs.Trace.instant ~cat:"test" "mark");
-  match Obs.Json.parse (Obs.Json.to_string (Obs.Trace.to_json ())) with
+  let path = Filename.temp_file "rsj_trace" ".json" in
+  Obs.Trace.write_file path;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  match Obs.Json.parse text with
   | Error e -> Alcotest.failf "trace document unparseable: %s" e
   | Ok doc -> (
       match Obs.Json.member "traceEvents" doc with
@@ -355,6 +385,156 @@ let test_disabled_path_allocation_free () =
     (Printf.sprintf "disabled spans allocate nothing (%.0f words for 10k calls)" delta)
     true (delta < 256.)
 
+(* A pre-measured span keeps the caller's timestamps, and every record
+   made under a request context carries its id unless the caller named
+   one itself. *)
+let test_trace_complete_and_context () =
+  with_tracing @@ fun () ->
+  Obs.Trace.complete ~cat:"test" "bare" ~ts:5. ~dur:3.;
+  Obs.Context.with_request "r-7" (fun () ->
+      Obs.Trace.complete ~cat:"test" "tagged" ~ts:10. ~dur:0.5;
+      Obs.Trace.complete ~args:[ ("req", Obs.Json.Str "own") ] "named" ~ts:11. ~dur:0.;
+      Obs.Trace.instant "mark");
+  let find n =
+    match List.filter (fun e -> e.Obs.Trace.name = n) (Obs.Trace.events ()) with
+    | [ e ] -> e
+    | l -> Alcotest.failf "expected one %s event, got %d" n (List.length l)
+  in
+  let req e = List.assoc_opt "req" e.Obs.Trace.args in
+  let bare = find "bare" in
+  Alcotest.(check char) "complete span" 'X' bare.Obs.Trace.ph;
+  Alcotest.(check (float 0.)) "caller's ts" 5. bare.Obs.Trace.ts;
+  Alcotest.(check (float 0.)) "caller's dur" 3. bare.Obs.Trace.dur;
+  Alcotest.(check (option json)) "no context, no req" None (req bare);
+  Alcotest.(check (option json)) "context id" (Some (Obs.Json.Str "r-7")) (req (find "tagged"));
+  Alcotest.(check (option json)) "an explicit req wins" (Some (Obs.Json.Str "own"))
+    (req (find "named"));
+  Alcotest.(check (option json)) "instants are tagged too" (Some (Obs.Json.Str "r-7"))
+    (req (find "mark"))
+
+(* Rings hold 2^15 events each; past that a record is counted as
+   dropped, not stored, and clear resets the count. *)
+let test_trace_ring_overflow () =
+  with_tracing @@ fun () ->
+  let cap = 1 lsl 15 in
+  for i = 1 to cap + 5 do
+    Obs.Trace.complete "fill" ~ts:(float_of_int i) ~dur:0.
+  done;
+  Alcotest.(check int) "ring keeps its capacity" cap (List.length (Obs.Trace.events ()));
+  Alcotest.(check int) "the rest are dropped" 5 (Obs.Trace.dropped ());
+  Obs.Trace.clear ();
+  Alcotest.(check int) "clear resets the drop count" 0 (Obs.Trace.dropped ());
+  Alcotest.(check int) "clear empties the rings" 0 (List.length (Obs.Trace.events ()))
+
+let test_context_nesting () =
+  Alcotest.(check (option string)) "none outside" None (Obs.Context.current ());
+  Obs.Context.with_request "outer" (fun () ->
+      Alcotest.(check (option string)) "outer" (Some "outer") (Obs.Context.current ());
+      Obs.Context.with_request "inner" (fun () ->
+          Alcotest.(check (option string)) "inner" (Some "inner") (Obs.Context.current ()));
+      Alcotest.(check (option string)) "outer restored" (Some "outer") (Obs.Context.current ());
+      (try Obs.Context.with_request "raising" (fun () -> failwith "boom") with Failure _ -> ());
+      Alcotest.(check (option string)) "restored after a raise" (Some "outer")
+        (Obs.Context.current ()));
+  Alcotest.(check (option string)) "none again" None (Obs.Context.current ());
+  Alcotest.(check int) "returns f's value" 7 (Obs.Context.with_request "x" (fun () -> 7))
+
+let test_clock_now_us () =
+  let a = Obs.Clock.now_us () in
+  let s0 = Obs.Clock.now_s () in
+  Unix.sleepf 0.02;
+  let b = Obs.Clock.now_us () in
+  let s1 = Obs.Clock.now_s () in
+  Alcotest.(check bool) "counts from process start" true (a >= 0.);
+  Alcotest.(check bool) "advances across a sleep" true (b -. a >= 20_000.);
+  Alcotest.(check (float 2_000.)) "same rate as now_s" ((s1 -. s0) *. 1e6) (b -. a)
+
+(* A metrics record folds into the registry as counters named by the
+   prefix, adding on every absorb. *)
+let test_registry_absorb_assoc () =
+  let m = Rsj_exec.Metrics.create () in
+  m.Rsj_exec.Metrics.tuples_scanned <- 12;
+  m.Rsj_exec.Metrics.index_probes <- 3;
+  let assoc = Rsj_exec.Metrics.to_assoc m in
+  Obs.Registry.absorb_assoc ~prefix:"rsjtest_absorb_" assoc;
+  Obs.Registry.absorb_assoc ~prefix:"rsjtest_absorb_" assoc;
+  let value k = Obs.Registry.value (Obs.Registry.counter ("rsjtest_absorb_" ^ k)) in
+  Alcotest.(check int) "tuples_scanned added twice" 24 (value "tuples_scanned");
+  Alcotest.(check int) "index_probes added twice" 6 (value "index_probes");
+  List.iter
+    (fun (k, v) -> Alcotest.(check int) (k ^ " absorbed") (2 * v) (value k))
+    assoc;
+  Obs.Registry.absorb_assoc [ ("rsjtest_absorb_plain_total", 4) ];
+  Alcotest.(check int) "no prefix" 4 (value "plain_total")
+
+let test_reqlog_lines () =
+  let path = Filename.temp_file "rsj_reqlog" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Obs.Reqlog.set_path None; Sys.remove path) @@ fun () ->
+  Obs.Reqlog.set_path (Some path);
+  Alcotest.(check bool) "armed" true (Obs.Reqlog.enabled ());
+  Obs.Reqlog.write [ ("op", Obs.Json.Str "ping") ];
+  Obs.Context.with_request "q-1" (fun () ->
+      Obs.Reqlog.write [ ("op", Obs.Json.Str "sample") ];
+      Obs.Reqlog.write [ ("op", Obs.Json.Str "query"); ("req", Obs.Json.Str "mine") ]);
+  Obs.Reqlog.close ();
+  Alcotest.(check bool) "close disarms" false (Obs.Reqlog.enabled ());
+  Obs.Reqlog.write [ ("op", Obs.Json.Str "unlogged") ];
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let lines = String.split_on_char '\n' text |> List.filter (( <> ) "") in
+  let parsed =
+    List.map
+      (fun l -> match Obs.Json.parse l with Ok v -> v | Error e -> Alcotest.failf "%S: %s" l e)
+      lines
+  in
+  Alcotest.(check int) "one line per armed write" 3 (List.length parsed);
+  let field k v = Obs.Json.member k v in
+  List.iter
+    (fun v ->
+      match field "ts" v with
+      | Some (Obs.Json.Float _) -> ()
+      | _ -> Alcotest.fail "every line carries a float ts")
+    parsed;
+  Alcotest.(check (list (option json))) "request ids"
+    [ None; Some (Obs.Json.Str "q-1"); Some (Obs.Json.Str "mine") ]
+    (List.map (field "req") parsed);
+  Obs.Reqlog.set_path (Some "");
+  Alcotest.(check bool) "an empty path disarms" false (Obs.Reqlog.enabled ())
+
+(* A megaword array goes straight to the major heap, so the meter sees
+   it at once; minor-heap words may be accounted lazily, so the check
+   leaves room for them. *)
+let test_runtime_allocated_words () =
+  let before = Obs.Runtime.allocated_words () in
+  let keep = Sys.opaque_identity (Array.make 1_000_000 0) in
+  let after = Obs.Runtime.allocated_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 1M-word array is metered (%.0f words)" (after -. before))
+    true
+    (after -. before >= 900_000.);
+  Alcotest.(check bool) "the meter never runs backwards" true (Obs.Runtime.allocated_words () >= after);
+  ignore (Sys.opaque_identity keep)
+
+let test_runtime_publish_gc () =
+  Gc.minor ();
+  Obs.Runtime.publish_gc ();
+  let text = Obs.Registry.to_prometheus ~only:(String.starts_with ~prefix:"rsj_gc_") () in
+  let value name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " published") true (value n <> None))
+    [ "rsj_gc_minor_words"; "rsj_gc_major_words"; "rsj_gc_promoted_words";
+      "rsj_gc_minor_collections"; "rsj_gc_major_collections"; "rsj_gc_compactions";
+      "rsj_gc_heap_words" ];
+  Alcotest.(check bool) "a minor collection is counted" true
+    (Option.get (value "rsj_gc_minor_collections") >= 1.);
+  Alcotest.(check bool) "the heap has words" true (Option.get (value "rsj_gc_heap_words") > 0.)
+
 (* ------------------------------------------------------------------ *)
 (* CLI artifacts (obs_artifacts): driven by the @obs / @conformance    *)
 (* aliases via RSJ_TRACE_CHECK / RSJ_METRICS_CHECK                     *)
@@ -463,11 +643,71 @@ let test_config_parse_rule () =
   with_env "RSJ_TRACE" "1" (fun () ->
       Alcotest.(check (option string)) "RSJ_TRACE=1" (Some "trace.json") (C.trace ()))
 
+(* RSJ_LOG is a path or off; the millisecond knobs take any
+   non-negative number. *)
+let test_config_log_and_ms_knobs () =
+  let module C = Obs.Config in
+  with_env "RSJ_LOG" "" (fun () -> Alcotest.(check (option string)) "unset = off" None (C.log_path ()));
+  with_env "RSJ_LOG" " req.ndjson " (fun () ->
+      Alcotest.(check (option string)) "a trimmed path" (Some "req.ndjson") (C.log_path ()));
+  with_env "RSJ_SLOW_MS" "" (fun () -> Alcotest.(check (float 0.)) "slow default" 100. (C.slow_ms ()));
+  with_env "RSJ_SLOW_MS" "2.5" (fun () -> Alcotest.(check (float 0.)) "fractional ms" 2.5 (C.slow_ms ()));
+  with_env "RSJ_SERVE_DRAIN_LINGER_MS" "" (fun () ->
+      Alcotest.(check (float 0.)) "linger default" 0. (C.drain_linger_ms ()));
+  with_env "RSJ_SERVE_DRAIN_LINGER_MS" "0" (fun () ->
+      Alcotest.(check (float 0.)) "zero is allowed" 0. (C.drain_linger_ms ()));
+  raises_naming "RSJ_SLOW_MS" "inf" C.slow_ms;
+  raises_naming "RSJ_SLOW_MS" "-0.5" C.slow_ms
+
+(* effective lists every knob once, in declaration order, and says
+   whether its value came from the environment. *)
+let test_config_effective_sources () =
+  let module C = Obs.Config in
+  let entry name = List.find (fun e -> e.C.name = name) (C.effective ()) in
+  with_env "RSJ_QUALITY_WINDOW" "" (fun () ->
+      let e = entry "RSJ_QUALITY_WINDOW" in
+      Alcotest.(check string) "default value" "512" e.C.value;
+      Alcotest.(check string) "default source" "default" (C.source_to_string e.C.source));
+  with_env "RSJ_QUALITY_WINDOW" "64" (fun () ->
+      let e = entry "RSJ_QUALITY_WINDOW" in
+      Alcotest.(check string) "env value" "64" e.C.value;
+      Alcotest.(check string) "env source" "env" (C.source_to_string e.C.source);
+      Alcotest.(check bool) "documented" true (e.C.doc <> ""));
+  with_env "RSJ_CACHE_BYTES" "" (fun () ->
+      Alcotest.(check string) "an unbounded cache reads as such" "unbounded"
+        (entry "RSJ_CACHE_BYTES").C.value);
+  let names = List.map (fun e -> e.C.name) (C.effective ()) in
+  Alcotest.(check int) "each knob once" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "declaration order starts with the telemetry knobs"
+    [ "RSJ_TRACE"; "RSJ_LOG" ] (List.filteri (fun i _ -> i < 2) names);
+  with_env "RSJ_QUALITY_WINDOW" "wide" (fun () ->
+      match C.effective () with
+      | _ -> Alcotest.fail "a malformed knob was listed"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) "names the knob" true
+            (String.starts_with ~prefix:"RSJ_QUALITY_WINDOW" msg))
+
+(* write appends to_string's rendering to a caller's buffer, so one
+   buffer can carry several documents back to back. *)
+let test_json_write () =
+  let docs =
+    Obs.Json.[ Obj [ ("a", List [ Int 1; Float 0.5; Null ]) ]; Str "tab\there"; Bool false ]
+  in
+  let buf = Buffer.create 8 in
+  Buffer.add_string buf ">>";
+  List.iter (Obs.Json.write buf) docs;
+  Alcotest.(check string) "concatenated renderings"
+    (">>" ^ String.concat "" (List.map Obs.Json.to_string docs))
+    (Buffer.contents buf)
+
 let suite =
   [
     Alcotest.test_case "config: one parse rule for every knob" `Quick test_config_parse_rule;
     Alcotest.test_case "json to_string/parse round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parser accepts/rejects" `Quick test_json_parser;
+    Alcotest.test_case "json nesting depth is bounded" `Quick test_json_depth_bound;
+    Alcotest.test_case "json write appends to a buffer" `Quick test_json_write;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_bucket_boundaries;
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "histogram observe and quantiles" `Quick test_histogram_quantiles;
@@ -478,6 +718,18 @@ let suite =
     Alcotest.test_case "a WoR request is one observed run" `Quick test_wor_request_observed_once;
     Alcotest.test_case "a chain draw is one observed run" `Quick test_chain_draw_observed;
     Alcotest.test_case "disabled path allocates nothing" `Quick test_disabled_path_allocation_free;
+    Alcotest.test_case "trace: complete keeps timestamps; context tags records" `Quick
+      test_trace_complete_and_context;
+    Alcotest.test_case "trace: ring overflow counts drops" `Quick test_trace_ring_overflow;
+    Alcotest.test_case "context: with_request nests and restores" `Quick test_context_nesting;
+    Alcotest.test_case "clock: now_us counts microseconds" `Quick test_clock_now_us;
+    Alcotest.test_case "registry: absorb_assoc adds a metrics record" `Quick test_registry_absorb_assoc;
+    Alcotest.test_case "reqlog: one JSON line per write, tagged" `Quick test_reqlog_lines;
+    Alcotest.test_case "runtime: allocated_words meters allocation" `Quick test_runtime_allocated_words;
+    Alcotest.test_case "runtime: publish_gc refreshes the gc gauges" `Quick test_runtime_publish_gc;
+    Alcotest.test_case "config: RSJ_LOG and the millisecond knobs" `Quick test_config_log_and_ms_knobs;
+    Alcotest.test_case "config: effective reports each knob's source" `Quick
+      test_config_effective_sources;
   ]
 
 let artifacts_suite =

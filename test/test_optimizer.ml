@@ -23,11 +23,19 @@ module Value = Rsj_relation.Value
    skewed table and nothing in the uniform one. *)
 
 let v i = Value.Int i
-let m1_uniform = Frequency.of_assoc (List.init 8 (fun i -> (v (i + 1), 5)))
-let m2_uniform = Frequency.of_assoc (List.init 8 (fun i -> (v (i + 1), 10)))
+(* A frequency table holding exactly these (value, count) pairs, built
+   the library's way: from a relation's key column. *)
+let freq_of_assoc pairs =
+  Rsj_stats.Frequency.of_relation ~key:0
+    (Rsj_relation.Relation.of_tuples
+       (Rsj_relation.Schema.of_list [ ("k", Rsj_relation.Value.T_int) ])
+       (List.concat_map (fun (v, n) -> List.init n (fun _ -> [| v |])) pairs))
+
+let m1_uniform = freq_of_assoc (List.init 8 (fun i -> (v (i + 1), 5)))
+let m2_uniform = freq_of_assoc (List.init 8 (fun i -> (v (i + 1), 10)))
 
 let m2_skew =
-  Frequency.of_assoc ((v 1, 50) :: List.init 6 (fun i -> (v (i + 2), 5)))
+  freq_of_assoc ((v 1, 50) :: List.init 6 (fun i -> (v (i + 2), 5)))
 
 let hist_of m2 = Histogram.End_biased.build_fraction m2 ~fraction:0.2
 
@@ -45,20 +53,33 @@ let availability = function
 
 let catalog ?(join_size = 400.) profile m2 =
   let a = availability profile in
-  Catalog.make ~availability:a
-    ?left_stats:(if a.Strategy.right_stats then Some m1_uniform else None)
-    ?right_stats:(if a.Strategy.right_stats then Some m2 else None)
-    ?histogram:(if a.Strategy.right_histogram then Some (hist_of m2) else None)
-    ~join_size_exact:a.Strategy.right_stats ~n1:40 ~n2:80 ~join_size ()
+  let stats = a.Strategy.right_stats in
+  {
+    Catalog.availability = a;
+    n1 = 40;
+    n2 = 80;
+    left_stats = (if stats then Some m1_uniform else None);
+    right_stats = (if stats then Some m2 else None);
+    histogram = (if a.Strategy.right_histogram then Some (hist_of m2) else None);
+    join_size;
+    join_size_exact = stats;
+    join_size_stderr = 0.;
+  }
 
 (* The empty join: full statistics over disjoint domains (no histogram,
    so the partition strategies stay out of the comparison). *)
 let empty_join_catalog =
-  Catalog.make
-    ~availability:{ Strategy.all_available with Strategy.right_histogram = false }
-    ~left_stats:m1_uniform
-    ~right_stats:(Frequency.of_assoc (List.init 7 (fun i -> (v (i + 101), 5))))
-    ~join_size_exact:true ~n1:40 ~n2:35 ~join_size:0. ()
+  {
+    Catalog.availability = { Strategy.all_available with Strategy.right_histogram = false };
+    n1 = 40;
+    n2 = 35;
+    left_stats = Some m1_uniform;
+    right_stats = Some (freq_of_assoc (List.init 7 (fun i -> (v (i + 101), 5))));
+    histogram = None;
+    join_size = 0.;
+    join_size_exact = true;
+    join_size_stderr = 0.;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Golden decision table: every row hand-checked against the paper's
@@ -172,16 +193,40 @@ let test_decision_trace () =
          scan 0))
     [ "only-feasible"; "Naive-Sample"; "infeasible"; "no structures" ]
 
+(* Exact ties: on empty operands at r = 0 every feasible strategy costs
+   0, so the preference order alone decides. Stream leads whenever it
+   is feasible; with only a histogram, Hybrid-Count beats
+   Frequency-Partition and Naive. *)
 let test_rank_order () =
-  let expect =
-    [
-      Strategy.Stream; Strategy.Count_sample; Strategy.Hybrid_count; Strategy.Index_sample;
-      Strategy.Frequency_partition; Strategy.Group; Strategy.Olken; Strategy.Naive;
-    ]
+  let zero availability =
+    {
+      Catalog.availability;
+      n1 = 0;
+      n2 = 0;
+      left_stats = None;
+      right_stats = None;
+      histogram = None;
+      join_size = 0.;
+      join_size_exact = true;
+      join_size_stderr = 0.;
+    }
   in
-  let sorted = List.sort (fun a b -> compare (Picker.rank a) (Picker.rank b)) Strategy.all in
-  Alcotest.(check (list string)) "tie-break preference order"
-    (List.map Strategy.name expect) (List.map Strategy.name sorted)
+  List.iter
+    (fun (label, availability, want) ->
+      let chosen, d = Picker.choose (zero availability) (Cost_model.shape ~r:0) in
+      List.iter
+        (fun (c : Cost_model.costing) ->
+          match c.Cost_model.verdict with
+          | Cost_model.Feasible cost ->
+              Alcotest.(check (float 0.)) (label ^ ": tie at 0") 0. cost
+          | Cost_model.Infeasible _ -> ())
+        d.Picker.candidates;
+      Alcotest.(check string) label (Strategy.name want) (Strategy.name chosen))
+    [
+      ("everything", Strategy.all_available, Strategy.Stream);
+      ("statistics only", availability No_index, Strategy.Stream);
+      ("histogram only", availability Histogram_only, Strategy.Hybrid_count);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The cost model against the Join_size analytics on a real instance.  *)
@@ -292,10 +337,16 @@ let toy_sample =
        (fun (rid, amount) -> Tuple.create [ Value.Int rid; Value.Int amount ])
        [ (1, 2); (2, 4); (3, 9); (4, 1); (5, 6); (6, 3); (7, 8); (8, 5) ])
 
+let line_of (report : Error_report.t) name =
+  List.find (fun l -> l.Error_report.aggregate = name) report.Error_report.lines
+
+let width (i : Error_report.interval) = i.hi -. i.lo
+let contains (i : Error_report.interval) x = i.lo <= x && x <= i.hi
+
 let test_error_report_units () =
   let report = Error_report.make ~range:(0., 10.) ~sample:toy_sample ~n:100 ~col:1 () in
   Alcotest.(check int) "three lines" 3 (List.length report.Error_report.lines);
-  let line name = Option.get (Error_report.line report name) in
+  let line = line_of report in
   let sum = line "sum" and count = line "count" and avg = line "avg" in
   (* HT-SUM: mean of n·g = 100 · 38/8 = 475. *)
   Alcotest.(check (float 1e-9)) "HT sum estimate" 475. sum.Error_report.estimate;
@@ -303,17 +354,17 @@ let test_error_report_units () =
      n with a degenerate CLT interval. *)
   Alcotest.(check (float 1e-9)) "HT count estimate" 100. count.Error_report.estimate;
   Alcotest.(check (float 1e-9)) "count CLT interval degenerate" 0.
-    (Error_report.width count.Error_report.clt);
+    (width count.Error_report.clt);
   Alcotest.(check bool) "count Hoeffding interval is not degenerate" true
-    (Error_report.width count.Error_report.hoeffding > 0.);
+    (width count.Error_report.hoeffding > 0.);
   Alcotest.(check (float 1e-9)) "avg estimate" 4.75 avg.Error_report.estimate;
   List.iter
     (fun (l : Error_report.line) ->
       Alcotest.(check bool)
         (l.Error_report.aggregate ^ " estimate inside both intervals")
         true
-        (Error_report.contains l.Error_report.clt l.Error_report.estimate
-        && Error_report.contains l.Error_report.hoeffding l.Error_report.estimate))
+        (contains l.Error_report.clt l.Error_report.estimate
+        && contains l.Error_report.hoeffding l.Error_report.estimate))
     report.Error_report.lines;
   (* With a declared range, the distribution-free interval must be the
      wider one for SUM and AVG (the count CLT is degenerate here). *)
@@ -323,8 +374,8 @@ let test_error_report_units () =
       Alcotest.(check bool)
         (name ^ ": Hoeffding at least as wide as CLT")
         true
-        (Error_report.width l.Error_report.hoeffding
-        >= Error_report.width l.Error_report.clt))
+        (width l.Error_report.hoeffding
+        >= width l.Error_report.clt))
     [ "sum"; "count"; "avg" ];
   Alcotest.(check bool) "range not assumed" false report.Error_report.range_assumed;
   let assumed = Error_report.make ~sample:toy_sample ~n:100 ~col:1 () in
@@ -333,7 +384,7 @@ let test_error_report_units () =
 let test_error_report_predicate () =
   let pred t = match Tuple.get t 1 with Value.Int a -> a mod 2 = 0 | _ -> false in
   let report = Error_report.make ~range:(0., 10.) ~pred ~sample:toy_sample ~n:100 ~col:1 () in
-  let line name = Option.get (Error_report.line report name) in
+  let line = line_of report in
   (* 4 of 8 draws qualify (amounts 2, 4, 6, 8). *)
   Alcotest.(check (float 1e-9)) "HT count with predicate" 50.
     (line "count").Error_report.estimate;
@@ -344,12 +395,12 @@ let test_error_report_predicate () =
   (* A predicate nothing satisfies: avg degrades to an infinite
      interval instead of a bogus point estimate. *)
   let none = Error_report.make ~range:(0., 10.) ~pred:(fun _ -> false) ~sample:toy_sample ~n:100 ~col:1 () in
-  let avg = Option.get (Error_report.line none "avg") in
+  let avg = line_of none "avg" in
   Alcotest.(check bool) "empty avg has infinite interval" true
     (avg.Error_report.clt.Error_report.lo = neg_infinity
     && avg.Error_report.clt.Error_report.hi = infinity);
   Alcotest.(check (float 1e-9)) "empty count estimate 0" 0.
-    (Option.get (Error_report.line none "count")).Error_report.estimate
+    (line_of none "count").Error_report.estimate
 
 let test_error_report_validation () =
   let check_invalid name f =
@@ -367,12 +418,82 @@ let test_error_report_validation () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The one-line catalog summary of decision traces: sizes, the join
+   size (exact, or estimated with its standard error), the structures
+   present, and the skew. *)
+let test_catalog_describe () =
+  let full = Catalog.describe (catalog Full m2_skew) in
+  Alcotest.(check bool) ("full: " ^ full) true
+    (String.starts_with ~prefix:"n1=40 n2=80 |J|=400 [index(R1) index(R2) stats(R2) histogram(R2)] skew="
+       full);
+  let bare = Catalog.describe { (catalog Bare m2_skew) with Catalog.join_size_stderr = 12. } in
+  Alcotest.(check bool) ("bare, estimated: " ^ bare) true
+    (String.starts_with ~prefix:"n1=40 n2=80 |J|~400 (±12) [no structures] skew=" bare);
+  Alcotest.(check bool) "index-only lists just the indexes" true
+    (String.starts_with ~prefix:"n1=40 n2=80 |J|~400 (±0) [index(R1) index(R2)] skew="
+       (Catalog.describe (catalog Index_only m2_uniform)))
+
+(* all_costs is one costing per strategy in Strategy.all order — the
+   picker's candidate list — priced by the paper's formulas. *)
+let test_all_costs () =
+  let cat = catalog Full m2_skew in
+  let costs = Cost_model.all_costs cat (Cost_model.shape ~r:8) in
+  Alcotest.(check (list string)) "Strategy.all order"
+    (List.map Strategy.name Strategy.all)
+    (List.map (fun (c : Cost_model.costing) -> Strategy.name c.Cost_model.strategy) costs);
+  let _, d = Picker.choose cat (Cost_model.shape ~r:8) in
+  Alcotest.(check bool) "the picker's candidates" true (costs = d.Picker.candidates);
+  let cost s =
+    let c = List.find (fun (c : Cost_model.costing) -> c.Cost_model.strategy = s) costs in
+    match c.Cost_model.verdict with
+    | Cost_model.Feasible c -> c
+    | Cost_model.Infeasible _ -> Alcotest.failf "%s infeasible" (Strategy.name s)
+  in
+  Alcotest.(check (float 1e-9)) "Naive = n1 + n2 + |J|" 520. (cost Strategy.Naive);
+  Alcotest.(check (float 1e-9)) "Stream = n1 + r" 48. (cost Strategy.Stream);
+  Alcotest.(check (float 1e-9)) "Count = n1 + n2 + r" 128. (cost Strategy.Count_sample);
+  List.iter
+    (fun (c : Cost_model.costing) ->
+      Alcotest.(check bool) (Strategy.name c.Cost_model.strategy ^ " has a formula") true
+        (c.Cost_model.formula <> ""))
+    costs;
+  let bare = Cost_model.all_costs (catalog Bare m2_skew) (Cost_model.shape ~r:8) in
+  Alcotest.(check (list string)) "a bare catalog leaves only Naive feasible" [ "Naive-Sample" ]
+    (List.filter_map
+       (fun (c : Cost_model.costing) ->
+         match c.Cost_model.verdict with
+         | Cost_model.Feasible _ -> Some (Strategy.name c.Cost_model.strategy)
+         | Cost_model.Infeasible _ -> None)
+       bare)
+
+(* choose_counted decides as choose does and counts the decision under
+   its strategy and reason labels. *)
+let test_choose_counted () =
+  let cat = catalog Histogram_only m2_skew in
+  let shape = Cost_model.shape ~r:8 in
+  let chosen, decision = Picker.choose cat shape in
+  let counter =
+    Rsj_obs.Registry.counter "rsj_picker_choice_total"
+      ~labels:
+        [ ("strategy", Strategy.name chosen); ("reason", Picker.reason_to_string decision.Picker.reason) ]
+  in
+  let before = Rsj_obs.Registry.value counter in
+  let chosen', decision' = Picker.choose_counted cat shape in
+  Alcotest.(check string) "same choice" (Strategy.name chosen) (Strategy.name chosen');
+  Alcotest.(check bool) "same decision" true (decision = decision');
+  Alcotest.(check int) "counted once" (before + 1) (Rsj_obs.Registry.value counter);
+  ignore (Picker.choose cat shape);
+  Alcotest.(check int) "choose alone counts nothing" (before + 1) (Rsj_obs.Registry.value counter)
+
 let suite =
   [
     Alcotest.test_case "golden decision table" `Quick test_golden_decisions;
     Alcotest.test_case "golden costs pinned" `Quick test_golden_costs_pinned;
     Alcotest.test_case "decision trace explains infeasibility" `Quick test_decision_trace;
     Alcotest.test_case "tie-break rank order" `Quick test_rank_order;
+    Alcotest.test_case "catalog describe" `Quick test_catalog_describe;
+    Alcotest.test_case "all_costs: one costing per strategy" `Quick test_all_costs;
+    Alcotest.test_case "choose_counted counts the decision" `Quick test_choose_counted;
     Alcotest.test_case "costs agree with Join_size analytics" `Quick test_costs_agree_with_join_size;
     Alcotest.test_case "of_env respects availability mask" `Quick test_of_env_masks_structures;
     Alcotest.test_case "of_env shares the cached R1 statistics" `Quick

@@ -6,6 +6,10 @@ module Prng = Rsj_util.Prng
 (* Same small skewed instance as Test_strategies: the full join is
    cheap to enumerate, so the parallel sample's law can be chi-square
    tested against it cell by cell. *)
+(* The generator's next 64-bit output, read from a copy: equal peeks
+   mean the same state, without advancing either generator. *)
+let peek t = Rsj_util.Prng.bits64 (Rsj_util.Prng.copy t)
+
 let small_env ?(seed = 0xAB) ?(z1 = 1.) ?(z2 = 2.) () =
   let pair = Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1 ~z2 ~domain:6 () in
   Strategy.make_env ~seed ~left:pair.outer ~right:pair.inner ~left_key:Zipf_tables.col2
@@ -625,7 +629,7 @@ let test_wor_merge_membership_law () =
 let test_split_n () =
   let fingerprints seed n =
     let t = Prng.create ~seed () in
-    Array.map Prng.state_fingerprint (Prng.split_n t n)
+    Array.map peek (Prng.split_n t n)
   in
   let a = fingerprints 42 6 and b = fingerprints 42 6 in
   Alcotest.(check bool) "deterministic" true (a = b);
@@ -640,12 +644,56 @@ let test_split_n () =
   (* Children diverge from the parent's subsequent stream. *)
   let t = Prng.create ~seed:42 () in
   let kids = Prng.split_n t 3 in
-  let parent_fp = Prng.state_fingerprint t in
+  let parent_fp = peek t in
   Array.iter
     (fun k ->
       Alcotest.(check bool) "child detached from parent" true
-        (Prng.state_fingerprint k <> parent_fp))
+        (peek k <> parent_fp))
     kids
+
+let test_default_domains () =
+  let d = Rsj_parallel.default_domains () in
+  Alcotest.(check bool) "at least one domain" true (d >= 1);
+  Alcotest.(check int) "the runtime's recommendation" (Domain.recommended_domain_count ()) d
+
+(* r chain walks on the calling domain: join tuples of the chain, the
+   walker's own draws for the same generator, whatever [domains]
+   labels the run with. *)
+let test_run_chain () =
+  let mk i rows =
+    Zipf_tables.make ~seed:(0xC0 + i) ~name:(Printf.sprintf "r%d" i) ~rows ~z:1. ~domain:5 ()
+  in
+  let spec =
+    {
+      Chain_sample.relations = [| mk 0 20; mk 1 25; mk 2 30 |];
+      join_keys = [| (Zipf_tables.col2, Zipf_tables.col2); (Zipf_tables.col2, Zipf_tables.col2) |];
+    }
+  in
+  let last, key = Chain_sample.last_level spec in
+  let walker = Chain_sample.prepare ~index:(Rsj_index.Hash_index.build last ~key) spec in
+  let oracle = Rsj_verify.Oracle.of_chain spec in
+  let sample, metrics, seconds =
+    Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r:40 ~domains:4
+  in
+  Alcotest.(check int) "r walks" 40 (Array.length sample);
+  Array.iter
+    (fun t ->
+      Alcotest.(check bool) "a chain join tuple" true (Rsj_verify.Oracle.cell oracle t <> None))
+    sample;
+  Alcotest.(check bool) "timed" true (seconds >= 0.);
+  Alcotest.(check bool) "the walk is metered" true (Rsj_exec.Metrics.total_work metrics > 0);
+  let reference = Chain_sample.sample walker (Prng.create ~seed:3 ()) ~r:40 () in
+  Alcotest.(check bool) "the walker's draws" true (Array.for_all2 Tuple.equal reference sample);
+  let again, _, _ = Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r:40 ~domains:1 in
+  Alcotest.(check bool) "domains only labels the run" true (Array.for_all2 Tuple.equal sample again);
+  List.iter
+    (fun (what, r, domains) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore (Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r ~domains);
+           false
+         with Invalid_argument _ -> true))
+    [ ("r < 0 rejected", -1, 1); ("domains < 1 rejected", 4, 0) ]
 
 let suite =
   [
@@ -667,6 +715,8 @@ let suite =
     Alcotest.test_case "parallel WoR seeded reproducibility" `Quick
       test_parallel_wor_deterministic;
     Alcotest.test_case "domains < 1 rejected" `Quick test_parallel_rejects_zero_domains;
+    Alcotest.test_case "default domain count" `Quick test_default_domains;
+    Alcotest.test_case "run_chain: r walks on the caller" `Quick test_run_chain;
     Alcotest.test_case "metrics sum across domains" `Quick test_parallel_metrics_sum;
     Alcotest.test_case "scheduler returns results in chunk order" `Quick
       test_scheduler_results_in_order;

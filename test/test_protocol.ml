@@ -164,30 +164,60 @@ let all_codes =
       Overloaded; Shutting_down; Internal_error;
     ]
 
+(* [s] with the first occurrence of [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Error codes cross the wire by name: an error frame decodes to the
+   code it was encoded with, and an unknown name is refused. *)
+(* A request line nested 100k deep is refused as a bad request, not a
+   stack overflow that would end the daemon. *)
+let test_deep_nesting_refused () =
+  List.iter
+    (fun line ->
+      match P.decode_request line with
+      | Ok _ -> Alcotest.fail "decoded a 100k-deep line"
+      | Error _ -> ())
+    [ String.make 100_000 '['; {|{"op":"ping","id":|} ^ String.make 100_000 '[' ]
+
 let test_error_codes () =
+  let failed code = P.encode_response (P.Failed { id = 3; code; message = "m" }) in
   List.iter
     (fun c ->
       let s = P.error_code_to_string c in
-      Alcotest.(check bool) ("round-trips: " ^ s) true (P.error_code_of_string s = Some c))
+      match decode_resp (failed c) with
+      | P.Failed { code; _ } -> Alcotest.(check bool) ("round-trips: " ^ s) true (code = c)
+      | _ -> Alcotest.failf "%s: not an error frame" s)
     all_codes;
   let names = List.map P.error_code_to_string all_codes in
   Alcotest.(check int) "names are distinct" (List.length names)
     (List.length (List.sort_uniq compare names));
-  Alcotest.(check bool) "unknown name" true (P.error_code_of_string "Bad_request" = None)
+  let name = P.error_code_to_string P.Bad_request in
+  Alcotest.(check bool) "unknown name" true
+    (Result.is_error
+       (P.decode_response
+          (replace_first ~sub:("\"" ^ name ^ "\"") ~by:"\"Bad_request\"" (failed P.Bad_request))))
 
+(* The cell codec, through a rows frame: every value kind comes back
+   equal, and a JSON value that is no cell is refused. *)
 let test_cell_codec () =
+  let line v = P.encode_response (P.Rows { id = 1; rows = [ [ v ] ] }) in
   List.iter
     (fun v ->
-      match P.value_of_json (P.value_to_json v) with
-      | Ok v' -> Alcotest.(check bool) ("cell " ^ Value.to_string v) true (v = v')
-      | Error e -> Alcotest.failf "cell %s: %s" (Value.to_string v) e)
+      match decode_resp (line v) with
+      | P.Rows { rows = [ [ v' ] ]; _ } ->
+          Alcotest.(check bool) ("cell " ^ Value.to_string v) true (v = v')
+      | _ -> Alcotest.failf "cell %s: no single cell back" (Value.to_string v))
     [ Value.Null; Value.Int 0; Value.Int max_int; Value.Int min_int; Value.Float 3.75; Value.Str "é\t" ];
   List.iter
     (fun j ->
-      Alcotest.(check bool) ("rejects " ^ Json.to_string j) true (Result.is_error (P.value_of_json j)))
-    Json.[ Bool true; List []; Obj [] ];
-  Alcotest.(check string) "tuple_to_json" {|[1,null,"s"]|}
-    (Json.to_string (P.tuple_to_json [| Value.Int 1; Value.Null; Value.Str "s" |]))
+      Alcotest.(check bool) ("rejects " ^ j) true
+        (Result.is_error
+           (P.decode_response (replace_first ~sub:"424242" ~by:j (line (Value.Int 424242))))))
+    [ "true"; "[]"; "{}" ]
 
 (* A Float cell crosses the wire unchanged, however many digits it
    needs; a non-finite one, which JSON cannot carry, arrives as NULL. *)
@@ -213,6 +243,41 @@ let test_float_cells_round_trip () =
       Alcotest.(check bool) (Printf.sprintf "%h arrives as NULL" v) true (back v = Value.Null))
     [ Float.infinity; Float.neg_infinity; Float.nan ]
 
+(* The daemon encodes frames into a reused buffer: write_response
+   appends exactly encode_response's bytes after what is there. *)
+let test_write_response () =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "prefix|";
+  let frames =
+    [
+      P.Ack { id = 1; detail = [ ("k", Json.Int 2) ] };
+      P.Rows { id = 1; rows = [ [ Value.Int 1; Value.Null ]; [ Value.Str "a\nb"; Value.Float 0.5 ] ] };
+      P.Done { id = 1; detail = [] };
+      P.Failed { id = 2; code = P.Overloaded; message = "busy" };
+    ]
+  in
+  List.iter (P.write_response buf) frames;
+  Alcotest.(check string) "appended encodings"
+    ("prefix|" ^ String.concat "" (List.map P.encode_response frames))
+    (Buffer.contents buf)
+
+(* Socket addresses: tcp:HOST:PORT is TCP, anything else a Unix path,
+   and printing an address parses back to it. *)
+let test_server_addresses () =
+  let module S = Rsj_server.Server in
+  let parse s = match S.addr_of_string s with Ok a -> a | Error e -> Alcotest.failf "%s: %s" s e in
+  Alcotest.(check bool) "tcp" true (parse "tcp:127.0.0.1:7411" = S.Tcp ("127.0.0.1", 7411));
+  Alcotest.(check bool) "bare path" true (parse "/run/rsj.sock" = S.Unix_path "/run/rsj.sock");
+  Alcotest.(check bool) "unix: prefix stripped" true
+    (parse "unix:/run/rsj.sock" = S.Unix_path "/run/rsj.sock");
+  List.iter
+    (fun a -> Alcotest.(check bool) (S.addr_to_string a) true (parse (S.addr_to_string a) = a))
+    [ S.Tcp ("localhost", 1); S.Tcp ("10.0.0.7", 65535); S.Unix_path "rel/sock" ];
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) ("rejected: " ^ bad) true (Result.is_error (S.addr_of_string bad)))
+    [ "tcp:host:0"; "tcp:host:65536"; "tcp:host:http"; "tcp:host"; "tcp:a:b:1" ]
+
 let suite =
   [
     Alcotest.test_case "request codec round-trips every op" `Quick test_request_round_trip;
@@ -221,7 +286,10 @@ let suite =
     Alcotest.test_case "malformed requests are rejected by name" `Quick test_request_rejections;
     Alcotest.test_case "response codec round-trips every frame" `Quick test_response_round_trip;
     Alcotest.test_case "malformed responses are rejected" `Quick test_response_rejections;
+    Alcotest.test_case "a 100k-deep request line is refused" `Quick test_deep_nesting_refused;
     Alcotest.test_case "error codes round-trip by name" `Quick test_error_codes;
+    Alcotest.test_case "write_response appends the encoded frame" `Quick test_write_response;
+    Alcotest.test_case "server addresses parse and print" `Quick test_server_addresses;
     Alcotest.test_case "cell codec" `Quick test_cell_codec;
     Alcotest.test_case "float cells round-trip exactly; non-finite ones as NULL" `Quick
       test_float_cells_round_trip;

@@ -50,14 +50,6 @@ let law_and_universe pair =
 let test_unbiased_stays_green () =
   let pair = Test_serve.make_pair () in
   let law, universe = law_and_universe pair in
-  Alcotest.(check int)
-    "the law's support is the universe's" (Online.support_size law)
-    (Array.length
-       (Array.of_seq
-          (Hashtbl.to_seq_keys
-             (let t = Hashtbl.create 32 in
-              Array.iter (fun tu -> Hashtbl.replace t tu.(key) ()) universe;
-              t))));
   let w = 400 in
   let monitor = Online.create ~window:w ~significance:0.01 () in
   let rng = Prng.create ~seed:0x5EED () in
@@ -103,8 +95,8 @@ let test_concentrated_law_stays_green () =
       if m2 > 0 then cells := (v, float_of_int (m1 * m2)) :: !cells);
   let values = Array.of_list (List.map fst !cells) in
   let table = Rsj_util.Dist.Alias_table.of_weights (Array.of_list (List.map snd !cells)) in
-  let monitor = Online.create () in
-  let w = Online.window monitor in
+  let w = Rsj_obs.Config.quality_window () in
+  let monitor = Online.create ~window:w () in
   let rng = Prng.create ~seed:204 () in
   let windows = 10_000 in
   let batch = Array.make w (Value.Int 0) in
@@ -237,6 +229,37 @@ let test_served_biased_alerts () =
   in
   Alcotest.(check bool) "a per-stream alert is latched too" true alerted
 
+(* observe_join folds a join sample into one stream per inputs, join
+   columns and stream name, building the law once. *)
+let test_observe_join () =
+  let pair = Zipf_tables.make_pair ~seed:0x0B ~n1:40 ~n2:80 ~z1:1. ~z2:1. ~domain:6 () in
+  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
+  let builds = ref 0 in
+  let frequency rel ~key =
+    incr builds;
+    Frequency.of_relation rel ~key
+  in
+  let oracle = Oracle.of_relations ~left ~right ~left_key:key ~right_key:key in
+  let joined = Array.sub (Oracle.universe oracle) 0 10 in
+  let monitor = Online.create ~window:100_000 () in
+  let observe stream sample =
+    Online.observe_join monitor ~frequency ~left ~right ~left_key:key ~right_key:key ~stream sample
+  in
+  observe "stream/WR" joined;
+  observe "stream/WR" joined;
+  observe "group/WR" [||];
+  Alcotest.(check int) "law built once per inputs (both sides)" 2 !builds;
+  match Online.stats monitor with
+  | [ st ] ->
+      Alcotest.(check string) "stream key"
+        (Printf.sprintf "%x.%d-%x.%d/stream/WR" (Relation.fingerprint left) key
+           (Relation.fingerprint right) key)
+        st.Online.st_key;
+      Alcotest.(check int) "both samples seen" 20 st.Online.st_seen;
+      Alcotest.(check int) "join values are in the law" 0 st.Online.st_foreign;
+      Alcotest.(check bool) "no alert" false (Online.any_alert monitor)
+  | l -> Alcotest.failf "an empty sample opens no stream: saw %d streams" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "unbiased stream stays green (FP cell)" `Slow
@@ -247,6 +270,7 @@ let suite =
       test_biased_trips;
     Alcotest.test_case "foreign join values alert immediately" `Quick
       test_foreign_value_alerts;
+    Alcotest.test_case "observe_join keys a stream per inputs" `Quick test_observe_join;
     Alcotest.test_case "served: unbiased daemon holds the alert at 0" `Quick
       test_served_unbiased_green;
     Alcotest.test_case "served: RSJ_SERVE_BIAS trips rsj_quality_alert" `Quick

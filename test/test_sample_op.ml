@@ -45,13 +45,6 @@ let test_coin_flip_node () =
   let n = List.length (Plan.collect ~metrics plan) in
   Alcotest.(check bool) (Printf.sprintf "~200 rows, got %d" n) true (n > 100 && n < 330)
 
-let test_wor_node () =
-  let plan = Sample_op.wor (rng ()) ~n:50 ~r:20 (Plan.Scan (rel 50)) in
-  let out = Plan.collect plan in
-  Alcotest.(check int) "20 rows" 20 (List.length out);
-  let payloads = List.map (fun t -> Value.to_int_exn (Tuple.get t 1)) out in
-  Alcotest.(check int) "distinct" 20 (List.length (List.sort_uniq compare payloads))
-
 let test_explain_shows_sampling () =
   let plan = Sample_op.u2 (rng ()) ~r:5 (Plan.Scan (rel 10)) in
   let s = Format.asprintf "%a" Plan.explain plan in
@@ -62,72 +55,6 @@ let test_explain_shows_sampling () =
   in
   Alcotest.(check bool) "operator named in explain" true (contains "Sample-U2")
 
-let test_naive_plan_matches_strategy () =
-  let left = rel 60 and right = rel 90 in
-  let plan =
-    Sample_op.naive_sample_plan (rng ()) ~r:12 ~left:(Plan.Scan left) ~right:(Plan.Scan right)
-      ~left_key:0 ~right_key:0
-  in
-  let metrics = Metrics.create () in
-  let out = Plan.collect ~metrics plan in
-  Alcotest.(check int) "12 rows" 12 (List.length out);
-  (* naive computes the whole join *)
-  let m1 = Rsj_stats.Frequency.of_relation left ~key:0 in
-  let m2 = Rsj_stats.Frequency.of_relation right ~key:0 in
-  Alcotest.(check int) "full join computed" (Rsj_stats.Frequency.join_size m1 m2)
-    metrics.Metrics.join_output_tuples
-
-let test_stream_plan () =
-  let left = rel 60 and right = rel 90 in
-  let idx = Rsj_index.Hash_index.build right ~key:0 in
-  let stats = Rsj_stats.Frequency.of_relation right ~key:0 in
-  let plan =
-    Sample_op.stream_sample_plan (rng ()) ~r:15 ~left:(Plan.Scan left) ~left_key:0
-      ~right_index:idx ~right_stats:stats
-  in
-  let metrics = Metrics.create () in
-  let out = Plan.collect ~metrics plan in
-  Alcotest.(check int) "15 rows" 15 (List.length out);
-  Alcotest.(check int) "join work = r" 15 metrics.Metrics.join_output_tuples;
-  Alcotest.(check int) "joined arity" 4 (Tuple.arity (List.hd out));
-  (* every output is a genuine join row: key columns match *)
-  List.iter
-    (fun t ->
-      Alcotest.(check bool) "keys equal" true (Value.equal (Tuple.get t 0) (Tuple.get t 2)))
-    out
-
-let test_plan_uniformity () =
-  (* The operator-tree version of Stream-Sample must sample the join
-     uniformly, like the direct implementation. *)
-  let left = rel 12 and right = rel 20 in
-  let idx = Rsj_index.Hash_index.build right ~key:0 in
-  let stats = Rsj_stats.Frequency.of_relation right ~key:0 in
-  let universe =
-    Array.of_list
-      (Plan.collect
-         (Plan.Join
-            {
-              Plan.algorithm = Plan.Hash;
-              left = Plan.Scan left;
-              right = Plan.Scan right;
-              left_key = 0;
-              right_key = 0;
-            }))
-  in
-  let rng = rng () in
-  let report =
-    Negative.uniformity_check ~trials:600 ~universe ~draw:(fun () ->
-        let plan =
-          Sample_op.stream_sample_plan rng ~r:6 ~left:(Plan.Scan left) ~left_key:0
-            ~right_index:idx ~right_stats:stats
-        in
-        Array.of_list (Plan.collect plan))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "plan-level stream-sample uniform p=%.5f" report.Negative.chi_square.p_value)
-    true
-    (report.Negative.chi_square.p_value > 0.001)
-
 let suite =
   [
     Alcotest.test_case "U1 node" `Quick test_u1_node;
@@ -135,9 +62,5 @@ let suite =
     Alcotest.test_case "WR1 node" `Quick test_wr1_node;
     Alcotest.test_case "WR2 node skips zero weights" `Quick test_wr2_node_zero_weights;
     Alcotest.test_case "CF node" `Quick test_coin_flip_node;
-    Alcotest.test_case "WoR node" `Quick test_wor_node;
     Alcotest.test_case "explain shows sampling operators" `Quick test_explain_shows_sampling;
-    Alcotest.test_case "naive plan = full join + reservoir" `Quick test_naive_plan_matches_strategy;
-    Alcotest.test_case "stream plan: r join outputs" `Quick test_stream_plan;
-    Alcotest.test_case "stream plan uniformity" `Slow test_plan_uniformity;
   ]

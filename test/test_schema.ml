@@ -8,8 +8,8 @@ let test_basics () =
   Alcotest.(check int) "index of a" 0 (Schema.column_index s "a");
   Alcotest.(check int) "index of b" 1 (Schema.column_index s "b");
   Alcotest.(check string) "name of 0" "a" (Schema.column_name s 0);
-  Alcotest.(check bool) "mem" true (Schema.mem s "a");
-  Alcotest.(check bool) "not mem" false (Schema.mem s "z");
+  Alcotest.(check (option int)) "index_opt of b" (Some 1) (Schema.column_index_opt s "b");
+  Alcotest.(check (option int)) "index_opt of z" None (Schema.column_index_opt s "z");
   Alcotest.(check bool) "missing raises Not_found" true
     (try
        ignore (Schema.column_index s "z");
@@ -54,16 +54,6 @@ let test_project () =
        false
      with Invalid_argument _ -> true)
 
-let test_rename () =
-  let s = s2 () in
-  let r = Schema.rename s [ ("a", "alpha") ] in
-  Alcotest.(check string) "renamed" "alpha" (Schema.column_name r 0);
-  Alcotest.(check bool) "unknown source raises" true
-    (try
-       ignore (Schema.rename s [ ("zz", "q") ]);
-       false
-     with Not_found -> true)
-
 let test_validate () =
   let s = s2 () in
   Alcotest.(check bool) "good row" true
@@ -75,11 +65,6 @@ let test_validate () =
   Alcotest.(check bool) "type mismatch" true
     (Result.is_error (Schema.validate s [| Value.str "no"; Value.str "x" |]))
 
-let test_equal () =
-  Alcotest.(check bool) "equal" true (Schema.equal (s2 ()) (s2 ()));
-  Alcotest.(check bool) "different" false
-    (Schema.equal (s2 ()) (Schema.of_list [ ("a", Value.T_int) ]))
-
 let suite =
   [
     Alcotest.test_case "lookup basics" `Quick test_basics;
@@ -88,7 +73,5 @@ let suite =
     Alcotest.test_case "concat without collisions" `Quick test_concat_no_collision;
     Alcotest.test_case "concat prefixes collisions" `Quick test_concat_collision_prefixes;
     Alcotest.test_case "project" `Quick test_project;
-    Alcotest.test_case "rename" `Quick test_rename;
     Alcotest.test_case "validate" `Quick test_validate;
-    Alcotest.test_case "equality" `Quick test_equal;
   ]

@@ -127,12 +127,42 @@ let rows_of rel =
 let make_pair ?(seed = 0xBEEF) () =
   Zipf_tables.make_pair ~seed ~n1:60 ~n2:240 ~z1:1. ~z2:1. ~domain:24 ()
 
+(* A register request carrying its rows inline. *)
+let register_rows client ~name ~schema ~rows =
+  match
+    Client.rpc client
+      (P.Register { id = Client.fresh_id client; name; source = P.Inline (schema, rows) })
+  with
+  | Ok _ -> Ok ()
+  | Error (code, msg) -> Error (P.error_code_to_string code ^ ": " ^ msg)
+
+(* Response frames read straight off the socket, for tests that
+   pipeline raw request lines on [Client.fd]. *)
+let frame_reader client =
+  let pending = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec next () =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some i -> (
+        Buffer.clear pending;
+        Buffer.add_substring pending s (i + 1) (String.length s - i - 1);
+        match P.decode_response (String.sub s 0 i) with
+        | Ok frame -> frame
+        | Error e -> Alcotest.failf "undecodable frame: %s" e)
+    | None ->
+        let n = Unix.read (Client.fd client) chunk 0 (Bytes.length chunk) in
+        if n = 0 then Alcotest.fail "server closed the connection";
+        Buffer.add_subbytes pending chunk 0 n;
+        next ()
+  in
+  next
+
 let register_pair ?(schema = zipf_schema) client pair =
   ignore
-    (must "register t1" (Client.register_rows client ~name:"t1" ~schema
+    (must "register t1" (register_rows client ~name:"t1" ~schema
                            ~rows:(rows_of pair.Zipf_tables.outer)));
   ignore
-    (must "register t2" (Client.register_rows client ~name:"t2" ~schema
+    (must "register t2" (register_rows client ~name:"t2" ~schema
                            ~rows:(rows_of pair.Zipf_tables.inner)))
 
 let write_all fd s =
@@ -322,7 +352,7 @@ let test_register_path_keeps_its_name () =
   ignore (must "register t1 from a file" (Client.register_path client ~name:"t1" ~path));
   ignore
     (must "register t2"
-       (Client.register_rows client ~name:"t2" ~schema:zipf_schema
+       (register_rows client ~name:"t2" ~schema:zipf_schema
           ~rows:(rows_of pair.Zipf_tables.inner)));
   match Client.sample client ~left:"t1" ~right:"t2" ~r:4 ~on:"x" () with
   | Error (P.Bad_request, msg) ->
@@ -386,9 +416,10 @@ let test_deadline_exceeded () =
   in
   write_all (Client.fd client)
     (String.concat "" (List.map (fun r -> P.encode_request r ^ "\n") reqs));
+  let next_frame = frame_reader client in
   let terminal = Hashtbl.create 4 in
   while Hashtbl.length terminal < 4 do
-    match Client.next_response client with
+    match next_frame () with
     | P.Rows _ -> ()
     | P.Ack { id; _ } | P.Done { id; _ } -> Hashtbl.replace terminal id `Ok
     | P.Failed { id; code; _ } -> Hashtbl.replace terminal id (`Failed code)
@@ -423,9 +454,10 @@ let test_admission_overloaded () =
   write_all (Client.fd client)
     (String.concat ""
        (List.map (fun id -> P.encode_request (sample_req id) ^ "\n") [ 200; 201; 202 ]));
+  let next_frame = frame_reader client in
   let terminal = Hashtbl.create 4 in
   while Hashtbl.length terminal < 3 do
-    match Client.next_response client with
+    match next_frame () with
     | P.Rows _ -> ()
     | P.Ack { id; _ } | P.Done { id; _ } -> Hashtbl.replace terminal id `Ok
     | P.Failed { id; code; _ } -> Hashtbl.replace terminal id (`Failed code)
@@ -502,7 +534,7 @@ let test_cross_door_same_rows_one_stream () =
   in
   let wire rows =
     String.concat "\n"
-      (List.map (fun row -> Json.to_string (P.tuple_to_json (Array.of_list row))) rows)
+      (List.map (fun row -> String.concat "," (List.map Value.to_string row)) rows)
   in
   let stream_of strategy =
     let suffix = "/" ^ Strategy.name (Option.get (Strategy.of_name strategy)) ^ "/wr" in
@@ -624,11 +656,11 @@ let test_served_eviction_budget () =
     let l = Printf.sprintf "l%d" k and r = Printf.sprintf "r%d" k in
     ignore
       (must ("register " ^ l)
-         (Client.register_rows client ~name:l ~schema:zipf_schema
+         (register_rows client ~name:l ~schema:zipf_schema
             ~rows:(rows_of p.Zipf_tables.outer)));
     ignore
       (must ("register " ^ r)
-         (Client.register_rows client ~name:r ~schema:zipf_schema
+         (register_rows client ~name:r ~schema:zipf_schema
             ~rows:(rows_of p.Zipf_tables.inner)));
     ignore
       (must_reply ("sample " ^ l)
@@ -925,7 +957,7 @@ let test_sql_sample_logs_its_sampler () =
    register_pair client pair;
    ignore
      (must "register t3"
-        (Client.register_rows client ~name:"t3" ~schema:zipf_schema
+        (register_rows client ~name:"t3" ~schema:zipf_schema
            ~rows:(rows_of pair.Zipf_tables.inner)));
    List.iter
      (fun (rid, sql) -> ignore (must_reply rid (Client.query client ~sql ~rid ())))

@@ -15,17 +15,24 @@ let parse_err q =
   | Ok _ -> Alcotest.failf "expected parse error for: %s" q
   | Error msg -> msg
 
+(* The lexer, through the parser: qualified names, a quoted string with
+   a doubled quote, every comparison spelling ('!=' is '<>'), and a
+   character outside the language. *)
 let test_tokenize () =
-  (match Parser.tokenize "SELECT a.b, 12 FROM t WHERE x = 'it''s'" with
-  | Ok toks ->
-      Alcotest.(check (list string)) "tokens"
-        [ "SELECT"; "a"; "."; "b"; ","; "12"; "FROM"; "t"; "WHERE"; "x"; "="; "'it's" ]
-        toks
+  (match Parser.parse "SELECT a.b FROM t WHERE x = 'it''s' AND y <= 12 AND y <> 1 AND y != 2" with
+  | Ok q ->
+      Alcotest.(check bool) "select a.b" true
+        (q.Ast.select = [ Ast.S_col ({ Ast.table = Some "a"; name = "b" }, None) ]);
+      Alcotest.(check bool) "string literal, quote undoubled" true
+        (List.map (fun c -> (c.Ast.cmp, c.Ast.right)) q.Ast.where
+        = [
+            (Ast.Eq, Ast.O_lit (Ast.L_str "it's"));
+            (Ast.Le, Ast.O_lit (Ast.L_int 12));
+            (Ast.Ne, Ast.O_lit (Ast.L_int 1));
+            (Ast.Ne, Ast.O_lit (Ast.L_int 2));
+          ])
   | Error e -> Alcotest.fail e);
-  (match Parser.tokenize "a <= b <> c != d" with
-  | Ok toks -> Alcotest.(check (list string)) "ops" [ "a"; "<="; "b"; "<>"; "c"; "<>"; "d" ] toks
-  | Error e -> Alcotest.fail e);
-  match Parser.tokenize "bad $ char" with
+  match Parser.parse "select * from bad $ char" with
   | Ok _ -> Alcotest.fail "should reject $"
   | Error _ -> ()
 
@@ -519,6 +526,46 @@ let test_chain_sample_fraction_and_filter () =
         (Value.to_float_exn (Tuple.get row 2) > 6.))
     r2.Engine.rows
 
+(* run is parse + run_query: a pre-parsed query gives the same rows,
+   and run_query reports engine errors as values too. *)
+let test_run_query_on_ast () =
+  let q = "select * from orders, customers where orders.cust = customers.cust sample 6" in
+  let ast = match Parser.parse q with Ok a -> a | Error e -> Alcotest.failf "parse: %s" e in
+  match (Engine.run ~seed:21 (catalog ()) q, Engine.run_query ~seed:21 (catalog ()) ast) with
+  | Ok a, Ok b ->
+      Alcotest.(check (list string)) "same rows"
+        (List.map Tuple.to_string a.Engine.rows)
+        (List.map Tuple.to_string b.Engine.rows);
+      Alcotest.(check (option string)) "same sampler" a.Engine.sampler b.Engine.sampler;
+      let missing =
+        match Parser.parse "select * from nowhere" with Ok a -> a | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check bool) "unknown table is an Error" true
+        (Result.is_error (Engine.run_query (catalog ()) missing))
+  | Error e, _ | _, Error e -> Alcotest.failf "query failed: %s" e
+
+let test_strategy_of_name () =
+  List.iter
+    (fun s ->
+      match Rsj_sql.Sampler.strategy_of_name (Rsj_core.Strategy.name s) with
+      | Ok s' ->
+          Alcotest.(check string) "by paper name" (Rsj_core.Strategy.name s)
+            (Rsj_core.Strategy.name s')
+      | Error e -> Alcotest.fail e)
+    Rsj_core.Strategy.all;
+  Alcotest.(check bool) "short names" true
+    (Rsj_sql.Sampler.strategy_of_name "hybrid-count" = Ok Rsj_core.Strategy.Hybrid_count);
+  match Rsj_sql.Sampler.strategy_of_name "quantum" with
+  | Ok _ -> Alcotest.fail "accepted an unknown strategy"
+  | Error msg ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Printf.sprintf "%S mentions %s" msg needle) true
+            (let n = String.length needle and l = String.length msg in
+             let rec scan i = i + n <= l && (String.sub msg i n = needle || scan (i + 1)) in
+             scan 0))
+        ("\"quantum\"" :: List.map Rsj_core.Strategy.name Rsj_core.Strategy.all)
+
 let suite =
   [
     Alcotest.test_case "tokenizer" `Quick test_tokenize;
@@ -529,6 +576,9 @@ let suite =
     Alcotest.test_case "parse: literals and operators" `Quick test_parse_literals_and_ops;
     Alcotest.test_case "parse: error cases" `Quick test_parse_errors;
     Alcotest.test_case "engine: single-table scan" `Quick test_single_table_scan;
+    Alcotest.test_case "engine: run_query on a parsed query" `Quick test_run_query_on_ast;
+    Alcotest.test_case "sampler: strategy names and the unknown-name error" `Quick
+      test_strategy_of_name;
     Alcotest.test_case "engine: projection + filter" `Quick test_projection_and_filter;
     Alcotest.test_case "engine: join" `Quick test_join;
     Alcotest.test_case "engine: aliases" `Quick test_join_with_alias;

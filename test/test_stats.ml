@@ -3,6 +3,14 @@ module Frequency = Rsj_stats.Frequency
 module Histogram = Rsj_stats.Histogram
 module Join_size = Rsj_stats.Join_size
 
+(* A frequency table holding exactly these (value, count) pairs, built
+   the library's way: from a relation's key column. *)
+let freq_of_assoc pairs =
+  Rsj_stats.Frequency.of_relation ~key:0
+    (Rsj_relation.Relation.of_tuples
+       (Rsj_relation.Schema.of_list [ ("k", Rsj_relation.Value.T_int) ])
+       (List.concat_map (fun (v, n) -> List.init n (fun _ -> [| v |])) pairs))
+
 let schema = Schema.of_list [ ("k", Value.T_int) ]
 let rel keys = Relation.of_tuples schema (List.map (fun k -> [| Value.Int k |]) keys)
 let freq keys = Frequency.of_relation (rel keys) ~key:0
@@ -51,26 +59,14 @@ let test_frequency_to_assoc_sorted () =
   Alcotest.(check (list int)) "descending frequency" [ 3; 2; 1 ]
     (List.map (fun (_, c) -> c) assoc)
 
-let test_frequency_of_assoc_validation () =
-  Alcotest.(check bool) "non-positive rejected" true
-    (try
-       ignore (Frequency.of_assoc [ (Value.Int 1, 0) ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "duplicate rejected" true
-    (try
-       ignore (Frequency.of_assoc [ (Value.Int 1, 2); (Value.Int 1, 3) ]);
-       false
-     with Invalid_argument _ -> true)
-
 let test_join_size () =
   (* m1 = {a:2, b:1}; m2 = {a:3, c:5} -> |J| = 2*3 = 6 *)
-  let m1 = Frequency.of_assoc [ (Value.Int 1, 2); (Value.Int 2, 1) ] in
-  let m2 = Frequency.of_assoc [ (Value.Int 1, 3); (Value.Int 3, 5) ] in
+  let m1 = freq_of_assoc [ (Value.Int 1, 2); (Value.Int 2, 1) ] in
+  let m2 = freq_of_assoc [ (Value.Int 1, 3); (Value.Int 3, 5) ] in
   Alcotest.(check int) "join size" 6 (Frequency.join_size m1 m2);
   Alcotest.(check int) "symmetric" 6 (Frequency.join_size m2 m1);
   Alcotest.(check int) "empty join" 0
-    (Frequency.join_size m1 (Frequency.of_assoc [ (Value.Int 99, 1) ]))
+    (Frequency.join_size m1 (freq_of_assoc [ (Value.Int 99, 1) ]))
 
 let test_join_size_against_real_join () =
   (* Cross-check the formula against an actual nested-loop count. *)
@@ -136,20 +132,20 @@ let test_end_biased_planes_agree () =
 let test_theorem5_olken_iterations () =
   (* Uniform case: every value frequency m in both relations over d
      values: n = d m^2, M = m, n1 = d m, iterations = M n1 / n = 1. *)
-  let m1 = Frequency.of_assoc (List.init 10 (fun i -> (Value.Int i, 5))) in
-  let m2 = Frequency.of_assoc (List.init 10 (fun i -> (Value.Int i, 5))) in
+  let m1 = freq_of_assoc (List.init 10 (fun i -> (Value.Int i, 5))) in
+  let m2 = freq_of_assoc (List.init 10 (fun i -> (Value.Int i, 5))) in
   Alcotest.(check (float 1e-9)) "uniform case needs 1 iteration" 1.
     (Join_size.olken_expected_iterations ~m1 ~m2);
   (* Empty join: infinite. *)
-  let m3 = Frequency.of_assoc [ (Value.Int 99, 1) ] in
+  let m3 = freq_of_assoc [ (Value.Int 99, 1) ] in
   Alcotest.(check bool) "empty join infinite" true
     (Join_size.olken_expected_iterations ~m1 ~m2:m3 = infinity)
 
 let test_theorem7_alpha_uniform_case () =
   (* No-skew corollary: alpha = r / (m d). *)
   let d = 20 and m = 10 and r = 50 in
-  let m1 = Frequency.of_assoc (List.init d (fun i -> (Value.Int i, 3))) in
-  let m2 = Frequency.of_assoc (List.init d (fun i -> (Value.Int i, m))) in
+  let m1 = freq_of_assoc (List.init d (fun i -> (Value.Int i, 3))) in
+  let m2 = freq_of_assoc (List.init d (fun i -> (Value.Int i, m))) in
   (* General formula: r * sum(m1 m2^2) / (sum m1 m2)^2
      = r * (d * 3 * m^2) / (d * 3 * m)^2 = r / (3 d). *)
   let alpha = Join_size.alpha_group_sample ~m1 ~m2 ~r in
@@ -158,7 +154,7 @@ let test_theorem7_alpha_uniform_case () =
   (* The paper's no-skew corollary (frequency m in BOTH relations over d
      common values): alpha = r / (m d); cross-check against the general
      formula with m1 = m2 = m. *)
-  let mm = Frequency.of_assoc (List.init d (fun i -> (Value.Int i, m))) in
+  let mm = freq_of_assoc (List.init d (fun i -> (Value.Int i, m))) in
   Alcotest.(check (float 1e-9)) "corollary = general formula"
     (Join_size.alpha_group_sample ~m1:mm ~m2:mm ~r)
     (Join_size.alpha_group_sample_uniform ~m ~d ~r)
@@ -168,8 +164,8 @@ let test_theorem8_theorem9_alpha () =
      n = 1000 + 10 = 1010.
      Thm 8: (10 + r*100_000/1000)/1010 = (10 + 100r)/1010.
      Thm 9: (r + 10)/1010. *)
-  let m1 = Frequency.of_assoc [ (Value.Int 1, 10); (Value.Int 2, 5) ] in
-  let m2 = Frequency.of_assoc [ (Value.Int 1, 100); (Value.Int 2, 2) ] in
+  let m1 = freq_of_assoc [ (Value.Int 1, 10); (Value.Int 2, 5) ] in
+  let m2 = freq_of_assoc [ (Value.Int 1, 100); (Value.Int 2, 2) ] in
   let is_high v = Value.to_int_exn v = 1 in
   let r = 7 in
   Alcotest.(check (float 1e-9)) "thm 8"
@@ -182,15 +178,28 @@ let test_theorem8_theorem9_alpha () =
   Alcotest.(check (float 1e-9)) "no hi values -> naive" 1.
     (Join_size.alpha_frequency_partition ~m1 ~m2 ~is_high:(fun _ -> false) ~r)
 
+(* The naive strategy materializes the whole join: its work is the
+   join-size formula Σ m1(v)·m2(v), with values on one side only
+   contributing nothing. *)
+let test_naive_work_is_join_size () =
+  let m1 = freq_of_assoc [ (Value.Int 1, 3); (Value.Int 2, 1); (Value.Int 9, 4) ] in
+  let m2 = freq_of_assoc [ (Value.Int 1, 2); (Value.Int 2, 5); (Value.Int 7, 6) ] in
+  Alcotest.(check int) "3*2 + 1*5" 11 (Join_size.naive_work ~m1 ~m2);
+  Alcotest.(check int) "agrees with Frequency.join_size" (Frequency.join_size m1 m2)
+    (Join_size.naive_work ~m1 ~m2);
+  Alcotest.(check int) "symmetric" 11 (Join_size.naive_work ~m1:m2 ~m2:m1);
+  Alcotest.(check int) "disjoint" 0
+    (Join_size.naive_work ~m1 ~m2:(freq_of_assoc [ (Value.Int 100, 3) ]))
+
 let suite =
   [
     Alcotest.test_case "frequency basics" `Quick test_frequency_basics;
     Alcotest.test_case "frequency excludes NULL" `Quick test_frequency_null_excluded;
     Alcotest.test_case "frequency parallel build" `Quick test_frequency_parallel_matches;
     Alcotest.test_case "frequency sorted assoc" `Quick test_frequency_to_assoc_sorted;
-    Alcotest.test_case "frequency of_assoc validation" `Quick test_frequency_of_assoc_validation;
     Alcotest.test_case "join size formula" `Quick test_join_size;
     Alcotest.test_case "join size vs brute force" `Quick test_join_size_against_real_join;
+    Alcotest.test_case "naive work = join size" `Quick test_naive_work_is_join_size;
     Alcotest.test_case "end-biased histogram" `Quick test_end_biased;
     Alcotest.test_case "end-biased fraction threshold" `Quick test_end_biased_fraction;
     Alcotest.test_case "end-biased boxed and int planes agree" `Quick test_end_biased_planes_agree;

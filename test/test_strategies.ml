@@ -6,6 +6,14 @@ module Metrics = Rsj_exec.Metrics
 
 (* A small skewed join instance on which the full join is cheap to
    enumerate, so uniformity can be chi-square tested cell by cell. *)
+(* A frequency table holding exactly these (value, count) pairs, built
+   the library's way: from a relation's key column. *)
+let freq_of_assoc pairs =
+  Rsj_stats.Frequency.of_relation ~key:0
+    (Rsj_relation.Relation.of_tuples
+       (Rsj_relation.Schema.of_list [ ("k", Rsj_relation.Value.T_int) ])
+       (List.concat_map (fun (v, n) -> List.init n (fun _ -> [| v |])) pairs))
+
 let small_env ?(seed = 0xAB) ?(histogram_fraction = 0.05) ?(z1 = 1.) ?(z2 = 2.) () =
   let pair = Zipf_tables.make_pair ~seed ~n1:40 ~n2:80 ~z1 ~z2 ~domain:6 () in
   Strategy.make_env ~seed ~histogram_fraction ~left:pair.outer ~right:pair.inner
@@ -99,18 +107,14 @@ let test_empty_join () =
   let env = empty_join_env () in
   List.iter
     (fun s ->
-      match s with
-      | Strategy.Olken ->
-          (* Olken cannot terminate on an empty join; it must fail loudly. *)
-          Alcotest.(check bool) "olken fails loudly" true
-            (try
-               ignore (Strategy.run env s ~r:5);
-               false
-             with Failure _ -> true)
-      | _ ->
-          let res = Strategy.run env s ~r:5 in
-          Alcotest.(check int) (Strategy.name s ^ " empty join") 0 (Array.length res.sample))
-    Strategy.all
+      let res = Strategy.run env s ~r:5 in
+      Alcotest.(check int) (Strategy.name s ^ " empty join") 0 (Array.length res.sample))
+    Strategy.all;
+  (* Olken finds the join empty by probing R1's keys, without running a
+     single accept/reject round. *)
+  let res = Strategy.run env Strategy.Olken ~r:5 in
+  Alcotest.(check int) "olken runs no round on an empty join" 0
+    res.metrics.Metrics.random_accesses
 
 let test_naive_work_is_full_join () =
   let env = small_env () in
@@ -230,7 +234,7 @@ let test_group_sample_stale_stats_fails () =
     Relation.of_tuples ~name:"R" schema [ [| Value.Int 1; Value.Int 8; Value.str "p" |] ]
   in
   (* Stats claim value 7 exists in R2; it does not. *)
-  let stale = Frequency.of_assoc [ (Value.Int 7, 3) ] in
+  let stale = freq_of_assoc [ (Value.Int 7, 3) ] in
   let rng = Rsj_util.Prng.create () in
   Alcotest.(check bool) "stale stats detected" true
     (try
@@ -250,7 +254,7 @@ let test_count_sample_overstated_stats_fails () =
     Relation.of_tuples ~name:"R" schema [ [| Value.Int 1; Value.Int 7; Value.str "p" |] ]
   in
   (* Stats claim m2(7) = 5; only 1 tuple exists, so U1 cannot finish. *)
-  let stale = Frequency.of_assoc [ (Value.Int 7, 5) ] in
+  let stale = freq_of_assoc [ (Value.Int 7, 5) ] in
   let rng = Rsj_util.Prng.create ~seed:123 () in
   let failed = ref false in
   (try
@@ -292,7 +296,7 @@ let test_run_wor_distinct () =
       let res = Strategy.run_wor env s ~r:15 in
       Alcotest.(check int) (Strategy.name s ^ " WoR size") 15 (Array.length res.sample);
       let distinct =
-        List.sort_uniq Tuple.compare (Array.to_list res.sample) |> List.length
+        List.sort_uniq compare (Array.to_list res.sample) |> List.length
       in
       Alcotest.(check int) (Strategy.name s ^ " WoR distinct") 15 distinct)
     [ Strategy.Naive; Strategy.Stream; Strategy.Frequency_partition ]
@@ -331,7 +335,7 @@ let colliding_join_rows () =
 let test_run_wor_hash_collision () =
   let (k1, x1), (k2, x2) = colliding_join_rows () in
   let rel name cols rows =
-    Relation.of_rows ~name (Schema.of_list cols) (List.map (List.map (fun v -> Value.Int v)) rows)
+    Relation.of_tuples ~name (Schema.of_list cols) (List.map (fun row -> Array.of_list (List.map Value.int row)) rows)
   in
   let env () =
     Strategy.make_env
@@ -374,8 +378,8 @@ let test_table1 () =
   Alcotest.(check string) "fps r2" "Partial Stats." r2
 
 (* The negative side of Table 1: every strategy, deprived of each
-   structure it requires, must refuse to run with a typed error naming
-   exactly that structure — never a generic failure, never silence. *)
+   structure it requires, must name exactly that structure as
+   missing. *)
 let test_missing_structure_matrix () =
   let a = Strategy.all_available in
   let no_left_index = { a with Strategy.left_index = false } in
@@ -408,14 +412,7 @@ let test_missing_structure_matrix () =
       let label = Strategy.name s in
       Alcotest.(check (list string))
         (label ^ " missing list") expected
-        (Strategy.missing_structures availability s);
-      match Strategy.require_structures availability s with
-      | () -> Alcotest.failf "%s ran without %s" label (List.hd expected)
-      | exception Strategy.Missing_structure { strategy; structure } ->
-          Alcotest.(check string) (label ^ " error names the strategy") label strategy;
-          Alcotest.(check string)
-            (label ^ " error names the structure")
-            (List.hd expected) structure)
+        (Strategy.missing_structures availability s))
     matrix;
   (* Partial deprivation that leaves an alternative must still run:
      Index/Stats. requirements accept either structure. *)
@@ -477,6 +474,146 @@ let test_reproducibility () =
         r1.sample)
     Strategy.all
 
+(* The env's accessors describe the join it was made for: its key
+   columns, the frequency statistics of each side, the flat key views
+   the data plane scans, and |J| from those statistics. *)
+let test_env_accessors () =
+  let pair = Zipf_tables.make_pair ~seed:0xE1 ~n1:40 ~n2:80 ~z1:1. ~z2:2. ~domain:6 () in
+  let env =
+    Strategy.make_env ~seed:0xE1 ~left:pair.outer ~right:pair.inner ~left_key:Zipf_tables.col2
+      ~right_key:Zipf_tables.col_rid ()
+  in
+  Alcotest.(check int) "left key" Zipf_tables.col2 (Strategy.env_left_key env);
+  Alcotest.(check int) "right key" Zipf_tables.col_rid (Strategy.env_right_key env);
+  let left_stats = Strategy.env_left_stats env and right_stats = Strategy.env_right_stats env in
+  Alcotest.(check int) "left stats cover R1" 40 (Frequency.total left_stats);
+  Alcotest.(check int) "right stats cover R2" 80 (Frequency.total right_stats);
+  Relation.iter pair.outer (fun t ->
+      let v = Tuple.get t Zipf_tables.col2 in
+      Alcotest.(check bool) "left stats count the left key column" true
+        (Frequency.frequency left_stats v > 0));
+  Alcotest.(check (array int)) "left key view"
+    (Column.int_view pair.outer ~col:Zipf_tables.col2)
+    (Strategy.env_left_key_view env);
+  Alcotest.(check (array int)) "right key view"
+    (Column.int_view pair.inner ~col:Zipf_tables.col_rid)
+    (Strategy.env_right_key_view env);
+  Alcotest.(check bool) "views are cached per env" true
+    (Strategy.env_left_key_view env == Strategy.env_left_key_view env);
+  Alcotest.(check int) "|J| from the statistics"
+    (Frequency.join_size left_stats right_stats)
+    (Strategy.env_join_size env)
+
+(* The WR-to-WoR driver keeps each distinct element once, in
+   acceptance order, and asks for batches only until the target is
+   met; elements whose hashes collide stay apart. *)
+let test_wor_batches () =
+  let calls = ref 0 in
+  let batches = [| [| 1; 2; 2 |]; [| 2; 3; 1 |]; [| 4; 4; 5 |]; [| 6 |] |] in
+  let next () =
+    let b = batches.(!calls) in
+    incr calls;
+    (Rsj_util.Prng.create ~seed:!calls (), b)
+  in
+  let got =
+    Strategy.wor_batches ~equal:Int.equal ~hash:(fun _ -> 0) ~caller:"test" ~target:4 next
+  in
+  Alcotest.(check int) "target distinct elements" 4 (List.length got);
+  Alcotest.(check int) "no duplicates" 4 (List.length (List.sort_uniq compare got));
+  Alcotest.(check int) "three batches were enough" 3 !calls;
+  Alcotest.(check bool) "first two batches' elements come first" true
+    (List.sort compare (List.filteri (fun i _ -> i < 3) got) = [ 1; 2; 3 ]);
+  Alcotest.(check bool) "the fourth is from the third batch" true
+    (List.mem (List.nth got 3) [ 4; 5 ]);
+  let calls = ref 0 in
+  match
+    Strategy.wor_batches ~equal:Int.equal ~hash:Fun.id ~caller:"stuck" ~target:2 (fun () ->
+        incr calls;
+        (Rsj_util.Prng.create ~seed:1 (), [| 7; 7 |]))
+  with
+  | _ -> Alcotest.fail "one distinct element reached a target of two"
+  | exception Strategy.Wor_shortfall { caller; target; distinct } ->
+      Alcotest.(check string) "caller" "stuck" caller;
+      Alcotest.(check int) "target" 2 target;
+      Alcotest.(check int) "distinct" 1 distinct;
+      Alcotest.(check int) "gives up after 64 batches" 64 !calls
+
+(* One Olken round over the flat key column: an accepted pair is a
+   real join pair, and acceptances arrive at rate |J| / (n1·M), the
+   inverse of Theorem 5's expected iterations per output. *)
+let test_olken_attempt_int () =
+  let env = small_env () in
+  let left = Strategy.env_left env and right = Strategy.env_right env in
+  let right_index = Strategy.env_right_index env in
+  let keys1 = Strategy.env_left_key_view env in
+  let m = Rsj_index.Hash_index.max_multiplicity right_index in
+  let rng = Rsj_util.Prng.create ~seed:0x01 () in
+  let metrics = Metrics.create () in
+  let rounds = 40_000 in
+  let accepted = ref 0 in
+  for _ = 1 to rounds do
+    let p =
+      Olken_sample.attempt_int rng ~metrics ~left_n:(Relation.cardinality left) ~keys1 ~right_index ~m
+    in
+    if p >= 0 then begin
+      incr accepted;
+      let i = Internals_int.unpack_left p and j = Internals_int.unpack_right p in
+      Alcotest.(check bool) "accepted rows join" true
+        (Value.equal
+           (Tuple.get (Relation.get left i) Zipf_tables.col2)
+           (Tuple.get (Relation.get right j) Zipf_tables.col2))
+    end
+  done;
+  let p_accept =
+    float_of_int (Strategy.env_join_size env) /. float_of_int (Relation.cardinality left * m)
+  in
+  let mean = float_of_int rounds *. p_accept in
+  let sd = sqrt (mean *. (1. -. p_accept)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d acceptances, %.0f expected" !accepted mean)
+    true
+    (Float.abs (float_of_int !accepted -. mean) < 5. *. sd);
+  Alcotest.(check int) "every round is one random access" rounds metrics.Metrics.random_accesses;
+  Alcotest.(check int) "every rejection is counted" (rounds - !accepted)
+    metrics.Metrics.rejected_samples;
+  Alcotest.(check int) "every acceptance is a join output" !accepted
+    metrics.Metrics.join_output_tuples
+
+(* r = 0 returns before looking at the input; an empty join is the
+   empty sample; a budget too small to accept r pairs (each round
+   accepts at most one) turns the loop into a Failure. *)
+let test_olken_budget () =
+  Alcotest.(check int) "default budget" 500_000_000 Olken_sample.default_max_iterations;
+  let env = small_env () in
+  let run ?max_iterations ~r left =
+    Olken_sample.sample (Rsj_util.Prng.create ~seed:2 ()) ~metrics:(Metrics.create ()) ~r ~left
+      ~left_key:Zipf_tables.col2 ~right_index:(Strategy.env_right_index env) ?max_iterations ()
+  in
+  let empty = Relation.of_tuples (Relation.schema (Strategy.env_left env)) [] in
+  Alcotest.(check int) "r = 0 on an empty R1" 0 (Array.length (run ~r:0 empty));
+  Alcotest.(check bool) "an empty R1 with r > 0 is invalid" true
+    (try
+       ignore (run ~r:1 empty);
+       false
+     with Invalid_argument _ -> true);
+  let no_match =
+    Relation.of_tuples (Relation.schema (Strategy.env_left env))
+      [
+        Array.mapi
+          (fun c v -> if c = Zipf_tables.col2 then Value.Int 999_999 else v)
+          (Relation.get (Strategy.env_left env) 0);
+      ]
+  in
+  Alcotest.(check int) "an empty join is the empty sample" 0
+    (Array.length (run ~max_iterations:50 ~r:1 no_match));
+  Alcotest.(check bool) "an exhausted budget fails" true
+    (try
+       ignore (run ~max_iterations:3 ~r:5 (Strategy.env_left env));
+       false
+     with Failure _ -> true);
+  Alcotest.(check int) "a budget that suffices" 5
+    (Array.length (run ~max_iterations:1_000_000 ~r:5 (Strategy.env_left env)))
+
 let suite =
   [
     Alcotest.test_case "every strategy returns r tuples" `Quick test_all_strategies_return_r;
@@ -503,4 +640,8 @@ let suite =
     Alcotest.test_case "missing-structure matrix" `Quick test_missing_structure_matrix;
     Alcotest.test_case "strategy name parsing" `Quick test_of_name;
     Alcotest.test_case "seeded reproducibility" `Quick test_reproducibility;
+    Alcotest.test_case "env accessors describe the join" `Quick test_env_accessors;
+    Alcotest.test_case "wor_batches: first occurrences up to the target" `Quick test_wor_batches;
+    Alcotest.test_case "olken attempt_int: join pairs at rate |J|/(n1 M)" `Quick test_olken_attempt_int;
+    Alcotest.test_case "olken iteration budget" `Quick test_olken_budget;
   ]

@@ -55,7 +55,6 @@ let test_conversions () =
   Alcotest.(check int) "to_int" 5 (Value.to_int_exn (Value.Int 5));
   Alcotest.(check (float 0.)) "int widens to float" 5. (Value.to_float_exn (Value.Int 5));
   Alcotest.(check (float 0.)) "float to float" 2.5 (Value.to_float_exn (Value.Float 2.5));
-  Alcotest.(check string) "to_str" "hi" (Value.to_str_exn (Value.str "hi"));
   Alcotest.(check bool) "to_int of str raises" true
     (try
        ignore (Value.to_int_exn (Value.str "x"));
@@ -73,9 +72,9 @@ let test_printing () =
   Alcotest.(check string) "int" "7" (Value.to_string (Value.Int 7));
   Alcotest.(check string) "string quoted" "\"a\"" (Value.to_string (Value.str "a"))
 
-let test_ty_of () =
-  Alcotest.(check bool) "null has no type" true (Value.ty_of Value.Null = None);
-  Alcotest.(check bool) "int type" true (Value.ty_of (Value.Int 1) = Some Value.T_int)
+let test_ty_to_string () =
+  Alcotest.(check (list string)) "type names" [ "int"; "float"; "string" ]
+    (List.map Value.ty_to_string [ Value.T_int; Value.T_float; Value.T_str ])
 
 let suite =
   [
@@ -88,5 +87,5 @@ let suite =
     Alcotest.test_case "conversions" `Quick test_conversions;
     Alcotest.test_case "type conformance" `Quick test_conforms;
     Alcotest.test_case "printing" `Quick test_printing;
-    Alcotest.test_case "ty_of" `Quick test_ty_of;
+    Alcotest.test_case "type names" `Quick test_ty_to_string;
   ]
