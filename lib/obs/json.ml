@@ -14,37 +14,55 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-let escape_to buf s =
+(* Bytes that need no escape are copied in runs, one
+   [Buffer.add_substring] per run [s.[start .. i-1]]. *)
+let rec escape_from buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+        escape_from buf s (i + 1) (i + 1)
+    | _ -> escape_from buf s start (i + 1)
+
+let write_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  escape_from buf s 0 0;
   Buffer.add_char buf '"'
+
+(* The digits of [n <= 0]: on [-|i|], [min_int] needs no special case. *)
+let rec write_digits buf n =
+  if n <= -10 then write_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let write_int buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  write_digits buf (if i < 0 then i else -i)
 
 (* The shortest of [%.15g] and [%.17g] that re-parses to [f] exactly,
    always carrying a [.] or an exponent so it re-parses as a float. *)
-let float_to_string f =
-  if not (Float.is_finite f) then "null" (* JSON has no NaN or infinity *)
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else
-    let s = Printf.sprintf "%.15g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+let write_float buf f =
+  Buffer.add_string buf
+    (if not (Float.is_finite f) then "null" (* JSON has no NaN or infinity *)
+     else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+     else
+       let s = Printf.sprintf "%.15g" f in
+       let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+       if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0")
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_to_string f)
-  | Str s -> escape_to buf s
+  | Int i -> write_int buf i
+  | Float f -> write_float buf f
+  | Str s -> write_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -58,7 +76,7 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
+          write_string buf k;
           Buffer.add_char buf ':';
           write buf v)
         fields;
@@ -82,7 +100,8 @@ let max_depth = 64
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* ['\000'] at the end: callers that care test [!pos < n] first. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
   let advance () = incr pos in
   let skip_ws () =
@@ -90,11 +109,7 @@ let parse (s : string) : (t, string) result =
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
+  let expect c = if !pos < n && s.[!pos] = c then advance () else fail (Printf.sprintf "expected %c" c) in
   let literal word v =
     let l = String.length word in
     if !pos + l <= n && String.sub s !pos l = word then begin
@@ -103,101 +118,108 @@ let parse (s : string) : (t, string) result =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'; advance ()
-               | '\\' -> Buffer.add_char buf '\\'; advance ()
-               | '/' -> Buffer.add_char buf '/'; advance ()
-               | 'b' -> Buffer.add_char buf '\b'; advance ()
-               | 'f' -> Buffer.add_char buf '\012'; advance ()
-               | 'n' -> Buffer.add_char buf '\n'; advance ()
-               | 'r' -> Buffer.add_char buf '\r'; advance ()
-               | 't' -> Buffer.add_char buf '\t'; advance ()
-               | 'u' ->
-                   advance ();
-                   if !pos + 4 > n then fail "truncated \\u escape";
-                   let hex = String.sub s !pos 4 in
-                   let code =
-                     match int_of_string_opt ("0x" ^ hex) with
-                     | Some c -> c
-                     | None -> fail "bad \\u escape"
-                   in
-                   pos := !pos + 4;
-                   (* Encode the BMP code point as UTF-8. *)
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else if code < 0x800 then begin
-                     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-                   else begin
-                     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-               | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
+  (* Strings are read in runs between escapes: one [String.sub] when
+     there is no escape, else one [Buffer.add_substring] per run. *)
+  let skip_run () =
     let start = !pos in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
       advance ()
     done;
-    let lit = String.sub s start (!pos - start) in
-    let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit in
-    if is_float then
-      match float_of_string_opt lit with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "bad number %S" lit)
-    else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt lit with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "bad number %S" lit))
+    if !pos >= n then fail "unterminated string";
+    start
+  in
+  let parse_string () =
+    expect '"';
+    let start = skip_run () in
+    if s.[!pos] = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create 16 in
+      let rec go start =
+        Buffer.add_substring buf s start (!pos - start);
+        advance ();
+        if s.[!pos - 1] = '\\' then begin
+          if !pos >= n then fail "unterminated escape";
+          (match s.[!pos] with
+          | ('"' | '\\' | '/') as c -> Buffer.add_char buf c
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' -> (
+              advance ();
+              if !pos + 4 > n then fail "truncated \\u escape";
+              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+              | Some code ->
+                  (* A BMP code point, as UTF-8. *)
+                  Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int code);
+                  pos := !pos + 3
+              | None -> fail "bad \\u escape")
+          | c -> fail (Printf.sprintf "bad escape \\%c" c));
+          advance ();
+          go (skip_run ())
+        end
+      in
+      go start;
+      Buffer.contents buf
+    end
+  in
+  let num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
+  let parse_number () =
+    let start = !pos in
+    (* A plain integer of at most 18 digits and no leading zero fits an
+       int: a digit loop reads it. Anything else takes the general path. *)
+    let first = if s.[start] = '-' then start + 1 else start in
+    let stop = ref first and acc = ref 0 in
+    while !stop < n && !stop - first < 19 && s.[!stop] >= '0' && s.[!stop] <= '9' do
+      acc := (!acc * 10) + Char.code s.[!stop] - 48;
+      incr stop
+    done;
+    let digits = !stop - first in
+    if digits >= 1 && digits <= 18 && (digits = 1 || s.[first] <> '0')
+       && not (!stop < n && num_char s.[!stop])
+    then begin
+      pos := !stop;
+      Int (if first > start then - !acc else !acc)
+    end
+    else begin
+      while !pos < n && num_char s.[!pos] do
+        advance ()
+      done;
+      let lit = String.sub s start (!pos - start) in
+      let float () =
+        match float_of_string_opt lit with
+        | Some f -> Float f
+        | None -> fail (Printf.sprintf "bad number %S" lit)
+      in
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then float ()
+      else match int_of_string_opt lit with Some i -> Int i | None -> float ()
+    end
   in
   let rec parse_value depth =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some ('[' | '{') when depth >= max_depth ->
+    | ('[' | '{') when depth >= max_depth ->
         fail (Printf.sprintf "nesting deeper than %d" max_depth)
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           List []
         end
         else begin
           let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while peek () = ',' do
             advance ();
             items := parse_value (depth + 1) :: !items;
             skip_ws ()
@@ -205,10 +227,10 @@ let parse (s : string) : (t, string) result =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
@@ -223,7 +245,7 @@ let parse (s : string) : (t, string) result =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while peek () = ',' do
             advance ();
             fields := field () :: !fields;
             skip_ws ()
@@ -231,7 +253,7 @@ let parse (s : string) : (t, string) result =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   match
     let v = parse_value 0 in

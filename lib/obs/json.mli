@@ -24,6 +24,13 @@ val write : Buffer.t -> t -> unit
     that reuses one buffer across documents allocates no output
     string. *)
 
+val write_int : Buffer.t -> int -> unit
+val write_float : Buffer.t -> float -> unit
+
+val write_string : Buffer.t -> string -> unit
+(** The bytes {!write} gives [Int], [Float] and [Str], appended
+    without building a [t]: a row writer emits each cell this way. *)
+
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset this library emits plus
     standard escapes ([\uXXXX] decodes to UTF-8). Numbers without

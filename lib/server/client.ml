@@ -4,7 +4,7 @@ module P = Protocol
 
 type t = {
   sock : Unix.file_descr;
-  inbuf : Buffer.t;
+  input : Line_reader.t;
   mutable next_id : int;
 }
 
@@ -26,7 +26,7 @@ let connect (addr : Server.addr) =
      failwith
        (Printf.sprintf "cannot connect to %s: %s" (Server.addr_to_string addr)
           (Unix.error_message e)));
-  { sock; inbuf = Buffer.create 1024; next_id = 0 }
+  { sock; input = Line_reader.create (); next_id = 0 }
 
 let close t = try Unix.close t.sock with Unix.Unix_error (_, _, _) -> ()
 let fd t = t.sock
@@ -44,25 +44,16 @@ let send t req =
     written := !written + Unix.write_substring t.sock line !written (n - !written)
   done
 
-let rec read_line t =
-  let s = Buffer.contents t.inbuf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear t.inbuf;
-      Buffer.add_string t.inbuf (String.sub s (i + 1) (String.length s - i - 1));
-      let line = String.sub s 0 i in
-      if line = "" then read_line t else line
+let rec next_response t =
+  match Line_reader.next t.input with
   | None ->
-      let buf = Bytes.create 65536 in
-      let n = Unix.read t.sock buf 0 (Bytes.length buf) in
-      if n = 0 then failwith "server closed the connection";
-      Buffer.add_subbytes t.inbuf buf 0 n;
-      read_line t
-
-let next_response t =
-  match P.decode_response (read_line t) with
-  | Ok resp -> resp
-  | Error msg -> failwith (Printf.sprintf "undecodable response frame: %s" msg)
+      if Line_reader.read t.input t.sock = 0 then failwith "server closed the connection";
+      next_response t
+  | Some "" -> next_response t
+  | Some line -> (
+      match P.decode_response line with
+      | Ok resp -> resp
+      | Error msg -> failwith (Printf.sprintf "undecodable response frame: %s" msg))
 
 type reply = { rows : Value.t list list; detail : (string * Json.t) list }
 

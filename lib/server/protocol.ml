@@ -285,27 +285,45 @@ let decode_request line =
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
-let response_json = function
-  | Ack { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "ok") :: detail)
-  | Rows { id; rows } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("type", Json.Str "rows");
-          ("rows", Json.List (List.map (fun row -> Json.List (List.map value_to_json row)) rows));
-        ]
-  | Done { id; detail } -> Json.Obj (("id", Json.Int id) :: ("type", Json.Str "done") :: detail)
-  | Failed { id; code; message } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("type", Json.Str "error");
-          ("code", Json.Str (error_code_to_string code));
-          ("message", Json.Str message);
-        ]
+(* The rows frame's bytes, written cell by cell: the one definition of
+   its format, for the daemon's slices of a sample and for a [Rows]
+   value alike. *)
+let write_rows buf ~id (rows : Tuple.t array) ~first ~stop =
+  Buffer.add_string buf "{\"id\":";
+  Json.write_int buf id;
+  Buffer.add_string buf ",\"type\":\"rows\",\"rows\":[";
+  for i = first to stop - 1 do
+    if i > first then Buffer.add_char buf ',';
+    Buffer.add_char buf '[';
+    let row = rows.(i) in
+    for j = 0 to Array.length row - 1 do
+      if j > 0 then Buffer.add_char buf ',';
+      match row.(j) with
+      | Value.Null -> Buffer.add_string buf "null"
+      | Value.Int n -> Json.write_int buf n
+      | Value.Float f -> Json.write_float buf f
+      | Value.Str s -> Json.write_string buf s
+    done;
+    Buffer.add_char buf ']'
+  done;
+  Buffer.add_string buf "]}"
 
-let encode_response resp = Json.to_string (response_json resp)
-let write_response buf resp = Json.write buf (response_json resp)
+let write_response buf resp =
+  let frame id ty fields = Json.write buf (Json.Obj (("id", Json.Int id) :: ("type", Json.Str ty) :: fields)) in
+  match resp with
+  | Ack { id; detail } -> frame id "ok" detail
+  | Rows { id; rows } ->
+      let rows = Array.of_list (List.map Array.of_list rows) in
+      write_rows buf ~id rows ~first:0 ~stop:(Array.length rows)
+  | Done { id; detail } -> frame id "done" detail
+  | Failed { id; code; message } ->
+      frame id "error"
+        [ ("code", Json.Str (error_code_to_string code)); ("message", Json.Str message) ]
+
+let encode_response resp =
+  let buf = Buffer.create 256 in
+  write_response buf resp;
+  Buffer.contents buf
 
 let decode_response line =
   match Json.parse line with

@@ -102,4 +102,10 @@ val write_response : Buffer.t -> response -> unit
 (** {!encode_response}'s bytes appended to the buffer: the daemon
     encodes every frame into its connection's reused output buffer. *)
 
+val write_rows : Buffer.t -> id:int -> Tuple.t array -> first:int -> stop:int -> unit
+(** The [rows] frame of request [id] carrying rows [first .. stop-1],
+    appended to the buffer: {!write_response}'s bytes for the [Rows]
+    frame of that slice, written straight from the tuples, with no
+    list and no {!Rsj_obs.Json.t} built on the way. *)
+
 val decode_response : string -> (response, string) result

@@ -15,15 +15,20 @@ let addr_to_string = function
   | Unix_path p -> p
   | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
 
+(* The port follows the last colon, so a host may hold colons (an IPv6
+   literal). *)
 let addr_of_string s =
-  match String.split_on_char ':' s with
-  | [ "tcp"; host; port ] -> (
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> Ok (Tcp (host, p))
-      | _ -> Error (Printf.sprintf "bad TCP port in %S" s))
-  | "tcp" :: _ -> Error (Printf.sprintf "bad TCP address %S (want tcp:HOST:PORT)" s)
-  | [ "unix"; path ] -> Ok (Unix_path path)
-  | _ -> Ok (Unix_path s)
+  let after prefix = String.sub s (String.length prefix) (String.length s - String.length prefix) in
+  if String.starts_with ~prefix:"tcp:" s then
+    let rest = after "tcp:" in
+    match String.rindex_opt rest ':' with
+    | None -> Error (Printf.sprintf "bad TCP address %S (want tcp:HOST:PORT)" s)
+    | Some i -> (
+        match int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1)) with
+        | Some p when p > 0 && p < 65536 -> Ok (Tcp (String.sub rest 0 i, p))
+        | _ -> Error (Printf.sprintf "bad TCP port in %S" s))
+  else if String.starts_with ~prefix:"unix:" s then Ok (Unix_path (after "unix:"))
+  else Ok (Unix_path s)
 
 type config = {
   addr : addr;
@@ -91,11 +96,12 @@ let m_queued_work =
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
 
-type mode = M_unknown | M_json | M_http
+(* [M_http line]: an HTTP request line, waiting for its headers' end. *)
+type mode = M_unknown | M_json | M_http of string
 
 type conn = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  input : Line_reader.t;
   out : Buffer.t;
       (** Encoded frames, newline included; reused across requests
           (cleared once written, keeping its grown storage). *)
@@ -143,20 +149,9 @@ let lookup st name =
 (* ------------------------------------------------------------------ *)
 (* Request execution (runs on the loop thread, FIFO)                   *)
 
-let frame_rows_of lst n =
-  (* Split [lst] into chunks of [n]. *)
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: tl ->
-        if k = n then go (List.rev cur :: acc) [ x ] 1 tl else go acc (x :: cur) (k + 1) tl
-  in
-  go [] [] 0 lst
-
-let stream_rows ~id ~frame_rows rows done_detail =
-  let frames =
-    List.map (fun chunk -> P.Rows { id; rows = chunk }) (frame_rows_of rows frame_rows)
-  in
-  frames @ [ P.Done { id; detail = done_detail } ]
+(* A request's answer: the rows it streams (none for most ops), then
+   its one terminal frame. *)
+let no_rows frame = ([||], frame)
 
 let exec_register st ~id ~name ~source =
   let rel =
@@ -174,14 +169,9 @@ let exec_register st ~id ~name ~source =
   | Some old -> Cache.invalidate st.cache old
   | None -> ());
   Hashtbl.replace st.catalog name rel;
-  [
-    P.Ack
-      {
-        id;
-        detail =
-          [ ("name", Json.Str name); ("rows", Json.Int (Relation.cardinality rel)) ];
-      };
-  ]
+  no_rows
+    (P.Ack
+       { id; detail = [ ("name", Json.Str name); ("rows", Json.Int (Relation.cardinality rel)) ] })
 
 (* RSJ_SERVE_BIAS: replace the strategy's output with the negative
    control's deliberately biased WR draws (Negative.biased_wr_draw) —
@@ -249,7 +239,6 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
   in
   (* The monitor watches what actually leaves the daemon, biased or not. *)
   Sampler.observe st.quality request sample;
-  let rows = Array.to_list (Array.map Array.to_list sample) in
   let detail =
     [
       ("strategy", Json.Str (Sampler.name request));
@@ -259,7 +248,7 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     ]
     @ match reason with Some r -> [ ("picker_reason", Json.Str r) ] | None -> []
   in
-  stream_rows ~id ~frame_rows:st.config.frame_rows rows detail
+  (sample, P.Done { id; detail })
 
 let exec_query st ~id ~sql ~seed =
   st.note.n_sql <- Some sql;
@@ -271,7 +260,7 @@ let exec_query st ~id ~sql ~seed =
       Option.iter
         (fun name -> note_sampler st name (reason_of result.Engine.decision))
         result.Engine.sampler;
-      let rows = List.map Array.to_list result.Engine.rows in
+      let rows = Array.of_list result.Engine.rows in
       let columns =
         Array.to_list (Schema.columns result.Engine.schema)
         |> List.map (fun (c : Schema.column) -> Json.Str c.name)
@@ -279,7 +268,7 @@ let exec_query st ~id ~sql ~seed =
       let detail =
         [
           ("columns", Json.List columns);
-          ("tuples", Json.Int (List.length rows));
+          ("tuples", Json.Int (Array.length rows));
           ("work", Json.Int (Rsj_exec.Metrics.total_work result.Engine.metrics));
           ("explained", Json.Bool result.Engine.explained);
         ]
@@ -292,12 +281,12 @@ let exec_query st ~id ~sql ~seed =
             [ ("picked", Json.Str (Strategy.name d.Picker.chosen)) ]
         | None -> []
       in
-      stream_rows ~id ~frame_rows:st.config.frame_rows rows detail
+      (rows, P.Done { id; detail })
 
 let exec_stats st ~id =
   let s = Cache.stats st.cache in
-  [
-    P.Ack
+  no_rows
+    (P.Ack
       {
         id;
         detail =
@@ -349,12 +338,11 @@ let exec_stats st ~id =
                      (e.name, Json.Obj [ ("value", Json.Str e.value); ("source", source) ]))
                    (Config.effective ())) );
           ];
-      };
-  ]
+      })
 
 let execute st (req : P.request) =
   match req with
-  | P.Ping { id } -> [ P.Ack { id; detail = [ ("pong", Json.Bool true) ] } ]
+  | P.Ping { id } -> no_rows (P.Ack { id; detail = [ ("pong", Json.Bool true) ] })
   | P.Register { id; name; source } -> exec_register st ~id ~name ~source
   | P.Sample { id; left; right; r; strategy; seed; wor; domains; on; deadline_ms = _; rid = _ }
     ->
@@ -362,14 +350,14 @@ let execute st (req : P.request) =
   | P.Query { id; sql; seed; deadline_ms = _; rid = _ } -> exec_query st ~id ~sql ~seed
   | P.Invalidate { id; name } ->
       Cache.invalidate st.cache (lookup st name);
-      [ P.Ack { id; detail = [ ("name", Json.Str name) ] } ]
+      no_rows (P.Ack { id; detail = [ ("name", Json.Str name) ] })
   | P.Metrics { id } ->
       Rsj_obs.Runtime.publish_gc ();
-      [ P.Ack { id; detail = [ ("prometheus", Json.Str (Registry.to_prometheus ())) ] } ]
+      no_rows (P.Ack { id; detail = [ ("prometheus", Json.Str (Registry.to_prometheus ())) ] })
   | P.Stats { id } -> exec_stats st ~id
   | P.Shutdown { id } ->
       st.stopping <- true;
-      [ P.Ack { id; detail = [ ("stopping", Json.Bool true) ] } ]
+      no_rows (P.Ack { id; detail = [ ("stopping", Json.Bool true) ] })
 
 (* ------------------------------------------------------------------ *)
 (* Wire plumbing                                                       *)
@@ -381,12 +369,22 @@ let send_frame conn resp =
   P.write_response conn.out resp;
   Buffer.add_char conn.out '\n'
 
-let send_raw conn s = Buffer.add_string conn.out s
+(* Rows leave as slices of the answer's array, [frame_rows] per frame,
+   each written straight from the tuples. *)
+let send_rows conn ~id ~frame_rows rows =
+  let first = ref 0 and n = Array.length rows in
+  while !first < n do
+    let stop = min n (!first + frame_rows) in
+    P.write_rows conn.out ~id rows ~first:!first ~stop;
+    Buffer.add_char conn.out '\n';
+    first := stop
+  done
+
 let has_output conn = Buffer.length conn.out > conn.out_ofs
 
-(* The daemon's one I/O scratch: reads land in it, and output is
-   blitted through it, since a Buffer cannot be written without a
-   copy. The select loop is single-threaded. *)
+(* The daemon's one output scratch: output is blitted through it,
+   since a Buffer cannot be written without a copy. The select loop is
+   single-threaded. *)
 let io_scratch = Bytes.create 65536
 
 let try_flush conn =
@@ -409,64 +407,29 @@ let try_flush conn =
     conn.out_ofs <- 0
   end
 
-(* Pull complete lines off the connection's input buffer, leaving any
-   trailing fragment in place. *)
-let take_lines conn =
-  let s = Buffer.contents conn.inbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear conn.inbuf;
-      Buffer.add_string conn.inbuf (String.sub s (last + 1) (String.length s - last - 1));
-      String.split_on_char '\n' (String.sub s 0 last)
-      |> List.map (fun line ->
-             let n = String.length line in
-             if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
-      |> List.filter (fun line -> line <> "")
-
 let http_response ~status ~body =
   Printf.sprintf "HTTP/1.1 %s\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
     status (String.length body) body
 
-(* One HTTP request per connection ("Connection: close"): answer
-   GET /metrics with the Prometheus registry, GET /healthz with the
-   load-balancer view of the drain state, 404 anything else. *)
-let handle_http st conn =
-  let s = Buffer.contents conn.inbuf in
-  let complete =
-    (* Headers end at a blank line; we never read a body. *)
-    let rec find i =
-      if i + 1 >= String.length s then false
-      else if s.[i] = '\n' && (s.[i + 1] = '\n' || (s.[i + 1] = '\r' && i + 2 < String.length s && s.[i + 2] = '\n')) then true
-      else find (i + 1)
-    in
-    find 0
+(* One HTTP request per connection ("Connection: close"), answered once
+   the blank line ends its headers (we never read a body): GET /metrics
+   with the Prometheus registry, GET /healthz with the load-balancer
+   view of the drain state, 404 anything else. *)
+let answer_http st conn request_line =
+  let response =
+    match String.split_on_char ' ' request_line with
+    | "GET" :: path :: _ when path = "/metrics" || path = "/metrics/" ->
+        Rsj_obs.Runtime.publish_gc ();
+        http_response ~status:"200 OK" ~body:(Registry.to_prometheus ())
+    | "GET" :: path :: _ when path = "/healthz" || path = "/healthz/" ->
+        (* 503 the moment drain starts, so load balancers rotate the
+           replica before the listener disappears. *)
+        if st.stopping then http_response ~status:"503 Service Unavailable" ~body:"draining\n"
+        else http_response ~status:"200 OK" ~body:"ok\n"
+    | _ -> http_response ~status:"404 Not Found" ~body:"only GET /metrics and /healthz are served\n"
   in
-  if complete then begin
-    let first_line =
-      match String.index_opt s '\n' with
-      | Some i ->
-          let l = String.sub s 0 i in
-          if l <> "" && l.[String.length l - 1] = '\r' then String.sub l 0 (String.length l - 1) else l
-      | None -> s
-    in
-    let response =
-      match String.split_on_char ' ' first_line with
-      | "GET" :: path :: _ when path = "/metrics" || path = "/metrics/" ->
-          Rsj_obs.Runtime.publish_gc ();
-          http_response ~status:"200 OK" ~body:(Registry.to_prometheus ())
-      | "GET" :: path :: _ when path = "/healthz" || path = "/healthz/" ->
-          (* 503 the moment drain starts, so load balancers rotate the
-             replica before the listener disappears. *)
-          if st.stopping then http_response ~status:"503 Service Unavailable" ~body:"draining\n"
-          else http_response ~status:"200 OK" ~body:"ok\n"
-      | _ ->
-          http_response ~status:"404 Not Found" ~body:"only GET /metrics and /healthz are served\n"
-    in
-    Buffer.clear conn.inbuf;
-    send_raw conn response;
-    conn.eof <- true (* flush, then close *)
-  end
+  Buffer.add_string conn.out response;
+  conn.eof <- true (* flush, then close *)
 
 (* ------------------------------------------------------------------ *)
 (* Admission and the FIFO                                              *)
@@ -528,16 +491,12 @@ let mint_rid st req =
       st.rid_serial <- st.rid_serial + 1;
       Printf.sprintf "req-%d-%d" (Unix.getpid ()) st.rid_serial
 
-(* Echo the request id in terminal ok/done frames so the wire response
-   carries the same id as the spans and the log line. *)
-let tag_frames rid frames =
-  List.map
-    (function
-      | P.Done { id; detail } ->
-          P.Done { id; detail = detail @ [ ("request_id", Json.Str rid) ] }
-      | P.Ack { id; detail } -> P.Ack { id; detail = detail @ [ ("request_id", Json.Str rid) ] }
-      | f -> f)
-    frames
+(* Echo the request id in the terminal ok/done frame so the wire
+   response carries the same id as the spans and the log line. *)
+let tag_frame rid = function
+  | P.Done { id; detail } -> P.Done { id; detail = detail @ [ ("request_id", Json.Str rid) ] }
+  | P.Ack { id; detail } -> P.Ack { id; detail = detail @ [ ("request_id", Json.Str rid) ] }
+  | f -> f
 
 let run_pending st =
   while not (Queue.is_empty st.queue) do
@@ -585,7 +544,9 @@ let run_pending st =
                 (* The request boundary: whatever a request raises fails
                    that request alone, typed, and the loop keeps serving. *)
                 match execute st req with
-                | frames -> List.iter (send_frame conn) (tag_frames rid frames)
+                | rows, last ->
+                    send_rows conn ~id ~frame_rows:st.config.frame_rows rows;
+                    send_frame conn (tag_frame rid last)
                 | exception Reject (code, msg) ->
                     status := P.error_code_to_string code;
                     fail_request conn ~id code msg
@@ -703,26 +664,29 @@ let write_snapshot config =
       prerr_string "# final metrics snapshot\n";
       prerr_string text
 
+(* A connection's first line sets its mode: "GET " starts an HTTP
+   request, anything else speaks the JSON protocol, whose empty lines
+   are skipped. *)
 let handle_input st conn =
-  (match conn.mode with
-  | M_unknown ->
-      let s = Buffer.contents conn.inbuf in
-      if String.length s >= 4 then
-        conn.mode <- (if String.sub s 0 4 = "GET " then M_http else M_json)
-      else if String.length s > 0 && s.[0] <> 'G' then conn.mode <- M_json
-  | M_json | M_http -> ());
-  match conn.mode with
-  | M_http -> handle_http st conn
-  | M_json ->
-      List.iter
-        (fun line ->
-          match P.decode_request line with
-          | Ok req -> admit st conn req
-          | Error msg ->
-              Registry.incr (m_errors P.Bad_request);
-              send_frame conn (P.Failed { id = -1; code = P.Bad_request; message = msg }))
-        (take_lines conn)
-  | M_unknown -> ()
+  let rec take () =
+    match (Line_reader.next conn.input, conn.mode) with
+    | None, _ -> ()
+    | Some line, M_unknown when String.starts_with ~prefix:"GET " line ->
+        conn.mode <- M_http line;
+        take ()
+    | Some "", M_http request_line -> answer_http st conn request_line
+    | Some _, M_http _ -> take ()
+    | Some line, (M_unknown | M_json) ->
+        conn.mode <- M_json;
+        (if line <> "" then
+           match P.decode_request line with
+           | Ok req -> admit st conn req
+           | Error msg ->
+               Registry.incr (m_errors P.Bad_request);
+               send_frame conn (P.Failed { id = -1; code = P.Bad_request; message = msg }));
+        take ()
+  in
+  take ()
 
 let run config =
   Atomic.set stop_requested false;
@@ -761,7 +725,7 @@ let run config =
           conns :=
             {
               fd;
-              inbuf = Buffer.create 256;
+              input = Line_reader.create ();
               out = Buffer.create 4096;
               out_ofs = 0;
               mode = M_unknown;
@@ -776,9 +740,9 @@ let run config =
     done
   in
   let read_conn conn =
-    match Unix.read conn.fd io_scratch 0 (Bytes.length io_scratch) with
+    match Line_reader.read conn.input conn.fd with
     | 0 -> conn.eof <- true
-    | n -> Buffer.add_subbytes conn.inbuf io_scratch 0 n
+    | _ -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> conn.dead <- true
   in

@@ -24,8 +24,8 @@
       empty, so the service keeps making progress; one whose own [r]
       exceeds the cap is refused before any work.
     - {b Metrics}: [GET /metrics] on the same socket answers with the
-      Prometheus text of {!Rsj_obs.Registry} (the listener sniffs the
-      first bytes; JSON clients are unaffected), covering the
+      Prometheus text of {!Rsj_obs.Registry} (a connection's first line
+      picks its mode; JSON clients are unaffected), covering the
       [rsj_structure_cache_*] and [rsj_serve_*] families.
     - {b Graceful shutdown}: SIGINT/SIGTERM (or a [shutdown] request)
       stop the accept path, close and unlink the listening socket
@@ -38,8 +38,9 @@ type addr = Unix_path of string | Tcp of string * int
 val addr_to_string : addr -> string
 
 val addr_of_string : string -> (addr, string) result
-(** ["tcp:HOST:PORT"] is TCP; anything else is a Unix-domain socket
-    path (an explicit ["unix:"] prefix is stripped). *)
+(** ["tcp:HOST:PORT"] is TCP, the port after the last colon (so
+    [addr_to_string] of any address parses back); anything else is a
+    Unix-domain socket path (one ["unix:"] prefix is stripped). *)
 
 type config = {
   addr : addr;

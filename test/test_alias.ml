@@ -289,5 +289,11 @@ let suite =
     Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
     Alcotest.test_case "shared weight validation" `Quick test_validation;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_alias_draws_match_law; prop_draws_read_reference_word ]
+  @ [
+      (* A fixed generator seed: 25 chi-square tests at p > 1e-4 under a
+         fresh seed per run would fail about one run in 400 with a
+         correct table. *)
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xA11A5 |])
+        prop_alias_draws_match_law;
+      QCheck_alcotest.to_alcotest prop_draws_read_reference_word;
+    ]

@@ -261,8 +261,10 @@ let test_write_response () =
     ("prefix|" ^ String.concat "" (List.map P.encode_response frames))
     (Buffer.contents buf)
 
-(* Socket addresses: tcp:HOST:PORT is TCP, anything else a Unix path,
-   and printing an address parses back to it. *)
+(* Socket addresses: tcp:HOST:PORT is TCP (the port after the last
+   colon, so a host may hold colons), anything else a Unix path with
+   one "unix:" prefix stripped, and printing an address parses back to
+   it. *)
 let test_server_addresses () =
   let module S = Rsj_server.Server in
   let parse s = match S.addr_of_string s with Ok a -> a | Error e -> Alcotest.failf "%s: %s" s e in
@@ -270,13 +272,209 @@ let test_server_addresses () =
   Alcotest.(check bool) "bare path" true (parse "/run/rsj.sock" = S.Unix_path "/run/rsj.sock");
   Alcotest.(check bool) "unix: prefix stripped" true
     (parse "unix:/run/rsj.sock" = S.Unix_path "/run/rsj.sock");
+  Alcotest.(check bool) "unix: stripped once, colons kept" true
+    (parse "unix:/a:b" = S.Unix_path "/a:b" && parse "unix:unix:x" = S.Unix_path "unix:x");
+  Alcotest.(check bool) "tcp host with colons" true
+    (parse "tcp:::1:7411" = S.Tcp ("::1", 7411) && parse "tcp:a:b:1" = S.Tcp ("a:b", 1));
   List.iter
     (fun a -> Alcotest.(check bool) (S.addr_to_string a) true (parse (S.addr_to_string a) = a))
-    [ S.Tcp ("localhost", 1); S.Tcp ("10.0.0.7", 65535); S.Unix_path "rel/sock" ];
+    [
+      S.Tcp ("localhost", 1); S.Tcp ("10.0.0.7", 65535); S.Tcp ("::1", 7411);
+      S.Tcp ("fe80::1:2", 80); S.Unix_path "rel/sock"; S.Unix_path "/a:b";
+    ];
   List.iter
     (fun bad ->
       Alcotest.(check bool) ("rejected: " ^ bad) true (Result.is_error (S.addr_of_string bad)))
-    [ "tcp:host:0"; "tcp:host:65536"; "tcp:host:http"; "tcp:host"; "tcp:a:b:1" ]
+    [ "tcp:host:0"; "tcp:host:65536"; "tcp:host:http"; "tcp:host"; "tcp:::1:http"; "tcp:::1:" ]
+
+(* ---------- the rows writer: the bytes did not move ---------- *)
+
+(* The rows frame as the Json.t route wrote it before the writer: a
+   tree per frame, strings escaped byte by byte, ints through
+   string_of_int, floats in the fewest of 15 or 17 digits. Kept here,
+   independent of Obs.Json's printer, to pin the wire bytes. *)
+let reference_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let reference_float f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+let reference_rows_frame ~id rows =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf ("{\"id\":" ^ string_of_int id ^ ",\"type\":\"rows\",\"rows\":[");
+  List.iteri
+    (fun i row ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun j v ->
+          if j > 0 then Buffer.add_char buf ',';
+          match v with
+          | Value.Null -> Buffer.add_string buf "null"
+          | Value.Int n -> Buffer.add_string buf (string_of_int n)
+          | Value.Float f -> Buffer.add_string buf (reference_float f)
+          | Value.Str s -> reference_string buf s)
+        row;
+      Buffer.add_char buf ']')
+    rows;
+  Buffer.add_string buf "]}";
+  Buffer.contents buf
+
+let gen_cell =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Value.Null);
+      (3, map (fun i -> Value.Int i) (oneof [ oneofl [ 0; 1; -1; max_int; min_int ]; int ]));
+      ( 3,
+        map
+          (fun f -> Value.Float f)
+          (oneof
+             [
+               oneofl
+                 [ 0.; -0.; 1.; -3.; 1e15; 2. ** 60.; Float.nan; Float.infinity;
+                   Float.neg_infinity; 5e-324; 2.2e-308 /. 3.; Float.min_float ];
+               map float_of_int small_signed_int;
+               float;
+             ]) );
+      ( 3,
+        map
+          (fun s -> Value.Str s)
+          (oneof
+             [
+               oneofl [ ""; "\""; "\\"; "a\"b\\c"; "\000\031\127\255" ];
+               string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 24);
+             ]) );
+    ]
+
+let gen_rows =
+  QCheck.Gen.(array_size (int_bound 12) (array_size (int_range 1 6) gen_cell))
+
+let arb_frame =
+  QCheck.make
+    ~print:(fun (id, rows, _, _) ->
+      Printf.sprintf "id %d, %d rows: %s" id (Array.length rows)
+        (reference_rows_frame ~id (Array.to_list (Array.map Array.to_list rows))))
+    QCheck.Gen.(
+      gen_rows >>= fun rows ->
+      let n = Array.length rows in
+      int_bound n >>= fun first ->
+      int_range first n >>= fun stop ->
+      map (fun id -> (id, rows, first, stop)) (oneof [ int; oneofl [ 0; -1; min_int ] ]))
+
+(* The writer's bytes for any slice equal the reference's for that
+   slice, encode_response of the Rows value gives the same bytes, and
+   the client decodes them back to the rows (non-finite floats, which
+   JSON cannot carry, as NULL). *)
+let prop_rows_writer_bytes =
+  QCheck.Test.make ~name:"rows writer = Json.t route, byte for byte" ~count:500 arb_frame
+    (fun (id, rows, first, stop) ->
+      let slice = Array.to_list (Array.map Array.to_list (Array.sub rows first (stop - first))) in
+      let expected = reference_rows_frame ~id slice in
+      let buf = Buffer.create 16 in
+      P.write_rows buf ~id rows ~first ~stop;
+      let on_wire = function Value.Float f when not (Float.is_finite f) -> Value.Null | v -> v in
+      Buffer.contents buf = expected
+      && P.encode_response (P.Rows { id; rows = slice }) = expected
+      && decode_resp expected = P.Rows { id; rows = List.map (List.map on_wire) slice })
+
+(* Number literals parse as the generic route read them: a digit loop
+   takes plain integers of at most 18 digits, and everything else
+   (leading zeros, fractions, exponents, a bare sign, longer literals)
+   goes through int_of_string / float_of_string as before. *)
+let reference_number lit =
+  let float () = Option.map (fun f -> Json.Float f) (float_of_string_opt lit) in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then float ()
+  else match int_of_string_opt lit with Some i -> Some (Json.Int i) | None -> float ()
+
+let number_literals =
+  [
+    "007"; "-0"; "0"; "-007"; "1e5"; "-"; "1-2"; "+5"; "1.5"; "-2.5E-3";
+    "123456789012345678"; "-999999999999999999"; "1234567890123456789";
+    "9999999999999999999"; "12345678901234567890"; "-12345678901234567890";
+    "4611686018427387904"; "-4611686018427387904"; "4611686018427387903";
+  ]
+
+let prop_number_literals =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof
+           [
+             oneofl number_literals;
+             map string_of_int int;
+             map2
+               (fun sign digits -> sign ^ digits)
+               (oneofl [ ""; "-" ])
+               (string_size ~gen:(char_range '0' '9') (int_range 1 22));
+           ])
+        (oneofl [ `Bare; `In_list; `In_object ]))
+  in
+  QCheck.Test.make ~name:"Json.parse reads number literals as before" ~count:1000
+    (QCheck.make ~print:(fun (lit, _) -> lit) gen)
+    (fun (lit, ctx) ->
+      let doc, unwrap =
+        match ctx with
+        | `Bare -> (lit, fun j -> Some j)
+        | `In_list -> ("[ " ^ lit ^ ",1]", function Json.List [ j; _ ] -> Some j | _ -> None)
+        | `In_object -> ({|{"n":|} ^ lit ^ "}", Json.member "n")
+      in
+      match (reference_number lit, Json.parse doc) with
+      | Some expected, Ok j -> unwrap j = Some expected
+      | None, Error _ -> true
+      | _ -> false)
+
+(* ---------- the shared line reader ---------- *)
+
+let test_line_reader () =
+  let module L = Rsj_server.Line_reader in
+  let rd, wr = Unix.pipe () in
+  Fun.protect ~finally:(fun () -> Unix.close rd; Unix.close wr) @@ fun () ->
+  let r = L.create () in
+  let feed s =
+    ignore (Unix.write_substring wr s 0 (String.length s));
+    let got = ref 0 in
+    while !got < String.length s do
+      got := !got + L.read r rd
+    done
+  in
+  let rec lines acc = match L.next r with Some l -> lines (l :: acc) | None -> List.rev acc in
+  let check what expected = Alcotest.(check (list string)) what expected (lines []) in
+  check "nothing yet" [];
+  feed "{\"op\":";
+  check "a fragment is no line" [];
+  feed "\"ping\"";
+  check "still no line" [];
+  feed "}\nab";
+  check "a line split across reads" [ {|{"op":"ping"}|} ];
+  feed "c\r\n\r\n\nd\r\ne\n";
+  check "the fragment kept; \\r\\n endings stripped; empty lines returned empty"
+    [ "abc"; ""; ""; "d"; "e" ];
+  feed "tail";
+  check "no newline, no line" [];
+  feed (String.make 40_000 'x');
+  feed (String.make 40_000 'y');
+  feed "\r\n";
+  check "a line longer than the buffer"
+    [ "tail" ^ String.make 40_000 'x' ^ String.make 40_000 'y' ];
+  check "nothing left" []
 
 let suite =
   [
@@ -293,4 +491,8 @@ let suite =
     Alcotest.test_case "cell codec" `Quick test_cell_codec;
     Alcotest.test_case "float cells round-trip exactly; non-finite ones as NULL" `Quick
       test_float_cells_round_trip;
+    Alcotest.test_case "line reader: split lines, \\r\\n, empty lines, fragments" `Quick
+      test_line_reader;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+      [ prop_rows_writer_bytes; prop_number_literals ]
