@@ -5,7 +5,7 @@
 # RSJ_SKIP_MICRO, RSJ_SKIP_PAPER and RSJ_ONLY_PARALLEL (bench/main.ml),
 # and the test suite RSJ_DOMAINS and RSJ_COVERAGE_TRIALS.
 
-.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench digest loc clean
+.PHONY: all build check test smoke bench bench-parallel bench-json pool conformance obs quality trace serve serve-test serve-bench perfbench-ab digest loc clean
 
 all: build
 
@@ -95,6 +95,19 @@ serve-test:
 serve-bench:
 	dune build bin/rsj.exe bench/serve_ab.exe
 	./_build/default/bench/serve_ab.exe ./_build/default/bin/rsj.exe BENCH_serve.json
+
+# perfbench-ab = the interleaved A/B of the repository benchmark:
+# PARENT (a commit) against the working tree, PAIRS runs of WORKLOAD
+# (or all) at SECONDS each, alternating which side goes first, seed
+# 101 + i for pair i. Both sides are built from copies in a temporary
+# directory; per metric it prints each side's median and IQR, every
+# pair's change/parent ratio, and every run's failed count.
+PARENT ?= HEAD
+WORKLOAD ?= strategy_mix
+PAIRS ?= 10
+SECONDS ?= 25
+perfbench-ab:
+	python3 tools/perfbench_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS)
 
 # digest = the bit-identity digest: one MD5 line per sampling cell
 # (reference and pooled runners, WR and WoR, int and string keys, the

@@ -253,7 +253,8 @@ let parse (s : string) : (t, string) result =
           expect '}';
           Obj (List.rev !fields)
         end
-    | _ -> parse_number ()
+    | c when num_char c -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value 0 in

@@ -9,23 +9,31 @@
 let small_mean_threshold = 30.
 
 (* Sequential inversion from k = 0 using the pmf recurrence
-   pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p). Exact and allocation-free. *)
+   pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p). Exact and allocation-free.
+   Callers guarantee p <= 1/2 and np <= 30, so pmf0 = (1-p)^n >= 2^-60
+   (1-p >= 2^-2p on [0, 1/2]) and never underflows.
+
+   The deviate comes first: when np is small, u < pmf0 (k = 0) on all but
+   about np of the calls, and u < B with B = 1 - r(p + e) - e, r = fl(n),
+   e = 2^-50, evaluated in floats, proves it without the pow. pow draws
+   nothing, so the stream and k are the full loop's. Proof that B < pmf0
+   for all r >= 1, 0 < p <= 1/2 (only B > 0 matters, as u >= 0):
+   - B > 0 forces b = fl(r fl(p + e)) < 1; b >= r(p + e)(1 - 2^-53)^2,
+     so r(p + e) < 2 and b > rp + re - 2^-51;
+   - fl(1 - b) and B lie in (0, 1], each rounded by <= 2^-54, so
+     B < 1 - rp - re - e + 2^-51 + 2^-53;
+   - q = fl(1 - p) >= 1 - p - 2^-54 (1 - p in [1/2, 1)); Bernoulli's
+     inequality gives q^r >= 1 - r(p + 2^-54); pow errs by < 1 ulp
+     <= 2^-52 q^r, so pmf0 > 1 - rp - r 2^-54 - 2^-52;
+   - pmf0 - B > r(e - 2^-54) + 2^-53 > 0. *)
 let binomial_inversion rng ~n ~p =
-  let q = 1. -. p in
-  let ratio = p /. q in
-  let pmf0 = q ** float_of_int n in
-  if pmf0 = 0. then
-    (* n log q underflowed; fall back on counting Bernoulli successes.
-       Only reachable for huge n with p not small, where callers use the
-       mode-centered path instead; kept for safety. *)
-    let count = ref 0 in
-    for _ = 1 to n do
-      if Prng.unit_float rng < p then incr count
-    done;
-    !count
+  let u = Prng.unit_float rng in
+  if u < 1. -. (float_of_int n *. (p +. 0x1.0p-50)) -. 0x1.0p-50 then 0
   else begin
-    let u = ref (Prng.unit_float rng) in
-    let pmf = ref pmf0 in
+    let q = 1. -. p in
+    let ratio = p /. q in
+    let u = ref u in
+    let pmf = ref (q ** float_of_int n) in
     let k = ref 0 in
     while !u >= !pmf && !k < n do
       u := !u -. !pmf;

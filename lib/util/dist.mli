@@ -10,9 +10,11 @@ val binomial : Prng.t -> n:int -> p:float -> int
 (** [binomial rng ~n ~p] draws from Binomial(n, p) exactly.
 
     Implementation: for small mean, sequential inversion from 0 (expected
-    O(np) work); for large mean, inversion started at the mode and
-    expanded outwards (expected O(sqrt(np(1-p))) work). [p] outside
-    [\[0,1\]] is clamped. Raises [Invalid_argument] if [n < 0]. *)
+    O(np) work); the uniform is drawn first, and when it lies below a
+    proven lower bound on (1-p)^n the answer is 0 without computing the
+    pow (one draw, one compare). For large mean, inversion started at
+    the mode and expanded outwards (expected O(sqrt(np(1-p))) work). [p]
+    outside [\[0,1\]] is clamped. Raises [Invalid_argument] if [n < 0]. *)
 
 val geometric : Prng.t -> p:float -> int
 (** [geometric rng ~p] is the number of failures before the first success

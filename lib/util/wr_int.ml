@@ -22,9 +22,12 @@
    The draw sequence is bit-for-bit the one Reservoir.Wr.feed performs
    (same generator steps, same branch structure), which
    test/test_dataplane.ml's kernel-equivalence check pins. Rare regimes
-   (p > 1/2, r·p above Dist's small-mean threshold, pmf underflow)
-   call Dist.binomial itself, so there is exactly one copy of the
-   non-trivial sampling math. *)
+   (p > 1/2, r·p above Dist's small-mean threshold) call Dist.binomial
+   itself, so there is exactly one copy of the non-trivial sampling math.
+
+   Per feed, the common case (p ~ 1/fed, no slot flips) costs one draw
+   and one compare against Dist's no-flip bound; (1-p)^r and the
+   inversion loop run only on the ~r·p feeds the bound cannot settle. *)
 
 type t = {
   rng : Prng.t;
@@ -65,15 +68,17 @@ let feed t ~weight row =
       let flips =
         if p > 0.5 || float_of_int t.r *. p > 30. then Dist.binomial t.rng ~n:t.r ~p
         else begin
-          (* Dist.binomial's small-mean branch: sequential inversion
-             from k = 0 on the pmf recurrence, one uniform deviate. *)
-          let q = 1. -. p in
-          let pmf0 = q ** float_of_int t.r in
-          if pmf0 = 0. then Dist.binomial t.rng ~n:t.r ~p
+          (* Dist.binomial's small-mean branch, draw for draw: the
+             deviate first, the no-flip bound B (margin proof at
+             Dist.binomial_inversion), then sequential inversion from
+             k = 0 on the pmf recurrence. r·p <= 30 and p <= 1/2 keep
+             (1-p)^r >= 2^-60, so the pmf never underflows. *)
+          t.freg.(1) <- float_of_int (Prng.bits53 t.rng) *. 0x1.0p-53;
+          if t.freg.(1) < 1. -. (float_of_int t.r *. (p +. 0x1.0p-50)) -. 0x1.0p-50 then 0
           else begin
+            let q = 1. -. p in
             t.freg.(3) <- p /. q;
-            t.freg.(1) <- float_of_int (Prng.bits53 t.rng) *. 0x1.0p-53;
-            t.freg.(2) <- pmf0;
+            t.freg.(2) <- q ** float_of_int t.r;
             t.ireg <- 0;
             while t.freg.(1) >= t.freg.(2) && t.ireg < t.r do
               t.freg.(1) <- t.freg.(1) -. t.freg.(2);

@@ -30,14 +30,8 @@ let drain rng =
 
 let test_kernel_equivalence () =
   List.iter
-    (fun (seed, r, n) ->
-      let weights =
-        let wrng = Prng.create ~seed:((seed * 7) + 1) () in
-        (* Mixed regimes: zeros (ignored), dominant early weights (the
-           large-mean binomial detour), and a long light tail (the
-           inlined inversion path). *)
-        Array.init n (fun i -> if i < 3 then 50 * (i + 1) else Prng.int wrng 5)
-      in
+    (fun (seed, r, weights) ->
+      let n = Array.length weights in
       let rng_box = Prng.create ~seed () in
       let res = Reservoir.Wr.create ~r in
       Array.iteri
@@ -55,7 +49,24 @@ let test_kernel_equivalence () =
         (Reservoir.Wr.total_weight res)
         (Wr_int.total_weight ker);
       Alcotest.(check (array int)) (label "post-feed stream") (drain rng_box) (drain rng_int))
-    [ (1, 4, 100); (2, 1, 57); (3, 16, 1000); (4, 8, 8); (5, 3, 0); (6, 5, 3000) ]
+    ((* A partition chunk at r = 200: weighted high-frequency feeds
+        whose r p falls from above 30 to about 0.2, so the early ones
+        take Dist.binomial or the full inversion, then a unit-weight
+        tail (r p < 10^-3) that takes the no-flip fast path on all but
+        a few of its feeds. *)
+     ( 7,
+       200,
+       Array.append
+         (Array.init 475 (fun i -> if i mod 5 = 0 then 2080 else 260))
+         (Array.make 4_600 1) )
+    :: List.map
+         (fun (seed, r, n) ->
+           let wrng = Prng.create ~seed:((seed * 7) + 1) () in
+           (* Mixed regimes: zeros (ignored), dominant early weights (the
+              large-mean binomial detour), and a long light tail (the
+              inlined inversion path). *)
+           (seed, r, Array.init n (fun i -> if i < 3 then 50 * (i + 1) else Prng.int wrng 5)))
+         [ (1, 4, 100); (2, 1, 57); (3, 16, 1000); (4, 8, 8); (5, 3, 0); (6, 5, 3000) ])
 
 (* Two kernels interleaved on one generator (the partition route) must
    replay two interleaved Reservoir.Wr feeds. *)

@@ -167,6 +167,126 @@ let test_zipf_invalid () =
   Alcotest.check_raises "negative z" (Invalid_argument "Dist.Zipf.create: z < 0") (fun () ->
       ignore (Dist.Zipf.create ~z:(-1.) ~support:10))
 
+(* ---------- the no-flip fast path against the earlier inversion ----------
+
+   Dist.binomial's small-mean inversion and Wr_int.feed's inline copy
+   of it draw the deviate first and return 0 at once when it lies below
+   a bound proven to sit under (1-p)^r. Both copies changed together,
+   so each is checked here against a test-local copy of the inversion
+   as it was before: the pow first, then the draw, then the loop. *)
+
+let reference_inversion rng ~n ~p =
+  let q = 1. -. p in
+  let ratio = p /. q in
+  let pmf0 = q ** float_of_int n in
+  if pmf0 = 0. then begin
+    let count = ref 0 in
+    for _ = 1 to n do
+      if Prng.unit_float rng < p then incr count
+    done;
+    !count
+  end
+  else begin
+    let u = ref (Prng.unit_float rng) and pmf = ref pmf0 and k = ref 0 in
+    while !u >= !pmf && !k < n do
+      u := !u -. !pmf;
+      pmf := !pmf *. (float_of_int (n - !k) /. float_of_int (!k + 1)) *. ratio;
+      incr k
+    done;
+    !k
+  end
+
+(* Dist.binomial's dispatch for 0 < p < 1 over the reference inversion;
+   the mode-centered branch is unchanged, so it is Dist's own. *)
+let rec reference_binomial rng ~n ~p =
+  if p > 0.5 then n - reference_binomial rng ~n ~p:(1. -. p)
+  else if float_of_int n *. p <= 30. then reference_inversion rng ~n ~p
+  else Dist.binomial rng ~n ~p
+
+let stream_tail rng = Array.init 8 (fun _ -> Prng.bits53 rng)
+let fast_path_rs = [| 1; 2; 200; 10_000; 1_000_000 |]
+
+(* The small-mean branch's upper limit on p. *)
+let p_limit r = Float.min 0.5 (30. /. float_of_int r)
+
+(* A p for reservoir size [r] and next deviate [u]. [aim] 0 spreads p
+   log-uniformly over [2^-60, p_limit r] by [frac]; 1 puts the no-flip
+   bound 1 - r(p + 2^-50) - 2^-50 at u; 2 puts (1-p)^r at u; 3 leaves
+   the branch (p = 3/4 or r p = 40). [jitter] ulps of p move it across
+   whichever edge was aimed at. *)
+let aim_p ~r ~u ~aim ~frac ~jitter =
+  let rf = float_of_int r in
+  match aim with
+  | 3 -> Float.min 0.75 (40. /. rf)
+  | _ ->
+      let p =
+        match aim with
+        | 0 -> 0x1p-60 *. ((p_limit r /. 0x1p-60) ** frac)
+        | 1 -> ((1. -. u -. 0x1p-50) /. rf) -. 0x1p-50
+        | _ -> -.Float.expm1 (log u /. rf)
+      in
+      let p = p *. (1. +. (float_of_int jitter *. epsilon_float)) in
+      Float.max 0x1p-60 (Float.min (p_limit r) p)
+
+let aim_gen =
+  QCheck.Gen.(quad (int_bound 3) (float_bound_inclusive 1.) (int_range (-64) 64) (int_bound 1_000_000))
+
+let prop_binomial_matches_reference =
+  QCheck.Test.make ~name:"binomial: the no-flip fast path returns the reference draw" ~count:3000
+    (QCheck.make
+       ~print:(fun (ri, (aim, frac, jitter, seed)) ->
+         Printf.sprintf "r=%d aim=%d frac=%g jitter=%d seed=%d" fast_path_rs.(ri) aim frac jitter seed)
+       QCheck.Gen.(pair (int_bound 4) aim_gen))
+    (fun (ri, (aim, frac, jitter, seed)) ->
+      let r = fast_path_rs.(ri) in
+      let rng = Prng.create ~seed () in
+      let u = Prng.unit_float (Prng.copy rng) in
+      let p = aim_p ~r ~u ~aim ~frac ~jitter in
+      let mine = Prng.copy rng in
+      let got = Dist.binomial mine ~n:r ~p and want = reference_binomial rng ~n:r ~p in
+      (* The margin itself, in the floats the code evaluates. *)
+      let bound = 1. -. (float_of_int r *. (p +. 0x1.0p-50)) -. 0x1.0p-50 in
+      got = want
+      && stream_tail mine = stream_tail rng
+      && (p > p_limit r || bound < (1. -. p) ** float_of_int r))
+
+(* Wr_int.feed against a reservoir fed through the reference binomial
+   and Prng.sample_distinct (which Wr_int's Floyd loop replays draw for
+   draw). Each weight is chosen after peeking at the next deviate, so
+   the feeds land on both sides of the bound and of (1-p)^r. *)
+let prop_wr_int_matches_reference =
+  QCheck.Test.make ~name:"Wr_int.feed: the no-flip fast path leaves the reference slots" ~count:150
+    (QCheck.make
+       ~print:(fun (ri, seed, steps) ->
+         Printf.sprintf "r=%d seed=%d steps=%d" fast_path_rs.(ri) seed (List.length steps))
+       QCheck.Gen.(triple (int_bound 4) (int_bound 1_000_000) (list_size (int_range 1 24) aim_gen)))
+    (fun (ri, seed, steps) ->
+      let r = fast_path_rs.(ri) in
+      let rng = Prng.create ~seed () and ref_rng = Prng.create ~seed () in
+      let ker = Wr_int.create rng ~r in
+      let slots = Array.make r 0 and total = ref 0. in
+      let feed_both ~weight row =
+        Wr_int.feed ker ~weight row;
+        let first = !total = 0. in
+        total := !total +. float_of_int weight;
+        if first then Array.fill slots 0 r row
+        else begin
+          let flips = reference_binomial ref_rng ~n:r ~p:(float_of_int weight /. !total) in
+          if flips > 0 then
+            Array.iter (fun s -> slots.(s) <- row) (Prng.sample_distinct ref_rng ~k:flips ~n:r)
+        end
+      in
+      feed_both ~weight:(1 lsl 30) 0;
+      List.iteri
+        (fun i (aim, frac, jitter, _) ->
+          let aim = if aim = 3 && !total > 0x1p50 then 0 else aim in
+          let u = Prng.unit_float (Prng.copy rng) in
+          let p = aim_p ~r ~u ~aim ~frac ~jitter in
+          let weight = max 1 (int_of_float (Float.round (p *. !total /. (1. -. p)))) in
+          feed_both ~weight (i + 1))
+        steps;
+      Wr_int.contents ker = slots && stream_tail rng = stream_tail ref_rng)
+
 let suite =
   [
     Alcotest.test_case "binomial edge cases" `Quick test_binomial_edges;
@@ -182,3 +302,5 @@ let suite =
     Alcotest.test_case "zipf z=2 matches pmf" `Slow test_zipf_distribution;
     Alcotest.test_case "zipf rejects bad parameters" `Quick test_zipf_invalid;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+      [ prop_binomial_matches_reference; prop_wr_int_matches_reference ]

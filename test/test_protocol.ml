@@ -120,6 +120,26 @@ let test_request_rejections () =
       ({|{"op":"invalidate","id":1}|}, "\"name\"");
     ]
 
+(* A byte that starts no JSON value is named, with its offset, rather
+   than read as an empty number. *)
+let test_unexpected_character () =
+  List.iter
+    (fun (doc, want) ->
+      match Json.parse doc with
+      | Ok _ -> Alcotest.failf "parsed %S" doc
+      | Error msg -> Alcotest.(check string) doc want msg)
+    [
+      ("bogus", "unexpected character 'b' at offset 0");
+      ("@", "unexpected character '@' at offset 0");
+      ("}", "unexpected character '}' at offset 0");
+      ({|{"n": @}|}, "unexpected character '@' at offset 6");
+    ];
+  match P.decode_request "bogus" with
+  | Ok _ -> Alcotest.fail "accepted bogus"
+  | Error msg ->
+      Alcotest.(check bool) ("request names the byte: " ^ msg) true
+        (contains msg "unexpected character 'b' at offset 0")
+
 let responses =
   [
     P.Ack { id = 1; detail = [] };
@@ -491,6 +511,7 @@ let suite =
     Alcotest.test_case "cell codec" `Quick test_cell_codec;
     Alcotest.test_case "float cells round-trip exactly; non-finite ones as NULL" `Quick
       test_float_cells_round_trip;
+    Alcotest.test_case "Json.parse names an unexpected byte" `Quick test_unexpected_character;
     Alcotest.test_case "line reader: split lines, \\r\\n, empty lines, fragments" `Quick
       test_line_reader;
   ]
