@@ -183,18 +183,19 @@ let sample_cmd =
             ~size:(Rsj_sql.Ast.Abs r) strategy
         in
         let drawn = Sampler.draw ~domains request in
+        let sample = Sampler.tuples drawn in
         let decision = Sampler.decision request in
         (match decision with
         | Some d when explain -> prerr_string (Rsj_optimizer.Picker.to_string d)
         | _ -> note_picker decision);
-        Array.iter (fun t -> print_endline (Rsj_relation.Tuple.to_string t)) drawn.sample;
+        Array.iter (fun t -> print_endline (Rsj_relation.Tuple.to_string t)) sample;
         let join_size = int_of_float (Sampler.join_size request) in
         Printf.eprintf "# %s: %d tuples in %.4fs (join size %d)\n" (Sampler.name request)
-          (Array.length drawn.sample) drawn.elapsed_seconds join_size;
-        if explain && Array.length drawn.sample > 0 then
+          (Array.length sample) drawn.elapsed_seconds join_size;
+        if explain && Array.length sample > 0 then
           prerr_string
             (Rsj_optimizer.Error_report.to_string
-               (Rsj_optimizer.Error_report.make ~sample:drawn.sample ~n:join_size
+               (Rsj_optimizer.Error_report.make ~sample:sample ~n:join_size
                   ~col:Zipf_tables.col_rid ()));
         if show_metrics then Format.eprintf "%a@." Rsj_exec.Metrics.pp drawn.metrics;
         `Ok ()
@@ -478,7 +479,7 @@ let trace_cmd =
         Printf.printf
           "%s: traced %d-tuple %s sample over %d domains (join size %d, %.4fs) -> %s\n"
           (Strategy.name strategy)
-          (Array.length result.Sampler.sample)
+          (Sampler.size result)
           (if wor then "WoR" else "WR")
           domains (Zipf_tables.join_size pair) result.Sampler.elapsed_seconds out;
         `Ok ()

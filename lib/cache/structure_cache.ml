@@ -15,21 +15,18 @@ type kind =
   | K_hash_index of int  (* key column *)
   | K_frequency of int
   | K_histogram of int * int  (* key column, fraction bits *)
-  | K_int_view of int
   | K_chain of int array * (int * int) array  (* member uids, join keys *)
 
 let kind_name = function
   | K_hash_index _ -> "hash_index"
   | K_frequency _ -> "frequency"
   | K_histogram _ -> "histogram"
-  | K_int_view _ -> "int_view"
   | K_chain _ -> "chain"
 
 type packed =
   | P_hash_index of Hash_index.t
   | P_frequency of Frequency.t
   | P_histogram of Histogram.End_biased.t
-  | P_int_view of int array
   | P_chain of Rsj_core.Chain_sample.t
 
 type entry = {
@@ -147,7 +144,6 @@ let owned_bytes packed =
   | P_hash_index v -> reachable (Hash_index.int_plane v)
   | P_frequency v -> reachable v
   | P_histogram v -> reachable v
-  | P_int_view v -> reachable v
   | P_chain v -> Rsj_core.Chain_sample.bytes v
 
 let touch t (entry : entry) =
@@ -272,11 +268,9 @@ let histogram t rel ~key ~fraction =
     ~pack:(fun v -> P_histogram v)
     ~unpack:(function P_histogram v -> v | _ -> assert false)
 
-let int_view t rel ~col =
-  find t rel (K_int_view col)
-    ~build:(fun () -> Column.int_view rel ~col)
-    ~pack:(fun v -> P_int_view v)
-    ~unpack:(function P_int_view v -> v | _ -> assert false)
+(* Not an entry: a relation holds its key views (an int column is its
+   own view), so there is nothing to build or to size here. *)
+let int_view _ rel ~col = Column.int_view rel ~col
 
 let chain t (spec : Rsj_core.Chain_sample.spec) =
   let last, key = Rsj_core.Chain_sample.last_level spec in
@@ -294,8 +288,6 @@ let env t ?seed ?(histogram_fraction = 0.05) ~left ~right ~left_key ~right_key (
       p_right_index = Some (fun () -> hash_index t right ~key:right_key);
       p_histogram =
         Some (fun () -> histogram t right ~key:right_key ~fraction:histogram_fraction);
-      p_left_key_view = Some (fun () -> int_view t left ~col:left_key);
-      p_right_key_view = Some (fun () -> int_view t right ~col:right_key);
       p_walker =
         Some
           (fun () ->
@@ -317,6 +309,8 @@ let invalidate t rel =
   List.iter (fun (key, entry) -> remove_entry t key entry ~family:`Invalidation) doomed;
   publish_footprint t;
   Mutex.unlock t.lock
+
+let lookups t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
 
 let stats t =
   Mutex.lock t.lock;

@@ -2,8 +2,7 @@
     Table-1 auxiliary structures.
 
     Every sampling strategy needs some subset of {index on R2,
-    frequency statistics, end-biased histogram, columnar key view, walk
-    weight tables}
+    frequency statistics, end-biased histogram, walk weight tables}
     (paper Table 1); batch execution rebuilds them per query, paying
     the very costs the paper assumes are amortized across many
     queries. This cache makes the amortization real: structures are
@@ -68,9 +67,10 @@ val histogram :
     build reuses the cached {!frequency} table. *)
 
 val int_view : t -> Relation.t -> col:int -> int array
-(** The columnar key extraction ({!Column.int_view}). Its keys stay
-    valid for any join partner: the encoding is the same in every
-    relation. *)
+(** {!Column.int_view}, not cached here: the relation holds its key
+    views (an int column is its own), so there is no entry, no miss and
+    no bytes to charge. Its keys stay valid for any join partner: the
+    encoding is the same in every relation. *)
 
 val chain : t -> Rsj_core.Chain_sample.spec -> Rsj_core.Chain_sample.t
 (** The prepared walker for the whole spec, over R_k's cached
@@ -93,9 +93,7 @@ val env :
 (** A strategy env whose auxiliary-structure thunks consult this cache
     instead of building privately — the drop-in warm replacement for
     {!Rsj_core.Strategy.make_env}. Nothing is built until a strategy
-    forces it, exactly like the cold env: the key views in particular
-    are forced only by the parallel runtime's chunked runners, never by
-    {!Rsj_core.Strategy.run}. *)
+    forces it, exactly like the cold env. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Invalidation and introspection} *)
@@ -118,3 +116,8 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val lookups : t -> int * int
+(** [(hits, misses)] so far: {!stats}'s two counters, without the
+    per-kind table — what the daemon reads around each request to label
+    it a cache hit or miss. *)

@@ -75,9 +75,10 @@ let prepare ?(metrics = Metrics.create ()) ~index (spec : spec) =
     end
     else begin
       scanned (Relation.cardinality rel);
-      let keys = Column.int_view rel ~col:(snd spec.join_keys.(i - 1)) in
       (* Zero-weight rows lead nowhere: masking their key to the
-         sentinel keeps them out of the index. *)
+         sentinel keeps them out of the index. The mask goes on a copy:
+         an int column's view is the column itself. *)
+      let keys = Array.copy (Column.int_view rel ~col:(snd spec.join_keys.(i - 1))) in
       Array.iteri (fun row w -> if not (w > 0.) then keys.(row) <- Int_index.null_key) w;
       let index = Int_index.build ~keys () in
       let group_weights g =

@@ -137,10 +137,6 @@ type env = {
   left_stats : Frequency.t Lazy.t;
   right_index : Hash_index.t Lazy.t;
   histogram : Histogram.End_biased.t Lazy.t;
-  (* Columnar key views for the compact data plane, extracted once per
-     env. *)
-  left_key_view : int array Lazy.t;
-  right_key_view : int array Lazy.t;
   walker : Chain_sample.t Lazy.t;
 }
 
@@ -154,8 +150,6 @@ type prebuilt = {
   p_right_stats : (unit -> Frequency.t) option;
   p_right_index : (unit -> Hash_index.t) option;
   p_histogram : (unit -> Histogram.End_biased.t) option;
-  p_left_key_view : (unit -> int array) option;
-  p_right_key_view : (unit -> int array) option;
   p_walker : (unit -> Chain_sample.t) option;
 }
 
@@ -165,8 +159,6 @@ let no_prebuilt =
     p_right_stats = None;
     p_right_index = None;
     p_histogram = None;
-    p_left_key_view = None;
-    p_right_key_view = None;
     p_walker = None;
   }
 
@@ -196,10 +188,6 @@ let make_env ?(seed = 0x5EED) ?(histogram_fraction = 0.05) ?(structures = no_pre
       via structures.p_histogram (fun () ->
           Histogram.End_biased.build_fraction (Lazy.force right_stats)
             ~fraction:histogram_fraction);
-    left_key_view =
-      via structures.p_left_key_view (fun () -> Column.int_view left ~col:left_key);
-    right_key_view =
-      via structures.p_right_key_view (fun () -> Column.int_view right ~col:right_key);
     walker =
       via structures.p_walker (fun () ->
           Chain_sample.prepare ~index:(Lazy.force right_index)
@@ -216,8 +204,8 @@ let env_right_stats env = Lazy.force env.right_stats
 let env_right_index env = Lazy.force env.right_index
 let env_histogram env = Lazy.force env.histogram
 let env_join_size env = Frequency.join_size (Lazy.force env.left_stats) (Lazy.force env.right_stats)
-let env_left_key_view env = Lazy.force env.left_key_view
-let env_right_key_view env = Lazy.force env.right_key_view
+let env_left_key_view env = Column.int_view env.left ~col:env.left_key
+let env_right_key_view env = Column.int_view env.right ~col:env.right_key
 let env_walker env = Lazy.force env.walker
 
 type result = {

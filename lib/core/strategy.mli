@@ -69,8 +69,6 @@ type prebuilt = {
   p_right_stats : (unit -> Rsj_stats.Frequency.t) option;
   p_right_index : (unit -> Rsj_index.Hash_index.t) option;
   p_histogram : (unit -> Rsj_stats.Histogram.End_biased.t) option;
-  p_left_key_view : (unit -> int array) option;
-  p_right_key_view : (unit -> int array) option;
   p_walker : (unit -> Chain_sample.t) option;
 }
 
@@ -106,9 +104,9 @@ val env_join_size : env -> int
 
 val env_left_key_view : env -> int array
 val env_right_key_view : env -> int array
-(** The join columns as flat {!Column.int_view} extractions, cached
-    per env. These are the compact data plane's inputs: the parallel
-    runtime's chunked runners scan them. {!run} never forces them. *)
+(** The join columns' {!Column.int_view}s, which the relations hold.
+    These are the compact data plane's inputs: the parallel runtime's
+    chunked runners scan them. {!run} never reads them. *)
 
 val env_walker : env -> Chain_sample.t
 (** The two-way walker over {!env_right_index}, built once per env (or

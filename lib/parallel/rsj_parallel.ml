@@ -52,6 +52,13 @@ let strategy_seconds name ~domains =
     ~labels:[ ("strategy", name); ("domains", string_of_int domains) ]
     "rsj_strategy_run_seconds"
 
+type drawn = {
+  relations : Relation.t array;
+  rows : int array;
+  metrics : Metrics.t;
+  elapsed_seconds : float;
+}
+
 let observed ~semantics ~name ~r ~domains body =
   if not (Obs.enabled ()) then body ()
   else
@@ -65,22 +72,18 @@ let observed ~semantics ~name ~r ~domains body =
         ]
       ("strategy." ^ name)
       (fun () ->
-        let ((_, metrics, elapsed_seconds) as run) = body () in
-        Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_" (Metrics.to_assoc metrics);
-        Obs.Registry.observe (strategy_seconds name ~domains) elapsed_seconds;
-        run)
+        let drawn = body () in
+        Obs.Registry.absorb_assoc ~prefix:"rsj_metrics_" (Metrics.to_assoc drawn.metrics);
+        Obs.Registry.observe (strategy_seconds name ~domains) drawn.elapsed_seconds;
+        drawn)
 
-(* The timed window of a run: the draws, then the one place its join
-   positions (row-id paths) become tuples, counted once as delivered
-   output, consuming no randomness. (sample, metrics, seconds). *)
+(* The timed window of a run: the draws, whose join positions (row-id
+   paths) are counted once as delivered output. *)
 let timed relations draw =
   let t0 = Obs.Clock.now_s () in
   let rows, (metrics : Metrics.t) = draw () in
-  let sample =
-    Obs.Trace.with_span ~cat:"strategy" "rehydrate" (fun () -> Relation.rehydrate relations rows)
-  in
-  metrics.output_tuples <- metrics.output_tuples + Array.length sample;
-  (sample, metrics, Obs.Clock.now_s () -. t0)
+  metrics.output_tuples <- metrics.output_tuples + (Array.length rows / Array.length relations);
+  { relations; rows; metrics; elapsed_seconds = Obs.Clock.now_s () -. t0 }
 
 (* A two-way run in that window, its packed pairs unpacked. *)
 let timed_pairs env draw =
@@ -548,32 +551,6 @@ let validate ~caller ~r ~domains =
   if domains < 1 then invalid_arg (caller ^ ": domains < 1");
   if r < 0 then invalid_arg (caller ^ ": r < 0")
 
-(* [run] and [run_wor]: validation and the forced structures, then one
-   observed run whose set-up [draw runner] does inside the span and
-   whose returned thunk is the timed window. *)
-let run_two_way ~wor env strategy ~r ~domains draw =
-  validate ~caller:(if wor then "Rsj_parallel.run_wor" else "Rsj_parallel.run") ~r ~domains;
-  Strategy.prepare env strategy;
-  let runner = int_runner ~wor env strategy ~domains in
-  let semantics = if wor then "WoR" else "WR" in
-  let sample, metrics, elapsed_seconds =
-    observed ~semantics ~name:(Strategy.name strategy) ~r ~domains (fun () ->
-        timed_pairs env (draw runner))
-  in
-  { Strategy.strategy; sample; metrics; elapsed_seconds }
-
-let run env strategy ~r ~domains =
-  run_two_way ~wor:false env strategy ~r ~domains (fun runner ->
-      let rng = Prng.split (Strategy.env_rng env) in
-      fun () -> runner ~r rng)
-
-let run_chain walker rng ~r ~domains =
-  validate ~caller:"Rsj_parallel.run_chain" ~r ~domains;
-  observed ~semantics:"WR" ~name:"chain-walk" ~r ~domains (fun () ->
-      timed (Chain_sample.relations walker) (fun () ->
-          let metrics = Metrics.create () in
-          (Chain_sample.sample_rows walker rng ~metrics ~r (), metrics)))
-
 let wor_batches_total strategy =
   Obs.Registry.counter ~help:"WR batches drawn by the WoR conversion driver"
     ~labels:[ ("strategy", Strategy.name strategy) ]
@@ -598,10 +575,54 @@ let run_wor_batches env strategy runner ~target =
   in
   (Array.of_list pairs, !metrics)
 
+type request =
+  | Pair of { env : Strategy.env; strategy : Strategy.t; wor : bool }
+  | Chain of { walker : Chain_sample.t; rng : Prng.t }
+
+(* Validation and the forced structures, then one observed run whose
+   timed window is the draw alone. *)
+let draw request ~r ~domains =
+  match request with
+  | Pair { env; strategy; wor } ->
+      validate ~caller:(if wor then "Rsj_parallel.run_wor" else "Rsj_parallel.run") ~r ~domains;
+      Strategy.prepare env strategy;
+      let runner = int_runner ~wor env strategy ~domains in
+      observed ~semantics:(if wor then "WoR" else "WR") ~name:(Strategy.name strategy) ~r ~domains
+        (fun () ->
+          if not wor then begin
+            let rng = Prng.split (Strategy.env_rng env) in
+            timed_pairs env (fun () -> runner ~r rng)
+          end
+          else
+            let target = min r (Strategy.env_join_size env) in
+            timed_pairs env (fun () ->
+                if target = 0 then ([||], Metrics.create ())
+                else if strategy = Strategy.Naive then
+                  runner ~r:target (Prng.split (Strategy.env_rng env))
+                else run_wor_batches env strategy runner ~target))
+  | Chain { walker; rng } ->
+      validate ~caller:"Rsj_parallel.draw" ~r ~domains;
+      observed ~semantics:"WR" ~name:"chain-walk" ~r ~domains (fun () ->
+          timed (Chain_sample.relations walker) (fun () ->
+              let metrics = Metrics.create () in
+              (Chain_sample.sample_rows walker rng ~metrics ~r (), metrics)))
+
+(* The whole answer as tuples, after the draw: its own span, and its
+   time added to the run's. *)
+let materialize strategy (d : drawn) =
+  let t0 = Obs.Clock.now_s () in
+  let sample =
+    Obs.Trace.with_span ~cat:"strategy" "rehydrate" (fun () -> Relation.rehydrate d.relations d.rows)
+  in
+  {
+    Strategy.strategy;
+    sample;
+    metrics = d.metrics;
+    elapsed_seconds = d.elapsed_seconds +. (Obs.Clock.now_s () -. t0);
+  }
+
+let run env strategy ~r ~domains =
+  materialize strategy (draw (Pair { env; strategy; wor = false }) ~r ~domains)
+
 let run_wor env strategy ~r ~domains =
-  run_two_way ~wor:true env strategy ~r ~domains (fun runner ->
-      let target = min r (Strategy.env_join_size env) in
-      fun () ->
-        if target = 0 then ([||], Metrics.create ())
-        else if strategy = Strategy.Naive then runner ~r:target (Prng.split (Strategy.env_rng env))
-        else run_wor_batches env strategy runner ~target)
+  materialize strategy (draw (Pair { env; strategy; wor = true }) ~r ~domains)

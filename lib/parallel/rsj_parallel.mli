@@ -8,7 +8,8 @@
     two-table [SAMPLE] all come through it). The runners read the join
     columns as flat int arrays ({!Rsj_relation.Column.int_view}, total
     over every key type) and return join positions — (R1 row, R2 row)
-    pairs — which {!run} and {!run_wor} turn into tuples once, through
+    pairs — which {!draw} hands back as they are, and which {!run} and
+    {!run_wor} turn into tuples once, through
     {!Rsj_relation.Relation.rehydrate}. How a key is stored never
     changes the sample: a string-, float- or int-keyed copy of a join
     draws the same row pairs at the same seed.
@@ -26,7 +27,7 @@
     relation pair through the structure cache). Stream-Sample is that
     walker's walk ({!Rsj_core.Chain_sample.sample_rows} at k = 2): one
     uniform pick in R2's index bucket per draw — O(r) in all. Longer
-    chains walk the same kernel through {!run_chain}.
+    chains walk the same kernel through {!draw}'s [Chain] request.
 
     Scans (Naive, the partition strategies, and Group's and Count's R2
     matching passes) are distributed by the chunk-queue scheduler
@@ -64,6 +65,30 @@ val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [~domains] for
     the current machine. *)
 
+type drawn = {
+  relations : Rsj_relation.Relation.t array;  (** The sampled relations, in join order. *)
+  rows : int array;
+      (** The join positions in {!Rsj_relation.Relation.rehydrate}'s
+          layout: one row id per relation per drawn tuple. *)
+  metrics : Rsj_exec.Metrics.t;
+  elapsed_seconds : float;  (** The draw's wall time; no tuple is built. *)
+}
+
+type request =
+  | Pair of { env : Strategy.env; strategy : Strategy.t; wor : bool }
+      (** A Table-1 strategy on the chunked runner, WR or WoR. *)
+  | Chain of { walker : Rsj_core.Chain_sample.t; rng : Rsj_util.Prng.t }
+      (** [r] walks of the chain walker on the calling domain, from
+          [rng]; [domains] only labels the run. *)
+
+val draw : request -> r:int -> domains:int -> drawn
+(** The one sampling run: positions, not tuples. One
+    [strategy.<name>] span (["chain-walk"] for a chain) over the draw,
+    one [rsj_strategy_run_seconds] observation, and the work counters
+    folded into the registry. {!run} and {!run_wor} are this plus
+    {!Rsj_relation.Relation.rehydrate}; the daemon builds tuples from
+    the positions one frame at a time instead. Raises as {!run}. *)
+
 val run : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run env strategy ~r ~domains] draws a WR sample of size [r] like
     {!Strategy.run}, executed through the chunk-scheduled pooled
@@ -75,11 +100,12 @@ val run : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
     tuples are bit-identical across all [domains >= 1] for every
     strategy except Olken at [domains > 1] on int keys (speculative
     ticketing — see above). As in {!Strategy.run}, auxiliary structures
-    — here including the key views, the two-way walker and the int planes
+    — here including the two-way walker and the int planes
     of the statistics and histogram — are forced before the clock
     starts, and a fresh child generator is split off the env per run.
-    Every scan is cut at {!Chunk_scheduler.default_chunk_size}. Raises
-    [Invalid_argument] when [r < 0] or [domains < 1]. *)
+    Every scan is cut at {!Chunk_scheduler.default_chunk_size}. The
+    result's seconds cover the draw and a [rehydrate] span after it.
+    Raises [Invalid_argument] when [r < 0] or [domains < 1]. *)
 
 val run_wor : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.result
 (** [run_wor env strategy ~r ~domains] draws a without-replacement
@@ -102,11 +128,3 @@ val run_wor : Strategy.env -> Strategy.t -> r:int -> domains:int -> Strategy.res
     excepted, as for {!run}). Raises {!Strategy.Wor_shortfall} when 64
     batches cannot reach the target, and [Invalid_argument] on
     [r < 0] or [domains < 1]. *)
-
-val run_chain :
-  Rsj_core.Chain_sample.t -> Rsj_util.Prng.t -> r:int -> domains:int ->
-  Rsj_relation.Tuple.t array * Rsj_exec.Metrics.t * float
-(** [r] walks on the calling domain, as (sample, metrics, seconds),
-    observed as {!run} is: a [strategy.chain-walk] span over the walk
-    and [rehydrate], and a [rsj_strategy_run_seconds] observation.
-    [domains] only labels them. Raises as {!run}. *)

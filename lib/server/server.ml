@@ -88,6 +88,11 @@ let m_slow_requests =
     (Registry.counter ~help:"Requests slower than the RSJ_SLOW_MS exemplar threshold"
        "rsj_serve_slow_requests_total")
 
+let m_oversized_lines =
+  lazy
+    (Registry.counter ~help:"Connections closed for a request line past the length cap"
+       "rsj_oversized_lines_total")
+
 let m_queue_depth = lazy (Registry.gauge ~help:"Requests waiting in the FIFO" "rsj_serve_queue_depth")
 
 let m_queued_work =
@@ -150,8 +155,11 @@ let lookup st name =
 (* Request execution (runs on the loop thread, FIFO)                   *)
 
 (* A request's answer: the rows it streams (none for most ops), then
-   its one terminal frame. *)
-let no_rows frame = ([||], frame)
+   its one terminal frame. A draw's rows stay join positions until they
+   are sent. *)
+type rows = Tuples of Tuple.t array | Positions of Sampler.drawn
+
+let no_rows frame = (Tuples [||], frame)
 
 let exec_register st ~id ~name ~source =
   let rel =
@@ -233,58 +241,81 @@ let exec_sample st ~id ~left ~right ~r ~strategy ~seed ~wor ~domains ~on =
     try Sampler.draw ~domains request
     with Strategy.Wor_shortfall _ as e -> rejectf P.Engine_error "%s" (Printexc.to_string e)
   in
-  let sample =
-    if st.biased then biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r
-    else drawn.Sampler.sample
-  in
   (* The monitor watches what actually leaves the daemon, biased or not. *)
-  Sampler.observe st.quality request sample;
+  let rows, tuples =
+    if st.biased then begin
+      let sample = biased_sample st ~l ~rt ~left_key ~right_key ~seed ~r in
+      Sampler.observe_tuples st.quality request sample;
+      (Tuples sample, Array.length sample)
+    end
+    else begin
+      Sampler.observe st.quality request drawn;
+      (Positions drawn, Sampler.size drawn)
+    end
+  in
   let detail =
     [
       ("strategy", Json.Str (Sampler.name request));
-      ("tuples", Json.Int (Array.length sample));
+      ("tuples", Json.Int tuples);
       ("join_size", Json.Int (int_of_float (Sampler.join_size request)));
       ("elapsed_s", Json.Float drawn.Sampler.elapsed_seconds);
     ]
     @ match reason with Some r -> [ ("picker_reason", Json.Str r) ] | None -> []
   in
-  (sample, P.Done { id; detail })
+  (rows, P.Done { id; detail })
 
+let query_done ~id ~schema ~tuples ~work ~plan decision =
+  let columns =
+    Array.to_list (Schema.columns schema) |> List.map (fun (c : Schema.column) -> Json.Str c.name)
+  in
+  let detail =
+    [
+      ("columns", Json.List columns);
+      ("tuples", Json.Int tuples);
+      ("work", Json.Int work);
+      ("explained", Json.Bool (plan <> None));
+    ]
+    @ (match plan with
+      | Some plan -> [ ("plan", Json.Str (Format.asprintf "%a" Rsj_exec.Plan.explain plan)) ]
+      | None -> [])
+    @
+    match decision with
+    | Some d -> [ ("picked", Json.Str (Strategy.name d.Picker.chosen)) ]
+    | None -> []
+  in
+  P.Done { id; detail }
+
+(* A query whose answer is one draw is served as the [sample] door's
+   is, from the positions. *)
 let exec_query st ~id ~sql ~seed =
   st.note.n_sql <- Some sql;
   let catalog = Hashtbl.fold (fun name rel acc -> (name, rel) :: acc) st.catalog [] in
-  match Rsj_sql.Engine.run ~seed ~monitor:st.quality catalog sql with
+  let open Rsj_sql in
+  match Engine.answer ~seed ~monitor:st.quality catalog sql with
   | Error msg -> rejectf P.Engine_error "%s" msg
-  | Ok result ->
-      let open Rsj_sql in
+  | Ok (Engine.Draw { schema; sampler }) ->
+      let decision = Sampler.decision sampler in
+      note_sampler st (Sampler.name sampler) (reason_of decision);
+      let drawn = Sampler.draw ~domains:1 sampler in
+      Sampler.observe st.quality sampler drawn;
+      let n = Sampler.size drawn in
+      (Positions drawn, query_done ~id ~schema ~tuples:n ~work:n ~plan:None decision)
+  | Ok (Engine.Rows result) ->
       Option.iter
         (fun name -> note_sampler st name (reason_of result.Engine.decision))
         result.Engine.sampler;
       let rows = Array.of_list result.Engine.rows in
-      let columns =
-        Array.to_list (Schema.columns result.Engine.schema)
-        |> List.map (fun (c : Schema.column) -> Json.Str c.name)
-      in
-      let detail =
-        [
-          ("columns", Json.List columns);
-          ("tuples", Json.Int (Array.length rows));
-          ("work", Json.Int (Rsj_exec.Metrics.total_work result.Engine.metrics));
-          ("explained", Json.Bool result.Engine.explained);
-        ]
-        @ (if result.Engine.explained then
-             [ ("plan", Json.Str (Format.asprintf "%a" Rsj_exec.Plan.explain result.Engine.plan)) ]
-           else [])
-        @
-        match result.Engine.decision with
-        | Some d ->
-            [ ("picked", Json.Str (Strategy.name d.Picker.chosen)) ]
-        | None -> []
-      in
-      (rows, P.Done { id; detail })
+      ( Tuples rows,
+        query_done ~id ~schema:result.Engine.schema ~tuples:(Array.length rows)
+          ~work:(Rsj_exec.Metrics.total_work result.Engine.metrics)
+          ~plan:(if result.Engine.explained then Some result.Engine.plan else None)
+          result.Engine.decision )
 
 let exec_stats st ~id =
   let s = Cache.stats st.cache in
+  let gc = Gc.quick_stat () in
+  let word_bytes n = Json.Int (n * (Sys.word_size / 8)) in
+  let relations_bytes = Hashtbl.fold (fun _ rel acc -> acc + Relation.bytes rel) st.catalog 0 in
   no_rows
     (P.Ack
       {
@@ -309,6 +340,17 @@ let exec_stats st ~id =
                    (fun (kind, (h, m)) ->
                      (kind, Json.Obj [ ("hits", Json.Int h); ("misses", Json.Int m) ]))
                    s.Cache.by_kind) );
+            (* What the daemon's memory is made of: the relations it
+               holds, the cache entries built over them, and the GC's
+               major heap at its last sample and at its peak. *)
+            ( "memory",
+              Json.Obj
+                [
+                  ("relations_bytes", Json.Int relations_bytes);
+                  ("cache_bytes", Json.Int s.Cache.bytes);
+                  ("heap_bytes", word_bytes gc.Gc.heap_words);
+                  ("top_heap_bytes", word_bytes gc.Gc.top_heap_words);
+                ] );
             (* The online quality monitor's verdicts: one entry per
                served (fingerprint-pair, strategy, semantics) stream,
                plus the latched aggregate alert. *)
@@ -369,13 +411,20 @@ let send_frame conn resp =
   P.write_response conn.out resp;
   Buffer.add_char conn.out '\n'
 
-(* Rows leave as slices of the answer's array, [frame_rows] per frame,
-   each written straight from the tuples. *)
+(* Rows leave [frame_rows] per frame, each written straight from its
+   tuples. A draw's tuples are built a frame at a time from its
+   positions, into an array small enough for the minor heap, so none of
+   them outlives its frame. *)
 let send_rows conn ~id ~frame_rows rows =
-  let first = ref 0 and n = Array.length rows in
+  let n = match rows with Tuples a -> Array.length a | Positions d -> Sampler.size d in
+  let first = ref 0 in
   while !first < n do
     let stop = min n (!first + frame_rows) in
-    P.write_rows conn.out ~id rows ~first:!first ~stop;
+    (match rows with
+    | Tuples a -> P.write_rows conn.out ~id a ~first:!first ~stop
+    | Positions d ->
+        let frame = Relation.rehydrate_frame d.Sampler.relations d.rows ~first:!first ~stop in
+        P.write_rows conn.out ~id frame ~first:0 ~stop:(Array.length frame));
     Buffer.add_char conn.out '\n';
     first := stop
   done
@@ -535,7 +584,7 @@ let run_pending st =
           else begin
             let t0 = Clock.now_s () in
             let alloc0 = Rsj_obs.Runtime.allocated_words () in
-            let cache0 = Cache.stats st.cache in
+            let hits0, misses0 = Cache.lookups st.cache in
             let status = ref "ok" in
             Rsj_obs.Trace.with_span ~cat:"serve"
               ~args:[ ("op", Json.Str op); ("client_id", Json.Int id) ]
@@ -558,11 +607,9 @@ let run_pending st =
                     fail_request conn ~id P.Internal_error (Printexc.to_string e));
             let dt = Clock.now_s () -. t0 in
             let alloc = Rsj_obs.Runtime.allocated_words () -. alloc0 in
-            let cache1 = Cache.stats st.cache in
+            let hits1, misses1 = Cache.lookups st.cache in
             let cache_label =
-              if cache1.Cache.misses > cache0.Cache.misses then "miss"
-              else if cache1.Cache.hits > cache0.Cache.hits then "hit"
-              else "none"
+              if misses1 > misses0 then "miss" else if hits1 > hits0 then "hit" else "none"
             in
             Registry.observe (Lazy.force m_request_seconds) dt;
             Registry.observe
@@ -664,12 +711,21 @@ let write_snapshot config =
       prerr_string "# final metrics snapshot\n";
       prerr_string text
 
+(* The longest request line a connection may send. A client that never
+   sends a newline would otherwise grow its buffer until the daemon
+   dies; past the cap it gets a typed error and is closed. *)
+let max_line = 16 * 1024 * 1024
+
 (* A connection's first line sets its mode: "GET " starts an HTTP
    request, anything else speaks the JSON protocol, whose empty lines
    are skipped. *)
 let handle_input st conn =
   let rec take () =
     match (Line_reader.next conn.input, conn.mode) with
+    | exception Line_reader.Too_long cap ->
+        Registry.incr (Lazy.force m_oversized_lines);
+        fail_request conn ~id:(-1) P.Bad_request (Printf.sprintf "request line exceeds %d bytes" cap);
+        conn.eof <- true (* flush, then close *)
     | None, _ -> ()
     | Some line, M_unknown when String.starts_with ~prefix:"GET " line ->
         conn.mode <- M_http line;
@@ -725,7 +781,7 @@ let run config =
           conns :=
             {
               fd;
-              input = Line_reader.create ();
+              input = Line_reader.create ~max_line ();
               out = Buffer.create 4096;
               out_ofs = 0;
               mode = M_unknown;

@@ -274,8 +274,8 @@ let sample_plan ~seed ?monitor bindings classified (sample : Ast.sample_clause) 
   let rows =
     lazy
       (let drawn = Sampler.draw ~domains:1 request in
-       Option.iter (fun m -> Sampler.observe m request drawn.Sampler.sample) monitor;
-       drawn.Sampler.sample)
+       Option.iter (fun m -> Sampler.observe m request drawn) monitor;
+       Sampler.tuples drawn)
   in
   let schema =
     Array.fold_left
@@ -402,6 +402,7 @@ let plan_query_exn ?(seed = 0x5EED) ?monitor catalog (query : Ast.query) =
               (List.length classified.residual))
   in
   let request = Option.map snd sampled_source in
+  let source = Option.map fst sampled_source in
   let base_plan =
     match sampled_source with
     | Some (p, _) -> p
@@ -517,30 +518,46 @@ let plan_query_exn ?(seed = 0x5EED) ?monitor catalog (query : Ast.query) =
     end
   in
   let final = match query.Ast.limit with Some n -> Plan.Limit (n, shaped) | None -> shaped in
-  (final, request)
+  (* The answer is exactly one draw when nothing was stacked on the
+     sample's source. *)
+  let one_draw = match source with Some p -> final == p | None -> false in
+  (final, request, one_draw)
 
 (* Planning errors, and a sampler's own failures (an empty R1 under
    Olken, say), come back as [Error msg]. *)
 let guarded f =
   try Ok (f ()) with Plan_error msg | Failure msg | Invalid_argument msg -> Error msg
 
+let execute query plan request =
+  let metrics = Metrics.create () in
+  (* EXPLAIN: plan (and decide) but do not execute. *)
+  let rows = if query.Ast.explain then [] else Plan.collect ~metrics plan in
+  {
+    schema = Plan.schema_of plan;
+    rows;
+    metrics;
+    plan;
+    decision = Option.bind request Sampler.decision;
+    sampler = Option.map Sampler.name request;
+    explained = query.Ast.explain;
+  }
+
 let run_query ?seed ?monitor catalog query =
   guarded (fun () ->
-      let plan, request = plan_query_exn ?seed ?monitor catalog query in
-      let metrics = Metrics.create () in
-      (* EXPLAIN: plan (and decide) but do not execute. *)
-      let rows = if query.Ast.explain then [] else Plan.collect ~metrics plan in
-      {
-        schema = Plan.schema_of plan;
-        rows;
-        metrics;
-        plan;
-        decision = Option.bind request Sampler.decision;
-        sampler = Option.map Sampler.name request;
-        explained = query.Ast.explain;
-      })
+      let plan, request, _ = plan_query_exn ?seed ?monitor catalog query in
+      execute query plan request)
 
-let run ?seed ?monitor catalog input =
-  match Parser.parse input with
-  | Error msg -> Error ("parse error: " ^ msg)
-  | Ok query -> run_query ?seed ?monitor catalog query
+let parsed input k =
+  match Parser.parse input with Error msg -> Error ("parse error: " ^ msg) | Ok query -> k query
+
+let run ?seed ?monitor catalog input = parsed input (run_query ?seed ?monitor catalog)
+
+type answer = Rows of query_result | Draw of { schema : Schema.t; sampler : Sampler.t }
+
+let answer ?seed ?monitor catalog input =
+  parsed input (fun query ->
+      guarded (fun () ->
+          match plan_query_exn ?seed ?monitor catalog query with
+          | plan, Some sampler, true when not query.Ast.explain ->
+              Draw { schema = Plan.schema_of plan; sampler }
+          | plan, request, _ -> Rows (execute query plan request)))

@@ -57,3 +57,20 @@ val run :
 (** Parse + plan + execute. All errors (syntax, unknown table/column,
     ambiguity, unsupported sampling shape, a sampler's own [Failure] or
     [Invalid_argument]) come back as [Error msg]. *)
+
+type answer =
+  | Rows of query_result
+  | Draw of { schema : Schema.t; sampler : Sampler.t }
+      (** The answer is exactly one draw of [sampler], in draw order: a
+          linear-chain [SAMPLE] with nothing above it ([SELECT *], no
+          aggregate, ORDER BY, LIMIT or EXPLAIN). Its rows are
+          {!Sampler.tuples} of {!Sampler.draw} at [~domains:1],
+          observed into [monitor] with {!Sampler.observe}; its [work]
+          is their count (the sample source's scan); it has no
+          decision beyond {!Sampler.decision}. *)
+
+val answer :
+  ?seed:int -> ?monitor:Rsj_verify.Online.t -> catalog -> string -> (answer, string) result
+(** {!run}, except that a query whose answer is exactly one draw is
+    planned but not drawn: the caller draws the positions and builds
+    the tuples as it sends them (the daemon, a frame at a time). *)

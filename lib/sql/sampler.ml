@@ -68,25 +68,42 @@ let r t = t.r
 let name t = match t.run with Strategy_run (_, s) -> Strategy.name s | Chain_walk _ -> "chain-walk"
 let decision t = t.decision
 
-type drawn = { sample : Tuple.t array; metrics : Rsj_exec.Metrics.t; elapsed_seconds : float }
+type drawn = Rsj_parallel.drawn = {
+  relations : Relation.t array;
+  rows : int array;
+  metrics : Rsj_exec.Metrics.t;
+  elapsed_seconds : float;
+}
 
 let draw ~domains t =
-  match t.run with
-  | Strategy_run (env, s) ->
-      let runner = if t.wor then Rsj_parallel.run_wor else Rsj_parallel.run in
-      let res = runner env s ~r:t.r ~domains in
-      { sample = res.Strategy.sample; metrics = res.metrics; elapsed_seconds = res.elapsed_seconds }
-  | Chain_walk cs ->
-      let rng = Rsj_util.Prng.create ~seed:t.seed () in
-      let sample, metrics, elapsed_seconds = Rsj_parallel.run_chain cs rng ~r:t.r ~domains in
-      { sample; metrics; elapsed_seconds }
+  let request =
+    match t.run with
+    | Strategy_run (env, strategy) -> Rsj_parallel.Pair { env; strategy; wor = t.wor }
+    | Chain_walk walker -> Rsj_parallel.Chain { walker; rng = Rsj_util.Prng.create ~seed:t.seed () }
+  in
+  Rsj_parallel.draw request ~r:t.r ~domains
 
-let observe monitor t sample =
+let size (d : drawn) = Array.length d.rows / Array.length d.relations
+let tuples (d : drawn) = Relation.rehydrate d.relations d.rows
+
+(* Only two-table samples over cached inputs are observed, by the left
+   join key of each served tuple. *)
+let observe_keys monitor t keys =
   match (t.run, t.cache) with
   | Strategy_run (env, s), Some cache ->
       Rsj_verify.Online.observe_join monitor ~frequency:(Cache.frequency cache)
         ~left:(Strategy.env_left env) ~right:(Strategy.env_right env)
         ~left_key:(Strategy.env_left_key env) ~right_key:(Strategy.env_right_key env)
         ~stream:(Strategy.name s ^ if t.wor then "/wor" else "/wr")
-        sample
+        (keys env)
   | _ -> ()
+
+let observe monitor t (d : drawn) =
+  observe_keys monitor t (fun env ->
+      let view = Strategy.env_left_key_view env in
+      Array.init (size d) (fun j -> view.(d.rows.(2 * j))))
+
+let observe_tuples monitor t sample =
+  observe_keys monitor t (fun env ->
+      let col = Strategy.env_left_key env in
+      Array.map (fun (tu : Tuple.t) -> Column.find_key tu.(col)) sample)

@@ -4,9 +4,9 @@
     same rows (the paper's sampling-as-a-primitive, §1).
 
     Two tables run a Table-1 strategy, named or picked by cost
-    ({!Rsj_optimizer.Picker.decide}), on the chunked runner
-    ({!Rsj_parallel.run} / {!Rsj_parallel.run_wor}); three or more run
-    the chain walker ({!Rsj_core.Chain_sample}, §7.2). *)
+    ({!Rsj_optimizer.Picker.decide}), on the chunked runner; three or
+    more run the chain walker ({!Rsj_core.Chain_sample}, §7.2). Both
+    draw through {!Rsj_parallel.draw}, which returns join positions. *)
 
 open Rsj_relation
 module Strategy = Rsj_core.Strategy
@@ -44,15 +44,36 @@ val name : t -> string
 val decision : t -> Rsj_optimizer.Picker.decision option
 (** The picker's; [None] when named or a chain. *)
 
-type drawn = { sample : Tuple.t array; metrics : Rsj_exec.Metrics.t; elapsed_seconds : float }
+type drawn = Rsj_parallel.drawn = {
+  relations : Relation.t array;
+  rows : int array;  (** Join positions, {!Relation.rehydrate}'s layout. *)
+  metrics : Rsj_exec.Metrics.t;
+  elapsed_seconds : float;
+}
+(** A draw's join positions: no tuple is built until a caller asks. *)
 
 val draw : domains:int -> t -> drawn
-(** Each tuple is the chain's rows concatenated. Raises what the runner
-    raises ({!Strategy.Wor_shortfall}, [Invalid_argument] on [r < 0] or
+(** One {!Rsj_parallel.draw}. Raises what the runner raises
+    ({!Strategy.Wor_shortfall}, [Invalid_argument] on [r < 0] or
     [domains < 1], a strategy's [Failure]). *)
 
-val observe : Rsj_verify.Online.t -> t -> Tuple.t array -> unit
+val size : drawn -> int
+(** The number of drawn tuples. *)
+
+val tuples : drawn -> Tuple.t array
+(** The whole answer as tuples, each the chain's rows concatenated
+    ({!Relation.rehydrate}). For SQL operators above [Sample] and the
+    in-process API; the daemon builds its rows frame by frame from the
+    positions instead. *)
+
+val observe : Rsj_verify.Online.t -> t -> drawn -> unit
 (** The one observation hook: fold what the caller serves for [t] into
     the quality monitor, one stream per inputs, join columns, strategy
-    and semantics, whatever the door. Only two-table samples over
-    cached inputs are observed; chains and filtered inputs are not. *)
+    and semantics, whatever the door. The drawn rows' join keys are
+    read off the key view by position; no tuple is built. Only
+    two-table samples over cached inputs are observed; chains and
+    filtered inputs are not. *)
+
+val observe_tuples : Rsj_verify.Online.t -> t -> Tuple.t array -> unit
+(** {!observe} for tuples served in place of [t]'s draw: the
+    [RSJ_SERVE_BIAS] drill's. *)

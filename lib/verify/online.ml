@@ -185,14 +185,14 @@ let close_window t s =
   Array.fill s.counts 0 (Array.length s.counts) 0;
   s.in_window <- 0
 
-(* Fold one served sample's join-attribute values into the stream for
+(* Fold one served sample's join-attribute keys into the stream for
    [key], closing (and testing) windows as they fill. *)
-let observe t ~key ~law values =
+let observe_keys t ~key ~law keys =
   let s = stream_for t ~key ~law in
   Array.iter
-    (fun v ->
+    (fun k ->
       s.seen <- s.seen + 1;
-      match Counter.get s.law.index (Column.find_key v) - 1 with
+      match Counter.get s.law.index k - 1 with
       | cell when cell >= 0 ->
           s.counts.(cell) <- s.counts.(cell) + 1;
           s.in_window <- s.in_window + 1;
@@ -202,12 +202,14 @@ let observe t ~key ~law values =
              sampler — alert immediately, don't wait for a window. *)
           s.foreign <- s.foreign + 1;
           trip s)
-    values;
+    keys;
   publish_any t
+
+let observe t ~key ~law values = observe_keys t ~key ~law (Array.map Column.find_key values)
 
 (* The law is derived once per inputs and join columns (a mutation
    changes the fingerprint, so stale laws age out as new keys). *)
-let observe_join t ~frequency ~left ~right ~left_key ~right_key ~stream sample =
+let observe_join t ~frequency ~left ~right ~left_key ~right_key ~stream keys =
   let fp_l = Relation.fingerprint left and fp_r = Relation.fingerprint right in
   let inputs = (fp_l, fp_r, left_key, right_key) in
   let law =
@@ -222,11 +224,10 @@ let observe_join t ~frequency ~left ~right ~left_key ~right_key ~stream sample =
         law
   in
   match law with
-  | Some law when Array.length sample > 0 ->
-      observe t
+  | Some law when Array.length keys > 0 ->
+      observe_keys t
         ~key:(Printf.sprintf "%x.%d-%x.%d/%s" fp_l left_key fp_r right_key stream)
-        ~law
-        (Array.map (fun (tu : Tuple.t) -> tu.(left_key)) sample)
+        ~law keys
   | _ -> ()
 
 type stream_stats = {

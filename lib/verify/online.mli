@@ -48,12 +48,14 @@ val observe_join :
   left_key:int ->
   right_key:int ->
   stream:string ->
-  Tuple.t array ->
+  int array ->
   unit
-(** Fold a two-table join sample (left row ++ right row) into stream
-    ["<left fp>.<left key>-<right fp>.<right key>/<stream>"]. The law
-    comes from [frequency] once per inputs and join columns and is
-    memoized in [t]. *)
+(** Fold a two-table join sample into stream
+    ["<left fp>.<left key>-<right fp>.<right key>/<stream>"], given as
+    each drawn tuple's join key ({!Column.key} of its left join
+    attribute): a caller holding positions reads them off the key view,
+    and builds no tuple. The law comes from [frequency] once per inputs
+    and join columns and is memoized in [t]. *)
 
 val any_alert : t -> bool
 

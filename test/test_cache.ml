@@ -117,28 +117,6 @@ let test_warm_env_identical () =
   Alcotest.(check bool) "repeated envs actually hit the cache" true
     ((Cache.stats c).Cache.hits > 0)
 
-(* The sequential reference kernels read boxed tuples only: running
-   every strategy through Strategy.run on a warm env never builds a
-   columnar key view. The chunked runners are what force them. *)
-let test_reference_kernels_build_no_key_view () =
-  let pair = make_pair () in
-  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
-  let c = Cache.create () in
-  let env () = Cache.env c ~seed:5 ~left ~right ~left_key:key ~right_key:key () in
-  let int_view_misses () =
-    match List.assoc_opt "int_view" (Cache.stats c).Cache.by_kind with
-    | Some (_, misses) -> misses
-    | None -> 0
-  in
-  List.iter
-    (fun s ->
-      ignore (Strategy.run (env ()) s ~r:8);
-      ignore (Strategy.run_wor (env ()) s ~r:8))
-    Strategy.all;
-  Alcotest.(check int) "Strategy.run builds no int_view entry" 0 (int_view_misses ());
-  ignore (Rsj_parallel.run (env ()) Strategy.Stream ~r:8 ~domains:1);
-  Alcotest.(check int) "the chunked runner builds both key views" 2 (int_view_misses ())
-
 (* The chain getter: a prepared walker is cached under the root with a
    fingerprint mixing every member, so a warm lookup serves the very
    same walker, per-kind counters expose the traffic, and mutating any
@@ -254,6 +232,64 @@ let test_invalidate_drops_multi_relation_entries () =
     (not (Cache.chain c spec == chain3));
   Alcotest.(check bool) "invalidating R2 drops the two-way walker" true (not (two () == chain2))
 
+(* ---------- the structures read the columns, never write them ---------- *)
+
+(* An int column's key view is the column itself, so a structure that
+   masked its keys in place (the chain walker drops zero-weight rows
+   from its inner indexes) would corrupt the relation. After the k = 3
+   walker, every cache build and every strategy run, WR and WoR, on
+   the reference kernels and the chunked runners, every relation still
+   holds the same cells and the same keys. The middle relation matches
+   only some of the last one's keys, so the walker has rows to mask. *)
+let test_columns_unchanged_by_reads () =
+  let pair = make_pair () in
+  let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
+  let third = Zipf_tables.make ~seed:0xD00D ~name:"third" ~rows:40 ~z:2. ~domain:8 () in
+  let rels = [| left; right; third |] in
+  let snapshot () =
+    Array.map
+      (fun rel ->
+        ( List.init (Relation.cardinality rel) (fun i -> Tuple.to_string (Relation.get rel i)),
+          Array.init 3 (fun col -> Array.copy (Column.int_view rel ~col)) ))
+      rels
+  in
+  let before = snapshot () in
+  let c = Cache.create () in
+  let walker =
+    Cache.chain c { Rsj_core.Chain_sample.relations = rels; join_keys = [| (key, key); (key, key) |] }
+  in
+  Alcotest.(check bool) "the middle relation has rows to mask" true
+    (Rsj_core.Chain_sample.join_size walker > 0.
+    && Array.exists
+         (fun k ->
+           Rsj_index.Int_index.find_gid
+             (Rsj_index.Hash_index.int_plane (Cache.hash_index c third ~key))
+             k
+           < 0)
+         (Column.int_view right ~col:key));
+  Array.iter
+    (fun rel ->
+      ignore (Cache.hash_index c rel ~key);
+      ignore (Cache.histogram c rel ~key ~fraction:0.1))
+    rels;
+  let env () = Cache.env c ~seed:3 ~left ~right ~left_key:key ~right_key:key () in
+  List.iter
+    (fun s ->
+      ignore (Strategy.run (env ()) s ~r:16);
+      ignore (Strategy.run_wor (env ()) s ~r:16);
+      ignore (Rsj_parallel.run (env ()) s ~r:16 ~domains:1);
+      ignore (Rsj_parallel.run_wor (env ()) s ~r:16 ~domains:2))
+    Strategy.all;
+  Array.iteri
+    (fun i (cells, views) ->
+      let cells', views' = (snapshot ()).(i) in
+      let name = Relation.name rels.(i) in
+      Alcotest.(check (list string)) (name ^ ": cells unchanged") cells cells';
+      Array.iteri
+        (fun col v -> Alcotest.(check (array int)) (Printf.sprintf "%s: keys of column %d" name col) v views'.(col))
+        views)
+    before
+
 (* ---------- footprint: each entry is charged the bytes it owns ---------- *)
 
 (* One fixture per key encoding: plain ints keep their value as the
@@ -323,9 +359,6 @@ let test_footprint_histogram () =
   check_footprint "histogram"
     ~prebuild:(fun c _ r2 _ -> ignore (Cache.frequency c r2 ~key:1))
     (fun c _ r2 _ -> walked_bytes (Cache.histogram c r2 ~key:1 ~fraction:0.1) ~base:r2)
-
-let test_footprint_int_view () =
-  check_footprint "int_view" (fun c _ r2 _ -> walked_bytes (Cache.int_view c r2 ~col:1) ~base:r2)
 
 (* A walker over [relations] joined on column 1: the walked base is the
    relations and the last level's plane, which R_k's index owns. *)
@@ -414,18 +447,17 @@ let suite =
     Alcotest.test_case "explicit invalidate" `Quick test_explicit_invalidate;
     Alcotest.test_case "LRU eviction respects the byte budget" `Quick test_lru_eviction_budget;
     Alcotest.test_case "warm env is sample-identical to cold" `Quick test_warm_env_identical;
-    Alcotest.test_case "Strategy.run builds no key view" `Quick
-      test_reference_kernels_build_no_key_view;
     Alcotest.test_case "chain walker entry (by_kind, member invalidation)" `Quick
       test_chain_entry;
     Alcotest.test_case "two-way walker entry: one build, rebuilt on either side" `Quick
       test_two_way_walker_entry;
     Alcotest.test_case "invalidate drops multi-relation entries" `Quick
       test_invalidate_drops_multi_relation_entries;
+    Alcotest.test_case "columns unchanged by every build and run" `Quick
+      test_columns_unchanged_by_reads;
     Alcotest.test_case "footprint: hash_index" `Quick test_footprint_hash_index;
     Alcotest.test_case "footprint: frequency" `Quick test_footprint_frequency;
     Alcotest.test_case "footprint: histogram" `Quick test_footprint_histogram;
-    Alcotest.test_case "footprint: int_view" `Quick test_footprint_int_view;
     Alcotest.test_case "footprint: two-way walker" `Quick test_footprint_two_way_walker;
     Alcotest.test_case "footprint: chain" `Quick test_footprint_chain;
     Alcotest.test_case "a cold miss costs about the bare build" `Quick

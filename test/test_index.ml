@@ -14,12 +14,24 @@ let relation_of_keys keys =
 let ints l = List.map Value.int l
 let group_count idx = Rsj_index.Int_index.group_count (Hash_index.int_plane idx)
 
-(* Row ids of the tuples [matching_tuples] returns, found by identity:
-   the index hands out the stored rows themselves. *)
+(* Row ids of a probe's bucket, read off the index's plane, after
+   checking that [matching_tuples] returns exactly those rows in that
+   order. *)
 let matching_rows idx v =
-  let r = Hash_index.relation idx in
-  let rec row_of t i = if Relation.get r i == t then i else row_of t (i + 1) in
-  Array.map (fun t -> row_of t 0) (Hash_index.matching_tuples idx v)
+  let module I = Rsj_index.Int_index in
+  let plane = Hash_index.int_plane idx in
+  let rows =
+    match I.find_gid plane (Column.find_key v) with
+    | -1 -> [||]
+    | g -> Array.init (I.gid_multiplicity plane g) (fun j -> I.row plane (I.gid_start plane g + j))
+  in
+  let r = Hash_index.relation idx and tuples = Hash_index.matching_tuples idx v in
+  if
+    not
+      (Array.length tuples = Array.length rows
+      && Array.for_all2 (fun t i -> Tuple.equal t (Relation.get r i)) tuples rows)
+  then Alcotest.fail "matching_tuples are not the bucket's rows";
+  rows
 
 (* ---------- hash index ---------- *)
 

@@ -656,10 +656,10 @@ let test_default_domains () =
   Alcotest.(check bool) "at least one domain" true (d >= 1);
   Alcotest.(check int) "the runtime's recommendation" (Domain.recommended_domain_count ()) d
 
-(* r chain walks on the calling domain: join tuples of the chain, the
-   walker's own draws for the same generator, whatever [domains]
+(* r chain walks on the calling domain: positions of chain join tuples,
+   the walker's own draws for the same generator, whatever [domains]
    labels the run with. *)
-let test_run_chain () =
+let test_chain_draw () =
   let mk i rows =
     Zipf_tables.make ~seed:(0xC0 + i) ~name:(Printf.sprintf "r%d" i) ~rows ~z:1. ~domain:5 ()
   in
@@ -672,25 +672,28 @@ let test_run_chain () =
   let last, key = Chain_sample.last_level spec in
   let walker = Chain_sample.prepare ~index:(Rsj_index.Hash_index.build last ~key) spec in
   let oracle = Rsj_verify.Oracle.of_chain spec in
-  let sample, metrics, seconds =
-    Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r:40 ~domains:4
+  let draw ~r ~domains =
+    Rsj_parallel.draw (Rsj_parallel.Chain { walker; rng = Prng.create ~seed:3 () }) ~r ~domains
   in
+  let d = draw ~r:40 ~domains:4 in
+  Alcotest.(check bool) "the chain's relations" true (d.Rsj_parallel.relations == spec.relations);
+  let sample = Relation.rehydrate d.relations d.rows in
   Alcotest.(check int) "r walks" 40 (Array.length sample);
   Array.iter
     (fun t ->
       Alcotest.(check bool) "a chain join tuple" true (Rsj_verify.Oracle.cell oracle t <> None))
     sample;
-  Alcotest.(check bool) "timed" true (seconds >= 0.);
-  Alcotest.(check bool) "the walk is metered" true (Rsj_exec.Metrics.total_work metrics > 0);
-  let reference = Chain_sample.sample walker (Prng.create ~seed:3 ()) ~r:40 () in
-  Alcotest.(check bool) "the walker's draws" true (Array.for_all2 Tuple.equal reference sample);
-  let again, _, _ = Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r:40 ~domains:1 in
-  Alcotest.(check bool) "domains only labels the run" true (Array.for_all2 Tuple.equal sample again);
+  Alcotest.(check bool) "timed" true (d.elapsed_seconds >= 0.);
+  Alcotest.(check bool) "the walk is metered" true (Rsj_exec.Metrics.total_work d.metrics > 0);
+  Alcotest.(check (array int)) "the walker's draws"
+    (Chain_sample.sample_rows walker (Prng.create ~seed:3 ()) ~r:40 ())
+    d.rows;
+  Alcotest.(check (array int)) "domains only labels the run" d.rows (draw ~r:40 ~domains:1).rows;
   List.iter
     (fun (what, r, domains) ->
       Alcotest.(check bool) what true
         (try
-           ignore (Rsj_parallel.run_chain walker (Prng.create ~seed:3 ()) ~r ~domains);
+           ignore (draw ~r ~domains);
            false
          with Invalid_argument _ -> true))
     [ ("r < 0 rejected", -1, 1); ("domains < 1 rejected", 4, 0) ]
@@ -716,7 +719,7 @@ let suite =
       test_parallel_wor_deterministic;
     Alcotest.test_case "domains < 1 rejected" `Quick test_parallel_rejects_zero_domains;
     Alcotest.test_case "default domain count" `Quick test_default_domains;
-    Alcotest.test_case "run_chain: r walks on the caller" `Quick test_run_chain;
+    Alcotest.test_case "chain draw: r walks on the caller" `Quick test_chain_draw;
     Alcotest.test_case "metrics sum across domains" `Quick test_parallel_metrics_sum;
     Alcotest.test_case "scheduler returns results in chunk order" `Quick
       test_scheduler_results_in_order;

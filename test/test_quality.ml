@@ -229,8 +229,8 @@ let test_served_biased_alerts () =
   in
   Alcotest.(check bool) "a per-stream alert is latched too" true alerted
 
-(* observe_join folds a join sample into one stream per inputs, join
-   columns and stream name, building the law once. *)
+(* observe_join folds a join sample's keys into one stream per inputs,
+   join columns and stream name, building the law once. *)
 let test_observe_join () =
   let pair = Zipf_tables.make_pair ~seed:0x0B ~n1:40 ~n2:80 ~z1:1. ~z2:1. ~domain:6 () in
   let left = pair.Zipf_tables.outer and right = pair.Zipf_tables.inner in
@@ -240,7 +240,9 @@ let test_observe_join () =
     Frequency.of_relation rel ~key
   in
   let oracle = Oracle.of_relations ~left ~right ~left_key:key ~right_key:key in
-  let joined = Array.sub (Oracle.universe oracle) 0 10 in
+  let joined =
+    Array.map (fun (tu : Tuple.t) -> Column.key tu.(key)) (Array.sub (Oracle.universe oracle) 0 10)
+  in
   let monitor = Online.create ~window:100_000 () in
   let observe stream sample =
     Online.observe_join monitor ~frequency ~left ~right ~left_key:key ~right_key:key ~stream sample

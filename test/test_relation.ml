@@ -344,6 +344,110 @@ let column_key_prop =
       && (a = Value.Null || b = Value.Null || (ka = kb) = Value.equal a b)
       && (a <> Value.Null || ka = Column.null_key))
 
+(* ---------- the column store ---------- *)
+
+(* Cells that the typed columns must keep apart: Null in every type,
+   in-band ints (min_int among them, whose key is a dictionary code,
+   not the Null key), NaN and -0.0 (by their bits), and the empty
+   string against Null. *)
+let mixed_schema = Schema.of_list [ ("i", Value.T_int); ("f", Value.T_float); ("s", Value.T_str) ]
+
+let mixed_rows =
+  [
+    [| Value.Int 1; Value.Float 0.5; Value.Str "a" |];
+    [| Value.Null; Value.Null; Value.Null |];
+    [| Value.Int min_int; Value.Float Float.nan; Value.Str "" |];
+    [| Value.Int (min_int + 1); Value.Float (-0.); Value.Null |];
+    [| Value.Int max_int; Value.Float Float.infinity; Value.Str "x,\"y" |];
+    [| Value.Int (-5); Value.Null; Value.Str "" |];
+    [| Value.Null; Value.Float 0.; Value.Str "b" |];
+  ]
+
+let same_cell a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      (Float.is_nan x && Float.is_nan y) || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let check_rows what rel =
+  Alcotest.(check int) (what ^ ": cardinality") (List.length mixed_rows) (Relation.cardinality rel);
+  List.iteri
+    (fun i want ->
+      let got = Relation.get rel i in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: row %d is %s, got %s" what i (Tuple.to_string want) (Tuple.to_string got))
+        true
+        (Array.length got = 3 && Array.for_all2 same_cell want got))
+    mixed_rows
+
+let test_columns_round_trip () =
+  let appended = Relation.create ~capacity:1 mixed_schema in
+  List.iter (Relation.append appended) mixed_rows;
+  check_rows "append" appended;
+  check_rows "of_tuples" (Relation.of_tuples mixed_schema mixed_rows);
+  let path = Filename.temp_file "rsj_test" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csv_io.save ~path appended;
+      check_rows "save/load" (Csv_io.load ~path mixed_schema));
+  let view col = Column.int_view appended ~col in
+  Alcotest.(check (array int)) "the int view is the keys"
+    (Array.of_list (List.map (fun row -> Column.key row.(0)) mixed_rows))
+    (view 0);
+  Alcotest.(check bool) "min_int is not the Null key" true ((view 0).(2) <> Column.null_key);
+  Alcotest.(check (array int)) "Null is the Null key, \"\" is not"
+    [| Column.null_key; Column.key (Value.Str "") |]
+    [| (view 2).(1); (view 2).(2) |];
+  Alcotest.(check bool) "-0. joins 0. (Value.equal)" true ((view 1).(3) = (view 1).(6))
+
+(* The int view is exactly [cardinality] keys, an append never changes
+   a view already handed out, and a string column's view is held until
+   the next append. *)
+let test_int_view_after_append () =
+  let r = Relation.create ~capacity:64 mixed_schema in
+  List.iter (Relation.append r) [ List.nth mixed_rows 0; List.nth mixed_rows 2 ];
+  let fp = Relation.fingerprint r in
+  let ints = Column.int_view r ~col:0 and strs = Column.int_view r ~col:2 in
+  Alcotest.(check int) "no capacity slack" 2 (Array.length ints);
+  Alcotest.(check bool) "an int column's view is the column" true (Column.int_view r ~col:0 == ints);
+  Alcotest.(check bool) "a string view is held" true (Column.int_view r ~col:2 == strs);
+  let before = (Array.copy ints, Array.copy strs) in
+  Relation.append r (List.nth mixed_rows 4);
+  Alcotest.(check bool) "a fresh fingerprint" true (Relation.fingerprint r <> fp);
+  Alcotest.(check (pair (array int) (array int))) "old views unchanged" before (ints, strs);
+  let ints' = Column.int_view r ~col:0 and strs' = Column.int_view r ~col:2 in
+  Alcotest.(check (list int)) "new views are cardinality long" [ 3; 3 ]
+    [ Array.length ints'; Array.length strs' ];
+  Alcotest.(check bool) "new views" true (ints' != ints && strs' != strs);
+  Alcotest.(check int) "the appended key" (Column.key (Value.Int max_int)) ints'.(2)
+
+(* Relation.bytes is what the relation owns, walked: on a loaded
+   relation, everything the relation reaches but its name, schema and
+   record. A Zipf table is two int columns and one string column, 72
+   bytes a row, plus the loader's capacity slack (here 8192 slots for
+   5000 rows in the two columns no view trimmed): under 88 bytes a row,
+   where boxed rows took about 138. *)
+let test_relation_bytes () =
+  let gen = Rsj_workload.Zipf_tables.make ~seed:7 ~name:"t" ~rows:5000 ~z:1. ~domain:100 () in
+  let path = Filename.temp_file "rsj_test" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csv_io.save ~path gen;
+      let rel = Csv_io.load ~path Rsj_workload.Zipf_tables.schema in
+      ignore (Column.int_view rel ~col:1);
+      let walked = Obj.reachable_words (Obj.repr rel) * (Sys.word_size / 8) in
+      let owned = Relation.bytes rel in
+      Alcotest.(check bool)
+        (Printf.sprintf "bytes %d within 1 KiB below the walk %d" owned walked)
+        true
+        (owned <= walked && walked - owned <= 1024);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d bytes a row (< 88)" (owned / 5000))
+        true
+        (owned < 88 * 5000))
+
 let test_tuple_ops () =
   let t = Array.map Value.int [| 1; 2; 3 |] in
   Alcotest.(check int) "attr" 2 (Value.to_int_exn (Tuple.attr t 1));
@@ -383,4 +487,7 @@ let suite =
     Alcotest.test_case "chunk_count" `Quick test_chunk_count;
     Alcotest.test_case "rehydrate join positions" `Quick test_rehydrate;
     Alcotest.test_case "uid and fingerprint" `Quick test_identity_and_version;
+    Alcotest.test_case "columns round-trip every cell kind" `Quick test_columns_round_trip;
+    Alcotest.test_case "int_view after append" `Quick test_int_view_after_append;
+    Alcotest.test_case "bytes: what the relation owns" `Quick test_relation_bytes;
   ]
